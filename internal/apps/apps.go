@@ -11,30 +11,87 @@
 // and issues a request, both replicas produce byte-identical replies.
 package apps
 
-import "tcpfailover/internal/tcp"
+import (
+	"bytes"
 
-// copyBufSize is the scratch-buffer size used by the pump loops.
+	"tcpfailover/internal/tcp"
+)
+
+// copyBufSize is the size of the scratch buffer the pump loops read into
+// and generate payload in.
 const copyBufSize = 32 * 1024
+
+// scratch returns the copy buffer shared by every application on c's stack.
+// A stack lives in one scheduler domain and pumps run to completion, so
+// sharing is race-free; the price is the application scratch rule: nothing
+// read into or generated in the buffer may be relied on across a Write or a
+// user callback, either of which may run another connection's pump. Readers
+// copy out what they keep (lineReader, the HTTP heads) before calling on.
+func scratch(c *tcp.Conn) []byte { return c.Scratch(copyBufSize) }
+
+// patternRow is two periods of the byte sequence 131·k mod 256. The pattern
+// byte at stream offset x is 131·x + 31·(x>>8) + 7·(x>>16) mod 256; within a
+// 256-aligned run the last two terms are a constant c, and because
+// 131·43 ≡ 1 (mod 256) adding c is the same as starting 43·c entries further
+// along the row. So every run is a 256-byte window of this table: Pattern is
+// a copy and VerifyPattern a compare. The table is an array in static
+// storage, filled at package initialisation; it is never on the heap.
+var patternRow = func() (row [512]byte) {
+	for k := range row {
+		row[k] = byte(131 * k)
+	}
+	return row
+}()
+
+// patternRun returns the pattern bytes from stream offset x to the end of
+// x's 256-aligned run.
+func patternRun(x int64) []byte {
+	c := byte(31*(x>>8) + 7*(x>>16))
+	return patternRow[int(43*c)+int(x&255):][:256-int(x&255)]
+}
 
 // Pattern fills p with a deterministic byte pattern seeded by off; both
 // replicas generate identical streams, and receivers can verify integrity.
 func Pattern(p []byte, off int64) {
-	for i := range p {
-		x := off + int64(i)
-		p[i] = byte(x*131 + (x>>8)*31 + (x>>16)*7)
+	for len(p) > 0 {
+		n := copy(p, patternRun(off))
+		p, off = p[n:], off+int64(n)
 	}
 }
+
+// fillPattern is Pattern behind a variable so that the over-generation gate
+// (TestSendPatternGeneratesOnce) can count the bytes the senders generate.
+var fillPattern = Pattern
 
 // VerifyPattern checks that p matches the deterministic pattern at off,
 // returning the index of the first mismatch or -1.
 func VerifyPattern(p []byte, off int64) int {
-	for i := range p {
-		x := off + int64(i)
-		if p[i] != byte(x*131+(x>>8)*31+(x>>16)*7) {
-			return i
+	for done := 0; done < len(p); {
+		run := patternRun(off + int64(done))
+		n := min(len(run), len(p)-done)
+		if !bytes.Equal(p[done:done+n], run[:n]) {
+			for i := 0; ; i++ { // the compare failed, so the loop ends
+				if p[done+i] != run[i] {
+					return done + i
+				}
+			}
 		}
+		done += n
 	}
 	return -1
+}
+
+// sendPattern is the one sender loop body: it generates the next pattern
+// bytes of a stream at offset at with left bytes to go, no more of them
+// than the send buffer will take, and writes them. Write accepts exactly
+// min(len, SendFree()) bytes, so capping the length there changes nothing
+// the protocol can see; Write is still called with nothing to send so that
+// a closed connection reports its error.
+func sendPattern(c *tcp.Conn, at, left int64) (int, error) {
+	buf := scratch(c)
+	buf = buf[:min(left, int64(c.SendFree()), int64(len(buf)))]
+	fillPattern(buf, at)
+	return c.Write(buf)
 }
 
 // drainAndEcho is the shared pump used by the echo server.
@@ -42,7 +99,6 @@ type echoConn struct {
 	c       *tcp.Conn
 	pending []byte
 	sawEOF  bool
-	buf     []byte
 }
 
 func (e *echoConn) pump() {
@@ -62,9 +118,10 @@ func (e *echoConn) pump() {
 			e.c.Close()
 			return
 		}
-		n, err := e.c.Read(e.buf)
+		buf := scratch(e.c)
+		n, err := e.c.Read(buf)
 		if n > 0 {
-			e.pending = append(e.pending, e.buf[:n]...)
+			e.pending = append(e.pending, buf[:n]...)
 			continue
 		}
 		if err != nil { // io.EOF or a terminal error
@@ -81,7 +138,7 @@ func (e *echoConn) pump() {
 // replicated test application.
 func NewEchoServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
 	return stack.Listen(port, func(c *tcp.Conn) {
-		e := &echoConn{c: c, buf: make([]byte, copyBufSize)}
+		e := &echoConn{c: c}
 		c.OnReadable(e.pump)
 		c.OnWritable(e.pump)
 	})

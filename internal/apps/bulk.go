@@ -22,10 +22,9 @@ func NewSinkServer(stack *tcp.Stack, port uint16) (*SinkServer, error) {
 	s := &SinkServer{}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		s.Conns++
-		buf := make([]byte, copyBufSize)
 		c.OnReadable(func() {
 			for {
-				n, err := c.Read(buf)
+				n, err := c.Read(scratch(c))
 				if n > 0 {
 					s.Received += int64(n)
 					continue
@@ -64,7 +63,6 @@ type Transfer struct {
 	OnClosed    func(error)
 
 	sched  *sim.Scheduler
-	chunk  []byte
 	pacing Pacing
 	paced  bool // a pacing continuation is pending
 }
@@ -96,19 +94,14 @@ func NewBulkSendPaced(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, po
 	if err != nil {
 		return nil, err
 	}
-	t := &Transfer{Conn: conn, Total: total, sched: sched, chunk: make([]byte, copyBufSize), pacing: pacing}
+	t := &Transfer{Conn: conn, Total: total, sched: sched, pacing: pacing}
 	var pump func()
 	pump = func() {
 		if t.paced {
 			return // continuation already scheduled
 		}
 		for t.Sent < t.Total {
-			n := int64(len(t.chunk))
-			if t.Total-t.Sent < n {
-				n = t.Total - t.Sent
-			}
-			Pattern(t.chunk[:n], t.Sent)
-			m, err := conn.Write(t.chunk[:n])
+			m, err := sendPattern(conn, t.Sent, t.Total-t.Sent)
 			if err != nil {
 				t.Err = err
 				return
@@ -165,15 +158,9 @@ func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*PushServer, erro
 	s := &PushServer{Size: size}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		var sent int64
-		chunk := make([]byte, copyBufSize)
 		pump := func() {
 			for sent < s.Size {
-				n := int64(len(chunk))
-				if s.Size-sent < n {
-					n = s.Size - sent
-				}
-				Pattern(chunk[:n], sent)
-				m, err := c.Write(chunk[:n])
+				m, err := sendPattern(c, sent, s.Size-sent)
 				if err != nil {
 					return
 				}
@@ -207,9 +194,9 @@ type Receiver struct {
 // connection.
 func NewReceiver(c *tcp.Conn, sched *sim.Scheduler) *Receiver {
 	r := &Receiver{BadAt: -1}
-	buf := make([]byte, copyBufSize)
 	c.OnReadable(func() {
 		for {
+			buf := scratch(c)
 			n, err := c.Read(buf)
 			if n > 0 {
 				if r.BadAt < 0 {

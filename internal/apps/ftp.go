@@ -97,7 +97,7 @@ func NewFTPServer(stack *tcp.Stack, files FTPFiles) (*FTPServer, error) {
 	s := &FTPServer{stack: stack, files: files, Stored: make(map[string]int64)}
 	_, err := stack.Listen(FTPControlPort, func(c *tcp.Conn) {
 		s.Sessions++
-		sess := &ftpSession{srv: s, ctrl: c, buf: make([]byte, copyBufSize)}
+		sess := &ftpSession{srv: s, ctrl: c}
 		c.OnReadable(sess.onCtrlReadable)
 		sess.reply("220 Service ready")
 	})
@@ -111,7 +111,6 @@ type ftpSession struct {
 	srv  *FTPServer
 	ctrl *tcp.Conn
 	lr   lineReader
-	buf  []byte
 
 	dataAddr ipv4.Addr
 	dataPort uint16
@@ -127,9 +126,10 @@ func (s *ftpSession) reply(line string) {
 
 func (s *ftpSession) onCtrlReadable() {
 	for {
-		n, err := s.ctrl.Read(s.buf)
+		buf := scratch(s.ctrl)
+		n, err := s.ctrl.Read(buf)
 		if n > 0 {
-			for _, line := range s.lr.feed(s.buf[:n]) {
+			for _, line := range s.lr.feed(buf[:n]) {
 				if s.busy {
 					s.pending = append(s.pending, line)
 				} else {
@@ -222,15 +222,9 @@ func (s *ftpSession) finishTransfer(ok bool) {
 func (s *ftpSession) sendFile(data *tcp.Conn, size int64) {
 	var sent int64
 	finished := false
-	chunk := make([]byte, copyBufSize)
 	pump := func() {
 		for sent < size {
-			n := int64(len(chunk))
-			if size-sent < n {
-				n = size - sent
-			}
-			Pattern(chunk[:n], sent)
-			m, err := data.Write(chunk[:n])
+			m, err := sendPattern(data, sent, size-sent)
 			if err != nil {
 				return
 			}
@@ -260,10 +254,9 @@ func (s *ftpSession) sendFile(data *tcp.Conn, size int64) {
 func (s *ftpSession) recvFile(data *tcp.Conn, name string) {
 	var got int64
 	finished := false
-	buf := make([]byte, copyBufSize)
 	data.OnReadable(func() {
 		for {
-			n, err := data.Read(buf)
+			n, err := data.Read(scratch(data))
 			if n > 0 {
 				got += int64(n)
 				continue
@@ -329,7 +322,6 @@ type FTPClient struct {
 	ownAddr   ipv4.Addr
 	ctrl      *tcp.Conn
 	lr        lineReader
-	buf       []byte
 	nextEphem uint16
 
 	queue   []*ftpOp
@@ -369,7 +361,6 @@ func NewFTPClient(stack *tcp.Stack, sched *sim.Scheduler, ownAddr, server ipv4.A
 		sched:     sched,
 		ownAddr:   ownAddr,
 		ctrl:      ctrl,
-		buf:       make([]byte, copyBufSize),
 		nextEphem: 40000,
 	}
 	ctrl.OnReadable(c.onCtrlReadable)
@@ -479,9 +470,9 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 		}
 		switch op.kind {
 		case "GET":
-			buf := make([]byte, copyBufSize)
 			data.OnReadable(func() {
 				for {
+					buf := scratch(data)
 					n, rerr := data.Read(buf)
 					if n > 0 {
 						if op.badAt < 0 {
@@ -500,7 +491,6 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 				}
 			})
 		case "PUT":
-			chunk := make([]byte, copyBufSize)
 			paced := false
 			var pump func()
 			pump = func() {
@@ -508,12 +498,7 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 					return
 				}
 				for op.sent < op.size {
-					n := int64(len(chunk))
-					if op.size-op.sent < n {
-						n = op.size - op.sent
-					}
-					Pattern(chunk[:n], op.sent)
-					m, werr := data.Write(chunk[:n])
+					m, werr := sendPattern(data, op.sent, op.size-op.sent)
 					if werr != nil {
 						return
 					}
@@ -552,9 +537,10 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 
 func (c *FTPClient) onCtrlReadable() {
 	for {
-		n, err := c.ctrl.Read(c.buf)
+		buf := scratch(c.ctrl)
+		n, err := c.ctrl.Read(buf)
 		if n > 0 {
-			for _, line := range c.lr.feed(c.buf[:n]) {
+			for _, line := range c.lr.feed(buf[:n]) {
 				c.response(line)
 			}
 			continue

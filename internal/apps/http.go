@@ -45,7 +45,7 @@ func NewHTTPServer(stack *tcp.Stack, port uint16) (*HTTPServer, error) {
 	s := &HTTPServer{}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		s.Conns++
-		h := &httpServerConn{srv: s, c: c, buf: make([]byte, copyBufSize)}
+		h := &httpServerConn{srv: s, c: c}
 		c.OnReadable(h.pump)
 		c.OnWritable(h.pump)
 	})
@@ -58,7 +58,6 @@ func NewHTTPServer(stack *tcp.Stack, port uint16) (*HTTPServer, error) {
 type httpServerConn struct {
 	srv  *HTTPServer
 	c    *tcp.Conn
-	buf  []byte
 	head []byte // accumulated request head (through the blank line)
 
 	// In-progress response.
@@ -83,12 +82,7 @@ func (h *httpServerConn) pump() {
 			h.header = h.header[n:]
 		}
 		for h.bodyN > 0 {
-			n := h.bodyN
-			if n > int64(len(h.buf)) {
-				n = int64(len(h.buf))
-			}
-			Pattern(h.buf[:n], h.bodyAt)
-			m, err := h.c.Write(h.buf[:n])
+			m, err := sendPattern(h.c, h.bodyAt, h.bodyN)
 			if err != nil {
 				return
 			}
@@ -107,9 +101,10 @@ func (h *httpServerConn) pump() {
 			return
 		}
 		// Read more of the next request.
-		n, err := h.c.Read(h.buf)
+		buf := scratch(h.c)
+		n, err := h.c.Read(buf)
 		if n > 0 {
-			h.head = append(h.head, h.buf[:n]...)
+			h.head = append(h.head, buf[:n]...)
 			if len(h.head) > httpMaxHeader {
 				h.c.Abort()
 				return
@@ -199,7 +194,6 @@ type HTTPClient struct {
 	OnClosed func(error)
 
 	sched *sim.Scheduler
-	buf   []byte
 	head  []byte
 
 	want    int64 // body bytes outstanding for the current response
@@ -215,7 +209,7 @@ func NewHTTPClient(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, port 
 	if err != nil {
 		return nil, err
 	}
-	cl := &HTTPClient{Conn: conn, sched: sched, buf: make([]byte, copyBufSize)}
+	cl := &HTTPClient{Conn: conn, sched: sched}
 	conn.OnReadable(cl.readable)
 	conn.OnClose(func(err error) {
 		cl.closed = true
@@ -244,14 +238,15 @@ func (cl *HTTPClient) Get(n int64, last bool, onDone func()) {
 
 func (cl *HTTPClient) readable() {
 	for {
-		n, err := cl.Conn.Read(cl.buf)
+		buf := scratch(cl.Conn)
+		n, err := cl.Conn.Read(buf)
 		if n == 0 {
 			if err != nil {
 				cl.Conn.Close()
 			}
 			return
 		}
-		cl.feed(cl.buf[:n])
+		cl.feed(buf[:n])
 	}
 }
 
@@ -294,6 +289,10 @@ func (cl *HTTPClient) feed(p []byte) {
 		cl.want -= n
 		p = p[n:]
 		if cl.want == 0 {
+			// p may be the stack's scratch, which the completion callback is
+			// free to reuse; bytes past the body (none, without pipelining)
+			// are copied out first.
+			p = append([]byte(nil), p...)
 			cl.finishResponse()
 		}
 	}

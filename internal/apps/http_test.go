@@ -4,24 +4,15 @@ import (
 	"testing"
 	"time"
 
-	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/sim"
 )
 
-// httpPair wires two hosts on one segment with an HTTP server on the first.
+// httpPair is hostPair with an HTTP server on the first host.
 func httpPair(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host, *HTTPServer) {
 	t.Helper()
-	sched := sim.New(11)
-	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	pfx := ipv4.PrefixFrom(ipv4.MustParseAddr("10.9.0.0"), 24)
-	srvAddr := ipv4.MustParseAddr("10.9.0.1")
-	clAddr := ipv4.MustParseAddr("10.9.0.2")
-	srv := netstack.NewHost(sched, "server", netstack.DefaultProfile())
-	srv.AttachIface(seg, ethernet.MAC{2, 0, 0, 9, 0, 1}, srvAddr, pfx)
-	cl := netstack.NewHost(sched, "client", netstack.DefaultProfile())
-	cl.AttachIface(seg, ethernet.MAC{2, 0, 0, 9, 0, 2}, clAddr, pfx)
+	sched, srv, cl := hostPair()
 	s, err := NewHTTPServer(srv.TCP(), 80)
 	if err != nil {
 		t.Fatal(err)

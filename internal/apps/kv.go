@@ -43,9 +43,9 @@ func NewKVServer(stack *tcp.Stack, port uint16, seed map[string]string) (*KVServ
 	}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		var lr lineReader
-		buf := make([]byte, copyBufSize)
 		c.OnReadable(func() {
 			for {
+				buf := scratch(c)
 				n, err := c.Read(buf)
 				if n > 0 {
 					for _, line := range lr.feed(buf[:n]) {
@@ -104,12 +104,7 @@ func NewFrontend(stack *tcp.Stack, port uint16, beAddr ipv4.Addr, bePort uint16)
 			return
 		}
 		f.BackendConns++
-		sess := &feSession{
-			conn: c,
-			be:   be,
-			buf:  make([]byte, copyBufSize),
-			bbuf: make([]byte, copyBufSize),
-		}
+		sess := &feSession{conn: c, be: be}
 		c.OnReadable(sess.onReadable)
 		c.OnClose(func(error) { be.Close() })
 		be.OnReadable(sess.onBackendReadable)
@@ -125,8 +120,6 @@ type feSession struct {
 	be   *tcp.Conn
 	lr   lineReader
 	blr  lineReader
-	buf  []byte
-	bbuf []byte
 	// Replies go out strictly in command order: each command reserves a
 	// slot, filled either immediately (local errors) or when the matching
 	// back-end reply arrives. Waiters map back-end replies onto their
@@ -166,9 +159,10 @@ func (s *feSession) flushSlots() {
 
 func (s *feSession) onBackendReadable() {
 	for {
-		n, rerr := s.be.Read(s.bbuf)
+		buf := scratch(s.be)
+		n, rerr := s.be.Read(buf)
 		if n > 0 {
-			for _, line := range s.blr.feed(s.bbuf[:n]) {
+			for _, line := range s.blr.feed(buf[:n]) {
 				if len(s.waiters) > 0 {
 					cb := s.waiters[0]
 					s.waiters = s.waiters[1:]
@@ -186,9 +180,10 @@ func (s *feSession) onBackendReadable() {
 
 func (s *feSession) onReadable() {
 	for {
-		n, err := s.conn.Read(s.buf)
+		buf := scratch(s.conn)
+		n, err := s.conn.Read(buf)
 		if n > 0 {
-			for _, line := range s.lr.feed(s.buf[:n]) {
+			for _, line := range s.lr.feed(buf[:n]) {
 				s.command(line)
 			}
 			continue

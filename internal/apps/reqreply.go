@@ -20,7 +20,7 @@ import (
 // replication requires.
 func NewReqReplyServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
 	return stack.Listen(port, func(c *tcp.Conn) {
-		srv := &reqReplyConn{c: c, buf: make([]byte, copyBufSize)}
+		srv := &reqReplyConn{c: c}
 		c.OnReadable(srv.pump)
 		c.OnWritable(srv.pump)
 	})
@@ -28,7 +28,6 @@ func NewReqReplyServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
 
 type reqReplyConn struct {
 	c       *tcp.Conn
-	buf     []byte
 	reqBuf  []byte
 	replyN  int64 // bytes of current reply still to send
 	replyAt int64 // pattern offset within current reply
@@ -39,12 +38,7 @@ func (s *reqReplyConn) pump() {
 	for {
 		// Finish the in-progress reply first.
 		for s.replyN > 0 {
-			n := s.replyN
-			if n > int64(len(s.buf)) {
-				n = int64(len(s.buf))
-			}
-			Pattern(s.buf[:n], s.replyAt)
-			m, err := s.c.Write(s.buf[:n])
+			m, err := sendPattern(s.c, s.replyAt, s.replyN)
 			if err != nil {
 				return
 			}
@@ -58,9 +52,10 @@ func (s *reqReplyConn) pump() {
 			s.c.Close()
 			return
 		}
-		n, err := s.c.Read(s.buf)
+		buf := scratch(s.c)
+		n, err := s.c.Read(buf)
 		if n > 0 {
-			s.reqBuf = append(s.reqBuf, s.buf[:n]...)
+			s.reqBuf = append(s.reqBuf, buf[:n]...)
 		} else if err != nil {
 			s.sawEOF = true
 			continue
@@ -86,7 +81,6 @@ type ReqReplyClient struct {
 	started   time.Duration
 	want      int64
 	got       int64
-	buf       []byte
 	onDone    func(elapsed time.Duration)
 	connected bool
 	pendingSz int64
@@ -99,7 +93,7 @@ func NewReqReplyClient(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, p
 	if err != nil {
 		return nil, err
 	}
-	cl := &ReqReplyClient{Conn: conn, sched: sched, buf: make([]byte, copyBufSize)}
+	cl := &ReqReplyClient{Conn: conn, sched: sched}
 	conn.OnEstablished(func() {
 		cl.connected = true
 		if cl.pendingSz > 0 {
@@ -110,7 +104,7 @@ func NewReqReplyClient(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, p
 	})
 	conn.OnReadable(func() {
 		for {
-			n, err := conn.Read(cl.buf)
+			n, err := conn.Read(scratch(conn))
 			if n > 0 {
 				cl.got += int64(n)
 				if cl.got >= cl.want && cl.want > 0 {

@@ -1,0 +1,123 @@
+package apps
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"tcpfailover/internal/ethernet"
+	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/sim"
+	"tcpfailover/internal/tcp"
+)
+
+var pairServerAddr = ipv4.MustParseAddr("10.9.0.1")
+
+// hostPair wires a server host (10.9.0.1) and a client host on one segment.
+func hostPair() (*sim.Scheduler, *netstack.Host, *netstack.Host) {
+	sched := sim.New(11)
+	seg := ethernet.NewSegment(sched, ethernet.Config{})
+	pfx := ipv4.PrefixFrom(ipv4.MustParseAddr("10.9.0.0"), 24)
+	srv := netstack.NewHost(sched, "server", netstack.DefaultProfile())
+	srv.AttachIface(seg, ethernet.MAC{2, 0, 0, 9, 0, 1}, pairServerAddr, pfx)
+	cl := netstack.NewHost(sched, "client", netstack.DefaultProfile())
+	cl.AttachIface(seg, ethernet.MAC{2, 0, 0, 9, 0, 2}, ipv4.MustParseAddr("10.9.0.2"), pfx)
+	return sched, srv, cl
+}
+
+// TestSendPatternGeneratesOnce serves one 128 KiB reply and counts the bytes
+// the sender generates. Every byte is generated when the send buffer has
+// room for it and never again; a sender that refills its whole scratch
+// buffer on every pump generates about eighteen times the payload.
+func TestSendPatternGeneratesOnce(t *testing.T) {
+	var generated int64
+	fillPattern = func(p []byte, off int64) {
+		generated += int64(len(p))
+		Pattern(p, off)
+	}
+	defer func() { fillPattern = Pattern }()
+
+	sched, srv, cl := hostPair()
+	if _, err := NewReqReplyServer(srv.TCP(), 7); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewReqReplyClient(cl.TCP(), sched, pairServerAddr, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = 128 << 10
+	done := false
+	c.Request(payload, func(time.Duration) { done = true })
+	if err := sched.RunUntil(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("reply not delivered")
+	}
+	if limit := int64(payload + srv.TCP().Config().SendBufSize); generated < payload || generated > limit {
+		t.Fatalf("generated %d pattern bytes for a %d-byte reply, want at most %d", generated, payload, limit)
+	}
+}
+
+// liveHeapAfterAccepts builds a host pair, installs a server with listen,
+// opens conns idle connections to it and returns the live heap that took.
+func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint16) error) int64 {
+	t.Helper()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pool victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	sched, srv, cl := hostPair()
+	if err := listen(srv.TCP(), 7); err != nil {
+		t.Fatal(err)
+	}
+	established := 0
+	for i := 0; i < conns; i++ {
+		c, err := cl.TCP().Dial(pairServerAddr, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.OnEstablished(func() { established++ })
+	}
+	if err := sched.RunUntil(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if established != conns || len(srv.TCP().Conns()) != conns {
+		t.Fatalf("%d of %d connections established, %d accepted", established, conns, len(srv.TCP().Conns()))
+	}
+	after := heap()
+	runtime.KeepAlive(sched)
+	runtime.KeepAlive(srv)
+	runtime.KeepAlive(cl)
+	return after - before
+}
+
+// TestIdleConnectionHeapGate: an accepted connection that has not yet
+// carried a byte costs its server application's own state and no copy
+// buffer; the scratch is the stack's, allocated on first use.
+func TestIdleConnectionHeapGate(t *testing.T) {
+	const conns = 256
+	bare := liveHeapAfterAccepts(t, conns, func(s *tcp.Stack, port uint16) error {
+		_, err := s.Listen(port, func(*tcp.Conn) {})
+		return err
+	})
+	for _, srv := range []struct {
+		name   string
+		listen func(*tcp.Stack, uint16) error
+	}{
+		{"ReqReply", func(s *tcp.Stack, port uint16) error { _, err := NewReqReplyServer(s, port); return err }},
+		{"Sink", func(s *tcp.Stack, port uint16) error { _, err := NewSinkServer(s, port); return err }},
+		{"HTTP", func(s *tcp.Stack, port uint16) error { _, err := NewHTTPServer(s, port); return err }},
+	} {
+		perConn := float64(liveHeapAfterAccepts(t, conns, srv.listen)-bare) / conns
+		t.Logf("%s: %.0f B of live heap per idle connection beyond a bare accept", srv.name, perConn)
+		if perConn >= 2048 {
+			t.Errorf("%s: %.0f B of live heap per idle connection beyond a bare accept, want under 2048", srv.name, perConn)
+		}
+	}
+}

@@ -73,7 +73,7 @@ type StoreServer struct {
 func NewStoreServer(stack *tcp.Stack, port uint16, catalog Catalog) (*StoreServer, error) {
 	s := &StoreServer{catalog: catalog}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
-		sess := &storeSession{srv: s, conn: c, buf: make([]byte, copyBufSize), nextOrder: 1000}
+		sess := &storeSession{srv: s, conn: c, nextOrder: 1000}
 		c.OnReadable(sess.onReadable)
 		c.OnWritable(sess.flush)
 	})
@@ -87,7 +87,6 @@ type storeSession struct {
 	srv       *StoreServer
 	conn      *tcp.Conn
 	lr        lineReader
-	buf       []byte
 	out       []byte
 	nextOrder int64
 	quitting  bool
@@ -114,9 +113,10 @@ func (s *storeSession) flush() {
 
 func (s *storeSession) onReadable() {
 	for {
-		n, err := s.conn.Read(s.buf)
+		buf := scratch(s.conn)
+		n, err := s.conn.Read(buf)
 		if n > 0 {
-			for _, line := range s.lr.feed(s.buf[:n]) {
+			for _, line := range s.lr.feed(buf[:n]) {
 				s.command(line)
 			}
 			continue

@@ -60,7 +60,8 @@ type Stats struct {
 	DialErrors int64
 
 	// Requests counts measured requests issued; Completed, those whose last
-	// body byte arrived; Failed, those whose connection died first.
+	// body byte arrived with every body byte verified; Failed, those whose
+	// connection died first or whose body failed verification.
 	Requests  int64
 	Completed int64
 	Failed    int64
@@ -177,7 +178,10 @@ func (s *session) issue() {
 	last := s.next == len(s.sizes)
 	s.cl.Get(size, last, func() {
 		s.inFlight = false
-		if s.measured {
+		if s.measured && s.cl.BadBody {
+			// Delivered, but not the bytes the server was asked for.
+			g.Stats.Failed++
+		} else if s.measured {
 			g.Stats.Completed++
 			g.Stats.BytesIn += size
 			g.Stats.Lat.ObserveDuration(g.cfg.Sched.Now() - s.issuedAt)

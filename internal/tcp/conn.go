@@ -142,6 +142,20 @@ func (c *Conn) SendFree() int { return c.sndBuf.Free() }
 // SendQueued returns the bytes in the send buffer not yet acknowledged.
 func (c *Conn) SendQueued() int { return c.sndBuf.Len() }
 
+// Scratch returns an n-byte buffer owned by the connection's stack, shared
+// by every connection on it and allocated on first use: applications read
+// into it and stage writes in it instead of holding a buffer per
+// connection. A stack runs in one scheduler domain, so the sharing is
+// race-free, but any Write, or any callback into other application code,
+// may reuse the buffer: its contents are valid only until the next one.
+func (c *Conn) Scratch(n int) []byte {
+	s := c.stack
+	if len(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	return s.scratch[:n]
+}
+
 // --- application API -------------------------------------------------------
 
 // Write copies up to len(p) bytes into the send buffer and starts
@@ -560,6 +574,11 @@ func (c *Conn) armPersist() {
 
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
+	// Everything sent has been acknowledged and nothing more will be
+	// buffered: the rings give their storage back now, not after the linger
+	// (rcvBuf only if the application has already read it dry).
+	c.sndBuf.release()
+	c.rcvBuf.release()
 	c.stopRexmt()
 	c.timeWaitTimer.Stop()
 	c.timeWaitTimer = c.stack.sched.After(c.stack.cfg.TimeWaitDuration, "tcp.timewait", func() {

@@ -178,6 +178,65 @@ func TestGracefulCloseStateWalk(t *testing.T) {
 	}
 }
 
+// TestTimeWaitReleasesRings: a connection lingering in TIME-WAIT has had
+// everything acknowledged, so it holds no send storage, and no receive
+// storage unless the application has left data unread.
+func TestTimeWaitReleasesRings(t *testing.T) {
+	for _, unread := range []bool{false, true} {
+		p := newPair(t, Config{TimeWaitDuration: time.Minute})
+		c, s := p.connect(t, 80)
+		s.OnReadable(func() {
+			for {
+				n, err := s.Read(make([]byte, 4096))
+				if err == io.EOF {
+					// Reply, then close: the client is in FIN-WAIT-2 and
+					// enters TIME-WAIT on this FIN.
+					_, _ = s.Write(bytes.Repeat([]byte{7}, 3000))
+					s.Close()
+				}
+				if n == 0 {
+					return
+				}
+			}
+		})
+		sawEOF := false
+		c.OnReadable(func() {
+			for !unread { // unread: the application never reads the reply
+				n, err := c.Read(make([]byte, 1000))
+				if err == io.EOF {
+					sawEOF = true
+				}
+				if n == 0 {
+					return
+				}
+			}
+		})
+		if _, err := c.Write(bytes.Repeat([]byte{9}, 20000)); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		p.runUntil(t, func() bool { return c.State() == StateTimeWait }, 5*time.Second)
+		if c.sndBuf.buf != nil {
+			t.Errorf("unread=%v: TIME-WAIT connection holds a %d-byte send buffer", unread, len(c.sndBuf.buf))
+		}
+		if c.sndBuf.Cap() != p.a.Config().SendBufSize || c.rcvBuf.Cap() != p.a.Config().RecvBufSize {
+			t.Errorf("unread=%v: logical capacities changed: %d / %d", unread, c.sndBuf.Cap(), c.rcvBuf.Cap())
+		}
+		if !unread {
+			if !sawEOF || c.rcvBuf.buf != nil {
+				t.Errorf("TIME-WAIT connection read dry (EOF %v) holds a %d-byte receive buffer", sawEOF, len(c.rcvBuf.buf))
+			}
+			continue
+		}
+		// The unread bytes survive TIME-WAIT entry and are still readable.
+		rest := make([]byte, 4096)
+		n, err := c.Read(rest)
+		if err != nil || n != 3000 || !bytes.Equal(rest[:n], bytes.Repeat([]byte{7}, n)) {
+			t.Fatalf("reading the reply in TIME-WAIT: %d bytes, %v", n, err)
+		}
+	}
+}
+
 func TestHalfCloseAllowsContinuedTransfer(t *testing.T) {
 	p := newPair(t, Config{TimeWaitDuration: 10 * time.Millisecond})
 	c, s := p.connect(t, 80)

@@ -61,6 +61,15 @@ func (r *ring) grow(need int) {
 	r.start = 0
 }
 
+// release drops the physical buffer of an empty ring; a ring holding data
+// keeps it. The logical capacity is untouched, and a later Write grows the
+// buffer again as it did the first time.
+func (r *ring) release() {
+	if r.size == 0 {
+		r.buf, r.start = nil, 0
+	}
+}
+
 // Write appends up to len(p) bytes, returning how many were accepted.
 func (r *ring) Write(p []byte) int {
 	n := min(len(p), r.Free())

@@ -107,3 +107,31 @@ func TestRingConsumeClamps(t *testing.T) {
 		t.Errorf("after over-consume: len=%d free=%d", r.Len(), r.Free())
 	}
 }
+
+// TestRingRelease: an empty ring gives its storage back and is usable
+// afterwards; a ring holding data keeps both.
+func TestRingRelease(t *testing.T) {
+	r := newRing(64, discard())
+	r.Write([]byte("abcdefgh"))
+	r.Consume(3) // start != 0
+	r.release()
+	p := make([]byte, 8)
+	if r.buf == nil || r.Len() != 5 || r.Peek(0, p) != 5 || string(p[:5]) != "defgh" {
+		t.Fatalf("release dropped a ring holding %q", p[:r.Len()])
+	}
+	r.Consume(5)
+	r.release()
+	if r.buf != nil || r.start != 0 {
+		t.Fatalf("empty ring kept its buffer: len(buf)=%d start=%d", len(r.buf), r.start)
+	}
+	if r.Cap() != 64 || r.Free() != 64 || r.Len() != 0 {
+		t.Fatalf("release changed the logical ring: cap=%d free=%d len=%d", r.Cap(), r.Free(), r.Len())
+	}
+	if n := r.Read(p); n != 0 {
+		t.Fatalf("Read on a released ring = %d", n)
+	}
+	r.Consume(1) // must not divide by the zero-length buffer
+	if n := r.Write([]byte("again")); n != 5 || r.Read(p) != 5 || string(p[:5]) != "again" {
+		t.Fatalf("released ring did not take a new write: %q", p[:5])
+	}
+}

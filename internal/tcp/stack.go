@@ -207,6 +207,10 @@ type Stack struct {
 	// the pointer, so reusing it keeps segment receive allocation-free.
 	inSeg Segment
 
+	// scratch is the copy buffer the stack's applications share (see
+	// Conn.Scratch); nil until one asks for it.
+	scratch []byte
+
 	stats Stats
 	m     stackMetrics
 

@@ -18,7 +18,9 @@ import (
 // TestLoadgenShardedDifferential extends the sharded byte-identity gate to
 // the open-loop load generator: both cells run workload-zoo traffic against
 // their HTTP service while cell 0's primary crashes mid-run. Partitioning
-// the cells across 1 or 2 domain schedulers must not change a single event
+// the four cells across 1, 2 or 4 domain schedulers (under -race this is
+// also the gate that the per-stack application scratch buffer is never
+// shared between domains) must not change a single event
 // — per-stream digests, the merged metrics snapshot, and every generator
 // counter (including the full latency histogram) must be identical. The
 // generator makes this possible by pre-drawing each session's shape from
@@ -33,7 +35,7 @@ func TestLoadgenShardedDifferential(t *testing.T) {
 	run := func(shards int) result {
 		t.Helper()
 		opts := tcpfailover.ShardedOptions{
-			Cells:     2,
+			Cells:     4,
 			Shards:    shards,
 			Cell:      tcpfailover.LANOptions(),
 			CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
@@ -96,17 +98,20 @@ func TestLoadgenShardedDifferential(t *testing.T) {
 	}
 
 	seq := run(1)
-	par := run(2)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("open-loop sharded run differs between 1 and 2 shards")
+	for _, shards := range []int{2, 4} {
+		par := run(shards)
+		if reflect.DeepEqual(seq, par) {
+			continue
+		}
+		t.Errorf("open-loop sharded run differs between 1 and %d shards", shards)
 		for i := range seq.stats {
 			if !reflect.DeepEqual(seq.stats[i], par.stats[i]) {
-				t.Errorf("cell %d stats:\nshards=1: %+v\nshards=2: %+v",
-					i, statsLine(seq.stats[i]), statsLine(par.stats[i]))
+				t.Errorf("cell %d stats:\nshards=1: %+v\nshards=%d: %+v",
+					i, statsLine(seq.stats[i]), shards, statsLine(par.stats[i]))
 			}
 		}
 		if !reflect.DeepEqual(seq.digests, par.digests) {
-			t.Errorf("digests:\nshards=1: %v\nshards=2: %v", seq.digests, par.digests)
+			t.Errorf("digests:\nshards=1: %v\nshards=%d: %v", seq.digests, shards, par.digests)
 		}
 	}
 	// The differential must compare live traffic, including a completed
