@@ -61,17 +61,18 @@ func TestSendPatternGeneratesOnce(t *testing.T) {
 }
 
 // liveHeapAfterAccepts builds a host pair, installs a server with listen,
-// opens conns idle connections to it and returns the live heap that took.
-func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint16) error) int64 {
+// opens conns idle connections to it and returns the live heap that took,
+// in bytes and in objects.
+func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint16) error) (bytes, objects int64) {
 	t.Helper()
-	heap := func() int64 {
+	heap := func() (int64, int64) {
 		runtime.GC()
 		runtime.GC() // the second empties the sync.Pool victim caches
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
+		return int64(ms.HeapAlloc), int64(ms.HeapObjects)
 	}
-	before := heap()
+	before, objBefore := heap()
 	sched, srv, cl := hostPair()
 	if err := listen(srv.TCP(), 7); err != nil {
 		t.Fatal(err)
@@ -90,22 +91,30 @@ func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint1
 	if established != conns || len(srv.TCP().Conns()) != conns {
 		t.Fatalf("%d of %d connections established, %d accepted", established, conns, len(srv.TCP().Conns()))
 	}
-	after := heap()
+	after, objAfter := heap()
 	runtime.KeepAlive(sched)
 	runtime.KeepAlive(srv)
 	runtime.KeepAlive(cl)
-	return after - before
+	return after - before, objAfter - objBefore
 }
 
 // TestIdleConnectionHeapGate: an accepted connection that has not yet
 // carried a byte costs its server application's own state and no copy
-// buffer; the scratch is the stack's, allocated on first use.
+// buffer; the scratch is the stack's, allocated on first use. The bare
+// accept itself is a handful of heap objects per connection pair — the two
+// Conns with their rings embedded, RTT estimators, flow-table and timer
+// state — and no ring storage before the first byte.
 func TestIdleConnectionHeapGate(t *testing.T) {
 	const conns = 256
-	bare := liveHeapAfterAccepts(t, conns, func(s *tcp.Stack, port uint16) error {
+	bare, bareObjects := liveHeapAfterAccepts(t, conns, func(s *tcp.Stack, port uint16) error {
 		_, err := s.Listen(port, func(*tcp.Conn) {})
 		return err
 	})
+	perPair := float64(bareObjects) / conns
+	t.Logf("bare accept: %.0f B and %.1f heap objects per connection pair", float64(bare)/conns, perPair)
+	if perPair >= 12 {
+		t.Errorf("bare accept: %.1f heap objects per connection pair, want under 12 (9.7 with the rings embedded, 13.7 with each a heap object)", perPair)
+	}
 	for _, srv := range []struct {
 		name   string
 		listen func(*tcp.Stack, uint16) error
@@ -114,7 +123,8 @@ func TestIdleConnectionHeapGate(t *testing.T) {
 		{"Sink", func(s *tcp.Stack, port uint16) error { _, err := NewSinkServer(s, port); return err }},
 		{"HTTP", func(s *tcp.Stack, port uint16) error { _, err := NewHTTPServer(s, port); return err }},
 	} {
-		perConn := float64(liveHeapAfterAccepts(t, conns, srv.listen)-bare) / conns
+		live, _ := liveHeapAfterAccepts(t, conns, srv.listen)
+		perConn := float64(live-bare) / conns
 		t.Logf("%s: %.0f B of live heap per idle connection beyond a bare accept", srv.name, perConn)
 		if perConn >= 2048 {
 			t.Errorf("%s: %.0f B of live heap per idle connection beyond a bare accept, want under 2048", srv.name, perConn)

@@ -1,0 +1,145 @@
+package bench
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"tcpfailover"
+	"tcpfailover/internal/apps"
+	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/tcp"
+)
+
+// The byte-path allocation gates (CI runs both on every push): payload
+// bytes sit in three kinds of buffer between the applications — the TCP
+// send and receive rings and the primary bridge's match queues — and in the
+// steady state all three cycle storage through netbuf's byte store instead
+// of allocating.
+
+func frames(sc *tcpfailover.Scenario) int64 {
+	return sc.ServerLAN.Stats().Frames + sc.ClientLink.Stats().Frames
+}
+
+// TestStreamSteadyStateAllocs: the stream-recv shape, back-to-back 128 KiB
+// replies over one failover connection. Every reply byte waits in the
+// primary bridge's match queue; after one warm-up reply has grown the
+// rings, neither the queues nor anything else on the path may allocate per
+// segment.
+func TestStreamSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
+	}
+	const reply, replies = 128 << 10, 64
+	opts := tcpfailover.LANOptions()
+	opts.Seed = 9100
+	opts.ServerPorts = []uint16{benchPort}
+	// Heartbeats allocate per period of virtual time, not per segment of
+	// the stream; they would be the whole of what this gate reads.
+	detectors := false
+	opts.StartDetectors = &detectors
+	sc, err := tcpfailover.NewScenario(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := installOnServers(sc, func(h *netstack.Host) error {
+		_, err := apps.NewReqReplyServer(h.TCP(), benchPort)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sc.Start()
+	cl, err := apps.NewReqReplyClient(sc.Client.TCP(), sc.Sched, sc.ServiceAddr(), benchPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	onDone := func(time.Duration) { done++ }
+	request := func() {
+		want := done + 1
+		cl.Request(reply, onDone)
+		if err := sc.RunUntil(func() bool { return done >= want }, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: rings and queues grow to their working size. The window
+	// opens further during the next reply, which adds some twenty packet
+	// buffers and events to the pools, once; the run is long enough for
+	// that not to read as a per-segment cost.
+	request()
+
+	var ms0, ms1 runtime.MemStats
+	f0 := frames(sc)
+	runtime.ReadMemStats(&ms0)
+	for range replies {
+		request()
+	}
+	runtime.ReadMemStats(&ms1)
+	segs := float64(frames(sc) - f0)
+	if segs < replies*reply/1460 {
+		t.Fatalf("only %.0f segments carried for %d replies", segs, replies)
+	}
+	mallocs := float64(ms1.Mallocs-ms0.Mallocs) / segs
+	bytes := float64(ms1.TotalAlloc-ms0.TotalAlloc) / segs
+	t.Logf("%.0f segments: %.4f mallocs/segment, %.2f B/segment", segs, mallocs, bytes)
+	if mallocs >= 0.01 {
+		t.Errorf("stream steady state allocates %.4f times per segment, want < 0.01", mallocs)
+	}
+	if bytes >= 16 {
+		t.Errorf("stream steady state allocates %.1f B per segment, want < 16", bytes)
+	}
+}
+
+// TestSequentialConnsReuseRings: the stream-send shape, one connection per
+// 128 KiB upload, dial to full close. Each connection grows a 64 KiB send
+// ring on the client and receive rings on the replicas; closing gives them
+// back to the store, so after warm-up the next connection takes those
+// instead of allocating its own.
+func TestSequentialConnsReuseRings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
+	}
+	const upload, warm, conns = 128 << 10, 8, 200
+	sc, err := scenario(Failover, 9200, benchPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := installOnServers(sc, func(h *netstack.Host) error {
+		_, err := apps.NewSinkServer(h.TCP(), benchPort)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sc.Start()
+	one := func() {
+		tr, err := apps.NewBulkSend(sc.Client.TCP(), sc.Sched, sc.ServiceAddr(), benchPort, upload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Full close as the client sees it: its FIN acknowledged and the
+		// servers' FIN received. Entering TIME-WAIT returns the client's
+		// rings; the replicas' go back when LAST-ACK completes.
+		if err := sc.RunUntil(func() bool {
+			return tr.Err != nil || tr.Conn.State() == tcp.StateTimeWait || tr.Closed > 0
+		}, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Err != nil || !tr.Done {
+			t.Fatalf("upload failed: done=%v err=%v", tr.Done, tr.Err)
+		}
+	}
+	for range warm {
+		one()
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for range conns {
+		one()
+	}
+	runtime.ReadMemStats(&ms1)
+	perConn := float64(ms1.TotalAlloc-ms0.TotalAlloc) / conns
+	t.Logf("%.0f B allocated per connection", perConn)
+	if perConn >= 4096 {
+		t.Errorf("sequential connections allocate %.0f B each, want < 4096: a closed connection's rings are not reaching the next one", perConn)
+	}
+}

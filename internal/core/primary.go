@@ -167,13 +167,15 @@ type PrimaryBridge struct {
 	// upstream primary.
 	emit func(client ipv4.Addr, pkt *netbuf.Buffer)
 
-	// emitSeg and emitPayload are reusable scratch for the steady-state
-	// emit paths: pump and the retransmission forwarding build each
-	// outgoing segment in place instead of allocating one per segment.
+	// emitSeg is reusable scratch for the steady-state emit paths: pump,
+	// the secondary-failure drain and the retransmission forwarding build
+	// each outgoing segment in place instead of allocating one per segment.
 	// Safe because emitToClient marshals into a packet buffer before
-	// returning, so nothing aliases the scratch across segments.
-	emitSeg     tcp.Segment
-	emitPayload []byte
+	// returning, so nothing aliases the scratch across segments. wrapP and
+	// wrapS are where a queue assembles the one segment in 64 KiB whose bytes
+	// straddle its ring's wrap point; every other payload is read in place.
+	emitSeg      tcp.Segment
+	wrapP, wrapS []byte
 
 	stats PrimaryStats
 	m     primaryMetrics
@@ -708,7 +710,11 @@ func (b *PrimaryBridge) ingestServerSegment(c *pconn, sSeq tcp.Seq, payload []by
 		// Insert trims duplicates below the floor, so the gauge tracks the
 		// realized growth rather than the raw payload length.
 		before := q.Len()
-		q.Insert(sSeq, payload)
+		if q.Insert(sSeq, payload) > 0 {
+			// Bytes further past the release point than any unscaled window
+			// reaches: no replica sent this.
+			b.m.seqInvalidDrops.Inc()
+		}
 		b.m.queueBytes.Add(int64(q.Len() - before))
 	}
 }
@@ -721,59 +727,80 @@ func (b *PrimaryBridge) pump(c *pconn) {
 	}
 	mss := c.effMSS(b.cfg.DefaultMSS)
 	for {
-		pb := c.pq.Contiguous()
-		sb := c.sq.Contiguous()
-		n := min(len(pb), len(sb), mss)
-		if n > 0 {
-			if b.cfg.VerifyReplicaOutput && !bytes.Equal(pb[:n], sb[:n]) {
+		if n := min(c.pq.Ready(), c.sq.Ready(), mss); n > 0 {
+			sb := c.sq.Peek(n, &b.wrapS)
+			if b.cfg.VerifyReplicaOutput && !bytes.Equal(c.pq.Peek(n, &b.wrapP), sb) {
 				b.stats.Divergences++
 				if b.OnDivergence != nil {
 					b.OnDivergence(c.key, c.sndMax)
 				}
 			}
-			// The queue block may be recycled by Advance, so the released
-			// bytes move into the bridge's reusable scratch first.
-			b.emitPayload = append(b.emitPayload[:0], sb[:n]...)
-			seq := c.sndMax
-			b.qAdvance(c, n)
-			c.sndMax = c.sndMax.Add(n)
 			b.stats.BytesMatched += int64(n)
 			b.m.matchedBytes.Add(int64(n))
-			out := &b.emitSeg
-			*out = tcp.Segment{
-				Seq:     seq,
-				Ack:     c.minAck(false),
-				Flags:   tcp.FlagACK | tcp.FlagPSH,
-				Window:  c.minWin(false),
-				Payload: b.emitPayload,
-			}
-			if b.finsMatchedAt(c, c.sndMax) && c.pq.Len() == 0 && c.sq.Len() == 0 {
-				out.Flags |= tcp.FlagFIN
-				c.finSent = true
-				c.finSeq = c.sndMax
-				c.sndMax = c.sndMax.Add(1)
-			}
-			b.emitToClient(c, out)
+			b.releaseData(c, sb, false)
 			continue
 		}
 		if b.finsMatchedAt(c, c.sndMax) && !c.finSent {
-			out := &b.emitSeg
-			*out = tcp.Segment{
-				Seq:    c.sndMax,
-				Ack:    c.minAck(false),
-				Flags:  tcp.FlagACK | tcp.FlagFIN,
-				Window: c.minWin(false),
-			}
-			c.finSent = true
-			c.finSeq = c.sndMax
-			c.sndMax = c.sndMax.Add(1)
-			b.emitToClient(c, out)
+			b.releaseFin(c, false)
 			continue
 		}
 		break
 	}
+	c.parkQueues()
 	b.maybeEmitAck(c)
 	b.maybeGC(c)
+}
+
+// parkQueues returns both queues' rings to the store once the connection
+// has nothing queued, so a connection between replies parks no storage in
+// the bridge. While either replica is ahead the other's ring stays too:
+// its next segment is already on the wire.
+func (c *pconn) parkQueues() {
+	if c.pq.bytes+c.sq.bytes == 0 && (c.pq.buf != nil || c.sq.buf != nil) {
+		c.pq.release()
+		c.sq.release()
+	}
+}
+
+// releaseData sends payload — bytes a queue's Peek returned, read in place
+// — to the client as one segment at the release point and advances both
+// queues past it, with the FIN folded in when the stream ends there.
+// Advance only moves the floors, so payload stays intact until
+// emitToClient has marshalled it; the rings go back to the store later, in
+// the caller (parkQueues), once drained.
+func (b *PrimaryBridge) releaseData(c *pconn, payload []byte, degraded bool) {
+	out := &b.emitSeg
+	*out = tcp.Segment{
+		Seq:     c.sndMax,
+		Ack:     c.minAck(degraded),
+		Flags:   tcp.FlagACK | tcp.FlagPSH,
+		Window:  c.minWin(degraded),
+		Payload: payload,
+	}
+	b.qAdvance(c, len(payload))
+	c.sndMax = c.sndMax.Add(len(payload))
+	if b.finsMatchedAt(c, c.sndMax) && c.pq.Len() == 0 && (degraded || c.sq.Len() == 0) {
+		out.Flags |= tcp.FlagFIN
+		c.finSent = true
+		c.finSeq = c.sndMax
+		c.sndMax = c.sndMax.Add(1)
+	}
+	b.emitToClient(c, out)
+}
+
+// releaseFin sends the servers' FIN on its own, at the release point.
+func (b *PrimaryBridge) releaseFin(c *pconn, degraded bool) {
+	out := &b.emitSeg
+	*out = tcp.Segment{
+		Seq:    c.sndMax,
+		Ack:    c.minAck(degraded),
+		Flags:  tcp.FlagACK | tcp.FlagFIN,
+		Window: c.minWin(degraded),
+	}
+	c.finSent = true
+	c.finSeq = c.sndMax
+	c.sndMax = c.sndMax.Add(1)
+	b.emitToClient(c, out)
 }
 
 func (b *PrimaryBridge) finsMatchedAt(c *pconn, at tcp.Seq) bool {
@@ -985,8 +1012,9 @@ func (b *PrimaryBridge) removeConn(c *pconn) {
 	b.conns.Delete(uint64(c.key))
 	b.stats.ConnsClosed++
 	b.m.queueBytes.Add(int64(-(c.pq.Len() + c.sq.Len())))
-	// Free zeroes the record, releasing the queues' block storage.
-	b.slots.Free(idx)
+	c.pq.release()
+	c.sq.release()
+	b.slots.Free(idx) // zeroes the record
 }
 
 // HandleSecondaryFailure reconfigures the bridge per section 6 of the
@@ -1017,43 +1045,16 @@ func (b *PrimaryBridge) HandleSecondaryFailure() {
 			}
 			continue
 		}
-		// Step 1: drain the primary output queue into new segments.
+		// Step 1: drain the primary output queue into new segments, through
+		// pump's emit path: a takeover allocates nothing per segment.
 		mss := c.effMSS(b.cfg.DefaultMSS)
-		for {
-			data := c.pq.Contiguous()
-			if len(data) == 0 {
-				break
-			}
-			n := min(len(data), mss)
-			out := &tcp.Segment{
-				Seq:     c.sndMax,
-				Ack:     c.minAck(true),
-				Flags:   tcp.FlagACK | tcp.FlagPSH,
-				Window:  c.minWin(true),
-				Payload: append([]byte(nil), data[:n]...),
-			}
-			b.qAdvance(c, n)
-			c.sndMax = c.sndMax.Add(n)
-			if b.finsMatchedAt(c, c.sndMax) && c.pq.Len() == 0 {
-				out.Flags |= tcp.FlagFIN
-				c.finSent = true
-				c.finSeq = c.sndMax
-				c.sndMax = c.sndMax.Add(1)
-			}
-			b.emitToClient(c, out)
+		for n := c.pq.Ready(); n > 0; n = c.pq.Ready() {
+			b.releaseData(c, c.pq.Peek(min(n, mss), &b.wrapP), true)
 		}
 		if b.finsMatchedAt(c, c.sndMax) && !c.finSent {
-			out := &tcp.Segment{
-				Seq:    c.sndMax,
-				Ack:    c.minAck(true),
-				Flags:  tcp.FlagACK | tcp.FlagFIN,
-				Window: c.minWin(true),
-			}
-			c.finSent = true
-			c.finSeq = c.sndMax
-			c.sndMax = c.sndMax.Add(1)
-			b.emitToClient(c, out)
+			b.releaseFin(c, true)
 		}
+		c.parkQueues()
 		b.maybeEmitAck(c)
 	}
 }

@@ -1,192 +1,188 @@
 package core
 
-import "tcpfailover/internal/tcp"
+import (
+	"slices"
+
+	"tcpfailover/internal/netbuf"
+	"tcpfailover/internal/tcp"
+)
 
 // byteQueue is one of the primary bridge's per-connection output queues
 // (the "primary server output queue" and "secondary server output queue" of
 // the paper's Figure 2). It stores payload bytes of the server-to-client
 // stream, indexed by sequence number in the secondary's sequence space.
-// Bytes below the floor — already sent to the client — are discarded on
-// insert. Blocks are kept sorted and non-overlapping, preferring
-// already-held bytes on overlap (the replicas produce identical streams, so
-// the choice is immaterial unless divergence detection trips).
+//
+// The bytes live in one power-of-two ring taken from netbuf's byte store:
+// the byte with sequence number s sits at buf[s & (len(buf)-1)], whatever
+// the floor (2^32 is a multiple of every ring size, so the index survives
+// sequence wraparound). Which bytes are held is a sorted list of disjoint,
+// non-adjacent spans — exactly one while the replica's segments arrive in
+// order. Insert copies only bytes not yet held, so on overlap the bytes
+// already held win (the replicas produce identical streams, so the choice
+// is immaterial unless divergence detection trips); Advance only moves the
+// floor. Bytes below the floor — already sent to the client — are
+// discarded on insert.
 type byteQueue struct {
-	floor   tcp.Seq // lowest sequence number of interest (= bridge sndMax)
-	blocks  []qblock
-	bytes   int
-	scratch []byte   // reusable coalescing buffer for Contiguous
-	spare   []byte   // retired block storage, reused by Insert
-	rebuild []qblock // reusable target for out-of-order list rebuilds
+	floor tcp.Seq // lowest sequence number of interest (= bridge sndMax)
+	buf   []byte  // ring storage; nil until the first insert and after release
+	held  []span  // sorted held ranges, all within [floor, floor+queueSpan)
+	bytes int
 }
 
-// newBlockData copies payload into owned storage, reusing the spare block
-// array when it fits. In the steady state — insert, match, drain — the same
-// array cycles between the spare slot and the single live block, so the
-// per-segment allocation disappears.
-func (q *byteQueue) newBlockData(payload []byte) []byte {
-	if cap(q.spare) >= len(payload) {
-		data := q.spare[:len(payload)]
-		q.spare = nil
-		copy(data, payload)
-		return data
+// span is the held range [seq, end).
+type span struct{ seq, end tcp.Seq }
+
+// queueSpan is how far past its floor a queue holds bytes. TCP here has no
+// window scaling, so a replica never sends further than 65 535 bytes past
+// what the client acknowledged, which the floor has passed; the largest
+// store class covers that. A segment claiming more is forged, and is
+// clipped rather than allowed to size an allocation.
+const queueSpan = netbuf.MaxBytes
+
+// reset empties the queue, returns its ring and sets the floor.
+func (q *byteQueue) reset(floor tcp.Seq) {
+	q.release()
+	*q = byteQueue{floor: floor, held: q.held[:0]}
+}
+
+// release returns the ring to the store. The caller must be done with every
+// slice Peek handed out, and with the bytes still held.
+func (q *byteQueue) release() {
+	if q.buf != nil {
+		netbuf.ReturnBytes(&q.buf)
 	}
-	data := make([]byte, len(payload))
-	copy(data, payload)
-	return data
 }
-
-type qblock struct {
-	seq  tcp.Seq
-	data []byte
-	// shared marks a block whose backing array is split between two list
-	// entries (an insert split around an existing block). Shared storage
-	// must never be retired to the spare slot while its sibling may live.
-	shared bool
-}
-
-func (b qblock) end() tcp.Seq { return b.seq.Add(len(b.data)) }
-
-func newByteQueue(floor tcp.Seq) *byteQueue { return &byteQueue{floor: floor} }
-
-// reset re-initializes the queue to empty with the given floor. The bridges
-// embed their queues by value inside slab records, so establishment calls
-// reset instead of allocating a fresh queue; dropping the block slices here
-// (rather than keeping them as scratch) is fine because slot reuse zeroes
-// the record anyway.
-func (q *byteQueue) reset(floor tcp.Seq) { *q = byteQueue{floor: floor} }
 
 // Len returns the number of buffered bytes.
 func (q *byteQueue) Len() int { return q.bytes }
 
-// Insert stores payload at seq, copying it and trimming anything below the
-// floor or overlapping existing blocks.
-func (q *byteQueue) Insert(seq tcp.Seq, payload []byte) {
-	if len(payload) == 0 {
-		return
-	}
-	if seq.Less(q.floor) {
-		skip := q.floor.Diff(seq)
-		if skip >= len(payload) {
-			return
-		}
-		payload = payload[skip:]
-		seq = q.floor
-	}
-	// Fast path: in-order arrival at the tail, the common case while the
-	// replicas stay in step. Extends the last block (or appends a new one
-	// past a gap) without rebuilding the block list.
-	if n := len(q.blocks); n == 0 || q.blocks[n-1].end().Leq(seq) {
-		if n > 0 && q.blocks[n-1].end() == seq {
-			q.blocks[n-1].data = append(q.blocks[n-1].data, payload...)
-		} else {
-			q.blocks = append(q.blocks, qblock{seq: seq, data: q.newBlockData(payload)})
-		}
-		q.bytes += len(payload)
-		return
-	}
+// Floor returns the current floor sequence number.
+func (q *byteQueue) Floor() tcp.Seq { return q.floor }
 
-	nb := qblock{seq: seq, data: q.newBlockData(payload)}
-
-	// A separate slice: splitting the new block around an existing one
-	// appends two elements per element read, which would corrupt an aliased
-	// in-place rebuild. The old array becomes the next rebuild target.
-	if cap(q.rebuild) < len(q.blocks)+2 {
-		q.rebuild = make([]qblock, 0, 2*len(q.blocks)+2)
+// ringPut writes src into ring buf at sequence number seq, around the wrap
+// point if it must.
+func ringPut(buf []byte, seq tcp.Seq, src []byte) {
+	at := int(seq) & (len(buf) - 1)
+	if n := copy(buf[at:], src); n < len(src) {
+		copy(buf, src[n:])
 	}
-	out := q.rebuild[:0]
-	inserted := false
-	for _, blk := range q.blocks {
-		switch {
-		case nb.data == nil || blk.end().Leq(nb.seq):
-			out = append(out, blk)
-		case nb.end().Leq(blk.seq):
-			if !inserted {
-				out = append(out, nb)
-				q.bytes += len(nb.data)
-				inserted = true
-			}
-			out = append(out, blk)
-		default:
-			if nb.seq.Less(blk.seq) {
-				left := qblock{seq: nb.seq, data: nb.data[:blk.seq.Diff(nb.seq)], shared: nb.shared}
-				if nb.end().Greater(blk.end()) {
-					// The remainder survives past blk too: the two pieces
-					// alias one array.
-					left.shared = true
-				}
-				out = append(out, left)
-				q.bytes += len(left.data)
-			}
-			out = append(out, blk)
-			if nb.end().Greater(blk.end()) {
-				shared := nb.shared || nb.seq.Less(blk.seq)
-				nb = qblock{seq: blk.end(), data: nb.data[blk.end().Diff(nb.seq):], shared: shared}
-			} else {
-				nb.data = nil
-				inserted = true
-			}
-		}
-	}
-	if nb.data != nil && !inserted {
-		out = append(out, nb)
-		q.bytes += len(nb.data)
-	}
-	q.rebuild = q.blocks[:0]
-	q.blocks = out
 }
 
-// Contiguous returns the bytes available starting exactly at the floor
-// (without consuming). The returned slice aliases internal storage and is
-// valid only until the next Insert, Advance, or Contiguous call.
-func (q *byteQueue) Contiguous() []byte {
-	if len(q.blocks) == 0 || q.blocks[0].seq != q.floor {
-		return nil
+// grow moves the held bytes into a ring of at least need bytes and returns
+// the outgrown one.
+func (q *byteQueue) grow(need int) {
+	old := q.buf
+	q.buf = netbuf.TakeBytes(need)
+	for _, s := range q.held {
+		n, at := s.end.Diff(s.seq), int(s.seq)&(len(old)-1)
+		first := min(n, len(old)-at)
+		ringPut(q.buf, s.seq, old[at:at+first])
+		ringPut(q.buf, s.seq.Add(first), old[:n-first])
 	}
-	// Coalesce adjacent blocks lazily: the common case is a single block.
-	b := q.blocks[0]
-	if len(q.blocks) == 1 || q.blocks[1].seq != b.end() {
-		return b.data
+	if old != nil {
+		netbuf.ReturnBytes(&old)
 	}
-	q.scratch = q.scratch[:0]
-	next := q.floor
-	for _, blk := range q.blocks {
-		if blk.seq != next {
-			break
+}
+
+// Insert stores payload at seq, copying the bytes not yet held and trimming
+// anything below the floor. It returns how many bytes lay beyond queueSpan
+// and were dropped.
+func (q *byteQueue) Insert(seq tcp.Seq, payload []byte) (clipped int) {
+	off := seq.Diff(q.floor)
+	if off < 0 || len(payload) > queueSpan-off || len(payload) == 0 {
+		// The uncommon trims, kept off the in-order path.
+		if off < 0 {
+			if off <= -len(payload) {
+				return 0
+			}
+			payload, seq, off = payload[-off:], q.floor, 0
 		}
-		q.scratch = append(q.scratch, blk.data...)
-		next = blk.end()
+		if room := max(queueSpan-off, 0); len(payload) > room {
+			clipped, payload = len(payload)-room, payload[:room]
+		}
+		if len(payload) == 0 {
+			return clipped
+		}
 	}
-	return q.scratch
+	end := seq.Add(len(payload))
+	if need := off + len(payload); need > len(q.buf) {
+		q.grow(need)
+	}
+	switch n := len(q.held); {
+	case n == 0:
+		q.held = append(q.held, span{seq, end})
+	case q.held[n-1].end == seq:
+		// In order, straight after the last span: the steady state.
+		q.held[n-1].end = end
+	default:
+		q.merge(seq, end, payload)
+		return clipped
+	}
+	ringPut(q.buf, seq, payload)
+	q.bytes += len(payload)
+	return clipped
+}
+
+// merge is Insert's general case: payload for [seq, end) lands among the
+// held spans. Spans [i, j) overlap or abut it; the gaps between them are
+// copied, then they are replaced by their union with the new range.
+func (q *byteQueue) merge(seq, end tcp.Seq, payload []byte) {
+	i := 0
+	for i < len(q.held) && q.held[i].end.Less(seq) {
+		i++
+	}
+	j, next := i, seq
+	for ; j < len(q.held) && q.held[j].seq.Leq(end); j++ {
+		h := q.held[j]
+		if next.Less(h.seq) {
+			ringPut(q.buf, next, payload[next.Diff(seq):h.seq.Diff(seq)])
+			q.bytes += h.seq.Diff(next)
+		}
+		next = h.end
+	}
+	if next.Less(end) {
+		ringPut(q.buf, next, payload[next.Diff(seq):])
+		q.bytes += end.Diff(next)
+	}
+	merged := span{seq, end}
+	if i < j {
+		merged = span{tcp.MinSeq(seq, q.held[i].seq), tcp.MaxSeq(end, q.held[j-1].end)}
+	}
+	q.held = slices.Replace(q.held, i, j, merged)
+}
+
+// Ready returns the number of bytes held contiguously from the floor.
+func (q *byteQueue) Ready() int {
+	if len(q.held) == 0 || q.held[0].seq != q.floor {
+		return 0
+	}
+	return q.held[0].end.Diff(q.floor)
+}
+
+// Peek returns the first n ready bytes without consuming them, 0 < n <=
+// Ready: a direct slice of the ring, or, when they straddle its wrap point,
+// a copy assembled in *scratch. Either is valid until the next Insert or
+// release; Advance leaves the bytes in place.
+func (q *byteQueue) Peek(n int, scratch *[]byte) []byte {
+	at := int(q.floor) & (len(q.buf) - 1)
+	if at+n <= len(q.buf) {
+		return q.buf[at : at+n]
+	}
+	*scratch = append(append((*scratch)[:0], q.buf[at:]...), q.buf[:at+n-len(q.buf)]...)
+	return *scratch
 }
 
 // Advance raises the floor by n bytes, discarding everything below it.
 func (q *byteQueue) Advance(n int) {
 	q.floor = q.floor.Add(n)
-	var spare []byte
-	out := q.blocks[:0]
-	for _, blk := range q.blocks {
-		if blk.end().Leq(q.floor) {
-			q.bytes -= len(blk.data)
-			// Retire the largest fully drained block's storage for reuse.
-			// Split-aliased blocks are excluded: their array may still back
-			// a surviving sibling.
-			if !blk.shared && cap(blk.data) > cap(spare) {
-				spare = blk.data[:0]
-			}
-			continue
-		}
-		if blk.seq.Less(q.floor) {
-			cut := q.floor.Diff(blk.seq)
-			q.bytes -= cut
-			blk = qblock{seq: q.floor, data: blk.data[cut:], shared: blk.shared}
-		}
-		out = append(out, blk)
+	k := 0
+	for k < len(q.held) && q.held[k].end.Leq(q.floor) {
+		q.bytes -= q.held[k].end.Diff(q.held[k].seq)
+		k++
 	}
-	q.blocks = out
-	if cap(spare) > cap(q.spare) {
-		q.spare = spare
+	q.held = slices.Delete(q.held, 0, k)
+	if len(q.held) > 0 && q.held[0].seq.Less(q.floor) {
+		q.bytes -= q.floor.Diff(q.held[0].seq)
+		q.held[0].seq = q.floor
 	}
 }
-
-// Floor returns the current floor sequence number.
-func (q *byteQueue) Floor() tcp.Seq { return q.floor }

@@ -8,11 +8,12 @@ import (
 
 // BenchmarkByteQueueMatch measures the primary bridge's per-byte matching
 // cost: both replicas' streams inserted with different segmentations and
-// drained through Contiguous/Advance, the Figure 2 pipeline.
+// drained through Ready/Peek/Advance, the Figure 2 pipeline.
 func BenchmarkByteQueueMatch(b *testing.B) {
 	const chunkP, chunkS = 1460, 1452
 	payloadP := make([]byte, chunkP)
 	payloadS := make([]byte, chunkS)
+	var wrap []byte
 	b.ReportAllocs()
 	for b.Loop() {
 		pq := newByteQueue(0)
@@ -25,19 +26,24 @@ func BenchmarkByteQueueMatch(b *testing.B) {
 			sq.Insert(sSeq, payloadS)
 			sSeq = sSeq.Add(chunkS)
 			for {
-				pb, sb := pq.Contiguous(), sq.Contiguous()
-				n := min(len(pb), len(sb))
+				n := min(pq.Ready(), sq.Ready())
 				if n == 0 {
 					break
 				}
+				sink = sq.Peek(n, &wrap)
 				pq.Advance(n)
 				sq.Advance(n)
 				released += n
 			}
 		}
+		pq.release()
+		sq.release()
 	}
 	b.SetBytes(64 * 1024)
 }
+
+// sink keeps the benchmarks' reads alive.
+var sink []byte
 
 // BenchmarkByteQueueOutOfOrder measures insertion with reordering, the
 // queue's worst case.
@@ -51,82 +57,32 @@ func BenchmarkByteQueueOutOfOrder(b *testing.B) {
 			q.Insert(tcp.Seq(i*1452), payload)
 		}
 		q.Advance(32 * 1452)
+		q.release()
 	}
 	b.SetBytes(32 * 1452)
 }
 
-// BenchmarkByteQueuePartialDrain exercises the spare-retention fix: every
-// round retires one block while another survives, so without the retained
-// spare each round's gap insert would allocate fresh block storage.
-func BenchmarkByteQueuePartialDrain(b *testing.B) {
-	payload := make([]byte, 1452)
+// BenchmarkByteQueueSlide is the stream-recv steady state: 60 KB standing
+// in the queue, one MSS in at the tail and one out at the floor per
+// operation, the floor sliding through the ring and across its wrap point.
+// Must report 0 allocs/op.
+func BenchmarkByteQueueSlide(b *testing.B) {
+	const mss = 1452
+	payload := make([]byte, mss)
+	q := newByteQueue(0)
+	var wrap []byte
+	tail := tcp.Seq(0)
+	for range 60 * 1024 / mss {
+		q.Insert(tail, payload)
+		tail = tail.Add(mss)
+	}
+	wrap = make([]byte, 0, mss) // sized outside the loop, as the bridge's is after one wrap
 	b.ReportAllocs()
 	for b.Loop() {
-		q := newByteQueue(0)
-		next := tcp.Seq(0)
-		for i := 0; i < 32; i++ {
-			q.Insert(next.Add(1452), payload) // arrives first, past a gap
-			q.Insert(next, payload)           // fills the gap via a rebuild
-			q.Advance(1452 + 726)             // retire one block, keep half the other
-			q.Advance(726)
-			next = next.Add(2 * 1452)
-		}
+		q.Insert(tail, payload)
+		tail = tail.Add(mss)
+		sink = q.Peek(mss, &wrap)
+		q.Advance(mss)
 	}
-	b.SetBytes(32 * 2 * 1452)
-}
-
-// TestByteQueueSpareSurvivesPartialDrain asserts the fix benchmarked above:
-// a fully drained, unshared block is retired to the spare slot even while
-// other blocks survive, and the next insert needing fresh storage reuses it
-// without allocating.
-func TestByteQueueSpareSurvivesPartialDrain(t *testing.T) {
-	payload := make([]byte, 1452)
-	q := newByteQueue(0)
-	q.Insert(1452, payload) // out of order: [1452, 2904)
-	q.Insert(0, payload)    // fills the front: [0, 1452)
-	q.Advance(1452 + 726)   // retire the first block; half the second survives
-	if q.Len() != 726 {
-		t.Fatalf("Len = %d after partial drain, want 726", q.Len())
-	}
-	if cap(q.spare) < 1452 {
-		t.Fatalf("retired block not kept as spare (cap %d); a survivor must not block reuse", cap(q.spare))
-	}
-	spare := q.spare[:1]
-	q.Insert(4096, payload) // past a gap: must consume the spare
-	if q.spare != nil {
-		t.Fatal("gap insert did not consume the spare")
-	}
-	if last := q.blocks[len(q.blocks)-1].data; &last[0] != &spare[0] {
-		t.Fatal("gap insert allocated fresh storage instead of the spare")
-	}
-}
-
-// TestByteQueueSharedBlocksNotRetired asserts the safety side of the fix: a
-// block whose storage is split-aliased with a surviving sibling must not be
-// retired, or the sibling's bytes could be overwritten by a later insert.
-func TestByteQueueSharedBlocksNotRetired(t *testing.T) {
-	q := newByteQueue(0)
-	mid := make([]byte, 100)
-	for i := range mid {
-		mid[i] = 0xAA
-	}
-	q.Insert(100, mid)
-	wide := make([]byte, 300)
-	for i := range wide {
-		wide[i] = byte(i)
-	}
-	q.Insert(0, wide) // splits around [100, 200): both pieces share one array
-	q.Advance(200)    // retire the left piece and mid; right piece survives
-	// mid's unshared 100-byte block may be retired; the split 300-byte
-	// array backing the surviving right piece must not be.
-	if cap(q.spare) > 100 {
-		t.Fatalf("split-aliased storage retired as spare (cap %d)", cap(q.spare))
-	}
-	q.Insert(500, make([]byte, 64)) // would scribble on the survivor if aliased
-	got := q.Contiguous()
-	for i, b := range got[:100] {
-		if b != byte(200+i) {
-			t.Fatalf("surviving split block corrupted at %d: got %#x want %#x", i, b, byte(200+i))
-		}
-	}
+	b.SetBytes(mss)
 }

@@ -8,6 +8,18 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
+func newByteQueue(floor tcp.Seq) *byteQueue { return &byteQueue{floor: floor} }
+
+// contiguous returns a copy of the bytes ready at the floor, nil if none.
+func (q *byteQueue) contiguous() []byte {
+	n := q.Ready()
+	if n == 0 {
+		return nil
+	}
+	var wrap []byte
+	return bytes.Clone(q.Peek(n, &wrap))
+}
+
 func TestByteQueueFigure2Example(t *testing.T) {
 	// The paper's Figure 2: the primary queue holds (translated) bytes
 	// 21-24; the secondary's segment carries 23-26. Matching releases
@@ -18,8 +30,8 @@ func TestByteQueueFigure2Example(t *testing.T) {
 	pq.Insert(21, []byte{21, 22, 23, 24}) // trimmed below floor
 	sq.Insert(23, []byte{23, 24, 25, 26})
 
-	pb := pq.Contiguous()
-	sb := sq.Contiguous()
+	pb := pq.contiguous()
+	sb := sq.contiguous()
 	n := min(len(pb), len(sb))
 	if n != 2 || pb[0] != 23 || pb[1] != 24 {
 		t.Fatalf("matched %d bytes %v, want bytes 23-24", n, pb[:n])
@@ -29,15 +41,15 @@ func TestByteQueueFigure2Example(t *testing.T) {
 	if pq.Len() != 0 {
 		t.Errorf("primary queue holds %d bytes, want 0", pq.Len())
 	}
-	if sq.Len() != 2 || !bytes.Equal(sq.Contiguous(), []byte{25, 26}) {
-		t.Errorf("secondary queue holds %v, want bytes 25-26", sq.Contiguous())
+	if sq.Len() != 2 || !bytes.Equal(sq.contiguous(), []byte{25, 26}) {
+		t.Errorf("secondary queue holds %v, want bytes 25-26", sq.contiguous())
 	}
 }
 
 func TestByteQueueTrimsBelowFloor(t *testing.T) {
 	q := newByteQueue(100)
 	q.Insert(90, []byte("0123456789abcdef")) // covers 90..106
-	if got := q.Contiguous(); string(got) != "abcdef" {
+	if got := q.contiguous(); string(got) != "abcdef" {
 		t.Fatalf("Contiguous = %q", got)
 	}
 	q.Insert(50, []byte("old")) // entirely below floor
@@ -49,11 +61,11 @@ func TestByteQueueTrimsBelowFloor(t *testing.T) {
 func TestByteQueueGapBlocksContiguous(t *testing.T) {
 	q := newByteQueue(100)
 	q.Insert(105, []byte("later"))
-	if got := q.Contiguous(); got != nil {
+	if got := q.contiguous(); got != nil {
 		t.Fatalf("Contiguous across gap = %q", got)
 	}
 	q.Insert(100, []byte("early"))
-	if got := q.Contiguous(); string(got) != "earlylater" {
+	if got := q.contiguous(); string(got) != "earlylater" {
 		t.Fatalf("Contiguous = %q", got)
 	}
 }
@@ -65,7 +77,7 @@ func TestByteQueueAdvancePartialBlock(t *testing.T) {
 	if q.Floor() != 3 {
 		t.Errorf("floor = %d", q.Floor())
 	}
-	if got := q.Contiguous(); string(got) != "defgh" {
+	if got := q.contiguous(); string(got) != "defgh" {
 		t.Errorf("Contiguous = %q", got)
 	}
 }
@@ -74,7 +86,7 @@ func TestByteQueueOverlapPrefersExisting(t *testing.T) {
 	q := newByteQueue(0)
 	q.Insert(0, []byte("AAAA"))
 	q.Insert(0, []byte("bbbbcc")) // overlap keeps AAAA, appends cc
-	if got := q.Contiguous(); string(got) != "AAAAcc" {
+	if got := q.contiguous(); string(got) != "AAAAcc" {
 		t.Errorf("Contiguous = %q, want AAAAcc", got)
 	}
 }
@@ -113,7 +125,7 @@ func TestByteQueueMatchingProperty(t *testing.T) {
 		var released []byte
 		pump := func() {
 			for {
-				pb, sb := pq.Contiguous(), sq.Contiguous()
+				pb, sb := pq.contiguous(), sq.contiguous()
 				n := min(len(pb), len(sb))
 				if n == 0 {
 					return

@@ -1,0 +1,97 @@
+package netbuf
+
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
+
+// The byte store recycles the storage behind the rings that hold payload
+// between packets: the TCP send and receive rings and the primary bridge's
+// match queues. It sits beside the packet pool and is backed by sync.Pool
+// like it, for the same two reasons: simulations on separate goroutines
+// share it without a lock of their own, and what it retains belongs to the
+// collector, not to the live heap — a forced collection empties it.
+//
+// Ownership rules:
+//
+//   - TakeBytes hands out len == cap == a power of two from MinBytes to
+//     MaxBytes, with undefined contents: the taker writes before it reads.
+//   - ReturnBytes ends the owner's claim. Nothing may alias the buffer
+//     afterwards; a slice of it handed to other code must have been
+//     consumed (copied, marshalled) before the return.
+//   - Returning is optional. An owner dropped wholesale (a crashed host's
+//     bridge, a discarded scenario) leaves its buffers to the collector.
+const (
+	MinBytes = 64    // smallest class
+	MaxBytes = 65536 // largest class: one unscaled TCP window, rounded up
+)
+
+const (
+	minShift = 6  // log2(MinBytes)
+	maxShift = 16 // log2(MaxBytes)
+)
+
+// bytePools holds one pool per class. Entries are pointers to the first
+// byte of a class-sized array: a pointer fits sync.Pool's interface word,
+// where a slice header would be boxed on every return.
+var bytePools [maxShift - minShift + 1]sync.Pool
+
+var poison atomic.Bool
+
+// SetPoison makes ReturnBytes overwrite what it takes back, so that a stale
+// alias reads as a byte mismatch in whatever verifies the payload. For
+// tests; costs one pass over each returned buffer.
+func SetPoison(on bool) { poison.Store(on) }
+
+// poisonByte is what a returned buffer is filled with under SetPoison.
+const poisonByte = 0xDB
+
+// byteClass returns the index of the smallest class holding n bytes.
+func byteClass(n int) int {
+	if n <= MinBytes {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minShift
+}
+
+// TakeBytes returns a buffer of at least n bytes, rounded up to its class.
+// A request beyond MaxBytes is served from the heap at its exact size and
+// is not recycled.
+func TakeBytes(n int) []byte {
+	if n > MaxBytes {
+		return make([]byte, n)
+	}
+	c := byteClass(n)
+	size := MinBytes << c
+	if p, _ := bytePools[c].Get().(*byte); p != nil {
+		return unsafe.Slice(p, size)
+	}
+	return make([]byte, size)
+}
+
+// ReturnBytes gives *p back to the store and clears the caller's handle.
+// Returning through a cleared handle panics: with recycling, a double
+// return hands one array to two owners.
+func ReturnBytes(p *[]byte) {
+	b := *p
+	if b == nil {
+		panic("netbuf: byte buffer returned twice")
+	}
+	*p = nil
+	b = b[:cap(b)]
+	if len(b) > MaxBytes {
+		return // heap-served oversize request; let the GC take it
+	}
+	c := byteClass(len(b))
+	if len(b) != MinBytes<<c {
+		panic("netbuf: returned byte buffer was not taken from the store")
+	}
+	if poison.Load() {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	bytePools[c].Put(unsafe.SliceData(b))
+}

@@ -30,7 +30,7 @@ type Conn struct {
 	maxSndWnd    int // largest window the peer has advertised
 	sndWl1       Seq
 	sndWl2       Seq
-	sndBuf       *ring
+	sndBuf       ring
 	sndDataStart Seq // sequence number of sndBuf byte 0
 	finQueued    bool
 	finSent      bool
@@ -39,7 +39,7 @@ type Conn struct {
 	// Receive sequence variables.
 	irs            Seq
 	rcvNxt         Seq
-	rcvBuf         *ring
+	rcvBuf         ring
 	reasm          reassembly
 	remoteFinSeq   Seq
 	remoteFinValid bool
@@ -599,6 +599,11 @@ func (c *Conn) destroy(err error) {
 		t.Stop()
 	}
 	c.stack.removeConn(c)
+	// However the connection ended — TIME-WAIT expiry, RST, LAST-ACK, Abort
+	// — its rings go back to the store now rather than when the collector
+	// finds them. Unsent bytes have nowhere to go; unread ones stay readable.
+	c.sndBuf.drop()
+	c.rcvBuf.release()
 	if c.onClose != nil {
 		c.onClose(err)
 	}

@@ -180,7 +180,9 @@ func TestGracefulCloseStateWalk(t *testing.T) {
 
 // TestTimeWaitReleasesRings: a connection lingering in TIME-WAIT has had
 // everything acknowledged, so it holds no send storage, and no receive
-// storage unless the application has left data unread.
+// storage unless the application has left data unread. Its peer, which
+// closed second and went LAST-ACK → CLOSED without a TIME-WAIT, has given
+// both rings back as well.
 func TestTimeWaitReleasesRings(t *testing.T) {
 	for _, unread := range []bool{false, true} {
 		p := newPair(t, Config{TimeWaitDuration: time.Minute})
@@ -222,6 +224,11 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		if c.sndBuf.Cap() != p.a.Config().SendBufSize || c.rcvBuf.Cap() != p.a.Config().RecvBufSize {
 			t.Errorf("unread=%v: logical capacities changed: %d / %d", unread, c.sndBuf.Cap(), c.rcvBuf.Cap())
 		}
+		p.runUntil(t, func() bool { return s.State() == StateClosed }, time.Second)
+		if s.sndBuf.buf != nil || s.rcvBuf.buf != nil {
+			t.Errorf("unread=%v: connection closed from LAST-ACK holds %d + %d bytes of ring storage",
+				unread, len(s.sndBuf.buf), len(s.rcvBuf.buf))
+		}
 		if !unread {
 			if !sawEOF || c.rcvBuf.buf != nil {
 				t.Errorf("TIME-WAIT connection read dry (EOF %v) holds a %d-byte receive buffer", sawEOF, len(c.rcvBuf.buf))
@@ -234,6 +241,39 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		if err != nil || n != 3000 || !bytes.Equal(rest[:n], bytes.Repeat([]byte{7}, n)) {
 			t.Fatalf("reading the reply in TIME-WAIT: %d bytes, %v", n, err)
 		}
+	}
+}
+
+// TestResetAndAbortReleaseRings: a connection torn down without a close
+// handshake gives its storage back at once too. The aborting side drops the
+// bytes it could not send; the side that receives the RST keeps what its
+// application has not read yet, and only that.
+func TestResetAndAbortReleaseRings(t *testing.T) {
+	p := newPair(t, Config{})
+	c, s := p.connect(t, 80)
+	// s never reads: c's 100 KB fills s's receive ring and backs up in c's
+	// send ring. s has bytes of its own in flight too.
+	if n, _ := c.Write(make([]byte, 100_000)); n == 0 {
+		t.Fatal("nothing written")
+	}
+	p.runUntil(t, func() bool { return s.Buffered() > 30_000 }, 5*time.Second)
+	if _, err := s.Write(bytes.Repeat([]byte{5}, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if c.sndBuf.buf == nil || s.rcvBuf.buf == nil || s.sndBuf.buf == nil {
+		t.Fatal("set-up: the rings under test hold no storage")
+	}
+	c.Abort()
+	if c.sndBuf.buf != nil || c.rcvBuf.buf != nil {
+		t.Errorf("aborted connection holds %d + %d bytes of ring storage", len(c.sndBuf.buf), len(c.rcvBuf.buf))
+	}
+	p.runUntil(t, func() bool { return s.State() == StateClosed }, time.Second)
+	if s.sndBuf.buf != nil {
+		t.Errorf("reset connection holds a %d-byte send buffer", len(s.sndBuf.buf))
+	}
+	unread := s.Buffered()
+	if n, _ := s.Read(make([]byte, 100_000)); n != unread || unread == 0 {
+		t.Errorf("after the reset %d of %d buffered bytes were readable", n, unread)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tcp
 
-import "tcpfailover/internal/obs"
+import (
+	"tcpfailover/internal/netbuf"
+	"tcpfailover/internal/obs"
+)
 
 // ring is a byte ring buffer with a fixed logical capacity and a lazily
 // grown physical buffer. The send buffer keeps unacknowledged and unsent
@@ -12,20 +15,22 @@ import "tcpfailover/internal/obs"
 // capacity. At 10 000 connections across three stacks that is the
 // difference between rings dominating the working set and rings being a
 // rounding error.
+//
+// The physical buffer comes from netbuf's byte store and goes back to it
+// when the ring outgrows it, is released empty, or is dropped with its
+// connection, so a stream of short connections cycles one set of buffers
+// instead of allocating a fresh 64 KB ring each. A Conn embeds its two rings
+// by value; the zero ring with cap set is ready to use.
 type ring struct {
-	buf   []byte // physical storage, len(buf) <= capacity
+	buf   []byte // physical storage: a store class, so it may round up past cap
 	cap   int    // logical capacity: the window the peer may fill
 	start int
 	size  int
 	grows obs.Counter // counts grow() calls; resolved at ring creation
 }
 
-// ringMinAlloc is the smallest physical buffer; below this, doubling churn
-// outweighs the memory saved.
-const ringMinAlloc = 64
-
-func newRing(capacity int, grows obs.Counter) *ring {
-	return &ring{cap: capacity, grows: grows}
+func newRing(capacity int, grows obs.Counter) ring {
+	return ring{cap: capacity, grows: grows}
 }
 
 // Len returns the number of buffered bytes.
@@ -38,36 +43,41 @@ func (r *ring) Free() int { return r.cap - r.size }
 func (r *ring) Cap() int { return r.cap }
 
 // grow ensures the physical buffer holds need bytes, unrolling the current
-// contents to offset 0. Doubling amortizes the copies; the logical capacity
-// bounds the growth, so a ring never allocates more than it advertises.
+// contents to offset 0 of a larger one and returning the outgrown buffer.
+// The store's classes are powers of two from 64 bytes, so a ring that
+// outgrows one at least doubles, which amortizes the copies; the explicit
+// doubling only matters to a capacity beyond the largest class.
 func (r *ring) grow(need int) {
 	r.grows.Inc()
-	c := len(r.buf)
-	if c == 0 {
-		c = ringMinAlloc
-	}
-	for c < need {
-		c *= 2
-	}
-	c = min(c, r.cap)
-	nb := make([]byte, c)
+	nb := netbuf.TakeBytes(min(max(need, 2*len(r.buf)), r.cap))
 	if r.size > 0 {
 		first := copy(nb, r.buf[r.start:min(r.start+r.size, len(r.buf))])
 		if first < r.size {
 			copy(nb[first:], r.buf[:r.size-first])
 		}
 	}
+	if r.buf != nil {
+		netbuf.ReturnBytes(&r.buf)
+	}
 	r.buf = nb
 	r.start = 0
 }
 
-// release drops the physical buffer of an empty ring; a ring holding data
-// keeps it. The logical capacity is untouched, and a later Write grows the
-// buffer again as it did the first time.
+// release returns the physical buffer of an empty ring to the store; a ring
+// holding data keeps it. The logical capacity is untouched, and a later
+// Write grows the buffer again as it did the first time.
 func (r *ring) release() {
-	if r.size == 0 {
-		r.buf, r.start = nil, 0
+	if r.size == 0 && r.buf != nil {
+		netbuf.ReturnBytes(&r.buf)
+		r.start = 0
 	}
+}
+
+// drop discards whatever the ring holds and releases it: the send ring of a
+// connection that is gone has nobody left to retransmit to.
+func (r *ring) drop() {
+	r.size = 0
+	r.release()
 }
 
 // Write appends up to len(p) bytes, returning how many were accepted.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/obs"
 )
 
@@ -57,30 +58,36 @@ func TestRingPeekDoesNotConsume(t *testing.T) {
 }
 
 // TestRingAgainstReference drives random operations against a simple slice
-// model.
+// model. The ring grows through several store classes and drains back to
+// empty on the way; the store poisons what the ring returns, so contents
+// left behind in an outgrown buffer would show as a mismatch.
 func TestRingAgainstReference(t *testing.T) {
+	netbuf.SetPoison(true)
+	defer netbuf.SetPoison(false)
+	const capacity = 1000 // not a class size: the last buffer rounds up past it
 	rng := rand.New(rand.NewSource(7))
-	r := newRing(64, discard())
+	r := newRing(capacity, discard())
 	var ref []byte
 	for i := range 5000 {
 		switch rng.Intn(3) {
 		case 0: // write
-			p := make([]byte, rng.Intn(40))
+			p := make([]byte, rng.Intn(300))
 			rng.Read(p)
 			n := r.Write(p)
-			wantN := min(len(p), 64-len(ref))
+			wantN := min(len(p), capacity-len(ref))
 			if n != wantN {
 				t.Fatalf("op %d: Write accepted %d, want %d", i, n, wantN)
 			}
 			ref = append(ref, p[:n]...)
 		case 1: // read
-			p := make([]byte, rng.Intn(40))
+			p := make([]byte, rng.Intn(400))
 			n := r.Read(p)
 			wantN := min(len(p), len(ref))
 			if n != wantN || !bytes.Equal(p[:n], ref[:wantN]) {
 				t.Fatalf("op %d: Read got %q want %q", i, p[:n], ref[:wantN])
 			}
 			ref = ref[wantN:]
+			r.release() // a no-op unless that read the ring dry
 		case 2: // peek at random offset
 			if len(ref) == 0 {
 				continue
@@ -134,4 +141,16 @@ func TestRingRelease(t *testing.T) {
 	if n := r.Write([]byte("again")); n != 5 || r.Read(p) != 5 || string(p[:5]) != "again" {
 		t.Fatalf("released ring did not take a new write: %q", p[:5])
 	}
+}
+
+// TestRingDrop: a dropped ring forgets its contents and gives the storage
+// back whether or not it was empty.
+func TestRingDrop(t *testing.T) {
+	r := newRing(64, discard())
+	r.Write([]byte("unsent"))
+	r.drop()
+	if r.buf != nil || r.Len() != 0 || r.Free() != 64 {
+		t.Fatalf("dropped ring: buf %d bytes, len %d, free %d", len(r.buf), r.Len(), r.Free())
+	}
+	r.drop() // nothing to return: must not reach the store's double-return panic
 }
