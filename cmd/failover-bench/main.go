@@ -9,17 +9,29 @@
 // results, and per-experiment performance counters — is also written to
 // BENCH_trajectory.json.
 //
-// Usage:
+// Usage (the experiment lines are bench.Usage(), printed by -h and checked
+// against this comment and README.md by a test):
 //
-//	failover-bench [-experiment all|connsetup|fig3|fig4|fig5|fig6|ablate|failover|faultsweep|connscale|shardscale|memscale|failtimeline|adversary|slo|stallscale]
-//	               [-list] [-conns N] [-reps N] [-stream BYTES] [-runs N]
-//	               [-faultrates R1,R2,...] [-connscale N1,N2,...]
-//	               [-shardscale N1,N2,...] [-shards S1,S2,...]
-//	               [-memscale N1,N2,...]
-//	               [-sloloads L1,L2,...] [-slowindow D] [-sloworkload NAME]
-//	               [-stallscale N1,N2,...] [-json]
+//	failover-bench [-experiment NAME|all] [-list] [-workers N] [-json]
 //	               [-metrics-out FILE] [-timeseries-out FILE]
 //	               [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
+//
+//	experiments, in execution order, and the flags that size each:
+//	  -experiment connscale    [-connscale N1,N2,...]
+//	  -experiment shardscale   [-shardscale N1,N2,...] [-shards S1,S2,...]
+//	  -experiment memscale     [-memscale N1,N2,...]
+//	  -experiment connsetup    [-conns N]
+//	  -experiment fig3         [-reps N]
+//	  -experiment fig4         [-reps N]
+//	  -experiment fig5         [-stream BYTES]
+//	  -experiment fig6         [-reps N]
+//	  -experiment ablate       [-stream BYTES]
+//	  -experiment failover     [-runs N]
+//	  -experiment faultsweep   [-runs N] [-faultrates R1,R2,...]
+//	  -experiment failtimeline [-runs N]
+//	  -experiment adversary
+//	  -experiment slo          [-sloloads L1,L2,...] [-slowindow D] [-sloworkload NAME]
+//	  -experiment stallscale   [-stallscale N1,N2,...]
 //
 // With -metrics-out, one instrumented failover scenario is run after the
 // experiments and its metrics registry is written to FILE — JSON when the
@@ -35,13 +47,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"strconv"
 	"strings"
-	"time"
 
 	"tcpfailover/internal/bench"
 )
@@ -49,33 +60,22 @@ import (
 // trajectoryFile is where -json writes the machine-readable run record.
 const trajectoryFile = "BENCH_trajectory.json"
 
+// synopsis is the command's own half of the usage text; bench.Usage() is
+// the other.
+const synopsis = `failover-bench [-experiment NAME|all] [-list] [-workers N] [-json]
+               [-metrics-out FILE] [-timeseries-out FILE]
+               [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
+
+experiments, in execution order, and the flags that size each:
+`
+
 func main() {
+	var cfg bench.Config
+	parseLists := bench.RegisterFlags(flag.CommandLine, &cfg)
 	var (
 		experiment = flag.String("experiment", "all",
-			"which experiment to run: all, connsetup, fig3, fig4, fig5, fig6, ablate, failover, faultsweep, connscale, shardscale, memscale, failtimeline, adversary, slo, stallscale")
+			"which experiment to run: all, "+strings.Join(bench.ExperimentNames(), ", "))
 		list       = flag.Bool("list", false, "list the experiment names and exit")
-		conns      = flag.Int("conns", 51, "connections for the setup-time experiment")
-		reps       = flag.Int("reps", 5, "repetitions per data point")
-		stream     = flag.Int64("stream", 100*1024*1024, "stream length for figure 5 (bytes)")
-		runs       = flag.Int("runs", 9, "failover-latency runs")
-		faultRates = flag.String("faultrates", "",
-			"comma-separated loss rates for the fault sweep (default 0,0.005,0.01,0.02,0.05)")
-		connScale = flag.String("connscale", "",
-			"comma-separated connection counts for the connection-scale sweep (default 100,1000,10000)")
-		shardScale = flag.String("shardscale", "",
-			"comma-separated connection counts for the sharded scaling sweep (default 100000,1000000)")
-		shards = flag.String("shards", "",
-			"comma-separated shard counts for the sharded scaling sweep (default 1,2,4,8)")
-		memScale = flag.String("memscale", "",
-			"comma-separated connection counts for the memory-scale sweep (default 100000,500000,1000000)")
-		sloLoads = flag.String("sloloads", "",
-			"comma-separated offered loads for the SLO experiment, sessions/second (default 40,160,320)")
-		sloWindow = flag.Duration("slowindow", 0,
-			"measurement window of virtual time per SLO cell (default 8s)")
-		sloWorkload = flag.String("sloworkload", "",
-			"workload-zoo entry for the SLO experiment: web, flash, diurnal (default web)")
-		stallScale = flag.String("stallscale", "",
-			"comma-separated connection counts for the stall-attribution experiment (default 1000,10000,100000)")
 		jsonOut    = flag.Bool("json", false, "also write "+trajectoryFile)
 		metricsOut = flag.String("metrics-out", "",
 			"write a metrics snapshot from one failover scenario to this file (.json or Prometheus text)")
@@ -86,6 +86,10 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "Usage: %s%s\nflags:\n", synopsis, bench.Usage())
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	if *list {
 		for _, name := range bench.ExperimentNames() {
@@ -94,68 +98,20 @@ func main() {
 		return
 	}
 	bench.Workers = *workers
-	rates, err := parseRates(*faultRates)
+	cfg.Experiments = []string{*experiment}
+	err := parseLists()
+	var stopProfiles func() error
+	if err == nil {
+		stopProfiles, err = startProfiles(*cpuProfile, *memProfile, *traceFile)
+	}
+	if err == nil {
+		err = run(cfg, *jsonOut, *metricsOut, *timeseriesOut)
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	counts, err := parseCounts(*connScale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	shardConns, err := parseCounts(*shardScale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	shardCounts, err := parseCounts(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	memCounts, err := parseCounts(*memScale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	loads, err := parseLoads(*sloLoads)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	stallCounts, err := parseCounts(*stallScale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	cfg := bench.Config{
-		Experiments: []string{*experiment},
-		Conns:       *conns,
-		Reps:        *reps,
-		Stream:      *stream,
-		Runs:        *runs,
-		FaultRates:  rates,
-		ConnScale:   counts,
-		ShardScale:  shardConns,
-		ShardCounts: shardCounts,
-		MemScale:    memCounts,
-		SLOLoads:    loads,
-		SLOWindow:   *sloWindow,
-		SLOWorkload: *sloWorkload,
-		StallScale:  stallCounts,
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *traceFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", err)
-		os.Exit(1)
-	}
-	runErr := run(cfg, *jsonOut, *metricsOut, *timeseriesOut)
-	if err := stopProfiles(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "failover-bench:", runErr)
 		os.Exit(1)
 	}
 }
@@ -225,60 +181,23 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 	if err != nil {
 		return err
 	}
-	r := &t.Results
-	if r.ConnSetup != nil {
-		connSetup(r.ConnSetup)
-	}
-	if r.Fig3Std != nil {
-		figure3(r.Fig3Std, r.Fig3Fo)
-	}
-	if r.Fig4Std != nil {
-		figure4(r.Fig4Std, r.Fig4Fo)
-	}
-	if r.Fig5 != nil {
-		figure5(cfg.Stream, r.Fig5[0], r.Fig5[1])
-	}
-	if r.Fig6Std != nil {
-		figure6(r.Fig6Std, r.Fig6Fo)
-	}
-	if r.Ablation != nil {
-		ablate(cfg.Stream/4, r.Ablation)
-	}
-	if r.Failover != nil {
-		failover(*r.Failover)
-	}
-	if r.FaultSweep != nil {
-		faultSweep(r.FaultSweep)
-	}
-	if r.ConnScale != nil {
-		connScaleOut(r.ConnScale)
-	}
-	if r.ShardScale != nil {
-		shardScaleOut(r.ShardScale)
-	}
-	if r.MemScale != nil {
-		memScaleOut(r.MemScale)
-	}
-	if r.Timeline != nil {
-		timeline(*r.Timeline)
-	}
-	if r.Adversary != nil {
-		adversaryOut(r.Adversary)
-	}
-	if r.SLO != nil {
-		sloOut(r.SLO)
-	}
-	if r.StallScale != nil {
-		stallScaleOut(r.StallScale)
-	}
+	t.Render(os.Stdout)
 	if metricsOut != "" {
-		if err := writeMetrics(metricsOut); err != nil {
+		reg, err := bench.CollectMetrics()
+		if err != nil {
+			return err
+		}
+		if err := writeOut(metricsOut, reg.WriteJSON, reg.DumpText); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (metrics snapshot, one failover scenario)\n", metricsOut)
 	}
 	if timeseriesOut != "" {
-		if err := writeTimeseries(timeseriesOut); err != nil {
+		ts, err := bench.CollectTimeseries(0, 0)
+		if err != nil {
+			return err
+		}
+		if err := writeOut(timeseriesOut, ts.WriteJSON, ts.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (sampled fleet timeseries, sharded crash scenario)\n", timeseriesOut)
@@ -297,356 +216,18 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 	return nil
 }
 
-func us(d time.Duration) string { return fmt.Sprintf("%.0f", float64(d.Nanoseconds())/1e3) }
-
-func connSetup(results []bench.ConnSetupResult) {
-	fmt.Println("=== E1: connection setup time (paper sec. 9) ===")
-	fmt.Println("paper:    standard TCP median 294 us, max 603 us")
-	fmt.Println("paper:    TCP Failover median 505 us, max 1193 us")
-	for _, r := range results {
-		fmt.Printf("measured: %-12s median %s us, max %s us (n=%d)\n",
-			r.Mode, us(r.Median), us(r.Max), r.N)
-	}
-	fmt.Println()
-}
-
-func figure3(std, fo []bench.TransferPoint) {
-	fmt.Println("=== E2: Figure 3, client-to-server send time ===")
-	fmt.Println("(median time for the client application to send a message;")
-	fmt.Println(" paper shape: sub-32KB region grows slowly due to the 64 KB")
-	fmt.Println(" send buffer, larger messages grow at wire rate, failover above standard)")
-	fmt.Printf("%12s %18s %18s %8s\n", "msg bytes", "standard TCP [us]", "TCP Failover [us]", "ratio")
-	for i := range std {
-		ratio := float64(fo[i].Median) / float64(std[i].Median)
-		fmt.Printf("%12d %18s %18s %8.2f\n", std[i].Size, us(std[i].Median), us(fo[i].Median), ratio)
-	}
-	fmt.Println()
-}
-
-func figure4(std, fo []bench.TransferPoint) {
-	fmt.Println("=== E3: Figure 4, server-to-client transfer time ===")
-	fmt.Println("(client sends a 4-byte request; median time until the last byte")
-	fmt.Println(" of the sized reply arrives; paper shape as figure 3)")
-	fmt.Printf("%12s %18s %18s %8s\n", "reply bytes", "standard TCP [us]", "TCP Failover [us]", "ratio")
-	for i := range std {
-		ratio := float64(fo[i].Median) / float64(std[i].Median)
-		fmt.Printf("%12d %18s %18s %8.2f\n", std[i].Size, us(std[i].Median), us(fo[i].Median), ratio)
-	}
-	fmt.Println()
-}
-
-func figure5(total int64, std, fo bench.RateResult) {
-	fmt.Println("=== E4: Figure 5, send/receive rates for long streams ===")
-	fmt.Printf("(streams of %d MB)\n", total/(1024*1024))
-	fmt.Println("paper:    standard TCP  send 7833.70 KB/s   receive 8707.88 KB/s")
-	fmt.Println("paper:    TCP Failover  send 5835.80 KB/s   receive 3510.03 KB/s")
-	fmt.Printf("measured: %-13s send %8.2f KB/s   receive %8.2f KB/s\n", std.Mode, std.SendKBps, std.RecvKBps)
-	fmt.Printf("measured: %-13s send %8.2f KB/s   receive %8.2f KB/s\n", fo.Mode, fo.SendKBps, fo.RecvKBps)
-	fmt.Printf("ratios:   send %.2f (paper 0.74)   receive %.2f (paper 0.40)\n",
-		fo.SendKBps/std.SendKBps, fo.RecvKBps/std.RecvKBps)
-	fmt.Println()
-}
-
-func figure6(std, fo []bench.FTPPoint) {
-	fmt.Println("=== E5: Figure 6, FTP get/put rates over a WAN [KB/s] ===")
-	fmt.Println("paper (get std/fo, put std/fo):")
-	fmt.Println("  0.2 KB:    8.75/8.75      512.38/536.05")
-	fmt.Println("  1.3 KB:    59.03/59.03    2033.76/2036.87")
-	fmt.Println("  18.2 KB:   90.41/70.74    3846.13/3890.42")
-	fmt.Println("  144.9 KB:  156.80/138.35  219.52/200.31")
-	fmt.Println("  1738.1 KB: 176.03/171.72  168.07/176.63")
-	fmt.Printf("%12s %12s | %10s %10s | %10s %10s\n",
-		"file", "size [KB]", "get std", "get fo", "put std", "put fo")
-	for i := range std {
-		fmt.Printf("%12s %12.1f | %10.2f %10.2f | %10.2f %10.2f\n",
-			std[i].Name, std[i].FileKB, std[i].GetKBps, fo[i].GetKBps,
-			std[i].PutKBps, fo[i].PutKBps)
-	}
-	fmt.Println()
-}
-
-func ablate(total int64, rows []bench.AblationRow) {
-	fmt.Println("=== Ablations: design choices toggled one at a time ===")
-	fmt.Printf("(figure-5 workload, %d MB streams)\n", total/(1024*1024))
-	for _, r := range rows {
-		fmt.Printf("%-42s send %8.2f KB/s   receive %8.2f KB/s\n", r.Name, r.SendKBps, r.RecvKBps)
-	}
-	fmt.Println()
-}
-
-// parseRates parses the -faultrates flag; empty means the default sweep.
-func parseRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	rates := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 || v > 1 {
-			return nil, fmt.Errorf("bad -faultrates entry %q (want 0..1)", p)
-		}
-		rates = append(rates, v)
-	}
-	return rates, nil
-}
-
-func faultSweep(points []bench.FaultPoint) {
-	fmt.Println("=== E7 (extension): failover latency under link impairment ===")
-	fmt.Println("(1 MB server-to-client stream over lossy links, primary crashed")
-	fmt.Println(" mid-stream by the failure schedule; stall = longest post-crash")
-	fmt.Println(" gap in the client's received-byte timeline)")
-	fmt.Printf("%12s %8s %14s %14s %12s %8s %8s\n",
-		"loss model", "rate", "stall med", "stall max", "rate [KB/s]", "intact", "drops")
-	for _, p := range points {
-		fmt.Printf("%12s %8.3f %14v %14v %12.2f %8v %8d\n",
-			p.Model, p.Rate, p.StallMedian, p.StallMax, p.RecvKBps, p.AllIntact, p.Injected)
-	}
-	fmt.Println()
-}
-
-// parseCounts parses the -connscale flag; empty means the default sweep.
-func parseCounts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	counts := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -connscale entry %q (want a positive count)", p)
-		}
-		counts = append(counts, v)
-	}
-	return counts, nil
-}
-
-func connScaleOut(points []bench.ConnScalePoint) {
-	fmt.Println("=== E8: simulator hot-path cost vs connection count ===")
-	fmt.Println("(request/reply rounds across N concurrent failover connections;")
-	fmt.Println(" host-side cost per carried LAN frame in the steady state —")
-	fmt.Println(" targets: per-segment ns at 10k <= 1.5x the 100-conn cost,")
-	fmt.Println(" and ~0 allocations per segment)")
-	fmt.Printf("%8s %12s %14s %14s %12s\n",
-		"conns", "segments", "ns/segment", "allocs/seg", "ratio")
-	base := 0.0
-	for i, p := range points {
-		if i == 0 {
-			base = p.MedianNsPerSegment
-		}
-		ratio := "-"
-		if base > 0 && i > 0 {
-			ratio = fmt.Sprintf("%.2f", p.MedianNsPerSegment/base)
-		}
-		fmt.Printf("%8d %12d %14.0f %14.5f %12s\n",
-			p.Conns, p.Segments, p.MedianNsPerSegment, p.AllocsPerSegment, ratio)
-	}
-	fmt.Println()
-}
-
-func shardScaleOut(points []bench.ShardScalePoint) {
-	fmt.Println("=== E10: sharded parallel scaling (byte-identical engine) ===")
-	fmt.Println("(replicated testbed cells on a trunk ring, 1 in 8 connections")
-	fmt.Println(" cross-cell; the shard count partitions the cells across domain")
-	fmt.Println(" schedulers in conservative lockstep — results are byte-identical")
-	fmt.Println(" for every shard count, so events/sec is directly comparable;")
-	fmt.Println(" speedup/efficiency are vs the shards=1 point, per worker core)")
-	for i, p := range points {
-		if i > 0 && p.Conns != points[i-1].Conns {
-			fmt.Println()
-		}
-		if i == 0 || p.Conns != points[i-1].Conns {
-			fmt.Printf("%8s %6s %7s %8s %12s %12s %14s %14s %8s %6s\n",
-				"conns", "cells", "shards", "workers", "rounds", "wall [ms]", "events/s", "ev/s/core", "speedup", "eff")
-		}
-		fmt.Printf("%8d %6d %7d %8d %12d %12.0f %14.0f %14.0f %8.2f %6.2f\n",
-			p.Conns, p.Cells, p.Shards, p.Workers, p.Rounds, float64(p.WallNS)/1e6,
-			p.EventsPerSec, p.EventsPerSecPerCore, p.Speedup, p.Efficiency)
-	}
-	fmt.Println()
-}
-
-func memScaleOut(points []bench.MemScalePoint) {
-	fmt.Println("=== E13: memory layout at scale (map vs flowtab bridges) ===")
-	fmt.Println("(N established failover connections held live on real bridges;")
-	fmt.Println(" \"map\" allocates the pointer-per-connection layout the bridges")
-	fmt.Println(" used before the flow-table rewrite, \"flowtab\" populates the")
-	fmt.Println(" open-addressing tables and slab arenas; live objects/bytes are")
-	fmt.Println(" runtime.GC deltas, forced-GC wall time shows the scan cost,")
-	fmt.Println(" and the drive phase pushes client ACKs through the hot path)")
-	fmt.Printf("%9s %8s %12s %12s %9s %8s %11s %12s %12s\n",
-		"conns", "layout", "objects", "obj/conn", "bytes/c", "GC [ms]", "pause [us]", "ns/segment", "allocs/seg")
-	for i, p := range points {
-		if i > 0 && p.Conns != points[i-1].Conns {
-			fmt.Println()
-		}
-		drive := "-"
-		allocs := "-"
-		if p.DriveSegments > 0 {
-			drive = fmt.Sprintf("%.0f", p.DriveNsPerSegment)
-			allocs = fmt.Sprintf("%.5f", p.DriveAllocsPerSegment)
-		}
-		fmt.Printf("%9d %8s %12d %12.4f %9.0f %8.2f %11.0f %12s %12s\n",
-			p.Conns, p.Layout, p.LiveObjects, p.ObjectsPerConn, p.BytesPerConn,
-			float64(p.ForcedGCNS)/1e6, float64(p.GCPauseNS)/1e3, drive, allocs)
-	}
-	fmt.Println()
-}
-
-func adversaryOut(points []bench.AdversaryPoint) {
-	fmt.Println("=== E11 (extension): adversarial attack-outcome matrix ===")
-	fmt.Println("(seeded in-LAN attacker vs a live connection: blind RST probes,")
-	fmt.Println(" forged gratuitous-ARP takeover, stale-data ACK reflection, and a")
-	fmt.Println(" spoofed SYN flood, against both topologies with the hardening")
-	fmt.Println(" knobs off and on; every cell is a pure function of its seed)")
-	fmt.Printf("%10s %10s %9s %16s %9s %10s %6s %7s %7s %7s\n",
-		"attack", "topology", "hardened", "outcome", "injected", "delivered", "drops", "arpRej", "amp", "evict")
-	for i, p := range points {
-		if i > 0 && p.Attack != points[i-1].Attack {
-			fmt.Println()
-		}
-		h := "off"
-		if p.Hardened {
-			h = "on"
-		}
-		fmt.Printf("%10s %10s %9s %16s %9d %10d %6d %7d %7.2f %7d\n",
-			p.Attack, p.Topology, h, p.Outcome, p.Injected, p.Delivered,
-			p.SeqDrops, p.ARPFiltered, p.Amplification, p.Evictions)
-	}
-	fmt.Println()
-}
-
-// parseLoads parses the -sloloads flag; empty means the default axis.
-func parseLoads(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	loads := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -sloloads entry %q (want a positive rate)", p)
-		}
-		loads = append(loads, v)
-	}
-	return loads, nil
-}
-
-func sloOut(points []bench.SLOPoint) {
-	fmt.Println("=== E12 (extension): SLO under open-loop production traffic ===")
-	fmt.Println("(workload-zoo sessions arrive open-loop — they do not wait for the")
-	fmt.Println(" service — at the offered rate; goodput and client-visible request")
-	fmt.Println(" latency per cell; in crash cells the primary fail-stops at the")
-	fmt.Println(" middle of the measurement window)")
-	fmt.Printf("%13s %6s %6s %8s %8s %7s %7s %12s %10s %10s %10s\n",
-		"mode", "load/s", "crash", "requests", "complete", "failed", "refuse",
-		"goodput KB/s", "p50", "p99", "p99.9")
-	for i, p := range points {
-		if i > 0 && p.Mode != points[i-1].Mode {
-			fmt.Println()
-		}
-		crash := "-"
-		if p.Crash {
-			crash = "crash"
-		}
-		fmt.Printf("%13s %6g %6s %8d %8d %7d %7d %12.1f %10v %10v %10v\n",
-			p.Mode, p.Load, crash, p.Requests, p.Completed, p.Failed, p.DialErrors,
-			p.GoodputKBps, p.P50.Round(time.Microsecond),
-			p.P99.Round(time.Microsecond), p.P999.Round(time.Microsecond))
-	}
-	fmt.Println()
-}
-
-func failover(r bench.FailoverResult) {
-	fmt.Println("=== E6 (extension): failover latency, primary crash mid-stream ===")
-	fmt.Println("(not measured in the paper; client-observed stall =")
-	fmt.Println(" detection timeout + IP takeover + client RTO recovery)")
-	fmt.Printf("measured: stall median %v, max %v over %d runs; streams intact: %v\n",
-		r.StallMedian, r.StallMax, r.N, r.AllIntact)
-	fmt.Println()
-}
-
-func timeline(r bench.TimelineResult) {
-	fmt.Println("=== E9 (extension): failover timeline, phase breakdown ===")
-	fmt.Println("(reconstructed from a client-side flight recorder plus the")
-	fmt.Println(" detector/takeover hooks; medians over the crash runs)")
-	fmt.Printf("%-24s %14s\n", "phase", "median")
-	fmt.Printf("%-24s %14v\n", "detection", r.DetectionMedian)
-	fmt.Printf("%-24s %14v\n", "takeover + ARP announce", r.AnnounceMedian)
-	fmt.Printf("%-24s %14v\n", "redirection to client", r.ResumeMedian)
-	fmt.Printf("%-24s %14v\n", "client ack turnaround", r.AckTurnaroundMedian)
-	fmt.Printf("%-24s %14v (max %v, n=%d)\n", "total", r.TotalMedian, r.TotalMax, r.N)
-	fmt.Println("sample run 0:")
-	_ = r.Sample.WriteText(os.Stdout)
-	fmt.Println()
-}
-
-func stallScaleOut(points []bench.StallScalePoint) {
-	fmt.Println("=== E14 (extension): fleet-scale stall attribution ===")
-	fmt.Println("(open-loop web sessions across testbed cells; every cell's primary")
-	fmt.Println(" crashes mid-window; each connection's client-visible stall is read")
-	fmt.Println(" from its lifecycle span and attributed per phase against the fleet")
-	fmt.Println(" failure/detect/takeover marks; log-histogram percentiles, <=1/32")
-	fmt.Println(" relative error; byte-identical for any worker or shard count)")
-	for _, p := range points {
-		fmt.Printf("conns %d (cells %d, %.1f sessions/s/cell, %v window): %d spans, %d stalled, digest %s\n",
-			p.Conns, p.Cells, p.LoadPerCell, p.Window, p.Spans, p.Stalled, p.SpanDigest)
-		fmt.Printf("  %-10s %12s %12s %12s %12s\n", "phase", "p50", "p99", "p99.9", "max")
-		for _, row := range []struct {
-			name string
-			st   bench.StallPhaseStats
-		}{
-			{"total", p.Total}, {"precrash", p.PreCrash}, {"detection", p.Detection},
-			{"announce", p.Announce}, {"resume", p.Resume}, {"recovery", p.Recovery},
-		} {
-			fmt.Printf("  %-10s %12v %12v %12v %12v\n", row.name,
-				row.st.P50.Round(time.Microsecond), row.st.P99.Round(time.Microsecond),
-				row.st.P999.Round(time.Microsecond), row.st.Max.Round(time.Microsecond))
-		}
-	}
-	fmt.Println()
-}
-
-// writeTimeseries runs the sharded crash scenario and writes the merged,
-// sampled fleet timeseries — JSON for .json files, CSV otherwise.
-func writeTimeseries(path string) error {
-	ts, err := bench.CollectTimeseries(0, 0)
-	if err != nil {
-		return err
-	}
+// writeOut creates path and fills it with asJSON when the name ends in
+// .json and with asText otherwise.
+func writeOut(path string, asJSON, asText func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
+	write := asText
 	if strings.HasSuffix(path, ".json") {
-		err = ts.WriteJSON(f)
-	} else {
-		err = ts.WriteCSV(f)
+		write = asJSON
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeMetrics runs the instrumented failover scenario and dumps its
-// registry — JSON for .json files, Prometheus text otherwise.
-func writeMetrics(path string) error {
-	reg, err := bench.CollectMetrics()
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = reg.WriteJSON(f)
-	} else {
-		err = reg.DumpText(f)
-	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
@@ -9,7 +10,6 @@ import (
 	"tcpfailover/internal/apps"
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
 
@@ -33,10 +33,10 @@ type AdversaryPoint struct {
 	Hardened bool   `json:"hardened"`
 	Outcome  string `json:"outcome"`
 
-	Injected  int64 `json:"frames_injected"`  // frames the attacker forged
-	Delivered int64 `json:"bytes_delivered"`  // client payload progress
-	SeqDrops  int64 `json:"seq_invalid_drops"` // bridge in-window validation
-	ARPFiltered int64 `json:"arp_rejected"`   // bindings the ARP filter refused
+	Injected    int64 `json:"frames_injected"`   // frames the attacker forged
+	Delivered   int64 `json:"bytes_delivered"`   // client payload progress
+	SeqDrops    int64 `json:"seq_invalid_drops"` // bridge in-window validation
+	ARPFiltered int64 `json:"arp_rejected"`      // bindings the ARP filter refused
 
 	Reflected     int64   `json:"reflected_frames"` // ackstorm: frames at the client
 	Amplification float64 `json:"amplification"`    // ackstorm: reflected/injected
@@ -95,36 +95,24 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 	const stormSegs = 64   // ackstorm forged segments
 	const flowCap = 64     // hardened bridge table bound
 
-	opts := tcpfailover.LANOptions()
-	opts.Seed = seed
-	opts.ServerPorts = []uint16{benchPort}
-	opts.Unreplicated = !failover
-	if hardened {
-		opts.TCP.StrictSeqValidation = true
-		opts.ARPAuth = true
-		opts.Replication.Bridge.ValidateSeq = true
-		opts.Replication.Bridge.MaxConns = flowCap
-		opts.Replication.SecondaryMaxFlows = flowCap
-	}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		return AdversaryPoint{}, err
-	}
-
 	echo := attack == "ackstorm"
-	install := func(h *netstack.Host) error {
-		if echo {
-			_, err := apps.NewEchoServer(h.TCP(), benchPort)
-			return err
-		}
-		_, err := apps.NewPushServer(h.TCP(), benchPort, total)
-		return err
-	}
+	mode, install := Standard, pushServer(total)
 	if failover {
-		if err := sc.Group.OnEach(install); err != nil {
-			return AdversaryPoint{}, err
+		mode = Failover
+	}
+	if echo {
+		install = func(s *tcp.Stack) error { _, err := apps.NewEchoServer(s, benchPort); return err }
+	}
+	sc, err := testbed(mode, seed, func(o *tcpfailover.Options) {
+		if hardened {
+			o.TCP.StrictSeqValidation = true
+			o.ARPAuth = true
+			o.Replication.Bridge.ValidateSeq = true
+			o.Replication.Bridge.MaxConns = flowCap
+			o.Replication.SecondaryMaxFlows = flowCap
 		}
-	} else if err := install(sc.Primary); err != nil {
+	}, install)
+	if err != nil {
 		return AdversaryPoint{}, err
 	}
 	sc.Start()
@@ -334,4 +322,28 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 	_ = stalled
 	addEvents(sc)
 	return p, nil
+}
+
+func renderAdversary(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E11 (extension): adversarial attack-outcome matrix ===")
+	fmt.Fprintln(w, "(seeded in-LAN attacker vs a live connection: blind RST probes,")
+	fmt.Fprintln(w, " forged gratuitous-ARP takeover, stale-data ACK reflection, and a")
+	fmt.Fprintln(w, " spoofed SYN flood, against both topologies with the hardening")
+	fmt.Fprintln(w, " knobs off and on; every cell is a pure function of its seed)")
+	fmt.Fprintf(w, "%10s %10s %9s %16s %9s %10s %6s %7s %7s %7s\n",
+		"attack", "topology", "hardened", "outcome", "injected", "delivered", "drops", "arpRej", "amp", "evict")
+	points := r.Adversary
+	for i, p := range points {
+		if i > 0 && p.Attack != points[i-1].Attack {
+			fmt.Fprintln(w)
+		}
+		h := "off"
+		if p.Hardened {
+			h = "on"
+		}
+		fmt.Fprintf(w, "%10s %10s %9s %16s %9d %10d %6d %7d %7.2f %7d\n",
+			p.Attack, p.Topology, h, p.Outcome, p.Injected, p.Delivered,
+			p.SeqDrops, p.ARPFiltered, p.Amplification, p.Evictions)
+	}
+	fmt.Fprintln(w)
 }

@@ -7,7 +7,6 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
 
@@ -31,21 +30,11 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
 	}
 	const reply, replies = 128 << 10, 64
-	opts := tcpfailover.LANOptions()
-	opts.Seed = 9100
-	opts.ServerPorts = []uint16{benchPort}
 	// Heartbeats allocate per period of virtual time, not per segment of
 	// the stream; they would be the whole of what this gate reads.
 	detectors := false
-	opts.StartDetectors = &detectors
-	sc, err := tcpfailover.NewScenario(opts)
+	sc, err := testbed(Failover, 9100, func(o *tcpfailover.Options) { o.StartDetectors = &detectors }, reqReplyServer)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := installOnServers(sc, func(h *netstack.Host) error {
-		_, err := apps.NewReqReplyServer(h.TCP(), benchPort)
-		return err
-	}); err != nil {
 		t.Fatal(err)
 	}
 	sc.Start()
@@ -100,14 +89,8 @@ func TestSequentialConnsReuseRings(t *testing.T) {
 		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
 	}
 	const upload, warm, conns = 128 << 10, 8, 200
-	sc, err := scenario(Failover, 9200, benchPort)
+	sc, err := testbed(Failover, 9200, nil, sinkServer)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := installOnServers(sc, func(h *netstack.Host) error {
-		_, err := apps.NewSinkServer(h.TCP(), benchPort)
-		return err
-	}); err != nil {
 		t.Fatal(err)
 	}
 	sc.Start()

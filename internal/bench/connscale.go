@@ -2,12 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
 
 	"tcpfailover"
 	"tcpfailover/internal/ethernet"
+	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/metrics"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/sim"
@@ -77,6 +79,29 @@ func ConnScale(counts []int) ([]ConnScalePoint, error) {
 	return out, nil
 }
 
+func renderConnScale(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E8: simulator hot-path cost vs connection count ===")
+	fmt.Fprintln(w, "(request/reply rounds across N concurrent failover connections;")
+	fmt.Fprintln(w, " host-side cost per carried LAN frame in the steady state —")
+	fmt.Fprintln(w, " targets: per-segment ns at 10k <= 1.5x the 100-conn cost,")
+	fmt.Fprintln(w, " and ~0 allocations per segment)")
+	fmt.Fprintf(w, "%8s %12s %14s %14s %12s\n",
+		"conns", "segments", "ns/segment", "allocs/seg", "ratio")
+	base := 0.0
+	for i, p := range r.ConnScale {
+		if i == 0 {
+			base = p.MedianNsPerSegment
+		}
+		ratio := "-"
+		if base > 0 && i > 0 {
+			ratio = fmt.Sprintf("%.2f", p.MedianNsPerSegment/base)
+		}
+		fmt.Fprintf(w, "%8d %12d %14.0f %14.5f %12s\n",
+			p.Conns, p.Segments, p.MedianNsPerSegment, p.AllocsPerSegment, ratio)
+	}
+	fmt.Fprintln(w)
+}
+
 // csHarness is the shared state of one E8 simulation. The request/reply
 // applications below are leaner cousins of internal/apps: with 10 000
 // connections across three hosts, per-connection 32 KB copy buffers would
@@ -92,10 +117,42 @@ type csHarness struct {
 	err     error
 }
 
+// newCsHarness returns the harness of one scheduler's connections.
+func newCsHarness(sched *sim.Scheduler) *csHarness {
+	h := &csHarness{sched: sched, scratch: make([]byte, 2048), reply: make([]byte, csReplyBytes)}
+	for i := range h.reply {
+		h.reply[i] = byte(i)
+	}
+	return h
+}
+
 func (h *csHarness) fail(err error) {
 	if h.err == nil {
 		h.err = err
 	}
+}
+
+// serve installs the request/reply server on a server host's stack.
+func (h *csHarness) serve(host *netstack.Host) error {
+	_, err := host.TCP().Listen(benchPort, func(c *tcp.Conn) {
+		s := &csServerConn{h: h, c: c}
+		c.OnReadable(s.pump)
+		c.OnWritable(s.pump)
+	})
+	return err
+}
+
+// dial opens one client connection from stack to addr and starts its rounds.
+func (h *csHarness) dial(stack *tcp.Stack, addr ipv4.Addr) {
+	conn, err := stack.Dial(addr, benchPort)
+	if err != nil {
+		h.fail(fmt.Errorf("dial: %w", err))
+		return
+	}
+	cl := &csClient{h: h, c: conn}
+	conn.OnEstablished(cl.send)
+	conn.OnReadable(cl.readable)
+	conn.OnWritable(cl.flush)
 }
 
 // csServerConn answers each 4-byte request with csReplyBytes of the shared
@@ -257,18 +314,8 @@ func connScalePoint(seed int64, n int, spans bool) (ConnScalePoint, int, error) 
 	if err != nil {
 		return ConnScalePoint{}, 0, err
 	}
-	h := &csHarness{sched: sc.Sched, scratch: make([]byte, 2048), reply: make([]byte, csReplyBytes)}
-	for i := range h.reply {
-		h.reply[i] = byte(i)
-	}
-	if err := installOnServers(sc, func(host *netstack.Host) error {
-		_, err := host.TCP().Listen(benchPort, func(c *tcp.Conn) {
-			s := &csServerConn{h: h, c: c}
-			c.OnReadable(s.pump)
-			c.OnWritable(s.pump)
-		})
-		return err
-	}); err != nil {
+	h := newCsHarness(sc.Sched)
+	if err := installOnServers(sc, h.serve); err != nil {
 		return ConnScalePoint{}, 0, err
 	}
 	sc.Start()
@@ -277,15 +324,7 @@ func connScalePoint(seed int64, n int, spans bool) (ConnScalePoint, int, error) 
 	// herd of simultaneous SYNs.
 	for i := 0; i < n; i++ {
 		sc.Sched.At(sc.Now()+time.Duration(i)*csDialStagger, "connscale.dial", func() {
-			conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
-			if err != nil {
-				h.fail(fmt.Errorf("dial: %w", err))
-				return
-			}
-			cl := &csClient{h: h, c: conn}
-			conn.OnEstablished(cl.send)
-			conn.OnReadable(cl.readable)
-			conn.OnWritable(cl.flush)
+			h.dial(sc.Client.TCP(), sc.ServiceAddr())
 		})
 	}
 

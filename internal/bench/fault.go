@@ -2,13 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/apps"
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/metrics"
-	"tcpfailover/internal/netstack"
 )
 
 // --- E7 (extension): failover latency under link impairment ---------------------
@@ -83,44 +82,34 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		crashAt := 20*time.Millisecond +
 			time.Duration(run)*60*time.Millisecond/time.Duration(runs)
 
-		opts := tcpfailover.LANOptions()
-		opts.Seed = int64(7000 + j)
-		opts.ServerPorts = []uint16{benchPort}
-		opts.Faults = &fault.Plan{
-			Impairments: imps,
-			Schedule:    []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},
-		}
-		sc, err := tcpfailover.NewScenario(opts)
+		r, err := newCrashRun(int64(7000+j), total, func(o *tcpfailover.Options) {
+			o.Faults = &fault.Plan{
+				Impairments: imps,
+				Schedule:    []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},
+			}
+		})
 		if err != nil {
 			return err
 		}
-		if err := sc.Group.OnEach(func(h *netstack.Host) error {
-			_, err := apps.NewPushServer(h.TCP(), benchPort, total)
-			return err
-		}); err != nil {
+		if err := r.dial(); err != nil {
 			return err
 		}
-		sc.Start()
-		conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
-		if err != nil {
-			return err
-		}
-		recv := apps.NewReceiver(conn, sc.Sched)
+		sc, recv := r.sc, r.recv
 		var established time.Duration
-		conn.OnEstablished(func() { established = sc.Now() })
+		r.conn.OnEstablished(func() { established = sc.Now() })
 		// Severe loss can exhaust TCP's retransmission budget (MaxRetries)
 		// and abort the connection; that is a legitimate outcome of the
 		// harshest cells, recorded as a non-intact run rather than a bench
 		// failure.
 		died := false
-		conn.OnClose(func(err error) {
+		r.conn.OnClose(func(err error) {
 			if err != nil {
 				died = true
 			}
 		})
 
-		// Walk the event loop watching the received-byte timeline; the
-		// stall is the longest post-crash gap between progress events.
+		// Watch the received-byte timeline after every event; the stall
+		// is the longest post-crash gap between progress events.
 		// A sender that exhausts its retransmission budget aborts with a
 		// single RST; if loss eats that RST the receiving client has
 		// nothing to retransmit and hangs silently, so a no-progress
@@ -130,27 +119,18 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		const deadAfter = 10 * time.Minute
 		var lastProgress, maxGap time.Duration
 		var prevReceived int64
-		for !recv.EOF && !died {
-			if !sc.Sched.Step() {
-				return fmt.Errorf("%s rate %g run %d: queue empty (received=%d)",
-					c.model, c.rate, run, recv.Received)
-			}
+		what := fmt.Sprintf("%s rate %g run %d", c.model, c.rate, run)
+		if err := r.run(what, 0, func() bool {
 			if recv.Received != prevReceived {
 				if lastProgress > crashAt {
-					if gap := sc.Now() - lastProgress; gap > maxGap {
-						maxGap = gap
-					}
+					maxGap = max(maxGap, sc.Now()-lastProgress)
 				}
 				prevReceived = recv.Received
 				lastProgress = sc.Now()
 			}
-			if sc.Now()-lastProgress > deadAfter {
-				break
-			}
-			if sc.Now() > time.Hour {
-				return fmt.Errorf("%s rate %g run %d: timeout (received=%d)",
-					c.model, c.rate, run, recv.Received)
-			}
+			return !died && sc.Now()-lastProgress <= deadAfter
+		}); err != nil {
+			return err
 		}
 		end := recv.EOFAt
 		if !recv.EOF {
@@ -189,4 +169,18 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		points = append(points, p)
 	}
 	return points, nil
+}
+
+func renderFaultSweep(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E7 (extension): failover latency under link impairment ===")
+	fmt.Fprintln(w, "(1 MB server-to-client stream over lossy links, primary crashed")
+	fmt.Fprintln(w, " mid-stream by the failure schedule; stall = longest post-crash")
+	fmt.Fprintln(w, " gap in the client's received-byte timeline)")
+	fmt.Fprintf(w, "%12s %8s %14s %14s %12s %8s %8s\n",
+		"loss model", "rate", "stall med", "stall max", "rate [KB/s]", "intact", "drops")
+	for _, p := range r.FaultSweep {
+		fmt.Fprintf(w, "%12s %8.3f %14v %14v %12.2f %8v %8d\n",
+			p.Model, p.Rate, p.StallMedian, p.StallMax, p.RecvKBps, p.AllIntact, p.Injected)
+	}
+	fmt.Fprintln(w)
 }

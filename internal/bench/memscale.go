@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -18,37 +19,32 @@ import (
 // --- E13: memory footprint and GC cost at scale ------------------------------
 //
 // E8 and E10 measure per-segment CPU cost as the connection count grows; E13
-// measures what the connection *state* costs the runtime. Two layouts are
-// populated to the same connection count and measured identically:
+// measures what the connection *state* costs the runtime: the real bridges —
+// a PrimaryBridge and a SecondaryBridge driven through their interposition
+// hooks until n connections are established, with all per-connection state
+// living in open-addressing tables over slab arenas.
 //
-//   - "map": a faithful model of the containers the repository used before
-//     the flowtab conversion — a map entry pointing at a heap-allocated
-//     per-connection record which itself owns two heap-allocated output
-//     queues on the primary, plus a heap flow record and a re-key tuple
-//     entry on the secondary. The model really allocates that layout and
-//     the garbage collector really traces it; nothing is simulated.
-//   - "flowtab": the real bridges as they are now — a PrimaryBridge and a
-//     SecondaryBridge driven through their interposition hooks until n
-//     connections are established, with all per-connection state living in
-//     open-addressing tables over slab arenas.
-//
-// For each cell the experiment reports live heap objects and bytes
+// For each count the experiment reports live heap objects and bytes
 // attributable to the population (after a settling collection), the wall
 // time and stop-the-world pause of one forced collection at full
 // population — the GC scan cost the layout imposes on a running process —
-// and, for the real bridges, a drive phase: steady-state client ACKs pushed
-// through the primary's demultiplex-and-translate path, reported as
-// ns/segment and allocs/segment. The CI gate asserts the map layout holds
-// at least twice as many GC-scanned objects per connection as flowtab.
+// and a drive phase: steady-state client ACKs pushed through the primary's
+// demultiplex-and-translate path, reported as ns/segment and
+// allocs/segment. The pointer-per-connection "map" layout the bridges used
+// before internal/flowtab is no longer built to be measured against; its
+// last measured numbers are the frozen table in EXPERIMENTS.md (E13).
 
 // DefaultMemScale is the connection-count sweep for experiment E13.
 var DefaultMemScale = []int{100_000, 500_000, 1_000_000}
 
-// MemScalePoint reports one (layout, connection count) cell of E13. All
-// fields are host-dependent performance counters (like ConnScalePoint).
+// MemScalePoint reports one connection count of E13. All fields are
+// host-dependent performance counters (like ConnScalePoint).
 type MemScalePoint struct {
-	Conns  int    `json:"conns"`
-	Layout string `json:"layout"` // "map" (pre-conversion model) or "flowtab" (real bridges)
+	Conns int `json:"conns"`
+	// Layout is "flowtab", the real bridges. The committed
+	// BENCH_trajectory.json also holds "map" rows: the frozen measurement
+	// of the pre-flowtab layout (EXPERIMENTS.md, E13).
+	Layout string `json:"layout"`
 
 	LiveObjects    int64   `json:"live_objects"` // heap objects added by the population
 	LiveBytes      int64   `json:"live_bytes"`   // heap bytes added by the population
@@ -59,8 +55,8 @@ type MemScalePoint struct {
 	ForcedGCNS int64 `json:"forced_gc_ns"` // wall time of one collection at full population
 	GCPauseNS  int64 `json:"gc_pause_ns"`  // stop-the-world pause of that collection
 
-	// Drive phase (flowtab cells only): client ACKs through the primary
-	// bridge's lookup-and-translate path, round-robin over all connections.
+	// Drive phase: client ACKs through the primary bridge's
+	// lookup-and-translate path, round-robin over all connections.
 	DriveSegments         int64   `json:"drive_segments,omitempty"`
 	DriveNsPerSegment     float64 `json:"drive_ns_per_segment,omitempty"`
 	DriveAllocsPerSegment float64 `json:"drive_allocs_per_segment,omitempty"`
@@ -73,20 +69,38 @@ func MemScale(counts []int) ([]MemScalePoint, error) {
 	if len(counts) == 0 {
 		counts = DefaultMemScale
 	}
-	out := make([]MemScalePoint, 0, 2*len(counts))
+	out := make([]MemScalePoint, 0, len(counts))
 	for _, n := range counts {
-		p, err := memScaleMapCell(n)
+		p, err := memScaleCell(n)
 		if err != nil {
-			return nil, fmt.Errorf("memscale map %d conns: %w", n, err)
-		}
-		out = append(out, p)
-		p, err = memScaleFlowtabCell(n)
-		if err != nil {
-			return nil, fmt.Errorf("memscale flowtab %d conns: %w", n, err)
+			return nil, fmt.Errorf("memscale %d conns: %w", n, err)
 		}
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+func renderMemScale(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E13: memory layout at scale (flowtab bridges) ===")
+	fmt.Fprintln(w, "(N established failover connections held live on real bridges,")
+	fmt.Fprintln(w, " their state in open-addressing tables and slab arenas; live")
+	fmt.Fprintln(w, " objects/bytes are runtime.GC deltas, forced-GC wall time shows")
+	fmt.Fprintln(w, " the scan cost, and the drive phase pushes client ACKs through")
+	fmt.Fprintln(w, " the hot path; the old \"map\" layout's rows are frozen in")
+	fmt.Fprintln(w, " EXPERIMENTS.md)")
+	fmt.Fprintf(w, "%9s %8s %12s %12s %9s %8s %11s %12s %12s\n",
+		"conns", "layout", "objects", "obj/conn", "bytes/c", "GC [ms]", "pause [us]", "ns/segment", "allocs/seg")
+	for _, p := range r.MemScale {
+		drive, allocs := "-", "-"
+		if p.DriveSegments > 0 {
+			drive = fmt.Sprintf("%.0f", p.DriveNsPerSegment)
+			allocs = fmt.Sprintf("%.5f", p.DriveAllocsPerSegment)
+		}
+		fmt.Fprintf(w, "%9d %8s %12d %12.4f %9.0f %8.2f %11.0f %12s %12s\n",
+			p.Conns, p.Layout, p.LiveObjects, p.ObjectsPerConn, p.BytesPerConn,
+			float64(p.ForcedGCNS)/1e6, float64(p.GCPauseNS)/1e3, drive, allocs)
+	}
+	fmt.Fprintln(w)
 }
 
 // msSettle returns the process to a quiet, collected state and samples it.
@@ -96,9 +110,9 @@ func msSettle(ms *runtime.MemStats) {
 	runtime.ReadMemStats(ms)
 }
 
-// msFinish fills the measurement fields common to both layouts: the live
-// heap delta against the pre-population sample, and the cost of one forced
-// collection at full population.
+// msFinish fills the population measurements: the live heap delta against
+// the pre-population sample, and the cost of one forced collection at full
+// population.
 func msFinish(p *MemScalePoint, ms0 *runtime.MemStats) {
 	var ms1 runtime.MemStats
 	runtime.GC() // settle: free the population phase's transient garbage
@@ -114,68 +128,6 @@ func msFinish(p *MemScalePoint, ms0 *runtime.MemStats) {
 	runtime.ReadMemStats(&ms1)
 	p.GCPauseNS = int64(ms1.PauseTotalNs - pause0)
 }
-
-// --- the "map" baseline: the seed's per-connection layout --------------------
-
-// msQueueModel mirrors the seed's heap-allocated byteQueue: three slice
-// headers and two scalars.
-type msQueueModel struct {
-	floor   uint32
-	bytes   int
-	blocks  []byte
-	scratch []byte
-	spare   []byte
-}
-
-// msPconnModel mirrors the seed's *pconn: a heap record owning two heap
-// queues, LRU pointers, and the sequence/acknowledgment scalar block.
-type msPconnModel struct {
-	key              uint64
-	pq, sq           *msQueueModel
-	lruPrev, lruNext *msPconnModel
-	scalars          [18]uint32
-}
-
-// msSflowModel mirrors the seed's *sflow.
-type msSflowModel struct {
-	gen              uint64
-	match            bool
-	opt              [8]byte
-	key              uint64
-	lruPrev, lruNext *msSflowModel
-}
-
-// msTupleModel mirrors the tcp.Tuple the seed's secondary kept per
-// connection in a second map.
-type msTupleModel struct {
-	localAddr, remoteAddr   uint32
-	localPort, remotePort uint16
-}
-
-// memScaleMapCell populates the pre-conversion layout to n connections.
-func memScaleMapCell(n int) (MemScalePoint, error) {
-	p := MemScalePoint{Conns: n, Layout: "map"}
-	var ms0 runtime.MemStats
-	msSettle(&ms0)
-	start := time.Now()
-	pconns := make(map[uint64]*msPconnModel)
-	flows := make(map[uint64]*msSflowModel)
-	rekey := make(map[uint64]msTupleModel)
-	for i := 0; i < n; i++ {
-		key := uint64(0x0B00_0000+i)<<32 | uint64(49152)<<16 | uint64(benchPort)
-		pconns[key] = &msPconnModel{key: key, pq: &msQueueModel{}, sq: &msQueueModel{}}
-		flows[key] = &msSflowModel{key: key, match: true}
-		rekey[key] = msTupleModel{remoteAddr: uint32(key >> 32), localPort: benchPort, remotePort: 49152}
-	}
-	p.PopulateNS = time.Since(start).Nanoseconds()
-	msFinish(&p, &ms0)
-	runtime.KeepAlive(pconns)
-	runtime.KeepAlive(flows)
-	runtime.KeepAlive(rekey)
-	return p, nil
-}
-
-// --- the "flowtab" cell: the real bridges ------------------------------------
 
 // msFixture is a pair of bridge hosts driven directly through their hooks —
 // no TCP stacks and no wire, so what the cell measures is bridge state, not
@@ -272,8 +224,8 @@ const (
 	memScaleDriveCap   = 3_000_000
 )
 
-// memScaleFlowtabCell populates the real bridges to n connections.
-func memScaleFlowtabCell(n int) (MemScalePoint, error) {
+// memScaleCell populates the real bridges to n connections.
+func memScaleCell(n int) (MemScalePoint, error) {
 	p := MemScalePoint{Conns: n, Layout: "flowtab"}
 	var ms0 runtime.MemStats
 	msSettle(&ms0)

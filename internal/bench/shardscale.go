@@ -2,15 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
 
 	"tcpfailover"
 	"tcpfailover/internal/ethernet"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/sim"
-	"tcpfailover/internal/tcp"
 )
 
 // --- E10: sharded parallel scaling -------------------------------------------
@@ -166,20 +165,9 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 	// run on the cell's domain goroutine.
 	hs := make([]*csHarness, len(ss.Cells))
 	for ci, cell := range ss.Cells {
-		h := &csHarness{sched: cell.Domain, scratch: make([]byte, 2048), reply: make([]byte, csReplyBytes)}
-		for i := range h.reply {
-			h.reply[i] = byte(i)
-		}
-		hs[ci] = h
+		hs[ci] = newCsHarness(cell.Domain)
 		cell.Stream.Use()
-		if err := installOnServers(cell.Scenario, func(host *netstack.Host) error {
-			_, err := host.TCP().Listen(benchPort, func(c *tcp.Conn) {
-				srv := &csServerConn{h: h, c: c}
-				c.OnReadable(srv.pump)
-				c.OnWritable(srv.pump)
-			})
-			return err
-		}); err != nil {
+		if err := installOnServers(cell.Scenario, hs[ci].serve); err != nil {
 			return ShardScalePoint{}, nil, err
 		}
 	}
@@ -203,15 +191,7 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 				addr = next.ServiceAddr()
 			}
 			cell.Domain.At(cell.Domain.Now()+time.Duration(i)*csDialStagger, "shardscale.dial", func() {
-				conn, err := self.Client.TCP().Dial(addr, benchPort)
-				if err != nil {
-					h.fail(fmt.Errorf("dial: %w", err))
-					return
-				}
-				cl := &csClient{h: h, c: conn}
-				conn.OnEstablished(cl.send)
-				conn.OnReadable(cl.readable)
-				conn.OnWritable(cl.flush)
+				h.dial(self.Client.TCP(), addr)
 			})
 		}
 	}
@@ -292,4 +272,27 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 		digs = ss.Digests()
 	}
 	return p, digs, nil
+}
+
+func renderShardScale(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E10: sharded parallel scaling (byte-identical engine) ===")
+	fmt.Fprintln(w, "(replicated testbed cells on a trunk ring, 1 in 8 connections")
+	fmt.Fprintln(w, " cross-cell; the shard count partitions the cells across domain")
+	fmt.Fprintln(w, " schedulers in conservative lockstep — results are byte-identical")
+	fmt.Fprintln(w, " for every shard count, so events/sec is directly comparable;")
+	fmt.Fprintln(w, " speedup/efficiency are vs the shards=1 point, per worker core)")
+	points := r.ShardScale
+	for i, p := range points {
+		if i > 0 && p.Conns != points[i-1].Conns {
+			fmt.Fprintln(w)
+		}
+		if i == 0 || p.Conns != points[i-1].Conns {
+			fmt.Fprintf(w, "%8s %6s %7s %8s %12s %12s %14s %14s %8s %6s\n",
+				"conns", "cells", "shards", "workers", "rounds", "wall [ms]", "events/s", "ev/s/core", "speedup", "eff")
+		}
+		fmt.Fprintf(w, "%8d %6d %7d %8d %12d %12.0f %14.0f %14.0f %8.2f %6.2f\n",
+			p.Conns, p.Cells, p.Shards, p.Workers, p.Rounds, float64(p.WallNS)/1e6,
+			p.EventsPerSec, p.EventsPerSecPerCore, p.Speedup, p.Efficiency)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,14 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/apps"
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/loadgen"
 	"tcpfailover/internal/metrics"
-	"tcpfailover/internal/netstack"
 )
 
 // --- E12 (extension): SLO under open-loop production traffic --------------------
@@ -110,23 +109,15 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 	out := make([]SLOPoint, len(cells))
 	err := parallelEach(len(cells), func(j int) error {
 		c := cells[j]
-		opts := tcpfailover.LANOptions()
-		opts.Seed = int64(12000 + j)
-		opts.Unreplicated = c.mode == Standard
-		opts.ServerPorts = []uint16{benchPort}
-		if c.crash {
-			opts.Faults = &fault.Plan{
-				Schedule: []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},
+		seed := int64(12000 + j)
+		sc, err := testbed(c.mode, seed, func(o *tcpfailover.Options) {
+			if c.crash {
+				o.Faults = &fault.Plan{
+					Schedule: []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},
+				}
 			}
-		}
-		sc, err := tcpfailover.NewScenario(opts)
+		}, httpServer)
 		if err != nil {
-			return err
-		}
-		if err := installOnServers(sc, func(h *netstack.Host) error {
-			_, err := apps.NewHTTPServer(h.TCP(), benchPort)
-			return err
-		}); err != nil {
 			return err
 		}
 		sc.Start()
@@ -141,7 +132,7 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 			Addr:        sc.ServiceAddr(),
 			Port:        benchPort,
 			Spec:        spec,
-			Rand:        fault.NewRand(uint64(opts.Seed)),
+			Rand:        fault.NewRand(uint64(seed)),
 			Stop:        stop,
 			MeasureFrom: sloWarmup,
 		})
@@ -175,4 +166,30 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 		return nil, err
 	}
 	return out, nil
+}
+
+func renderSLO(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E12 (extension): SLO under open-loop production traffic ===")
+	fmt.Fprintln(w, "(workload-zoo sessions arrive open-loop — they do not wait for the")
+	fmt.Fprintln(w, " service — at the offered rate; goodput and client-visible request")
+	fmt.Fprintln(w, " latency per cell; in crash cells the primary fail-stops at the")
+	fmt.Fprintln(w, " middle of the measurement window)")
+	fmt.Fprintf(w, "%13s %6s %6s %8s %8s %7s %7s %12s %10s %10s %10s\n",
+		"mode", "load/s", "crash", "requests", "complete", "failed", "refuse",
+		"goodput KB/s", "p50", "p99", "p99.9")
+	points := r.SLO
+	for i, p := range points {
+		if i > 0 && p.Mode != points[i-1].Mode {
+			fmt.Fprintln(w)
+		}
+		crash := "-"
+		if p.Crash {
+			crash = "crash"
+		}
+		fmt.Fprintf(w, "%13s %6g %6s %8d %8d %7d %7d %12.1f %10v %10v %10v\n",
+			p.Mode, p.Load, crash, p.Requests, p.Completed, p.Failed, p.DialErrors,
+			p.GoodputKBps, p.P50.Round(time.Microsecond),
+			p.P99.Round(time.Microsecond), p.P999.Round(time.Microsecond))
+	}
+	fmt.Fprintln(w)
 }

@@ -2,15 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
-	"tcpfailover"
-	"tcpfailover/internal/apps"
-	"tcpfailover/internal/ethernet"
-	"tcpfailover/internal/fault"
-	"tcpfailover/internal/loadgen"
 	"tcpfailover/internal/metrics"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/obs"
 )
 
@@ -44,9 +39,6 @@ const (
 	stallWarmup = time.Second
 	stallDrain  = 2 * time.Second
 )
-
-// stallWorkload is the workload-zoo entry E14 drives.
-const stallWorkload = "web"
 
 // stallCells maps a connection count to a cell count: one cell per 1000
 // connections, clamped to [2, 64] (two cells so the sharded engine is
@@ -139,67 +131,19 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 		window = DefaultStallWindow
 	}
 	cells := stallCells(conns)
-	if shards <= 0 {
-		shards = min(cells, Workers)
-	}
-	stop := stallWarmup + window
-	horizon := stop + stallDrain
-	crashAt := stallWarmup + window/2
 	load := float64(conns) / (float64(cells) * window.Seconds())
-
-	cellOpts := tcpfailover.LANOptions()
-	cellOpts.Seed = int64(14000 + 100*idx)
-	cellOpts.ServerPorts = []uint16{benchPort}
-	cellOpts.Spans = true
-	cellOpts.Faults = &fault.Plan{
-		Schedule: []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},
-	}
-	ss, err := tcpfailover.NewSharded(tcpfailover.ShardedOptions{
-		Cells:     cells,
-		Shards:    shards,
-		Workers:   Workers,
-		Cell:      cellOpts,
-		CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
-	})
+	ss, err := webCrashFleet(int64(14000+100*idx), cells, shards, load, stallWarmup, window)
 	if err != nil {
 		return StallScalePoint{}, nil, err
 	}
-	for _, cell := range ss.Cells {
-		cell.Stream.Use()
-		if err := cell.Group.OnEach(func(h *netstack.Host) error {
-			_, err := apps.NewHTTPServer(h.TCP(), benchPort)
-			return err
-		}); err != nil {
-			return StallScalePoint{}, nil, fmt.Errorf("cell %d install: %w", cell.Index, err)
-		}
-	}
-	ss.Start()
-
-	spec, err := loadgen.Zoo(stallWorkload, load)
-	if err != nil {
-		return StallScalePoint{}, nil, err
-	}
-	for _, cell := range ss.Cells {
-		cell.Stream.Use()
-		loadgen.New(loadgen.Config{
-			Sched:       cell.Sched,
-			Stack:       cell.Client.TCP(),
-			Addr:        cell.ServiceAddr(),
-			Port:        benchPort,
-			Spec:        spec,
-			Rand:        fault.NewRand(uint64(cellOpts.Seed) + uint64(cell.Index)),
-			Stop:        stop,
-			MeasureFrom: stallWarmup,
-		}).Start(0)
-	}
-	if err := ss.RunUntil(horizon); err != nil {
+	if err := ss.RunUntil(stallWarmup + window + stallDrain); err != nil {
 		return StallScalePoint{}, nil, err
 	}
 
 	p := StallScalePoint{
 		Conns:       conns,
 		Cells:       cells,
-		Workload:    stallWorkload,
+		Workload:    webCrashWorkload,
 		LoadPerCell: load,
 		Window:      window,
 	}
@@ -234,4 +178,30 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	p.Recovery = stallStats(&recovery)
 	addShardEvents(ss)
 	return p, exact, nil
+}
+
+func renderStallScale(w io.Writer, _ Config, r *Results) {
+	fmt.Fprintln(w, "=== E14 (extension): fleet-scale stall attribution ===")
+	fmt.Fprintln(w, "(open-loop web sessions across testbed cells; every cell's primary")
+	fmt.Fprintln(w, " crashes mid-window; each connection's client-visible stall is read")
+	fmt.Fprintln(w, " from its lifecycle span and attributed per phase against the fleet")
+	fmt.Fprintln(w, " failure/detect/takeover marks; log-histogram percentiles, <=1/32")
+	fmt.Fprintln(w, " relative error; byte-identical for any worker or shard count)")
+	for _, p := range r.StallScale {
+		fmt.Fprintf(w, "conns %d (cells %d, %.1f sessions/s/cell, %v window): %d spans, %d stalled, digest %s\n",
+			p.Conns, p.Cells, p.LoadPerCell, p.Window, p.Spans, p.Stalled, p.SpanDigest)
+		fmt.Fprintf(w, "  %-10s %12s %12s %12s %12s\n", "phase", "p50", "p99", "p99.9", "max")
+		for _, row := range []struct {
+			name string
+			st   StallPhaseStats
+		}{
+			{"total", p.Total}, {"precrash", p.PreCrash}, {"detection", p.Detection},
+			{"announce", p.Announce}, {"resume", p.Resume}, {"recovery", p.Recovery},
+		} {
+			fmt.Fprintf(w, "  %-10s %12v %12v %12v %12v\n", row.name,
+				row.st.P50.Round(time.Microsecond), row.st.P99.Round(time.Microsecond),
+				row.st.P999.Round(time.Microsecond), row.st.Max.Round(time.Microsecond))
+		}
+	}
+	fmt.Fprintln(w)
 }

@@ -2,12 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/apps"
 	"tcpfailover/internal/metrics"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/obs"
 )
 
@@ -37,20 +36,13 @@ func FailoverTimeline(n int) (TimelineResult, error) {
 	const total = 512 * 1024
 	timelines := make([]obs.Timeline, n)
 	err := parallelEach(n, func(i int) error {
-		opts := tcpfailover.LANOptions()
-		opts.Seed = int64(9000 + i)
-		opts.ServerPorts = []uint16{benchPort}
-		opts.RouterARPDelay = 500 * time.Microsecond
-		sc, err := tcpfailover.NewScenario(opts)
+		r, err := newCrashRun(int64(9000+i), total, func(o *tcpfailover.Options) {
+			o.RouterARPDelay = 500 * time.Microsecond
+		})
 		if err != nil {
 			return err
 		}
-		if err := sc.Group.OnEach(func(h *netstack.Host) error {
-			_, err := apps.NewPushServer(h.TCP(), benchPort, total)
-			return err
-		}); err != nil {
-			return err
-		}
+		sc := r.sc
 		// The timeline only needs the tail of the capture (takeover onward),
 		// so a modest ring that wraps during the bulk transfer is fine.
 		rec := obs.NewRecorder(4096, 64)
@@ -58,31 +50,17 @@ func FailoverTimeline(n int) (TimelineResult, error) {
 		var marks obs.Marks
 		sc.Group.OnPrimaryFailureDetected = func() { marks.DetectorFired = sc.Now() }
 		sc.Group.SecondaryBridge().OnTakeover = func() { marks.TakeoverDone = sc.Now() }
-		sc.Start()
-		conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
-		if err != nil {
+		if err := r.dial(); err != nil {
 			return err
 		}
-		recv := apps.NewReceiver(conn, sc.Sched)
-
 		crashAt := int64(total/4) + int64(i)*int64(total/(2*n))
-		crashed := false
-		for !recv.EOF {
-			if !sc.Sched.Step() {
-				return fmt.Errorf("run %d: queue empty (received=%d)", i, recv.Received)
-			}
-			if !crashed && recv.Received >= crashAt {
-				crashed = true
-				marks.FailureInjected = sc.Now()
-				sc.Group.CrashPrimary()
-			}
-			if sc.Now() > time.Hour {
-				return fmt.Errorf("run %d: timeout (received=%d)", i, recv.Received)
-			}
+		if err := r.run(fmt.Sprintf("run %d", i), crashAt, nil); err != nil {
+			return err
 		}
-		if recv.BadAt >= 0 || recv.Received != total {
+		marks.FailureInjected = r.crashedAt
+		if r.recv.BadAt >= 0 || r.recv.Received != total {
 			return fmt.Errorf("run %d: stream not intact (received=%d bad=%d)",
-				i, recv.Received, recv.BadAt)
+				i, r.recv.Received, r.recv.BadAt)
 		}
 		tl, err := obs.Analyze(rec.Records(), marks, sc.ServiceAddr())
 		if err != nil {
@@ -115,43 +93,40 @@ func FailoverTimeline(n int) (TimelineResult, error) {
 	}, nil
 }
 
+func renderTimeline(w io.Writer, _ Config, res *Results) {
+	r := res.Timeline
+	if r == nil {
+		return
+	}
+	fmt.Fprintln(w, "=== E9 (extension): failover timeline, phase breakdown ===")
+	fmt.Fprintln(w, "(reconstructed from a client-side flight recorder plus the")
+	fmt.Fprintln(w, " detector/takeover hooks; medians over the crash runs)")
+	fmt.Fprintf(w, "%-24s %14s\n", "phase", "median")
+	fmt.Fprintf(w, "%-24s %14v\n", "detection", r.DetectionMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "takeover + ARP announce", r.AnnounceMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "redirection to client", r.ResumeMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "client ack turnaround", r.AckTurnaroundMedian)
+	fmt.Fprintf(w, "%-24s %14v (max %v, n=%d)\n", "total", r.TotalMedian, r.TotalMax, r.N)
+	fmt.Fprintln(w, "sample run 0:")
+	_ = r.Sample.WriteText(w) // as unchecked as the Fprints around it
+	fmt.Fprintln(w)
+}
+
 // CollectMetrics runs one instrumented failover scenario (fixed seed,
 // primary crashed mid-stream) and returns its metrics registry — the
 // workload behind failover-bench -metrics-out. The snapshot is a function
 // of the seed only.
 func CollectMetrics() (*obs.Registry, error) {
 	const total = 256 * 1024
-	opts := tcpfailover.LANOptions()
-	opts.Seed = 424242
-	opts.ServerPorts = []uint16{benchPort}
-	sc, err := tcpfailover.NewScenario(opts)
+	r, err := newCrashRun(424242, total, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewPushServer(h.TCP(), benchPort, total)
-		return err
-	}); err != nil {
+	if err := r.dial(); err != nil {
 		return nil, err
 	}
-	sc.Start()
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
-	if err != nil {
+	if err := r.run("collect-metrics", total/2, nil); err != nil {
 		return nil, err
 	}
-	recv := apps.NewReceiver(conn, sc.Sched)
-	crashed := false
-	for !recv.EOF {
-		if !sc.Sched.Step() {
-			return nil, fmt.Errorf("collect-metrics: queue empty (received=%d)", recv.Received)
-		}
-		if !crashed && recv.Received >= total/2 {
-			crashed = true
-			sc.Group.CrashPrimary()
-		}
-		if sc.Now() > time.Hour {
-			return nil, fmt.Errorf("collect-metrics: timeout (received=%d)", recv.Received)
-		}
-	}
-	return sc.Obs, nil
+	return r.sc.Obs, nil
 }

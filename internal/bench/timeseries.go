@@ -3,12 +3,6 @@ package bench
 import (
 	"time"
 
-	"tcpfailover"
-	"tcpfailover/internal/apps"
-	"tcpfailover/internal/ethernet"
-	"tcpfailover/internal/fault"
-	"tcpfailover/internal/loadgen"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/obs"
 )
 
@@ -34,62 +28,18 @@ func CollectTimeseries(period time.Duration, shards int) (*obs.Timeseries, error
 		window = 3 * time.Second
 		drain  = time.Second
 	)
-	stop := warmup + window
-	horizon := stop + drain
-	crashAt := warmup + window/2
-	if shards <= 0 {
-		shards = min(cells, Workers)
-	}
-
-	cellOpts := tcpfailover.LANOptions()
-	cellOpts.Seed = 43434
-	cellOpts.ServerPorts = []uint16{benchPort}
-	cellOpts.Spans = true
-	cellOpts.Faults = &fault.Plan{
-		Schedule: []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},
-	}
-	ss, err := tcpfailover.NewSharded(tcpfailover.ShardedOptions{
-		Cells:     cells,
-		Shards:    shards,
-		Workers:   Workers,
-		Cell:      cellOpts,
-		CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
-	})
+	horizon := warmup + window + drain
+	ss, err := webCrashFleet(43434, cells, shards, load, warmup, window)
 	if err != nil {
 		return nil, err
 	}
-	for _, cell := range ss.Cells {
-		cell.Stream.Use()
-		if err := cell.Group.OnEach(func(h *netstack.Host) error {
-			_, err := apps.NewHTTPServer(h.TCP(), benchPort)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	ss.Start()
-
-	spec, err := loadgen.Zoo("web", load)
-	if err != nil {
-		return nil, err
-	}
+	// Every cell samples on the same sim-time grid (a merge requirement),
+	// armed as ordinary scheduler events: obs cannot depend on sim, so
+	// the simulation drives the sampler, not the other way around.
 	rows := int(horizon / period)
 	samplers := make([]*obs.Sampler, len(ss.Cells))
 	for i, cell := range ss.Cells {
 		cell.Stream.Use()
-		loadgen.New(loadgen.Config{
-			Sched:       cell.Sched,
-			Stack:       cell.Client.TCP(),
-			Addr:        cell.ServiceAddr(),
-			Port:        benchPort,
-			Spec:        spec,
-			Rand:        fault.NewRand(uint64(cellOpts.Seed) + uint64(cell.Index)),
-			Stop:        stop,
-			MeasureFrom: warmup,
-		}).Start(0)
-		// Every cell samples on the same sim-time grid (a merge requirement),
-		// armed as ordinary scheduler events: obs cannot depend on sim, so
-		// the simulation drives the sampler, not the other way around.
 		s := obs.NewSampler(cell.Obs, period, rows)
 		samplers[i] = s
 		for k := 1; k <= rows; k++ {

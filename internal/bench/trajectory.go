@@ -1,20 +1,18 @@
 package bench
 
 import (
-	"fmt"
+	"io"
 	"runtime"
-	"strings"
 	"time"
 )
 
 // Config selects which experiments RunAll executes and with what workload
-// parameters. It mirrors the failover-bench command-line flags.
+// parameters. Every field but Experiments and Sizes is the destination of
+// one axis of the experiment table, and so of one failover-bench flag.
 type Config struct {
-	// Experiments names the experiments to run: connscale, shardscale,
-	// memscale, connsetup, fig3, fig4, fig5, fig6, ablate, failover,
-	// faultsweep, failtimeline, adversary, slo, stallscale.
-	// Empty or containing "all" runs everything. Execution order is always
-	// the canonical order above, regardless of the order named here.
+	// Experiments names the experiments to run (ExperimentNames lists
+	// them). Empty or containing "all" runs everything. Execution order is
+	// always the table's, regardless of the order named here.
 	Experiments []string `json:"experiments"`
 	Conns       int      `json:"conns"`  // connections for E1
 	Reps        int      `json:"reps"`   // repetitions per data point (E2, E3, E5)
@@ -52,52 +50,12 @@ type Config struct {
 	StallScale []int `json:"stall_scale,omitempty"`
 }
 
-// experimentOrder is the canonical execution order; results are emitted in
-// this order no matter how Config.Experiments is spelled. connscale runs
-// first: it is the one experiment that measures the simulator's own
-// wall-clock cost, and running it before the others dirty the heap keeps
-// its cache and TLB behaviour representative of a process that is actually
-// serving 10k connections rather than one that just churned through eight
-// other workloads (measured: ~15% inflation at the 10k point when it runs
-// last, even after returning the dirtied heap to the OS).
-// shardscale follows immediately: it too measures the simulator's own
-// wall-clock cost and wants a heap that has not been churned by the
-// virtual-time experiments; memscale follows for the same reason (its cells
-// measure the process's own heap, and each cell re-settles it first).
-var experimentOrder = []string{"connscale", "shardscale", "memscale", "connsetup", "fig3", "fig4", "fig5", "fig6", "ablate", "failover", "faultsweep", "failtimeline", "adversary", "slo", "stallscale"}
-
-// ExperimentNames lists the valid experiment names in canonical execution
-// order (plus the "all" pseudo-name accepted by Config.Experiments).
-func ExperimentNames() []string {
-	return append([]string(nil), experimentOrder...)
-}
-
-// enabled expands Config.Experiments into a membership set, rejecting
-// unknown names.
-func (c Config) enabled() (map[string]bool, error) {
-	set := make(map[string]bool, len(experimentOrder))
-	names := c.Experiments
-	if len(names) == 0 {
-		names = []string{"all"}
+// sizes returns the message-size sweep of figures 3 and 4.
+func (c Config) sizes() []int64 {
+	if c.Sizes == nil {
+		return Figure3Sizes
 	}
-	for _, name := range names {
-		if name == "all" {
-			for _, e := range experimentOrder {
-				set[e] = true
-			}
-			continue
-		}
-		known := false
-		for _, e := range experimentOrder {
-			known = known || e == name
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)",
-				name, strings.Join(experimentOrder, ", "))
-		}
-		set[name] = true
-	}
-	return set, nil
+	return c.Sizes
 }
 
 // Results holds every experiment's outputs in config order. All values are
@@ -188,7 +146,7 @@ func (t *Trajectory) measure(name string, fn func() error) error {
 	return err
 }
 
-// RunAll executes the configured experiments in canonical order and returns
+// RunAll executes the configured experiments in table order and returns
 // the full trajectory. Each experiment internally fans its independent
 // simulations across Workers goroutines.
 func RunAll(cfg Config) (*Trajectory, error) {
@@ -196,183 +154,30 @@ func RunAll(cfg Config) (*Trajectory, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizes := cfg.Sizes
-	if sizes == nil {
-		sizes = Figure3Sizes
-	}
 	t := &Trajectory{Config: cfg}
 	t.Perf.Workers = Workers
 	t.Perf.GoMaxProcs = runtime.GOMAXPROCS(0)
 	allStart := time.Now()
-
-	if want["connscale"] {
-		if err := t.measure("connscale", func() error {
-			var err error
-			t.Results.ConnScale, err = ConnScale(cfg.ConnScale)
-			return err
-		}); err != nil {
-			return nil, err
+	for i := range table {
+		e := &table[i]
+		if !want[e.Name] {
+			continue
 		}
-	}
-	if want["shardscale"] {
-		if err := t.measure("shardscale", func() error {
-			var err error
-			t.Results.ShardScale, err = ShardScale(cfg.ShardScale, cfg.ShardCounts)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["memscale"] {
-		if err := t.measure("memscale", func() error {
-			var err error
-			t.Results.MemScale, err = MemScale(cfg.MemScale)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["connsetup"] {
-		if err := t.measure("connsetup", func() error {
-			for _, mode := range []Mode{Standard, Failover} {
-				r, err := ConnectionSetup(mode, cfg.Conns)
-				if err != nil {
-					return fmt.Errorf("connsetup %s: %w", mode, err)
-				}
-				t.Results.ConnSetup = append(t.Results.ConnSetup, r)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig3"] {
-		if err := t.measure("fig3", func() error {
-			var err error
-			if t.Results.Fig3Std, err = ClientToServerSend(Standard, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig3 standard: %w", err)
-			}
-			if t.Results.Fig3Fo, err = ClientToServerSend(Failover, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig3 failover: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig4"] {
-		if err := t.measure("fig4", func() error {
-			var err error
-			if t.Results.Fig4Std, err = ServerToClientTransfer(Standard, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig4 standard: %w", err)
-			}
-			if t.Results.Fig4Fo, err = ServerToClientTransfer(Failover, sizes, cfg.Reps); err != nil {
-				return fmt.Errorf("fig4 failover: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig5"] {
-		if err := t.measure("fig5", func() error {
-			std, err := StreamRates(Standard, cfg.Stream)
-			if err != nil {
-				return fmt.Errorf("fig5 standard: %w", err)
-			}
-			fo, err := StreamRates(Failover, cfg.Stream)
-			if err != nil {
-				return fmt.Errorf("fig5 failover: %w", err)
-			}
-			t.Results.Fig5 = []RateResult{std, fo}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig6"] {
-		if err := t.measure("fig6", func() error {
-			var err error
-			if t.Results.Fig6Std, err = FTPRates(Standard, cfg.Reps); err != nil {
-				return fmt.Errorf("fig6 standard: %w", err)
-			}
-			if t.Results.Fig6Fo, err = FTPRates(Failover, cfg.Reps); err != nil {
-				return fmt.Errorf("fig6 failover: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["ablate"] {
-		if err := t.measure("ablate", func() error {
-			var err error
-			t.Results.Ablation, err = Ablation(cfg.Stream / 4)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["failover"] {
-		if err := t.measure("failover", func() error {
-			r, err := FailoverLatency(cfg.Runs)
-			if err != nil {
-				return err
-			}
-			t.Results.Failover = &r
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["faultsweep"] {
-		if err := t.measure("faultsweep", func() error {
-			var err error
-			t.Results.FaultSweep, err = FaultSweep(cfg.FaultRates, cfg.Runs)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["failtimeline"] {
-		if err := t.measure("failtimeline", func() error {
-			r, err := FailoverTimeline(cfg.Runs)
-			if err != nil {
-				return err
-			}
-			t.Results.Timeline = &r
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["adversary"] {
-		if err := t.measure("adversary", func() error {
-			var err error
-			t.Results.Adversary, err = AdversaryMatrix()
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["slo"] {
-		if err := t.measure("slo", func() error {
-			var err error
-			t.Results.SLO, err = SLO(cfg.SLOWorkload, cfg.SLOLoads, cfg.SLOWindow)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if want["stallscale"] {
-		if err := t.measure("stallscale", func() error {
-			var err error
-			t.Results.StallScale, err = StallScale(cfg.StallScale, 0)
-			return err
-		}); err != nil {
+		if err := t.measure(e.Name, func() error { return e.Run(cfg, &t.Results) }); err != nil {
 			return nil, err
 		}
 	}
 	t.Perf.WallNS = time.Since(allStart).Nanoseconds()
 	return t, nil
+}
+
+// Render prints every configured experiment's results in table order, each
+// next to the paper's published numbers.
+func (t *Trajectory) Render(w io.Writer) {
+	want, _ := t.Config.enabled() // an unknown name renders nothing, as it ran nothing
+	for i := range table {
+		if want[table[i].Name] {
+			table[i].Render(w, t.Config, &t.Results)
+		}
+	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"slices"
+	"errors"
+	"fmt"
 
 	"tcpfailover/internal/flowtab"
 	"tcpfailover/internal/ipv4"
@@ -139,7 +140,8 @@ func (b *MiddleBridge) divertMerged(client ipv4.Addr, pkt *netbuf.Buffer) {
 // PromoteToHead runs the section 5 takeover for the middle server when the
 // chain's head fails: it stops diverting, takes over the service address,
 // re-keys its TCP connections, and from then on behaves as the head of a
-// shortened chain whose (sole) backup is the old tail.
+// shortened chain whose (sole) backup is the old tail. Like Takeover it
+// runs to the end and returns the failed steps joined.
 func (b *MiddleBridge) PromoteToHead() error {
 	if !b.active {
 		return nil
@@ -151,26 +153,13 @@ func (b *MiddleBridge) PromoteToHead() error {
 	// address: merged segments now carry it as their source, and incoming
 	// client segments (addressed to it) hit the acknowledgment translation.
 	b.pb.SetLocalAddr(b.service)
-	stack := b.host.TCP()
 	b.keyScratch = b.conns.AppendKeys(b.keyScratch[:0])
-	slices.Sort(b.keyScratch)
-	for _, kk := range b.keyScratch {
-		key := TupleKey(kk)
-		t := tcp.Tuple{
-			LocalAddr:  b.self,
-			LocalPort:  key.LocalPort(),
-			RemoteAddr: key.PeerAddr(),
-			RemotePort: key.PeerPort(),
-		}
-		if _, ok := stack.Lookup(t); !ok {
-			continue
-		}
-		if err := stack.Rebind(t, b.service); err != nil {
-			return err
-		}
-		b.stats.TakenOver++
+	moved, errs := rekeyConns(b.host.TCP(), b.keyScratch, b.self, b.service)
+	b.stats.TakenOver += int64(moved)
+	if err := b.host.Iface(b.ifIndex).ARP().Announce(b.service); err != nil {
+		errs = append(errs, fmt.Errorf("promote: announce %s: %w", b.service, err))
 	}
-	return b.host.Iface(b.ifIndex).ARP().Announce(b.service)
+	return errors.Join(errs...)
 }
 
 // HandleTailFailure degrades the inner bridge per section 6; the middle

@@ -55,10 +55,26 @@ type secondaryMetrics struct {
 	divertedOut    obs.Counter
 	flowEvictions  obs.Counter // flow-cache entries evicted by the LRU cap
 	malformedDrops obs.Counter // snooped frames with an inconsistent offset
+
+	// reg and host attach bridge_takeover_errors_total at the first failed
+	// takeover step rather than up front: a registry dump lists every
+	// attached series, zero or not, and a healthy run's dump is compared
+	// byte for byte across revisions.
+	reg  *obs.Registry
+	host string
+}
+
+// countTakeoverErrors adds n failed takeover steps to the series.
+func (m *secondaryMetrics) countTakeoverErrors(n int) {
+	if n > 0 {
+		m.reg.Counter(series("bridge_takeover_errors_total", m.host)).Add(int64(n))
+	}
 }
 
 func newSecondaryMetrics(reg *obs.Registry, host string) secondaryMetrics {
 	return secondaryMetrics{
+		reg:            reg,
+		host:           host,
 		snoopedIn:      reg.Counter(series("bridge_snooped_in_total", host)),
 		divertedOut:    reg.Counter(series("bridge_diverted_out_total", host)),
 		flowEvictions:  reg.Counter(series("bridge_flow_evictions_total", host)),

@@ -120,11 +120,6 @@ type pconn struct {
 	// Termination bookkeeping (section 8).
 	clientFinSeen bool
 	clientFinEnd  tcp.Seq // sequence number just past the client's FIN
-
-	// Intrusive LRU links (slot indices, -1 = none), maintained only under
-	// PrimaryConfig.MaxConns — no allocation and no cost on the unbounded
-	// default path.
-	lruPrev, lruNext int32
 }
 
 func (c *pconn) effMSS(def uint16) int {
@@ -152,9 +147,9 @@ type PrimaryBridge struct {
 	slots    flowtab.Slab[pconn]
 	degraded bool // after secondary failure (section 6)
 
-	// LRU list over conns (slot indices, -1 = none), most-recently-touched
-	// first; only maintained when cfg.MaxConns > 0.
-	lruHead, lruTail int32
+	// lru orders the slots of conns by recency; only maintained when
+	// cfg.MaxConns > 0, so the unbounded default path pays nothing for it.
+	lru flowtab.LRU
 
 	// keyScratch is the reusable buffer for the sorted-key reconfiguration
 	// walks, so HandleSecondaryFailure does not allocate O(conns) memory in
@@ -196,15 +191,13 @@ func NewPrimaryBridge(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr,
 // Inbound/Outbound handlers itself.
 func NewPrimaryBridgeCore(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, cfg PrimaryConfig) *PrimaryBridge {
 	b := &PrimaryBridge{
-		host:    host,
-		sched:   host.Scheduler(),
-		aP:      primaryAddr,
-		aS:      secondaryAddr,
-		sel:     sel,
-		cfg:     cfg.withDefaults(),
-		lruHead: -1,
-		lruTail: -1,
-		m:       newPrimaryMetrics(nil, ""),
+		host:  host,
+		sched: host.Scheduler(),
+		aP:    primaryAddr,
+		aS:    secondaryAddr,
+		sel:   sel,
+		cfg:   cfg.withDefaults(),
+		m:     newPrimaryMetrics(nil, ""),
 	}
 	b.emit = func(client ipv4.Addr, pkt *netbuf.Buffer) {
 		_ = b.host.SendIPFastBuf(b.aP, client, ipv4.ProtoTCP, pkt)
@@ -274,14 +267,16 @@ func (b *PrimaryBridge) conn(key TupleKey) *pconn {
 	c := b.slots.At(idx)
 	c.key = key
 	c.self = int32(idx)
-	c.lruPrev, c.lruNext = -1, -1
 	b.conns.Put(uint64(key), idx)
 	b.stats.ConnsOpened++
 	if b.cfg.MaxConns > 0 {
-		b.lruPush(c)
-		for b.conns.Len() > b.cfg.MaxConns && b.lruTail >= 0 && b.lruTail != c.self {
-			victim := b.slots.At(uint32(b.lruTail))
-			b.removeConn(victim)
+		b.lru.Push(idx)
+		for b.conns.Len() > b.cfg.MaxConns {
+			old, ok := b.lru.Oldest()
+			if !ok || old == idx {
+				break
+			}
+			b.removeConn(b.slots.At(old))
 			b.stats.ConnsEvicted++
 			b.m.flowEvictions.Inc()
 		}
@@ -289,41 +284,12 @@ func (b *PrimaryBridge) conn(key TupleKey) *pconn {
 	return c
 }
 
-// --- LRU list, maintained only when cfg.MaxConns > 0 -------------------------
-
-func (b *PrimaryBridge) lruPush(c *pconn) {
-	c.lruPrev, c.lruNext = -1, b.lruHead
-	if b.lruHead >= 0 {
-		b.slots.At(uint32(b.lruHead)).lruPrev = c.self
-	}
-	b.lruHead = c.self
-	if b.lruTail < 0 {
-		b.lruTail = c.self
-	}
-}
-
-func (b *PrimaryBridge) lruUnlink(c *pconn) {
-	if c.lruPrev >= 0 {
-		b.slots.At(uint32(c.lruPrev)).lruNext = c.lruNext
-	} else if b.lruHead == c.self {
-		b.lruHead = c.lruNext
-	}
-	if c.lruNext >= 0 {
-		b.slots.At(uint32(c.lruNext)).lruPrev = c.lruPrev
-	} else if b.lruTail == c.self {
-		b.lruTail = c.lruPrev
-	}
-	c.lruPrev, c.lruNext = -1, -1
-}
-
 // lruTouch moves c to the front: legitimate traffic keeps its connection
 // fresh, so a SYN flood's idle embryos are the ones the cap evicts.
 func (b *PrimaryBridge) lruTouch(c *pconn) {
-	if b.cfg.MaxConns == 0 || b.lruHead == c.self {
-		return
+	if b.cfg.MaxConns > 0 {
+		b.lru.Touch(uint32(c.self))
 	}
-	b.lruUnlink(c)
-	b.lruPush(c)
 }
 
 // --- outbound: segments from the primary's own TCP layer --------------------
@@ -1006,9 +972,7 @@ func (b *PrimaryBridge) removeConn(c *pconn) {
 	if !ok || b.slots.At(idx) != c {
 		return
 	}
-	if b.cfg.MaxConns > 0 {
-		b.lruUnlink(c)
-	}
+	b.lru.Remove(idx)
 	b.conns.Delete(uint64(c.key))
 	b.stats.ConnsClosed++
 	b.m.queueBytes.Add(int64(-(c.pq.Len() + c.sq.Len())))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 
 	"tcpfailover/internal/flowtab"
@@ -60,8 +62,8 @@ type SecondaryBridge struct {
 	// unbounded — the historical behavior. The packed-uint64 keys make each
 	// entry cheap, but a SYN flood of spoofed clients would still grow the
 	// table without limit.
-	maxFlows         int
-	lruHead, lruTail int32 // slot indices, -1 = none
+	maxFlows int
+	lru      flowtab.LRU // recency of fslots slots, maintained only under maxFlows
 
 	// keyScratch is the reusable buffer for Takeover's sorted re-key walk.
 	keyScratch []uint64
@@ -81,7 +83,7 @@ type SecondaryBridge struct {
 }
 
 // sflow is a cached per-flow decision of the secondary bridge. Records live
-// by value in the bridge's slab; the LRU links are slot indices.
+// by value in the bridge's slab.
 type sflow struct {
 	gen   uint64 // selector generation the verdict was computed under
 	match bool
@@ -94,11 +96,9 @@ type sflow struct {
 	rec bool
 	opt [8]byte // orig-dst option block carrying the client address
 
-	// Owning key and intrusive LRU links (slot indices, -1 = none), the
-	// links maintained only under a SetFlowLimit cap.
-	key              TupleKey
-	self             int32
-	lruPrev, lruNext int32
+	// Owning key and slot index.
+	key  TupleKey
+	self int32
 }
 
 // flow returns the cached decision for key, classifying the flow on first
@@ -112,7 +112,7 @@ func (b *SecondaryBridge) flow(key TupleKey) *sflow {
 	}
 	if f != nil && f.gen == b.sel.Gen() {
 		if b.maxFlows > 0 {
-			b.lruTouch(f)
+			b.lru.Touch(uint32(f.self))
 		}
 		return f
 	}
@@ -121,16 +121,19 @@ func (b *SecondaryBridge) flow(key TupleKey) *sflow {
 		f = b.fslots.At(idx)
 		f.key = key
 		f.self = int32(idx)
-		f.lruPrev, f.lruNext = -1, -1
 		b.flows.Put(uint64(key), idx)
 		if b.maxFlows > 0 {
-			b.lruPush(f)
-			for b.flows.Len() > b.maxFlows && b.lruTail >= 0 && b.lruTail != f.self {
-				b.evict(b.fslots.At(uint32(b.lruTail)))
+			b.lru.Push(idx)
+			for b.flows.Len() > b.maxFlows {
+				old, ok := b.lru.Oldest()
+				if !ok || old == idx {
+					break
+				}
+				b.evict(b.fslots.At(old))
 			}
 		}
 	} else if b.maxFlows > 0 {
-		b.lruTouch(f)
+		b.lru.Touch(uint32(f.self))
 	}
 	f.gen = b.sel.Gen()
 	f.match = b.sel.Match(key)
@@ -141,47 +144,12 @@ func (b *SecondaryBridge) flow(key TupleKey) *sflow {
 	return f
 }
 
-// --- LRU list, maintained only when maxFlows > 0 -----------------------------
-
-func (b *SecondaryBridge) lruPush(f *sflow) {
-	f.lruPrev, f.lruNext = -1, b.lruHead
-	if b.lruHead >= 0 {
-		b.fslots.At(uint32(b.lruHead)).lruPrev = f.self
-	}
-	b.lruHead = f.self
-	if b.lruTail < 0 {
-		b.lruTail = f.self
-	}
-}
-
-func (b *SecondaryBridge) lruUnlink(f *sflow) {
-	if f.lruPrev >= 0 {
-		b.fslots.At(uint32(f.lruPrev)).lruNext = f.lruNext
-	} else if b.lruHead == f.self {
-		b.lruHead = f.lruNext
-	}
-	if f.lruNext >= 0 {
-		b.fslots.At(uint32(f.lruNext)).lruPrev = f.lruPrev
-	} else if b.lruTail == f.self {
-		b.lruTail = f.lruPrev
-	}
-	f.lruPrev, f.lruNext = -1, -1
-}
-
-func (b *SecondaryBridge) lruTouch(f *sflow) {
-	if b.lruHead == f.self {
-		return
-	}
-	b.lruUnlink(f)
-	b.lruPush(f)
-}
-
 // evict drops a flow-cache entry, including its takeover record. Active
 // connections stay LRU-fresh (every snooped or diverted segment touches the
 // entry), so what the cap sheds under a SYN flood is the flood's own
 // single-segment flows.
 func (b *SecondaryBridge) evict(f *sflow) {
-	b.lruUnlink(f)
+	b.lru.Remove(uint32(f.self))
 	b.flows.Delete(uint64(f.key))
 	b.stats.FlowsEvicted++
 	b.m.flowEvictions.Inc()
@@ -209,8 +177,6 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 		upstream: primaryAddr,
 		sel:      sel,
 		active:   true,
-		lruHead:  -1,
-		lruTail:  -1,
 		m:        newSecondaryMetrics(nil, ""),
 	}
 	host.Iface(ifIndex).NIC().SetPromiscuous(true)
@@ -308,6 +274,33 @@ func (b *SecondaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
 // server of a daisy chain fails and the tail re-attaches to the head.
 func (b *SecondaryBridge) SetUpstream(a ipv4.Addr) { b.upstream = a }
 
+// rekeyConns moves the TCP connection of every key that still has one from
+// local address from to local address to (section 5, step 5), in ascending
+// key order — the flow tables' own order is not stable run to run. A
+// connection whose new tuple is taken stays where it is; the rest still
+// move. It returns how many moved and one error per connection that did not.
+func rekeyConns(stack *tcp.Stack, keys []uint64, from, to ipv4.Addr) (moved int, errs []error) {
+	slices.Sort(keys)
+	for _, kk := range keys {
+		key := TupleKey(kk)
+		t := tcp.Tuple{
+			LocalAddr:  from,
+			LocalPort:  key.LocalPort(),
+			RemoteAddr: key.PeerAddr(),
+			RemotePort: key.PeerPort(),
+		}
+		if _, ok := stack.Lookup(t); !ok {
+			continue // connection already closed
+		}
+		if err := stack.Rebind(t, to); err != nil {
+			errs = append(errs, fmt.Errorf("takeover: %w", err))
+			continue
+		}
+		moved++
+	}
+	return moved, errs
+}
+
 // Takeover executes the paper's section 5 procedure after the fault
 // detector reports the primary failed:
 //
@@ -322,6 +315,11 @@ func (b *SecondaryBridge) SetUpstream(a ipv4.Addr) { b.upstream = a }
 // re-keyed to aP, and a gratuitous ARP is broadcast so the router rebinds
 // aP to this host's MAC (the router's ARP processing latency forms part of
 // the takeover window T).
+//
+// A connection that cannot be re-keyed (its aP tuple is already taken) does
+// not stop the procedure: every other flow is re-keyed and the address is
+// announced regardless. The failures are counted in
+// bridge_takeover_errors_total and returned joined.
 func (b *SecondaryBridge) Takeover() error {
 	if !b.active {
 		return nil
@@ -332,39 +330,27 @@ func (b *SecondaryBridge) Takeover() error {
 	b.host.Iface(b.ifIndex).NIC().SetPromiscuous(false)
 	// Step 5.
 	b.host.AddAddress(b.ifIndex, b.aP)
-	stack := b.host.TCP()
-	// Deterministic re-key order: sort the flow keys into the reusable
-	// scratch buffer (the table's internal order is not stable run to run).
+	// Only flows that matched the selector have a connection to re-key.
 	b.keyScratch = b.flows.AppendKeys(b.keyScratch[:0])
-	slices.Sort(b.keyScratch)
+	keys := b.keyScratch[:0]
 	for _, kk := range b.keyScratch {
-		i, ok := b.flows.Get(kk)
-		if !ok || !b.fslots.At(i).rec {
-			continue
+		if i, ok := b.flows.Get(kk); ok && b.fslots.At(i).rec {
+			keys = append(keys, kk)
 		}
-		key := TupleKey(kk)
-		t := tcp.Tuple{
-			LocalAddr:  b.aS,
-			LocalPort:  key.LocalPort(),
-			RemoteAddr: key.PeerAddr(),
-			RemotePort: key.PeerPort(),
-		}
-		if _, ok := stack.Lookup(t); !ok {
-			continue // connection already closed
-		}
-		if err := stack.Rebind(t, b.aP); err != nil {
-			return err
-		}
-		b.stats.TakenOver++
 	}
+	moved, errs := rekeyConns(b.host.TCP(), keys, b.aS, b.aP)
+	b.stats.TakenOver += int64(moved)
+	// Whatever happened above, the address is this host's now: the router
+	// must learn it, or the flows that were re-keyed stall as well.
 	if err := b.host.Iface(b.ifIndex).ARP().Announce(b.aP); err != nil {
-		return err
+		errs = append(errs, fmt.Errorf("takeover: announce %s: %w", b.aP, err))
 	}
+	b.m.countTakeoverErrors(len(errs))
 	b.spans.MarkTakeover(b.host.Scheduler().Now())
 	if b.OnTakeover != nil {
 		b.OnTakeover()
 	}
 	// Resume sending: kick retransmission of anything lost during the
 	// reconfiguration by letting the TCP timers run; nothing else to do.
-	return nil
+	return errors.Join(errs...)
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
+	"tcpfailover/internal/arp"
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/sim"
 	"tcpfailover/internal/tcp"
 )
@@ -198,5 +202,76 @@ func TestSecondaryRetargetAndTakeoverGating(t *testing.T) {
 	// Takeover is idempotent.
 	if err := f.b.Takeover(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTakeoverContinuesPastRebindConflict: one of three snooped flows cannot
+// be re-keyed because a connection already sits on its (aP, port, client)
+// tuple. The takeover must not stop there — the other two flows are
+// re-keyed, the gratuitous ARP still goes out, the failure is counted, and
+// the error is returned rather than swallowed.
+func TestTakeoverContinuesPastRebindConflict(t *testing.T) {
+	f := newSecFixture(t)
+	reg := obs.NewRegistry()
+	f.b.AttachObs(reg, "s")
+	stack := f.host.TCP()
+	if _, err := stack.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	announced := false
+	f.seg.Attach(ethernet.MAC{2, 0, 0, 0, 0, 9}).SetHandler(func(fr ethernet.Frame) {
+		if p, err := arp.Unmarshal(fr.Payload); fr.Type == ethernet.TypeARP && err == nil {
+			announced = announced || (p.SenderIP == f.aP && p.TargetIP == f.aP)
+		}
+	})
+
+	clients := []ipv4.Addr{
+		ipv4.MustParseAddr("10.0.2.1"), ipv4.MustParseAddr("10.0.2.2"), ipv4.MustParseAddr("10.0.2.3"),
+	}
+	syn := func(src, dst ipv4.Addr) []byte {
+		return tcp.Marshal(src, dst, &tcp.Segment{
+			SrcPort: 49152, DstPort: 80, Seq: 1, Flags: tcp.FlagSYN, Window: 65535,
+		})
+	}
+	for _, aC := range clients {
+		// The snooped client SYN, translated aP -> aS, opens the connection
+		// under the secondary's own address.
+		v, nh, np := f.callInbound(t, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: aC, Dst: f.aP}, syn(aC, f.aP))
+		if v != netstack.VerdictDeliver {
+			t.Fatalf("client %v: snooped SYN verdict %v", aC, v)
+		}
+		stack.Input(nh.Src, nh.Dst, np)
+	}
+	// The conflict: a connection already bound to (aP, 80, clients[1]).
+	stack.Input(clients[1], f.aP, syn(clients[1], f.aP))
+
+	err := f.b.Takeover()
+	if !errors.Is(err, tcp.ErrPortInUse) {
+		t.Fatalf("Takeover error = %v, want the rebind conflict", err)
+	}
+	// Long enough for the announce to cross the wire, short enough that the
+	// half-open connections have not timed out.
+	if err := f.sched.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i, aC := range clients {
+		tuple := tcp.Tuple{LocalAddr: f.aS, LocalPort: 80, RemoteAddr: aC, RemotePort: 49152}
+		_, underS := stack.Lookup(tuple)
+		if wantS := i == 1; underS != wantS {
+			t.Errorf("client %v: still keyed under aS = %v, want %v", aC, underS, wantS)
+		}
+		tuple.LocalAddr = f.aP
+		if _, ok := stack.Lookup(tuple); !ok {
+			t.Errorf("client %v: no connection under aP after takeover", aC)
+		}
+	}
+	if got := f.b.Stats().TakenOver; got != 2 {
+		t.Errorf("TakenOver = %d, want 2", got)
+	}
+	if !announced {
+		t.Error("no gratuitous ARP after a takeover with a failed re-key")
+	}
+	if v, _ := reg.Lookup(`bridge_takeover_errors_total{host="s"}`); v != 1 {
+		t.Errorf("bridge_takeover_errors_total = %d, want 1", v)
 	}
 }

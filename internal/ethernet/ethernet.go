@@ -157,12 +157,6 @@ type Segment struct {
 	// implementation; the segment only applies verdicts.
 	impair Impairer
 
-	// dropTx / dropRx are legacy boolean loss filters, kept as a thin shim
-	// for code that predates the fault subsystem. New code should attach
-	// impairment models through internal/fault instead.
-	dropTx func(f Frame) bool
-	dropRx func(dst *NIC, f Frame) bool
-
 	// Observability handles (discard slots until AttachObs).
 	mFrames     obs.Counter
 	mCollisions obs.Counter
@@ -196,21 +190,6 @@ type Impairer interface {
 
 // SetImpairer installs the segment's fault-injection hook (nil to clear).
 func (s *Segment) SetImpairer(imp Impairer) { s.impair = imp }
-
-// SetDropTxFilter installs a transmit-side loss injector (nil to clear).
-//
-// Deprecated shim: this predates internal/fault; prefer a fault.DropWhen
-// impairment, which composes with the other models and is counted in the
-// injected-fault stats.
-func (s *Segment) SetDropTxFilter(f func(Frame) bool) { s.dropTx = f }
-
-// SetDropRxFilter installs a receive-side loss injector (nil to clear); it
-// sees each (receiver, frame) pair.
-//
-// Deprecated shim: this predates internal/fault; prefer a fault.DropWhen
-// impairment bound with To, which composes with the other models and is
-// counted in the injected-fault stats.
-func (s *Segment) SetDropRxFilter(f func(dst *NIC, frame Frame) bool) { s.dropRx = f }
 
 // NewSegment creates a segment managed by sched.
 func NewSegment(sched *sim.Scheduler, cfg Config) *Segment {
@@ -284,12 +263,6 @@ func (s *Segment) transmit(src *NIC, f Frame) {
 		f.release()
 		return
 	}
-	if s.dropTx != nil && s.dropTx(f) {
-		s.stats.Lost++
-		s.mLost.Inc()
-		f.release()
-		return
-	}
 	var verdict TxVerdict
 	if s.impair != nil {
 		verdict = s.impair.Tx(src, f)
@@ -356,10 +329,6 @@ func (s *Segment) deliver(src *NIC, f Frame) {
 			continue
 		}
 		if f.Dst == nic.mac || f.Dst.IsBroadcast() || nic.promiscuous {
-			if s.dropRx != nil && s.dropRx(nic, f) {
-				s.stats.Lost++
-				continue
-			}
 			if s.impair != nil && s.impair.Rx(nic, f) {
 				s.stats.Lost++
 				continue

@@ -248,32 +248,42 @@ func TestDownNICNeitherSendsNorReceives(t *testing.T) {
 	}
 }
 
-func TestDropFilters(t *testing.T) {
+// stubImpairer is the least Impairer: it loses every transmission when tx
+// is set and otherwise every frame arriving at rxAt.
+type stubImpairer struct {
+	tx   bool
+	rxAt *NIC
+}
+
+func (i *stubImpairer) Tx(*NIC, Frame) TxVerdict  { return TxVerdict{Drop: i.tx} }
+func (i *stubImpairer) Rx(dst *NIC, _ Frame) bool { return dst == i.rxAt }
+
+func TestImpairerDrops(t *testing.T) {
 	sched, seg := testSegment(Config{})
 	a, _ := attach(seg, macA)
 	_, rb := attach(seg, macB)
 	nicC, rc := attach(seg, macC)
 	nicC.SetPromiscuous(true)
 
-	// Rx filter: lose the frame at C only.
-	seg.SetDropRxFilter(func(dst *NIC, f Frame) bool { return dst == nicC })
+	// Receive side: lose the frame at C only.
+	imp := &stubImpairer{rxAt: nicC}
+	seg.SetImpairer(imp)
 	_ = a.Send(Frame{Dst: macB, Type: TypeIPv4, Payload: []byte("x")})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(rb.frames) != 1 || len(rc.frames) != 0 {
-		t.Errorf("rx filter: B=%d C=%d, want 1/0", len(rb.frames), len(rc.frames))
+		t.Errorf("rx drop: B=%d C=%d, want 1/0", len(rb.frames), len(rc.frames))
 	}
 
-	// Tx filter: lose the frame for everyone.
-	seg.SetDropRxFilter(nil)
-	seg.SetDropTxFilter(func(Frame) bool { return true })
+	// Transmit side: lose the frame for everyone.
+	*imp = stubImpairer{tx: true}
 	_ = a.Send(Frame{Dst: macB, Type: TypeIPv4, Payload: []byte("y")})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(rb.frames) != 1 {
-		t.Errorf("tx filter: B received %d, want still 1", len(rb.frames))
+		t.Errorf("tx drop: B received %d, want still 1", len(rb.frames))
 	}
 }
 

@@ -4,48 +4,55 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
-// Durations collects duration samples. Percentile queries sort the samples
-// in place and remember that they are sorted, so a burst of queries
+// Samples collects samples of one numeric type. Percentile queries sort the
+// samples in place and remember that they are sorted, so a burst of queries
 // (median, p90, p99...) after a collection phase costs one sort and zero
-// allocations.
-type Durations struct {
-	samples []time.Duration
+// allocations. Every statistic of an empty collector is zero.
+type Samples[T ~int64 | ~float64] struct {
+	samples []T
 	sorted  bool
 }
 
+// Durations collects duration samples; Floats collects float64 samples
+// (rates, ratios).
+type (
+	Durations = Samples[time.Duration]
+	Floats    = Samples[float64]
+)
+
 // Add records a sample.
-func (d *Durations) Add(v time.Duration) {
-	d.samples = append(d.samples, v)
-	d.sorted = false
+func (s *Samples[T]) Add(v T) {
+	s.samples = append(s.samples, v)
+	s.sorted = false
 }
 
 // N returns the number of samples.
-func (d *Durations) N() int { return len(d.samples) }
+func (s *Samples[T]) N() int { return len(s.samples) }
 
-// Median returns the median sample (zero when empty).
-func (d *Durations) Median() time.Duration { return d.Percentile(50) }
+// Median returns the median sample.
+func (s *Samples[T]) Median() T { return s.Percentile(50) }
 
 // Percentile returns the pth percentile using nearest-rank.
-func (d *Durations) Percentile(p float64) time.Duration {
-	if len(d.samples) == 0 {
+func (s *Samples[T]) Percentile(p float64) T {
+	if len(s.samples) == 0 {
 		return 0
 	}
-	if !d.sorted {
-		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
-		d.sorted = true
+	if !s.sorted {
+		slices.Sort(s.samples)
+		s.sorted = true
 	}
-	idx := int(float64(len(d.samples)-1) * p / 100.0)
-	return d.samples[idx]
+	idx := int(float64(len(s.samples)-1) * p / 100.0)
+	return s.samples[idx]
 }
 
-// Max returns the largest sample.
-func (d *Durations) Max() time.Duration {
-	var m time.Duration
-	for _, v := range d.samples {
+// Max returns the largest sample, or zero when none is positive.
+func (s *Samples[T]) Max() T {
+	var m T
+	for _, v := range s.samples {
 		if v > m {
 			m = v
 		}
@@ -53,13 +60,13 @@ func (d *Durations) Max() time.Duration {
 	return m
 }
 
-// Min returns the smallest sample (zero when empty).
-func (d *Durations) Min() time.Duration {
-	if len(d.samples) == 0 {
+// Min returns the smallest sample.
+func (s *Samples[T]) Min() T {
+	if len(s.samples) == 0 {
 		return 0
 	}
-	m := d.samples[0]
-	for _, v := range d.samples[1:] {
+	m := s.samples[0]
+	for _, v := range s.samples[1:] {
 		if v < m {
 			m = v
 		}
@@ -67,85 +74,16 @@ func (d *Durations) Min() time.Duration {
 	return m
 }
 
-// Mean returns the arithmetic mean.
-func (d *Durations) Mean() time.Duration {
-	if len(d.samples) == 0 {
+// Mean returns the arithmetic mean (truncated for integer samples).
+func (s *Samples[T]) Mean() T {
+	if len(s.samples) == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, v := range d.samples {
+	var sum T
+	for _, v := range s.samples {
 		sum += v
 	}
-	return sum / time.Duration(len(d.samples))
-}
-
-// Floats collects float64 samples (rates, ratios) with the same
-// nearest-rank statistics and sort-once behaviour as Durations.
-type Floats struct {
-	samples []float64
-	sorted  bool
-}
-
-// Add records a sample.
-func (f *Floats) Add(v float64) {
-	f.samples = append(f.samples, v)
-	f.sorted = false
-}
-
-// N returns the number of samples.
-func (f *Floats) N() int { return len(f.samples) }
-
-// Median returns the median sample (zero when empty).
-func (f *Floats) Median() float64 { return f.Percentile(50) }
-
-// Percentile returns the pth percentile using nearest-rank.
-func (f *Floats) Percentile(p float64) float64 {
-	if len(f.samples) == 0 {
-		return 0
-	}
-	if !f.sorted {
-		sort.Float64s(f.samples)
-		f.sorted = true
-	}
-	idx := int(float64(len(f.samples)-1) * p / 100.0)
-	return f.samples[idx]
-}
-
-// Max returns the largest sample (zero when empty).
-func (f *Floats) Max() float64 {
-	var m float64
-	for _, v := range f.samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest sample (zero when empty).
-func (f *Floats) Min() float64 {
-	if len(f.samples) == 0 {
-		return 0
-	}
-	m := f.samples[0]
-	for _, v := range f.samples[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean (zero when empty).
-func (f *Floats) Mean() float64 {
-	if len(f.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range f.samples {
-		sum += v
-	}
-	return sum / float64(len(f.samples))
+	return sum / T(len(s.samples))
 }
 
 // RateKBps converts bytes transferred in elapsed time to KB/s (the paper's

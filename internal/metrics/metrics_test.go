@@ -5,72 +5,77 @@ import (
 	"time"
 )
 
-func TestDurationsStatistics(t *testing.T) {
-	var d Durations
-	for _, v := range []time.Duration{5, 1, 4, 2, 3} {
-		d.Add(v * time.Millisecond)
+// The statistics cases run over both instantiations of Samples: the same
+// programme in milliseconds for Durations and in plain units for Floats.
+
+func testStatistics[T ~int64 | ~float64](t *testing.T, unit T) {
+	var d Samples[T]
+	for _, v := range []T{5, 1, 4, 2, 3} {
+		d.Add(v * unit)
 	}
 	if d.N() != 5 {
 		t.Errorf("N = %d", d.N())
 	}
-	if got := d.Median(); got != 3*time.Millisecond {
+	if got := d.Median(); got != 3*unit {
 		t.Errorf("Median = %v", got)
 	}
-	if got := d.Max(); got != 5*time.Millisecond {
+	if got := d.Max(); got != 5*unit {
 		t.Errorf("Max = %v", got)
 	}
-	if got := d.Min(); got != time.Millisecond {
+	if got := d.Min(); got != unit {
 		t.Errorf("Min = %v", got)
 	}
-	if got := d.Mean(); got != 3*time.Millisecond {
+	if got := d.Mean(); got != 3*unit {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := d.Percentile(0); got != time.Millisecond {
+	if got := d.Percentile(0); got != unit {
 		t.Errorf("P0 = %v", got)
 	}
-	if got := d.Percentile(100); got != 5*time.Millisecond {
+	if got := d.Percentile(100); got != 5*unit {
 		t.Errorf("P100 = %v", got)
 	}
 }
 
-func TestDurationsEmpty(t *testing.T) {
-	var d Durations
+func testEmpty[T ~int64 | ~float64](t *testing.T) {
+	var d Samples[T]
 	if d.Median() != 0 || d.Max() != 0 || d.Min() != 0 || d.Mean() != 0 {
 		t.Error("empty collector should report zeros")
 	}
 }
 
-// TestPercentileAfterAdd pins the dirty-flag behaviour: queries sort once,
+// testPercentileAfterAdd pins the dirty-flag behaviour: queries sort once,
 // a later Add invalidates the sort, and the next query re-sorts.
-func TestPercentileAfterAdd(t *testing.T) {
-	var d Durations
-	d.Add(3 * time.Millisecond)
-	d.Add(1 * time.Millisecond)
-	if got := d.Median(); got != 1*time.Millisecond {
-		t.Errorf("median of {3,1} = %v, want 1ms", got)
+func testPercentileAfterAdd[T ~int64 | ~float64](t *testing.T, unit T) {
+	var d Samples[T]
+	d.Add(3 * unit)
+	d.Add(1 * unit)
+	if got := d.Median(); got != 1*unit {
+		t.Errorf("median of {3,1} = %v, want 1", got)
 	}
-	d.Add(5 * time.Millisecond)
-	d.Add(4 * time.Millisecond)
-	if got := d.Median(); got != 3*time.Millisecond {
-		t.Errorf("median after more adds = %v, want 3ms", got)
+	d.Add(5 * unit)
+	d.Add(4 * unit)
+	if got := d.Median(); got != 3*unit {
+		t.Errorf("median after more adds = %v, want 3", got)
 	}
-	if got := d.Percentile(100); got != 5*time.Millisecond {
-		t.Errorf("P100 = %v, want 5ms", got)
+	if got := d.Percentile(100); got != 5*unit {
+		t.Errorf("P100 = %v, want 5", got)
 	}
+}
 
-	var f Floats
-	f.Add(2)
-	f.Add(9)
-	if got := f.Median(); got != 2 {
-		t.Errorf("float median of {2,9} = %v, want 2", got)
-	}
-	f.Add(1)
-	if got := f.Median(); got != 2 {
-		t.Errorf("float median of {2,9,1} = %v, want 2", got)
-	}
-	if got := f.Max(); got != 9 {
-		t.Errorf("float max = %v, want 9", got)
-	}
+func TestSamples(t *testing.T) {
+	t.Run("Durations", func(t *testing.T) {
+		testStatistics(t, time.Millisecond)
+		testEmpty[time.Duration](t)
+		testPercentileAfterAdd(t, time.Millisecond)
+	})
+	t.Run("Floats", func(t *testing.T) {
+		testStatistics(t, 1.0)
+		testEmpty[float64](t)
+		testPercentileAfterAdd(t, 1.0)
+	})
+	// The two names are the two instantiations, not copies.
+	var _ *Samples[time.Duration] = new(Durations)
+	var _ *Samples[float64] = new(Floats)
 }
 
 func TestRateKBps(t *testing.T) {

@@ -46,8 +46,8 @@ func (m SpanMilestone) String() string {
 
 // Span is one connection's lifecycle record. It is pointer-free so a slab
 // of a million spans is a single never-scanned allocation (the flowtab
-// discipline from DESIGN.md §14); links for the recorder's LRU list are
-// 32-bit slot indices, not pointers.
+// discipline from DESIGN.md §14); the recorder's recency list is a
+// flowtab.LRU beside the slab, so a span carries no links.
 type Span struct {
 	// Key is the packed flow key (clientAddr<<32 | clientPort<<16 |
 	// servicePort) shared by the client stack and the secondary bridge's
@@ -62,9 +62,6 @@ type Span struct {
 	Retransmits uint32
 	// ZeroWindowStalls counts zero-window (persist-timer) stalls.
 	ZeroWindowStalls uint32
-	// lruPrev/lruNext are slot-index+1 links in the recorder's recency
-	// list; 0 means "none" so the zero value is detached.
-	lruPrev, lruNext int32
 }
 
 // Has reports whether milestone m was recorded.
@@ -88,12 +85,11 @@ type SpanRecorder struct {
 	tab  flowtab.Table
 	slab flowtab.Slab[Span]
 
-	// lruHead/lruTail are slot-index+1 ends of the recency list (head =
-	// most recent); 0 means empty. The list bounds the arena under
-	// SYN-flood churn exactly like the hardened bridge flow tables.
-	lruHead, lruTail int32
-	limit            int
-	highWater        int
+	// lru orders the slab's slots by recency. The list bounds the arena
+	// under SYN-flood churn exactly like the hardened bridge flow tables.
+	lru       flowtab.LRU
+	limit     int
+	highWater int
 
 	evictedTotal int64
 	evictions    Counter
@@ -167,52 +163,14 @@ func (r *SpanRecorder) Evicted() int64 {
 	return r.evictedTotal
 }
 
-// lruUnlink detaches slot i from the recency list.
-func (r *SpanRecorder) lruUnlink(i uint32) {
-	sp := r.slab.At(i)
-	if sp.lruPrev != 0 {
-		r.slab.At(uint32(sp.lruPrev - 1)).lruNext = sp.lruNext
-	} else if r.lruHead == int32(i)+1 {
-		r.lruHead = sp.lruNext
-	}
-	if sp.lruNext != 0 {
-		r.slab.At(uint32(sp.lruNext - 1)).lruPrev = sp.lruPrev
-	} else if r.lruTail == int32(i)+1 {
-		r.lruTail = sp.lruPrev
-	}
-	sp.lruPrev, sp.lruNext = 0, 0
-}
-
-// lruPush makes slot i the most recently used.
-func (r *SpanRecorder) lruPush(i uint32) {
-	sp := r.slab.At(i)
-	sp.lruPrev, sp.lruNext = 0, r.lruHead
-	if r.lruHead != 0 {
-		r.slab.At(uint32(r.lruHead - 1)).lruPrev = int32(i) + 1
-	}
-	r.lruHead = int32(i) + 1
-	if r.lruTail == 0 {
-		r.lruTail = int32(i) + 1
-	}
-}
-
-// lruTouch moves slot i to the front of the recency list.
-func (r *SpanRecorder) lruTouch(i uint32) {
-	if r.lruHead == int32(i)+1 {
-		return
-	}
-	r.lruUnlink(i)
-	r.lruPush(i)
-}
-
 // evictOldest drops the least recently touched span.
 func (r *SpanRecorder) evictOldest() {
-	if r.lruTail == 0 {
+	i, ok := r.lru.Oldest()
+	if !ok {
 		return
 	}
-	i := uint32(r.lruTail - 1)
 	key := r.slab.At(i).Key
-	r.lruUnlink(i)
+	r.lru.Remove(i)
 	r.tab.Delete(key)
 	r.slab.Free(i)
 	r.evictedTotal++
@@ -224,7 +182,7 @@ func (r *SpanRecorder) evictOldest() {
 // make room for) a fresh span when none exists.
 func (r *SpanRecorder) slot(key uint64) uint32 {
 	if i, ok := r.tab.Get(key); ok {
-		r.lruTouch(i)
+		r.lru.Touch(i)
 		return i
 	}
 	if r.limit > 0 && r.slab.Len() >= r.limit {
@@ -233,7 +191,7 @@ func (r *SpanRecorder) slot(key uint64) uint32 {
 	i := r.slab.Alloc()
 	r.slab.At(i).Key = key
 	r.tab.Put(key, i)
-	r.lruPush(i)
+	r.lru.Push(i)
 	if r.slab.Len() > r.highWater {
 		r.highWater = r.slab.Len()
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 
 	"tcpfailover/internal/core"
@@ -40,8 +41,10 @@ type Chain struct {
 	detectors []*detect.Detector
 
 	// OnFailover is invoked after a reconfiguration completes; the argument
-	// is the chain position (0 = head) that failed.
-	OnFailover func(position int)
+	// is the chain position (0 = head) that failed. TakeoverErr tells it
+	// whether the promotions and takeovers so far completed cleanly.
+	OnFailover  func(position int)
+	takeoverErr error
 
 	started bool
 }
@@ -141,6 +144,10 @@ func (c *Chain) OnEach(f func(h *netstack.Host) error) error {
 	return nil
 }
 
+// TakeoverErr returns the joined errors of every promotion and takeover the
+// chain has run; nil when all of them completed cleanly.
+func (c *Chain) TakeoverErr() error { return c.takeoverErr }
+
 // Crash fail-stops the host at the given chain position.
 func (c *Chain) Crash(position int) { c.hosts[position].Crash() }
 
@@ -157,10 +164,10 @@ func (c *Chain) onFailure(position int) {
 		// its diversion to the service address the middle now owns. If the
 		// middle is already gone, the tail takes over directly.
 		if c.alive[1] {
-			_ = c.mid.PromoteToHead()
+			c.takeoverErr = errors.Join(c.takeoverErr, c.mid.PromoteToHead())
 			c.tail.SetUpstream(c.addrs[0])
 		} else if c.alive[2] {
-			_ = c.tail.Takeover()
+			c.takeoverErr = errors.Join(c.takeoverErr, c.tail.Takeover())
 		}
 	case 1: // middle died: the tail re-attaches to the head — unless the
 		// head is already gone (promoted middle), in which case the tail
@@ -169,7 +176,7 @@ func (c *Chain) onFailure(position int) {
 			c.tail.SetUpstream(c.addrs[0])
 			c.head.SetMatchingPeer(c.addrs[2])
 		} else if c.alive[2] {
-			_ = c.tail.Takeover()
+			c.takeoverErr = errors.Join(c.takeoverErr, c.tail.Takeover())
 		}
 	case 2: // tail died: whichever node was feeding on it degrades.
 		if c.alive[1] {

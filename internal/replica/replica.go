@@ -67,8 +67,10 @@ type Group struct {
 	detectOnSecondary *detect.Detector // watches the primary
 
 	// OnFailover, if set, is invoked after a failover procedure completes;
-	// the argument is the role that failed.
-	OnFailover func(failed Role)
+	// the argument is the role that failed. TakeoverErr tells it whether a
+	// takeover completed cleanly.
+	OnFailover  func(failed Role)
+	takeoverErr error
 
 	// OnPrimaryFailureDetected, if set, runs the moment the secondary's
 	// fault detector declares the primary failed — before the takeover
@@ -121,13 +123,18 @@ func NewGroup(primary, secondary *netstack.Host, cfg Config) (*Group, error) {
 		if g.OnPrimaryFailureDetected != nil {
 			g.OnPrimaryFailureDetected()
 		}
-		_ = g.sb.Takeover()
+		g.takeoverErr = g.sb.Takeover()
 		if g.OnFailover != nil {
 			g.OnFailover(RolePrimary)
 		}
 	})
 	return g, nil
 }
+
+// TakeoverErr returns what the secondary's takeover reported: nil before
+// any takeover and after a clean one, otherwise the joined errors of the
+// steps that failed (the takeover still ran to the end).
+func (g *Group) TakeoverErr() error { return g.takeoverErr }
 
 // Start begins heartbeat exchange. Call after the replicated applications
 // are installed on both hosts.

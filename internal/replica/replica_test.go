@@ -97,6 +97,9 @@ func TestOnFailoverCallbacks(t *testing.T) {
 	if !s.Owns(ipv4.MustParseAddr("10.0.1.1")) {
 		t.Error("secondary did not take over the primary's address")
 	}
+	if err := g.TakeoverErr(); err != nil {
+		t.Errorf("clean takeover reported %v", err)
+	}
 	g.Stop()
 }
 
