@@ -12,9 +12,10 @@
 //	               [-hosts client,primary,secondary,router]
 //	               [-pcap out.pcap] [-perfetto out.json]
 //
-// With -pcap, every traced host also feeds the obs flight recorder and the
-// capture is written as a standard pcap file (or pcapng when the file name
-// ends in .pcapng), readable by tcpdump and Wireshark.
+// The traced hosts feed one obs flight recorder; the text lines are its
+// records as they are captured, and with -pcap the same records are
+// written as a standard pcap file (or pcapng when the file name ends in
+// .pcapng), readable by tcpdump and Wireshark.
 //
 // With -perfetto, the run records per-connection lifecycle spans and a
 // sampled metrics timeseries and writes them as Chrome trace-event JSON —
@@ -65,8 +66,11 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%12s ***           run header: seed=%d bytes=%d hosts=%s\n",
-		fmt.Sprintf("%.6f", sc.Now().Seconds()), seed, total, hosts)
+	// mark prints one annotation line in the packet lines' layout.
+	mark := func(format string, args ...any) {
+		fmt.Printf("%s ***           %s\n", trace.Stamp(sc.Now()), fmt.Sprintf(format, args...))
+	}
+	mark("run header: seed=%d bytes=%d hosts=%s", seed, total, hosts)
 	if err := sc.Group.OnEach(func(h *netstack.Host) error {
 		_, err := apps.NewEchoServer(h.TCP(), 7)
 		return err
@@ -75,28 +79,27 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 	}
 	sc.Start()
 
-	tr := trace.New(os.Stdout)
 	byName := map[string]*netstack.Host{
 		"client":    sc.Client,
 		"primary":   sc.Primary,
 		"secondary": sc.Secondary,
 		"router":    sc.Router,
 	}
-	var rec *obs.Recorder
+	// One recorder behind both outputs: each record is printed as it is
+	// captured, and retained only when a capture file wants the whole run
+	// (a generous bound, so the file holds every traced event, not the tail).
+	capacity := 1
 	if pcapOut != "" {
-		// Generous bound: every traced event fits, so the file holds the
-		// whole run rather than the tail.
-		rec = obs.NewRecorder(1<<20, obs.DefaultSnapLen)
+		capacity = 1 << 20
 	}
+	rec := obs.NewRecorder(capacity, obs.DefaultSnapLen)
+	rec.SetSink(func(r obs.Record) { os.Stdout.WriteString(trace.Line(r)) })
 	for _, name := range strings.Split(hosts, ",") {
 		h, ok := byName[strings.TrimSpace(name)]
 		if !ok {
 			return fmt.Errorf("unknown host %q", name)
 		}
-		tr.Attach(h)
-		if rec != nil {
-			h.AttachRecorder(rec)
-		}
+		h.AttachRecorder(rec)
 	}
 
 	if crashAt < 0 {
@@ -161,29 +164,32 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 		if err := sc.RunUntil(func() bool { return received >= crashAt }, time.Minute); err != nil {
 			return err
 		}
-		fmt.Printf("%12s ***           primary crashes (echoed %d bytes)\n",
-			fmt.Sprintf("%.6f", sc.Now().Seconds()), received)
-		sc.Spans.MarkFailure(sc.Now())
+		mark("primary crashes (echoed %d bytes)", received)
 		sc.Group.CrashPrimary()
 	}
 	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
 		return err
 	}
-	fmt.Printf("%12s ***           transfer complete (%d bytes, %d trace events)\n",
-		fmt.Sprintf("%.6f", sc.Now().Seconds()), received, tr.Count())
+	mark("transfer complete (%d bytes, %d trace events)", received, rec.Total())
 	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
 		return err
 	}
-	fmt.Printf("%12s ***           connection closed\n", fmt.Sprintf("%.6f", sc.Now().Seconds()))
-	if rec != nil {
-		if err := writeCapture(pcapOut, rec); err != nil {
+	mark("connection closed")
+	if pcapOut != "" {
+		write := obs.WritePcap
+		if strings.HasSuffix(pcapOut, ".pcapng") {
+			write = obs.WritePcapNG
+		}
+		if err := writeFile(pcapOut, func(w io.Writer) error { return write(w, rec.Records()) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d packets to %s\n", rec.Len(), pcapOut)
 	}
 	if perfOut != "" {
 		sampler.Sample(sc.Now()) // close the counter tracks at the end of the run
-		if err := writePerfetto(perfOut, sc.Spans, sampler.Timeseries()); err != nil {
+		if err := writeFile(perfOut, func(w io.Writer) error {
+			return obs.WritePerfetto(w, sc.Spans, sampler.Timeseries())
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d connection spans to %s\n", sc.Spans.Len(), perfOut)
@@ -191,29 +197,13 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 	return nil
 }
 
-func writePerfetto(path string, spans *obs.SpanRecorder, ts *obs.Timeseries) error {
+// writeFile creates path and hands it to write; the first error wins.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = obs.WritePerfetto(f, spans, ts)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func writeCapture(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	recs := rec.Records()
-	if strings.HasSuffix(path, ".pcapng") {
-		err = obs.WritePcapNG(f, recs)
-	} else {
-		err = obs.WritePcap(f, recs)
-	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -65,9 +65,6 @@ func Attach(sched *sim.Scheduler, seg *ethernet.Segment, mac ethernet.MAC, seed 
 	return st
 }
 
-// MAC returns the rogue station's own hardware address.
-func (st *Station) MAC() ethernet.MAC { return st.nic.MAC() }
-
 // Rand derives an independent, label-split random stream from the
 // station's seed, so each attack's draws are stable regardless of what
 // else runs.
@@ -154,28 +151,6 @@ func (st *Station) InjectTCP(src, dst ipv4.Addr, seg *tcp.Segment) bool {
 	if st.nic.Inject(ethernet.Frame{
 		Dst:     dstMAC,
 		Src:     srcMAC,
-		Type:    ethernet.TypeIPv4,
-		Payload: dgram,
-	}) != nil {
-		return false
-	}
-	st.Injected++
-	return true
-}
-
-// InjectRaw puts an arbitrary TCP-protocol payload on the wire (used by
-// the fuzzing harness to hit the bridges' raw-header parsing with
-// attacker-controlled bytes).
-func (st *Station) InjectRaw(src, dst ipv4.Addr, dstMAC ethernet.MAC, tcpBytes []byte) bool {
-	dgram := ipv4.Marshal(ipv4.Header{
-		TTL:      64,
-		Protocol: ipv4.ProtoTCP,
-		Src:      src,
-		Dst:      dst,
-	}, tcpBytes)
-	if st.nic.Inject(ethernet.Frame{
-		Dst:     dstMAC,
-		Src:     st.nic.MAC(),
 		Type:    ethernet.TypeIPv4,
 		Payload: dgram,
 	}) != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/sim"
@@ -331,7 +330,3 @@ func (cl *HTTPClient) finishResponse() {
 
 // Closed reports whether the connection has fully closed.
 func (cl *HTTPClient) Closed() bool { return cl.closed }
-
-// Now exposes the session's scheduler clock (latency bookkeeping lives in
-// the caller).
-func (cl *HTTPClient) Now() time.Duration { return cl.sched.Now() }

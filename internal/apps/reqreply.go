@@ -148,6 +148,3 @@ func (cl *ReqReplyClient) issue(size int64) {
 	req := []byte{byte(size >> 24), byte(size >> 16), byte(size >> 8), byte(size)}
 	_, _ = cl.Conn.Write(req)
 }
-
-// Close half-closes the client side.
-func (cl *ReqReplyClient) Close() { cl.Conn.Close() }

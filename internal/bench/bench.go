@@ -604,26 +604,12 @@ func FailoverLatency(n int) (FailoverResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := r.dial(); err != nil {
-			return err
-		}
 		crashAt := int64(total/10) + int64(i)*int64(total/(2*n)) // spread crash points
-		var lastProgress, maxGap time.Duration
-		var prevReceived int64
-		if err := r.run(fmt.Sprintf("run %d", i), crashAt, func() bool {
-			if r.recv.Received != prevReceived {
-				if r.crashedAt > 0 {
-					maxGap = max(maxGap, r.sc.Now()-lastProgress)
-				}
-				prevReceived = r.recv.Received
-				lastProgress = r.sc.Now()
-			}
-			return true
-		}); err != nil {
+		if err := r.run(fmt.Sprintf("run %d", i), crashAt, nil); err != nil {
 			return err
 		}
-		intactSlots[i] = r.recv.BadAt < 0 && r.recv.Received == total
-		gaps[i] = maxGap
+		intactSlots[i] = r.intact()
+		gaps[i] = r.maxGap
 		addEvents(r.sc)
 		return nil
 	})

@@ -16,55 +16,68 @@ import (
 // crashRun is one "crash the primary mid-stream and watch the client"
 // simulation — the run behind E6, E7, E9 and CollectMetrics: the LAN
 // testbed, a push server of a fixed size on both replicas, and one client
-// connection read to EOF. The three steps are separate so a caller can
-// attach recorders and hooks between them.
+// connection read to EOF.
 type crashRun struct {
-	sc   *tcpfailover.Scenario
-	conn *tcp.Conn
-	recv *apps.Receiver
-	// crashedAt is when run fail-stopped the primary; zero until it has.
-	crashedAt time.Duration
+	sc    *tcpfailover.Scenario
+	conn  *tcp.Conn
+	recv  *apps.Receiver
+	total int64
+
+	// The receiver's byte timeline, watched after every event: when it
+	// last grew, whether the primary was already down then, and the
+	// longest gap between two growths that began with it down — the
+	// client-visible stall E6 and E7 report.
+	prevReceived int64
+	lastProgress time.Duration
+	sinceCrash   bool
+	maxGap       time.Duration
 }
 
-// newCrashRun builds the testbed, not yet started; options, if set, adjusts
-// the scenario options (a fault plan, the router's ARP delay).
+// newCrashRun builds and starts the testbed and opens the client's
+// connection; options, if set, adjusts the scenario options (a fault plan,
+// the router's ARP delay, span recording).
 func newCrashRun(seed, total int64, options func(*tcpfailover.Options)) (*crashRun, error) {
 	sc, err := testbed(Failover, seed, options, pushServer(total))
 	if err != nil {
 		return nil, err
 	}
-	return &crashRun{sc: sc}, nil
+	sc.Start()
+	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), benchPort)
+	if err != nil {
+		return nil, err
+	}
+	return &crashRun{sc: sc, conn: conn, recv: apps.NewReceiver(conn, sc.Sched), total: total}, nil
 }
 
-// dial starts the testbed and opens the client's connection.
-func (r *crashRun) dial() error {
-	r.sc.Start()
-	conn, err := r.sc.Client.TCP().Dial(r.sc.ServiceAddr(), benchPort)
-	if err != nil {
-		return err
-	}
-	r.conn = conn
-	r.recv = apps.NewReceiver(conn, r.sc.Sched)
-	return nil
+// intact reports whether the client read the whole stream, every byte
+// exactly once and in order.
+func (r *crashRun) intact() bool {
+	return r.recv.EOF && r.recv.BadAt < 0 && r.recv.Received == r.total
 }
 
 // run executes events until the client reads EOF. With crashAt > 0 it
 // fail-stops the primary once that many bytes have arrived; otherwise the
-// crash is left to the scenario's fault schedule. each, if set, observes
-// the run after every event (before the crash check) and ends it early by
-// returning false. A drained event queue or an hour of virtual time is an
-// error, named by what.
-func (r *crashRun) run(what string, crashAt int64, each func() bool) error {
+// crash is left to the scenario's fault schedule. alive, if set, is asked
+// after every event and ends the run early by returning false. A drained
+// event queue or an hour of virtual time is an error, named by what.
+func (r *crashRun) run(what string, crashAt int64, alive func() bool) error {
 	for !r.recv.EOF {
 		if !r.sc.Sched.Step() {
 			return fmt.Errorf("%s: queue empty (received=%d)", what, r.recv.Received)
 		}
-		if each != nil && !each() {
-			return nil
-		}
-		if crashAt > 0 && r.crashedAt == 0 && r.recv.Received >= crashAt {
-			r.crashedAt = r.sc.Now()
+		if crashAt > 0 && r.sc.Primary.Alive() && r.recv.Received >= crashAt {
 			r.sc.Group.CrashPrimary()
+		}
+		if r.recv.Received != r.prevReceived {
+			if r.sinceCrash {
+				r.maxGap = max(r.maxGap, r.sc.Now()-r.lastProgress)
+			}
+			r.prevReceived = r.recv.Received
+			r.lastProgress = r.sc.Now()
+			r.sinceCrash = !r.sc.Primary.Alive()
+		}
+		if alive != nil && !alive() {
+			return nil
 		}
 		if r.sc.Now() > time.Hour {
 			return fmt.Errorf("%s: timeout (received=%d)", what, r.recv.Received)

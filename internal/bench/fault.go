@@ -91,9 +91,6 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		if err != nil {
 			return err
 		}
-		if err := r.dial(); err != nil {
-			return err
-		}
 		sc, recv := r.sc, r.recv
 		var established time.Duration
 		r.conn.OnEstablished(func() { established = sc.Now() })
@@ -108,27 +105,17 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 			}
 		})
 
-		// Watch the received-byte timeline after every event; the stall
-		// is the longest post-crash gap between progress events.
-		// A sender that exhausts its retransmission budget aborts with a
-		// single RST; if loss eats that RST the receiving client has
-		// nothing to retransmit and hangs silently, so a no-progress
+		// The stall is the run's longest post-crash gap between progress
+		// events. A sender that exhausts its retransmission budget aborts
+		// with a single RST; if loss eats that RST the receiving client
+		// has nothing to retransmit and hangs silently, so a no-progress
 		// window longer than the sender's entire backoff sequence
 		// (~0.2 s doubling to the 60 s MaxRTO over MaxRetries ≈ 4.7
 		// virtual minutes) also declares the run dead.
 		const deadAfter = 10 * time.Minute
-		var lastProgress, maxGap time.Duration
-		var prevReceived int64
 		what := fmt.Sprintf("%s rate %g run %d", c.model, c.rate, run)
 		if err := r.run(what, 0, func() bool {
-			if recv.Received != prevReceived {
-				if lastProgress > crashAt {
-					maxGap = max(maxGap, sc.Now()-lastProgress)
-				}
-				prevReceived = recv.Received
-				lastProgress = sc.Now()
-			}
-			return !died && sc.Now()-lastProgress <= deadAfter
+			return !died && sc.Now()-r.lastProgress <= deadAfter
 		}); err != nil {
 			return err
 		}
@@ -137,12 +124,12 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 			// Connection died mid-stream: the rate runs to the last byte
 			// that arrived. The terminal silence is not a stall (nothing
 			// recovered), it is the run's non-intact verdict.
-			end = lastProgress
+			end = r.lastProgress
 		}
 		outs[j] = runOut{
-			stall:    maxGap,
+			stall:    r.maxGap,
 			kbps:     metrics.RateKBps(recv.Received, end-established),
-			intact:   recv.EOF && recv.BadAt < 0 && recv.Received == total,
+			intact:   r.intact(),
 			injected: sc.Faults.Stats().Dropped,
 		}
 		addEvents(sc)

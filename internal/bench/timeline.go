@@ -12,85 +12,88 @@ import (
 
 // --- E9 (extension): failover timeline reconstruction --------------------------
 
-// TimelineResult reports E9: the failover window decomposed into the
-// phases of obs.Timeline, medians over N crash runs. Sample is run 0's
-// full timeline; everything here is a function of the seeds only, so the
-// marshalled result is byte-identical across runs — the determinism test
-// pins that down.
+// TimelineResult reports E9: one connection's failover stall decomposed
+// into the phases of obs.StallBreakdown — E14's model at a fleet of one —
+// medians over N crash runs. Sample is run 0's breakdown; everything here
+// is a function of the seeds only, so the marshalled result is
+// byte-identical across runs — the determinism test pins that down.
 type TimelineResult struct {
-	N                   int           `json:"n"`
-	DetectionMedian     time.Duration `json:"detection_median_ns"`
-	AnnounceMedian      time.Duration `json:"announce_median_ns"`
-	ResumeMedian        time.Duration `json:"resume_median_ns"`
-	AckTurnaroundMedian time.Duration `json:"ack_turnaround_median_ns"`
-	TotalMedian         time.Duration `json:"total_median_ns"`
-	TotalMax            time.Duration `json:"total_max_ns"`
-	Sample              obs.Timeline  `json:"sample"`
+	N               int                `json:"n"`
+	DetectionMedian time.Duration      `json:"detection_median_ns"`
+	AnnounceMedian  time.Duration      `json:"announce_median_ns"`
+	ResumeMedian    time.Duration      `json:"resume_median_ns"`
+	RecoveryMedian  time.Duration      `json:"recovery_median_ns"`
+	TotalMedian     time.Duration      `json:"total_median_ns"`
+	TotalMax        time.Duration      `json:"total_max_ns"`
+	Sample          obs.StallBreakdown `json:"sample"`
 }
 
-// FailoverTimeline crashes the primary mid-stream n times and reconstructs
-// each failover's phase timeline from a flight recorder on the client plus
-// the detector/takeover hooks. The router is given a non-zero ARP-table
+// FailoverTimeline crashes the primary mid-stream n times with span
+// recording on and scores each run's one connection span against the
+// failure/detect/takeover marks. The router is given a non-zero ARP-table
 // update delay so the redirection phase is visible in the breakdown.
 func FailoverTimeline(n int) (TimelineResult, error) {
 	const total = 512 * 1024
-	timelines := make([]obs.Timeline, n)
+	stalls := make([]obs.StallBreakdown, n)
 	err := parallelEach(n, func(i int) error {
-		r, err := newCrashRun(int64(9000+i), total, func(o *tcpfailover.Options) {
-			o.RouterARPDelay = 500 * time.Microsecond
-		})
-		if err != nil {
-			return err
-		}
-		sc := r.sc
-		// The timeline only needs the tail of the capture (takeover onward),
-		// so a modest ring that wraps during the bulk transfer is fine.
-		rec := obs.NewRecorder(4096, 64)
-		sc.Client.AttachRecorder(rec)
-		var marks obs.Marks
-		sc.Group.OnPrimaryFailureDetected = func() { marks.DetectorFired = sc.Now() }
-		sc.Group.SecondaryBridge().OnTakeover = func() { marks.TakeoverDone = sc.Now() }
-		if err := r.dial(); err != nil {
-			return err
-		}
-		crashAt := int64(total/4) + int64(i)*int64(total/(2*n))
-		if err := r.run(fmt.Sprintf("run %d", i), crashAt, nil); err != nil {
-			return err
-		}
-		marks.FailureInjected = r.crashedAt
-		if r.recv.BadAt >= 0 || r.recv.Received != total {
-			return fmt.Errorf("run %d: stream not intact (received=%d bad=%d)",
-				i, r.recv.Received, r.recv.BadAt)
-		}
-		tl, err := obs.Analyze(rec.Records(), marks, sc.ServiceAddr())
+		r, st, err := spanCrashRun(int64(9000+i), total, int64(total/4)+int64(i)*int64(total/(2*n)))
 		if err != nil {
 			return fmt.Errorf("run %d: %w", i, err)
 		}
-		timelines[i] = tl
-		addEvents(sc)
+		stalls[i] = st
+		addEvents(r.sc)
 		return nil
 	})
 	if err != nil {
 		return TimelineResult{}, err
 	}
-	var detection, announce, resume, ack, totals metrics.Durations
-	for _, tl := range timelines {
-		detection.Add(tl.Detection())
-		announce.Add(tl.Announce())
-		resume.Add(tl.Resume())
-		ack.Add(tl.AckTurnaround())
-		totals.Add(tl.Total())
+	var detection, announce, resume, recovery, totals metrics.Durations
+	for _, st := range stalls {
+		detection.Add(st.Detection)
+		announce.Add(st.Announce)
+		resume.Add(st.Resume)
+		recovery.Add(st.Recovery)
+		totals.Add(st.Total)
 	}
 	return TimelineResult{
-		N:                   n,
-		DetectionMedian:     detection.Median(),
-		AnnounceMedian:      announce.Median(),
-		ResumeMedian:        resume.Median(),
-		AckTurnaroundMedian: ack.Median(),
-		TotalMedian:         totals.Median(),
-		TotalMax:            totals.Max(),
-		Sample:              timelines[0],
+		N:               n,
+		DetectionMedian: detection.Median(),
+		AnnounceMedian:  announce.Median(),
+		ResumeMedian:    resume.Median(),
+		RecoveryMedian:  recovery.Median(),
+		TotalMedian:     totals.Median(),
+		TotalMax:        totals.Max(),
+		Sample:          stalls[0],
 	}, nil
+}
+
+// spanCrashRun is E9's run: a push stream of total bytes with span
+// recording on, the primary crashed once crashAt bytes have arrived, read
+// to EOF intact, and its one connection span scored.
+func spanCrashRun(seed, total, crashAt int64) (*crashRun, obs.StallBreakdown, error) {
+	var st obs.StallBreakdown
+	r, err := newCrashRun(seed, total, func(o *tcpfailover.Options) {
+		o.RouterARPDelay = 500 * time.Microsecond
+		o.Spans = true
+	})
+	if err == nil {
+		err = r.run("span crash run", crashAt, nil)
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	if !r.intact() {
+		return nil, st, fmt.Errorf("stream not intact (received=%d bad=%d)", r.recv.Received, r.recv.BadAt)
+	}
+	spans := r.sc.Spans.Spans()
+	if len(spans) != 1 {
+		return nil, st, fmt.Errorf("%d connection spans, want 1", len(spans))
+	}
+	st, ok := r.sc.Spans.Stall(&spans[0])
+	if !ok {
+		return nil, st, fmt.Errorf("span %+v records no completed stall", spans[0])
+	}
+	return r, st, nil
 }
 
 func renderTimeline(w io.Writer, _ Config, res *Results) {
@@ -99,16 +102,17 @@ func renderTimeline(w io.Writer, _ Config, res *Results) {
 		return
 	}
 	fmt.Fprintln(w, "=== E9 (extension): failover timeline, phase breakdown ===")
-	fmt.Fprintln(w, "(reconstructed from a client-side flight recorder plus the")
-	fmt.Fprintln(w, " detector/takeover hooks; medians over the crash runs)")
+	fmt.Fprintln(w, "(the connection's span against the failure/detect/takeover marks,")
+	fmt.Fprintln(w, " E14's model at a fleet of one; medians over the crash runs)")
 	fmt.Fprintf(w, "%-24s %14s\n", "phase", "median")
 	fmt.Fprintf(w, "%-24s %14v\n", "detection", r.DetectionMedian)
 	fmt.Fprintf(w, "%-24s %14v\n", "takeover + ARP announce", r.AnnounceMedian)
 	fmt.Fprintf(w, "%-24s %14v\n", "redirection to client", r.ResumeMedian)
-	fmt.Fprintf(w, "%-24s %14v\n", "client ack turnaround", r.AckTurnaroundMedian)
+	fmt.Fprintf(w, "%-24s %14v\n", "recovery", r.RecoveryMedian)
 	fmt.Fprintf(w, "%-24s %14v (max %v, n=%d)\n", "total", r.TotalMedian, r.TotalMax, r.N)
-	fmt.Fprintln(w, "sample run 0:")
-	_ = r.Sample.WriteText(w) // as unchecked as the Fprints around it
+	s := r.Sample
+	fmt.Fprintf(w, "sample run 0: anchor %.9fs; %v = %v + %v + %v + %v\n",
+		s.Anchor.Seconds(), s.Total, s.Detection, s.Announce, s.Resume, s.Recovery)
 	fmt.Fprintln(w)
 }
 
@@ -119,13 +123,10 @@ func renderTimeline(w io.Writer, _ Config, res *Results) {
 func CollectMetrics() (*obs.Registry, error) {
 	const total = 256 * 1024
 	r, err := newCrashRun(424242, total, nil)
+	if err == nil {
+		err = r.run("collect-metrics", total/2, nil)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if err := r.dial(); err != nil {
-		return nil, err
-	}
-	if err := r.run("collect-metrics", total/2, nil); err != nil {
 		return nil, err
 	}
 	return r.sc.Obs, nil

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
@@ -71,4 +73,136 @@ func FuzzSecondarySnoop(f *testing.F) {
 		})
 		pri2.b.inbound(0, hdrP, raw)
 	})
+}
+
+// wrapISS are the replica initial sequence numbers of
+// wraparound_bridge_test.go: Δseq, the parked spans or both straddle 2^32.
+var wrapISS = [4][2]tcp.Seq{
+	{1000, 0xffffffff - 2000},
+	{0xffffffff - 2000, 1000},
+	{0xffffffff - 500, 0xffffffff - 40000},
+	{123456, 0xffffffff},
+}
+
+// FuzzPrimaryDiverted throws fuzzer-chosen bytes at PrimaryBridge.Inbound
+// as the TCP segment of a datagram addressed to aP, against a bridge
+// holding one established connection with bytes parked in both queues: 100
+// from the primary waiting for the secondary's copy, 100 from the
+// secondary beyond a 100-byte hole. This is the path E11 showed an in-LAN
+// attacker reaches, and fromSecondary reads payload out of the match ring
+// in place, so a clipped span or a stale alias shows up here.
+//
+// The input is used three ways: as it is, from the client; as it is plus
+// the orig-dst option with the checksum made good, from the secondary (the
+// demultiplexer); and as a script — seq and ack offsets from the
+// connection's own state, flags, which wrap-around ISS pair, ValidateSeq,
+// which sender — so the fuzzer lands inside the window without guessing 64
+// bits. Nothing may panic; every segment the bridge emits must parse and
+// checksum (the fixture checks); the queue gauge must equal the bytes the
+// queues hold and return to zero at teardown, with no packet buffer live.
+func FuzzPrimaryDiverted(f *testing.F) {
+	script := func(seqOff, ackOff int32, flags tcp.Flags, mode byte, payload int) []byte {
+		b := make([]byte, 10+payload)
+		binary.BigEndian.PutUint32(b[0:], uint32(seqOff))
+		binary.BigEndian.PutUint32(b[4:], uint32(ackOff))
+		b[8], b[9] = byte(flags), mode
+		return b
+	}
+	for pair := byte(0); pair < 4; pair++ {
+		f.Add(script(100, 0, tcp.FlagACK, pair<<1, 100))             // fills the hole
+		f.Add(script(0, 0, tcp.FlagACK|tcp.FlagPSH, pair<<1|1, 300)) // the primary's bytes and past them
+		f.Add(script(150, 0, tcp.FlagACK, pair<<1, 1400))            // overlaps the parked span
+		f.Add(script(300, 0, tcp.FlagACK|tcp.FlagFIN, pair<<1, 0))   // FIN past the parked span
+		f.Add(script(-70000, 0, tcp.FlagACK, pair<<1|1, 64))         // stale, far below the window
+		f.Add(script(0, 0, tcp.FlagRST, pair<<1|8, 0))               // client RST
+		f.Add(script(0, 200, tcp.FlagACK, pair<<1|8, 10))            // client data acking parked bytes
+	}
+	f.Add([]byte{0xc0, 0x00, 0x00, 0x50, 0, 0, 0, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		netbuf.SetLeakCheck(true)
+		defer netbuf.SetLeakCheck(false)
+		var mode byte
+		if len(data) >= 10 {
+			mode = data[9]
+		}
+		iss := wrapISS[mode>>1&3]
+		pri := newPriFixtureCfg(t, PrimaryConfig{ValidateSeq: mode&1 == 1})
+		pri.establishAt(t, iss[0], iss[1])
+		parked := make([]byte, 100)
+		for i := range parked {
+			parked[i] = byte(i)
+		}
+		pri.fromPrimaryTCP(t, &tcp.Segment{Seq: iss[0].Add(1), Ack: clientISS + 1,
+			Flags: tcp.FlagACK | tcp.FlagPSH, Window: 60000, Payload: parked})
+		pri.fromSecondaryWire(t, &tcp.Segment{Seq: iss[1].Add(201), Ack: clientISS + 1,
+			Flags: tcp.FlagACK, Window: 58000, Payload: parked})
+		pri.checkQueueGauge(t, 200)
+
+		fromClient := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aC, Dst: pri.aP}
+		fromSecondary := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aS, Dst: pri.aP}
+		divert := func(raw []byte) {
+			div, err := tcp.InsertOrigDstOption(raw, pri.aC)
+			if err != nil {
+				return
+			}
+			binary.BigEndian.PutUint16(div[16:], 0)
+			binary.BigEndian.PutUint16(div[16:], tcp.ComputeChecksum(pri.aS, pri.aP, div))
+			pri.b.Inbound(0, fromSecondary, div)
+		}
+
+		pri.b.Inbound(0, fromClient, append([]byte(nil), data...))
+		if tcp.RawSane(data) {
+			divert(data)
+		}
+		if len(data) >= 10 {
+			seg := &tcp.Segment{
+				SrcPort: 80, DstPort: 49152,
+				Seq:   iss[1].Add(1 + int(int32(binary.BigEndian.Uint32(data[0:])))),
+				Ack:   tcp.Seq(clientISS + 1).Add(int(int32(binary.BigEndian.Uint32(data[4:])))),
+				Flags: tcp.Flags(data[8]), Window: 58000,
+				Payload: data[10:min(len(data), 10+1400)],
+			}
+			if mode&8 != 0 {
+				// From the client instead: its sequence space, and its
+				// acknowledgments in the secondary's.
+				seg.SrcPort, seg.DstPort = 49152, 80
+				seg.Seq, seg.Ack = seg.Ack, seg.Seq
+				pri.b.Inbound(0, fromClient, tcp.Marshal(pri.aC, pri.aP, seg))
+			} else {
+				divert(tcp.Marshal(pri.aS, pri.aC, seg))
+			}
+		}
+		pri.checkQueueGauge(t, -1)
+
+		for _, k := range pri.b.conns.AppendKeys(nil) {
+			idx, _ := pri.b.conns.Get(k)
+			pri.b.removeConn(pri.b.slots.At(idx))
+		}
+		pri.checkQueueGauge(t, 0)
+		// Acknowledgments the bridge synthesizes on a peer's behalf go out
+		// on the wire, not through the emit hook: let them leave the host
+		// (or die unresolved in its ARP queue) before counting buffers.
+		if err := pri.sched.RunFor(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if live := netbuf.Live(); live != 0 {
+			t.Fatalf("%d packet buffers live after teardown", live)
+		}
+	})
+}
+
+// checkQueueGauge holds the bridge's queue-bytes gauge to what its
+// connections' queues actually hold, and to want when want >= 0.
+func (f *priFixture) checkQueueGauge(t *testing.T, want int64) {
+	t.Helper()
+	var held int64
+	for _, k := range f.b.conns.AppendKeys(nil) {
+		idx, _ := f.b.conns.Get(k)
+		c := f.b.slots.At(idx)
+		held += int64(c.pq.Len() + c.sq.Len())
+	}
+	if got := f.b.m.queueBytes.Value(); got != held || got < 0 || (want >= 0 && got != want) {
+		t.Fatalf("queue gauge %d, queues hold %d, want %d", got, held, want)
+	}
 }

@@ -1,18 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"tcpfailover/internal/obs"
-)
-
-// series appends a host label to a metric name when the host is known.
-func series(name, host string) string {
-	if host == "" {
-		return name
-	}
-	return fmt.Sprintf("%s{host=%q}", name, host)
-}
+import "tcpfailover/internal/obs"
 
 // primaryMetrics are the primary bridge's pre-resolved observability
 // handles. Always populated — with discard handles until AttachObs — so the
@@ -30,21 +18,21 @@ type primaryMetrics struct {
 
 func newPrimaryMetrics(reg *obs.Registry, host string) primaryMetrics {
 	return primaryMetrics{
-		queueBytes:       reg.Gauge(series("bridge_queue_bytes", host)),
-		matchedBytes:     reg.Counter(series("bridge_bytes_matched_total", host)),
-		releasedBytes:    reg.Counter(series("bridge_bytes_released_total", host)),
-		seqTranslations:  reg.Counter(series("bridge_seq_translations_total", host)),
-		badChecksumDrops: reg.Counter(series("bridge_bad_checksum_drops_total", host)),
-		seqInvalidDrops:  reg.Counter(series("bridge_seq_invalid_drops_total", host)),
-		flowEvictions:    reg.Counter(series("bridge_flow_evictions_total", host)),
-		malformedDrops:   reg.Counter(series("bridge_malformed_drops_total", host)),
+		queueBytes:       reg.Gauge(obs.HostSeries("bridge_queue_bytes", host)),
+		matchedBytes:     reg.Counter(obs.HostSeries("bridge_bytes_matched_total", host)),
+		releasedBytes:    reg.Counter(obs.HostSeries("bridge_bytes_released_total", host)),
+		seqTranslations:  reg.Counter(obs.HostSeries("bridge_seq_translations_total", host)),
+		badChecksumDrops: reg.Counter(obs.HostSeries("bridge_bad_checksum_drops_total", host)),
+		seqInvalidDrops:  reg.Counter(obs.HostSeries("bridge_seq_invalid_drops_total", host)),
+		flowEvictions:    reg.Counter(obs.HostSeries("bridge_flow_evictions_total", host)),
+		malformedDrops:   reg.Counter(obs.HostSeries("bridge_malformed_drops_total", host)),
 	}
 }
 
 // AttachObs resolves the bridge's metric handles against reg, labeled with
 // the host name. Call at scenario build time, before traffic flows: the
-// BadChecksumDrops counter is the source of truth behind Stats(), and the
-// queue gauge tracks deltas, so attaching mid-stream would lose history.
+// counters are the source of truth behind Stats(), and the queue gauge
+// tracks deltas, so attaching mid-stream would lose history.
 func (b *PrimaryBridge) AttachObs(reg *obs.Registry, host string) {
 	b.m = newPrimaryMetrics(reg, host)
 }
@@ -67,7 +55,7 @@ type secondaryMetrics struct {
 // countTakeoverErrors adds n failed takeover steps to the series.
 func (m *secondaryMetrics) countTakeoverErrors(n int) {
 	if n > 0 {
-		m.reg.Counter(series("bridge_takeover_errors_total", m.host)).Add(int64(n))
+		m.reg.Counter(obs.HostSeries("bridge_takeover_errors_total", m.host)).Add(int64(n))
 	}
 }
 
@@ -75,10 +63,10 @@ func newSecondaryMetrics(reg *obs.Registry, host string) secondaryMetrics {
 	return secondaryMetrics{
 		reg:            reg,
 		host:           host,
-		snoopedIn:      reg.Counter(series("bridge_snooped_in_total", host)),
-		divertedOut:    reg.Counter(series("bridge_diverted_out_total", host)),
-		flowEvictions:  reg.Counter(series("bridge_flow_evictions_total", host)),
-		malformedDrops: reg.Counter(series("bridge_malformed_drops_total", host)),
+		snoopedIn:      reg.Counter(obs.HostSeries("bridge_snooped_in_total", host)),
+		divertedOut:    reg.Counter(obs.HostSeries("bridge_diverted_out_total", host)),
+		flowEvictions:  reg.Counter(obs.HostSeries("bridge_flow_evictions_total", host)),
+		malformedDrops: reg.Counter(obs.HostSeries("bridge_malformed_drops_total", host)),
 	}
 }
 

@@ -232,11 +232,12 @@ func (b *PrimaryBridge) LocalAddr() ipv4.Addr { return b.aP }
 // when a daisy chain loses its middle and the tail attaches directly).
 func (b *PrimaryBridge) SetMatchingPeer(a ipv4.Addr) { b.aS = a }
 
-// Stats returns a copy of the bridge counters. BadChecksumDrops lives in
-// the obs registry (the bridge's counter handle is its source of truth);
-// the returned struct is filled from it for API compatibility.
+// Stats returns a copy of the bridge counters; the fields that have a
+// series are views of it.
 func (b *PrimaryBridge) Stats() PrimaryStats {
 	s := b.stats
+	s.BytesMatched = b.m.matchedBytes.Value()
+	s.ConnsEvicted = b.m.flowEvictions.Value()
 	s.BadChecksumDrops = b.m.badChecksumDrops.Value()
 	s.SeqInvalidDrops = b.m.seqInvalidDrops.Value()
 	s.MalformedDrops = b.m.malformedDrops.Value()
@@ -277,7 +278,6 @@ func (b *PrimaryBridge) conn(key TupleKey) *pconn {
 				break
 			}
 			b.removeConn(b.slots.At(old))
-			b.stats.ConnsEvicted++
 			b.m.flowEvictions.Inc()
 		}
 	}
@@ -701,7 +701,6 @@ func (b *PrimaryBridge) pump(c *pconn) {
 					b.OnDivergence(c.key, c.sndMax)
 				}
 			}
-			b.stats.BytesMatched += int64(n)
 			b.m.matchedBytes.Add(int64(n))
 			b.releaseData(c, sb, false)
 			continue

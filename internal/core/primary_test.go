@@ -110,7 +110,11 @@ const (
 )
 
 // establish walks the fixture through a client-initiated handshake.
-func (f *priFixture) establish(t *testing.T) {
+func (f *priFixture) establish(t *testing.T) { t.Helper(); f.establishAt(t, pISS, sISS) }
+
+// establishAt is establish with the replicas' initial sequence numbers
+// chosen by the caller.
+func (f *priFixture) establishAt(t *testing.T, pISS, sISS tcp.Seq) {
 	t.Helper()
 	f.fromClientWire(t, &tcp.Segment{Seq: clientISS, Flags: tcp.FlagSYN, Window: 65535,
 		Options: []tcp.Option{tcp.MSSOption(1460)}})

@@ -21,7 +21,6 @@ const origDstOptionLen = 8
 type SecondaryStats struct {
 	SnoopedIn      int64 // client segments captured promiscuously and translated
 	DivertedOut    int64 // locally generated segments diverted to the primary
-	DroppedDuring  int64 // segments dropped while takeover was reconfiguring
 	TakenOver      int64 // connections re-keyed to the primary address
 	FlowsEvicted   int64 // flow-cache entries evicted by the SetFlowLimit cap
 	MalformedDrops int64 // snooped frames with an inconsistent data offset
@@ -75,11 +74,6 @@ type SecondaryBridge struct {
 	// (the bridge's TupleKey for an outbound diverted segment is bit-for-bit
 	// the client stack's Tuple.SpanKey) and the fleet takeover mark.
 	spans *obs.SpanRecorder
-
-	// OnTakeover, if set, is called when Takeover completes — after the
-	// gratuitous ARP announcing the primary's address has been broadcast.
-	// The failover timeline analyzer timestamps its ARP phase here.
-	OnTakeover func()
 }
 
 // sflow is a cached per-flow decision of the secondary bridge. Records live
@@ -151,7 +145,6 @@ func (b *SecondaryBridge) flow(key TupleKey) *sflow {
 func (b *SecondaryBridge) evict(f *sflow) {
 	b.lru.Remove(uint32(f.self))
 	b.flows.Delete(uint64(f.key))
-	b.stats.FlowsEvicted++
 	b.m.flowEvictions.Inc()
 	b.fslots.Free(uint32(f.self))
 }
@@ -185,8 +178,16 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 	return b
 }
 
-// Stats returns a copy of the bridge counters.
-func (b *SecondaryBridge) Stats() SecondaryStats { return b.stats }
+// Stats returns a copy of the bridge counters; the fields that have a
+// series are views of it.
+func (b *SecondaryBridge) Stats() SecondaryStats {
+	s := b.stats
+	s.SnoopedIn = b.m.snoopedIn.Value()
+	s.DivertedOut = b.m.divertedOut.Value()
+	s.FlowsEvicted = b.m.flowEvictions.Value()
+	s.MalformedDrops = b.m.malformedDrops.Value()
+	return s
+}
 
 // AttachSpans installs the fleet span recorder: the bridge marks each
 // flow's first diverted segment and timestamps the takeover/ARP announce.
@@ -217,7 +218,6 @@ func (b *SecondaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) 
 		// clamp's option walk; drop rather than deliver a frame the local
 		// TCP layer would reject anyway.
 		b.m.malformedDrops.Inc()
-		b.stats.MalformedDrops++
 		return netstack.VerdictDrop, hdr, payload
 	}
 	key := MakeTupleKey(hdr.Src, tcp.RawSrcPort(payload), tcp.RawDstPort(payload))
@@ -233,7 +233,6 @@ func (b *SecondaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) 
 		// outbound diversion adds to every segment this TCP layer emits.
 		tcp.ClampRawMSS(payload, origDstOptionLen)
 	}
-	b.stats.SnoopedIn++
 	b.m.snoopedIn.Inc()
 	return netstack.VerdictDeliver, hdr, payload
 }
@@ -264,7 +263,6 @@ func (b *SecondaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
 	}
 	// The checksum must reflect the new pseudo-header destination.
 	tcp.PatchPseudoAddr(out, dst, b.upstream)
-	b.stats.DivertedOut++
 	b.m.divertedOut.Inc()
 	_ = b.host.SendIPFastBuf(src, b.upstream, ipv4.ProtoTCP, pkt)
 	return true
@@ -347,9 +345,6 @@ func (b *SecondaryBridge) Takeover() error {
 	}
 	b.m.countTakeoverErrors(len(errs))
 	b.spans.MarkTakeover(b.host.Scheduler().Now())
-	if b.OnTakeover != nil {
-		b.OnTakeover()
-	}
 	// Resume sending: kick retransmission of anything lost during the
 	// reconfiguration by letting the TCP timers run; nothing else to do.
 	return errors.Join(errs...)

@@ -6,6 +6,7 @@
 package detect
 
 import (
+	"encoding/binary"
 	"time"
 
 	"tcpfailover/internal/ipv4"
@@ -48,12 +49,17 @@ type Detector struct {
 
 	sendTimer  sim.Timer
 	checkTimer sim.Timer
+
+	// The two recurring callbacks, bound once, and the heartbeat's sequence
+	// bytes: a period of steady-state heartbeating allocates nothing.
+	send, check func()
+	payload     [8]byte
 }
 
 // New creates a detector on host watching peerAddr. onFailure runs once,
 // inside the simulation loop, when the peer is declared failed.
 func New(host *netstack.Host, localAddr, peerAddr ipv4.Addr, cfg Config, onFailure func()) *Detector {
-	return &Detector{
+	d := &Detector{
 		host:      host,
 		sched:     host.Scheduler(),
 		localAddr: localAddr,
@@ -61,6 +67,8 @@ func New(host *netstack.Host, localAddr, peerAddr ipv4.Addr, cfg Config, onFailu
 		cfg:       cfg.withDefaults(),
 		onFailure: onFailure,
 	}
+	d.send, d.check = d.sendHeartbeat, d.checkPeer
+	return d
 }
 
 // Start registers the heartbeat protocol handler and begins the exchange.
@@ -93,28 +101,27 @@ func (d *Detector) sendHeartbeat() {
 	if d.stopped || !d.host.Alive() {
 		return
 	}
-	payload := []byte{
-		byte(d.seq >> 56), byte(d.seq >> 48), byte(d.seq >> 40), byte(d.seq >> 32),
-		byte(d.seq >> 24), byte(d.seq >> 16), byte(d.seq >> 8), byte(d.seq),
-	}
+	binary.BigEndian.PutUint64(d.payload[:], d.seq)
 	d.seq++
-	_ = d.host.SendIP(d.localAddr, d.peerAddr, ipv4.ProtoHeartbeat, payload)
-	d.sendTimer = d.sched.After(d.cfg.Period, "detect.heartbeat", d.sendHeartbeat)
+	_ = d.host.SendIP(d.localAddr, d.peerAddr, ipv4.ProtoHeartbeat, d.payload[:])
+	d.sendTimer = d.sched.After(d.cfg.Period, "detect.heartbeat", d.send)
 }
 
 func (d *Detector) scheduleCheck() {
 	if d.stopped || d.fired {
 		return
 	}
-	d.checkTimer = d.sched.After(d.cfg.Period, "detect.check", func() {
-		if d.stopped || d.fired || !d.host.Alive() {
-			return
-		}
-		if d.sched.Now()-d.lastHeard > d.cfg.Timeout {
-			d.fired = true
-			d.onFailure()
-			return
-		}
-		d.scheduleCheck()
-	})
+	d.checkTimer = d.sched.After(d.cfg.Period, "detect.check", d.check)
+}
+
+func (d *Detector) checkPeer() {
+	if d.stopped || d.fired || !d.host.Alive() {
+		return
+	}
+	if d.sched.Now()-d.lastHeard > d.cfg.Timeout {
+		d.fired = true
+		d.onFailure()
+		return
+	}
+	d.scheduleCheck()
 }

@@ -132,3 +132,29 @@ func TestCrashedHostDetectorGoesQuiet(t *testing.T) {
 		t.Error("detector on the crashed host declared the (healthy) peer failed")
 	}
 }
+
+// TestDetectorSteadyStateAllocs: once the event pool, the frame buffers and
+// the ARP caches are warm, ten seconds of heartbeats between two healthy
+// hosts allocate nothing — the detectors can stay on under an allocation
+// gate instead of being the reason it runs without them.
+func TestDetectorSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := newDuo(t)
+	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
+	fired := false
+	detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { fired = true }).Start()
+	detect.New(d.b, d.bAddr, d.aAddr, cfg, func() { fired = true }).Start()
+	if err := d.sched.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := d.sched.RunFor(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || fired {
+		t.Errorf("10 s of heartbeats: %v allocations (want 0), fired %v", allocs, fired)
+	}
+}

@@ -129,7 +129,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats aggregates segment counters.
+// Stats aggregates segment counters. Frames and Collisions are views of
+// the link's series; Lost is link_lost_total plus the frames an impairer
+// dropped at a single receiving station, which the series does not count.
 type Stats struct {
 	Frames     int64
 	Bytes      int64
@@ -144,7 +146,8 @@ type Segment struct {
 	nics  []*NIC
 
 	busyUntil time.Duration
-	stats     Stats
+	bytes     int64 // wire bytes transmitted
+	rxLost    int64 // frames an impairer dropped at one receiving station
 
 	// Free list of delivery events and a reusable receiver list: the
 	// per-frame hot path schedules delivery without allocating.
@@ -193,12 +196,9 @@ func (s *Segment) SetImpairer(imp Impairer) { s.impair = imp }
 
 // NewSegment creates a segment managed by sched.
 func NewSegment(sched *sim.Scheduler, cfg Config) *Segment {
-	var nilReg *obs.Registry
-	return &Segment{sched: sched, cfg: cfg.withDefaults(),
-		mFrames:     nilReg.Counter("link_frames_total"),
-		mCollisions: nilReg.Counter("link_collisions_total"),
-		mLost:       nilReg.Counter("link_lost_total"),
-	}
+	s := &Segment{sched: sched, cfg: cfg.withDefaults()}
+	s.AttachObs(nil, "")
+	return s
 }
 
 // AttachObs resolves the segment's metric handles against reg, labeling
@@ -210,7 +210,14 @@ func (s *Segment) AttachObs(reg *obs.Registry, link string) {
 }
 
 // Stats returns a copy of the segment counters.
-func (s *Segment) Stats() Stats { return s.stats }
+func (s *Segment) Stats() Stats {
+	return Stats{
+		Frames:     s.mFrames.Value(),
+		Bytes:      s.bytes,
+		Collisions: s.mCollisions.Value(),
+		Lost:       s.mLost.Value() + s.rxLost,
+	}
+}
 
 // Config returns the segment configuration.
 func (s *Segment) Config() Config { return s.cfg }
@@ -242,7 +249,6 @@ func (s *Segment) transmit(src *NIC, f Frame) {
 			if s.cfg.HalfDuplex && s.cfg.CollisionProb > 0 &&
 				s.sched.Rand().Float64() < s.cfg.CollisionProb && attempts < 10 {
 				attempts++
-				s.stats.Collisions++
 				s.mCollisions.Inc()
 				slots := s.sched.Rand().Intn(1 << min(attempts, 10))
 				start += s.serialization(0) + time.Duration(slots)*s.cfg.SlotTime
@@ -253,12 +259,10 @@ func (s *Segment) transmit(src *NIC, f Frame) {
 	}
 	ser := s.serialization(len(f.Payload))
 	s.busyUntil = start + ser
-	s.stats.Frames++
 	s.mFrames.Inc()
-	s.stats.Bytes += int64(wireBytes(len(f.Payload)))
+	s.bytes += int64(wireBytes(len(f.Payload)))
 
 	if s.cfg.LossRate > 0 && s.sched.Rand().Float64() < s.cfg.LossRate {
-		s.stats.Lost++
 		s.mLost.Inc()
 		f.release()
 		return
@@ -267,7 +271,6 @@ func (s *Segment) transmit(src *NIC, f Frame) {
 	if s.impair != nil {
 		verdict = s.impair.Tx(src, f)
 		if verdict.Drop {
-			s.stats.Lost++
 			s.mLost.Inc()
 			f.release()
 			return
@@ -330,7 +333,7 @@ func (s *Segment) deliver(src *NIC, f Frame) {
 		}
 		if f.Dst == nic.mac || f.Dst.IsBroadcast() || nic.promiscuous {
 			if s.impair != nil && s.impair.Rx(nic, f) {
-				s.stats.Lost++
+				s.rxLost++
 				continue
 			}
 			recv = append(recv, nic)
@@ -387,9 +390,6 @@ func (n *NIC) Promiscuous() bool { return n.promiscuous }
 // SetUp administratively enables or disables the interface. A downed NIC
 // neither sends nor receives; it models a crashed host.
 func (n *NIC) SetUp(up bool) { n.up = up }
-
-// Up reports whether the interface is enabled.
-func (n *NIC) Up() bool { return n.up }
 
 // SetHandler installs the receive callback. The handler runs inside the
 // simulation event loop.

@@ -59,7 +59,6 @@ type xTrunk struct {
 	bw        int64
 	lat       time.Duration
 	busyUntil time.Duration
-	forwarded int64
 }
 
 // ConnectDomains bridges segment a (managed by aSched) and segment b
@@ -91,9 +90,6 @@ func ConnectDomains(g *sim.ShardGroup, aSched *sim.Scheduler, a *Segment, aMAC M
 	return &XLink{a: ta, b: tb}, nil
 }
 
-// Forwarded returns the frames relayed in each direction (a->b, b->a).
-func (l *XLink) Forwarded() (ab, ba int64) { return l.a.forwarded, l.b.forwarded }
-
 // forward relays one overheard frame: serialize it onto the trunk (with
 // store-and-forward contention against earlier relays) and post delivery to
 // the remote domain. The frame's pooled buffer travels with it; the window
@@ -105,7 +101,6 @@ func (t *xTrunk) forward(f Frame) {
 	}
 	bits := int64(wireBytes(len(f.Payload))) * 8
 	t.busyUntil = start + time.Duration(bits*int64(time.Second)/t.bw)
-	t.forwarded++
 	xf := xferPool.Get().(*xfer)
 	xf.t = t.peer
 	xf.f = f

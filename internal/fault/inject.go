@@ -37,15 +37,6 @@ func (s *Stats) add(o Stats) {
 	s.ExtraDelay += o.ExtraDelay
 }
 
-// Event describes one injected fault, for the trace facility.
-type Event struct {
-	Now   time.Duration
-	Link  LinkID
-	Kind  string // "drop", "delay", "duplicate", "corrupt"
-	Model string
-	Size  int // frame payload bytes
-}
-
 // binding is one compiled Impairment: a model chain plus its directional
 // constraints, resolved to NICs.
 type binding struct {
@@ -67,9 +58,6 @@ type Injector struct {
 	// Observability handles (discard slots until attachObs).
 	mDropped obs.Counter
 	mDelayed obs.Counter
-
-	// onEvent, when set, observes every injected fault.
-	onEvent func(Event)
 }
 
 // newInjector creates an injector for the link and installs it on seg.
@@ -86,27 +74,17 @@ func (inj *Injector) attachObs(reg *obs.Registry) {
 	inj.mDelayed = reg.Counter(fmt.Sprintf("fault_delays_total{link=%q}", inj.link))
 }
 
-// Stats returns a copy of the injector's counters.
-func (inj *Injector) Stats() Stats { return inj.stats }
-
-// event reports one applied fault.
-func (inj *Injector) event(kind, model string, size int) {
-	if inj.onEvent != nil {
-		inj.onEvent(Event{Now: inj.sched.Now(), Link: inj.link, Kind: kind, Model: model, Size: size})
-	}
-}
-
-// judge runs b's chain over the frame and returns the verdict plus the
-// name of the model that dropped it (for attribution).
-func (b *binding) judge(now time.Duration, payload []byte) (Verdict, string) {
+// judge runs b's chain over the frame, stopping at the first model that
+// drops it, and returns the verdict.
+func (b *binding) judge(now time.Duration, payload []byte) Verdict {
 	var v Verdict
 	for _, m := range b.models {
 		m.Judge(now, payload, &v)
 		if v.Drop {
-			return v, m.Name()
+			break
 		}
 	}
-	return v, ""
+	return v
 }
 
 // Tx implements ethernet.Impairer. It runs every transmit-side chain whose
@@ -120,29 +98,25 @@ func (inj *Injector) Tx(src *ethernet.NIC, f ethernet.Frame) ethernet.TxVerdict 
 			continue
 		}
 		inj.stats.Examined++
-		v, dropper := b.judge(now, f.Payload)
+		v := b.judge(now, f.Payload)
 		if v.Drop {
 			inj.stats.Dropped++
 			inj.mDropped.Inc()
-			inj.event("drop", dropper, len(f.Payload))
 			out.Drop = true
 			return out
 		}
 		for _, bit := range v.FlipBits {
 			f.Payload[bit/8] ^= 1 << (bit % 8)
 			inj.stats.Corrupted++
-			inj.event("corrupt", "corrupt", len(f.Payload))
 		}
 		if v.Delay > 0 {
 			inj.stats.Delayed++
 			inj.mDelayed.Inc()
 			inj.stats.ExtraDelay += v.Delay
-			inj.event("delay", "delay", len(f.Payload))
 			out.Delay += v.Delay
 		}
 		if v.Duplicates > 0 {
 			inj.stats.Duplicated += int64(v.Duplicates)
-			inj.event("duplicate", "duplicate", len(f.Payload))
 			out.Duplicates += v.Duplicates
 		}
 	}
@@ -162,10 +136,9 @@ func (inj *Injector) Rx(dst *ethernet.NIC, f ethernet.Frame) bool {
 			continue
 		}
 		inj.stats.Examined++
-		if v, dropper := b.judge(now, f.Payload); v.Drop {
+		if b.judge(now, f.Payload).Drop {
 			inj.stats.Dropped++
 			inj.mDropped.Inc()
-			inj.event("drop", dropper, len(f.Payload))
 			return true
 		}
 	}

@@ -163,15 +163,12 @@ func TestInjectorDelay(t *testing.T) {
 	}
 }
 
-func TestInjectorEventsAndPartition(t *testing.T) {
+func TestInjectorPartition(t *testing.T) {
 	n := newTestNet(t, 1)
 	if err := n.set.Impair(Impairment{Link: testLink,
 		Models: []Spec{PartitionGate("split", false)}}); err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	n.set.SetOnEvent(func(e Event) { events = append(events, e) })
-
 	n.send(t, []byte{1})
 	if err := n.set.Partition("split"); err != nil {
 		t.Fatal(err)
@@ -187,8 +184,8 @@ func TestInjectorEventsAndPartition(t *testing.T) {
 	if n.gotB != 2 {
 		t.Errorf("receiver got %d frames, want 2 (one partitioned away)", n.gotB)
 	}
-	if len(events) != 1 || events[0].Kind != "drop" || events[0].Model != "partition:split" {
-		t.Errorf("events = %+v, want one partition drop", events)
+	if st := n.set.Stats(); st.Dropped != 1 || st.Examined != 3 {
+		t.Errorf("stats = %+v, want one partition drop out of three frames", st)
 	}
 	if err := n.set.Partition("nonesuch"); err == nil {
 		t.Error("engaging an unknown partition succeeded")

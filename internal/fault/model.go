@@ -24,8 +24,6 @@ type Verdict struct {
 // and own a private PRNG stream, so a chain's behaviour is a function of
 // the simulation seed and the frame sequence alone.
 type Model interface {
-	// Name identifies the model in stats and trace events.
-	Name() string
 	// Judge folds the model's effect on one frame into v. payload is the
 	// frame payload (an IP datagram or ARP packet); models must not modify
 	// it — corruption is requested via v.FlipBits and applied centrally.
@@ -39,8 +37,6 @@ type bernoulli struct {
 	p   float64
 	rng *Rand
 }
-
-func (m *bernoulli) Name() string { return "bernoulli" }
 
 func (m *bernoulli) Judge(_ time.Duration, _ []byte, v *Verdict) {
 	if m.p > 0 && m.rng.Float64() < m.p {
@@ -57,8 +53,6 @@ type gilbertElliott struct {
 	bad                  bool
 	rng                  *Rand
 }
-
-func (m *gilbertElliott) Name() string { return "gilbert-elliott" }
 
 func (m *gilbertElliott) Judge(_ time.Duration, _ []byte, v *Verdict) {
 	if m.bad {
@@ -86,8 +80,6 @@ type dropWhen struct {
 	hits  int
 }
 
-func (m *dropWhen) Name() string { return "drop-when" }
-
 func (m *dropWhen) Judge(_ time.Duration, payload []byte, v *Verdict) {
 	if m.times > 0 && m.hits >= m.times {
 		return
@@ -107,8 +99,6 @@ type jitter struct {
 	rng          *Rand
 }
 
-func (m *jitter) Name() string { return "delay" }
-
 func (m *jitter) Judge(_ time.Duration, _ []byte, v *Verdict) {
 	v.Delay += m.base + m.rng.Durationn(m.spread)
 }
@@ -120,8 +110,6 @@ type reorder struct {
 	hold time.Duration
 	rng  *Rand
 }
-
-func (m *reorder) Name() string { return "reorder" }
 
 func (m *reorder) Judge(_ time.Duration, _ []byte, v *Verdict) {
 	if m.p > 0 && m.rng.Float64() < m.p {
@@ -138,8 +126,6 @@ type rateLimit struct {
 	maxQueue time.Duration
 	nextFree time.Duration
 }
-
-func (m *rateLimit) Name() string { return "rate-limit" }
 
 func (m *rateLimit) Judge(now time.Duration, payload []byte, v *Verdict) {
 	ser := time.Duration(int64(len(payload)) * 8 * int64(time.Second) / m.bps)
@@ -164,8 +150,6 @@ type duplicate struct {
 	rng    *Rand
 }
 
-func (m *duplicate) Name() string { return "duplicate" }
-
 func (m *duplicate) Judge(_ time.Duration, _ []byte, v *Verdict) {
 	if m.p > 0 && m.rng.Float64() < m.p {
 		v.Duplicates += m.copies
@@ -180,8 +164,6 @@ type corrupt struct {
 	p   float64
 	rng *Rand
 }
-
-func (m *corrupt) Name() string { return "corrupt" }
 
 func (m *corrupt) Judge(_ time.Duration, payload []byte, v *Verdict) {
 	if len(payload) == 0 || m.p <= 0 || m.rng.Float64() >= m.p {
@@ -200,9 +182,6 @@ type Partition struct {
 	active bool
 }
 
-// Name returns the partition's schedule name.
-func (m *Partition) Name() string { return "partition:" + m.name }
-
 // Judge drops the frame while the partition is active.
 func (m *Partition) Judge(_ time.Duration, _ []byte, v *Verdict) {
 	if m.active {
@@ -212,6 +191,3 @@ func (m *Partition) Judge(_ time.Duration, _ []byte, v *Verdict) {
 
 // SetActive engages or heals the partition.
 func (m *Partition) SetActive(on bool) { m.active = on }
-
-// Active reports whether the partition is engaged.
-func (m *Partition) Active() bool { return m.active }

@@ -32,9 +32,6 @@ type Set struct {
 	partitions map[string]*Partition
 	nextChain  int
 
-	// onEvent forwards injected-fault events (trace integration).
-	onEvent func(Event)
-
 	// reg, when set, labels and resolves per-link injector counters;
 	// injectors created later attach themselves on creation.
 	reg *obs.Registry
@@ -62,15 +59,6 @@ func (s *Set) AttachObs(reg *obs.Registry) {
 	}
 }
 
-// SetOnEvent installs an observer for every injected fault across all
-// links (nil to clear). The trace facility uses this.
-func (s *Set) SetOnEvent(f func(Event)) {
-	s.onEvent = f
-	for _, inj := range s.injectors {
-		inj.onEvent = f
-	}
-}
-
 // injector returns (creating on demand) the injector for link.
 func (s *Set) injector(link LinkID) (*Injector, error) {
 	if inj, ok := s.injectors[link]; ok {
@@ -81,7 +69,6 @@ func (s *Set) injector(link LinkID) (*Injector, error) {
 		return nil, fmt.Errorf("fault: no such link %q in this topology", link)
 	}
 	inj := newInjector(s.sched, link, seg)
-	inj.onEvent = s.onEvent
 	if s.reg != nil {
 		inj.attachObs(s.reg)
 	}
@@ -184,12 +171,4 @@ func (s *Set) Stats() Stats {
 		out.add(inj.stats)
 	}
 	return out
-}
-
-// LinkStats returns one link's counters (zero if nothing bound there).
-func (s *Set) LinkStats(link LinkID) Stats {
-	if inj, ok := s.injectors[link]; ok {
-		return inj.stats
-	}
-	return Stats{}
 }

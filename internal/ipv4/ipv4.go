@@ -232,10 +232,3 @@ func (t *Table) Lookup(dst Addr) (Route, bool) {
 	}
 	return bestRoute, best >= 0
 }
-
-// Routes returns a copy of the table entries.
-func (t *Table) Routes() []Route {
-	out := make([]Route, len(t.routes))
-	copy(out, t.routes)
-	return out
-}

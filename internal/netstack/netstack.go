@@ -108,9 +108,6 @@ type OutboundHook func(src, dst ipv4.Addr, segment []byte) bool
 // ErrHostDown is returned when sending from a crashed host.
 var ErrHostDown = errors.New("netstack: host is down")
 
-// ErrNoRoute is returned when no route matches a destination.
-var ErrNoRoute = errors.New("netstack: no route to host")
-
 // Iface is one attached network interface.
 type Iface struct {
 	host  *Host
@@ -125,16 +122,6 @@ func (i *Iface) NIC() *ethernet.NIC { return i.nic }
 
 // ARP exposes the interface's ARP module (cache seeding, announcements).
 func (i *Iface) ARP() *arp.Module { return i.arp }
-
-// Index returns the interface index within its host.
-func (i *Iface) Index() int { return i.index }
-
-// Addrs returns the interface's addresses.
-func (i *Iface) Addrs() []ipv4.Addr {
-	out := make([]ipv4.Addr, len(i.addrs))
-	copy(out, i.addrs)
-	return out
-}
 
 // Addr returns the interface's primary address.
 func (i *Iface) Addr() ipv4.Addr {
@@ -310,9 +297,6 @@ func (i *Iface) hasAddr(a ipv4.Addr) bool {
 
 // Iface returns the interface at index.
 func (h *Host) Iface(index int) *Iface { return h.ifaces[index] }
-
-// Ifaces returns all interfaces.
-func (h *Host) Ifaces() []*Iface { return h.ifaces }
 
 // AddAddress adds an address to an interface (IP takeover).
 func (h *Host) AddAddress(ifIndex int, addr ipv4.Addr) {

@@ -33,12 +33,13 @@ type Recorder struct {
 	slots []Record
 	snap  int
 	total uint64 // records ever written; ring position = total % len(slots)
+	sink  func(Record)
 }
 
 // DefaultSnapLen bounds the payload bytes kept per record. 128 bytes cover
 // every TCP header this simulation produces (options included) plus the
-// leading payload — enough for timeline reconstruction and readable pcaps
-// without letting bulk transfers blow up the ring's memory.
+// leading payload — enough for readable trace lines and pcaps without
+// letting bulk transfers blow up the ring's memory.
 const DefaultSnapLen = 128
 
 // NewRecorder creates a ring of capacity records, keeping up to snapLen
@@ -52,6 +53,12 @@ func NewRecorder(capacity, snapLen int) *Recorder {
 	}
 	return &Recorder{slots: make([]Record, capacity), snap: snapLen}
 }
+
+// SetSink has every record handed to f as it is captured, before the call
+// that captured it returns — the live view of what the ring retains
+// (failover-trace prints its text lines from it). The record's Payload
+// aliases slot storage and is valid for the duration of the call.
+func (r *Recorder) SetSink(f func(Record)) { r.sink = f }
 
 // Record captures one datagram. dir is the tap's "rx"/"tx" string.
 func (r *Recorder) Record(now time.Duration, host, dir string, hdr ipv4.Header, payload []byte) {
@@ -67,6 +74,9 @@ func (r *Recorder) Record(now time.Duration, host, dir string, hdr ipv4.Header, 
 	s.Len = len(payload)
 	n := min(len(payload), r.snap)
 	s.Payload = append(s.Payload[:0], payload[:n]...)
+	if r.sink != nil {
+		r.sink(*s)
+	}
 }
 
 // Total returns the number of records ever written (may exceed capacity).

@@ -56,6 +56,23 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// The sink sees every record as captured — all of them, in order, snapped —
+// even when the ring retains only the last.
+func TestRecorderSink(t *testing.T) {
+	rec := NewRecorder(1, 16)
+	var ids []uint16
+	rec.SetSink(func(r Record) {
+		if r.Len != 40 || len(r.Payload) != 16 {
+			t.Errorf("sink record %d: Len %d, %d payload bytes; want 40, 16", r.Hdr.ID, r.Len, len(r.Payload))
+		}
+		ids = append(ids, r.Hdr.ID)
+	})
+	fillRecorder(rec, 5)
+	if len(ids) != 5 || ids[0] != 0 || ids[4] != 4 || rec.Len() != 1 {
+		t.Fatalf("sink saw %v, ring holds %d", ids, rec.Len())
+	}
+}
+
 func TestRecorderSnapTruncation(t *testing.T) {
 	rec := NewRecorder(8, 16)
 	big := make([]byte, 100)

@@ -1,9 +1,11 @@
-// Package obs is the observability core: a zero-allocation metrics
-// registry, a bounded flight recorder with standard pcap/pcapng output,
-// and a failover timeline analyzer. Everything in this package is
-// deterministic — values are functions of the simulation only, never of
-// wall-clock time — so snapshots and timelines are byte-identical across
-// runs at the same seed.
+// Package obs is the observability core, three lines of one pipeline: a
+// zero-allocation metrics registry with its sampler and exporters; a
+// bounded flight recorder with standard pcap/pcapng output (and, through
+// internal/trace, text); and per-connection lifecycle spans, scored by
+// Stall into the repo's one failover phase breakdown. Everything in this
+// package is deterministic — values are functions of the simulation only,
+// never of wall-clock time — so snapshots, captures and breakdowns are
+// byte-identical across runs at the same seed.
 //
 // The metrics discipline matches the hot-path rules of internal/sim and
 // internal/netbuf: all lookup work (name resolution, slot allocation,
@@ -170,6 +172,14 @@ func (r *Registry) Histogram(name string, bounds []int64) Histogram {
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
 	return Histogram{m: r.resolve(name, KindHistogram, b)}
+}
+
+// HostSeries appends a host label to a metric name when the host is known.
+func HostSeries(name, host string) string {
+	if host == "" {
+		return name
+	}
+	return fmt.Sprintf("%s{host=%q}", name, host)
 }
 
 // DurationBuckets builds histogram bounds (in nanoseconds) from durations.

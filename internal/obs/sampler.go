@@ -62,9 +62,6 @@ func NewSampler(reg *Registry, period time.Duration, capacity int) *Sampler {
 	return s
 }
 
-// Period returns the sampling period the caller should arm.
-func (s *Sampler) Period() time.Duration { return s.period }
-
 // Sample records one row at sim time now. Zero-allocation once the rings
 // are full; before that, appends into pre-sized backing arrays.
 func (s *Sampler) Sample(now time.Duration) {

@@ -12,8 +12,11 @@ type SpanMilestone uint8
 
 // Per-connection lifecycle milestones, in causal order. Each is recorded at
 // most once per connection (set-if-unset), except LastProgress, which is
-// overwritten on every delivery until the failure mark freezes it — it then
-// holds the last pre-crash progress, the anchor the stall is measured from.
+// overwritten on every delivery until the takeover mark freezes it. Nothing
+// the secondary produces reaches the client before that mark, so a delivery
+// between failure and takeover is a frame that had already left the primary
+// when it died: the frozen value is the last delivery the primary served,
+// the anchor the stall is measured from.
 const (
 	SpanSynSent SpanMilestone = iota
 	SpanEstablished
@@ -106,8 +109,7 @@ type SpanRecorder struct {
 // evicted, so a SYN flood recycles slots instead of growing the arena.
 func NewSpanRecorder(limit int) *SpanRecorder {
 	r := &SpanRecorder{limit: limit}
-	r.evictions = (*Registry)(nil).Counter("obs_span_evictions_total")
-	r.active = (*Registry)(nil).Gauge("obs_spans_active")
+	r.AttachObs(nil)
 	return r
 }
 
@@ -213,7 +215,7 @@ func (r *SpanRecorder) Mark(key uint64, m SpanMilestone, now time.Duration) {
 }
 
 // Progress records one in-order payload delivery for key at sim time now.
-// Before the failure mark it advances LastProgress (the pre-crash anchor);
+// Before the takeover mark it advances LastProgress (the stall's anchor);
 // after it, the first delivery becomes FirstRecovery and LastProgress stays
 // frozen. FirstByte is recorded on the first delivery either way.
 func (r *SpanRecorder) Progress(key uint64, now time.Duration) {
@@ -225,7 +227,7 @@ func (r *SpanRecorder) Progress(key uint64, now time.Duration) {
 		sp.Times[SpanFirstByte] = now
 		sp.Set |= 1 << SpanFirstByte
 	}
-	if !r.haveFailure {
+	if !r.haveTakeover {
 		sp.Times[SpanLastProgress] = now
 		sp.Set |= 1 << SpanLastProgress
 		return
@@ -257,7 +259,6 @@ func (r *SpanRecorder) ZeroWindow(key uint64) {
 }
 
 // MarkFailure records the fleet-wide failure-injection time (set-if-unset).
-// From this point Progress freezes LastProgress and starts FirstRecovery.
 func (r *SpanRecorder) MarkFailure(now time.Duration) {
 	if r == nil || r.haveFailure {
 		return
@@ -274,7 +275,8 @@ func (r *SpanRecorder) MarkDetect(now time.Duration) {
 }
 
 // MarkTakeover records when the secondary finished taking over the service
-// address — the ARP announce instant (set-if-unset).
+// address — the ARP announce instant (set-if-unset). From this point
+// Progress freezes LastProgress and starts FirstRecovery.
 func (r *SpanRecorder) MarkTakeover(now time.Duration) {
 	if r == nil || r.haveTakeover {
 		return

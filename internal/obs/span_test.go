@@ -13,12 +13,14 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 	r.Mark(key, SpanSynSent, 20*time.Millisecond) // set-if-unset: ignored
 	r.Mark(key, SpanEstablished, 30*time.Millisecond)
 
-	// Pre-failure progress advances LastProgress every time and records
-	// FirstByte once.
+	// Pre-takeover progress advances LastProgress every time and records
+	// FirstByte once — including a delivery after the failure mark, which
+	// can only be a frame that had already left the primary.
 	r.Progress(key, 40*time.Millisecond)
+	r.MarkFailure(45 * time.Millisecond)
 	r.Progress(key, 50*time.Millisecond)
-	r.MarkFailure(55 * time.Millisecond)
-	// Post-failure progress freezes LastProgress and sets FirstRecovery once.
+	r.MarkTakeover(100 * time.Millisecond)
+	// Post-takeover progress freezes LastProgress and sets FirstRecovery once.
 	r.Progress(key, 200*time.Millisecond)
 	r.Progress(key, 210*time.Millisecond)
 

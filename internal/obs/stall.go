@@ -3,28 +3,30 @@ package obs
 import "time"
 
 // StallBreakdown is one connection's client-visible failover stall,
-// attributed to the phases of E9's single-connection timeline — but
-// computed from a recorded span, so it scales to the whole fleet.
+// attributed per phase against the fleet marks. It is the repo's one
+// failover phase model: E9 reads it for a single connection, E14 and the
+// benchmark's traced run for every connection of a fleet.
 //
-// The stall runs from Anchor (the last pre-crash progress, or connection
-// establishment for flows that never got a byte through, or SYN for flows
-// caught mid-handshake) to the first post-recovery payload delivery. The
+// The stall runs from Anchor (the last delivery before the takeover, which
+// only the primary can have served; or connection establishment for flows
+// that never got a byte through, or SYN for flows caught mid-handshake) to
+// the first payload delivery after the takeover. The
 // phase fields tile that interval exactly: PreCrash + Detection + Announce
 // + Resume + Recovery == Total.
 type StallBreakdown struct {
-	Anchor time.Duration // where the stall is measured from
-	Total  time.Duration // anchor -> first post-recovery delivery
+	Anchor time.Duration `json:"anchor_ns"` // where the stall is measured from
+	Total  time.Duration `json:"total_ns"`  // anchor -> first post-recovery delivery
 
-	PreCrash  time.Duration // anchor -> failure injection
-	Detection time.Duration // failure injection -> detector fired
-	Announce  time.Duration // detector fired -> takeover done (ARP announce)
-	Resume    time.Duration // takeover -> first segment reaching the client
-	Recovery  time.Duration // first post-takeover segment -> first delivery
+	PreCrash  time.Duration `json:"precrash_ns"`  // anchor -> failure injection
+	Detection time.Duration `json:"detection_ns"` // failure injection -> detector fired
+	Announce  time.Duration `json:"announce_ns"`  // detector fired -> takeover done (ARP announce)
+	Resume    time.Duration `json:"resume_ns"`    // takeover -> first segment reaching the client
+	Recovery  time.Duration `json:"recovery_ns"`  // first post-takeover segment -> first delivery
 }
 
 // Stall computes sp's client-visible stall against the recorder's fleet
 // marks. It returns false when the span records no completed stall: the
-// connection never recovered (no post-failure delivery), was established
+// connection never recovered (no post-takeover delivery), was established
 // only after takeover, or the fleet marks are incomplete.
 func (r *SpanRecorder) Stall(sp *Span) (StallBreakdown, bool) {
 	if r == nil || !r.haveFailure || !r.haveDetect || !r.haveTakeover {

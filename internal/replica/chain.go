@@ -109,22 +109,6 @@ func (c *Chain) Start() {
 	}
 }
 
-// Stop halts the fault detectors.
-func (c *Chain) Stop() {
-	for _, d := range c.detectors {
-		d.Stop()
-	}
-}
-
-// ServiceAddr returns the address clients connect to.
-func (c *Chain) ServiceAddr() ipv4.Addr { return c.addrs[0] }
-
-// Selector exposes the failover-connection selector.
-func (c *Chain) Selector() *core.Selector { return c.sel }
-
-// Hosts returns the chain members in order (head, middle, tail).
-func (c *Chain) Hosts() []*netstack.Host { return c.hosts[:] }
-
 // HeadBridge exposes the head's matching bridge.
 func (c *Chain) HeadBridge() *core.PrimaryBridge { return c.head }
 

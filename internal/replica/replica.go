@@ -72,15 +72,9 @@ type Group struct {
 	OnFailover  func(failed Role)
 	takeoverErr error
 
-	// OnPrimaryFailureDetected, if set, runs the moment the secondary's
-	// fault detector declares the primary failed — before the takeover
-	// procedure starts. The failover timeline analyzer timestamps its
-	// detection phase here.
-	OnPrimaryFailureDetected func()
-
-	// spans, when attached, receives the detector-fired fleet mark the
-	// instant the secondary declares the primary dead — independent of any
-	// OnPrimaryFailureDetected callback a harness may also install.
+	// spans, when attached, receives the failure fleet mark when the
+	// primary is crashed and the detector-fired mark the instant the
+	// secondary declares it dead, before the takeover procedure starts.
 	spans *obs.SpanRecorder
 
 	started bool
@@ -120,9 +114,6 @@ func NewGroup(primary, secondary *netstack.Host, cfg Config) (*Group, error) {
 	})
 	g.detectOnSecondary = detect.New(secondary, aS, aP, cfg.Detect, func() {
 		g.spans.MarkDetect(g.secondary.Scheduler().Now())
-		if g.OnPrimaryFailureDetected != nil {
-			g.OnPrimaryFailureDetected()
-		}
 		g.takeoverErr = g.sb.Takeover()
 		if g.OnFailover != nil {
 			g.OnFailover(RolePrimary)
@@ -166,9 +157,9 @@ func (g *Group) ServiceAddr() ipv4.Addr { return g.aP }
 // connections, the paper's socket-option method).
 func (g *Group) Selector() *core.Selector { return g.sel }
 
-// AttachSpans installs the fleet span recorder on the group: the detector
-// mark lands here, and the secondary bridge is wired for the per-flow
-// first-diverted milestone and the takeover mark.
+// AttachSpans installs the fleet span recorder on the group: the failure
+// and detector marks land here, and the secondary bridge is wired for the
+// per-flow first-diverted milestone and the takeover mark.
 func (g *Group) AttachSpans(r *obs.SpanRecorder) {
 	g.spans = r
 	g.sb.AttachSpans(r)
@@ -192,9 +183,13 @@ func (g *Group) OnEach(f func(h *netstack.Host) error) error {
 	return nil
 }
 
-// CrashPrimary fail-stops the primary host; the secondary's fault detector
-// will notice and run the takeover procedure.
-func (g *Group) CrashPrimary() { g.primary.Crash() }
+// CrashPrimary fail-stops the primary host and stamps the failure mark;
+// the secondary's fault detector will notice and run the takeover
+// procedure.
+func (g *Group) CrashPrimary() {
+	g.spans.MarkFailure(g.primary.Scheduler().Now())
+	g.primary.Crash()
+}
 
 // CrashSecondary fail-stops the secondary host; the primary's fault
 // detector will notice and degrade to single-server operation.

@@ -234,12 +234,6 @@ func (g *ShardGroup) owns(s *Scheduler) bool {
 	return false
 }
 
-// Cross reports whether the mailbox crosses a domain boundary.
-func (mb *Mailbox) Cross() bool { return mb.src != mb.dst }
-
-// MinLatency returns the mailbox's declared earliest-delivery bound.
-func (mb *Mailbox) MinLatency() time.Duration { return mb.minLat }
-
 // Post schedules fn(arg) at virtual time when in the destination domain.
 // Same-domain posts inject immediately; cross-domain posts are buffered in
 // the source domain and drained at the next window barrier. Either way the
@@ -397,14 +391,6 @@ func (g *ShardGroup) RunUntil(t time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// SetPollInterval adjusts RunWhile's condition-check spacing (default
-// DefaultPollInterval). Must be positive.
-func (g *ShardGroup) SetPollInterval(d time.Duration) {
-	if d > 0 {
-		g.poll = d
-	}
 }
 
 // RunWhile advances the group while cond returns true, stopping at the

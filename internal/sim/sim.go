@@ -57,8 +57,7 @@ type streamState struct {
 	digest   uint64
 }
 
-// Stream is a handle to a scheduler stream, returned by NewStream (and
-// DefaultStream for stream 0).
+// Stream is a handle to a scheduler stream, returned by NewStream.
 type Stream struct {
 	s  *Scheduler
 	st *streamState
@@ -240,10 +239,6 @@ func (s *Scheduler) NewStream(id StreamID, seed int64) *Stream {
 	s.streams = append(s.streams, st)
 	return &Stream{s: s, st: st}
 }
-
-// DefaultStream returns the handle for stream 0, which every plain
-// New/NewBackend scheduler starts with (and starts on).
-func (s *Scheduler) DefaultStream() *Stream { return &Stream{s: s, st: s.streams[0]} }
 
 // EnableDigest turns on per-stream execution digesting: each executed event
 // folds its (when, stream, seq, name) key into the owning stream's running

@@ -18,9 +18,6 @@ type Conn struct {
 	state    State
 	listener *Listener // non-nil for passively opened connections
 
-	// UserData is free space for the owning application.
-	UserData any
-
 	// Send sequence variables (RFC 793 3.2).
 	iss          Seq
 	sndUna       Seq
@@ -244,7 +241,6 @@ func (c *Conn) emit(seg *Segment) {
 	pkt := netbuf.Get()
 	copy(MarshalReserve(pkt, seg, len(seg.Payload)), seg.Payload)
 	SealChecksum(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt.Bytes())
-	c.stack.stats.SegmentsOut++
 	c.stack.m.segmentsOut.Inc()
 	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
 }
@@ -258,7 +254,6 @@ func (c *Conn) emitData(seg *Segment, off, n int) {
 	pkt := netbuf.Get()
 	c.sndBuf.Peek(off, MarshalReserve(pkt, seg, n))
 	SealChecksum(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt.Bytes())
-	c.stack.stats.SegmentsOut++
 	c.stack.m.segmentsOut.Inc()
 	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
 }
@@ -486,7 +481,6 @@ func (c *Conn) onRexmtTimeout() {
 		c.destroy(ErrTimeout)
 		return
 	}
-	c.stack.stats.Retransmissions++
 	c.stack.m.retransmissions.Inc()
 	c.stack.spans.Retransmit(c.tuple.SpanKey())
 	c.rto.backoff()

@@ -287,7 +287,6 @@ func (c *Conn) handleNewAck(ack Seq) {
 }
 
 func (c *Conn) handleDupAck() {
-	c.stack.stats.DupAcksIn++
 	c.stack.m.dupAcks.Inc()
 	if c.stack.cfg.DisableCongestion {
 		return
@@ -296,7 +295,6 @@ func (c *Conn) handleDupAck() {
 	switch {
 	case c.dupAcks == 3:
 		// Fast retransmit (Reno).
-		c.stack.stats.FastRetransmits++
 		c.stack.m.fastRetransmits.Inc()
 		flight := c.sndNxt.Diff(c.sndUna)
 		c.ssthresh = max(flight/2, 2*c.mss)
@@ -321,7 +319,6 @@ func (c *Conn) retransmitOne() {
 	}
 	if n > 0 {
 		c.timing = false // Karn
-		c.stack.stats.Retransmissions++
 		c.stack.m.retransmissions.Inc()
 		c.stack.spans.Retransmit(c.tuple.SpanKey())
 		c.emitData(seg, off, n)
@@ -330,7 +327,6 @@ func (c *Conn) retransmitOne() {
 	if c.finSent && c.finSeq == c.sndUna {
 		seg.Flags |= FlagFIN
 		c.timing = false // Karn
-		c.stack.stats.Retransmissions++
 		c.stack.m.retransmissions.Inc()
 		c.stack.spans.Retransmit(c.tuple.SpanKey())
 		c.emit(seg)

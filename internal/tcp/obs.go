@@ -1,10 +1,6 @@
 package tcp
 
-import (
-	"fmt"
-
-	"tcpfailover/internal/obs"
-)
+import "tcpfailover/internal/obs"
 
 // stackMetrics are the stack's pre-resolved observability handles. The
 // struct is always populated — with discard handles when no registry is
@@ -21,24 +17,16 @@ type stackMetrics struct {
 	ringGrows        obs.Counter
 }
 
-// series appends a host label to a metric name when the host is known.
-func series(name, host string) string {
-	if host == "" {
-		return name
-	}
-	return fmt.Sprintf("%s{host=%q}", name, host)
-}
-
 func newStackMetrics(reg *obs.Registry, host string) stackMetrics {
 	return stackMetrics{
-		segmentsIn:       reg.Counter(series("tcp_segments_in_total", host)),
-		segmentsOut:      reg.Counter(series("tcp_segments_out_total", host)),
-		badChecksums:     reg.Counter(series("tcp_bad_checksums_total", host)),
-		retransmissions:  reg.Counter(series("tcp_retransmissions_total", host)),
-		dupAcks:          reg.Counter(series("tcp_dup_acks_total", host)),
-		fastRetransmits:  reg.Counter(series("tcp_fast_retransmits_total", host)),
-		zeroWindowStalls: reg.Counter(series("tcp_zero_window_stalls_total", host)),
-		ringGrows:        reg.Counter(series("tcp_ring_grows_total", host)),
+		segmentsIn:       reg.Counter(obs.HostSeries("tcp_segments_in_total", host)),
+		segmentsOut:      reg.Counter(obs.HostSeries("tcp_segments_out_total", host)),
+		badChecksums:     reg.Counter(obs.HostSeries("tcp_bad_checksums_total", host)),
+		retransmissions:  reg.Counter(obs.HostSeries("tcp_retransmissions_total", host)),
+		dupAcks:          reg.Counter(obs.HostSeries("tcp_dup_acks_total", host)),
+		fastRetransmits:  reg.Counter(obs.HostSeries("tcp_fast_retransmits_total", host)),
+		zeroWindowStalls: reg.Counter(obs.HostSeries("tcp_zero_window_stalls_total", host)),
+		ringGrows:        reg.Counter(obs.HostSeries("tcp_ring_grows_total", host)),
 	}
 }
 
@@ -58,7 +46,3 @@ func (s *Stack) AttachObs(reg *obs.Registry, host string) {
 func (s *Stack) AttachSpans(r *obs.SpanRecorder) {
 	s.spans = r
 }
-
-// Spans returns the recorder installed by AttachSpans (nil when tracing is
-// off).
-func (s *Stack) Spans() *obs.SpanRecorder { return s.spans }

@@ -55,14 +55,13 @@ func (s State) String() string {
 
 // Errors surfaced through the socket API.
 var (
-	ErrConnReset      = errors.New("tcp: connection reset by peer")
-	ErrConnRefused    = errors.New("tcp: connection refused")
-	ErrTimeout        = errors.New("tcp: retransmission limit exceeded")
-	ErrClosed         = errors.New("tcp: connection closed")
-	ErrPortInUse      = errors.New("tcp: port already in use")
-	ErrAborted        = errors.New("tcp: connection aborted")
-	ErrNoRoute        = errors.New("tcp: no local address")
-	ErrBufferTooSmall = errors.New("tcp: window too small for MSS")
+	ErrConnReset   = errors.New("tcp: connection reset by peer")
+	ErrConnRefused = errors.New("tcp: connection refused")
+	ErrTimeout     = errors.New("tcp: retransmission limit exceeded")
+	ErrClosed      = errors.New("tcp: connection closed")
+	ErrPortInUse   = errors.New("tcp: port already in use")
+	ErrAborted     = errors.New("tcp: connection aborted")
+	ErrNoRoute     = errors.New("tcp: no local address")
 )
 
 // Config tunes a Stack. The zero value selects defaults matching the
@@ -211,8 +210,10 @@ type Stack struct {
 	// Conn.Scratch); nil until one asks for it.
 	scratch []byte
 
-	stats Stats
-	m     stackMetrics
+	// m counts the stack's events, one series each; Stats is a view of it.
+	// rstsSent alone has no series.
+	m        stackMetrics
+	rstsSent int64
 
 	// spans, when non-nil, records per-connection lifecycle milestones
 	// (SYN sent, established, payload progress, retransmits, zero-window
@@ -222,7 +223,9 @@ type Stack struct {
 	spans *obs.SpanRecorder
 }
 
-// Stats aggregates stack-wide counters.
+// Stats aggregates stack-wide counters. Every field but RSTsSent is a view
+// of the stack's metric series of the same meaning, read when Stats is
+// called.
 type Stats struct {
 	SegmentsIn      int64
 	SegmentsOut     int64
@@ -252,7 +255,17 @@ func NewStack(sched *sim.Scheduler, cfg Config, output Output,
 func (s *Stack) Config() Config { return s.cfg }
 
 // Stats returns a copy of the stack counters.
-func (s *Stack) Stats() Stats { return s.stats }
+func (s *Stack) Stats() Stats {
+	return Stats{
+		SegmentsIn:      s.m.segmentsIn.Value(),
+		SegmentsOut:     s.m.segmentsOut.Value(),
+		BadChecksums:    s.m.badChecksums.Value(),
+		RSTsSent:        s.rstsSent,
+		Retransmissions: s.m.retransmissions.Value(),
+		DupAcksIn:       s.m.dupAcks.Value(),
+		FastRetransmits: s.m.fastRetransmits.Value(),
+	}
+}
 
 // SetOutput replaces the transmit function (used when installing a bridge
 // after stack construction).
@@ -284,9 +297,6 @@ func (l *Listener) Close() {
 		delete(l.stack.listeners, l.port)
 	}
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Dial opens a connection to raddr:rport. The connection is returned
 // immediately in SYN-SENT; OnEstablished / OnClose callbacks report the
@@ -458,14 +468,12 @@ func (s *Stack) Rebind(t Tuple, newLocal ipv4.Addr) error {
 // this stack. src and dst are the datagram addresses used for checksum
 // verification and demultiplexing.
 func (s *Stack) Input(src, dst ipv4.Addr, b []byte) {
-	s.stats.SegmentsIn++
 	s.m.segmentsIn.Inc()
 	// Parse into the stack's scratch segment: input handlers read fields and
 	// copy payload bytes but never retain the *Segment, so one struct serves
 	// every arriving segment without allocating.
 	seg := &s.inSeg
 	if err := UnmarshalInto(src, dst, b, true, seg); err != nil {
-		s.stats.BadChecksums++
 		s.m.badChecksums.Inc()
 		return
 	}
@@ -500,7 +508,7 @@ func (s *Stack) accept(l *Listener, t Tuple, syn *Segment) {
 
 // sendRST answers an unmatched segment per RFC 793.
 func (s *Stack) sendRST(t Tuple, seg *Segment) {
-	s.stats.RSTsSent++
+	s.rstsSent++
 	rst := &Segment{
 		SrcPort: t.LocalPort,
 		DstPort: t.RemotePort,
@@ -515,7 +523,6 @@ func (s *Stack) sendRST(t Tuple, seg *Segment) {
 	pkt := netbuf.Get()
 	MarshalReserve(pkt, rst, 0)
 	SealChecksum(t.LocalAddr, t.RemoteAddr, pkt.Bytes())
-	s.stats.SegmentsOut++
 	s.m.segmentsOut.Inc()
 	_ = s.output(t.LocalAddr, t.RemoteAddr, pkt)
 }

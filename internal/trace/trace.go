@@ -1,80 +1,56 @@
-// Package trace captures annotated packet traces from simulated hosts in a
-// tcpdump-like text format. It is used by the failover-trace tool, by
-// examples that want to show the protocol in action, and for debugging.
+// Package trace renders flight-recorder records (obs.Record) as
+// tcpdump-like text lines. It captures nothing itself: failover-trace
+// attaches one obs.Recorder to the traced hosts and formats what it holds.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"tcpfailover/internal/fault"
 	"tcpfailover/internal/ipv4"
-	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/tcp"
 )
 
-// Tracer collects packet events from any number of hosts.
-type Tracer struct {
-	w     io.Writer
-	count int
+// Stamp renders a virtual time the way every trace line starts.
+func Stamp(d time.Duration) string { return fmt.Sprintf("%12.6f", d.Seconds()) }
+
+// Line renders one record as a full trace line: time, capturing host,
+// direction from that host's viewpoint, and the datagram.
+func Line(r obs.Record) string {
+	dir := "rx"
+	if r.Dir == obs.DirTx {
+		dir = "tx"
+	}
+	return fmt.Sprintf("%s %-9s %-2s %s\n", Stamp(r.Time), r.Host, dir, Format(r))
 }
 
-// New creates a tracer writing to w.
-func New(w io.Writer) *Tracer { return &Tracer{w: w} }
-
-// Attach installs the tracer on a host's packet tap. dir is "rx" or "tx"
-// from the host's viewpoint. The tap list fans out, so a tracer coexists
-// with other observers (the obs flight recorder, tests) on the same host.
-func (t *Tracer) Attach(h *netstack.Host) {
-	name := h.Name()
-	sched := h.Scheduler()
-	h.AddPacketTap(func(dir string, hdr ipv4.Header, payload []byte) {
-		t.count++
-		fmt.Fprintf(t.w, "%12s %-9s %-2s %s\n", fmtTime(sched.Now()), name, dir,
-			Format(hdr, payload))
-	})
-}
-
-// AttachFaults subscribes the tracer to a fault set, so injected
-// impairments (drops, delays, duplicates, bit flips) appear inline with
-// the packet timeline, marked "!!". There is one fault set per scenario,
-// so this claims the set's single event observer.
-func (t *Tracer) AttachFaults(s *fault.Set) {
-	s.SetOnEvent(func(e fault.Event) {
-		t.count++
-		fmt.Fprintf(t.w, "%12s %-9s !! fault: %s by %s (%d bytes)\n",
-			fmtTime(e.Now), e.Link, e.Kind, e.Model, e.Size)
-	})
-}
-
-// Count returns the number of events traced.
-func (t *Tracer) Count() int { return t.count }
-
-func fmtTime(d time.Duration) string {
-	return fmt.Sprintf("%.6f", d.Seconds())
-}
-
-// Format renders one datagram tcpdump-style.
-func Format(hdr ipv4.Header, payload []byte) string {
+// Format renders the record's datagram tcpdump-style. Lengths come from
+// r.Len — the recorder keeps only a snapshot of the payload — and TCP
+// options from the header bytes alone, so a record cut at the snap length
+// renders exactly as the full segment would.
+func Format(r obs.Record) string {
+	hdr, b := r.Hdr, r.Payload
 	switch hdr.Protocol {
 	case ipv4.ProtoTCP:
-		if len(payload) < tcp.HeaderLen {
+		if len(b) < tcp.HeaderLen {
 			return fmt.Sprintf("%s > %s: TCP <truncated>", hdr.Src, hdr.Dst)
 		}
-		flags := tcp.RawFlags(payload)
-		dataLen := len(payload) - tcp.RawHeaderLen(payload)
+		flags := tcp.RawFlags(b)
+		dataLen := r.Len - tcp.RawHeaderLen(b)
 		s := fmt.Sprintf("%s.%d > %s.%d: Flags [%s], seq %d",
-			hdr.Src, tcp.RawSrcPort(payload), hdr.Dst, tcp.RawDstPort(payload),
-			flags, uint32(tcp.RawSeq(payload)))
+			hdr.Src, tcp.RawSrcPort(b), hdr.Dst, tcp.RawDstPort(b),
+			flags, uint32(tcp.RawSeq(b)))
 		if dataLen > 0 {
-			s += fmt.Sprintf(":%d", uint32(tcp.RawSeq(payload))+uint32(dataLen))
+			s += fmt.Sprintf(":%d", uint32(tcp.RawSeq(b))+uint32(dataLen))
 		}
 		if flags.Has(tcp.FlagACK) {
-			s += fmt.Sprintf(", ack %d", uint32(tcp.RawAck(payload)))
+			s += fmt.Sprintf(", ack %d", uint32(tcp.RawAck(b)))
 		}
-		s += fmt.Sprintf(", win %d", tcp.RawWindow(payload))
-		if seg, err := tcp.Unmarshal(hdr.Src, hdr.Dst, payload, false); err == nil {
+		s += fmt.Sprintf(", win %d", tcp.RawWindow(b))
+		// Unverified, so the cut payload does not matter: only the header
+		// bytes, which the snapshot always covers, are parsed for options.
+		if seg, err := tcp.Unmarshal(hdr.Src, hdr.Dst, b, false); err == nil {
 			if mss, ok := seg.MSS(); ok {
 				s += fmt.Sprintf(", mss %d", mss)
 			}
@@ -89,6 +65,6 @@ func Format(hdr ipv4.Header, payload []byte) string {
 	case ipv4.ProtoHeartbeat:
 		return fmt.Sprintf("%s > %s: heartbeat", hdr.Src, hdr.Dst)
 	default:
-		return fmt.Sprintf("%s > %s: proto %d, length %d", hdr.Src, hdr.Dst, hdr.Protocol, len(payload))
+		return fmt.Sprintf("%s > %s: proto %d, length %d", hdr.Src, hdr.Dst, hdr.Protocol, r.Len)
 	}
 }

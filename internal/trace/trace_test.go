@@ -2,16 +2,21 @@ package trace
 
 import (
 	"testing"
+	"time"
 
 	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/tcp"
 )
 
 // TestFormatGolden pins the exact rendering of every Format branch: the
 // tcpdump-style TCP line (flags, seq ranges, ack, window, options, data
 // length), the truncated-TCP fallback, heartbeats, and unknown protocols.
-// The trace output doubles as documentation of the wire protocol, so
-// changes here should be deliberate.
+// Every case goes through a flight recorder at the default snap length, as
+// failover-trace's input does, so the long segment reaches Format cut to
+// 128 bytes and must still render its full length and its options. The
+// trace output doubles as documentation of the wire protocol, so changes
+// here should be deliberate.
 func TestFormatGolden(t *testing.T) {
 	client := ipv4.MustParseAddr("10.0.2.1")
 	server := ipv4.MustParseAddr("10.0.1.1")
@@ -54,6 +59,17 @@ func TestFormatGolden(t *testing.T) {
 				Payload: []byte("hello"),
 			}),
 			want: "10.0.2.1.49152 > 10.0.1.1.80: Flags [P.], seq 1001:1006, ack 301, win 4096, length 5",
+		},
+		{
+			name: "segment longer than the snap length, with options",
+			hdr:  tcpHdr(server, client),
+			payload: tcp.Marshal(server, client, &tcp.Segment{
+				SrcPort: 80, DstPort: 49152, Seq: 301, Ack: 1006,
+				Flags: tcp.FlagACK, Window: 8192,
+				Options: []tcp.Option{tcp.MSSOption(1000), tcp.OrigDstOption(server)},
+				Payload: make([]byte, 1000),
+			}),
+			want: "10.0.1.1.80 > 10.0.2.1.49152: Flags [.], seq 301:1301, ack 1006, win 8192, mss 1000, origdst 10.0.1.1, length 1000",
 		},
 		{
 			name: "pure ack",
@@ -103,8 +119,17 @@ func TestFormatGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := Format(c.hdr, c.payload); got != c.want {
+			rec := obs.NewRecorder(1, obs.DefaultSnapLen)
+			rec.Record(1500*time.Microsecond, "client", "rx", c.hdr, c.payload)
+			r := rec.Records()[0]
+			if len(r.Payload) > obs.DefaultSnapLen {
+				t.Fatalf("recorder kept %d payload bytes", len(r.Payload))
+			}
+			if got := Format(r); got != c.want {
 				t.Errorf("Format mismatch\ngot:  %s\nwant: %s", got, c.want)
+			}
+			if got, want := Line(r), "    0.001500 client    rx "+c.want+"\n"; got != want {
+				t.Errorf("Line mismatch\ngot:  %q\nwant: %q", got, want)
 			}
 		})
 	}

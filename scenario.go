@@ -36,12 +36,7 @@ var (
 	ClientAddr    = ipv4.MustParseAddr("10.0.2.1")
 	PrimaryAddr   = ipv4.MustParseAddr("10.0.1.1")
 	SecondaryAddr = ipv4.MustParseAddr("10.0.1.2")
-	TertiaryAddr  = ipv4.MustParseAddr("10.0.1.3")
-	routerLANAddr = ipv4.MustParseAddr("10.0.1.254")
-	routerWANAddr = ipv4.MustParseAddr("10.0.2.254")
 
-	serverPrefix = ipv4.PrefixFrom(ipv4.MustParseAddr("10.0.1.0"), 24)
-	clientPrefix = ipv4.PrefixFrom(ipv4.MustParseAddr("10.0.2.0"), 24)
 	defaultRoute = ipv4.PrefixFrom(0, 0)
 )
 
@@ -393,6 +388,10 @@ func (sc *Scenario) validateStep(step fault.Step) error {
 func (sc *Scenario) applyStep(step fault.Step) {
 	switch step.Op {
 	case fault.OpCrashPrimary:
+		if sc.Group != nil {
+			sc.Group.CrashPrimary()
+			break
+		}
 		sc.Spans.MarkFailure(sc.Sched.Now())
 		sc.Primary.Crash()
 	case fault.OpCrashSecondary:

@@ -2,10 +2,12 @@ package tcpfailover_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"tcpfailover"
+	"tcpfailover/internal/netstack"
 )
 
 // Facade-level API behavior.
@@ -98,5 +100,90 @@ func TestWANOptionsShape(t *testing.T) {
 	}
 	if o.ServerLAN.BandwidthBps != 0 && o.ServerLAN.BandwidthBps < 100_000_000 {
 		t.Error("server LAN should stay fast")
+	}
+}
+
+// A crash from outside the fault schedule must stamp the failure mark too,
+// or the span model has nothing to measure the stall against and says so
+// only by returning false.
+func TestCrashPrimaryMarksFailure(t *testing.T) {
+	opts := tcpfailover.LANOptions()
+	opts.Spans = true
+	sc := newEchoScenario(t, opts)
+	ec := startEchoClient(t, sc, 256*1024)
+	if err := sc.RunUntil(func() bool { return ec.received >= 64*1024 }, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	crashedAt := sc.Now()
+	sc.Group.CrashPrimary()
+	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := sc.Spans.FailureMark(); !ok || at != crashedAt {
+		t.Fatalf("failure mark = (%v, %v), want the crash instant %v", at, ok, crashedAt)
+	}
+	spans := sc.Spans.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want 1", len(spans))
+	}
+	if st, ok := sc.Spans.Stall(&spans[0]); !ok || st.Total < 50*time.Millisecond {
+		t.Fatalf("Stall = (%+v, %v), want a completed stall past the detection timeout", st, ok)
+	}
+}
+
+// A Stats field that has a series is a view of it, so the series must
+// belong to that one component: bump every counter in the registry in turn
+// and watch every Stats() view in the scenario. A series moves at most one
+// field, a field is moved by at most one series, and the number of views is
+// pinned so that adding one means reading this test.
+func TestStatsViewsOwnTheirSeries(t *testing.T) {
+	sc, err := tcpfailover.NewScenario(tcpfailover.LANOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := func() map[string]int64 {
+		out := map[string]int64{}
+		flatten := func(owner string, stats any) {
+			v := reflect.ValueOf(stats)
+			for i := range v.NumField() {
+				out[owner+"."+v.Type().Field(i).Name] = v.Field(i).Int()
+			}
+		}
+		for _, h := range []*netstack.Host{sc.Client, sc.Primary, sc.Secondary, sc.Router} {
+			flatten(h.Name(), h.TCP().Stats())
+		}
+		flatten("serverlan", sc.ServerLAN.Stats())
+		flatten("clientlink", sc.ClientLink.Stats())
+		flatten("pbridge", sc.Group.PrimaryBridge().Stats())
+		flatten("sbridge", sc.Group.SecondaryBridge().Stats())
+		return out
+	}
+	views() // hosts build their TCP stacks, and attach them, on first use
+	movedBy := map[string]string{}
+	for _, s := range sc.Obs.Snapshot() {
+		if s.Kind != "counter" {
+			continue
+		}
+		before := views()
+		sc.Obs.Counter(s.Name).Add(1 << 40)
+		var moved []string
+		for field, v := range views() {
+			if v != before[field] {
+				moved = append(moved, field)
+			}
+		}
+		if len(moved) > 1 {
+			t.Errorf("series %s feeds %d views: %v", s.Name, len(moved), moved)
+		}
+		for _, field := range moved {
+			if other, dup := movedBy[field]; dup {
+				t.Errorf("view %s reads both %s and %s", field, other, s.Name)
+			}
+			movedBy[field] = s.Name
+		}
+	}
+	// 4 stacks x 6 fields, 2 links x 3, the primary bridge's 5, the secondary's 4.
+	if len(movedBy) != 39 {
+		t.Errorf("%d Stats fields are views of a series, want 39: %v", len(movedBy), movedBy)
 	}
 }
