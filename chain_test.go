@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/apps"
-	"tcpfailover/internal/netstack"
 )
 
 // Three-way daisy-chained replication (the paper's section 1 extension):
@@ -18,18 +16,7 @@ import (
 func newChainEchoScenario(t *testing.T, opts tcpfailover.Options) *tcpfailover.Scenario {
 	t.Helper()
 	opts.Backups = 2
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
-	if err := sc.Chain.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewEchoServer(h.TCP(), 80)
-		return err
-	}); err != nil {
-		t.Fatalf("install echo: %v", err)
-	}
-	sc.Start()
-	return sc
+	return newEchoScenario(t, opts)
 }
 
 func TestChainFaultFree(t *testing.T) {
@@ -43,18 +30,18 @@ func TestChainFaultFree(t *testing.T) {
 	// All three stages did their part: the tail diverted to the middle,
 	// the middle merged and diverted to the head, the head merged for the
 	// client.
-	if n := sc.Chain.TailBridge().Stats().DivertedOut; n == 0 {
+	if n := sc.Group.Backup(2).Stats().DivertedOut; n == 0 {
 		t.Error("tail diverted nothing")
 	}
-	if n := sc.Chain.MiddleBridge().Stats().DivertedOut; n == 0 {
+	if n := sc.Group.Backup(1).Stats().DivertedOut; n == 0 {
 		t.Error("middle diverted nothing")
 	}
 	// Matched-byte counters undercount slightly (retransmitted overlaps are
 	// forwarded via the fast path), so require the bulk, not the total.
-	if n := sc.Chain.MiddleBridge().Primary().Stats().BytesMatched; n < 64*1024 {
+	if n := sc.Group.Backup(1).Matcher().Stats().BytesMatched; n < 64*1024 {
 		t.Errorf("middle matched only %d bytes", n)
 	}
-	if n := sc.Chain.HeadBridge().Stats().BytesMatched; n < 64*1024 {
+	if n := sc.Group.PrimaryBridge().Stats().BytesMatched; n < 64*1024 {
 		t.Errorf("head matched only %d bytes", n)
 	}
 }
@@ -68,7 +55,7 @@ func TestChainSingleFailures(t *testing.T) {
 			if err := sc.RunUntil(func() bool { return ec.received > 48*1024 }, time.Minute); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
-			sc.Chain.Crash(pos)
+			sc.Group.Crash(pos)
 			if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
 				t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
 			}
@@ -91,12 +78,12 @@ func TestChainCascadingFailures(t *testing.T) {
 				if err := sc.RunUntil(func() bool { return ec.received > 32*1024 }, time.Minute); err != nil {
 					t.Fatalf("warm-up: %v", err)
 				}
-				sc.Chain.Crash(first)
+				sc.Group.Crash(first)
 				if err := sc.RunUntil(func() bool { return ec.received > 128*1024 },
 					30*time.Minute); err != nil {
 					t.Fatalf("after first crash: %v (received=%d)", err, ec.received)
 				}
-				sc.Chain.Crash(second)
+				sc.Group.Crash(second)
 				if err := sc.RunUntil(func() bool { return ec.closed }, 60*time.Minute); err != nil {
 					t.Fatalf("after second crash: %v (sent=%d received=%d)",
 						err, ec.sent, ec.received)
@@ -110,22 +97,87 @@ func TestChainCascadingFailures(t *testing.T) {
 func TestChainFailoverCallbacks(t *testing.T) {
 	sc := newChainEchoScenario(t, tcpfailover.LANOptions())
 	var failed []int
-	sc.Chain.OnFailover = func(pos int) { failed = append(failed, pos) }
+	sc.Group.OnFailover = func(pos int) { failed = append(failed, pos) }
 	ec := startEchoClient(t, sc, 64*1024)
 	if err := sc.RunUntil(func() bool { return ec.received > 16*1024 }, time.Minute); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
-	sc.Chain.Crash(0)
+	sc.Group.Crash(0)
 	if err := sc.RunUntil(func() bool { return len(failed) > 0 }, time.Minute); err != nil {
 		t.Fatalf("detection: %v", err)
 	}
 	if failed[0] != 0 {
 		t.Errorf("failover position = %d, want 0", failed[0])
 	}
-	if sc.Chain.MiddleBridge().Active() {
+	if sc.Group.Backup(1).Active() {
 		t.Error("middle bridge still diverting after promotion")
 	}
 	if !sc.Secondary.Owns(tcpfailover.PrimaryAddr) {
 		t.Error("promoted middle does not own the service address")
+	}
+}
+
+// TestChainHonoursGroupConfig: what the options promise a pair they promise
+// a chain — the flow cap on every backup, the bridge series of every host,
+// the fleet marks and a stall the span model can attribute.
+func TestChainHonoursGroupConfig(t *testing.T) {
+	opts := tcpfailover.LANOptions()
+	opts.Spans = true
+	opts.Replication.SecondaryMaxFlows = 1
+	sc := newChainEchoScenario(t, opts)
+	// Two short connections come and go, so the cap has something to evict;
+	// the third is mid-stream when the head dies.
+	for range 2 {
+		ec := startEchoClient(t, sc, 4096)
+		if err := sc.RunUntil(func() bool { return ec.closed }, sc.Now()+5*time.Minute); err != nil {
+			t.Fatalf("short connection: %v", err)
+		}
+		ec.check(t)
+	}
+	ec := startEchoClient(t, sc, 192*1024)
+	if err := sc.RunUntil(func() bool { return ec.received > 48*1024 }, sc.Now()+time.Minute); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	sc.Group.CrashPrimary()
+	if err := sc.RunUntil(func() bool { return ec.closed }, sc.Now()+30*time.Minute); err != nil {
+		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
+	}
+	ec.check(t)
+	if err := sc.Group.TakeoverErr(); err != nil {
+		t.Errorf("takeover: %v", err)
+	}
+
+	for pos := 1; pos <= 2; pos++ {
+		if n := sc.Group.Backup(pos).Flows(); n > 1 {
+			t.Errorf("backup %d caches %d flows under SecondaryMaxFlows = 1", pos, n)
+		}
+	}
+	for _, series := range []string{
+		`bridge_bytes_matched_total{host="primary"}`,
+		`bridge_bytes_matched_total{host="secondary"}`,
+		`bridge_snooped_in_total{host="secondary"}`,
+		`bridge_diverted_out_total{host="secondary"}`,
+		`bridge_snooped_in_total{host="tertiary"}`,
+		`bridge_diverted_out_total{host="tertiary"}`,
+	} {
+		if v, ok := sc.Obs.Lookup(series); !ok || v == 0 {
+			t.Errorf("%s = (%d, %v), want a non-zero series", series, v, ok)
+		}
+	}
+	if _, ok := sc.Spans.FailureMark(); !ok {
+		t.Error("no failure mark")
+	}
+	if _, ok := sc.Spans.DetectMark(); !ok {
+		t.Error("no detect mark")
+	}
+	if _, ok := sc.Spans.TakeoverMark(); !ok {
+		t.Error("no takeover mark")
+	}
+	sp, ok := sc.Spans.Lookup(ec.conn.Tuple().SpanKey())
+	if !ok {
+		t.Fatal("no span for the connection that crossed the takeover")
+	}
+	if st, ok := sc.Spans.Stall(&sp); !ok || st.Total < 50*time.Millisecond {
+		t.Errorf("Stall = (%+v, %v), want a completed stall past the detection timeout", st, ok)
 	}
 }

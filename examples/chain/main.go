@@ -34,13 +34,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := sc.Chain.OnEach(func(h *netstack.Host) error {
+	if err := sc.Group.OnEach(func(h *netstack.Host) error {
 		_, err := apps.NewEchoServer(h.TCP(), 7)
 		return err
 	}); err != nil {
 		return err
 	}
-	sc.Chain.OnFailover = func(pos int) {
+	sc.Group.OnFailover = func(pos int) {
 		names := []string{"head", "middle", "tail"}
 		fmt.Printf("t=%9.3fms  chain reconfigured after losing the %s\n",
 			sc.Now().Seconds()*1e3, names[pos])
@@ -94,7 +94,7 @@ func run() error {
 	}
 	fmt.Printf("t=%9.3fms  %d/%d bytes echoed — crashing the HEAD\n",
 		sc.Now().Seconds()*1e3, received, total)
-	sc.Chain.Crash(0)
+	sc.Group.Crash(0)
 
 	// Second crash: the promoted middle, at two thirds.
 	if err := sc.RunUntil(func() bool { return received > 2*total/3 }, 10*time.Minute); err != nil {
@@ -102,7 +102,7 @@ func run() error {
 	}
 	fmt.Printf("t=%9.3fms  %d/%d bytes echoed — crashing the PROMOTED MIDDLE\n",
 		sc.Now().Seconds()*1e3, received, total)
-	sc.Chain.Crash(1)
+	sc.Group.Crash(1)
 
 	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
 		return err

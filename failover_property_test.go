@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/replica"
 )
 
 // The system's core guarantee, tested as a property: no matter when a
@@ -14,7 +13,10 @@ import (
 // byte stream is delivered exactly once, in order, and the connection
 // closes cleanly.
 
-func propertyRun(t *testing.T, seed int64, crashFrac float64, crashRole replica.Role, lossRate float64) {
+// memberNames names the pair's group positions in subtest names.
+var memberNames = []string{"primary", "secondary"}
+
+func propertyRun(t *testing.T, seed int64, crashFrac float64, crashPos int, lossRate float64) {
 	t.Helper()
 	opts := tcpfailover.LANOptions()
 	opts.Seed = seed
@@ -28,12 +30,7 @@ func propertyRun(t *testing.T, seed int64, crashFrac float64, crashRole replica.
 	if err := sc.RunUntil(func() bool { return ec.received >= crashAt }, 10*time.Minute); err != nil {
 		t.Fatalf("warm-up to %d: %v (received=%d)", crashAt, err, ec.received)
 	}
-	switch crashRole {
-	case replica.RolePrimary:
-		sc.Group.CrashPrimary()
-	case replica.RoleSecondary:
-		sc.Group.CrashSecondary()
-	}
+	sc.Group.Crash(crashPos)
 	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
 		t.Fatalf("completion: %v (sent=%d received=%d)", err, ec.sent, ec.received)
 	}
@@ -44,7 +41,7 @@ func TestPropertyFailoverSweepPrimary(t *testing.T) {
 	fracs := []float64{0.02, 0.2, 0.5, 0.8, 0.95}
 	for i, frac := range fracs {
 		t.Run(fmt.Sprintf("crash_at_%.0f%%", frac*100), func(t *testing.T) {
-			propertyRun(t, int64(100+i), frac, replica.RolePrimary, 0)
+			propertyRun(t, int64(100+i), frac, 0, 0)
 		})
 	}
 }
@@ -53,7 +50,7 @@ func TestPropertyFailoverSweepSecondary(t *testing.T) {
 	fracs := []float64{0.02, 0.2, 0.5, 0.8, 0.95}
 	for i, frac := range fracs {
 		t.Run(fmt.Sprintf("crash_at_%.0f%%", frac*100), func(t *testing.T) {
-			propertyRun(t, int64(200+i), frac, replica.RoleSecondary, 0)
+			propertyRun(t, int64(200+i), frac, 1, 0)
 		})
 	}
 }
@@ -61,9 +58,9 @@ func TestPropertyFailoverSweepSecondary(t *testing.T) {
 func TestPropertyFailoverUnderLoss(t *testing.T) {
 	// Failover while the network is independently dropping frames: the
 	// takeover window and ordinary loss recovery compound.
-	for i, role := range []replica.Role{replica.RolePrimary, replica.RoleSecondary} {
-		t.Run(role.String(), func(t *testing.T) {
-			propertyRun(t, int64(300+i), 0.4, role, 0.01)
+	for pos, name := range memberNames {
+		t.Run(name, func(t *testing.T) {
+			propertyRun(t, int64(300+pos), 0.4, pos, 0.01)
 		})
 	}
 }

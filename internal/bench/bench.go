@@ -93,9 +93,6 @@ func testbed(mode Mode, seed int64, options func(*tcpfailover.Options), install 
 
 // installOnServers runs the installer on the server host(s).
 func installOnServers(sc *tcpfailover.Scenario, install func(h *netstack.Host) error) error {
-	if sc.Chain != nil {
-		return sc.Chain.OnEach(install)
-	}
 	if sc.Group != nil {
 		return sc.Group.OnEach(install)
 	}

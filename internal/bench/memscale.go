@@ -206,7 +206,11 @@ func (f *msFixture) establish(i int) error {
 		Flags: tcp.FlagSYN | tcp.FlagACK, Window: 60000,
 		Options: []tcp.Option{tcp.MSSOption(1460)},
 	})
-	div, err := tcp.InsertOrigDstOption(synAckS, aC)
+	var opt [8]byte
+	tcp.OrigDstOptionBlock(&opt, aC)
+	pkt := netbuf.Get()
+	defer pkt.Release()
+	div, err := tcp.AppendOrigDstOption(pkt, synAckS, &opt)
 	if err != nil {
 		return err
 	}

@@ -8,15 +8,18 @@ import (
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/tcp"
 )
 
 // FuzzSecondarySnoop throws attacker-crafted TCP bytes at the secondary
 // bridge's promiscuous snoop path and the primary bridge's demultiplexer —
 // the two raw-parsing surfaces an in-LAN attacker reaches without
-// completing any handshake. The harness asserts the malformed-frame guard:
-// nothing panics, and a frame whose data offset lies outside its own bytes
-// is dropped and counted rather than delivered.
+// completing any handshake — and at the two composed: a chain's interior
+// backup, as a client segment to the service address and as a datagram to
+// the backup's own. The harness asserts the malformed-frame guard: nothing
+// panics, and a frame whose data offset lies outside its own bytes is
+// dropped and counted — once — rather than delivered, snooped or cached.
 //
 // The input doubles as a script: when it is long enough to be a sane
 // segment it is replayed against an established bridge connection with the
@@ -46,6 +49,23 @@ func FuzzSecondarySnoop(f *testing.F) {
 			}
 			if sec.b.Stats().MalformedDrops == 0 {
 				t.Fatal("malformed drop not counted")
+			}
+		}
+
+		mid := newSecFixtureNext(t, ipv4.MustParseAddr("10.0.1.3"))
+		reg := obs.NewRegistry()
+		mid.b.AttachObs(reg, "s")
+		for i, dst := range []ipv4.Addr{mid.aP, mid.aS} {
+			hdr := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: mid.aC, Dst: dst}
+			verdict, _, _ := mid.b.inbound(0, hdr, append([]byte(nil), data...))
+			if len(data) >= tcp.HeaderLen && !tcp.RawSane(data) {
+				drops, _ := reg.Lookup(`bridge_malformed_drops_total{host="s"}`)
+				if verdict != netstack.VerdictDrop || drops != int64(i+1) {
+					t.Fatalf("insane frame to %v: verdict %v, %d drops counted after %d frames", dst, verdict, drops, i+1)
+				}
+				if mid.b.Flows() != 0 || mid.b.Stats().SnoopedIn != 0 {
+					t.Fatalf("insane frame left %d flows, %d snooped", mid.b.Flows(), mid.b.Stats().SnoopedIn)
+				}
 			}
 		}
 
@@ -142,7 +162,7 @@ func FuzzPrimaryDiverted(f *testing.F) {
 		fromClient := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aC, Dst: pri.aP}
 		fromSecondary := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aS, Dst: pri.aP}
 		divert := func(raw []byte) {
-			div, err := tcp.InsertOrigDstOption(raw, pri.aC)
+			div, err := divertedCopy(raw, pri.aC)
 			if err != nil {
 				return
 			}

@@ -71,7 +71,11 @@ func newSecondaryMetrics(reg *obs.Registry, host string) secondaryMetrics {
 }
 
 // AttachObs resolves the bridge's metric handles against reg, labeled with
-// the host name.
+// the host name — and its matcher's, which shares the host's eviction and
+// malformed-drop series.
 func (b *SecondaryBridge) AttachObs(reg *obs.Registry, host string) {
 	b.m = newSecondaryMetrics(reg, host)
+	if b.matcher != nil {
+		b.matcher.AttachObs(reg, host)
+	}
 }

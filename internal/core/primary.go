@@ -3,13 +3,11 @@ package core
 import (
 	"bytes"
 	"slices"
-	"time"
 
 	"tcpfailover/internal/flowtab"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
-	"tcpfailover/internal/sim"
 	"tcpfailover/internal/tcp"
 )
 
@@ -20,12 +18,6 @@ type PrimaryConfig struct {
 	// rather than enforces). The secondary's bytes win, since the client's
 	// sequence numbers are synchronized to the secondary.
 	VerifyReplicaOutput bool
-	// DefaultMSS is used when a SYN carries no MSS option. Default 536.
-	DefaultMSS uint16
-	// GCLinger keeps closed-connection records around briefly before
-	// deletion. Default 0 (delete immediately, as the paper describes; the
-	// bridge synthesizes ACKs for late FINs afterward).
-	GCLinger time.Duration
 	// ValidateSeq enables in-window sequence validation on the bridge's
 	// client-facing and diverted paths: a client RST tears bridge state
 	// down only when its sequence number sits within one window of the
@@ -44,12 +36,8 @@ type PrimaryConfig struct {
 	MaxConns int
 }
 
-func (c PrimaryConfig) withDefaults() PrimaryConfig {
-	if c.DefaultMSS == 0 {
-		c.DefaultMSS = 536
-	}
-	return c
-}
+// defaultMSS is assumed when a SYN carries no MSS option (RFC 1122).
+const defaultMSS = 536
 
 // PrimaryStats counts the primary bridge's work.
 type PrimaryStats struct {
@@ -122,13 +110,13 @@ type pconn struct {
 	clientFinEnd  tcp.Seq // sequence number just past the client's FIN
 }
 
-func (c *pconn) effMSS(def uint16) int {
+func (c *pconn) effMSS() int {
 	m := c.mssP
 	if c.mssS != 0 && (m == 0 || c.mssS < m) {
 		m = c.mssS
 	}
 	if m == 0 {
-		m = def
+		m = defaultMSS
 	}
 	return int(m)
 }
@@ -136,7 +124,6 @@ func (c *pconn) effMSS(def uint16) int {
 // PrimaryBridge is the bridge sublayer on the primary server P.
 type PrimaryBridge struct {
 	host   *netstack.Host
-	sched  *sim.Scheduler
 	aP, aS ipv4.Addr
 	sel    *Selector
 	cfg    PrimaryConfig
@@ -157,9 +144,8 @@ type PrimaryBridge struct {
 	keyScratch []uint64
 
 	// emit transports a finished client-bound segment, taking ownership of
-	// the packet buffer. The default sends it directly; a daisy-chained
-	// middle server overrides it to divert the merged stream to its own
-	// upstream primary.
+	// the packet buffer. The default sends it directly; a daisy chain's
+	// interior backup overrides it to divert the merged stream upstream.
 	emit func(client ipv4.Addr, pkt *netbuf.Buffer)
 
 	// emitSeg is reusable scratch for the steady-state emit paths: pump,
@@ -187,17 +173,16 @@ func NewPrimaryBridge(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr,
 }
 
 // NewPrimaryBridgeCore builds the bridge without installing its hooks on
-// the host; a composing bridge (the daisy chain's middle server) wires the
-// Inbound/Outbound handlers itself.
+// the host; a composing bridge (NewInteriorBridge) calls the Inbound/Outbound
+// handlers itself.
 func NewPrimaryBridgeCore(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, cfg PrimaryConfig) *PrimaryBridge {
 	b := &PrimaryBridge{
-		host:  host,
-		sched: host.Scheduler(),
-		aP:    primaryAddr,
-		aS:    secondaryAddr,
-		sel:   sel,
-		cfg:   cfg.withDefaults(),
-		m:     newPrimaryMetrics(nil, ""),
+		host: host,
+		aP:   primaryAddr,
+		aS:   secondaryAddr,
+		sel:  sel,
+		cfg:  cfg,
+		m:    newPrimaryMetrics(nil, ""),
 	}
 	b.emit = func(client ipv4.Addr, pkt *netbuf.Buffer) {
 		_ = b.host.SendIPFastBuf(b.aP, client, ipv4.ProtoTCP, pkt)
@@ -221,15 +206,9 @@ func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 // pass it on.
 func (b *PrimaryBridge) SetEmitFunc(f func(client ipv4.Addr, pkt *netbuf.Buffer)) { b.emit = f }
 
-// SetLocalAddr re-keys the bridge's client-facing address; a promoted
-// middle server switches to the failed head's address during takeover.
-func (b *PrimaryBridge) SetLocalAddr(a ipv4.Addr) { b.aP = a }
-
-// LocalAddr returns the bridge's client-facing address.
-func (b *PrimaryBridge) LocalAddr() ipv4.Addr { return b.aP }
-
 // SetMatchingPeer re-points the bridge at the replica now feeding it (used
-// when a daisy chain loses its middle and the tail attaches directly).
+// when a daisy chain loses an interior backup and the next one down attaches
+// directly).
 func (b *PrimaryBridge) SetMatchingPeer(a ipv4.Addr) { b.aS = a }
 
 // Stats returns a copy of the bridge counters; the fields that have a
@@ -335,7 +314,7 @@ func (b *PrimaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
 			if mss, ok := seg.MSS(); ok {
 				c.mssP = mss
 			} else {
-				c.mssP = b.cfg.DefaultMSS
+				c.mssP = defaultMSS
 			}
 			c.synWinP = seg.Window
 		}
@@ -597,7 +576,7 @@ func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte) {
 			if mss, ok := seg.MSS(); ok {
 				c.mssS = mss
 			} else {
-				c.mssS = b.cfg.DefaultMSS
+				c.mssS = defaultMSS
 			}
 			c.synWinS = seg.Window
 		}
@@ -691,7 +670,7 @@ func (b *PrimaryBridge) pump(c *pconn) {
 	if !c.deltaKnown {
 		return
 	}
-	mss := c.effMSS(b.cfg.DefaultMSS)
+	mss := c.effMSS()
 	for {
 		if n := min(c.pq.Ready(), c.sq.Ready(), mss); n > 0 {
 			sb := c.sq.Peek(n, &b.wrapS)
@@ -813,7 +792,7 @@ func (b *PrimaryBridge) maybeEmitAck(c *pconn) {
 	minWin := c.minWin(b.degraded)
 	needAck := !c.lastAckValid || minAck.Greater(c.lastAckSent)
 	winDelta := int(minWin) - int(c.lastWinSent)
-	needWin := winDelta > 0 && (c.lastWinSent == 0 || winDelta >= c.effMSS(b.cfg.DefaultMSS))
+	needWin := winDelta > 0 && (c.lastWinSent == 0 || winDelta >= c.effMSS())
 	if !needAck && !needWin {
 		return
 	}
@@ -842,7 +821,7 @@ func (b *PrimaryBridge) maybeSendCombinedSyn(c *pconn) {
 		c.pq.reset(c.sndMax)
 		c.sq.reset(c.sndMax)
 	}
-	mss := c.effMSS(b.cfg.DefaultMSS)
+	mss := c.effMSS()
 	seg := &tcp.Segment{
 		Seq:     c.seqSInit,
 		Flags:   tcp.FlagSYN,
@@ -940,19 +919,6 @@ func (b *PrimaryBridge) maybeGC(c *pconn) {
 	if !c.minAck(b.degraded).Geq(c.clientFinEnd) {
 		return
 	}
-	if b.cfg.GCLinger > 0 {
-		// The slot may be freed and re-let to a new tenant (even for the
-		// same tuple) while the timer is pending; the slab generation is
-		// what distinguishes the tenancy this timer was armed against.
-		key, idx := c.key, uint32(c.self)
-		gen := b.slots.Gen(idx)
-		b.sched.After(b.cfg.GCLinger, "bridge.gc", func() {
-			if cur, ok := b.conns.Get(uint64(key)); ok && cur == idx && b.slots.Live(idx, gen) {
-				b.removeConn(b.slots.At(idx))
-			}
-		})
-		return
-	}
 	b.removeConn(c)
 }
 
@@ -1010,7 +976,7 @@ func (b *PrimaryBridge) HandleSecondaryFailure() {
 		}
 		// Step 1: drain the primary output queue into new segments, through
 		// pump's emit path: a takeover allocates nothing per segment.
-		mss := c.effMSS(b.cfg.DefaultMSS)
+		mss := c.effMSS()
 		for n := c.pq.Ready(); n > 0; n = c.pq.Ready() {
 			b.releaseData(c, c.pq.Peek(min(n, mss), &b.wrapP), true)
 		}

@@ -74,12 +74,24 @@ func (f *priFixture) fromPrimaryTCP(t *testing.T, seg *tcp.Segment) {
 	}
 }
 
+// divertedCopy is raw in its diverted form — the original-destination
+// option naming client appended — copied out of the pooled buffer
+// AppendOrigDstOption builds it in.
+func divertedCopy(raw []byte, client ipv4.Addr) ([]byte, error) {
+	var opt [8]byte
+	tcp.OrigDstOptionBlock(&opt, client)
+	pkt := netbuf.Get()
+	defer pkt.Release()
+	out, err := tcp.AppendOrigDstOption(pkt, raw, &opt)
+	return append([]byte(nil), out...), err
+}
+
 // fromSecondaryWire pushes a diverted segment as it would arrive from S.
 func (f *priFixture) fromSecondaryWire(t *testing.T, seg *tcp.Segment) {
 	t.Helper()
 	seg.SrcPort, seg.DstPort = 80, 49152
 	raw := tcp.Marshal(f.aS, f.aC, seg)
-	div, err := tcp.InsertOrigDstOption(raw, f.aC)
+	div, err := divertedCopy(raw, f.aC)
 	if err != nil {
 		t.Fatal(err)
 	}

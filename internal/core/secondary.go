@@ -36,14 +36,27 @@ type SecondaryStats struct {
 // a TCP header option (paper section 3.1).
 //
 // On primary failure, Takeover runs the five-step procedure of section 5.
+//
+// A backup that is not the last of a daisy chain ("Higher degrees of
+// replication can be achieved by daisy-chaining multiple backup servers",
+// section 1) is the same bridge with a matcher behind it: toward the client
+// it snoops and translates as above; its TCP layer's output is first matched
+// against the next backup's diverted stream, and the merged segments are
+// what it diverts upstream. The merged stream carries ack = min and
+// win = min of the two, so the upstream bridge's minimum over (its own, the
+// merged stream) covers every replica below it; the composition needs no
+// new protocol.
 type SecondaryBridge struct {
 	host    *netstack.Host
 	ifIndex int
 	aP, aS  ipv4.Addr
-	// upstream is where diverted segments go: the primary, or — for the
-	// tail of a daisy chain — the next backup up the chain. Defaults to aP.
+	// upstream is where diverted segments go: the primary, or — in a daisy
+	// chain — the next backup up the chain. Defaults to aP.
 	upstream ipv4.Addr
 	sel      *Selector
+	// matcher, on a chain's interior backup, matches this host's TCP output
+	// against the next backup's stream before it is diverted; nil on a tail.
+	matcher *PrimaryBridge
 
 	active bool
 	// flows caches the per-tuple snoop/divert decision: the selector
@@ -178,6 +191,19 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 	return b
 }
 
+// NewInteriorBridge installs a secondary bridge with a matcher behind it on
+// a backup that has a further backup, at nextAddr, down the chain.
+func NewInteriorBridge(host *netstack.Host, ifIndex int, primaryAddr, selfAddr, nextAddr ipv4.Addr, sel *Selector, cfg PrimaryConfig) *SecondaryBridge {
+	b := NewSecondaryBridge(host, ifIndex, primaryAddr, selfAddr, sel)
+	b.matcher = NewPrimaryBridgeCore(host, selfAddr, nextAddr, sel, cfg)
+	b.matcher.SetEmitFunc(b.emitMerged)
+	return b
+}
+
+// Matcher returns the matching bridge behind an interior backup (stats,
+// degradation); nil on a tail.
+func (b *SecondaryBridge) Matcher() *PrimaryBridge { return b.matcher }
+
 // Stats returns a copy of the bridge counters; the fields that have a
 // series are views of it.
 func (b *SecondaryBridge) Stats() SecondaryStats {
@@ -208,42 +234,77 @@ func (b *SecondaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 func (b *SecondaryBridge) Active() bool { return b.active }
 
 // inbound implements the aP -> aS destination translation for incoming
-// client segments. All other datagrams follow normal processing.
+// client segments. All other datagrams follow normal processing — which, on
+// an interior backup, is the matcher's: it sees every datagram, the
+// translated ones as segments addressed to its own address.
 func (b *SecondaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
-	if !b.active || hdr.Dst != b.aP || len(payload) < tcp.HeaderLen {
-		return netstack.VerdictPass, hdr, payload
+	verdict := netstack.VerdictPass
+	if b.active && hdr.Dst == b.aP && len(payload) >= tcp.HeaderLen {
+		if !tcp.RawSane(payload) {
+			// A forged data offset on the snoop path would corrupt the MSS
+			// clamp's option walk; drop rather than deliver a frame the local
+			// TCP layer would reject anyway.
+			b.m.malformedDrops.Inc()
+			return netstack.VerdictDrop, hdr, payload
+		}
+		key := MakeTupleKey(hdr.Src, tcp.RawSrcPort(payload), tcp.RawDstPort(payload))
+		if b.flow(key).match {
+			// The payload is this station's private copy of the bits; patch the
+			// pseudo-header checksum incrementally and rewrite the address.
+			tcp.PatchPseudoAddr(payload, b.aP, b.aS)
+			hdr.Dst = b.aS
+			if tcp.RawFlags(payload).Has(tcp.FlagSYN) {
+				// Leave MTU headroom for the original-destination option that the
+				// outbound diversion adds to every segment this TCP layer emits.
+				tcp.ClampRawMSS(payload, origDstOptionLen)
+			}
+			b.m.snoopedIn.Inc()
+			verdict = netstack.VerdictDeliver
+		}
 	}
-	if !tcp.RawSane(payload) {
-		// A forged data offset on the snoop path would corrupt the MSS
-		// clamp's option walk; drop rather than deliver a frame the local
-		// TCP layer would reject anyway.
-		b.m.malformedDrops.Inc()
-		return netstack.VerdictDrop, hdr, payload
+	if b.matcher == nil {
+		return verdict, hdr, payload
 	}
-	key := MakeTupleKey(hdr.Src, tcp.RawSrcPort(payload), tcp.RawDstPort(payload))
-	if !b.flow(key).match {
-		return netstack.VerdictPass, hdr, payload
+	// The address rewrite must reach the local stack even where the matcher
+	// merely passes the segment through.
+	v, hdr, payload := b.matcher.Inbound(ifIndex, hdr, payload)
+	if v == netstack.VerdictPass {
+		v = verdict
 	}
-	// The payload is this station's private copy of the bits; patch the
-	// pseudo-header checksum incrementally and rewrite the address.
-	tcp.PatchPseudoAddr(payload, b.aP, b.aS)
-	hdr.Dst = b.aS
-	if tcp.RawFlags(payload).Has(tcp.FlagSYN) {
-		// Leave MTU headroom for the original-destination option that the
-		// outbound diversion adds to every segment this TCP layer emits.
-		tcp.ClampRawMSS(payload, origDstOptionLen)
-	}
-	b.m.snoopedIn.Inc()
-	return netstack.VerdictDeliver, hdr, payload
+	return v, hdr, payload
 }
 
 // outbound diverts failover segments addressed to a client so they reach
-// the primary bridge instead.
+// the primary bridge instead. On an interior backup the matcher takes them
+// first, for as long as the host lives: what it merges comes back through
+// emitMerged.
 func (b *SecondaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
+	if b.matcher != nil {
+		return b.matcher.Outbound(src, dst, segment)
+	}
 	if !b.active {
 		return false
 	}
-	key := MakeTupleKey(dst, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
+	return b.divert(src, dst, segment)
+}
+
+// emitMerged is an interior backup's matcher output: diverted upstream like
+// any backup's segments, or — once this host has taken over — sent to the
+// client from the service address.
+func (b *SecondaryBridge) emitMerged(client ipv4.Addr, pkt *netbuf.Buffer) {
+	if !b.active {
+		_ = b.host.SendIPFastBuf(b.aP, client, ipv4.ProtoTCP, pkt)
+		return
+	}
+	b.divert(b.aS, client, pkt.Bytes())
+	pkt.Release()
+}
+
+// divert sends a failover segment addressed to client upstream instead,
+// with the original destination in a TCP option; false means the segment is
+// not a failover connection's and was left alone.
+func (b *SecondaryBridge) divert(src, client ipv4.Addr, segment []byte) bool {
+	key := MakeTupleKey(client, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
 	f := b.flow(key)
 	if !f.match {
 		return false
@@ -262,14 +323,14 @@ func (b *SecondaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
 		return true
 	}
 	// The checksum must reflect the new pseudo-header destination.
-	tcp.PatchPseudoAddr(out, dst, b.upstream)
+	tcp.PatchPseudoAddr(out, client, b.upstream)
 	b.m.divertedOut.Inc()
 	_ = b.host.SendIPFastBuf(src, b.upstream, ipv4.ProtoTCP, pkt)
 	return true
 }
 
-// SetUpstream redirects future diverted segments, e.g. when the middle
-// server of a daisy chain fails and the tail re-attaches to the head.
+// SetUpstream redirects future diverted segments, e.g. when the backup this
+// one diverted to fails and it re-attaches to the next live member up.
 func (b *SecondaryBridge) SetUpstream(a ipv4.Addr) { b.upstream = a }
 
 // rekeyConns moves the TCP connection of every key that still has one from
@@ -309,7 +370,8 @@ func rekeyConns(stack *tcp.Stack, keys []uint64, from, to ipv4.Addr) (moved int,
 //  5. take over the primary's IP address,
 //
 // after which the bridge is disabled and the host behaves like a standard
-// TCP server. The connections the TCP layer established under aS are
+// TCP server — or, with a matcher behind it, like the primary of the chain
+// that is left. The connections the TCP layer established under aS are
 // re-keyed to aP, and a gratuitous ARP is broadcast so the router rebinds
 // aP to this host's MAC (the router's ARP processing latency forms part of
 // the takeover window T).
@@ -328,6 +390,12 @@ func (b *SecondaryBridge) Takeover() error {
 	b.host.Iface(b.ifIndex).NIC().SetPromiscuous(false)
 	// Step 5.
 	b.host.AddAddress(b.ifIndex, b.aP)
+	if b.matcher != nil {
+		// The matcher's client-facing identity becomes the service address:
+		// merged segments now carry it as their source, and incoming client
+		// segments (addressed to it) hit the acknowledgment translation.
+		b.matcher.aP = b.aP
+	}
 	// Only flows that matched the selector have a connection to re-key.
 	b.keyScratch = b.flows.AppendKeys(b.keyScratch[:0])
 	keys := b.keyScratch[:0]

@@ -28,7 +28,11 @@ type secFixture struct {
 	seg   *ethernet.Segment
 }
 
-func newSecFixture(t *testing.T) *secFixture {
+func newSecFixture(t *testing.T) *secFixture { return newSecFixtureNext(t, 0) }
+
+// newSecFixtureNext builds the bridge with a matcher behind it when next —
+// the address of a further backup down the chain — is set.
+func newSecFixtureNext(t *testing.T, next ipv4.Addr) *secFixture {
 	t.Helper()
 	f := &secFixture{
 		sched: sim.New(1),
@@ -42,7 +46,11 @@ func newSecFixture(t *testing.T) *secFixture {
 	f.host.AttachIface(f.seg, ethernet.MAC{2, 0, 0, 0, 0, 2}, f.aS, prefix)
 	f.sel = NewSelector()
 	f.sel.EnableServerPort(80)
-	f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel)
+	if next.IsZero() {
+		f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel)
+	} else {
+		f.b = NewInteriorBridge(f.host, 0, f.aP, f.aS, next, f.sel, PrimaryConfig{})
+	}
 	return f
 }
 
@@ -139,7 +147,7 @@ func TestSecondaryOutboundDiversion(t *testing.T) {
 	if tcp.ComputeChecksum(f.aS, f.aP, sentRaw) != 0 {
 		t.Error("diverted segment checksum invalid under the new pseudo-header")
 	}
-	stripped, orig, ok := tcp.StripOrigDstOption(sentRaw)
+	stripped, orig, ok := tcp.StripOrigDstOptionInPlace(sentRaw)
 	if !ok || orig != f.aC {
 		t.Fatalf("original destination = %v (ok=%v), want %v", orig, ok, f.aC)
 	}

@@ -114,17 +114,15 @@ type Config struct {
 	// transmission suffers a collision and backs off. Only meaningful when
 	// HalfDuplex is set.
 	CollisionProb float64
-	// SlotTime is the backoff quantum; defaults to 51.2 us (10/100 Mbit
-	// Ethernet slot time).
-	SlotTime time.Duration
 }
+
+// slotTime is the backoff quantum: the 10/100 Mbit Ethernet slot, 512 bit
+// times at 10 Mbit/s.
+const slotTime = 51200 * time.Nanosecond
 
 func (c Config) withDefaults() Config {
 	if c.BandwidthBps == 0 {
 		c.BandwidthBps = 100_000_000
-	}
-	if c.SlotTime == 0 {
-		c.SlotTime = 512 * 100 * time.Nanosecond // 51.2 us
 	}
 	return c
 }
@@ -251,7 +249,7 @@ func (s *Segment) transmit(src *NIC, f Frame) {
 				attempts++
 				s.mCollisions.Inc()
 				slots := s.sched.Rand().Intn(1 << min(attempts, 10))
-				start += s.serialization(0) + time.Duration(slots)*s.cfg.SlotTime
+				start += s.serialization(0) + time.Duration(slots)*slotTime
 				continue
 			}
 		}

@@ -8,27 +8,20 @@ package flowtab
 // all), instead of a million individually tracked objects.
 //
 // Pointers returned by At are valid only until the next Alloc — growth may
-// move the backing array. Code that defers work against a slot (the
-// bridge's GC-linger timer) must capture the slot index plus Gen and
-// revalidate with Live when the timer fires: indices are reused, and the
-// generation counter is what distinguishes the slot's next tenant from the
-// record the timer was armed against (the classic ABA guard).
+// move the backing array — and indices are reused: nothing may hold either
+// across the record's Free.
 //
 // The zero value is an empty slab ready for use.
 type Slab[T any] struct {
 	items []T
-	meta  []slabMeta
-	free  int32 // head of the free list plus one; 0 when empty
-	n     int
-	zero  T // template for resetting recycled slots
-}
-
-// slabMeta is the per-slot bookkeeping kept out of the record array so a
-// pointer-free T yields a pointer-free (never-scanned) items array. Free-
-// list links are stored as index+1 so the zero value means "end of list".
-type slabMeta struct {
-	gen  uint32
-	next int32 // free-list link plus one when free; slabLive when allocated
+	// next is the per-slot free-list link, kept out of the record array so a
+	// pointer-free T yields a pointer-free (never-scanned) items array:
+	// index+1 of the next free slot (0 ends the list), slabLive when
+	// allocated.
+	next []int32
+	free int32 // head of the free list plus one; 0 when empty
+	n    int
+	zero T // template for resetting recycled slots
 }
 
 const slabLive int32 = -1
@@ -38,7 +31,7 @@ func NewSlab[T any](n int) *Slab[T] {
 	s := &Slab[T]{}
 	if n > 0 {
 		s.items = make([]T, 0, n)
-		s.meta = make([]slabMeta, 0, n)
+		s.next = make([]int32, 0, n)
 	}
 	return s
 }
@@ -55,13 +48,13 @@ func (s *Slab[T]) Alloc() uint32 {
 	s.n++
 	if s.free > 0 {
 		i := uint32(s.free - 1)
-		s.free = s.meta[i].next
-		s.meta[i].next = slabLive
+		s.free = s.next[i]
+		s.next[i] = slabLive
 		s.items[i] = s.zero
 		return i
 	}
 	s.items = append(s.items, s.zero)
-	s.meta = append(s.meta, slabMeta{next: slabLive})
+	s.next = append(s.next, slabLive)
 	return uint32(len(s.items) - 1)
 }
 
@@ -69,34 +62,22 @@ func (s *Slab[T]) Alloc() uint32 {
 // Alloc; do not retain it across allocations.
 func (s *Slab[T]) At(i uint32) *T { return &s.items[i] }
 
-// Free returns slot i to the free list and bumps its generation so stale
-// (index, gen) handles held by deferred work no longer validate. The
-// record is reset immediately, releasing anything its fields reference.
+// Free returns slot i to the free list. The record is reset immediately,
+// releasing anything its fields reference.
 func (s *Slab[T]) Free(i uint32) {
-	if s.meta[i].next != slabLive {
+	if s.next[i] != slabLive {
 		panic("flowtab: double free of slab slot")
 	}
 	s.items[i] = s.zero
-	s.meta[i].gen++
-	s.meta[i].next = s.free
+	s.next[i] = s.free
 	s.free = int32(i) + 1
 	s.n--
-}
-
-// Gen returns slot i's current generation.
-func (s *Slab[T]) Gen(i uint32) uint32 { return s.meta[i].gen }
-
-// Live reports whether slot i is allocated and still on generation gen —
-// i.e. whether a handle captured when Gen(i) returned gen still refers to
-// the same tenancy.
-func (s *Slab[T]) Live(i uint32, gen uint32) bool {
-	return s.meta[i].next == slabLive && s.meta[i].gen == gen
 }
 
 // Range calls fn for every live slot in ascending index order.
 func (s *Slab[T]) Range(fn func(i uint32, item *T)) {
 	for i := range s.items {
-		if s.meta[i].next == slabLive {
+		if s.next[i] == slabLive {
 			fn(uint32(i), &s.items[i])
 		}
 	}

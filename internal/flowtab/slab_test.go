@@ -19,13 +19,9 @@ func TestSlabAllocFreeReuse(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", s.Len())
 	}
-	genA := s.Gen(a)
 	s.Free(a)
 	if s.Len() != 1 {
 		t.Fatalf("Len() = %d after Free, want 1", s.Len())
-	}
-	if s.Live(a, genA) {
-		t.Fatal("freed slot still validates against its old generation")
 	}
 	c := s.Alloc()
 	if c != a {
@@ -33,12 +29,6 @@ func TestSlabAllocFreeReuse(t *testing.T) {
 	}
 	if s.At(c).id != 0 {
 		t.Fatalf("reused slot not zeroed: id = %d", s.At(c).id)
-	}
-	if s.Live(c, genA) {
-		t.Fatal("new tenant validates against the previous tenant's handle")
-	}
-	if !s.Live(c, s.Gen(c)) {
-		t.Fatal("current handle does not validate")
 	}
 	if s.Cap() != 2 {
 		t.Fatalf("Cap() = %d, want 2 (reuse must not grow the arena)", s.Cap())

@@ -11,7 +11,7 @@ import (
 // lives through a failover (so it carries setup, stall, and milestone
 // events) plus a two-row counter timeseries.
 func perfettoFixture() (*SpanRecorder, *Timeseries) {
-	r := NewSpanRecorder(0)
+	r := NewSpanRecorder()
 	key := uint64(0x0a000002)<<32 | uint64(40000)<<16 | 9000
 	r.Mark(key, SpanSynSent, 1*time.Millisecond)
 	r.Mark(key, SpanEstablished, 2*time.Millisecond)

@@ -104,11 +104,11 @@ type SpanRecorder struct {
 	haveTakeover                    bool
 }
 
-// NewSpanRecorder returns a recorder bounded to limit live spans (0 means
-// unbounded). When the limit is reached the least recently touched span is
-// evicted, so a SYN flood recycles slots instead of growing the arena.
-func NewSpanRecorder(limit int) *SpanRecorder {
-	r := &SpanRecorder{limit: limit}
+// NewSpanRecorder returns an unbounded recorder. Under SetLimit the least
+// recently touched span is evicted when the limit is reached, so a SYN flood
+// recycles slots instead of growing the arena.
+func NewSpanRecorder() *SpanRecorder {
+	r := &SpanRecorder{}
 	r.AttachObs(nil)
 	return r
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSpanMilestoneSemantics(t *testing.T) {
-	r := NewSpanRecorder(0)
+	r := NewSpanRecorder()
 	const key = uint64(0x0a00000200008000) | 9000
 
 	r.Mark(key, SpanSynSent, 10*time.Millisecond)
@@ -64,7 +64,8 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 func TestSpanRecorderChurnBounded(t *testing.T) {
 	const limit = 64
 	reg := NewRegistry()
-	r := NewSpanRecorder(limit)
+	r := NewSpanRecorder()
+	r.SetLimit(limit)
 	r.AttachObs(reg)
 	const flood = 10000
 	for i := 0; i < flood; i++ {
@@ -106,7 +107,8 @@ func TestSpanRecorderChurnBounded(t *testing.T) {
 // TestSpanRecorderLRUTouch checks that touching an old span protects it
 // from eviction.
 func TestSpanRecorderLRUTouch(t *testing.T) {
-	r := NewSpanRecorder(3)
+	r := NewSpanRecorder()
+	r.SetLimit(3)
 	r.Mark(1, SpanSynSent, 1)
 	r.Mark(2, SpanSynSent, 2)
 	r.Mark(3, SpanSynSent, 3)
@@ -123,7 +125,7 @@ func TestSpanRecorderLRUTouch(t *testing.T) {
 }
 
 func TestSpanSetLimitEvictsDown(t *testing.T) {
-	r := NewSpanRecorder(0)
+	r := NewSpanRecorder()
 	for i := 0; i < 10; i++ {
 		r.Mark(uint64(i+1), SpanSynSent, time.Duration(i))
 	}
@@ -142,7 +144,7 @@ func TestSpanSetLimitEvictsDown(t *testing.T) {
 // set and marks only — insertion order must not matter, content must.
 func TestSpanDigestDeterministic(t *testing.T) {
 	build := func(order []uint64) *SpanRecorder {
-		r := NewSpanRecorder(0)
+		r := NewSpanRecorder()
 		for _, k := range order {
 			r.Mark(k, SpanSynSent, time.Duration(k)*time.Millisecond)
 			r.Progress(k, time.Duration(k+5)*time.Millisecond)
@@ -162,7 +164,7 @@ func TestSpanDigestDeterministic(t *testing.T) {
 		t.Error("digest blind to record content")
 	}
 	// Marks must be digested too.
-	r := NewSpanRecorder(0)
+	r := NewSpanRecorder()
 	r.Mark(1, SpanSynSent, time.Millisecond)
 	d1 := r.Digest()
 	r.MarkFailure(2 * time.Millisecond)
@@ -202,7 +204,7 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 }
 
 func TestStallAttributionTiles(t *testing.T) {
-	r := NewSpanRecorder(0)
+	r := NewSpanRecorder()
 	const key = uint64(42)
 	r.Mark(key, SpanSynSent, 1*time.Millisecond)
 	r.Mark(key, SpanEstablished, 2*time.Millisecond)
@@ -248,7 +250,7 @@ func TestStallAttributionTiles(t *testing.T) {
 }
 
 func TestStallAttributionAnchorFallbackAndRejects(t *testing.T) {
-	r := NewSpanRecorder(0)
+	r := NewSpanRecorder()
 	r.MarkFailure(100 * time.Millisecond)
 	r.MarkDetect(140 * time.Millisecond)
 	r.MarkTakeover(145 * time.Millisecond)
@@ -288,7 +290,7 @@ func TestStallAttributionAnchorFallbackAndRejects(t *testing.T) {
 	}
 
 	// Incomplete fleet marks: nothing scores.
-	r2 := NewSpanRecorder(0)
+	r2 := NewSpanRecorder()
 	r2.Mark(1, SpanEstablished, 1*time.Millisecond)
 	r2.MarkFailure(2 * time.Millisecond)
 	r2.Progress(1, 3*time.Millisecond)

@@ -1,12 +1,14 @@
-// Package replica orchestrates a two-way actively replicated TCP server:
-// it installs the primary and secondary bridges, runs the fault detectors
-// in both directions, and triggers the paper's failover procedures. The
-// server application is instantiated identically on both hosts (active
-// replication) and must behave deterministically on a per-connection basis,
-// as the paper requires.
+// Package replica orchestrates an actively replicated TCP server: an
+// ordered group of hosts — the paper's primary and secondary, or a daisy
+// chain with one more backup behind them — on which it installs the bridges,
+// runs the fault detectors in every direction, and triggers the paper's
+// failover procedures. The server application is instantiated identically
+// on every host (active replication) and must behave deterministically on a
+// per-connection basis, as the paper requires.
 package replica
 
 import (
+	"errors"
 	"fmt"
 
 	"tcpfailover/internal/core"
@@ -26,171 +28,255 @@ type Config struct {
 	PeerPorts []uint16
 	// Detect tunes the fault detectors.
 	Detect detect.Config
-	// Bridge tunes the primary bridge.
+	// Bridge tunes the matching bridges.
 	Bridge core.PrimaryConfig
-	// SecondaryMaxFlows bounds the secondary bridge's flow cache (LRU
+	// SecondaryMaxFlows bounds each backup bridge's flow cache (LRU
 	// eviction beyond the cap); 0 means unbounded.
 	SecondaryMaxFlows int
-	// IfIndexPrimary / IfIndexSecondary are the server-LAN interfaces.
-	IfIndexPrimary   int
-	IfIndexSecondary int
 }
 
-// Role identifies a group member.
-type Role int
+// ifIndex is the server-LAN interface of every member.
+const ifIndex = 0
 
-// Group member roles.
-const (
-	RolePrimary Role = iota + 1
-	RoleSecondary
-)
-
-// String names the role.
-func (r Role) String() string {
-	if r == RolePrimary {
-		return "primary"
-	}
-	return "secondary"
-}
-
-// Group is a replicated server pair.
+// Group is a replicated server: its members in chain order. Member 0 (the
+// primary) owns the service address and talks to the client; every later
+// member is a backup that snoops the client's segments and diverts its own
+// output to the member before it; every member but the last matches its
+// output against the diverted stream of the member after it. Two members
+// are the paper's pair; a failure shortens the chain, and primary and
+// backup are positions in it, not types.
+//
+// The failure routing lives in this controller; a production deployment
+// would replicate it on each node (driven by the same mesh of fault
+// detectors).
 type Group struct {
-	primary   *netstack.Host
-	secondary *netstack.Host
-	aP, aS    ipv4.Addr
+	hosts []*netstack.Host
+	addrs []ipv4.Addr
+	alive []bool
 
-	sel *core.Selector
-	pb  *core.PrimaryBridge
-	sb  *core.SecondaryBridge
+	sel     *core.Selector
+	head    *core.PrimaryBridge
+	backups []*core.SecondaryBridge // by position; backups[0] is nil
 
-	detectOnPrimary   *detect.Detector // watches the secondary
-	detectOnSecondary *detect.Detector // watches the primary
+	detectors []*detect.Detector
 
 	// OnFailover, if set, is invoked after a failover procedure completes;
-	// the argument is the role that failed. TakeoverErr tells it whether a
-	// takeover completed cleanly.
-	OnFailover  func(failed Role)
+	// the argument is the position (0 = primary) that failed. TakeoverErr
+	// tells it whether the takeovers so far completed cleanly.
+	OnFailover  func(position int)
 	takeoverErr error
 
 	// spans, when attached, receives the failure fleet mark when the
-	// primary is crashed and the detector-fired mark the instant the
-	// secondary declares it dead, before the takeover procedure starts.
+	// member serving the client is crashed and the detector-fired mark the
+	// instant its successor declares it dead, before the takeover procedure
+	// starts.
 	spans *obs.SpanRecorder
 
 	started bool
 }
 
-// NewGroup wires the bridges onto the two hosts. The primary address aP is
-// the service address clients connect to; aS is the secondary's own
-// address.
-func NewGroup(primary, secondary *netstack.Host, cfg Config) (*Group, error) {
-	aP := primary.Iface(cfg.IfIndexPrimary).Addr()
-	aS := secondary.Iface(cfg.IfIndexSecondary).Addr()
-	if aP.IsZero() || aS.IsZero() {
-		return nil, fmt.Errorf("replica: interfaces must have addresses (aP=%s aS=%s)", aP, aS)
-	}
-	sel := core.NewSelector()
-	for _, p := range cfg.ServerPorts {
-		sel.EnableServerPort(p)
-	}
-	for _, p := range cfg.PeerPorts {
-		sel.EnablePeerPort(p)
+// NewGroup wires the bridges onto the hosts, given in chain order: the
+// first host's address is the service address clients connect to. The
+// facade builds groups of two and three.
+func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
+	if len(hosts) < 2 {
+		return nil, fmt.Errorf("replica: a group needs at least two hosts, got %d", len(hosts))
 	}
 	g := &Group{
-		primary:   primary,
-		secondary: secondary,
-		aP:        aP,
-		aS:        aS,
-		sel:       sel,
+		hosts:   hosts,
+		addrs:   make([]ipv4.Addr, len(hosts)),
+		alive:   make([]bool, len(hosts)),
+		sel:     core.NewSelector(),
+		backups: make([]*core.SecondaryBridge, len(hosts)),
 	}
-	g.pb = core.NewPrimaryBridge(primary, aP, aS, sel, cfg.Bridge)
-	g.sb = core.NewSecondaryBridge(secondary, cfg.IfIndexSecondary, aP, aS, sel)
-	g.sb.SetFlowLimit(cfg.SecondaryMaxFlows)
-	g.detectOnPrimary = detect.New(primary, aP, aS, cfg.Detect, func() {
-		g.pb.HandleSecondaryFailure()
-		if g.OnFailover != nil {
-			g.OnFailover(RoleSecondary)
+	for i, h := range hosts {
+		g.addrs[i] = h.Iface(ifIndex).Addr()
+		g.alive[i] = true
+		if g.addrs[i].IsZero() {
+			return nil, fmt.Errorf("replica: host %d has no address", i)
 		}
-	})
-	g.detectOnSecondary = detect.New(secondary, aS, aP, cfg.Detect, func() {
-		g.spans.MarkDetect(g.secondary.Scheduler().Now())
-		g.takeoverErr = g.sb.Takeover()
-		if g.OnFailover != nil {
-			g.OnFailover(RolePrimary)
+	}
+	for _, p := range cfg.ServerPorts {
+		g.sel.EnableServerPort(p)
+	}
+	for _, p := range cfg.PeerPorts {
+		g.sel.EnablePeerPort(p)
+	}
+	last := len(hosts) - 1
+	g.head = core.NewPrimaryBridge(hosts[0], g.addrs[0], g.addrs[1], g.sel, cfg.Bridge)
+	for i := 1; i <= last; i++ {
+		if i < last {
+			g.backups[i] = core.NewInteriorBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.addrs[i+1], g.sel, cfg.Bridge)
+		} else {
+			g.backups[i] = core.NewSecondaryBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.sel)
 		}
-	})
+		g.backups[i].SetUpstream(g.addrs[i-1])
+		g.backups[i].SetFlowLimit(cfg.SecondaryMaxFlows)
+	}
+	// A full mesh of fault detectors: every member watches every other, and
+	// the controller routes each failure according to who is left.
+	for watcher := range hosts {
+		for watched := range hosts {
+			if watcher != watched {
+				g.detectors = append(g.detectors, detect.New(hosts[watcher], g.addrs[watcher], g.addrs[watched],
+					cfg.Detect, func() { g.onFailure(watcher, watched) }))
+			}
+		}
+	}
 	return g, nil
 }
 
-// TakeoverErr returns what the secondary's takeover reported: nil before
-// any takeover and after a clean one, otherwise the joined errors of the
-// steps that failed (the takeover still ran to the end).
+// matcher returns member i's matching bridge; nil for the last member.
+func (g *Group) matcher(i int) *core.PrimaryBridge {
+	if i == 0 {
+		return g.head
+	}
+	return g.backups[i].Matcher()
+}
+
+// liveNeighbours returns the nearest live members before and after
+// position; -1 where there is none.
+func (g *Group) liveNeighbours(position int) (up, down int) {
+	up, down = -1, -1
+	for i := position - 1; i >= 0 && up < 0; i-- {
+		if g.alive[i] {
+			up = i
+		}
+	}
+	for i := position + 1; i < len(g.hosts) && down < 0; i++ {
+		if g.alive[i] {
+			down = i
+		}
+	}
+	return up, down
+}
+
+// onFailure routes a detected failure by the failed member's nearest live
+// neighbours. Detectors on every surviving member fire; only the first
+// report of a position reconfigures. Whoever reports is alive, whatever an
+// earlier suspicion said: a backup the primary wrongly gave up on still
+// takes over when the primary dies.
+func (g *Group) onFailure(watcher, position int) {
+	g.alive[watcher] = true
+	if !g.alive[position] {
+		return
+	}
+	g.alive[position] = false
+	up, down := g.liveNeighbours(position)
+	switch {
+	case up < 0 && down >= 0:
+		// The member serving the client died: the next one runs the
+		// section 5 takeover, and the member behind that one diverts to the
+		// service address it now owns.
+		g.spans.MarkDetect(g.hosts[down].Scheduler().Now())
+		g.takeoverErr = errors.Join(g.takeoverErr, g.backups[down].Takeover())
+		if _, next := g.liveNeighbours(down); next >= 0 {
+			g.backups[next].SetUpstream(g.addrs[0])
+		}
+	case up >= 0 && down >= 0:
+		// A backup between two live members died: the one behind it
+		// re-attaches to the one before it, which keeps matching (the stream
+		// and its sequence space are the same, since the client was
+		// synchronized to the last member's sequence numbers all along).
+		g.backups[down].SetUpstream(g.addrs[up])
+		g.matcher(up).SetMatchingPeer(g.addrs[down])
+	case up >= 0:
+		// The last live member died: the one before it degrades to
+		// unmatched operation (section 6).
+		g.matcher(up).HandleSecondaryFailure()
+	}
+	if g.OnFailover != nil {
+		g.OnFailover(position)
+	}
+}
+
+// TakeoverErr returns the joined errors of every takeover the group has
+// run: nil before any takeover and when all completed cleanly, otherwise
+// the steps that failed (each takeover still ran to the end).
 func (g *Group) TakeoverErr() error { return g.takeoverErr }
 
 // Start begins heartbeat exchange. Call after the replicated applications
-// are installed on both hosts.
+// are installed on every host.
 func (g *Group) Start() {
 	if g.started {
 		return
 	}
 	g.started = true
-	g.detectOnPrimary.Start()
-	g.detectOnSecondary.Start()
+	for _, d := range g.detectors {
+		d.Start()
+	}
 }
 
 // Stop halts the fault detectors (the bridges stay installed).
 func (g *Group) Stop() {
-	g.detectOnPrimary.Stop()
-	g.detectOnSecondary.Stop()
+	for _, d := range g.detectors {
+		d.Stop()
+	}
 }
 
 // Primary returns the primary host.
-func (g *Group) Primary() *netstack.Host { return g.primary }
+func (g *Group) Primary() *netstack.Host { return g.hosts[0] }
 
-// Secondary returns the secondary host.
-func (g *Group) Secondary() *netstack.Host { return g.secondary }
+// Secondary returns the first backup's host.
+func (g *Group) Secondary() *netstack.Host { return g.hosts[1] }
 
 // ServiceAddr returns the address clients connect to (the primary's).
-func (g *Group) ServiceAddr() ipv4.Addr { return g.aP }
+func (g *Group) ServiceAddr() ipv4.Addr { return g.addrs[0] }
 
 // Selector exposes the failover-connection selector (to enable individual
 // connections, the paper's socket-option method).
 func (g *Group) Selector() *core.Selector { return g.sel }
 
 // AttachSpans installs the fleet span recorder on the group: the failure
-// and detector marks land here, and the secondary bridge is wired for the
+// and detector marks land here, and every backup bridge is wired for the
 // per-flow first-diverted milestone and the takeover mark.
 func (g *Group) AttachSpans(r *obs.SpanRecorder) {
 	g.spans = r
-	g.sb.AttachSpans(r)
+	for _, b := range g.backups[1:] {
+		b.AttachSpans(r)
+	}
 }
 
-// PrimaryBridge exposes the primary bridge (stats, tests).
-func (g *Group) PrimaryBridge() *core.PrimaryBridge { return g.pb }
+// AttachObs resolves every bridge's metric handles against reg, labeled
+// with its host's name.
+func (g *Group) AttachObs(reg *obs.Registry) {
+	g.head.AttachObs(reg, g.hosts[0].Name())
+	for i, b := range g.backups[1:] {
+		b.AttachObs(reg, g.hosts[i+1].Name())
+	}
+}
 
-// SecondaryBridge exposes the secondary bridge (stats, tests).
-func (g *Group) SecondaryBridge() *core.SecondaryBridge { return g.sb }
+// PrimaryBridge exposes the primary's matching bridge (stats, tests).
+func (g *Group) PrimaryBridge() *core.PrimaryBridge { return g.head }
 
-// OnEach runs f on both hosts — the way a deterministic replicated
+// SecondaryBridge exposes the first backup's bridge (stats, tests).
+func (g *Group) SecondaryBridge() *core.SecondaryBridge { return g.backups[1] }
+
+// Backup exposes the bridge of the backup at position (1 is the first).
+func (g *Group) Backup(position int) *core.SecondaryBridge { return g.backups[position] }
+
+// OnEach runs f on every host — the way a deterministic replicated
 // application is installed.
 func (g *Group) OnEach(f func(h *netstack.Host) error) error {
-	if err := f(g.primary); err != nil {
-		return fmt.Errorf("primary: %w", err)
-	}
-	if err := f(g.secondary); err != nil {
-		return fmt.Errorf("secondary: %w", err)
+	for _, h := range g.hosts {
+		if err := f(h); err != nil {
+			return fmt.Errorf("%s: %w", h.Name(), err)
+		}
 	}
 	return nil
+}
+
+// Crash fail-stops the host at position; the other members' fault detectors
+// will notice and reconfigure. Crashing the member that serves the client
+// stamps the failure mark.
+func (g *Group) Crash(position int) {
+	if up, _ := g.liveNeighbours(position); up < 0 {
+		g.spans.MarkFailure(g.hosts[position].Scheduler().Now())
+	}
+	g.hosts[position].Crash()
 }
 
 // CrashPrimary fail-stops the primary host and stamps the failure mark;
 // the secondary's fault detector will notice and run the takeover
 // procedure.
-func (g *Group) CrashPrimary() {
-	g.spans.MarkFailure(g.primary.Scheduler().Now())
-	g.primary.Crash()
-}
-
-// CrashSecondary fail-stops the secondary host; the primary's fault
-// detector will notice and degrade to single-server operation.
-func (g *Group) CrashSecondary() { g.secondary.Crash() }
+func (g *Group) CrashPrimary() { g.Crash(0) }

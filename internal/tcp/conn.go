@@ -88,17 +88,14 @@ func (s *Stack) newConn(t Tuple) *Conn {
 		rcvBuf:      newRing(s.cfg.RecvBufSize, s.m.ringGrows),
 		mss:         s.cfg.MSS,
 		ssthresh:    65535,
-		rto:         newRTTEstimator(s.cfg.InitialRTO, s.cfg.MinRTO, s.cfg.MaxRTO),
+		rto:         newRTTEstimator(initialRTO, minRTO, s.cfg.MaxRTO),
 		lastWndSent: s.cfg.RecvBufSize,
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.sndMaxSeq = c.iss
 	c.sndDataStart = c.iss.Add(1)
-	c.cwnd = s.cfg.InitialCwndSegs * c.mss
-	if s.cfg.DisableCongestion {
-		c.cwnd = s.cfg.SendBufSize
-	}
+	c.cwnd = initialCwndSegs * c.mss
 	return c
 }
 
@@ -317,7 +314,7 @@ func (c *Conn) trySend() int {
 			unsent = 0
 		}
 		wnd := c.sndWnd
-		if !c.stack.cfg.DisableCongestion && c.cwnd < wnd {
+		if c.cwnd < wnd {
 			wnd = c.cwnd
 		}
 		inFlight := c.sndNxt.Diff(c.sndUna)
@@ -419,7 +416,7 @@ func (c *Conn) flushOutput() {
 	if sent > 0 {
 		return
 	}
-	if c.ackNowFlag || c.ackPendingSegs >= c.stack.cfg.AckEveryN {
+	if c.ackNowFlag || c.ackPendingSegs >= ackEveryN {
 		c.sendAck()
 		return
 	}
@@ -487,11 +484,9 @@ func (c *Conn) onRexmtTimeout() {
 	c.timing = false // Karn: do not time retransmitted segments
 	c.dupAcks = 0
 	c.fastRecovery = false
-	if !c.stack.cfg.DisableCongestion {
-		flight := c.sndNxt.Diff(c.sndUna)
-		c.ssthresh = max(flight/2, 2*c.mss)
-		c.cwnd = c.mss
-	}
+	flight := c.sndNxt.Diff(c.sndUna)
+	c.ssthresh = max(flight/2, 2*c.mss)
+	c.cwnd = c.mss
 	switch c.state {
 	case StateSynSent:
 		c.sendSYN(false)

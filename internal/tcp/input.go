@@ -132,9 +132,7 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	c.rcvNxt = seg.Seq.Add(1)
 	if mss, ok := seg.MSS(); ok {
 		c.mss = min(c.mss, int(mss))
-		if !c.stack.cfg.DisableCongestion {
-			c.cwnd = c.stack.cfg.InitialCwndSegs * c.mss
-		}
+		c.cwnd = initialCwndSegs * c.mss
 	}
 	c.setSndWnd(int(seg.Window))
 	c.sndWl1 = seg.Seq
@@ -264,15 +262,13 @@ func (c *Conn) handleNewAck(ack Seq) {
 	c.rtxCount = 0
 	c.sampleRTT(ack)
 
-	if !c.stack.cfg.DisableCongestion {
-		if c.fastRecovery {
-			c.cwnd = c.ssthresh
-			c.fastRecovery = false
-		} else if c.cwnd < c.ssthresh {
-			c.cwnd += min(acked, c.mss)
-		} else {
-			c.cwnd += max(c.mss*c.mss/c.cwnd, 1)
-		}
+	if c.fastRecovery {
+		c.cwnd = c.ssthresh
+		c.fastRecovery = false
+	} else if c.cwnd < c.ssthresh {
+		c.cwnd += min(acked, c.mss)
+	} else {
+		c.cwnd += max(c.mss*c.mss/c.cwnd, 1)
 	}
 	c.dupAcks = 0
 
@@ -288,9 +284,6 @@ func (c *Conn) handleNewAck(ack Seq) {
 
 func (c *Conn) handleDupAck() {
 	c.stack.m.dupAcks.Inc()
-	if c.stack.cfg.DisableCongestion {
-		return
-	}
 	c.dupAcks++
 	switch {
 	case c.dupAcks == 3:

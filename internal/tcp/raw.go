@@ -175,49 +175,14 @@ func PatchPseudoAddr(b []byte, oldAddr, newAddr ipv4.Addr) {
 	putU16(b[16:], checksum.UpdateUint32(RawChecksum(b), uint32(oldAddr), uint32(newAddr)))
 }
 
-// InsertOrigDstOption returns a copy of the marshaled segment with an
-// original-destination option appended to the header, patching the data
-// offset, and updating the checksum incrementally for the inserted bytes
-// and the changed offset word. The secondary bridge applies this to every
-// segment it diverts to the primary so the primary bridge can recover the
-// client address (paper section 3.1).
-func InsertOrigDstOption(b []byte, orig ipv4.Addr) ([]byte, error) {
-	const optLen = 8 // kind, len, addr(4), plus 2 NOP pad
-	hdrLen := RawHeaderLen(b)
-	if hdrLen-HeaderLen+optLen > MaxOptionLen {
-		return nil, ErrBadOption
-	}
-	out := make([]byte, len(b)+optLen)
-	copy(out, b[:hdrLen])
-	// Option: NOP NOP kind len addr — keep 4-byte alignment with leading pads.
-	opt := out[hdrLen : hdrLen+optLen]
-	opt[0] = OptNOP
-	opt[1] = OptNOP
-	opt[2] = OptOrigDst
-	opt[3] = 6
-	ipv4.PutAddr(opt[4:8], orig)
-	copy(out[hdrLen+optLen:], b[hdrLen:])
-
-	sum := RawChecksum(out)
-	// Data offset grows by optLen/4 words; patch the offset/flags word.
-	oldOffWord := getU16(out[12:])
-	out[12] = byte((hdrLen+optLen)/4) << 4
-	sum = checksum.Update(sum, oldOffWord, getU16(out[12:]))
-	// The inserted option bytes join the checksummed data at an even offset.
-	sum = checksum.UpdateBytes(sum, nil, opt)
-	// The pseudo-header TCP-length field grows by optLen.
-	sum = checksum.Update(sum, uint16(len(b)), uint16(len(out)))
-	putU16(out[16:], sum)
-	return out, nil
-}
-
 // AppendOrigDstOption builds the diverted form of a marshaled segment
 // directly into a pooled packet buffer: header, then the 8-byte
 // original-destination option block, then payload, with the data offset
-// patched and the checksum updated incrementally. It is the zero-allocation
-// equivalent of InsertOrigDstOption for the secondary's steady-state divert
-// path; opt is the flow's precomputed option block (see OrigDstOptionBlock)
-// whose byte sum the caller may also precompute.
+// patched and the checksum updated incrementally for the inserted bytes,
+// the changed offset word and the grown pseudo-header length. The secondary
+// bridge applies this to every segment it diverts upstream so the primary
+// bridge can recover the client address (paper section 3.1); opt is the
+// flow's precomputed option block (see OrigDstOptionBlock).
 func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[8]byte) ([]byte, error) {
 	const optLen = 8
 	hdrLen := RawHeaderLen(b)
@@ -258,37 +223,14 @@ func HasOrigDstOption(b []byte) bool {
 	return ok
 }
 
-// StripOrigDstOption returns a copy of the marshaled segment with the
-// original-destination option (and its alignment pads) removed, restoring
-// the header the secondary's TCP layer produced. It reports the option
-// value. The second return is false when no option is present.
-func StripOrigDstOption(b []byte) ([]byte, ipv4.Addr, bool) {
-	absStart, absEnd, addr, ok := findOrigDstOption(b)
-	if !ok {
-		return b, 0, false
-	}
-	hdrLen := RawHeaderLen(b)
-	removed := absEnd - absStart
-	out := make([]byte, len(b)-removed)
-	copy(out, b[:absStart])
-	copy(out[absStart:], b[absEnd:])
-
-	sum := RawChecksum(out)
-	oldOffWord := getU16(b[12:])
-	out[12] = byte((hdrLen-removed)/4) << 4
-	sum = checksum.Update(sum, oldOffWord, getU16(out[12:]))
-	sum = checksum.UpdateBytes(sum, b[absStart:absEnd], nil)
-	sum = checksum.Update(sum, uint16(len(b)), uint16(len(out)))
-	putU16(out[16:], sum)
-	return out, addr, true
-}
-
-// StripOrigDstOptionInPlace removes the original-destination option without
-// copying the segment: the header bytes before the option shift forward
-// over it and the stripped segment — a tail slice of b — is returned. The
-// caller must own b (the primary's inbound hook does: each receiver gets a
-// private copy of the frame). This is the zero-allocation strip for the
-// divert-merge steady state.
+// StripOrigDstOptionInPlace removes the original-destination option (and
+// its alignment pads) without copying the segment, restoring the header the
+// secondary's TCP layer produced: the header bytes before the option shift
+// forward over it and the stripped segment — a tail slice of b — is
+// returned with the option value. The last return is false, and b comes
+// back whole, when no option is present. The caller must own b (the
+// primary's inbound hook does: each receiver gets a private copy of the
+// frame).
 func StripOrigDstOptionInPlace(b []byte) ([]byte, ipv4.Addr, bool) {
 	absStart, absEnd, addr, ok := findOrigDstOption(b)
 	if !ok {
@@ -315,7 +257,7 @@ func StripOrigDstOptionInPlace(b []byte) ([]byte, ipv4.Addr, bool) {
 }
 
 // findOrigDstOption locates the NOP NOP kind len addr block written by
-// InsertOrigDstOption, returning the absolute [start, end) byte range
+// AppendOrigDstOption, returning the absolute [start, end) byte range
 // (including alignment pads, at most 8 bytes) and the option value.
 func findOrigDstOption(b []byte) (absStart, absEnd int, addr ipv4.Addr, ok bool) {
 	if !RawSane(b) {

@@ -61,11 +61,11 @@ func BenchmarkPatchPseudoAddr(b *testing.B) {
 func BenchmarkInsertStripOrigDst(b *testing.B) {
 	raw := benchSegment(1024)
 	for b.Loop() {
-		diverted, err := InsertOrigDstOption(raw, srcA)
+		diverted, err := divertedCopy(raw, srcA)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, ok := StripOrigDstOption(diverted); !ok {
+		if _, _, ok := StripOrigDstOptionInPlace(diverted); !ok {
 			b.Fatal("strip failed")
 		}
 	}

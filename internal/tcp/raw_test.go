@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netbuf"
 )
 
 // checkValid verifies a raw segment's checksum under the given addresses.
@@ -99,7 +100,7 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 		// Secondary output: headed for the client, from aS.
 		orig := Marshal(aS, client, s)
 
-		diverted, err := InsertOrigDstOption(orig, client)
+		diverted, err := divertedCopy(orig, client)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 		}
 
 		// Primary inbound: strip and verify the client address comes back.
-		stripped, gotOrig, ok := StripOrigDstOption(diverted)
+		stripped, gotOrig, ok := StripOrigDstOptionInPlace(diverted)
 		if !ok {
 			t.Fatal("option not found on diverted segment")
 		}
@@ -133,6 +134,17 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 	}
 }
 
+// divertedCopy is AppendOrigDstOption's output for raw, copied out of the
+// pooled buffer it was built in.
+func divertedCopy(raw []byte, orig ipv4.Addr) ([]byte, error) {
+	var opt [8]byte
+	OrigDstOptionBlock(&opt, orig)
+	pkt := netbuf.Get()
+	defer pkt.Release()
+	out, err := AppendOrigDstOption(pkt, raw, &opt)
+	return append([]byte(nil), out...), err
+}
+
 func mustSeg(t *testing.T, src, dst ipv4.Addr, raw []byte) *Segment {
 	t.Helper()
 	s, err := Unmarshal(src, dst, raw, false)
@@ -144,7 +156,7 @@ func mustSeg(t *testing.T, src, dst ipv4.Addr, raw []byte) *Segment {
 
 func TestStripWithoutOptionReportsFalse(t *testing.T) {
 	raw := Marshal(srcA, dstA, &Segment{Flags: FlagACK, Options: []Option{MSSOption(1460)}})
-	out, _, ok := StripOrigDstOption(raw)
+	out, _, ok := StripOrigDstOptionInPlace(raw)
 	if ok {
 		t.Error("reported an option on a segment without one")
 	}
@@ -187,7 +199,7 @@ func TestInsertOrigDstRejectsFullHeader(t *testing.T) {
 		opts[i] = MSSOption(1460)
 	}
 	raw := Marshal(srcA, dstA, &Segment{Flags: FlagSYN, Options: opts})
-	if _, err := InsertOrigDstOption(raw, srcA); err == nil {
+	if _, err := divertedCopy(raw, srcA); err == nil {
 		t.Error("insertion into a full header succeeded")
 	}
 }

@@ -81,21 +81,5 @@ func (ra *reassembly) pop(next Seq) []byte {
 	return out
 }
 
-// discardBeyond drops any buffered bytes at or beyond limit (used when the
-// receive window shrinks below previously accepted data; rare).
-func (ra *reassembly) discardBeyond(limit Seq) {
-	out := ra.blocks[:0]
-	for _, blk := range ra.blocks {
-		if blk.seq.Geq(limit) {
-			continue
-		}
-		if blk.end().Greater(limit) {
-			blk.data = blk.data[:limit.Diff(blk.seq)]
-		}
-		out = append(out, blk)
-	}
-	ra.blocks = out
-}
-
 // empty reports whether no out-of-order data is held.
 func (ra *reassembly) empty() bool { return len(ra.blocks) == 0 }

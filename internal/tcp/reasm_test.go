@@ -59,15 +59,6 @@ func TestReassemblyPopSkipsStaleBlocks(t *testing.T) {
 	}
 }
 
-func TestReassemblyDiscardBeyond(t *testing.T) {
-	var ra reassembly
-	ra.insert(100, []byte("abcdef"))
-	ra.discardBeyond(103)
-	if got := ra.pop(100); string(got) != "abc" {
-		t.Fatalf("pop = %q after discard", got)
-	}
-}
-
 // TestReassemblyRandomizedEquivalence: inserting random overlapping chunks
 // of a known stream in random order always reconstructs the stream.
 func TestReassemblyRandomizedEquivalence(t *testing.T) {

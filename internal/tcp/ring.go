@@ -26,7 +26,9 @@ type ring struct {
 	cap   int    // logical capacity: the window the peer may fill
 	start int
 	size  int
-	grows obs.Counter // counts grow() calls; resolved at ring creation
+	// grows is tcp_ring_grows_total, resolved at ring creation: it counts
+	// every take from the store, a ring's first included.
+	grows obs.Counter
 }
 
 func newRing(capacity int, grows obs.Counter) ring {

@@ -72,15 +72,10 @@ type Config struct {
 	SendBufSize       int           // default 65535 (the paper's 64 KB send buffer)
 	RecvBufSize       int           // default 65535
 	DelayedAckTimeout time.Duration // default 200 ms (BSD heritage)
-	AckEveryN         int           // ack every Nth full segment; default 2
-	InitialRTO        time.Duration // default 1 s
-	MinRTO            time.Duration // default 200 ms
 	MaxRTO            time.Duration // default 60 s
 	MaxRetries        int           // default 12 retransmissions before abort
 	TimeWaitDuration  time.Duration // default 60 s (2 MSL compressed)
 	DisableNagle      bool
-	DisableCongestion bool // fixed cwnd = send buffer (for controlled experiments)
-	InitialCwndSegs   int  // default 2 segments
 	// StrictSeqValidation tightens the acceptability test for connection-
 	// killing segments, in the spirit of RFC 5961: a RST is honored only
 	// when its sequence number is exactly rcvNxt or inside the receive
@@ -96,6 +91,14 @@ type Config struct {
 	ISS func(rng *rand.Rand) Seq
 }
 
+// The protocol constants no caller varies.
+const (
+	ackEveryN       = 2                      // ack every Nth full segment
+	initialRTO      = time.Second            // before the first RTT sample
+	minRTO          = 200 * time.Millisecond // floor of the estimator
+	initialCwndSegs = 2                      // Reno's initial window, in segments
+)
+
 func (c Config) withDefaults() Config {
 	if c.MSS == 0 {
 		c.MSS = 1460
@@ -109,15 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.DelayedAckTimeout == 0 {
 		c.DelayedAckTimeout = 200 * time.Millisecond
 	}
-	if c.AckEveryN == 0 {
-		c.AckEveryN = 2
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = time.Second
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
 	if c.MaxRTO == 0 {
 		c.MaxRTO = 60 * time.Second
 	}
@@ -126,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimeWaitDuration == 0 {
 		c.TimeWaitDuration = 60 * time.Second
-	}
-	if c.InitialCwndSegs == 0 {
-		c.InitialCwndSegs = 2
 	}
 	if c.ISS == nil {
 		c.ISS = func(rng *rand.Rand) Seq { return Seq(rng.Uint32()) }

@@ -147,9 +147,6 @@ type Options struct {
 	// is pointer-free and alloc-free in the steady state, but the hooks
 	// still cost a branch per segment event.
 	Spans bool
-	// SpanLimit bounds the live spans (LRU eviction beyond the cap, like
-	// the bridge flow caches); 0 means unbounded.
-	SpanLimit int
 }
 
 // LANOptions returns the paper's LAN testbed: 100 Mbit/s Ethernet
@@ -185,12 +182,10 @@ type Scenario struct {
 	Primary   *netstack.Host
 	Secondary *netstack.Host
 	Router    *netstack.Host
-	// Group is nil for unreplicated and chained scenarios.
+	// Group is the replica group; nil for unreplicated scenarios.
 	Group *replica.Group
 	// Tertiary is the second backup in a chained scenario (Backups: 2).
 	Tertiary *netstack.Host
-	// Chain is non-nil for chained scenarios.
-	Chain *replica.Chain
 
 	ServerLAN  *ethernet.Segment
 	ClientLink *ethernet.Segment
@@ -264,25 +259,21 @@ func newScenarioOn(sched *sim.Scheduler, opts Options) (*Scenario, error) {
 		cfg := opts.Replication
 		cfg.ServerPorts = append(cfg.ServerPorts, opts.ServerPorts...)
 		cfg.PeerPorts = append(cfg.PeerPorts, opts.PeerPorts...)
+		members := []*netstack.Host{sc.Primary, sc.Secondary}
 		switch opts.Backups {
 		case 0, 1:
-			group, err := replica.NewGroup(sc.Primary, sc.Secondary, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			sc.Group = group
 		case 2:
 			sc.Tertiary = netstack.NewHost(sched, "tertiary", opts.HostProfile)
 			sc.Tertiary.SetTCPConfig(opts.TCP)
 			sc.Tertiary.AttachIface(sc.ServerLAN, plan.macT, plan.tertiary, plan.serverPfx)
 			sc.Tertiary.AddRoute(defaultRoute, plan.routerLAN, 0)
-			chain, err := replica.NewChain(sc.Primary, sc.Secondary, sc.Tertiary, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			sc.Chain = chain
+			members = append(members, sc.Tertiary)
 		default:
 			return nil, fmt.Errorf("scenario: unsupported replication degree %d", opts.Backups)
+		}
+		var err error
+		if sc.Group, err = replica.NewGroup(members, cfg); err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
 	}
 
@@ -320,7 +311,7 @@ func newScenarioOn(sched *sim.Scheduler, opts Options) (*Scenario, error) {
 	sc.Obs = obs.NewRegistry()
 	sc.attachObs()
 	if opts.Spans {
-		sc.Spans = obs.NewSpanRecorder(opts.SpanLimit)
+		sc.Spans = obs.NewSpanRecorder()
 		sc.Spans.AttachObs(sc.Obs)
 		sc.Client.TCP().AttachSpans(sc.Spans)
 		if sc.Group != nil {
@@ -354,8 +345,7 @@ func (sc *Scenario) attachObs() {
 		}
 	}
 	if sc.Group != nil {
-		sc.Group.PrimaryBridge().AttachObs(reg, "primary")
-		sc.Group.SecondaryBridge().AttachObs(reg, "secondary")
+		sc.Group.AttachObs(reg)
 	}
 	sc.Faults.AttachObs(reg)
 }
@@ -484,9 +474,6 @@ func (sc *Scenario) Start() {
 	}
 	if sc.Group != nil {
 		sc.Group.Start()
-	}
-	if sc.Chain != nil {
-		sc.Chain.Start()
 	}
 }
 

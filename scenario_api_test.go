@@ -27,7 +27,7 @@ func TestScenarioUnreplicatedHasNoGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Group != nil || sc.Chain != nil || sc.Secondary != nil {
+	if sc.Group != nil || sc.Secondary != nil {
 		t.Error("unreplicated scenario built replication machinery")
 	}
 	sc.Start() // must not panic with no detectors

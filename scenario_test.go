@@ -182,7 +182,7 @@ func TestFailoverSecondaryMidStream(t *testing.T) {
 	if err := sc.RunUntil(func() bool { return ec.received > 64*1024 }, 60*time.Second); err != nil {
 		t.Fatalf("warm-up: %v (received=%d)", err, ec.received)
 	}
-	sc.Group.CrashSecondary()
+	sc.Group.Crash(1)
 
 	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
 		t.Fatalf("post-failure run: %v (sent=%d received=%d eof=%v)",

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"tcpfailover/internal/replica"
 )
 
 // TestPropertyRandomizedSweep draws random (seed, crash point, role, loss)
@@ -21,17 +19,14 @@ func TestPropertyRandomizedSweep(t *testing.T) {
 	for i := range 16 {
 		seed := rng.Int63n(1 << 30)
 		frac := 0.05 + 0.9*rng.Float64()
-		role := replica.RolePrimary
-		if rng.Intn(2) == 1 {
-			role = replica.RoleSecondary
-		}
+		pos := rng.Intn(2)
 		loss := 0.0
 		if rng.Intn(2) == 1 {
 			loss = 0.002 + 0.01*rng.Float64()
 		}
-		name := fmt.Sprintf("case%02d_seed%d_%s_at%.0f%%_loss%.3f", i, seed, role, frac*100, loss)
+		name := fmt.Sprintf("case%02d_seed%d_%s_at%.0f%%_loss%.3f", i, seed, memberNames[pos], frac*100, loss)
 		t.Run(name, func(t *testing.T) {
-			propertyRun(t, seed, frac, role, loss)
+			propertyRun(t, seed, frac, pos, loss)
 		})
 	}
 }
