@@ -7,14 +7,15 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
+	"tcpfailover/internal/fault"
 	"tcpfailover/internal/tcp"
 )
 
-// The byte-path allocation gates (CI runs both on every push): payload
-// bytes sit in three kinds of buffer between the applications — the TCP
-// send and receive rings and the primary bridge's match queues — and in the
-// steady state all three cycle storage through netbuf's byte store instead
-// of allocating.
+// The byte-path allocation gates (CI runs both on every push): between the
+// applications payload bytes sit in tcp.ByteRing — the TCP send and receive
+// buffers and the primary bridge's match queues — and in the steady state
+// every ring cycles storage through netbuf's byte store instead of
+// allocating, out-of-order arrival included.
 
 func frames(sc *tcpfailover.Scenario) int64 {
 	return sc.ServerLAN.Stats().Frames + sc.ClientLink.Stats().Frames
@@ -24,16 +25,50 @@ func frames(sc *tcpfailover.Scenario) int64 {
 // replies over one failover connection. Every reply byte waits in the
 // primary bridge's match queue; after one warm-up reply has grown the
 // rings, neither the queues nor anything else on the path may allocate per
-// segment.
+// segment. The lossy row is the paper's section 4 on the same path: 0.5 %
+// Bernoulli loss on the client link puts every lost frame's successors in
+// the client's receive ring beyond a gap, and neither holding them there,
+// nor judging each frame, nor the retransmissions may allocate either.
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
 	}
+	for _, row := range []struct {
+		name       string
+		loss       float64
+		maxMallocs float64 // per frame
+	}{
+		{"clean", 0, 0.01},
+		{"lossy", 0.005, 0.02},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			mallocs, bytes := streamAllocsPerFrame(t, row.loss)
+			if mallocs >= row.maxMallocs {
+				t.Errorf("stream steady state allocates %.4f times per frame, want < %v", mallocs, row.maxMallocs)
+			}
+			if bytes >= 16 {
+				t.Errorf("stream steady state allocates %.1f B per frame, want < 16", bytes)
+			}
+		})
+	}
+}
+
+// streamAllocsPerFrame runs 64 replies after a warm-up one, with Bernoulli
+// loss on the client link if loss > 0, and returns what they allocated per
+// frame carried.
+func streamAllocsPerFrame(t *testing.T, loss float64) (mallocs, bytes float64) {
 	const reply, replies = 128 << 10, 64
-	// Heartbeats allocate per period of virtual time, not per segment of
-	// the stream; they would be the whole of what this gate reads.
-	detectors := false
-	sc, err := testbed(Failover, 9100, func(o *tcpfailover.Options) { o.StartDetectors = &detectors }, reqReplyServer)
+	sc, err := testbed(Failover, 9100, func(o *tcpfailover.Options) {
+		// Heartbeats allocate per period of virtual time, not per segment of
+		// the stream; they would be the whole of what this gate reads.
+		detectors := false
+		o.StartDetectors = &detectors
+		if loss > 0 {
+			o.Faults = &fault.Plan{Impairments: []fault.Impairment{
+				{Link: fault.LinkClientLink, Models: []fault.Spec{fault.Bernoulli(loss)}},
+			}}
+		}
+	}, reqReplyServer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +103,10 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	if segs < replies*reply/1460 {
 		t.Fatalf("only %.0f segments carried for %d replies", segs, replies)
 	}
-	mallocs := float64(ms1.Mallocs-ms0.Mallocs) / segs
-	bytes := float64(ms1.TotalAlloc-ms0.TotalAlloc) / segs
-	t.Logf("%.0f segments: %.4f mallocs/segment, %.2f B/segment", segs, mallocs, bytes)
-	if mallocs >= 0.01 {
-		t.Errorf("stream steady state allocates %.4f times per segment, want < 0.01", mallocs)
-	}
-	if bytes >= 16 {
-		t.Errorf("stream steady state allocates %.1f B per segment, want < 16", bytes)
-	}
+	mallocs = float64(ms1.Mallocs-ms0.Mallocs) / segs
+	bytes = float64(ms1.TotalAlloc-ms0.TotalAlloc) / segs
+	t.Logf("%.0f frames: %.4f mallocs/frame, %.2f B/frame", segs, mallocs, bytes)
+	return mallocs, bytes
 }
 
 // TestSequentialConnsReuseRings: the stream-send shape, one connection per

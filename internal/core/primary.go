@@ -64,15 +64,23 @@ type PrimaryStats struct {
 // to 2^16/2^32.
 const seqHorizon = 65536
 
+// queueSpan is how far past its floor an output queue holds bytes. TCP here
+// has no window scaling, so a replica never sends further than 65 535 bytes
+// past what the client acknowledged, which the floor has passed; the byte
+// store's largest class covers that. A segment claiming more is forged, and
+// is clipped rather than allowed to size an allocation.
+const queueSpan = netbuf.MaxBytes
+
 // pconn is the primary bridge's per-connection state: the two output
 // queues, the sequence-number offset, and the acknowledgment/window
 // bookkeeping of sections 3 and 7 of the paper.
 //
 // Records live by value in the bridge's slab, addressed by slot index, and
 // hold no pointers to other records: the LRU links are slot indices, and
-// the output queues are embedded values. At a million connections the
-// garbage collector therefore sees one conns table and one slab — not a
-// million pconns each dragging two queue objects (DESIGN.md §14).
+// the output queues are embedded rings, which hold no pointer at all while
+// nothing is queued. At a million connections the garbage collector
+// therefore sees one conns table and one slab — not a million pconns each
+// dragging two queue objects (DESIGN.md §14).
 type pconn struct {
 	key             TupleKey
 	self            int32 // own slot index in the bridge's slab
@@ -89,7 +97,7 @@ type pconn struct {
 
 	// Server-to-client stream, in the secondary's sequence space.
 	sndMax       tcp.Seq // next byte to release to the client
-	pq, sq       byteQueue
+	pq, sq       tcp.ByteRing
 	pFin, sFin   tcp.Seq
 	pFinSet      bool
 	sFinSet      bool
@@ -655,7 +663,7 @@ func (b *PrimaryBridge) ingestServerSegment(c *pconn, sSeq tcp.Seq, payload []by
 		// Insert trims duplicates below the floor, so the gauge tracks the
 		// realized growth rather than the raw payload length.
 		before := q.Len()
-		if q.Insert(sSeq, payload) > 0 {
+		if q.Insert(sSeq, payload, queueSpan) > 0 {
 			// Bytes further past the release point than any unscaled window
 			// reaches: no replica sent this.
 			b.m.seqInvalidDrops.Inc()
@@ -700,9 +708,9 @@ func (b *PrimaryBridge) pump(c *pconn) {
 // the bridge. While either replica is ahead the other's ring stays too:
 // its next segment is already on the wire.
 func (c *pconn) parkQueues() {
-	if c.pq.bytes+c.sq.bytes == 0 && (c.pq.buf != nil || c.sq.buf != nil) {
-		c.pq.release()
-		c.sq.release()
+	if c.pq.Cap()+c.sq.Cap() != 0 && c.pq.Len()+c.sq.Len() == 0 {
+		c.pq.Release()
+		c.sq.Release()
 	}
 }
 
@@ -818,8 +826,8 @@ func (b *PrimaryBridge) maybeSendCombinedSyn(c *pconn) {
 		c.delta = c.seqPInit - c.seqSInit
 		c.deltaKnown = true
 		c.sndMax = c.seqSInit.Add(1)
-		c.pq.reset(c.sndMax)
-		c.sq.reset(c.sndMax)
+		c.pq.Reset(c.sndMax)
+		c.sq.Reset(c.sndMax)
 	}
 	mss := c.effMSS()
 	seg := &tcp.Segment{
@@ -941,8 +949,8 @@ func (b *PrimaryBridge) removeConn(c *pconn) {
 	b.conns.Delete(uint64(c.key))
 	b.stats.ConnsClosed++
 	b.m.queueBytes.Add(int64(-(c.pq.Len() + c.sq.Len())))
-	c.pq.release()
-	c.sq.release()
+	c.pq.Release()
+	c.sq.Release()
 	b.slots.Free(idx) // zeroes the record
 }
 

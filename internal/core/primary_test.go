@@ -361,9 +361,9 @@ func TestSecondaryFailureFlushDoesNotAllocate(t *testing.T) {
 			f.b.ingestServerSegment(c, base.Add(off), stream[off:off+mss], tcp.FlagACK, true)
 		}
 		f.b.HandleSecondaryFailure()
-		if bad || emitted != len(stream) || c.pq.Len() != 0 || c.pq.buf != nil {
+		if bad || emitted != len(stream) || c.pq.Len() != 0 || c.pq.Cap() != 0 {
 			t.Fatalf("flush released %d of %d bytes (corrupt=%v), %d left queued, ring kept=%v",
-				emitted, len(stream), bad, c.pq.Len(), c.pq.buf != nil)
+				emitted, len(stream), bad, c.pq.Len(), c.pq.Cap() != 0)
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, flush); allocs > 0 {

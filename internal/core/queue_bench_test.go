@@ -36,8 +36,8 @@ func BenchmarkByteQueueMatch(b *testing.B) {
 				released += n
 			}
 		}
-		pq.release()
-		sq.release()
+		pq.Release()
+		sq.Release()
 	}
 	b.SetBytes(64 * 1024)
 }
@@ -57,7 +57,7 @@ func BenchmarkByteQueueOutOfOrder(b *testing.B) {
 			q.Insert(tcp.Seq(i*1452), payload)
 		}
 		q.Advance(32 * 1452)
-		q.release()
+		q.Release()
 	}
 	b.SetBytes(32 * 1452)
 }

@@ -21,7 +21,7 @@ import (
 func runQueueProgramme(t *testing.T, floor tcp.Seq, prog []byte) {
 	t.Helper()
 	q, o := newByteQueue(floor), newOracleQueue(floor)
-	defer q.release()
+	defer q.Release()
 	tail := floor // highest sequence number inserted so far
 	var wrap, gotStream, wantStream []byte
 
@@ -83,7 +83,7 @@ func runQueueProgramme(t *testing.T, floor tcp.Seq, prog []byte) {
 			q.Advance(n)
 			o.Advance(n)
 			if q.Len() == 0 {
-				q.release() // as the bridge parks a drained queue
+				q.Release() // as the bridge parks a drained queue
 			}
 			check(step, "release")
 		case 7: // advance whatever is there, as the degraded drain does to sq
@@ -137,8 +137,8 @@ func TestByteQueueWrapAtEveryOffset(t *testing.T) {
 				q.Insert(floor.Add(in), stream[in:in+n])
 				in += n
 			}
-			if len(q.buf) != ring {
-				t.Fatalf("start %d: ring is %d bytes, the test wants it at %d", start, len(q.buf), ring)
+			if q.Cap() != ring {
+				t.Fatalf("start %d: ring is %d bytes, the test wants it at %d", start, q.Cap(), ring)
 			}
 			n := min(q.Ready(), mss)
 			if got := q.Peek(n, &wrap); !bytes.Equal(got, stream[out:out+n]) {
@@ -150,7 +150,7 @@ func TestByteQueueWrapAtEveryOffset(t *testing.T) {
 		if q.Len() != 0 {
 			t.Fatalf("start %d: %d bytes left", start, q.Len())
 		}
-		q.release()
+		q.Release()
 	}
 }
 
@@ -159,17 +159,17 @@ func TestByteQueueWrapAtEveryOffset(t *testing.T) {
 // the limit takes no storage at all.
 func TestByteQueueSpanLimit(t *testing.T) {
 	q := newByteQueue(1000)
-	defer q.release()
+	defer q.Release()
 	payload := make([]byte, 1452)
-	if c := q.Insert(tcp.Seq(1000).Add(queueSpan-1452), payload); c != 0 || q.Len() != 1452 || len(q.buf) != queueSpan {
-		t.Fatalf("span at the limit: clipped %d, Len %d, ring %d", c, q.Len(), len(q.buf))
+	if c := q.Insert(tcp.Seq(1000).Add(queueSpan-1452), payload); c != 0 || q.Len() != 1452 || q.Cap() != queueSpan {
+		t.Fatalf("span at the limit: clipped %d, Len %d, ring %d", c, q.Len(), q.Cap())
 	}
 	if c := q.Insert(tcp.Seq(1000).Add(queueSpan-1), payload[:2]); c != 1 || q.Len() != 1452 {
 		t.Fatalf("span one past the limit: clipped %d (want 1), Len %d", c, q.Len())
 	}
 	far := newByteQueue(1000)
-	if c := far.Insert(tcp.Seq(1000).Add(1<<30), payload); c != len(payload) || far.Len() != 0 || far.buf != nil {
-		t.Fatalf("far-ahead segment: clipped %d, Len %d, ring %d bytes", c, far.Len(), len(far.buf))
+	if c := far.Insert(tcp.Seq(1000).Add(1<<30), payload); c != len(payload) || far.Len() != 0 || far.Cap() != 0 {
+		t.Fatalf("far-ahead segment: clipped %d, Len %d, ring %d bytes", c, far.Len(), far.Cap())
 	}
 }
 

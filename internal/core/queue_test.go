@@ -8,7 +8,19 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-func newByteQueue(floor tcp.Seq) *byteQueue { return &byteQueue{floor: floor} }
+// byteQueue is tcp.ByteRing as the bridge uses it, as one of Figure 2's
+// output queues: every insert bounded by queueSpan.
+type byteQueue struct{ tcp.ByteRing }
+
+func newByteQueue(floor tcp.Seq) *byteQueue {
+	q := new(byteQueue)
+	q.Reset(floor)
+	return q
+}
+
+func (q *byteQueue) Insert(seq tcp.Seq, payload []byte) int {
+	return q.ByteRing.Insert(seq, payload, queueSpan)
+}
 
 // contiguous returns a copy of the bytes ready at the floor, nil if none.
 func (q *byteQueue) contiguous() []byte {
@@ -56,6 +68,14 @@ func TestByteQueueTrimsBelowFloor(t *testing.T) {
 	if q.Len() != 6 {
 		t.Errorf("Len = %d after stale insert", q.Len())
 	}
+	// The floor passes bytes held beyond a gap: they go, and what the floor
+	// lands inside of becomes ready from there.
+	q.Insert(110, []byte("stale"))
+	q.Insert(120, []byte("fresh"))
+	q.Advance(22)
+	if got := q.contiguous(); string(got) != "esh" || q.Len() != 3 {
+		t.Errorf("after advancing past a held span: ready %q, Len %d", got, q.Len())
+	}
 }
 
 func TestByteQueueGapBlocksContiguous(t *testing.T) {
@@ -82,12 +102,22 @@ func TestByteQueueAdvancePartialBlock(t *testing.T) {
 	}
 }
 
+// TestByteQueueOverlapPrefersExisting: the first copy of a byte wins, whether
+// the second overlaps the ready run, a span held beyond a gap, or repeats a
+// segment exactly (a TCP receiver's rule for retransmissions, too).
 func TestByteQueueOverlapPrefersExisting(t *testing.T) {
 	q := newByteQueue(0)
 	q.Insert(0, []byte("AAAA"))
 	q.Insert(0, []byte("bbbbcc")) // overlap keeps AAAA, appends cc
 	if got := q.contiguous(); string(got) != "AAAAcc" {
 		t.Errorf("Contiguous = %q, want AAAAcc", got)
+	}
+	q.Insert(10, []byte("DDDD"))
+	q.Insert(10, []byte("dddd"))   // exact duplicate beyond the gap
+	q.Insert(8, []byte("eeeeeee")) // overlaps [10,14) from both sides
+	q.Insert(6, []byte("ff"))
+	if got := q.contiguous(); string(got) != "AAAAccffeeDDDDe" {
+		t.Errorf("Contiguous = %q, want AAAAccffeeDDDDe", got)
 	}
 }
 

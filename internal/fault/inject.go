@@ -42,6 +42,9 @@ func (s *Stats) add(o Stats) {
 type binding struct {
 	from, to *ethernet.NIC // nil = any station
 	models   []Model
+	// v is judge's scratch: a verdict handed to a Model through the
+	// interface escapes, so a local one would cost a malloc per frame.
+	v Verdict
 }
 
 // Injector attaches to one ethernet.Segment and implements its Impairer
@@ -75,11 +78,12 @@ func (inj *Injector) attachObs(reg *obs.Registry) {
 }
 
 // judge runs b's chain over the frame, stopping at the first model that
-// drops it, and returns the verdict.
-func (b *binding) judge(now time.Duration, payload []byte) Verdict {
-	var v Verdict
+// drops it, and returns the verdict, which is valid until the next call.
+func (b *binding) judge(now time.Duration, payload []byte) *Verdict {
+	v := &b.v
+	*v = Verdict{FlipBits: v.FlipBits[:0]}
 	for _, m := range b.models {
-		m.Judge(now, payload, &v)
+		m.Judge(now, payload, v)
 		if v.Drop {
 			break
 		}

@@ -220,3 +220,31 @@ func TestInjectorDeterminism(t *testing.T) {
 		t.Errorf("final delivered payload differs: %x vs %x", last1, last2)
 	}
 }
+
+// TestInjectorDoesNotAllocate: judging a frame costs no allocation on either
+// side of the link, whatever the chain decides. The verdict a chain fills in
+// is scratch on its binding — handed to the models through an interface, a
+// local one escaped, one malloc per frame per chain — and the bit list a
+// corrupting model appends to is reused.
+func TestInjectorDoesNotAllocate(t *testing.T) {
+	n := newTestNet(t, 3)
+	for _, imp := range []Impairment{
+		{Link: testLink, Models: []Spec{Bernoulli(0.3), Delay(time.Millisecond, time.Millisecond), Corrupt(0.5)}},
+		{Link: testLink, To: RoleRouter, Models: []Spec{Bernoulli(0.3)}},
+	} {
+		if err := n.set.Impair(imp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := n.set.injectors[testLink]
+	f := ethernet.Frame{Src: n.a.MAC(), Dst: n.b.MAC(), Type: ethernet.TypeIPv4, Payload: make([]byte, 1500)}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		inj.Tx(n.a, f)
+		inj.Rx(n.b, f)
+	}); allocs != 0 {
+		t.Errorf("judging a frame allocates %.2f times, want 0", allocs)
+	}
+	if st := inj.stats; st.Dropped == 0 || st.Delayed == 0 || st.Corrupted == 0 || st.Examined < 2000 {
+		t.Errorf("the chains did not exercise every outcome: %+v", st)
+	}
+}

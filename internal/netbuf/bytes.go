@@ -7,17 +7,18 @@ import (
 	"unsafe"
 )
 
-// The byte store recycles the storage behind the rings that hold payload
-// between packets: the TCP send and receive rings and the primary bridge's
-// match queues. It sits beside the packet pool and is backed by sync.Pool
-// like it, for the same two reasons: simulations on separate goroutines
-// share it without a lock of their own, and what it retains belongs to the
-// collector, not to the live heap — a forced collection empties it.
+// The byte store recycles the storage behind tcp.ByteRing, the one ring that
+// holds payload between packets (the TCP send and receive buffers and the
+// primary bridge's match queues). It sits beside the packet pool and is
+// backed by sync.Pool like it, for the same two reasons: simulations on
+// separate goroutines share it without a lock of their own, and what it
+// retains belongs to the collector, not to the live heap — a forced
+// collection empties it.
 //
 // Ownership rules:
 //
-//   - TakeBytes hands out len == cap == a power of two from MinBytes to
-//     MaxBytes, with undefined contents: the taker writes before it reads.
+//   - TakeBytes hands out len == cap == a power of two, MinBytes at least,
+//     with undefined contents: the taker writes before it reads.
 //   - ReturnBytes ends the owner's claim. Nothing may alias the buffer
 //     afterwards; a slice of it handed to other code must have been
 //     consumed (copied, marshalled) before the return.
@@ -40,6 +41,15 @@ var bytePools [maxShift - minShift + 1]sync.Pool
 
 var poison atomic.Bool
 
+// liveBytes is the storage taken and not yet returned, counted only under
+// SetLeakCheck.
+var liveBytes atomic.Int64
+
+// LiveBytes returns the bytes of ring storage taken but not returned since
+// leak checking was enabled: zero once every ring of a finished simulation
+// has been released. Storage left to the collector counts as live.
+func LiveBytes() int64 { return liveBytes.Load() }
+
 // SetPoison makes ReturnBytes overwrite what it takes back, so that a stale
 // alias reads as a byte mismatch in whatever verifies the payload. For
 // tests; costs one pass over each returned buffer.
@@ -56,17 +66,19 @@ func byteClass(n int) int {
 	return bits.Len(uint(n-1)) - minShift
 }
 
-// TakeBytes returns a buffer of at least n bytes, rounded up to its class.
-// A request beyond MaxBytes is served from the heap at its exact size and
-// is not recycled.
+// TakeBytes returns a buffer of at least n bytes, rounded up to the next
+// power of two: its class. A request beyond MaxBytes is served from the heap
+// and is not recycled.
 func TakeBytes(n int) []byte {
-	if n > MaxBytes {
-		return make([]byte, n)
-	}
 	c := byteClass(n)
 	size := MinBytes << c
-	if p, _ := bytePools[c].Get().(*byte); p != nil {
-		return unsafe.Slice(p, size)
+	if leakCheck.Load() {
+		liveBytes.Add(int64(size))
+	}
+	if c < len(bytePools) {
+		if p, _ := bytePools[c].Get().(*byte); p != nil {
+			return unsafe.Slice(p, size)
+		}
 	}
 	return make([]byte, size)
 }
@@ -81,12 +93,15 @@ func ReturnBytes(p *[]byte) {
 	}
 	*p = nil
 	b = b[:cap(b)]
-	if len(b) > MaxBytes {
-		return // heap-served oversize request; let the GC take it
-	}
 	c := byteClass(len(b))
 	if len(b) != MinBytes<<c {
 		panic("netbuf: returned byte buffer was not taken from the store")
+	}
+	if leakCheck.Load() {
+		liveBytes.Add(-int64(len(b)))
+	}
+	if c >= len(bytePools) {
+		return // heap-served oversize request; let the GC take it
 	}
 	if poison.Load() {
 		for i := range b {

@@ -6,7 +6,7 @@ func TestTakeBytesRoundsToClass(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, 64}, {1, 64}, {64, 64}, {65, 128}, {1452, 2048},
 		{65535, 65536}, {65536, 65536},
-		{65537, 65537}, // beyond the largest class: exact, from the heap
+		{65537, 131072}, // beyond the largest class: the next power of two, from the heap
 	} {
 		b := TakeBytes(tc.ask)
 		if len(b) != tc.want || cap(b) != tc.want {

@@ -65,12 +65,13 @@ var (
 	live      atomic.Int64
 )
 
-// SetLeakCheck enables or disables live-buffer accounting and resets the
-// counter. Intended for tests; the counter costs two atomic ops per buffer
-// when enabled.
+// SetLeakCheck enables or disables live-buffer accounting — packet buffers
+// (Live) and ring storage (LiveBytes) — and resets both counters. Intended
+// for tests; the counters cost two atomic ops per buffer when enabled.
 func SetLeakCheck(on bool) {
 	leakCheck.Store(on)
 	live.Store(0)
+	liveBytes.Store(0)
 }
 
 // Live returns the number of buffers acquired but not yet released since

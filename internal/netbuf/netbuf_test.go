@@ -81,6 +81,17 @@ func TestLeakCheckCountsLiveBuffers(t *testing.T) {
 	if Live() != 0 {
 		t.Fatalf("Live() = %d after releases, want 0", Live())
 	}
+	// Ring storage is counted in bytes, at its class size, heap-served
+	// oversize requests included.
+	small, big := TakeBytes(100), TakeBytes(MaxBytes+1)
+	if LiveBytes() != 128+2*MaxBytes {
+		t.Fatalf("LiveBytes() = %d, want %d", LiveBytes(), 128+2*MaxBytes)
+	}
+	ReturnBytes(&small)
+	ReturnBytes(&big)
+	if LiveBytes() != 0 {
+		t.Fatalf("LiveBytes() = %d after returns, want 0", LiveBytes())
+	}
 }
 
 func TestGetSteadyStateZeroAlloc(t *testing.T) {

@@ -14,7 +14,9 @@ import (
 // acquired along the way — including clones for multi-receiver delivery,
 // retransmissions, and frames dropped by the lossy segment — must have been
 // released exactly once. A missed release shows up as Live() > 0; a double
-// release panics inside the run.
+// release panics inside the run. The same goes for ring storage: with both
+// connections closed and read dry, every take from the byte store — growth
+// under reordering included, at 5 % loss — has had its return.
 func TestNoBufferLeaks(t *testing.T) {
 	netbuf.SetLeakCheck(true)
 	defer netbuf.SetLeakCheck(false)
@@ -73,5 +75,8 @@ func TestNoBufferLeaks(t *testing.T) {
 	}
 	if live := netbuf.Live(); live != 0 {
 		t.Errorf("%d packet buffers still live after the event queue drained, want 0", live)
+	}
+	if live := netbuf.LiveBytes(); live != 0 {
+		t.Errorf("%d bytes of ring storage still live after both connections closed, want 0", live)
 	}
 }

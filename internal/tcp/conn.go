@@ -19,25 +19,22 @@ type Conn struct {
 	listener *Listener // non-nil for passively opened connections
 
 	// Send sequence variables (RFC 793 3.2).
-	iss          Seq
-	sndUna       Seq
-	sndNxt       Seq
-	sndMaxSeq    Seq // highest sequence number ever sent (BSD's snd_max)
-	sndWnd       int
-	maxSndWnd    int // largest window the peer has advertised
-	sndWl1       Seq
-	sndWl2       Seq
-	sndBuf       ring
-	sndDataStart Seq // sequence number of sndBuf byte 0
-	finQueued    bool
-	finSent      bool
-	finSeq       Seq
+	iss       Seq
+	sndUna    Seq
+	sndNxt    Seq
+	sndMaxSeq Seq // highest sequence number ever sent (BSD's snd_max)
+	sndWnd    int
+	maxSndWnd int // largest window the peer has advertised
+	sndWl1    Seq
+	sndWl2    Seq
+	sndBuf    ByteRing // unacknowledged and unsent data; capacity Config.SendBufSize
+	finQueued bool
+	finSent   bool
+	finSeq    Seq
 
 	// Receive sequence variables.
-	irs            Seq
 	rcvNxt         Seq
-	rcvBuf         ring
-	reasm          reassembly
+	rcvBuf         ByteRing // unread data up to rcvNxt, and what arrived beyond a gap; capacity Config.RecvBufSize
 	remoteFinSeq   Seq
 	remoteFinValid bool
 	peerFinRcvd    bool
@@ -84,8 +81,6 @@ func (s *Stack) newConn(t Tuple) *Conn {
 		tuple:       t,
 		state:       StateClosed,
 		iss:         s.cfg.ISS(s.rng),
-		sndBuf:      newRing(s.cfg.SendBufSize, s.m.ringGrows),
-		rcvBuf:      newRing(s.cfg.RecvBufSize, s.m.ringGrows),
 		mss:         s.cfg.MSS,
 		ssthresh:    65535,
 		rto:         newRTTEstimator(initialRTO, minRTO, s.cfg.MaxRTO),
@@ -94,7 +89,7 @@ func (s *Stack) newConn(t Tuple) *Conn {
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.sndMaxSeq = c.iss
-	c.sndDataStart = c.iss.Add(1)
+	c.sndBuf.Reset(c.iss.Add(1))
 	c.cwnd = initialCwndSegs * c.mss
 	return c
 }
@@ -128,13 +123,30 @@ func (c *Conn) OnWritable(f func()) { c.onWritable = f }
 func (c *Conn) OnClose(f func(error)) { c.onClose = f }
 
 // Buffered returns the number of receive-buffer bytes available to Read.
-func (c *Conn) Buffered() int { return c.rcvBuf.Len() }
+func (c *Conn) Buffered() int { return c.rcvBuf.Ready() }
 
 // SendFree returns the send-buffer space available to Write.
-func (c *Conn) SendFree() int { return c.sndBuf.Free() }
+func (c *Conn) SendFree() int { return c.stack.cfg.SendBufSize - c.sndBuf.Ready() }
 
 // SendQueued returns the bytes in the send buffer not yet acknowledged.
-func (c *Conn) SendQueued() int { return c.sndBuf.Len() }
+func (c *Conn) SendQueued() int { return c.sndBuf.Ready() }
+
+// rcvFree returns the receive window: the configured capacity less the
+// in-order bytes the application has not read. Bytes held beyond a gap lie
+// inside the window and do not shrink it.
+func (c *Conn) rcvFree() int { return c.stack.cfg.RecvBufSize - c.rcvBuf.Ready() }
+
+// buffer inserts p into ring r at seq, bounded by the ring's configured
+// capacity, and returns how many bytes it accepted. tcp_ring_grows_total
+// counts every take from the byte store, a ring's first included.
+func (c *Conn) buffer(r *ByteRing, seq Seq, p []byte, capacity int) int {
+	held := r.Cap()
+	n := len(p) - r.Insert(seq, p, capacity)
+	if r.Cap() != held {
+		c.stack.m.ringGrows.Inc()
+	}
+	return n
+}
 
 // Scratch returns an n-byte buffer owned by the connection's stack, shared
 // by every connection on it and allocated on first use: applications read
@@ -167,7 +179,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.finQueued {
 		return 0, ErrClosed
 	}
-	n := c.sndBuf.Write(p)
+	n := c.buffer(&c.sndBuf, c.sndBuf.End(), p, c.stack.cfg.SendBufSize)
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
@@ -177,8 +189,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 // Read copies buffered data into p. It returns (0, nil) when no data is
 // available yet and (0, io.EOF) after the peer's FIN has been consumed.
 func (c *Conn) Read(p []byte) (int, error) {
-	n := c.rcvBuf.Read(p)
+	n := c.rcvBuf.CopyAt(0, p)
 	if n > 0 {
+		c.rcvBuf.Advance(n)
 		c.maybeSendWindowUpdate()
 		return n, nil
 	}
@@ -242,14 +255,14 @@ func (c *Conn) emit(seg *Segment) {
 	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
 }
 
-// emitData marshals seg plus n bytes of send-buffer data starting at ring
-// offset off. The payload is peeked directly into the pooled packet buffer:
+// emitData marshals seg plus n bytes of send-buffer data starting off bytes
+// above its floor. The payload is copied directly into the pooled packet buffer:
 // the steady-state send path writes each byte once and allocates nothing.
 func (c *Conn) emitData(seg *Segment, off, n int) {
 	seg.SrcPort = c.tuple.LocalPort
 	seg.DstPort = c.tuple.RemotePort
 	pkt := netbuf.Get()
-	c.sndBuf.Peek(off, MarshalReserve(pkt, seg, n))
+	c.sndBuf.CopyAt(off, MarshalReserve(pkt, seg, n))
 	SealChecksum(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt.Bytes())
 	c.stack.m.segmentsOut.Inc()
 	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
@@ -265,7 +278,7 @@ func (c *Conn) setSndWnd(w int) {
 }
 
 func (c *Conn) advertisedWindow() uint16 {
-	w := c.rcvBuf.Free()
+	w := c.rcvFree()
 	if w > 65535 {
 		w = 65535
 	}
@@ -305,7 +318,7 @@ func (c *Conn) trySend() int {
 	}
 	sent := 0
 	for {
-		dataEnd := c.sndDataStart.Add(c.sndBuf.Len())
+		dataEnd := c.sndBuf.End()
 		if c.finSent && c.sndNxt.Greater(c.finSeq) {
 			break // everything through the FIN has been (re)sent
 		}
@@ -352,7 +365,7 @@ func (c *Conn) trySend() int {
 			Flags:  FlagACK,
 			Window: c.advertisedWindow(),
 		}
-		off := c.sndNxt.Diff(c.sndDataStart)
+		off := c.sndNxt.Diff(c.sndBuf.Floor())
 		if n > 0 {
 			// PSH marks the end of a burst: either the buffer drains, or
 			// Nagle is about to hold a sub-MSS remainder until this segment
@@ -405,7 +418,7 @@ func (c *Conn) clearAckPending() {
 	c.ackNowFlag = false
 	c.delackTimer.Stop()
 	c.delackTimer = sim.Timer{}
-	c.lastWndSent = c.rcvBuf.Free()
+	c.lastWndSent = c.rcvFree()
 }
 
 // flushOutput runs at the end of input processing: it piggybacks pending
@@ -432,8 +445,7 @@ func (c *Conn) maybeSendWindowUpdate() {
 	if c.state != StateEstablished && c.state != StateFinWait1 && c.state != StateFinWait2 {
 		return
 	}
-	free := c.rcvBuf.Free()
-	if free-c.lastWndSent >= min(2*c.mss, c.rcvBuf.Cap()/2) {
+	if c.rcvFree()-c.lastWndSent >= min(2*c.mss, c.stack.cfg.RecvBufSize/2) {
 		c.sendAck()
 	}
 }
@@ -513,8 +525,7 @@ func (c *Conn) onRexmtTimeout() {
 // nothing is in flight and trySend declined to transmit — a zero window or
 // a silly-window hold. The probe doubles as BSD's SWS override.
 func (c *Conn) maybeArmPersist() {
-	dataEnd := c.sndDataStart.Add(c.sndBuf.Len())
-	unsent := dataEnd.Diff(c.sndNxt)
+	unsent := c.sndBuf.End().Diff(c.sndNxt)
 	if unsent > 0 && c.sndNxt == c.sndUna && !c.persistTimer.Pending() && !c.rexmtTimer.Pending() {
 		c.persistCount = 0
 		c.stack.m.zeroWindowStalls.Inc()
@@ -538,12 +549,12 @@ func (c *Conn) armPersist() {
 		// first unacknowledged byte — one byte into a zero window, or as
 		// much as the sub-MSS window allows. The receiver trims it to its
 		// window but must process the ACK field.
-		off := c.sndUna.Diff(c.sndDataStart)
+		off := c.sndUna.Diff(c.sndBuf.Floor())
 		if off < 0 {
 			off = 0
 		}
-		if off < c.sndBuf.Len() {
-			n := min(c.sndBuf.Len()-off, c.mss, max(c.sndWnd, 1))
+		if off < c.sndBuf.Ready() {
+			n := min(c.sndBuf.Ready()-off, c.mss, max(c.sndWnd, 1))
 			seg := &Segment{
 				Seq:    c.sndUna,
 				Ack:    c.rcvNxt,
@@ -564,10 +575,9 @@ func (c *Conn) armPersist() {
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	// Everything sent has been acknowledged and nothing more will be
-	// buffered: the rings give their storage back now, not after the linger
-	// (rcvBuf only if the application has already read it dry).
-	c.sndBuf.release()
-	c.rcvBuf.release()
+	// buffered: the rings give their storage back now, not after the linger.
+	c.sndBuf.Release()
+	c.releaseRcvBuf()
 	c.stopRexmt()
 	c.timeWaitTimer.Stop()
 	c.timeWaitTimer = c.stack.sched.After(c.stack.cfg.TimeWaitDuration, "tcp.timewait", func() {
@@ -591,9 +601,18 @@ func (c *Conn) destroy(err error) {
 	// However the connection ended — TIME-WAIT expiry, RST, LAST-ACK, Abort
 	// — its rings go back to the store now rather than when the collector
 	// finds them. Unsent bytes have nowhere to go; unread ones stay readable.
-	c.sndBuf.drop()
-	c.rcvBuf.release()
+	c.sndBuf.Release()
+	c.releaseRcvBuf()
 	if c.onClose != nil {
 		c.onClose(err)
+	}
+}
+
+// releaseRcvBuf returns the receive ring's storage once the connection can
+// take no more data, unless the application has yet to read what is in it.
+// Bytes beyond a gap go with it: nothing will arrive to fill the gap.
+func (c *Conn) releaseRcvBuf() {
+	if c.rcvBuf.Ready() == 0 {
+		c.rcvBuf.Release()
 	}
 }

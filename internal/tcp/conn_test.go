@@ -184,7 +184,9 @@ func TestGracefulCloseStateWalk(t *testing.T) {
 // closed second and went LAST-ACK → CLOSED without a TIME-WAIT, has given
 // both rings back as well.
 func TestTimeWaitReleasesRings(t *testing.T) {
+	defer netbuf.SetLeakCheck(false)
 	for _, unread := range []bool{false, true} {
+		netbuf.SetLeakCheck(true)
 		p := newPair(t, Config{TimeWaitDuration: time.Minute})
 		c, s := p.connect(t, 80)
 		s.OnReadable(func() {
@@ -218,20 +220,24 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		}
 		c.Close()
 		p.runUntil(t, func() bool { return c.State() == StateTimeWait }, 5*time.Second)
-		if c.sndBuf.buf != nil {
-			t.Errorf("unread=%v: TIME-WAIT connection holds a %d-byte send buffer", unread, len(c.sndBuf.buf))
+		if c.sndBuf.Cap() != 0 {
+			t.Errorf("unread=%v: TIME-WAIT connection holds a %d-byte send buffer", unread, c.sndBuf.Cap())
 		}
-		if c.sndBuf.Cap() != p.a.Config().SendBufSize || c.rcvBuf.Cap() != p.a.Config().RecvBufSize {
-			t.Errorf("unread=%v: logical capacities changed: %d / %d", unread, c.sndBuf.Cap(), c.rcvBuf.Cap())
+		if c.SendFree() != p.a.Config().SendBufSize || c.rcvFree()+c.Buffered() != p.a.Config().RecvBufSize {
+			t.Errorf("unread=%v: logical capacities changed: %d / %d", unread, c.SendFree(), c.rcvFree()+c.Buffered())
 		}
 		p.runUntil(t, func() bool { return s.State() == StateClosed }, time.Second)
-		if s.sndBuf.buf != nil || s.rcvBuf.buf != nil {
+		if s.sndBuf.Cap() != 0 || s.rcvBuf.Cap() != 0 {
 			t.Errorf("unread=%v: connection closed from LAST-ACK holds %d + %d bytes of ring storage",
-				unread, len(s.sndBuf.buf), len(s.rcvBuf.buf))
+				unread, s.sndBuf.Cap(), s.rcvBuf.Cap())
+		}
+		// The store agrees: nothing is out but the unread reply's ring.
+		if live := netbuf.LiveBytes(); live != int64(c.rcvBuf.Cap()) {
+			t.Errorf("unread=%v: %d bytes of ring storage live, the connections hold %d", unread, live, c.rcvBuf.Cap())
 		}
 		if !unread {
-			if !sawEOF || c.rcvBuf.buf != nil {
-				t.Errorf("TIME-WAIT connection read dry (EOF %v) holds a %d-byte receive buffer", sawEOF, len(c.rcvBuf.buf))
+			if !sawEOF || c.rcvBuf.Cap() != 0 {
+				t.Errorf("TIME-WAIT connection read dry (EOF %v) holds a %d-byte receive buffer", sawEOF, c.rcvBuf.Cap())
 			}
 			continue
 		}
@@ -249,6 +255,8 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 // bytes it could not send; the side that receives the RST keeps what its
 // application has not read yet, and only that.
 func TestResetAndAbortReleaseRings(t *testing.T) {
+	netbuf.SetLeakCheck(true)
+	defer netbuf.SetLeakCheck(false)
 	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
 	// s never reads: c's 100 KB fills s's receive ring and backs up in c's
@@ -260,16 +268,20 @@ func TestResetAndAbortReleaseRings(t *testing.T) {
 	if _, err := s.Write(bytes.Repeat([]byte{5}, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	if c.sndBuf.buf == nil || s.rcvBuf.buf == nil || s.sndBuf.buf == nil {
+	if c.sndBuf.Cap() == 0 || s.rcvBuf.Cap() == 0 || s.sndBuf.Cap() == 0 {
 		t.Fatal("set-up: the rings under test hold no storage")
 	}
 	c.Abort()
-	if c.sndBuf.buf != nil || c.rcvBuf.buf != nil {
-		t.Errorf("aborted connection holds %d + %d bytes of ring storage", len(c.sndBuf.buf), len(c.rcvBuf.buf))
+	if c.sndBuf.Cap() != 0 || c.rcvBuf.Cap() != 0 {
+		t.Errorf("aborted connection holds %d + %d bytes of ring storage", c.sndBuf.Cap(), c.rcvBuf.Cap())
 	}
 	p.runUntil(t, func() bool { return s.State() == StateClosed }, time.Second)
-	if s.sndBuf.buf != nil {
-		t.Errorf("reset connection holds a %d-byte send buffer", len(s.sndBuf.buf))
+	if s.sndBuf.Cap() != 0 {
+		t.Errorf("reset connection holds a %d-byte send buffer", s.sndBuf.Cap())
+	}
+	// The store agrees: nothing is out but the ring of unread bytes.
+	if live := netbuf.LiveBytes(); live != int64(s.rcvBuf.Cap()) {
+		t.Errorf("%d bytes of ring storage live, the unread bytes' ring is %d", live, s.rcvBuf.Cap())
 	}
 	unread := s.Buffered()
 	if n, _ := s.Read(make([]byte, 100_000)); n != unread || unread == 0 {

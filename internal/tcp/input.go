@@ -128,8 +128,7 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	if !seg.Flags.Has(FlagSYN) {
 		return
 	}
-	c.irs = seg.Seq
-	c.rcvNxt = seg.Seq.Add(1)
+	c.setRcvNxt(seg.Seq.Add(1))
 	if mss, ok := seg.MSS(); ok {
 		c.mss = min(c.mss, int(mss))
 		c.cwnd = initialCwndSegs * c.mss
@@ -177,15 +176,14 @@ func (c *Conn) inputSynSent(seg *Segment) {
 // legitimate peer, and the only acceptable value against a closed window)
 // or inside the receive window.
 func (c *Conn) strictSeqOK(seq Seq) bool {
-	return seq == c.rcvNxt || seq.InWindow(c.rcvNxt, c.rcvBuf.Free())
+	return seq == c.rcvNxt || seq.InWindow(c.rcvNxt, c.rcvFree())
 }
 
 func (c *Conn) segAcceptable(seg *Segment) bool {
 	if seg.Seq.Leq(c.rcvNxt) {
 		return true
 	}
-	wnd := c.rcvBuf.Free()
-	return seg.Seq.InWindow(c.rcvNxt, wnd)
+	return seg.Seq.InWindow(c.rcvNxt, c.rcvFree())
 }
 
 // processAck handles the acknowledgment field; it reports whether segment
@@ -247,13 +245,9 @@ func (c *Conn) processAck(seg *Segment) bool {
 
 func (c *Conn) handleNewAck(ack Seq) {
 	acked := ack.Diff(c.sndUna)
-	consume := ack.Diff(c.sndDataStart)
-	if consume > c.sndBuf.Len() {
-		consume = c.sndBuf.Len() // SYN/FIN consume sequence space, not buffer
-	}
-	if consume > 0 {
-		c.sndBuf.Consume(consume)
-		c.sndDataStart = c.sndDataStart.Add(consume)
+	// SYN/FIN consume sequence space, not buffer.
+	if consume := min(ack.Diff(c.sndBuf.Floor()), c.sndBuf.Ready()); consume > 0 {
+		c.sndBuf.Advance(consume)
 	}
 	c.sndUna = ack
 	if c.sndNxt.Less(c.sndUna) {
@@ -277,7 +271,7 @@ func (c *Conn) handleNewAck(ack Seq) {
 	} else {
 		c.armRexmt()
 	}
-	if c.onWritable != nil && c.sndBuf.Free() > 0 {
+	if c.onWritable != nil && c.SendFree() > 0 {
 		c.onWritable()
 	}
 }
@@ -302,8 +296,8 @@ func (c *Conn) handleDupAck() {
 
 // retransmitOne resends the segment at the left edge of the send window.
 func (c *Conn) retransmitOne() {
-	off := c.sndUna.Diff(c.sndDataStart)
-	n := min(c.mss, c.sndBuf.Len()-off)
+	off := c.sndUna.Diff(c.sndBuf.Floor())
+	n := min(c.mss, c.sndBuf.Ready()-off)
 	seg := &Segment{
 		Seq:    c.sndUna,
 		Ack:    c.rcvNxt,
@@ -333,8 +327,8 @@ func (c *Conn) sampleRTT(ack Seq) {
 	}
 }
 
-// processPayload trims the segment text to the receive window and delivers
-// in-order bytes to the receive buffer.
+// processPayload trims the segment text to the receive window and puts it in
+// the receive buffer, where it extends the in-order run or waits beyond a gap.
 func (c *Conn) processPayload(seg *Segment) {
 	if len(seg.Payload) == 0 {
 		return
@@ -360,7 +354,7 @@ func (c *Conn) processPayload(seg *Segment) {
 		start = c.rcvNxt
 	}
 	// Trim to the window.
-	limit := c.rcvNxt.Add(c.rcvBuf.Free())
+	limit := c.rcvNxt.Add(c.rcvFree())
 	if start.Add(len(payload)).Greater(limit) {
 		keep := limit.Diff(start)
 		if keep <= 0 {
@@ -370,16 +364,9 @@ func (c *Conn) processPayload(seg *Segment) {
 		payload = payload[:keep]
 	}
 
+	c.buffer(&c.rcvBuf, start, payload, c.stack.cfg.RecvBufSize)
 	if start == c.rcvNxt {
-		n := c.rcvBuf.Write(payload)
-		c.rcvNxt = c.rcvNxt.Add(n)
-		if more := c.reasm.pop(c.rcvNxt); len(more) > 0 {
-			m := c.rcvBuf.Write(more)
-			c.rcvNxt = c.rcvNxt.Add(m)
-			if m < len(more) {
-				c.reasm.insert(c.rcvNxt, more[m:])
-			}
-		}
+		c.rcvNxt = c.rcvBuf.End() // past whatever was waiting beyond the gap this filled
 		c.ackPendingSegs++
 		if seg.Flags.Has(FlagPSH) {
 			// A pushed segment ends a burst; holding its acknowledgment
@@ -392,8 +379,8 @@ func (c *Conn) processPayload(seg *Segment) {
 		} else {
 			c.ackPendingSegs = max(c.ackPendingSegs, 1)
 		}
-		if !c.reasm.empty() {
-			c.ackNowFlag = true
+		if c.rcvBuf.Len() > c.rcvBuf.Ready() {
+			c.ackNowFlag = true // still a gap: keep the duplicate ACKs coming
 		}
 		if sp := c.stack.spans; sp != nil {
 			sp.Progress(c.tuple.SpanKey(), c.stack.sched.Now())
@@ -402,8 +389,7 @@ func (c *Conn) processPayload(seg *Segment) {
 			c.onReadable()
 		}
 	} else {
-		// Out of order: stash and send an immediate duplicate ACK.
-		c.reasm.insert(start, payload)
+		// Out of order: it waits in place; send an immediate duplicate ACK.
 		c.ackNowFlag = true
 	}
 }
@@ -440,4 +426,11 @@ func (c *Conn) processFin(seg *Segment) {
 	if c.onReadable != nil {
 		c.onReadable() // EOF is now observable
 	}
+}
+
+// setRcvNxt records the first sequence number expected from the peer, learnt
+// from its SYN, and starts the receive buffer there.
+func (c *Conn) setRcvNxt(seq Seq) {
+	c.rcvNxt = seq
+	c.rcvBuf.Reset(seq)
 }

@@ -31,9 +31,7 @@ func newStackMetrics(reg *obs.Registry, host string) stackMetrics {
 }
 
 // AttachObs resolves the stack's metric handles against reg, labeled with
-// the host name. Call once at scenario build time; connections created
-// before the call keep their ring-growth handles (rings resolve theirs at
-// connection creation), everything else switches immediately.
+// the host name. Call once at scenario build time.
 func (s *Stack) AttachObs(reg *obs.Registry, host string) {
 	s.m = newStackMetrics(reg, host)
 }

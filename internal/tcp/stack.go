@@ -488,8 +488,7 @@ func (s *Stack) accept(l *Listener, t Tuple, syn *Segment) {
 	c.state = StateSynReceived
 	c.listener = l
 	s.insertConn(c)
-	c.irs = syn.Seq
-	c.rcvNxt = syn.Seq.Add(1)
+	c.setRcvNxt(syn.Seq.Add(1))
 	c.setSndWnd(int(syn.Window))
 	if mss, ok := syn.MSS(); ok {
 		c.mss = min(c.mss, int(mss))
