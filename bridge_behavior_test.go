@@ -166,6 +166,108 @@ func TestLateFinFromSecondarySynthesizedAck(t *testing.T) {
 	}
 }
 
+// TestLateClientFinIsAcknowledged is the client's side of the same rule: the
+// server closes first, the acknowledgment of the client's FIN is lost, and by
+// the time the client retransmits its FIN the bridge has deleted the
+// connection. The bridge must answer from the service address, through the
+// path every client-bound segment takes, so the client closes as it would
+// against an unreplicated server: same outcome, same time, one late ACK, and
+// no frame from any other address.
+func TestLateClientFinIsAcknowledged(t *testing.T) {
+	// run returns when the client's OnClose fired and with what, the primary
+	// bridge's late-FIN ACK count, and the sources of the TCP segments the
+	// client received. (A chain's interior matcher snoops the same FIN and
+	// answers it too; that ACK is diverted to the head, which drops it.)
+	run := func(t *testing.T, opts tcpfailover.Options) (time.Duration, error, int64, map[ipv4.Addr]bool) {
+		sc, err := tcpfailover.NewScenario(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		install := func(h *netstack.Host) error {
+			_, err := apps.NewPushServer(h.TCP(), 80, 4096)
+			return err
+		}
+		if sc.Group != nil {
+			err = sc.Group.OnEach(install)
+		} else {
+			err = install(sc.Primary)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drop, once, the first bare ACK sent to the client after its FIN.
+		clientFin := false
+		sources := map[ipv4.Addr]bool{}
+		sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, payload []byte) {
+			if hdr.Protocol != ipv4.ProtoTCP || !tcp.RawSane(payload) {
+				return
+			}
+			if dir == "rx" {
+				sources[hdr.Src] = true
+			} else if tcp.RawFlags(payload).Has(tcp.FlagFIN) {
+				clientFin = true
+			}
+		})
+		err = sc.Faults.Impair(fault.Impairment{
+			Link: fault.LinkClientLink, To: fault.RoleClient,
+			Models: []fault.Spec{fault.DropWhen(func(p []byte) bool {
+				hdr, seg, err := ipv4.Unmarshal(p)
+				return clientFin && err == nil && hdr.Protocol == ipv4.ProtoTCP && tcp.RawSane(seg) &&
+					tcp.RawFlags(seg) == tcp.FlagACK && len(tcp.RawPayload(seg)) == 0
+			}, 1)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Start()
+
+		conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv := apps.NewReceiver(conn, sc.Sched)
+		closed, closedAt, closeErr := false, time.Duration(0), error(nil)
+		conn.OnClose(func(err error) { closed, closedAt, closeErr = true, sc.Now(), err })
+		if err := sc.RunUntil(func() bool { return closed }, 30*time.Minute); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if recv.Received != 4096 || recv.BadAt >= 0 {
+			t.Errorf("received %d bytes (corrupt at %d), want 4096 intact", recv.Received, recv.BadAt)
+		}
+		var late int64
+		if sc.Group != nil {
+			late = sc.Group.PrimaryBridge().Stats().LateFinAcks
+		}
+		return closedAt, closeErr, late, sources
+	}
+
+	plain := tcpfailover.LANOptions()
+	plain.Unreplicated = true
+	wantAt, wantErr, _, _ := run(t, plain)
+	if wantErr != nil {
+		t.Fatalf("unreplicated close: %v", wantErr)
+	}
+	for _, backups := range []int{1, 2} {
+		opts := tcpfailover.LANOptions()
+		opts.Backups = backups
+		at, err, late, sources := run(t, opts)
+		if err != nil {
+			t.Errorf("backups=%d: client closed with %v after %v, want a clean close (unreplicated: %v)",
+				backups, err, at, wantAt)
+		}
+		if d := at - wantAt; d < -time.Second || d > time.Second {
+			t.Errorf("backups=%d: closed at %v, unreplicated at %v", backups, at, wantAt)
+		}
+		if late != 1 {
+			t.Errorf("backups=%d: LateFinAcks = %d, want 1", backups, late)
+		}
+		if len(sources) != 1 || !sources[tcpfailover.PrimaryAddr] {
+			t.Errorf("backups=%d: client received TCP from %v, want only the service address", backups, sources)
+		}
+		t.Logf("backups=%d: closed at %v (unreplicated %v), %d late-FIN ACK", backups, at, wantAt, late)
+	}
+}
+
 // TestEchoEOFServerCloses exercises the server-side close ordering: the
 // client half-closes first; both replicas observe EOF, close, and their
 // merged FIN reaches the client exactly once.

@@ -39,13 +39,6 @@ const (
 	OutcomeExhausted Outcome = "state-exhausted"
 )
 
-// Attack is a scheduled attacker behavior. Launch must be called before
-// the event loop reaches Start: it pre-draws all randomness and registers
-// timed injections with the scheduler.
-type Attack interface {
-	Launch(st *Station)
-}
-
 // RSTInjection forges connection-killing RST probes from Src toward Dst
 // with uniformly random sequence numbers: the blind off-path teardown
 // attack of RFC 5961's threat model. Against the unhardened bridge any
@@ -121,8 +114,8 @@ func (a ARPTakeover) Launch(st *Station) {
 type AckStorm struct {
 	Src, Dst         ipv4.Addr
 	SrcPort, DstPort uint16
-	Segments         int           // default 64
-	PayloadLen       int           // default 32
+	Segments         int // default 64
+	PayloadLen       int // default 32
 	Start            time.Duration
 	Spacing          time.Duration // default 200µs
 }
@@ -169,8 +162,8 @@ func (a AckStorm) Launch(st *Station) {
 type SYNFlood struct {
 	Target  ipv4.Addr
 	Port    uint16
-	Sources []ipv4.Addr   // spoofed source pool, cycled; must be non-empty
-	Count   int           // default 256
+	Sources []ipv4.Addr // spoofed source pool, cycled; must be non-empty
+	Count   int         // default 256
 	Start   time.Duration
 	Spacing time.Duration // default 200µs
 }

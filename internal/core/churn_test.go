@@ -20,7 +20,7 @@ func churnSYN(f *priFixture, i int) {
 	seg := &tcp.Segment{SrcPort: uint16(20000 + i), DstPort: 80, Seq: tcp.Seq(i),
 		Flags: tcp.FlagSYN, Window: 65535, Options: []tcp.Option{tcp.MSSOption(1460)}}
 	raw := tcp.Marshal(src, f.aP, seg)
-	f.b.inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: src, Dst: f.aP}, raw)
+	f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: src, Dst: f.aP}, raw)
 }
 
 func TestPrimaryBridgeChurnUnbounded(t *testing.T) {

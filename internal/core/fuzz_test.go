@@ -42,7 +42,7 @@ func FuzzSecondarySnoop(f *testing.F) {
 		sec := newSecFixture(t)
 		hdr := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: sec.aC, Dst: sec.aP}
 		buf := append([]byte(nil), data...)
-		verdict, _, _ := sec.b.inbound(0, hdr, buf)
+		verdict, _, _ := sec.b.Inbound(0, hdr, buf)
 		if len(data) >= tcp.HeaderLen && !tcp.RawSane(data) {
 			if verdict != netstack.VerdictDrop {
 				t.Fatalf("insane frame not dropped (verdict %v)", verdict)
@@ -57,7 +57,7 @@ func FuzzSecondarySnoop(f *testing.F) {
 		mid.b.AttachObs(reg, "s")
 		for i, dst := range []ipv4.Addr{mid.aP, mid.aS} {
 			hdr := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: mid.aC, Dst: dst}
-			verdict, _, _ := mid.b.inbound(0, hdr, append([]byte(nil), data...))
+			verdict, _, _ := mid.b.Inbound(0, hdr, append([]byte(nil), data...))
 			if len(data) >= tcp.HeaderLen && !tcp.RawSane(data) {
 				drops, _ := reg.Lookup(`bridge_malformed_drops_total{host="s"}`)
 				if verdict != netstack.VerdictDrop || drops != int64(i+1) {
@@ -71,7 +71,7 @@ func FuzzSecondarySnoop(f *testing.F) {
 
 		pri := newPriFixture(t)
 		hdrP := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aC, Dst: pri.aP}
-		pri.b.inbound(0, hdrP, append([]byte(nil), data...))
+		pri.b.Inbound(0, hdrP, append([]byte(nil), data...))
 
 		// Structured replay: an established connection attacked with a
 		// fuzzer-chosen segment (overlaps, stale data, far-future data).
@@ -91,7 +91,7 @@ func FuzzSecondarySnoop(f *testing.F) {
 			SrcPort: 49152, DstPort: 80, Seq: seq, Ack: ack,
 			Flags: flags | tcp.FlagACK, Window: 65535, Payload: payload,
 		})
-		pri2.b.inbound(0, hdrP, raw)
+		pri2.b.Inbound(0, hdrP, raw)
 	})
 }
 
@@ -220,7 +220,7 @@ func (f *priFixture) checkQueueGauge(t *testing.T, want int64) {
 	for _, k := range f.b.conns.AppendKeys(nil) {
 		idx, _ := f.b.conns.Get(k)
 		c := f.b.slots.At(idx)
-		held += int64(c.pq.Len() + c.sq.Len())
+		held += int64(c.p.q.Len() + c.s.q.Len())
 	}
 	if got := f.b.m.queueBytes.Value(); got != held || got < 0 || (want >= 0 && got != want) {
 		t.Fatalf("queue gauge %d, queues hold %d, want %d", got, held, want)

@@ -6,7 +6,7 @@ import "tcpfailover/internal/obs"
 // handles. Always populated — with discard handles until AttachObs — so the
 // merge path updates them unconditionally without branching or allocating.
 type primaryMetrics struct {
-	queueBytes       obs.Gauge   // bytes parked in pq+sq across all conns
+	queueBytes       obs.Gauge   // bytes parked in both output queues across all conns
 	matchedBytes     obs.Counter // bytes matched between the replica streams
 	releasedBytes    obs.Counter // payload bytes released toward the client
 	seqTranslations  obs.Counter // Δseq applications (seq or ack rewrites)

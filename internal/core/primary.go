@@ -71,9 +71,32 @@ const seqHorizon = 65536
 // is clipped rather than allowed to size an allocation.
 const queueSpan = netbuf.MaxBytes
 
-// pconn is the primary bridge's per-connection state: the two output
-// queues, the sequence-number offset, and the acknowledgment/window
-// bookkeeping of sections 3 and 7 of the paper.
+// replica is what the bridge keeps about one of the two TCP layers whose
+// output it merges: the primary's own, and the secondary's as it arrives
+// diverted. The paper's bridge is symmetric in the two — matched output
+// queues, ack = min, win = min, one SYN combined from two — so a pconn holds
+// the same record twice. The one asymmetry, Delta-seq, is applied on the way
+// in (fromReplica): everything but iss is in the sequence spaces the client
+// sees.
+type replica struct {
+	q      tcp.ByteRing // output queue (Figure 2), in the secondary's sequence space
+	iss    tcp.Seq      // sequence number of its SYN, in its own space
+	fin    tcp.Seq      // stream position of its FIN
+	ack    tcp.Seq      // its latest acknowledgment of the client's stream
+	mss    uint16       // MSS its SYN announced; defaultMSS if it carried none
+	synWin uint16       // window its SYN announced
+	win    uint16       // its latest window
+	issSet bool
+	finSet bool
+	ackSet bool
+}
+
+// finAt reports whether the replica's stream ends exactly at seq.
+func (r *replica) finAt(seq tcp.Seq) bool { return r.finSet && r.fin == seq }
+
+// pconn is the primary bridge's per-connection state: the two replicas'
+// records, the sequence-number offset between them, and the release and
+// termination bookkeeping of sections 3, 7 and 8 of the paper.
 //
 // Records live by value in the bridge's slab, addressed by slot index, and
 // hold no pointers to other records: the LRU links are slot indices, and
@@ -86,32 +109,23 @@ type pconn struct {
 	self            int32 // own slot index in the bridge's slab
 	serverInitiated bool
 
+	p, s replica // the primary's own TCP layer, and the secondary's
+
 	// Establishment.
-	seqPInit, seqSInit tcp.Seq
-	pInitSet, sInitSet bool
-	delta              tcp.Seq // seqP,init - seqS,init
-	deltaKnown         bool
-	mssP, mssS         uint16
-	synWinP, synWinS   uint16
-	combinedSynSent    bool
+	delta           tcp.Seq // p.iss - s.iss
+	deltaKnown      bool
+	combinedSynSent bool
 
 	// Server-to-client stream, in the secondary's sequence space.
 	sndMax       tcp.Seq // next byte to release to the client
-	pq, sq       tcp.ByteRing
-	pFin, sFin   tcp.Seq
-	pFinSet      bool
-	sFinSet      bool
 	finSent      bool
 	finSeq       tcp.Seq
 	finAckedByCl bool
 
-	// Client-stream acknowledgment state from each replica.
-	ackP, ackS       tcp.Seq
-	ackPSet, ackSSet bool
-	winP, winS       uint16
-	lastAckSent      tcp.Seq
-	lastAckValid     bool
-	lastWinSent      uint16
+	// What the client was last told of the replicas' acknowledgment state.
+	lastAckSent  tcp.Seq
+	lastAckValid bool
+	lastWinSent  uint16
 
 	// Termination bookkeeping (section 8).
 	clientFinSeen bool
@@ -119,15 +133,18 @@ type pconn struct {
 }
 
 func (c *pconn) effMSS() int {
-	m := c.mssP
-	if c.mssS != 0 && (m == 0 || c.mssS < m) {
-		m = c.mssS
+	m := c.p.mss
+	if c.s.mss != 0 && (m == 0 || c.s.mss < m) {
+		m = c.s.mss
 	}
 	if m == 0 {
 		m = defaultMSS
 	}
 	return int(m)
 }
+
+// queued returns the bytes parked in the connection's two output queues.
+func (c *pconn) queued() int { return c.p.q.Len() + c.s.q.Len() }
 
 // PrimaryBridge is the bridge sublayer on the primary server P.
 type PrimaryBridge struct {
@@ -196,17 +213,6 @@ func NewPrimaryBridgeCore(host *netstack.Host, primaryAddr, secondaryAddr ipv4.A
 		_ = b.host.SendIPFastBuf(b.aP, client, ipv4.ProtoTCP, pkt)
 	}
 	return b
-}
-
-// Inbound is the bridge's inbound interposition handler (exported for
-// composition; NewPrimaryBridge installs it automatically).
-func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
-	return b.inbound(ifIndex, hdr, payload)
-}
-
-// Outbound is the bridge's outbound interposition handler.
-func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
-	return b.outbound(src, dst, segment)
 }
 
 // SetEmitFunc overrides the transport for finished client-bound segments.
@@ -281,26 +287,26 @@ func (b *PrimaryBridge) lruTouch(c *pconn) {
 
 // --- outbound: segments from the primary's own TCP layer --------------------
 
-func (b *PrimaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
+// Outbound is the bridge's outbound interposition handler (exported for
+// composition; NewPrimaryBridge installs it automatically).
+func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 	key := MakeTupleKey(dst, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
 	// Steady state is a single table hit: a tracked connection implies the
 	// selector matched when the record was created, so the (up to three
 	// probe) selector runs only on a conns miss.
 	c := b.lookup(key)
-	exists := c != nil
-	if !exists && !b.sel.Match(key) {
+	if c == nil && !b.sel.Match(key) {
 		return false
 	}
 	b.stats.SegmentsFromPrimary++
-	flags := tcp.RawFlags(segment)
-	if exists {
+	if c != nil {
 		b.lruTouch(c)
-	}
-	if !exists {
+	} else {
 		// Only a SYN may create bridge state (a server-initiated
 		// connection, section 7.2). Anything else for an unknown
 		// connection is post-cleanup traffic: let a refusal RST through
 		// unchanged, swallow the rest.
+		flags := tcp.RawFlags(segment)
 		if !flags.Has(tcp.FlagSYN) {
 			if flags.Has(tcp.FlagRST) && flags.Has(tcp.FlagACK) {
 				_ = b.host.SendIPFast(b.aP, dst, ipv4.ProtoTCP, segment)
@@ -309,59 +315,74 @@ func (b *PrimaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
 		}
 		c = b.conn(key)
 	}
+	b.fromReplica(c, &c.p, segment)
+	return true
+}
 
+// fromReplica takes a segment of tracked connection c from one replica's TCP
+// layer: r is &c.p for the primary's own output, whose sequence numbers are
+// in P's space and are translated by Delta-seq here, or &c.s for the
+// secondary's diverted output, which already is in the space the client
+// sees.
+func (b *PrimaryBridge) fromReplica(c *pconn, r *replica, segment []byte) {
+	own := r == &c.p
+	flags := tcp.RawFlags(segment)
 	switch {
 	case flags.Has(tcp.FlagSYN):
-		seg, err := tcp.Unmarshal(src, dst, segment, false)
+		mss, announced, err := tcp.RawMSS(segment)
 		if err != nil {
-			return true
+			return // what the replica's peer would refuse to parse
 		}
-		if !c.pInitSet {
-			c.pInitSet = true
-			c.seqPInit = seg.Seq
-			if mss, ok := seg.MSS(); ok {
-				c.mssP = mss
-			} else {
-				c.mssP = defaultMSS
+		if !r.issSet {
+			r.issSet = true
+			r.iss = tcp.RawSeq(segment)
+			r.mss = defaultMSS
+			if announced {
+				r.mss = mss
 			}
-			c.synWinP = seg.Window
+			r.synWin = tcp.RawWindow(segment)
 		}
-		c.winP = seg.Window
+		r.win = tcp.RawWindow(segment)
 		if flags.Has(tcp.FlagACK) {
-			c.ackP = seg.Ack
-			c.ackPSet = true
-		} else {
+			r.ack, r.ackSet = tcp.RawAck(segment), true
+		} else if own {
 			c.serverInitiated = true
 		}
-		if b.degraded && !c.sInitSet {
+		if b.degraded && !c.s.issSet {
 			b.adoptPrimaryAsSecondary(c)
 		}
 		b.maybeSendCombinedSyn(c)
-		return true
 
 	case flags.Has(tcp.FlagRST):
-		b.forwardRST(c, segment, true)
-		return true
+		if !own && b.cfg.ValidateSeq && c.deltaKnown &&
+			!tcp.RawSeq(segment).InWindow(c.sndMax.Add(-seqHorizon), 2*seqHorizon) {
+			// A diverted RST is forged unless it lands near the release
+			// point: the secondary resets in its own sequence space, which
+			// the bridge tracks as sndMax.
+			b.m.seqInvalidDrops.Inc()
+			return
+		}
+		b.forwardRST(c, segment, own)
 
 	default:
 		if !c.deltaKnown {
-			return true // cannot translate yet; TCP will retransmit
+			return // cannot translate yet; TCP will retransmit
 		}
-		sSeq := tcp.RawSeq(segment) - c.delta
-		b.m.seqTranslations.Inc()
+		seq := tcp.RawSeq(segment)
+		if own {
+			seq -= c.delta
+			b.m.seqTranslations.Inc()
+		}
 		if flags.Has(tcp.FlagACK) {
-			c.ackP = tcp.RawAck(segment)
-			c.ackPSet = true
+			r.ack, r.ackSet = tcp.RawAck(segment), true
 		}
-		c.winP = tcp.RawWindow(segment)
+		r.win = tcp.RawWindow(segment)
 		if b.degraded {
-			b.forwardDegraded(c, sSeq, segment, flags)
-			return true
+			b.forwardDegraded(c, seq, segment, flags)
+			return
 		}
-		payload := tcp.RawPayload(segment)
-		b.ingestServerSegment(c, sSeq, payload, flags, true)
+		b.ingestServerSegment(c, r, seq, tcp.RawPayload(segment), flags)
 		b.pump(c)
-		return true
 	}
 }
 
@@ -381,7 +402,9 @@ func (b *PrimaryBridge) verifyDiverted(hdr ipv4.Header, payload []byte) bool {
 
 // --- inbound: datagrams addressed to aP --------------------------------------
 
-func (b *PrimaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
+// Inbound is the bridge's inbound interposition handler (exported for
+// composition; NewPrimaryBridge installs it automatically).
+func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
 	if len(payload) < tcp.HeaderLen {
 		return netstack.VerdictPass, hdr, payload
 	}
@@ -392,36 +415,20 @@ func (b *PrimaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		b.m.malformedDrops.Inc()
 		return netstack.VerdictDrop, hdr, payload
 	}
-	if hdr.Dst != b.aP {
-		// Segments diverted to another address this host owns (a chain
-		// promotion in flight) still belong to the demultiplexer; anything
-		// else is not ours. The checksum must be verified before the strip:
-		// the in-place strip cancels corrupted option bytes out of the sum.
-		if tcp.HasOrigDstOption(payload) && b.host.Owns(hdr.Dst) {
-			if !b.verifyDiverted(hdr, payload) {
-				return netstack.VerdictDrop, hdr, payload
-			}
-			if stripped, orig, ok := tcp.StripOrigDstOptionInPlace(payload); ok {
-				if !b.degraded {
-					b.fromSecondary(orig, stripped)
-				}
-				return netstack.VerdictDrop, hdr, payload
-			}
-		}
-		return netstack.VerdictPass, hdr, payload
-	}
-	if tcp.HasOrigDstOption(payload) {
-		// Demultiplexer: a diverted segment from the secondary. The payload
-		// is this station's private copy, so the option is stripped in
-		// place — no per-segment copy.
-		if !b.verifyDiverted(hdr, payload) {
-			return netstack.VerdictDrop, hdr, payload
-		}
-		stripped, orig, _ := tcp.StripOrigDstOptionInPlace(payload)
-		if !b.degraded {
+	if tcp.HasOrigDstOption(payload) && (hdr.Dst == b.aP || b.host.Owns(hdr.Dst)) {
+		// Demultiplexer: a diverted segment from the secondary — also one
+		// diverted to another address this host owns (a chain promotion in
+		// flight). The checksum is verified before the strip, which cancels
+		// corrupted option bytes out of the sum; the payload is this
+		// station's private copy, so the option is stripped in place.
+		if b.verifyDiverted(hdr, payload) && !b.degraded {
+			stripped, orig, _ := tcp.StripOrigDstOptionInPlace(payload)
 			b.fromSecondary(orig, stripped)
 		}
 		return netstack.VerdictDrop, hdr, payload
+	}
+	if hdr.Dst != b.aP {
+		return netstack.VerdictPass, hdr, payload
 	}
 
 	// A client segment. A tracked connection implies a past selector match,
@@ -435,15 +442,13 @@ func (b *PrimaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		}
 		switch {
 		case flags.Has(tcp.FlagSYN) && !flags.Has(tcp.FlagACK):
-			c = b.conn(key) // new client-initiated connection
-			_ = c
+			b.conn(key) // new client-initiated connection
 		case flags.Has(tcp.FlagFIN):
-			// Retransmitted FIN after the bridge deleted the connection:
-			// acknowledge it directly (section 8).
-			b.synthesizeAck(key.PeerAddr(), key.PeerPort(), b.aP, key.LocalPort(),
-				tcp.RawAck(payload),
-				tcp.RawSeq(payload).Add(len(tcp.RawPayload(payload))+1))
-			b.stats.LateFinAcks++
+			// Retransmitted FIN after the bridge deleted the connection: the
+			// acknowledgment that let it do so was lost. Acknowledge it again
+			// from the service address, the way every client-bound segment
+			// leaves (section 8).
+			b.emit(hdr.Src, b.ackOnBehalf(b.aP, hdr.Src, payload))
 			return netstack.VerdictDrop, hdr, payload
 		}
 		return netstack.VerdictPass, hdr, payload
@@ -466,8 +471,8 @@ func (b *PrimaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		c.clientFinEnd = tcp.RawSeq(payload).Add(len(tcp.RawPayload(payload)) + 1)
 	}
 	if flags.Has(tcp.FlagRST) {
-		if b.cfg.ValidateSeq && c.combinedSynSent && (c.ackPSet || c.ackSSet) &&
-			!tcp.RawSeq(payload).InWindow(c.minAck(b.degraded), seqHorizon) {
+		if b.cfg.ValidateSeq && c.combinedSynSent && (c.p.ackSet || c.s.ackSet) &&
+			!tcp.RawSeq(payload).InWindow(b.minAck(c), seqHorizon) {
 			// A blind off-path RST: outside the horizon around the combined
 			// acknowledgment it cannot be the client's, and letting it
 			// through would tear down bridge state the replicas still hold.
@@ -481,27 +486,20 @@ func (b *PrimaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 	}
 	if n := len(tcp.RawPayload(payload)); n > 0 && c.combinedSynSent && c.lastAckValid {
 		if b.cfg.ValidateSeq &&
-			!tcp.RawSeq(payload).Add(n).InWindow(c.minAck(b.degraded).Add(-seqHorizon), 3*seqHorizon) {
+			!tcp.RawSeq(payload).Add(n).InWindow(b.minAck(c).Add(-seqHorizon), 3*seqHorizon) {
 			// Stale or far-future data: answering it would hand a blind
 			// forger an acknowledgment reflector, so it is dropped instead.
 			b.m.seqInvalidDrops.Inc()
 			return netstack.VerdictDrop, hdr, payload
 		}
-		if tcp.RawSeq(payload).Add(n).Leq(c.minAck(b.degraded)) {
+		if tcp.RawSeq(payload).Add(n).Leq(b.minAck(c)) {
 			// The client retransmits data both replicas have already
 			// acknowledged — it missed the acknowledgment. The replicas'
 			// duplicate ACKs would not advance the combined minimum, so the
 			// bridge answers directly (the duplicate-ACK analogue of the
 			// section 4 retransmission forwarding).
 			b.stats.EmptyAcks++
-			out := &b.emitSeg
-			*out = tcp.Segment{
-				Seq:    c.sndMax,
-				Ack:    c.minAck(b.degraded),
-				Flags:  tcp.FlagACK,
-				Window: c.minWin(b.degraded),
-			}
-			b.emitToClient(c, out)
+			b.emitToClient(c, b.segmentAt(c, c.sndMax, tcp.FlagACK, nil))
 		}
 	}
 	b.maybeGC(c)
@@ -542,23 +540,18 @@ func (b *PrimaryBridge) forwardDegraded(c *pconn, sSeq tcp.Seq, segment []byte, 
 func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte) {
 	b.stats.SegmentsFromSecondary++
 	key := MakeTupleKey(orig, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
-	flags := tcp.RawFlags(segment)
 	c := b.lookup(key)
-	exists := c != nil
-	if !exists {
+	if c != nil {
+		b.lruTouch(c)
+	} else {
+		flags := tcp.RawFlags(segment)
 		switch {
 		case flags.Has(tcp.FlagFIN) || len(tcp.RawPayload(segment)) > 0:
 			// The secondary retransmits data or its FIN because it missed
 			// the client's closing ACKs. The bridge only deletes its state
 			// once the client has acknowledged everything, so it answers
 			// these retransmissions on the client's behalf (section 8).
-			end := tcp.RawSeq(segment).Add(len(tcp.RawPayload(segment)))
-			if flags.Has(tcp.FlagFIN) {
-				end = end.Add(1)
-			}
-			b.synthesizeAck(orig, key.PeerPort(), b.aS, key.LocalPort(),
-				tcp.RawAck(segment), end)
-			b.stats.LateFinAcks++
+			_ = b.host.SendIPFastBuf(orig, b.aS, ipv4.ProtoTCP, b.ackOnBehalf(orig, b.aS, segment))
 			return
 		case flags.Has(tcp.FlagSYN):
 			c = b.conn(key)
@@ -568,71 +561,15 @@ func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte) {
 			return
 		}
 	}
-	if exists {
-		b.lruTouch(c)
-	}
-
-	switch {
-	case flags.Has(tcp.FlagSYN):
-		seg, err := tcp.Unmarshal(b.aS, orig, segment, false)
-		if err != nil {
-			return
-		}
-		if !c.sInitSet {
-			c.sInitSet = true
-			c.seqSInit = seg.Seq
-			if mss, ok := seg.MSS(); ok {
-				c.mssS = mss
-			} else {
-				c.mssS = defaultMSS
-			}
-			c.synWinS = seg.Window
-		}
-		c.winS = seg.Window
-		if flags.Has(tcp.FlagACK) {
-			c.ackS = seg.Ack
-			c.ackSSet = true
-		}
-		b.maybeSendCombinedSyn(c)
-
-	case flags.Has(tcp.FlagRST):
-		if b.cfg.ValidateSeq && c.deltaKnown &&
-			!tcp.RawSeq(segment).InWindow(c.sndMax.Add(-seqHorizon), 2*seqHorizon) {
-			// A diverted RST is forged unless it lands near the release
-			// point: the secondary resets in its own sequence space, which
-			// the bridge tracks as sndMax.
-			b.m.seqInvalidDrops.Inc()
-			return
-		}
-		b.forwardRST(c, segment, false)
-
-	default:
-		if !c.deltaKnown {
-			return
-		}
-		if flags.Has(tcp.FlagACK) {
-			c.ackS = tcp.RawAck(segment)
-			c.ackSSet = true
-		}
-		c.winS = tcp.RawWindow(segment)
-		b.ingestServerSegment(c, tcp.RawSeq(segment), tcp.RawPayload(segment), flags, false)
-		b.pump(c)
-	}
+	b.fromReplica(c, &c.s, segment)
 }
 
 // ingestServerSegment handles a data-bearing (or FIN-bearing) segment from
-// either replica, already expressed in the secondary's sequence space.
-func (b *PrimaryBridge) ingestServerSegment(c *pconn, sSeq tcp.Seq, payload []byte, flags tcp.Flags, fromPrimary bool) {
-	if flags.Has(tcp.FlagFIN) {
-		fin := sSeq.Add(len(payload))
-		if fromPrimary {
-			c.pFin, c.pFinSet = fin, true
-		} else {
-			c.sFin, c.sFinSet = fin, true
-		}
-	}
+// replica r, already expressed in the secondary's sequence space.
+func (b *PrimaryBridge) ingestServerSegment(c *pconn, r *replica, sSeq tcp.Seq, payload []byte, flags tcp.Flags) {
 	end := sSeq.Add(len(payload))
 	if flags.Has(tcp.FlagFIN) {
+		r.fin, r.finSet = end, true
 		end = end.Add(1)
 	}
 	if (len(payload) > 0 || flags.Has(tcp.FlagFIN)) && end.Leq(c.sndMax) {
@@ -641,62 +578,43 @@ func (b *PrimaryBridge) ingestServerSegment(c *pconn, sSeq tcp.Seq, payload []by
 		b.stats.RetransmissionsForwarded++
 		// payload aliases the inbound frame's private copy; emitToClient
 		// marshals it into a packet buffer before returning, so no copy.
-		out := &b.emitSeg
-		*out = tcp.Segment{
-			Seq:     sSeq,
-			Ack:     c.minAck(b.degraded),
-			Flags:   tcp.FlagACK | tcp.FlagPSH,
-			Window:  c.minWin(b.degraded),
-			Payload: payload,
-		}
-		if flags.Has(tcp.FlagFIN) {
-			out.Flags |= tcp.FlagFIN
-		}
-		b.emitToClient(c, out)
+		b.emitToClient(c, b.segmentAt(c, sSeq, tcp.FlagACK|tcp.FlagPSH|flags&tcp.FlagFIN, payload))
 		return
 	}
 	if len(payload) > 0 {
-		q := &c.sq
-		if fromPrimary {
-			q = &c.pq
-		}
 		// Insert trims duplicates below the floor, so the gauge tracks the
 		// realized growth rather than the raw payload length.
-		before := q.Len()
-		if q.Insert(sSeq, payload, queueSpan) > 0 {
+		before := r.q.Len()
+		if r.q.Insert(sSeq, payload, queueSpan) > 0 {
 			// Bytes further past the release point than any unscaled window
 			// reaches: no replica sent this.
 			b.m.seqInvalidDrops.Inc()
 		}
-		b.m.queueBytes.Add(int64(q.Len() - before))
+		b.m.queueBytes.Add(int64(r.q.Len() - before))
 	}
 }
 
 // pump constructs new client segments from matching queued payload
 // (Figure 2) and forwards acknowledgment/window advances.
 func (b *PrimaryBridge) pump(c *pconn) {
-	if !c.deltaKnown {
-		return
-	}
 	mss := c.effMSS()
 	for {
-		if n := min(c.pq.Ready(), c.sq.Ready(), mss); n > 0 {
-			sb := c.sq.Peek(n, &b.wrapS)
-			if b.cfg.VerifyReplicaOutput && !bytes.Equal(c.pq.Peek(n, &b.wrapP), sb) {
+		if n := min(c.p.q.Ready(), c.s.q.Ready(), mss); n > 0 {
+			sb := c.s.q.Peek(n, &b.wrapS)
+			if b.cfg.VerifyReplicaOutput && !bytes.Equal(c.p.q.Peek(n, &b.wrapP), sb) {
 				b.stats.Divergences++
 				if b.OnDivergence != nil {
 					b.OnDivergence(c.key, c.sndMax)
 				}
 			}
 			b.m.matchedBytes.Add(int64(n))
-			b.releaseData(c, sb, false)
+			b.releaseData(c, sb)
 			continue
 		}
-		if b.finsMatchedAt(c, c.sndMax) && !c.finSent {
-			b.releaseFin(c, false)
-			continue
+		if !b.finsMatched(c) {
+			break
 		}
-		break
+		b.releaseFin(c)
 	}
 	c.parkQueues()
 	b.maybeEmitAck(c)
@@ -708,10 +626,18 @@ func (b *PrimaryBridge) pump(c *pconn) {
 // the bridge. While either replica is ahead the other's ring stays too:
 // its next segment is already on the wire.
 func (c *pconn) parkQueues() {
-	if c.pq.Cap()+c.sq.Cap() != 0 && c.pq.Len()+c.sq.Len() == 0 {
-		c.pq.Release()
-		c.sq.Release()
+	if c.p.q.Cap()+c.s.q.Cap() != 0 && c.queued() == 0 {
+		c.p.q.Release()
+		c.s.q.Release()
 	}
+}
+
+// segmentAt readies the bridge's scratch segment for emitToClient: flags and
+// payload at seq — the release point, except for a forwarded retransmission
+// — carrying the combined acknowledgment and window of the moment.
+func (b *PrimaryBridge) segmentAt(c *pconn, seq tcp.Seq, flags tcp.Flags, payload []byte) *tcp.Segment {
+	b.emitSeg = tcp.Segment{Seq: seq, Ack: b.minAck(c), Flags: flags, Window: b.minWin(c), Payload: payload}
+	return &b.emitSeg
 }
 
 // releaseData sends payload — bytes a queue's Peek returned, read in place
@@ -720,125 +646,98 @@ func (c *pconn) parkQueues() {
 // Advance only moves the floors, so payload stays intact until
 // emitToClient has marshalled it; the rings go back to the store later, in
 // the caller (parkQueues), once drained.
-func (b *PrimaryBridge) releaseData(c *pconn, payload []byte, degraded bool) {
-	out := &b.emitSeg
-	*out = tcp.Segment{
-		Seq:     c.sndMax,
-		Ack:     c.minAck(degraded),
-		Flags:   tcp.FlagACK | tcp.FlagPSH,
-		Window:  c.minWin(degraded),
-		Payload: payload,
-	}
-	b.qAdvance(c, len(payload))
+func (b *PrimaryBridge) releaseData(c *pconn, payload []byte) {
+	out := b.segmentAt(c, c.sndMax, tcp.FlagACK|tcp.FlagPSH, payload)
+	// The secondary queue may hold fewer bytes than are released (degraded
+	// drain), so the gauge moves by the realized shrinkage.
+	before := c.queued()
+	c.p.q.Advance(len(payload))
+	c.s.q.Advance(len(payload))
+	b.m.queueBytes.Add(int64(c.queued() - before))
 	c.sndMax = c.sndMax.Add(len(payload))
-	if b.finsMatchedAt(c, c.sndMax) && c.pq.Len() == 0 && (degraded || c.sq.Len() == 0) {
+	if b.finsMatched(c) && c.p.q.Len() == 0 && (b.degraded || c.s.q.Len() == 0) {
 		out.Flags |= tcp.FlagFIN
-		c.finSent = true
-		c.finSeq = c.sndMax
-		c.sndMax = c.sndMax.Add(1)
+		c.finSent, c.finSeq, c.sndMax = true, c.sndMax, c.sndMax.Add(1)
 	}
 	b.emitToClient(c, out)
 }
 
 // releaseFin sends the servers' FIN on its own, at the release point.
-func (b *PrimaryBridge) releaseFin(c *pconn, degraded bool) {
-	out := &b.emitSeg
-	*out = tcp.Segment{
-		Seq:    c.sndMax,
-		Ack:    c.minAck(degraded),
-		Flags:  tcp.FlagACK | tcp.FlagFIN,
-		Window: c.minWin(degraded),
-	}
-	c.finSent = true
-	c.finSeq = c.sndMax
-	c.sndMax = c.sndMax.Add(1)
+func (b *PrimaryBridge) releaseFin(c *pconn) {
+	out := b.segmentAt(c, c.sndMax, tcp.FlagACK|tcp.FlagFIN, nil)
+	c.finSent, c.finSeq, c.sndMax = true, c.sndMax, c.sndMax.Add(1)
 	b.emitToClient(c, out)
 }
 
-func (b *PrimaryBridge) finsMatchedAt(c *pconn, at tcp.Seq) bool {
-	if c.finSent {
-		return false
-	}
-	if b.degraded {
-		return c.pFinSet && c.pFin == at
-	}
-	return c.pFinSet && c.sFinSet && c.pFin == at && c.sFin == at
+// finsMatched reports whether the servers' stream ends at the release point
+// and its FIN is still to be sent: both replicas' FINs sit there, or the
+// primary's alone once the secondary has failed.
+func (b *PrimaryBridge) finsMatched(c *pconn) bool {
+	return !c.finSent && c.p.finAt(c.sndMax) && (b.degraded || c.s.finAt(c.sndMax))
 }
 
-func (c *pconn) minAck(degraded bool) tcp.Seq {
+// minAck is the acknowledgment the client may see: the smaller of the two
+// replicas' (requirement 2 of the paper: nothing is acknowledged before both
+// hold it), or the primary's alone once the secondary has failed.
+func (b *PrimaryBridge) minAck(c *pconn) tcp.Seq {
 	switch {
-	case degraded || !c.ackSSet:
-		return c.ackP
-	case !c.ackPSet:
-		return c.ackS
+	case b.degraded || !c.s.ackSet:
+		return c.p.ack
+	case !c.p.ackSet:
+		return c.s.ack
 	default:
-		return tcp.MinSeq(c.ackP, c.ackS)
+		return tcp.MinSeq(c.p.ack, c.s.ack)
 	}
 }
 
-func (c *pconn) minWin(degraded bool) uint16 {
-	if degraded {
-		return c.winP
+// minWin is the window the client may see, by the same rule.
+func (b *PrimaryBridge) minWin(c *pconn) uint16 {
+	if b.degraded {
+		return c.p.win
 	}
-	return min(c.winP, c.winS)
+	return min(c.p.win, c.s.win)
 }
 
 // maybeEmitAck constructs a payload-less segment when the combined
 // acknowledgment advances (or the combined window reopens), preventing the
 // deadlock the paper describes when the server applications send no data.
 func (b *PrimaryBridge) maybeEmitAck(c *pconn) {
-	if !c.combinedSynSent {
+	if !c.combinedSynSent || !c.p.ackSet || !(b.degraded || c.s.ackSet) {
 		return
 	}
-	if !b.degraded && !(c.ackPSet && c.ackSSet) {
-		return
-	}
-	if b.degraded && !c.ackPSet {
-		return
-	}
-	minAck := c.minAck(b.degraded)
-	minWin := c.minWin(b.degraded)
-	needAck := !c.lastAckValid || minAck.Greater(c.lastAckSent)
-	winDelta := int(minWin) - int(c.lastWinSent)
+	needAck := !c.lastAckValid || b.minAck(c).Greater(c.lastAckSent)
+	winDelta := int(b.minWin(c)) - int(c.lastWinSent)
 	needWin := winDelta > 0 && (c.lastWinSent == 0 || winDelta >= c.effMSS())
 	if !needAck && !needWin {
 		return
 	}
 	b.stats.EmptyAcks++
-	out := &b.emitSeg
-	*out = tcp.Segment{
-		Seq:    c.sndMax,
-		Ack:    minAck,
-		Flags:  tcp.FlagACK,
-		Window: minWin,
-	}
-	b.emitToClient(c, out)
+	b.emitToClient(c, b.segmentAt(c, c.sndMax, tcp.FlagACK, nil))
 }
 
 // maybeSendCombinedSyn emits the SYN (or SYN-ACK) the client sees, once
 // both replicas' SYNs are known: sequence number in the secondary's space,
 // MSS and window the minimum of the two (section 7).
 func (b *PrimaryBridge) maybeSendCombinedSyn(c *pconn) {
-	if !c.pInitSet || !c.sInitSet {
+	if !c.p.issSet || !c.s.issSet {
 		return
 	}
 	if !c.combinedSynSent {
-		c.delta = c.seqPInit - c.seqSInit
+		c.delta = c.p.iss - c.s.iss
 		c.deltaKnown = true
-		c.sndMax = c.seqSInit.Add(1)
-		c.pq.Reset(c.sndMax)
-		c.sq.Reset(c.sndMax)
+		c.sndMax = c.s.iss.Add(1)
+		c.p.q.Reset(c.sndMax)
+		c.s.q.Reset(c.sndMax)
 	}
-	mss := c.effMSS()
 	seg := &tcp.Segment{
-		Seq:     c.seqSInit,
+		Seq:     c.s.iss,
 		Flags:   tcp.FlagSYN,
-		Window:  min(c.synWinP, c.synWinS),
-		Options: []tcp.Option{tcp.MSSOption(uint16(mss))},
+		Window:  min(c.p.synWin, c.s.synWin),
+		Options: []tcp.Option{tcp.MSSOption(uint16(c.effMSS()))},
 	}
 	if !c.serverInitiated {
 		seg.Flags |= tcp.FlagACK
-		seg.Ack = c.minAck(b.degraded)
+		seg.Ack = b.minAck(c)
 	}
 	c.combinedSynSent = true
 	b.emitToClient(c, seg)
@@ -846,22 +745,15 @@ func (b *PrimaryBridge) maybeSendCombinedSyn(c *pconn) {
 
 // adoptPrimaryAsSecondary handles connections still establishing when the
 // secondary fails: the primary's own SYN stands in for the missing
-// secondary's, making Delta-seq zero for this connection.
-func (b *PrimaryBridge) adoptPrimaryAsSecondary(c *pconn) {
-	c.sInitSet = true
-	c.seqSInit = c.seqPInit
-	c.mssS = c.mssP
-	c.synWinS = c.synWinP
-	c.winS = c.winP
-	if c.ackPSet {
-		c.ackS = c.ackP
-		c.ackSSet = true
-	}
-}
+// secondary's, making Delta-seq zero for this connection. Nothing is queued
+// before Delta-seq is known, so the record copied holds no ring storage.
+func (b *PrimaryBridge) adoptPrimaryAsSecondary(c *pconn) { c.s = c.p }
 
-func (b *PrimaryBridge) forwardRST(c *pconn, segment []byte, fromPrimary bool) {
+// forwardRST passes a replica's reset on to the client and forgets the
+// connection; own marks the primary's, whose sequence number is in P's space.
+func (b *PrimaryBridge) forwardRST(c *pconn, segment []byte, own bool) {
 	seq := tcp.RawSeq(segment)
-	if fromPrimary {
+	if own {
 		if c.deltaKnown {
 			seq -= c.delta
 			b.m.seqTranslations.Inc()
@@ -897,47 +789,38 @@ func (b *PrimaryBridge) emitToClient(c *pconn, seg *tcp.Segment) {
 	b.emit(c.key.PeerAddr(), pkt)
 }
 
-// synthesizeAck builds and sends a bare acknowledgment on behalf of a
-// vanished connection (section 8's late-FIN handling). The datagram carries
-// srcAddr as its source, which lets the bridge answer the secondary's FIN
-// retransmissions as if the client had.
-func (b *PrimaryBridge) synthesizeAck(srcAddr ipv4.Addr, srcPort uint16, dstAddr ipv4.Addr, dstPort uint16, seq, ack tcp.Seq) {
-	seg := &b.emitSeg
-	*seg = tcp.Segment{
-		SrcPort: srcPort,
-		DstPort: dstPort,
-		Seq:     seq,
-		Ack:     ack,
+// ackOnBehalf builds the bare acknowledgment that answers segment — data or
+// a FIN of a connection the bridge has already deleted (section 8) — with
+// the segment's endpoints swapped: from src, the address the segment was
+// for, to dst, its sender. The caller transports the packet: to the client
+// through emit, or to the secondary as if the client had sent it.
+func (b *PrimaryBridge) ackOnBehalf(src, dst ipv4.Addr, segment []byte) *netbuf.Buffer {
+	end := tcp.RawSeq(segment).Add(len(tcp.RawPayload(segment)))
+	if tcp.RawFlags(segment).Has(tcp.FlagFIN) {
+		end = end.Add(1)
+	}
+	b.emitSeg = tcp.Segment{
+		SrcPort: tcp.RawDstPort(segment),
+		DstPort: tcp.RawSrcPort(segment),
+		Seq:     tcp.RawAck(segment),
+		Ack:     end,
 		Flags:   tcp.FlagACK,
 		Window:  65535,
 	}
 	pkt := netbuf.Get()
-	tcp.MarshalReserve(pkt, seg, 0)
-	tcp.SealChecksum(srcAddr, dstAddr, pkt.Bytes())
-	_ = b.host.SendIPFastBuf(srcAddr, dstAddr, ipv4.ProtoTCP, pkt)
+	tcp.MarshalReserve(pkt, &b.emitSeg, 0)
+	tcp.SealChecksum(src, dst, pkt.Bytes())
+	b.stats.LateFinAcks++
+	return pkt
 }
 
 // maybeGC deletes the connection record once both directions are fully
 // closed (section 8): the servers' FIN has been acknowledged by the client
 // and the client's FIN has been acknowledged by both servers.
 func (b *PrimaryBridge) maybeGC(c *pconn) {
-	if !(c.finSent && c.finAckedByCl && c.clientFinSeen) {
-		return
+	if c.finSent && c.finAckedByCl && c.clientFinSeen && b.minAck(c).Geq(c.clientFinEnd) {
+		b.removeConn(c)
 	}
-	if !c.minAck(b.degraded).Geq(c.clientFinEnd) {
-		return
-	}
-	b.removeConn(c)
-}
-
-// qAdvance discards n matched bytes from both queues and keeps the queue
-// gauge in step. The secondary queue may hold fewer than n bytes (degraded
-// drain), so the gauge moves by the realized shrinkage, not 2n.
-func (b *PrimaryBridge) qAdvance(c *pconn, n int) {
-	before := c.pq.Len() + c.sq.Len()
-	c.pq.Advance(n)
-	c.sq.Advance(n)
-	b.m.queueBytes.Add(int64(c.pq.Len() + c.sq.Len() - before))
 }
 
 func (b *PrimaryBridge) removeConn(c *pconn) {
@@ -948,9 +831,9 @@ func (b *PrimaryBridge) removeConn(c *pconn) {
 	b.lru.Remove(idx)
 	b.conns.Delete(uint64(c.key))
 	b.stats.ConnsClosed++
-	b.m.queueBytes.Add(int64(-(c.pq.Len() + c.sq.Len())))
-	c.pq.Release()
-	c.sq.Release()
+	b.m.queueBytes.Add(int64(-c.queued()))
+	c.p.q.Release()
+	c.s.q.Release()
 	b.slots.Free(idx) // zeroes the record
 }
 
@@ -976,7 +859,7 @@ func (b *PrimaryBridge) HandleSecondaryFailure() {
 		}
 		c := b.slots.At(idx)
 		if !c.deltaKnown {
-			if c.pInitSet && !c.sInitSet {
+			if c.p.issSet && !c.s.issSet {
 				b.adoptPrimaryAsSecondary(c)
 				b.maybeSendCombinedSyn(c)
 			}
@@ -985,11 +868,11 @@ func (b *PrimaryBridge) HandleSecondaryFailure() {
 		// Step 1: drain the primary output queue into new segments, through
 		// pump's emit path: a takeover allocates nothing per segment.
 		mss := c.effMSS()
-		for n := c.pq.Ready(); n > 0; n = c.pq.Ready() {
-			b.releaseData(c, c.pq.Peek(min(n, mss), &b.wrapP), true)
+		for n := c.p.q.Ready(); n > 0; n = c.p.q.Ready() {
+			b.releaseData(c, c.p.q.Peek(min(n, mss), &b.wrapP))
 		}
-		if b.finsMatchedAt(c, c.sndMax) && !c.finSent {
-			b.releaseFin(c, true)
+		if b.finsMatched(c) {
+			b.releaseFin(c)
 		}
 		c.parkQueues()
 		b.maybeEmitAck(c)

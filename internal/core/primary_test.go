@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
@@ -69,7 +70,7 @@ func (f *priFixture) fromPrimaryTCP(t *testing.T, seg *tcp.Segment) {
 	t.Helper()
 	seg.SrcPort, seg.DstPort = 80, 49152
 	raw := tcp.Marshal(f.aP, f.aC, seg)
-	if !f.b.outbound(f.aP, f.aC, raw) {
+	if !f.b.Outbound(f.aP, f.aC, raw) {
 		t.Fatalf("failover segment not consumed: %+v", seg)
 	}
 }
@@ -96,7 +97,7 @@ func (f *priFixture) fromSecondaryWire(t *testing.T, seg *tcp.Segment) {
 		t.Fatal(err)
 	}
 	tcp.PatchPseudoAddr(div, f.aC, f.aP)
-	verdict, _, _ := f.b.inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}, div)
+	verdict, _, _ := f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}, div)
 	if verdict != netstack.VerdictDrop {
 		t.Fatalf("diverted segment not consumed (verdict %v)", verdict)
 	}
@@ -108,7 +109,7 @@ func (f *priFixture) fromClientWire(t *testing.T, seg *tcp.Segment) []byte {
 	t.Helper()
 	seg.SrcPort, seg.DstPort = 49152, 80
 	raw := tcp.Marshal(f.aC, f.aP, seg)
-	verdict, _, np := f.b.inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aC, Dst: f.aP}, raw)
+	verdict, _, np := f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aC, Dst: f.aP}, raw)
 	if verdict == netstack.VerdictDrop {
 		return nil
 	}
@@ -358,16 +359,71 @@ func TestSecondaryFailureFlushDoesNotAllocate(t *testing.T) {
 		f.b.degraded = false
 		base, emitted = c.sndMax, 0
 		for off := 0; off < len(stream); off += mss {
-			f.b.ingestServerSegment(c, base.Add(off), stream[off:off+mss], tcp.FlagACK, true)
+			f.b.ingestServerSegment(c, &c.p, base.Add(off), stream[off:off+mss], tcp.FlagACK)
 		}
 		f.b.HandleSecondaryFailure()
-		if bad || emitted != len(stream) || c.pq.Len() != 0 || c.pq.Cap() != 0 {
+		if bad || emitted != len(stream) || c.p.q.Len() != 0 || c.p.q.Cap() != 0 {
 			t.Fatalf("flush released %d of %d bytes (corrupt=%v), %d left queued, ring kept=%v",
-				emitted, len(stream), bad, c.pq.Len(), c.pq.Cap() != 0)
+				emitted, len(stream), bad, c.p.q.Len(), c.p.q.Cap() != 0)
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, flush); allocs > 0 {
 		t.Errorf("secondary-failure flush of %d segments allocates %.1f times, want 0", segs, allocs)
+	}
+}
+
+// TestBridgeHandshakeAllocs: the bridge reads a replica's SYN in place — ISS,
+// window, MSS option — so a client-initiated handshake (client SYN, the
+// primary's SYN-ACK, the secondary's diverted SYN-ACK, the combined SYN-ACK
+// out) allocates nothing. It was 6 allocations while each replica's SYN was
+// parsed into a Segment with its option slice. The record the handshake
+// fills, two replica records and all, stays the size it was.
+func TestBridgeHandshakeAllocs(t *testing.T) {
+	if got := unsafe.Sizeof(pconn{}); got > 216 {
+		t.Errorf("pconn is %d bytes, want <= 216", got)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of returns under the race detector, and each one is an allocation")
+	}
+	f := newPriFixture(t)
+	combined := 0
+	f.b.SetEmitFunc(func(client ipv4.Addr, pkt *netbuf.Buffer) {
+		if tcp.RawFlags(pkt.Bytes()).Has(tcp.FlagSYN | tcp.FlagACK) {
+			combined++
+		}
+		pkt.Release()
+	})
+	mssOpt := []tcp.Option{tcp.MSSOption(1460)}
+	clientSyn := tcp.Marshal(f.aC, f.aP, &tcp.Segment{SrcPort: 49152, DstPort: 80, Seq: clientISS,
+		Flags: tcp.FlagSYN, Window: 65535, Options: mssOpt})
+	clientRst := tcp.Marshal(f.aC, f.aP, &tcp.Segment{SrcPort: 49152, DstPort: 80, Seq: clientISS + 1,
+		Flags: tcp.FlagRST})
+	pSynAck := tcp.Marshal(f.aP, f.aC, &tcp.Segment{SrcPort: 80, DstPort: 49152, Seq: pISS, Ack: clientISS + 1,
+		Flags: tcp.FlagSYN | tcp.FlagACK, Window: 60000, Options: mssOpt})
+	sSynAck, err := divertedCopy(tcp.Marshal(f.aS, f.aC, &tcp.Segment{SrcPort: 80, DstPort: 49152, Seq: sISS,
+		Ack: clientISS + 1, Flags: tcp.FlagSYN | tcp.FlagACK, Window: 58000, Options: mssOpt}), f.aC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp.PatchPseudoAddr(sSynAck, f.aC, f.aP)
+	// The hooks patch and strip in place: every handshake gets its own copy.
+	scratch := make([]byte, len(sSynAck))
+	fromClient := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aC, Dst: f.aP}
+	fromSecondary := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}
+	handshake := func() {
+		f.b.Inbound(0, fromClient, scratch[:copy(scratch, clientSyn)])
+		f.b.Outbound(f.aP, f.aC, scratch[:copy(scratch, pSynAck)])
+		f.b.Inbound(0, fromSecondary, scratch[:copy(scratch, sSynAck)])
+		// The client resets, so the next handshake starts from no record.
+		f.b.Inbound(0, fromClient, scratch[:copy(scratch, clientRst)])
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, handshake)
+	if combined != runs+1 || f.b.Conns() != 0 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("%d combined SYN-ACKs over %d handshakes, %d records left", combined, runs+1, f.b.Conns())
+	}
+	if allocs > 0 {
+		t.Errorf("a handshake through the bridge allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -186,8 +186,8 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 		m:        newSecondaryMetrics(nil, ""),
 	}
 	host.Iface(ifIndex).NIC().SetPromiscuous(true)
-	host.SetInboundHook(b.inbound)
-	host.SetOutboundHook(b.outbound)
+	host.SetInboundHook(b.Inbound)
+	host.SetOutboundHook(b.Outbound)
 	return b
 }
 
@@ -219,25 +219,16 @@ func (b *SecondaryBridge) Stats() SecondaryStats {
 // flow's first diverted segment and timestamps the takeover/ARP announce.
 func (b *SecondaryBridge) AttachSpans(r *obs.SpanRecorder) { b.spans = r }
 
-// Inbound is the bridge's inbound interposition handler (exported for
-// composition and benchmarks; NewSecondaryBridge installs it automatically).
-func (b *SecondaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
-	return b.inbound(ifIndex, hdr, payload)
-}
-
-// Outbound is the bridge's outbound interposition handler.
-func (b *SecondaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
-	return b.outbound(src, dst, segment)
-}
-
 // Active reports whether the bridge is operating (false after takeover).
 func (b *SecondaryBridge) Active() bool { return b.active }
 
-// inbound implements the aP -> aS destination translation for incoming
-// client segments. All other datagrams follow normal processing — which, on
-// an interior backup, is the matcher's: it sees every datagram, the
-// translated ones as segments addressed to its own address.
-func (b *SecondaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
+// Inbound is the bridge's inbound interposition handler (exported for
+// composition and benchmarks; NewSecondaryBridge installs it automatically).
+// It implements the aP -> aS destination translation for incoming client
+// segments. All other datagrams follow normal processing — which, on an
+// interior backup, is the matcher's: it sees every datagram, the translated
+// ones as segments addressed to its own address.
+func (b *SecondaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
 	verdict := netstack.VerdictPass
 	if b.active && hdr.Dst == b.aP && len(payload) >= tcp.HeaderLen {
 		if !tcp.RawSane(payload) {
@@ -274,11 +265,11 @@ func (b *SecondaryBridge) inbound(ifIndex int, hdr ipv4.Header, payload []byte) 
 	return v, hdr, payload
 }
 
-// outbound diverts failover segments addressed to a client so they reach
-// the primary bridge instead. On an interior backup the matcher takes them
-// first, for as long as the host lives: what it merges comes back through
-// emitMerged.
-func (b *SecondaryBridge) outbound(src, dst ipv4.Addr, segment []byte) bool {
+// Outbound is the bridge's outbound interposition handler: it diverts
+// failover segments addressed to a client so they reach the primary bridge
+// instead. On an interior backup the matcher takes them first, for as long
+// as the host lives: what it merges comes back through emitMerged.
+func (b *SecondaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 	if b.matcher != nil {
 		return b.matcher.Outbound(src, dst, segment)
 	}

@@ -61,7 +61,7 @@ func (f *secFixture) callInbound(t *testing.T, hdr ipv4.Header, payload []byte) 
 	// netstack exposes no direct accessor, so rebuild the same call the
 	// host makes by re-installing a capturing wrapper is overkill: the
 	// bridge's handler is reachable via its unexported method.
-	return f.b.inbound(0, hdr, payload)
+	return f.b.Inbound(0, hdr, payload)
 }
 
 func TestSecondaryInboundTranslation(t *testing.T) {
@@ -135,7 +135,7 @@ func TestSecondaryOutboundDiversion(t *testing.T) {
 	seg := &tcp.Segment{SrcPort: 80, DstPort: 49152, Seq: 1000, Flags: tcp.FlagACK | tcp.FlagPSH,
 		Window: 65535, Payload: []byte("reply")}
 	raw := tcp.Marshal(f.aS, f.aC, seg)
-	if consumed := f.b.outbound(f.aS, f.aC, raw); !consumed {
+	if consumed := f.b.Outbound(f.aS, f.aC, raw); !consumed {
 		t.Fatal("failover segment not consumed by the diversion")
 	}
 	if err := f.sched.Run(); err != nil {
@@ -160,7 +160,7 @@ func TestSecondaryOutboundPassesNonFailover(t *testing.T) {
 	f := newSecFixture(t)
 	seg := &tcp.Segment{SrcPort: 9999, DstPort: 49152, Flags: tcp.FlagACK}
 	raw := tcp.Marshal(f.aS, f.aC, seg)
-	if f.b.outbound(f.aS, f.aC, raw) {
+	if f.b.Outbound(f.aS, f.aC, raw) {
 		t.Error("non-failover segment consumed")
 	}
 }
@@ -177,7 +177,7 @@ func TestSecondaryRetargetAndTakeoverGating(t *testing.T) {
 	})
 	seg := &tcp.Segment{SrcPort: 80, DstPort: 49152, Flags: tcp.FlagACK}
 	raw := tcp.Marshal(f.aS, f.aC, seg)
-	f.b.outbound(f.aS, f.aC, raw)
+	f.b.Outbound(f.aS, f.aC, raw)
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSecondaryRetargetAndTakeoverGating(t *testing.T) {
 		t.Error("inbound translation still applied after takeover (step 3)")
 	}
 	raw = tcp.Marshal(f.aP, f.aC, &tcp.Segment{SrcPort: 80, DstPort: 49152, Flags: tcp.FlagACK})
-	if f.b.outbound(f.aP, f.aC, raw) {
+	if f.b.Outbound(f.aP, f.aC, raw) {
 		t.Error("outbound diversion still applied after takeover (step 4)")
 	}
 	// Takeover is idempotent.

@@ -39,7 +39,7 @@ func WritePcap(w io.Writer, recs []Record) error {
 		ns := uint64(r.Time)
 		le.PutUint32(rh[0:], uint32(ns/1e9))
 		le.PutUint32(rh[4:], uint32(ns%1e9))
-		le.PutUint32(rh[8:], uint32(len(pkt)))             // captured length
+		le.PutUint32(rh[8:], uint32(len(pkt)))              // captured length
 		le.PutUint32(rh[12:], uint32(ipv4.HeaderLen+r.Len)) // original length
 		if _, err := w.Write(rh[:]); err != nil {
 			return err

@@ -63,14 +63,8 @@ type Stream struct {
 	st *streamState
 }
 
-// ID returns the stream's global identifier.
-func (st *Stream) ID() StreamID { return st.st.id }
-
 // Executed returns the number of events executed under this stream.
 func (st *Stream) Executed() int64 { return st.st.executed }
-
-// Digest returns the stream's running execution digest (see EnableDigest).
-func (st *Stream) Digest() uint64 { return st.st.digest }
 
 // Use makes the stream current: events scheduled from outside the event loop
 // (scenario construction, harness dial timers) are keyed and seeded under it.

@@ -162,6 +162,14 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	c.sendSYN(true)
 }
 
+// strictSeqOK is the tightened acceptability test StrictSeqValidation
+// applies to RST and SYN segments: exactly rcvNxt (the common case for a
+// legitimate peer, and the only acceptable value against a closed window)
+// or inside the receive window.
+func (c *Conn) strictSeqOK(seq Seq) bool {
+	return seq == c.rcvNxt || seq.InWindow(c.rcvNxt, c.rcvFree())
+}
+
 // segAcceptable implements the window acceptability test the way BSD
 // stacks do rather than RFC 793's literal four cases: any segment that
 // begins at or before rcvNxt is acceptable — the duplicate prefix is
@@ -171,14 +179,6 @@ func (c *Conn) inputSynSent(seg *Segment) {
 // acknowledgments that must not be discarded; a strict-RFC receiver pair
 // can otherwise ACK-war or gridlock forever. Segments beginning beyond
 // rcvNxt are accepted only if they overlap the receive window.
-// strictSeqOK is the tightened acceptability test StrictSeqValidation
-// applies to RST and SYN segments: exactly rcvNxt (the common case for a
-// legitimate peer, and the only acceptable value against a closed window)
-// or inside the receive window.
-func (c *Conn) strictSeqOK(seq Seq) bool {
-	return seq == c.rcvNxt || seq.InWindow(c.rcvNxt, c.rcvFree())
-}
-
 func (c *Conn) segAcceptable(seg *Segment) bool {
 	if seg.Seq.Leq(c.rcvNxt) {
 		return true
@@ -372,12 +372,6 @@ func (c *Conn) processPayload(seg *Segment) {
 			// A pushed segment ends a burst; holding its acknowledgment
 			// for the delayed-ack timer would stall Nagle-bound senders.
 			c.ackNowFlag = true
-		}
-		if len(payload) >= c.mss {
-			// Full-sized segments count toward ack-every-N; small ones ride
-			// the delayed-ack timer.
-		} else {
-			c.ackPendingSegs = max(c.ackPendingSegs, 1)
 		}
 		if c.rcvBuf.Len() > c.rcvBuf.Ready() {
 			c.ackNowFlag = true // still a gap: keep the duplicate ACKs coming

@@ -132,39 +132,51 @@ func ClampRawMSS(b []byte, reduce uint16) bool {
 	if !RawSane(b) {
 		return false
 	}
-	hdrLen := RawHeaderLen(b)
-	opts := b[HeaderLen:hdrLen]
-	i := 0
-	for i < len(opts) {
-		switch opts[i] {
-		case OptEnd:
+	opts := b[HeaderLen:RawHeaderLen(b)]
+	for i := 0; i < len(opts); {
+		kind, end, ok := nextOption(opts, i)
+		if !ok {
 			return false
-		case OptNOP:
-			i++
-		default:
-			if i+1 >= len(opts) {
-				return false
-			}
-			l := int(opts[i+1])
-			if l < 2 || i+l > len(opts) {
-				return false
-			}
-			if opts[i] == OptMSS && l == 4 {
-				off := HeaderLen + i + 2
-				old := getU16(b[off:])
-				v := old - reduce
-				if old < reduce+64 {
-					v = 64
-				}
-				if v != old {
-					patchBytes(b, off, []byte{byte(v >> 8), byte(v)})
-				}
-				return true
-			}
-			i += l
 		}
+		if kind == OptMSS && end-i == 4 {
+			off := HeaderLen + i + 2
+			old := getU16(b[off:])
+			v := old - reduce
+			if old < reduce+64 {
+				v = 64
+			}
+			if v != old {
+				patchBytes(b, off, []byte{byte(v >> 8), byte(v)})
+			}
+			return true
+		}
+		i = end
 	}
 	return false
+}
+
+// RawMSS reads the maximum-segment-size option of a marshaled segment
+// without parsing it into a Segment: the value of the first well-sized MSS
+// option and whether there is one (an announced MSS of 0 is not an absent
+// option). Like UnmarshalInto it walks the whole option area and fails on
+// a bad data offset or a malformed option anywhere in it, so a caller that
+// ignores the segment on error ignores exactly what a parse would reject.
+func RawMSS(b []byte) (mss uint16, present bool, err error) {
+	if !RawSane(b) {
+		return 0, false, ErrBadOffset
+	}
+	opts := b[HeaderLen:RawHeaderLen(b)]
+	for i := 0; i < len(opts); {
+		kind, end, ok := nextOption(opts, i)
+		if !ok {
+			return 0, false, ErrBadOption
+		}
+		if kind == OptMSS && end-i == 4 && !present {
+			mss, present = getU16(opts[i+2:]), true
+		}
+		i = end
+	}
+	return mss, present, nil
 }
 
 // PatchPseudoAddr adjusts the checksum of a marshaled segment for a change
@@ -263,34 +275,22 @@ func findOrigDstOption(b []byte) (absStart, absEnd int, addr ipv4.Addr, ok bool)
 	if !RawSane(b) {
 		return 0, 0, 0, false
 	}
-	hdrLen := RawHeaderLen(b)
-	opts := b[HeaderLen:hdrLen]
-	i := 0
+	opts := b[HeaderLen:RawHeaderLen(b)]
 	start, end := -1, -1
-	for i < len(opts) {
-		switch opts[i] {
-		case OptEnd:
-			i = len(opts)
-		case OptNOP:
-			i++
-		default:
-			if i+1 >= len(opts) {
-				return 0, 0, 0, false
-			}
-			l := int(opts[i+1])
-			if l < 2 || i+l > len(opts) {
-				return 0, 0, 0, false
-			}
-			if opts[i] == OptOrigDst && l == 6 {
-				addr = ipv4.GetAddr(opts[i+2 : i+6])
-				start, end = i, i+l
-				// Include the two alignment NOPs preceding the option.
-				for start > 0 && opts[start-1] == OptNOP && end-start < 8 {
-					start--
-				}
-			}
-			i += l
+	for i := 0; i < len(opts); {
+		kind, next, ok := nextOption(opts, i)
+		if !ok {
+			return 0, 0, 0, false
 		}
+		if kind == OptOrigDst && next-i == 6 {
+			addr = ipv4.GetAddr(opts[i+2 : next])
+			start, end = i, next
+			// Include the two alignment NOPs preceding the option.
+			for start > 0 && opts[start-1] == OptNOP && end-start < 8 {
+				start--
+			}
+		}
+		i = next
 	}
 	if start < 0 {
 		return 0, 0, 0, false

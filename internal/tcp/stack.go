@@ -297,27 +297,16 @@ func (s *Stack) Dial(raddr ipv4.Addr, rport uint16) (*Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: dial %s", ErrNoRoute, raddr)
 	}
-	var c *Conn
 	for range 65536 {
 		t := Tuple{LocalAddr: laddr, LocalPort: s.allocPort(), RemoteAddr: raddr, RemotePort: rport}
 		if s.findConn(t) == nil {
-			c = s.newConn(t)
-			break
+			return s.connect(t), nil
 		}
 	}
-	if c == nil {
-		// Every ephemeral port to this destination is taken. Failing loudly
-		// beats the alternative — inserting a duplicate tuple whose segments
-		// demultiplex to the older connection and wedge both handshakes.
-		return nil, fmt.Errorf("%w: no free ephemeral port to %s:%d", ErrPortInUse, raddr, rport)
-	}
-	c.state = StateSynSent
-	s.insertConn(c)
-	if s.spans != nil {
-		s.spans.Mark(c.tuple.SpanKey(), obs.SpanSynSent, s.sched.Now())
-	}
-	c.sendSYN(false)
-	return c, nil
+	// Every ephemeral port to this destination is taken. Failing loudly
+	// beats the alternative — inserting a duplicate tuple whose segments
+	// demultiplex to the older connection and wedge both handshakes.
+	return nil, fmt.Errorf("%w: no free ephemeral port to %s:%d", ErrPortInUse, raddr, rport)
 }
 
 // DialFrom opens a connection with an explicit local port (used by
@@ -331,6 +320,12 @@ func (s *Stack) DialFrom(lport uint16, raddr ipv4.Addr, rport uint16) (*Conn, er
 	if s.findConn(t) != nil {
 		return nil, fmt.Errorf("%w: %s", ErrPortInUse, t)
 	}
+	return s.connect(t), nil
+}
+
+// connect opens the connection of a tuple no other holds: registered in
+// SYN-SENT, its SYN on the way.
+func (s *Stack) connect(t Tuple) *Conn {
 	c := s.newConn(t)
 	c.state = StateSynSent
 	s.insertConn(c)
@@ -338,7 +333,7 @@ func (s *Stack) DialFrom(lport uint16, raddr ipv4.Addr, rport uint16) (*Conn, er
 		s.spans.Mark(c.tuple.SpanKey(), obs.SpanSynSent, s.sched.Now())
 	}
 	c.sendSYN(false)
-	return c, nil
+	return c
 }
 
 func (s *Stack) allocPort() uint16 {

@@ -151,12 +151,11 @@ func optionsWireLen(opts []Option) int {
 	return (n + 3) &^ 3 // pad to 32-bit boundary
 }
 
-// Marshal renders the segment in wire format with the checksum computed
-// over the pseudo-header for src/dst.
-func Marshal(src, dst ipv4.Addr, s *Segment) []byte {
-	optLen := optionsWireLen(s.Options)
-	hdrLen := HeaderLen + optLen
-	b := make([]byte, hdrLen+len(s.Payload))
+// putHeader writes s's header and options into b[:hdrLen], where hdrLen is
+// HeaderLen + optionsWireLen(s.Options). Every byte is written explicitly —
+// b may be pooled storage — and the checksum field is left zero for
+// SealChecksum.
+func putHeader(b []byte, s *Segment, hdrLen int) {
 	putU16(b[0:], s.SrcPort)
 	putU16(b[2:], s.DstPort)
 	putU32(b[4:], uint32(s.Seq))
@@ -164,6 +163,7 @@ func Marshal(src, dst ipv4.Addr, s *Segment) []byte {
 	b[12] = byte(hdrLen/4) << 4
 	b[13] = byte(s.Flags)
 	putU16(b[14:], s.Window)
+	putU16(b[16:], 0)
 	putU16(b[18:], s.Urgent)
 	off := HeaderLen
 	for _, o := range s.Options {
@@ -181,9 +181,16 @@ func Marshal(src, dst ipv4.Addr, s *Segment) []byte {
 		b[off] = OptNOP
 		off++
 	}
+}
+
+// Marshal renders the segment in wire format with the checksum computed
+// over the pseudo-header for src/dst.
+func Marshal(src, dst ipv4.Addr, s *Segment) []byte {
+	hdrLen := HeaderLen + optionsWireLen(s.Options)
+	b := make([]byte, hdrLen+len(s.Payload))
+	putHeader(b, s, hdrLen)
 	copy(b[hdrLen:], s.Payload)
-	cs := ComputeChecksum(src, dst, b)
-	putU16(b[16:], cs)
+	SealChecksum(src, dst, b)
 	return b
 }
 
@@ -192,37 +199,11 @@ func Marshal(src, dst ipv4.Addr, s *Segment) []byte {
 // region for the caller to fill directly (s.Payload is ignored). The
 // checksum field is left zero; call SealChecksum once the payload is
 // written. This is the zero-copy path: the send buffer's bytes are peeked
-// straight into the packet buffer, and every header byte is written
-// explicitly because the store is pooled.
+// straight into the packet buffer.
 func MarshalReserve(pkt *netbuf.Buffer, s *Segment, payloadLen int) []byte {
-	optLen := optionsWireLen(s.Options)
-	hdrLen := HeaderLen + optLen
+	hdrLen := HeaderLen + optionsWireLen(s.Options)
 	b := pkt.Extend(hdrLen + payloadLen)
-	putU16(b[0:], s.SrcPort)
-	putU16(b[2:], s.DstPort)
-	putU32(b[4:], uint32(s.Seq))
-	putU32(b[8:], uint32(s.Ack))
-	b[12] = byte(hdrLen/4) << 4
-	b[13] = byte(s.Flags)
-	putU16(b[14:], s.Window)
-	putU16(b[16:], 0) // checksum: see SealChecksum
-	putU16(b[18:], s.Urgent)
-	off := HeaderLen
-	for _, o := range s.Options {
-		if o.Kind == OptEnd || o.Kind == OptNOP {
-			b[off] = o.Kind
-			off++
-			continue
-		}
-		b[off] = o.Kind
-		b[off+1] = byte(2 + len(o.Data))
-		copy(b[off+2:], o.Data)
-		off += 2 + len(o.Data)
-	}
-	for off < hdrLen {
-		b[off] = OptNOP
-		off++
-	}
+	putHeader(b, s, hdrLen)
 	return b[hdrLen:]
 }
 
@@ -270,28 +251,43 @@ func UnmarshalInto(src, dst ipv4.Addr, b []byte, verify bool, s *Segment) error 
 		Options: s.Options[:0],
 	}
 	opts := b[HeaderLen:hdrLen]
-	for len(opts) > 0 {
-		kind := opts[0]
-		switch kind {
-		case OptEnd:
-			opts = nil
-		case OptNOP:
-			opts = opts[1:]
-		default:
-			if len(opts) < 2 {
-				return ErrBadOption
-			}
-			l := int(opts[1])
-			if l < 2 || l > len(opts) {
-				return ErrBadOption
-			}
-			data := make([]byte, l-2)
-			copy(data, opts[2:l])
-			s.Options = append(s.Options, Option{Kind: kind, Data: data})
-			opts = opts[l:]
+	for i := 0; i < len(opts); {
+		kind, end, ok := nextOption(opts, i)
+		if !ok {
+			return ErrBadOption
 		}
+		if kind != OptEnd && kind != OptNOP {
+			data := make([]byte, end-i-2)
+			copy(data, opts[i+2:end])
+			s.Options = append(s.Options, Option{Kind: kind, Data: data})
+		}
+		i = end
 	}
 	return nil
+}
+
+// nextOption decodes the option that starts at opts[i], where opts is a
+// header's whole option area. It is the one place option bytes off the wire
+// are bounds-checked: every parser of them — UnmarshalInto, RawMSS,
+// ClampRawMSS, the original-destination search — steps with it. It returns
+// the option's kind and the index just past it: one byte on for OptNOP, the
+// end of the area for OptEnd (nothing after it is an option), and past the
+// data, opts[i+2:end], for any other kind. ok is false when the length byte
+// is missing, below two, or reaches past the area.
+func nextOption(opts []byte, i int) (kind byte, end int, ok bool) {
+	switch kind = opts[i]; {
+	case kind == OptEnd:
+		return kind, len(opts), true
+	case kind == OptNOP:
+		return kind, i + 1, true
+	case i+1 >= len(opts):
+		return kind, i, false
+	}
+	l := int(opts[i+1])
+	if l < 2 || i+l > len(opts) {
+		return kind, i, false
+	}
+	return kind, i + l, true
 }
 
 // ComputeChecksum computes the TCP checksum of a marshaled segment over the
