@@ -7,6 +7,7 @@ import (
 	"tcpfailover"
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
 
@@ -91,5 +92,79 @@ func TestCorruptedServerLANStreamIntact(t *testing.T) {
 	ec.check(t)
 	if got := sc.Faults.Stats().Corrupted; got == 0 {
 		t.Error("no corruption was actually injected")
+	}
+}
+
+// wireSegment identifies a TCP segment as one host transmitted it.
+type wireSegment struct {
+	src, dst     ipv4.Addr
+	sport, dport uint16
+	seq          tcp.Seq
+	n            int
+}
+
+// countGROMerges taps every host of sc and counts the segments delivered up
+// a stack with a valid checksum that no host transmitted in that form: a
+// valid segment is a faithful copy of a transmitted one unless batched
+// ingress merged two.
+func countGROMerges(sc *tcpfailover.Scenario, merges *int) {
+	sent := make(map[wireSegment]bool)
+	for _, h := range []*netstack.Host{sc.Client, sc.Router, sc.Primary, sc.Secondary} {
+		h.AddPacketTap(func(dir string, hdr ipv4.Header, payload []byte) {
+			if hdr.Protocol != ipv4.ProtoTCP || !tcp.RawSane(payload) {
+				return
+			}
+			k := wireSegment{hdr.Src, hdr.Dst, tcp.RawSrcPort(payload), tcp.RawDstPort(payload),
+				tcp.RawSeq(payload), len(payload)}
+			switch {
+			case dir == "tx":
+				sent[k] = true
+			case !sent[k] && tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0:
+				*merges++
+			}
+		})
+	}
+}
+
+// TestCorruptedLinkStreamIntactUnderBatching is the corrupted-link property
+// with batched ingress on (NAPIBudget 8, as E8 and conn-scale run). A GRO
+// merge writes a fresh checksum over the merged bytes, so it may only merge
+// segments whose own checksums verify: otherwise a frame the injector
+// flipped a bit in reaches the application as a valid segment.
+func TestCorruptedLinkStreamIntactUnderBatching(t *testing.T) {
+	for _, link := range []fault.LinkID{fault.LinkClientLink, fault.LinkServerLAN} {
+		var corrupted int64
+		var merges, bad int
+		for seed := int64(1); seed <= 20; seed++ {
+			opts := tcpfailover.LANOptions()
+			opts.Seed = seed
+			opts.HostProfile.NAPIBudget = 8
+			opts.Faults = &fault.Plan{Impairments: []fault.Impairment{
+				{Link: link, Models: []fault.Spec{fault.Corrupt(0.05)}},
+			}}
+			sc := newEchoScenario(t, opts)
+			countGROMerges(sc, &merges)
+			ec := startEchoClient(t, sc, 256*1024)
+			if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
+				t.Fatalf("%s seed %d: run: %v (sent=%d received=%d)", link, seed, err, ec.sent, ec.received)
+			}
+			if ec.badAt >= 0 {
+				bad++
+				t.Logf("%s seed %d: echoed stream corrupted at offset %d, close error %v", link, seed, ec.badAt, ec.err)
+			} else {
+				ec.check(t)
+			}
+			corrupted += sc.Faults.Stats().Corrupted
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d of 20 streams delivered a corrupted byte", link, bad)
+		}
+		if corrupted == 0 {
+			t.Errorf("%s: no corruption was actually injected", link)
+		}
+		if merges == 0 {
+			t.Errorf("%s: no GRO merge happened; the test does not reach the merge path", link)
+		}
+		t.Logf("%s: %d frames corrupted, %d merges, %d of 20 streams bad", link, corrupted, merges, bad)
 	}
 }

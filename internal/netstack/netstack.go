@@ -158,10 +158,12 @@ type Host struct {
 	// egress, forward) reuses these instead of allocating a closure.
 	pktFree []*pktEvent
 
-	// inPend tracks, per TCP flow, the ingress delivery still awaiting its
+	// inPend holds, per TCP flow, the ingress delivery still awaiting its
 	// completion time, so NAPI batching (Profile.NAPIBudget) can coalesce
-	// later same-flow frames into it. Nil until the first batched frame.
-	inPend map[flowKey]*pktEvent
+	// later same-flow frames into it: pendBuckets chains of heads linked
+	// through pktEvent.hnext, at most one head per flow. Nil until the
+	// first batched frame, so a host that does not batch pays nothing.
+	inPend []*pktEvent
 
 	// taps observe every datagram the host receives (post-ingress-delay)
 	// and sends. A fan-out list, not a single func: the trace facility, the
@@ -373,7 +375,8 @@ func (h *Host) Restart() {
 // With NAPI batching, an ingress pktEvent can head a chain: later same-flow
 // frames link in through next, tail points at the chain's last element, and
 // timer re-arms the head's delivery to the latest frame's ingress
-// completion. Only the head is registered in the host's pending-flow table.
+// completion. Only the head is registered in the host's pending-flow table,
+// and only while it can still take frames.
 type pktEvent struct {
 	h       *Host
 	ifc     *Iface
@@ -383,16 +386,43 @@ type pktEvent struct {
 
 	next    *pktEvent
 	tail    *pktEvent
-	chained int
+	chained int // frames in the batch this event heads, 0 if it heads none
 	timer   sim.Timer
 	key     flowKey
-	pending bool // head of a chain registered in h.inPend
+	hnext   *pktEvent // next head in the same h.inPend bucket
+	pending bool      // linked in h.inPend
+	sumOK   bool      // payload's TCP checksum is known to verify
 }
 
 // flowKey identifies a TCP flow at ingress for NAPI batching.
 type flowKey struct {
 	src, dst     ipv4.Addr
 	sport, dport uint16
+}
+
+// pendBuckets sizes a batching host's pending table. A head lives one ingress
+// backlog: 1024 chains (8 KB) hold the ~5 000 of 10 000 connections dialling
+// at once at about five apiece, and the steady state's handful at one.
+const (
+	pendBits    = 10
+	pendBuckets = 1 << pendBits
+)
+
+// bucket mixes all 96 bits of the key — a router sees arbitrary address
+// pairs, so no part of it can be left out — and keeps the product's top bits.
+func (k flowKey) bucket() uint64 {
+	x := uint64(k.src)<<32 | uint64(k.dst)
+	x ^= (uint64(k.sport)<<16 | uint64(k.dport)) * 0x9e3779b97f4a7c15
+	return x * 0xff51afd7ed558ccd >> (64 - pendBits)
+}
+
+// unpend takes a head out of the pending table.
+func (h *Host) unpend(e *pktEvent) {
+	p := &h.inPend[e.key.bucket()]
+	for *p != e {
+		p = &(*p).hnext
+	}
+	*p, e.hnext, e.pending = e.hnext, nil, false
 }
 
 func (h *Host) getPktEvent() *pktEvent {
@@ -407,7 +437,7 @@ func (h *Host) getPktEvent() *pktEvent {
 func (h *Host) putPktEvent(e *pktEvent) {
 	e.ifc, e.hdr, e.payload, e.buf = nil, ipv4.Header{}, nil, nil
 	e.next, e.tail, e.chained = nil, nil, 0
-	e.timer, e.key, e.pending = sim.Timer{}, flowKey{}, false
+	e.timer, e.key, e.sumOK = sim.Timer{}, flowKey{}, false
 	h.pktFree = append(h.pktFree, e)
 }
 
@@ -453,19 +483,33 @@ func (h *Host) frameIn(ifc *Iface, f ethernet.Frame) {
 func (h *Host) batchedIn(ifc *Iface, hdr ipv4.Header, payload []byte, buf *netbuf.Buffer) {
 	key := flowKey{src: hdr.Src, dst: hdr.Dst,
 		sport: tcp.RawSrcPort(payload), dport: tcp.RawDstPort(payload)}
-	if head := h.inPend[key]; head != nil && head.ifc == ifc && head.chained < h.profile.NAPIBudget {
+	if h.inPend == nil {
+		h.inPend = make([]*pktEvent, pendBuckets)
+	}
+	slot := &h.inPend[key.bucket()]
+	head := *slot
+	for head != nil && head.key != key {
+		head = head.hnext
+	}
+	if head != nil && head.ifc == ifc && head.chained < h.profile.NAPIBudget {
 		head.chained++
 		when := h.chargeIngress(len(payload))
 		t := head.tail
 		// GRO byte merge: append the new payload onto the pending tail
 		// segment when it continues the sequence run, header shapes match,
-		// and the merged packet still fits the tail's pooled store.
+		// and the merged packet still fits the tail's pooled store. The merge
+		// writes a fresh checksum, so both segments' own must verify first
+		// (a merged tail's does by construction): a frame damaged on the wire
+		// is chained instead and dies at TCP input as it would unbatched.
 		hl := tcp.RawHeaderLen(payload)
 		if t.buf != nil && t.buf.Len() == ipv4.HeaderLen+len(t.payload) &&
-			t.buf.Room() >= len(payload)-hl && tcp.CanCoalesceRaw(t.payload, payload) {
+			t.buf.Room() >= len(payload)-hl && tcp.CanCoalesceRaw(t.payload, payload) &&
+			tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0 &&
+			(t.sumOK || tcp.ComputeChecksum(hdr.Src, hdr.Dst, t.payload) == 0) {
 			copy(t.buf.Extend(len(payload)-hl), payload[hl:])
 			t.payload = t.buf.Bytes()[ipv4.HeaderLen:]
 			tcp.FinishCoalesceRaw(hdr.Src, hdr.Dst, t.payload, payload)
+			t.sumOK = true
 			buf.Release()
 		} else {
 			e := h.getPktEvent()
@@ -477,21 +521,26 @@ func (h *Host) batchedIn(ifc *Iface, hdr ipv4.Header, payload []byte, buf *netbu
 		head.timer = h.sched.AtArg(when, "ip.input", runIPInput, head)
 		return
 	}
+	if head != nil {
+		// At the budget, or on another interface: the head takes no more
+		// frames, so it leaves the table to its successor now — when it
+		// fires it must not take the successor's entry with it.
+		h.unpend(head)
+	}
 	e := h.getPktEvent()
 	e.ifc, e.hdr, e.payload, e.buf = ifc, hdr, payload, buf
-	e.tail, e.chained, e.key, e.pending = e, 1, key, true
-	if h.inPend == nil {
-		h.inPend = make(map[flowKey]*pktEvent)
-	}
-	h.inPend[key] = e
+	e.tail, e.chained, e.key = e, 1, key
+	e.hnext, e.pending, *slot = *slot, true, e
 	e.timer = h.sched.AtArg(h.chargeIngress(len(payload)), "ip.input", runIPInput, e)
 }
 
 func runIPInput(v any) {
 	e := v.(*pktEvent)
 	h := e.h
-	if e.pending {
-		delete(h.inPend, e.key)
+	if e.chained > 0 {
+		if e.pending {
+			h.unpend(e)
+		}
 		h.napiBatch.Observe(int64(e.chained))
 	}
 	for e != nil {

@@ -303,7 +303,7 @@ func (s *Scheduler) runBefore(t time.Duration) error {
 			}
 			return nil
 		}
-		s.Step()
+		s.fire()
 		if s.limit > 0 && s.executed-start > s.limit {
 			return fmt.Errorf("%w (%d events, now=%v)", ErrEventLimit, s.executed-start, s.now)
 		}

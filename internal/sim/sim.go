@@ -85,11 +85,10 @@ type event struct {
 	fnArg func(any)
 	arg   any
 
-	sched   *Scheduler
-	index   int    // heap index, -1 when not in the heap
-	slot    int32  // wheel slot, -1 when not staged in the wheel
-	gen     uint64 // bumped on recycle; validates Timer handles
-	stopped bool
+	sched *Scheduler
+	index int    // heap index, -1 when not in the heap
+	slot  int32  // wheel slot, -1 when not staged in the wheel
+	gen   uint64 // bumped on recycle; validates Timer handles
 	// Intrusive links of the wheel slot's doubly-linked list. Linking
 	// through the pooled events keeps staging allocation-free: a slot's
 	// first use (each wheelTick of virtual time starts one) costs nothing.
@@ -115,7 +114,7 @@ type Timer struct {
 // the queue until their deadlines.
 func (t Timer) Stop() bool {
 	e := t.ev
-	if e == nil || e.gen != t.gen || e.stopped {
+	if e == nil || e.gen != t.gen {
 		return false
 	}
 	s := e.sched
@@ -129,6 +128,9 @@ func (t Timer) Stop() bool {
 	if e.index < 0 {
 		return false
 	}
+	// removeAt sifts against the root: a callback stopping a heap-resident
+	// timer closes its own vacancy first (which may move e).
+	s.closeVacancy()
 	s.pending--
 	s.removeAt(e.index)
 	s.release(e)
@@ -138,7 +140,7 @@ func (t Timer) Stop() bool {
 // Pending reports whether the timer is still scheduled to run.
 func (t Timer) Pending() bool {
 	e := t.ev
-	return e != nil && e.gen == t.gen && !e.stopped && (e.index >= 0 || e.slot >= 0)
+	return e != nil && e.gen == t.gen && (e.index >= 0 || e.slot >= 0)
 }
 
 // When returns the virtual time at which the timer fires, or 0 if it is no
@@ -155,8 +157,14 @@ func (t Timer) When() time.Duration {
 // inside its event loop. Independent Schedulers are safe to run on separate
 // goroutines (the parallel benchmark harness does).
 type Scheduler struct {
-	now      time.Duration
-	queue    []heapNode  // indexed binary min-heap on (when, stream, seq)
+	now   time.Duration
+	queue []heapNode // indexed binary min-heap on (when, stream, seq)
+	// vacant: fire has taken queue[0]'s event and its callback is running;
+	// the slot still counts in len(queue) but holds no event. The first
+	// push fills it, fire closes it otherwise, so it is set only inside a
+	// callback: settle, RunUntil, runBefore and nextEventBound, which read
+	// queue[0], run outside one and always see the root filled.
+	vacant   bool
 	wheel    *timerWheel // short-horizon staging wheel; nil for BackendHeap
 	free     []*event    // recycled events
 	pending  int         // queued events not yet stopped
@@ -176,8 +184,8 @@ type Scheduler struct {
 
 // New returns a Scheduler whose RNG is seeded with seed, making the entire
 // simulation reproducible. The scheduler uses the process-default timer
-// backend (the hierarchical timing wheel unless SetDefaultBackend says
-// otherwise); execution order is identical for either backend.
+// backend (the single-level hashed timing wheel unless SetDefaultBackend
+// says otherwise); execution order is identical for either backend.
 func New(seed int64) *Scheduler {
 	return NewBackend(seed, DefaultBackend())
 }
@@ -305,7 +313,6 @@ func (s *Scheduler) release(ev *event) {
 	ev.arg = nil
 	ev.st = nil
 	ev.name = ""
-	ev.stopped = false
 	ev.index = -1
 	ev.slot = -1
 	s.free = append(s.free, ev)
@@ -456,11 +463,25 @@ func (a heapNode) less(b heapNode) bool {
 	return a.seq < b.seq
 }
 
+// push adds ev to the heap. Inside a callback whose slot is still vacant the
+// node goes in at the root and sifts down: a packet hop schedules its
+// successor a few microseconds ahead, at or near the new minimum, so it
+// moves few levels or none, where popping the old root and pushing the new
+// one paid a full-height sift each.
 func (s *Scheduler) push(ev *event) {
 	nd := heapNode{when: ev.when, seq: ev.seq, sid: ev.sid, ev: ev}
-	q := append(s.queue, nd)
-	i := len(q) - 1
-	// Sift up.
+	if s.vacant {
+		s.vacant = false
+		s.siftDown(0, nd)
+		return
+	}
+	s.queue = append(s.queue, nd)
+	s.siftUp(len(s.queue)-1, nd)
+}
+
+// siftUp seats nd at free slot i or, past every larger ancestor, above it.
+func (s *Scheduler) siftUp(i int, nd heapNode) {
+	q := s.queue
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !nd.less(q[parent]) {
@@ -471,105 +492,98 @@ func (s *Scheduler) push(ev *event) {
 		i = parent
 	}
 	q[i] = nd
-	ev.index = i
-	s.queue = q
+	nd.ev.index = i
 }
 
-// popMin removes and returns the earliest event.
-func (s *Scheduler) popMin() *event {
-	top := s.queue[0].ev
-	s.removeAt(0)
-	return top
-}
-
-// removeAt unlinks the event at heap index i, moving the last element into
-// its place and restoring the heap invariant. Removal order does not affect
-// execution order — (when, seq) keys are unique, so the pop sequence is a
-// total order regardless of the heap's internal arrangement.
-func (s *Scheduler) removeAt(i int) {
+// siftDown seats nd at free slot i or, past every smaller child, below it,
+// and returns where.
+func (s *Scheduler) siftDown(i int, nd heapNode) int {
 	q := s.queue
-	n := len(q) - 1
-	q[i].ev.index = -1
-	last := q[n]
-	q[n] = heapNode{}
-	s.queue = q[:n]
-	if i == n {
-		return
-	}
-	q = s.queue
-	// Re-seat last at i: sift down, and if it never moved, sift up (it may
-	// be smaller than the removed event's ancestors).
-	j := i
 	for {
-		l, r := 2*j+1, 2*j+2
-		if l >= n {
+		child := 2*i + 1
+		if child >= len(q) {
 			break
 		}
-		child := l
-		if r < n && q[r].less(q[l]) {
+		if r := child + 1; r < len(q) && q[r].less(q[child]) {
 			child = r
 		}
-		if !q[child].less(last) {
+		if !q[child].less(nd) {
 			break
 		}
-		q[j] = q[child]
-		q[j].ev.index = j
-		j = child
+		q[i] = q[child]
+		q[i].ev.index = i
+		i = child
 	}
-	if j == i {
-		for j > 0 {
-			parent := (j - 1) / 2
-			if !last.less(q[parent]) {
-				break
-			}
-			q[j] = q[parent]
-			q[j].ev.index = j
-			j = parent
-		}
+	q[i] = nd
+	nd.ev.index = i
+	return i
+}
+
+// removeAt frees heap slot i (the caller releases its event, if it still
+// holds one), moving the last node into its place and restoring the heap
+// invariant. Removal order does not affect execution order — (when, stream,
+// seq) keys are unique, so the pop sequence is a total order regardless of
+// the heap's internal arrangement.
+func (s *Scheduler) removeAt(i int) {
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue[n] = heapNode{}
+	s.queue = s.queue[:n]
+	// Re-seat last at i: down, and if it never moved, up (it may be smaller
+	// than the removed event's ancestors).
+	if i < n && s.siftDown(i, last) == i {
+		s.siftUp(i, last)
 	}
-	q[j] = last
-	last.ev.index = j
+}
+
+// closeVacancy removes the root slot a callback left unfilled.
+func (s *Scheduler) closeVacancy() {
+	if s.vacant {
+		s.vacant = false
+		s.removeAt(0)
+	}
 }
 
 // --- execution ----------------------------------------------------------
 
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed. Stopped events
-// encountered on the way are recycled without firing.
+// timestamp. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	for {
-		s.settle()
-		if len(s.queue) == 0 {
-			return false
-		}
-		ev := s.popMin()
-		if ev.stopped {
-			s.release(ev)
-			continue
-		}
-		s.now = ev.when
-		s.executed++
-		s.pending--
-		// The executing event's stream becomes current, so work it schedules
-		// inherits its stream — causal chains stay in their cell's lane.
-		st := ev.st
-		s.cur = st
-		st.executed++
-		if s.digestOn {
-			st.digest = foldDigest(st.digest, ev.when, ev.sid, ev.seq, ev.name)
-		}
-		// Copy the callback out and recycle before invoking: the callback
-		// may schedule new work, which can immediately reuse this event
-		// (under a fresh generation).
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		s.release(ev)
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
-		return true
+	s.settle()
+	if len(s.queue) == 0 {
+		return false
 	}
+	s.fire()
+	return true
+}
+
+// fire executes the heap's earliest event. The caller has settled, so that
+// is the globally earliest one, and found the heap non-empty.
+func (s *Scheduler) fire() {
+	ev := s.queue[0].ev
+	s.vacant = true
+	s.now = ev.when
+	s.executed++
+	s.pending--
+	// The executing event's stream becomes current, so work it schedules
+	// inherits its stream — causal chains stay in their cell's lane.
+	st := ev.st
+	s.cur = st
+	st.executed++
+	if s.digestOn {
+		st.digest = foldDigest(st.digest, ev.when, ev.sid, ev.seq, ev.name)
+	}
+	// Copy the callback out and recycle before invoking: the callback
+	// may schedule new work, which can immediately reuse this event
+	// (under a fresh generation).
+	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	s.release(ev)
+	if fnArg != nil {
+		fnArg(arg)
+	} else {
+		fn()
+	}
+	s.closeVacancy()
 }
 
 // Run executes events until the queue is empty, Halt is called, or the
@@ -604,7 +618,7 @@ func (s *Scheduler) RunUntil(t time.Duration) error {
 			}
 			return nil
 		}
-		s.Step()
+		s.fire()
 		if s.limit > 0 && s.executed-start > s.limit {
 			return fmt.Errorf("%w (%d events, now=%v)", ErrEventLimit, s.executed-start, s.now)
 		}

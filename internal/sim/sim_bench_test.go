@@ -55,3 +55,26 @@ func BenchmarkSchedulerMixed(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSchedulerHopChain measures the packet-hop pattern: each event
+// schedules its successor 1-3 us ahead — the new minimum — while 64 timers
+// beyond the wheel's horizon sit in the heap behind it. The fired event's
+// root slot takes the successor without a sift.
+func BenchmarkSchedulerHopChain(b *testing.B) {
+	s := New(1)
+	for i := 0; i < 64; i++ {
+		s.After(time.Hour+time.Duration(i)*time.Microsecond, "bench.background", func() {})
+	}
+	n := 0
+	var hop func(any)
+	hop = func(any) {
+		n++
+		s.AfterArg(time.Duration(1+n%3)*time.Microsecond, "bench.hop", hop, nil)
+	}
+	hop(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
