@@ -5,21 +5,18 @@
 //
 // Independent simulations fan out across the machine's CPUs; every result
 // is a function of the per-simulation seeds only, so the output is
-// identical for any worker count. With -json the full run — configuration,
-// results, and per-experiment performance counters — is also written to
-// BENCH_trajectory.json.
+// identical for any worker count. With -json the full run — configuration
+// and results — is also written to BENCH_trajectory.json. Host time is not
+// this command's to measure: E10's events/sec and E13's live heap are the
+// only host-dependent numbers it prints, and benchmark/ owns the rest.
 //
 // Usage (the experiment lines are bench.Usage(), printed by -h and checked
 // against this comment and README.md by a test):
 //
 //	failover-bench [-experiment NAME|all] [-list] [-workers N] [-json]
 //	               [-metrics-out FILE] [-timeseries-out FILE]
-//	               [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 //	experiments, in execution order, and the flags that size each:
-//	  -experiment connscale    [-connscale N1,N2,...]
-//	  -experiment shardscale   [-shardscale N1,N2,...] [-shards S1,S2,...]
-//	  -experiment memscale     [-memscale N1,N2,...]
 //	  -experiment connsetup    [-conns N]
 //	  -experiment fig3         [-reps N]
 //	  -experiment fig4         [-reps N]
@@ -29,8 +26,10 @@
 //	  -experiment failover     [-runs N]
 //	  -experiment faultsweep   [-runs N] [-faultrates R1,R2,...]
 //	  -experiment failtimeline [-runs N]
+//	  -experiment shardscale   [-shardscale N1,N2,...] [-shards S1,S2,...]
 //	  -experiment adversary
 //	  -experiment slo          [-sloloads L1,L2,...] [-slowindow D] [-sloworkload NAME]
+//	  -experiment memscale     [-memscale N1,N2,...]
 //	  -experiment stallscale   [-stallscale N1,N2,...]
 //
 // With -metrics-out, one instrumented failover scenario is run after the
@@ -49,9 +48,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"strings"
 
 	"tcpfailover/internal/bench"
@@ -64,7 +60,6 @@ const trajectoryFile = "BENCH_trajectory.json"
 // the other.
 const synopsis = `failover-bench [-experiment NAME|all] [-list] [-workers N] [-json]
                [-metrics-out FILE] [-timeseries-out FILE]
-               [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 
 experiments, in execution order, and the flags that size each:
 `
@@ -81,10 +76,7 @@ func main() {
 			"write a metrics snapshot from one failover scenario to this file (.json or Prometheus text)")
 		timeseriesOut = flag.String("timeseries-out", "",
 			"write a sampled metrics timeseries from a sharded crash scenario to this file (.json or CSV)")
-		workers    = flag.Int("workers", bench.Workers, "simulation worker goroutines")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
+		workers = flag.Int("workers", bench.Workers, "simulation worker goroutines")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage: %s%s\nflags:\n", synopsis, bench.Usage())
@@ -100,80 +92,13 @@ func main() {
 	bench.Workers = *workers
 	cfg.Experiments = []string{*experiment}
 	err := parseLists()
-	var stopProfiles func() error
-	if err == nil {
-		stopProfiles, err = startProfiles(*cpuProfile, *memProfile, *traceFile)
-	}
 	if err == nil {
 		err = run(cfg, *jsonOut, *metricsOut, *timeseriesOut)
-		if perr := stopProfiles(); err == nil {
-			err = perr
-		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "failover-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles turns on the requested CPU profile and execution trace and
-// returns a function that stops them and writes the heap profile. Profiling
-// a run of -experiment connscale is the intended workflow for hot-path work:
-// the connection-scale sweep is the workload the optimisation targets.
-func startProfiles(cpu, mem, tr string) (func() error, error) {
-	var cpuF, trF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	if tr != "" {
-		f, err := os.Create(tr)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		trF = f
-	}
-	return func() error {
-		var first error
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			first = cpuF.Close()
-		}
-		if trF != nil {
-			trace.Stop()
-			if err := trF.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				if first == nil {
-					first = err
-				}
-				return first
-			}
-			runtime.GC() // flush dead objects so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil && first == nil {
-				first = err
-			}
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}, nil
 }
 
 func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error {
@@ -210,8 +135,7 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 		if err := os.WriteFile(trajectoryFile, append(blob, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d experiments, %d workers)\n",
-			trajectoryFile, len(t.Perf.Experiments), t.Perf.Workers)
+		fmt.Printf("wrote %s (configuration and results)\n", trajectoryFile)
 	}
 	return nil
 }

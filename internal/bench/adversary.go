@@ -320,7 +320,6 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 		}
 	}
 	_ = stalled
-	addEvents(sc)
 	return p, nil
 }
 

@@ -88,6 +88,7 @@ func testbed(mode Mode, seed int64, options func(*tcpfailover.Options), install 
 	if err != nil {
 		return nil, err
 	}
+	simsBuilt.Add(1)
 	return sc, installOnServers(sc, func(h *netstack.Host) error { return install(h.TCP()) })
 }
 
@@ -147,7 +148,6 @@ func ConnectionSetup(mode Mode, n int) (ConnSetupResult, error) {
 		}
 		durs[i] = established - start
 		conn.Abort()
-		addEvents(sc)
 		return nil
 	})
 	if err != nil {
@@ -219,7 +219,6 @@ func transferCurve(mode Mode, sizes []int64, reps int, seed0 int64, server func(
 		if durs[j], err = measure(sc, size); err != nil {
 			return fmt.Errorf("size %d rep %d: %w", size, rep, err)
 		}
-		addEvents(sc)
 		return nil
 	})
 	if err != nil {
@@ -342,7 +341,6 @@ func streamRates(mode Mode, total int64, mutate func(*tcpfailover.Options)) (Rat
 			// server application has consumed the last byte.
 			res.SendElapse = sc.Now() - tr.Established
 			res.SendKBps = metrics.RateKBps(total, res.SendElapse)
-			addEvents(sc)
 			return nil
 		}
 
@@ -367,7 +365,6 @@ func streamRates(mode Mode, total int64, mutate func(*tcpfailover.Options)) (Rat
 		}
 		res.RecvElapse = recv.EOFAt - established2
 		res.RecvKBps = metrics.RateKBps(recv.Received, res.RecvElapse)
-		addEvents(sc2)
 		return nil
 	})
 	return res, err
@@ -423,6 +420,7 @@ func FTPRates(mode Mode, reps int) ([]FTPPoint, error) {
 		if err != nil {
 			return err
 		}
+		simsBuilt.Add(1)
 		if err := installOnServers(sc, func(h *netstack.Host) error {
 			_, err := apps.NewFTPServer(h.TCP(), files)
 			return err
@@ -461,7 +459,6 @@ func FTPRates(mode Mode, reps int) ([]FTPPoint, error) {
 		if err := sc.RunUntil(func() bool { return done }, 24*time.Hour); err != nil {
 			return fmt.Errorf("ftp rep %d: %w", rep, err)
 		}
-		addEvents(sc)
 		return nil
 	})
 	if err != nil {
@@ -607,7 +604,6 @@ func FailoverLatency(n int) (FailoverResult, error) {
 		}
 		intactSlots[i] = r.intact()
 		gaps[i] = r.maxGap
-		addEvents(r.sc)
 		return nil
 	})
 	if err != nil {

@@ -117,6 +117,7 @@ func webCrashFleet(seed int64, cells, shards int, load float64, warmup, window t
 	if err != nil {
 		return nil, err
 	}
+	simsBuilt.Add(1)
 	for _, cell := range ss.Cells {
 		cell.Stream.Use()
 		if err := cell.Group.OnEach(func(h *netstack.Host) error { return httpServer(h.TCP()) }); err != nil {

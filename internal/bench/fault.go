@@ -132,7 +132,6 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 			intact:   r.intact(),
 			injected: sc.Faults.Stats().Dropped,
 		}
-		addEvents(sc)
 		return nil
 	})
 	if err != nil {

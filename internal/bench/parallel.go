@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"tcpfailover"
 )
 
 // Workers is the number of goroutines experiments fan their independent
@@ -74,23 +72,7 @@ func parallelEachBudget(n, costPerSim int, fn func(i int) error) error {
 	return nil
 }
 
-// eventTally and simTally accumulate the number of simulation events
-// executed and simulations completed across all experiments (and workers);
-// the trajectory records per-experiment deltas as throughput figures.
-var (
-	eventTally atomic.Int64
-	simTally   atomic.Int64
-)
-
-// addEvents credits a finished simulation's executed events to the tallies.
-func addEvents(sc *tcpfailover.Scenario) {
-	eventTally.Add(int64(sc.Sched.Executed()))
-	simTally.Add(1)
-}
-
-// addShardEvents is addEvents for a sharded simulation: one simulation, with
-// events summed across its domain schedulers.
-func addShardEvents(ss *tcpfailover.ShardedScenario) {
-	eventTally.Add(int64(ss.Executed()))
-	simTally.Add(1)
-}
+// simsBuilt counts the scenarios the experiments have built, at the four
+// places they are built (testbed, FTPRates, webCrashFleet, shardScalePoint);
+// TestRenderIsPure checks that rendering builds none.
+var simsBuilt atomic.Int64

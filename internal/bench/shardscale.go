@@ -9,26 +9,31 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/ethernet"
+	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/sim"
+	"tcpfailover/internal/tcp"
 )
 
 // --- E10: sharded parallel scaling -------------------------------------------
 //
-// E8 measures the sequential engine's per-segment cost; E10 measures what the
-// sharded engine buys on top of it. The workload replicates the paper's
-// testbed into eight cells joined by a trunk ring (tcpfailover.NewSharded),
-// spreads the connection count across the cells — one client in eight dials
-// the *next* cell's service, so every trunk carries real cross-domain TCP —
-// and sweeps the shard count at a fixed connection count. Because the sharded
-// engine is byte-identical for every shard count (the differential tests pin
-// this), the executed event sequence is one fixed workload and events/sec is
+// E10 measures what the sharded engine buys: events/sec per core as the
+// shard count grows. The workload replicates the paper's testbed into eight
+// cells joined by a trunk ring (tcpfailover.NewSharded), spreads the
+// connection count across the cells — one client in eight dials the *next*
+// cell's service, so every trunk carries real cross-domain TCP — and sweeps
+// the shard count at a fixed connection count. Because the sharded engine is
+// byte-identical for every shard count (the differential tests pin this),
+// the executed event sequence is one fixed workload and events/sec is
 // directly comparable across the sweep: speedup and parallel efficiency fall
 // straight out of the ratios.
 //
-// Like E8, the points run sequentially on an otherwise quiet process; the
-// shard workers themselves are the parallelism being measured. On a
-// single-core host every point degenerates to the sequential engine plus
-// window bookkeeping — the sweep then measures lockstep overhead, not
+// It is the one experiment that reads the wall clock, on purpose: the
+// benchmark under benchmark/ owns host time, and none of its workloads
+// varies the shard count. The points run sequentially on an otherwise quiet
+// process; the shard workers themselves are the parallelism being measured.
+// On a single-core host every point degenerates to the sequential engine
+// plus window bookkeeping — the sweep then measures lockstep overhead, not
 // speedup, and EventsPerSecPerCore is the honest cross-host comparison.
 
 // DefaultShardScale is the connection-count axis of experiment E10.
@@ -54,7 +59,7 @@ const (
 	ssMaxConnsPerCell = 16000
 	// ssCrossDiv: one connection in eight is cross-cell. Enough that every
 	// window exchanges real traffic across every trunk; few enough that the
-	// workload stays dominated by the per-cell hot path E8 calibrates.
+	// workload stays dominated by the per-cell hot path.
 	ssCrossDiv = 8
 	// ssTrunkLatency is the inter-cell trunk latency and therefore the
 	// conservative lookahead: domains synchronize at least once per 200 us
@@ -62,15 +67,15 @@ const (
 	// to it; the lockstep cost it sets is part of what E10 measures.
 	ssTrunkLatency = 200 * time.Microsecond
 	// ssWarmupRounds/ssMeasureRounds are per-connection request/reply
-	// rounds before/inside the measured span. Lower than E8's: at 10^6
-	// connections a single round is ~25M events, plenty for a stable
-	// events/sec figure.
+	// rounds before/inside the measured span. At 10^6 connections a single
+	// round is ~25M events, plenty for a stable events/sec figure.
 	ssWarmupRounds  = 2
 	ssMeasureRounds = 2
 	// ssPointRepeats repeats each point's measured span, keeping the repeat
-	// with the highest events/sec — same rationale as csPointRepeats: the
-	// fastest repeat is the best estimate of intrinsic cost on a shared
-	// host.
+	// with the highest events/sec: external interference — another tenant
+	// hammering the shared cache — comes and goes on a timescale of
+	// seconds, so the fastest repeat is the best estimate of intrinsic cost
+	// on a shared host.
 	ssPointRepeats = 2
 )
 
@@ -113,7 +118,7 @@ func ShardScale(counts, shardCounts []int) ([]ShardScalePoint, error) {
 	for i, n := range counts {
 		seqEPS := 0.0
 		for _, s := range shardCounts {
-			p, _, err := shardScalePoint(int64(9000+i), n, s, 0, false)
+			p, _, err := shardScalePoint(connScaleOptions(int64(9000+i)), n, s, 0, false)
 			if err != nil {
 				return nil, fmt.Errorf("shardscale %d conns x %d shards: %w", n, s, err)
 			}
@@ -130,14 +135,15 @@ func ShardScale(counts, shardCounts []int) ([]ShardScalePoint, error) {
 	return out, nil
 }
 
-// shardScalePoint builds one sharded multi-cell scenario, distributes conns
-// across the cells (one in ssCrossDiv dialing the next cell), warms every
-// connection up, then measures events/sec over ssPointRepeats spans of
-// ssMeasureRounds rounds per connection. workers=0 means the group default,
-// min(shards, GOMAXPROCS); the alloc gate pins it to 1 to measure the
-// per-event hot path without the per-window goroutine launches. With digest
-// set the per-stream execution digests are returned for byte-identity checks.
-func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (ShardScalePoint, []sim.StreamDigest, error) {
+// shardScalePoint builds one sharded multi-cell scenario from the cell
+// options, distributes conns across the cells (one in ssCrossDiv dialing the
+// next cell), warms every connection up, then measures events/sec over
+// ssPointRepeats spans of ssMeasureRounds rounds per connection. workers=0
+// means the group default, min(shards, GOMAXPROCS); the alloc gate pins it
+// to 1 to measure the per-event hot path without the per-window goroutine
+// launches. digest turns on the per-stream execution digests. The scenario
+// is returned so the gates can read the digests and the cells' spans.
+func shardScalePoint(cell tcpfailover.Options, conns, shards, workers int, digest bool) (ShardScalePoint, *tcpfailover.ShardedScenario, error) {
 	debug.FreeOSMemory()
 	cells := ssCells
 	if cells > conns {
@@ -147,18 +153,18 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 		cells *= 2
 	}
 	perCell := conns / cells
-	opts := tcpfailover.ShardedOptions{
+	ss, err := tcpfailover.NewSharded(tcpfailover.ShardedOptions{
 		Cells:     cells,
 		Shards:    shards,
 		Workers:   workers,
-		Cell:      connScaleOptions(seed),
+		Cell:      cell,
 		CrossLink: ethernet.XConfig{BandwidthBps: 10_000_000_000, Latency: ssTrunkLatency},
 		Digest:    digest,
-	}
-	ss, err := tcpfailover.NewSharded(opts)
+	})
 	if err != nil {
 		return ShardScalePoint{}, nil, err
 	}
+	simsBuilt.Add(1)
 
 	// One harness per cell: harness state (rounds counter, shared scratch and
 	// reply buffers) is only ever touched by its own cell's events, which all
@@ -230,7 +236,8 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 	if err := runTo(nConns * ssWarmupRounds); err != nil {
 		return ShardScalePoint{}, nil, fmt.Errorf("warmup: %w", err)
 	}
-	// As in E8: collect the setup phase's garbage outside the measured spans.
+	// Collect the setup phase's garbage now so no collection runs inside the
+	// measured spans (the steady state itself allocates nothing).
 	runtime.GC()
 
 	p := ShardScalePoint{
@@ -266,12 +273,7 @@ func shardScalePoint(seed int64, conns, shards, workers int, digest bool) (Shard
 	}
 	p.CrossPosts = ss.Group.CrossPosts()
 	p.EventsPerSecPerCore = p.EventsPerSec / float64(p.Workers)
-	addShardEvents(ss)
-	var digs []sim.StreamDigest
-	if digest {
-		digs = ss.Digests()
-	}
-	return p, digs, nil
+	return p, ss, nil
 }
 
 func renderShardScale(w io.Writer, _ Config, r *Results) {
@@ -295,4 +297,194 @@ func renderShardScale(w io.Writer, _ Config, r *Results) {
 			p.EventsPerSec, p.EventsPerSecPerCore, p.Speedup, p.Efficiency)
 	}
 	fmt.Fprintln(w)
+}
+
+// --- E10's cell workload: request/reply with think time ------------------------
+
+const (
+	csReqBytes    = 4   // request: fixed-size tokens, content ignored
+	csReplyBytes  = 256 // reply per round
+	csDialStagger = 5 * time.Microsecond
+	// csThink is each connection's pause between rounds. The workload is
+	// open-loop on purpose: with back-to-back rounds every connection keeps
+	// a frame queued on the LAN forever, and the benchmark would measure a
+	// simulated congestion backlog instead of the per-connection hot path.
+	// Thinking connections instead hold pending timers — think, delayed
+	// ack, retransmission — which is precisely the timer churn the timing
+	// wheel exists for.
+	csThink = 250 * time.Millisecond
+)
+
+// csHarness is the shared state of one cell's connections. The
+// request/reply applications below are leaner cousins of internal/apps: with
+// 10^5 connections and more, per-connection 32 KB copy buffers would
+// dominate the footprint, so every connection of a cell shares one scratch
+// buffer (the cell's events run on one goroutine) and the servers share one
+// constant reply block (both replicas must produce identical bytes).
+type csHarness struct {
+	sched   *sim.Scheduler
+	scratch []byte
+	reply   []byte
+	req     [csReqBytes]byte
+	rounds  int64 // completed rounds across all connections
+	err     error
+}
+
+// newCsHarness returns the harness of one scheduler's connections.
+func newCsHarness(sched *sim.Scheduler) *csHarness {
+	h := &csHarness{sched: sched, scratch: make([]byte, 2048), reply: make([]byte, csReplyBytes)}
+	for i := range h.reply {
+		h.reply[i] = byte(i)
+	}
+	return h
+}
+
+func (h *csHarness) fail(err error) {
+	if h.err == nil {
+		h.err = err
+	}
+}
+
+// serve installs the request/reply server on a server host's stack.
+func (h *csHarness) serve(host *netstack.Host) error {
+	_, err := host.TCP().Listen(benchPort, func(c *tcp.Conn) {
+		s := &csServerConn{h: h, c: c}
+		c.OnReadable(s.pump)
+		c.OnWritable(s.pump)
+	})
+	return err
+}
+
+// dial opens one client connection from stack to addr and starts its rounds.
+func (h *csHarness) dial(stack *tcp.Stack, addr ipv4.Addr) {
+	conn, err := stack.Dial(addr, benchPort)
+	if err != nil {
+		h.fail(fmt.Errorf("dial: %w", err))
+		return
+	}
+	cl := &csClient{h: h, c: conn}
+	conn.OnEstablished(cl.send)
+	conn.OnReadable(cl.readable)
+	conn.OnWritable(cl.flush)
+}
+
+// csServerConn answers each 4-byte request with csReplyBytes of the shared
+// reply block (the reqReplyConn protocol with a fixed reply size).
+type csServerConn struct {
+	h      *csHarness
+	c      *tcp.Conn
+	reqGot int // bytes consumed toward the current request token
+	toSend int // reply bytes still owed
+}
+
+func (s *csServerConn) pump() {
+	for {
+		for s.toSend > 0 {
+			n := min(s.toSend, csReplyBytes)
+			m, err := s.c.Write(s.h.reply[:n])
+			if err != nil {
+				return // client aborted; the scenario is winding down
+			}
+			s.toSend -= m
+			if m < n {
+				return // send buffer full; OnWritable resumes
+			}
+		}
+		n, err := s.c.Read(s.h.scratch)
+		if n == 0 {
+			if err != nil {
+				s.c.Abort()
+			}
+			return
+		}
+		s.reqGot += n
+		for s.reqGot >= csReqBytes {
+			s.reqGot -= csReqBytes
+			s.toSend += csReplyBytes
+		}
+	}
+}
+
+// csClient issues one request per completed round, counting rounds into the
+// harness.
+type csClient struct {
+	h       *csHarness
+	c       *tcp.Conn
+	got     int // reply bytes received toward the current round
+	pending int // request bytes not yet accepted by the send buffer
+}
+
+func (cl *csClient) send() {
+	cl.pending += csReqBytes
+	cl.flush()
+}
+
+func (cl *csClient) flush() {
+	if cl.pending == 0 {
+		return
+	}
+	n, err := cl.c.Write(cl.h.req[:cl.pending])
+	if err != nil {
+		cl.h.fail(fmt.Errorf("client write: %w", err))
+		return
+	}
+	cl.pending -= n
+}
+
+func (cl *csClient) readable() {
+	for {
+		n, err := cl.c.Read(cl.h.scratch)
+		if n == 0 {
+			if err != nil {
+				cl.h.fail(fmt.Errorf("client read: %w", err))
+			}
+			return
+		}
+		cl.got += n
+		for cl.got >= csReplyBytes {
+			cl.got -= csReplyBytes
+			cl.h.rounds++
+			// Think, then issue the next request. AfterArg with a
+			// top-level function keeps the per-round timer allocation-free
+			// (a method-value closure would allocate).
+			cl.h.sched.AfterArg(csThink, "shardscale.think", csClientThink, cl)
+		}
+	}
+}
+
+func csClientThink(v any) { v.(*csClient).send() }
+
+// connScaleOptions is the cell configuration — the same cell benchmark/'s
+// conn-scale workload builds: failover pair, cheap fixed per-packet host
+// costs with batched (NAPI/GRO) delivery, quiet 10 Gbit/s full-duplex links
+// so the wire never queues, small TCP buffers so that many connections fit,
+// and no detector traffic. The small MSS keeps the reply at one segment
+// while still exercising the bridges' per-segment paths. The 1 ms delayed
+// ack keeps ack timing (and hence RTT estimates and retransmission
+// deadlines) far away from the think-time cadence.
+func connScaleOptions(seed int64) tcpfailover.Options {
+	opts := tcpfailover.LANOptions()
+	opts.Seed = seed
+	opts.ServerPorts = []uint16{benchPort}
+	opts.HostProfile = netstack.Profile{
+		StackIngress:  2 * time.Microsecond,
+		StackEgress:   2 * time.Microsecond,
+		ForwardDelay:  time.Microsecond,
+		BridgeDelay:   2 * time.Microsecond,
+		BridgeInbound: time.Microsecond,
+		NAPIBudget:    8,
+	}
+	link := ethernet.Config{BandwidthBps: 10_000_000_000, Propagation: time.Microsecond}
+	opts.ServerLAN = link
+	opts.ClientLink = link
+	opts.TCP = tcp.Config{
+		MSS:               536,
+		SendBufSize:       1024,
+		RecvBufSize:       1024,
+		DelayedAckTimeout: time.Millisecond,
+		DisableNagle:      true,
+	}
+	noDetectors := false
+	opts.StartDetectors = &noDetectors
+	return opts
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/sim"
 )
 
@@ -21,12 +22,12 @@ func TestShardScaleDeterministicAcrossShardCounts(t *testing.T) {
 	points := make([]ShardScalePoint, len(shardCounts))
 	digs := make([][]sim.StreamDigest, len(shardCounts))
 	if err := parallelEachBudget(len(shardCounts), 4, func(i int) error {
-		p, d, err := shardScalePoint(42, conns, shardCounts[i], 0, true)
+		p, ss, err := shardScalePoint(connScaleOptions(42), conns, shardCounts[i], 0, true)
 		if err != nil {
 			return err
 		}
 		points[i] = p
-		digs[i] = d
+		digs[i] = ss.Digests()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -51,31 +52,66 @@ func TestShardScaleDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardScaleSteadyStateAllocs is the allocation gate for the sharded
-// hot path: buffered cross-domain posts, barrier drains, explicit-key heap
-// injection, and trunk frame relay must all be allocation-free in the steady
-// state, just like the sequential path E8 gates. Workers is pinned to 1 so
-// the measurement sees the per-event path, not the per-window goroutine
-// launches (a per-window constant that amortizes to nothing at real
-// connection counts but not at this test's 256).
+// TestShardScaleSteadyStateAllocs is the allocation gate for the per-event
+// hot path (CI runs it on every push), on E10's cell workload — the same
+// request/reply cell benchmark/'s conn-scale workload drives. In the measured
+// steady state — connections established, buffers pooled, timers recycling
+// through the wheel — nothing may allocate per event: not one shard, not the
+// fleet span recorder attached (every in-order delivery touching a span
+// slot, every segment branching on the takeover mark; span storage is
+// table+slab, so the traced path is index-addressed stores), and not the
+// sharded path's buffered cross-domain posts, barrier drains, explicit-key
+// heap injection and trunk frame relay. Workers is pinned to 1 so the
+// measurement sees the per-event path, not the per-window goroutine launches
+// (a per-window constant that amortizes to nothing at real connection counts
+// but not at this test's 256).
 func TestShardScaleSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
 	}
-	p, _, err := shardScalePoint(43, 256, 4, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Events == 0 || p.Rounds == 0 {
-		t.Fatalf("empty measurement: %+v", p)
-	}
-	if p.CrossPosts == 0 {
-		t.Fatal("no cross-domain deliveries; the gate is not exercising the sharded path")
-	}
-	// Same bar as E8's gate, denominated in events (~7 events per segment):
-	// a real per-event or per-delivery allocation shows up as >= 1.0.
-	if p.AllocsPerEvent >= 0.01 {
-		t.Errorf("sharded steady-state allocations regressed: %.4f allocs/event (want < 0.01)",
-			p.AllocsPerEvent)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		spans  bool
+	}{
+		{"one_shard", 1, false},
+		{"one_shard_spans", 1, true},
+		{"four_shards", 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := connScaleOptions(43)
+			opts.Spans = tc.spans
+			p, ss, err := shardScalePoint(opts, 256, tc.shards, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Events == 0 || p.Rounds == 0 {
+				t.Fatalf("empty measurement: %+v", p)
+			}
+			if tc.shards > 1 && p.CrossPosts == 0 {
+				t.Fatal("no cross-domain deliveries; the gate is not exercising the sharded path")
+			}
+			if tc.spans {
+				// A cross-cell connection's divert mark lands in its server
+				// cell's recorder; its dial is recorded once, in its own.
+				dialed := 0
+				for _, c := range ss.Cells {
+					for _, sp := range c.Spans.Spans() {
+						if sp.Has(obs.SpanSynSent) {
+							dialed++
+						}
+					}
+				}
+				if dialed != p.Conns {
+					t.Fatalf("%d spans recorded a dial, want one per connection (%d)", dialed, p.Conns)
+				}
+			}
+			// 0.01 allocs/event = one allocation per hundred events; a real
+			// per-event or per-delivery allocation shows up as >= 1.0.
+			t.Logf("%.4f allocs/event", p.AllocsPerEvent)
+			if p.AllocsPerEvent >= 0.01 {
+				t.Errorf("steady-state allocations regressed: %.4f allocs/event (want < 0.01)", p.AllocsPerEvent)
+			}
+		})
 	}
 }

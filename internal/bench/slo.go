@@ -159,7 +159,6 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 			P999:        st.Lat.PercentileDuration(99.9),
 			Max:         st.Lat.PercentileDuration(100),
 		}
-		addEvents(sc)
 		return nil
 	})
 	if err != nil {

@@ -176,7 +176,6 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	p.Announce = stallStats(&announce)
 	p.Resume = stallStats(&resume)
 	p.Recovery = stallStats(&recovery)
-	addShardEvents(ss)
 	return p, exact, nil
 }
 

@@ -80,57 +80,11 @@ func bothModes[T any](name string, std, fo *T, run func(Mode) (T, error)) (err e
 	return nil
 }
 
-// table lists the experiments in canonical execution order; results are
-// emitted in this order no matter how Config.Experiments is spelled.
-// connscale runs first: it is the one experiment that measures the
-// simulator's own wall-clock cost, and running it before the others dirty
-// the heap keeps its cache and TLB behaviour representative of a process
-// that is actually serving 10k connections rather than one that just
-// churned through eight other workloads (measured: ~15% inflation at the
-// 10k point when it runs last, even after returning the dirtied heap to the
-// OS). shardscale follows immediately: it too measures the simulator's own
-// wall-clock cost and wants a heap that has not been churned by the
-// virtual-time experiments; memscale follows for the same reason (its cells
-// measure the process's own heap, and each cell re-settles it first).
+// table lists the experiments in canonical execution order, which is the E
+// numbering of EXPERIMENTS.md (the ablations follow the figure they ablate);
+// results are emitted in this order no matter how Config.Experiments is
+// spelled.
 var table = []Experiment{
-	{
-		Name: "connscale", Keys: []string{"conn_scale"},
-		Axes: []*Axis{countsAxis("connscale", "N1,N2,...",
-			"comma-separated connection counts for the connection-scale sweep (default 100,1000,10000)",
-			func(c *Config) any { return &c.ConnScale })},
-		Run: func(c Config, r *Results) (err error) {
-			r.ConnScale, err = ConnScale(c.ConnScale)
-			return err
-		},
-		Render: renderConnScale,
-	},
-	{
-		Name: "shardscale", Keys: []string{"shard_scale"},
-		Axes: []*Axis{
-			countsAxis("shardscale", "N1,N2,...",
-				"comma-separated connection counts for the sharded scaling sweep (default 100000,1000000)",
-				func(c *Config) any { return &c.ShardScale }),
-			countsAxis("shards", "S1,S2,...",
-				"comma-separated shard counts for the sharded scaling sweep (default 1,2,4,8)",
-				func(c *Config) any { return &c.ShardCounts }),
-		},
-		Run: func(c Config, r *Results) (err error) {
-			r.ShardScale, err = ShardScale(c.ShardScale, c.ShardCounts)
-			return err
-		},
-		Render: renderShardScale,
-	},
-	{
-		Name: "memscale", Keys: []string{"mem_scale"},
-		Axes: []*Axis{countsAxis("memscale", "N1,N2,...",
-			"comma-separated connection counts for the memory-scale sweep (default 100000,500000,1000000)",
-			func(c *Config) any { return &c.MemScale })},
-		Run: func(c Config, r *Results) (err error) {
-			r.MemScale, err = MemScale(c.MemScale)
-			return err
-		},
-		Render: renderMemScale,
-	},
 	{
 		Name: "connsetup", Keys: []string{"conn_setup"},
 		Axes: []*Axis{{Flag: "conns", Arg: "N", Usage: "connections for the setup-time experiment",
@@ -225,6 +179,22 @@ var table = []Experiment{
 		Render: renderTimeline,
 	},
 	{
+		Name: "shardscale", Keys: []string{"shard_scale"},
+		Axes: []*Axis{
+			countsAxis("shardscale", "N1,N2,...",
+				"comma-separated connection counts for the sharded scaling sweep (default 100000,1000000)",
+				func(c *Config) any { return &c.ShardScale }),
+			countsAxis("shards", "S1,S2,...",
+				"comma-separated shard counts for the sharded scaling sweep (default 1,2,4,8)",
+				func(c *Config) any { return &c.ShardCounts }),
+		},
+		Run: func(c Config, r *Results) (err error) {
+			r.ShardScale, err = ShardScale(c.ShardScale, c.ShardCounts)
+			return err
+		},
+		Render: renderShardScale,
+	},
+	{
 		Name: "adversary", Keys: []string{"adversary"},
 		Run: func(_ Config, r *Results) (err error) {
 			r.Adversary, err = AdversaryMatrix()
@@ -250,6 +220,17 @@ var table = []Experiment{
 			return err
 		},
 		Render: renderSLO,
+	},
+	{
+		Name: "memscale", Keys: []string{"mem_scale"},
+		Axes: []*Axis{countsAxis("memscale", "N1,N2,...",
+			"comma-separated connection counts for the memory-scale sweep (default 100000,500000,1000000)",
+			func(c *Config) any { return &c.MemScale })},
+		Run: func(c Config, r *Results) (err error) {
+			r.MemScale, err = MemScale(c.MemScale)
+			return err
+		},
+		Render: renderMemScale,
 	},
 	{
 		Name: "stallscale", Keys: []string{"stall_scale"},

@@ -83,7 +83,7 @@ func TestTableCoversResults(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
 	want := map[string]string{
 		"conns": "51", "reps": "5", "stream": "104857600", "runs": "9",
-		"faultrates": "", "connscale": "", "shardscale": "", "shards": "", "memscale": "",
+		"faultrates": "", "shardscale": "", "shards": "", "memscale": "",
 		"sloloads": "", "slowindow": "0s", "sloworkload": "", "stallscale": "",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -129,7 +129,7 @@ func TestRenderIsPure(t *testing.T) {
 	if err := json.Unmarshal(blob, &traj); err != nil {
 		t.Fatal(err)
 	}
-	sims := simTally.Load()
+	sims := simsBuilt.Load()
 	var first, second bytes.Buffer
 	traj.Render(&first)
 	traj.Render(&second)
@@ -159,7 +159,7 @@ func TestRenderIsPure(t *testing.T) {
 	if !bytes.Equal(joined.Bytes(), first.Bytes()) {
 		t.Error("Trajectory.Render is not the rows' renderings in table order")
 	}
-	if simTally.Load() != sims {
+	if simsBuilt.Load() != sims {
 		t.Error("rendering ran a simulation")
 	}
 }

@@ -36,12 +36,11 @@ func FailoverTimeline(n int) (TimelineResult, error) {
 	const total = 512 * 1024
 	stalls := make([]obs.StallBreakdown, n)
 	err := parallelEach(n, func(i int) error {
-		r, st, err := spanCrashRun(int64(9000+i), total, int64(total/4)+int64(i)*int64(total/(2*n)))
+		_, st, err := spanCrashRun(int64(9000+i), total, int64(total/4)+int64(i)*int64(total/(2*n)))
 		if err != nil {
 			return fmt.Errorf("run %d: %w", i, err)
 		}
 		stalls[i] = st
-		addEvents(r.sc)
 		return nil
 	})
 	if err != nil {

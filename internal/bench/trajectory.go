@@ -2,7 +2,6 @@ package bench
 
 import (
 	"io"
-	"runtime"
 	"time"
 )
 
@@ -24,9 +23,6 @@ type Config struct {
 	// FaultRates overrides the loss-rate axis of the fault sweep (E7);
 	// nil means DefaultFaultRates.
 	FaultRates []float64 `json:"fault_rates,omitempty"`
-	// ConnScale overrides the connection-count sweep of E8; nil means
-	// DefaultConnScale.
-	ConnScale []int `json:"conn_scale,omitempty"`
 	// ShardScale overrides the connection-count axis of E10; nil means
 	// DefaultShardScale.
 	ShardScale []int `json:"shard_scale,omitempty"`
@@ -78,72 +74,18 @@ type Results struct {
 	Adversary  []AdversaryPoint  `json:"adversary,omitempty"`
 	SLO        []SLOPoint        `json:"slo,omitempty"`
 	StallScale []StallScalePoint `json:"stall_scale,omitempty"`
-	// ConnScale, ShardScale, and MemScale are the Results members with
-	// host-dependent fields (wall-clock, heap, and allocation counters);
-	// the determinism test compares the experiments above, which are
-	// functions of the seeds only.
-	ConnScale  []ConnScalePoint  `json:"conn_scale,omitempty"`
+	// ShardScale and MemScale are the Results members with host-dependent
+	// fields (E10's wall clock, E13's live heap); the determinism test
+	// compares the experiments above, which are functions of the seeds only.
 	ShardScale []ShardScalePoint `json:"shard_scale,omitempty"`
 	MemScale   []MemScalePoint   `json:"mem_scale,omitempty"`
 }
 
-// ExperimentPerf records one experiment's host-side cost: wall-clock time,
-// completed simulations, heap allocations, and executed simulation events.
-// Unlike Results these vary run to run; they are the perf_opt trajectory.
-type ExperimentPerf struct {
-	Name         string  `json:"name"`
-	WallNS       int64   `json:"wall_ns"`
-	Sims         int64   `json:"sims"`
-	NsPerSim     int64   `json:"ns_per_sim"`
-	Allocs       int64   `json:"allocs"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// Perf aggregates the per-experiment cost figures.
-type Perf struct {
-	Workers     int              `json:"workers"`
-	GoMaxProcs  int              `json:"gomaxprocs"`
-	WallNS      int64            `json:"wall_ns"`
-	Experiments []ExperimentPerf `json:"experiments"`
-}
-
-// Trajectory is the machine-readable record of one failover-bench run:
-// the configuration, the (deterministic) experiment results, and the
-// (host-dependent) performance counters.
+// Trajectory is the machine-readable record of one failover-bench run: the
+// configuration and the experiment results.
 type Trajectory struct {
 	Config  Config  `json:"config"`
 	Results Results `json:"results"`
-	Perf    Perf    `json:"perf"`
-}
-
-// measure runs one experiment under the perf counters and appends its
-// ExperimentPerf row. Allocations are the process-wide Mallocs delta — an
-// upper bound that includes harness overhead, which is exactly what the
-// optimisation trajectory should charge for.
-func (t *Trajectory) measure(name string, fn func() error) error {
-	ev0, sims0 := eventTally.Load(), simTally.Load()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	err := fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	p := ExperimentPerf{
-		Name:   name,
-		WallNS: wall.Nanoseconds(),
-		Sims:   simTally.Load() - sims0,
-		Allocs: int64(ms1.Mallocs - ms0.Mallocs),
-		Events: eventTally.Load() - ev0,
-	}
-	if p.Sims > 0 {
-		p.NsPerSim = p.WallNS / p.Sims
-	}
-	if wall > 0 {
-		p.EventsPerSec = float64(p.Events) / wall.Seconds()
-	}
-	t.Perf.Experiments = append(t.Perf.Experiments, p)
-	return err
 }
 
 // RunAll executes the configured experiments in table order and returns
@@ -155,19 +97,14 @@ func RunAll(cfg Config) (*Trajectory, error) {
 		return nil, err
 	}
 	t := &Trajectory{Config: cfg}
-	t.Perf.Workers = Workers
-	t.Perf.GoMaxProcs = runtime.GOMAXPROCS(0)
-	allStart := time.Now()
 	for i := range table {
-		e := &table[i]
-		if !want[e.Name] {
+		if !want[table[i].Name] {
 			continue
 		}
-		if err := t.measure(e.Name, func() error { return e.Run(cfg, &t.Results) }); err != nil {
+		if err := table[i].Run(cfg, &t.Results); err != nil {
 			return nil, err
 		}
 	}
-	t.Perf.WallNS = time.Since(allStart).Nanoseconds()
 	return t, nil
 }
 

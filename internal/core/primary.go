@@ -54,7 +54,7 @@ type PrimaryStats struct {
 	BadChecksumDrops         int64
 	ConnsEvicted             int64 // LRU evictions under the MaxConns cap
 	SeqInvalidDrops          int64 // segments rejected by in-window validation
-	MalformedDrops           int64 // frames with an inconsistent data offset
+	MalformedDrops           int64 // frames with an inconsistent data offset or a forged orig-dst block
 }
 
 // seqHorizon is the validation window ValidateSeq applies around the
@@ -415,13 +415,18 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		b.m.malformedDrops.Inc()
 		return netstack.VerdictDrop, hdr, payload
 	}
-	if tcp.HasOrigDstOption(payload) && (hdr.Dst == b.aP || b.host.Owns(hdr.Dst)) {
+	if diverted, wellFormed := tcp.HasOrigDstOption(payload); diverted && (hdr.Dst == b.aP || b.host.Owns(hdr.Dst)) {
 		// Demultiplexer: a diverted segment from the secondary — also one
 		// diverted to another address this host owns (a chain promotion in
-		// flight). The checksum is verified before the strip, which cancels
-		// corrupted option bytes out of the sum; the payload is this
-		// station's private copy, so the option is stripped in place.
-		if b.verifyDiverted(hdr, payload) && !b.degraded {
+		// flight). Only the block the secondary writes is stripped: the
+		// option in any other shape is forged and would strip into a
+		// different segment. The checksum is verified before the strip,
+		// which cancels corrupted option bytes out of the sum; the payload
+		// is this station's private copy, so the option is stripped in place.
+		switch {
+		case !wellFormed:
+			b.m.malformedDrops.Inc()
+		case b.verifyDiverted(hdr, payload) && !b.degraded:
 			stripped, orig, _ := tcp.StripOrigDstOptionInPlace(payload)
 			b.fromSecondary(orig, stripped)
 		}

@@ -290,6 +290,41 @@ func TestBridgeReplicaBytesMustMatch(t *testing.T) {
 	}
 }
 
+// TestPrimaryDropsForgedOrigDstShapes: the demultiplexer takes only the
+// block AppendOrigDstOption writes — NOP, NOP, kind, length 6, address, on
+// a word boundary, ending at the data offset. A checksum-valid segment from
+// the secondary's address carrying the option in any other shape used to be
+// stripped into a different segment (the first shape below into two pad
+// bytes ahead of "hello", with a checksum that still verified) and queued
+// as the secondary's output; it must be dropped and counted instead.
+func TestPrimaryDropsForgedOrigDstShapes(t *testing.T) {
+	nop := tcp.Option{Kind: tcp.OptNOP}
+	for _, tc := range []struct {
+		name string
+		opts func(orig tcp.Option) []tcp.Option
+	}{
+		{"block without pads", func(o tcp.Option) []tcp.Option { return []tcp.Option{o, nop, nop} }},
+		{"one pad each side", func(o tcp.Option) []tcp.Option { return []tcp.Option{nop, o, nop} }},
+		{"unaligned in 12 bytes", func(o tcp.Option) []tcp.Option { return []tcp.Option{nop, nop, nop, o, nop, nop, nop} }},
+		{"doubled block", func(o tcp.Option) []tcp.Option { return []tcp.Option{nop, nop, o, nop, nop, o} }},
+	} {
+		f := newPriFixture(t)
+		f.establish(t)
+		raw := tcp.Marshal(f.aS, f.aP, &tcp.Segment{SrcPort: 80, DstPort: 49152,
+			Seq: sISS + 1, Ack: clientISS + 1, Flags: tcp.FlagACK | tcp.FlagPSH, Window: 58000,
+			Options: tc.opts(tcp.OrigDstOption(f.aC)), Payload: []byte("hello")})
+		before := f.b.Stats().MalformedDrops
+		v, _, _ := f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}, raw)
+		if v != netstack.VerdictDrop {
+			t.Errorf("%s: verdict %v, want drop", tc.name, v)
+		}
+		if got := f.b.Stats().MalformedDrops - before; got != 1 {
+			t.Errorf("%s: %d malformed drops counted, want 1", tc.name, got)
+		}
+		f.checkQueueGauge(t, 0)
+	}
+}
+
 func TestBridgeDegradedPassThrough(t *testing.T) {
 	f := newPriFixture(t)
 	f.establish(t)

@@ -94,6 +94,21 @@ func oracleFindOrigDstOption(b []byte) (absStart, absEnd int, addr ipv4.Addr, ok
 	return HeaderLen + start, HeaderLen + end, addr, true
 }
 
+// oracleTakesOrigDst is the shape rule the demultiplexer applies, stated
+// over the oracle's search: the block it finds is the one
+// AppendOrigDstOption writes — eight bytes, the last of the option area —
+// and the area before it parses cleanly and holds no other.
+func oracleTakesOrigDst(b []byte) bool {
+	s, e, _, ok := oracleFindOrigDstOption(b)
+	if !ok || e-s != 8 || e != RawHeaderLen(b) {
+		return false
+	}
+	prefix := bytes.Clone(b)
+	prefix[12] = byte(s/4) << 4
+	_, _, _, again := oracleFindOrigDstOption(prefix)
+	return !again && oracleUnmarshalOptions(prefix, new(Segment)) == nil
+}
+
 // oracleMarshal is Marshal with its own header writer.
 func oracleMarshal(src, dst ipv4.Addr, s *Segment) []byte {
 	optLen := optionsWireLen(s.Options)
@@ -163,7 +178,8 @@ func oracleUnmarshalOptions(b []byte, s *Segment) error {
 // options this stack knows, a kind whose length byte is cut off by the end
 // of the header, lengths below two and past the header, OptEnd in the
 // middle with anything after it, duplicated MSS and original-destination
-// options, NOP runs, and plain noise.
+// options, the original-destination block where the secondary writes it, NOP
+// runs, and plain noise.
 func optionArea(r *rand.Rand, n int) []byte {
 	area := make([]byte, 0, n+8)
 	family := r.Intn(8)
@@ -199,6 +215,11 @@ func optionArea(r *rand.Rand, n int) []byte {
 	if family == 4 && n > 0 {
 		area[n-1] = byte(2 + r.Intn(250)) // length byte missing
 	}
+	if (family == 5 || family == 6) && n >= 8 {
+		// The block AppendOrigDstOption writes, where it writes it — unless
+		// an option drawn before it runs into it.
+		copy(area[n-8:], []byte{OptNOP, OptNOP, OptOrigDst, 6, 10, 0, byte(r.Intn(3)), byte(r.Intn(256))})
+	}
 	return area
 }
 
@@ -223,19 +244,24 @@ func compareRawOptions(t *testing.T, src, dst ipv4.Addr, b []byte, reduce uint16
 		t.Fatalf("ClampRawMSS(% x, %d) = %v % x, oracle %v % x", b, reduce, g, got, w, want)
 	}
 
-	// The original-destination search, and the strip built on it.
-	s1, e1, a1, ok1 := findOrigDstOption(b)
+	// The original-destination search, and the strip built on it: the
+	// oracle's search decides whether the option is present, and the shape
+	// rule over it whether the strip may take it; every other shape is
+	// present and rejected, and comes back whole.
 	s2, e2, a2, ok2 := oracleFindOrigDstOption(b)
-	if s1 != s2 || e1 != e2 || a1 != a2 || ok1 != ok2 || HasOrigDstOption(b) != ok2 {
-		t.Fatalf("findOrigDstOption(% x) = %d %d %v %v, oracle %d %d %v %v", b, s1, e1, a1, ok1, s2, e2, a2, ok2)
+	takes := oracleTakesOrigDst(b)
+	a1, present, wellFormed := findOrigDstOption(b)
+	p, w := HasOrigDstOption(b)
+	if present != ok2 || wellFormed != takes || (takes && a1 != a2) || p != present || w != wellFormed {
+		t.Fatalf("findOrigDstOption(% x) = %v %v %v, oracle %v %v, shape rule %v", b, a1, present, wellFormed, a2, ok2, takes)
 	}
 	valid := RawSane(b) && ComputeChecksum(src, dst, b) == 0
 	stripped, addr, ok := StripOrigDstOptionInPlace(bytes.Clone(b))
 	switch {
-	case ok != ok2 || addr != a2:
-		t.Fatalf("strip(% x) = %v %v, oracle found %v %v", b, addr, ok, a2, ok2)
+	case ok != takes || (ok && addr != a2):
+		t.Fatalf("strip(% x) = %v %v, oracle found %v %v, shape rule %v", b, addr, ok, a2, ok2, takes)
 	case !ok && !bytes.Equal(stripped, b):
-		t.Fatalf("strip without an option changed the segment: % x -> % x", b, stripped)
+		t.Fatalf("strip without a well-formed block changed the segment: % x -> % x", b, stripped)
 	case ok:
 		expect := append(bytes.Clone(b[:s2]), b[e2:]...)
 		expect[12] = byte((RawHeaderLen(b)-(e2-s2))/4) << 4
@@ -243,11 +269,7 @@ func compareRawOptions(t *testing.T, src, dst ipv4.Addr, b []byte, reduce uint16
 		if !bytes.Equal(stripped, expect) {
 			t.Fatalf("strip(% x) = % x, want % x", b, stripped, expect)
 		}
-		// The offset and checksum arithmetic take the block to be the one
-		// AppendOrigDstOption writes, eight bytes on a word boundary; a
-		// forged block of another shape strips to a segment nothing
-		// verifies again.
-		if valid && e2-s2 == 8 && s2%4 == 0 && ComputeChecksum(src, dst, stripped) != 0 {
+		if valid && ComputeChecksum(src, dst, stripped) != 0 {
 			t.Fatalf("strip(% x) broke a valid checksum: % x", b, stripped)
 		}
 	}
@@ -293,7 +315,7 @@ func compareRawOptions(t *testing.T, src, dst ipv4.Addr, b []byte, reduce uint16
 func TestRawOptionsAgainstOracle(t *testing.T) {
 	src, dst := ipv4.Addr(0x0a000102), ipv4.Addr(0x0a000201)
 	r := rand.New(rand.NewSource(19))
-	areas, clamped, diverted, rejected := 0, 0, 0, 0
+	areas, clamped, diverted, forged, rejected := 0, 0, 0, 0, 0
 	for round := 0; round < 2000; round++ {
 		for off := 5; off <= 15; off++ {
 			b := rawWithOptions(r, src, dst, optionArea(r, off*4-HeaderLen))
@@ -302,8 +324,10 @@ func TestRawOptionsAgainstOracle(t *testing.T) {
 			if oracleClampRawMSS(bytes.Clone(b), 0) {
 				clamped++
 			}
-			if _, _, _, ok := oracleFindOrigDstOption(b); ok {
+			if _, _, _, ok := oracleFindOrigDstOption(b); oracleTakesOrigDst(b) {
 				diverted++
+			} else if ok {
+				forged++
 			}
 			if oracleUnmarshalOptions(b, new(Segment)) != nil {
 				rejected++
@@ -317,9 +341,11 @@ func TestRawOptionsAgainstOracle(t *testing.T) {
 		compareRawOptions(t, src, dst, b[:HeaderLen+r.Intn(len(b)-HeaderLen+1)], 8)
 	}
 	// The generator must keep reaching every decision, not only the common one.
-	t.Logf("%d option areas: %d with an MSS to clamp, %d diverted, %d malformed", areas, clamped, diverted, rejected)
-	if areas < 20000 || min(clamped, diverted, rejected) < areas/10 {
-		t.Fatalf("generator degenerated: %d areas, %d clamped, %d diverted, %d malformed", areas, clamped, diverted, rejected)
+	t.Logf("%d option areas: %d with an MSS to clamp, %d diverted, %d forged blocks, %d malformed",
+		areas, clamped, diverted, forged, rejected)
+	if areas < 20000 || min(clamped, rejected) < areas/10 || min(diverted, forged) < areas/20 {
+		t.Fatalf("generator degenerated: %d areas, %d clamped, %d diverted, %d forged, %d malformed",
+			areas, clamped, diverted, forged, rejected)
 	}
 }
 

@@ -187,6 +187,10 @@ func PatchPseudoAddr(b []byte, oldAddr, newAddr ipv4.Addr) {
 	putU16(b[16:], checksum.UpdateUint32(RawChecksum(b), uint32(oldAddr), uint32(newAddr)))
 }
 
+// origDstBlockLen is the length of the block AppendOrigDstOption inserts:
+// NOP, NOP, kind, length 6 and the four-byte address.
+const origDstBlockLen = 8
+
 // AppendOrigDstOption builds the diverted form of a marshaled segment
 // directly into a pooled packet buffer: header, then the 8-byte
 // original-destination option block, then payload, with the data offset
@@ -195,20 +199,19 @@ func PatchPseudoAddr(b []byte, oldAddr, newAddr ipv4.Addr) {
 // bridge applies this to every segment it diverts upstream so the primary
 // bridge can recover the client address (paper section 3.1); opt is the
 // flow's precomputed option block (see OrigDstOptionBlock).
-func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[8]byte) ([]byte, error) {
-	const optLen = 8
+func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[origDstBlockLen]byte) ([]byte, error) {
 	hdrLen := RawHeaderLen(b)
-	if hdrLen-HeaderLen+optLen > MaxOptionLen {
+	if hdrLen-HeaderLen+origDstBlockLen > MaxOptionLen {
 		return nil, ErrBadOption
 	}
-	out := pkt.Extend(len(b) + optLen)
+	out := pkt.Extend(len(b) + origDstBlockLen)
 	copy(out, b[:hdrLen])
 	copy(out[hdrLen:], opt[:])
-	copy(out[hdrLen+optLen:], b[hdrLen:])
+	copy(out[hdrLen+origDstBlockLen:], b[hdrLen:])
 
 	sum := RawChecksum(out)
 	oldOffWord := getU16(out[12:])
-	out[12] = byte((hdrLen+optLen)/4) << 4
+	out[12] = byte((hdrLen+origDstBlockLen)/4) << 4
 	sum = checksum.Update(sum, oldOffWord, getU16(out[12:]))
 	sum = checksum.UpdateBytes(sum, nil, opt[:])
 	sum = checksum.Update(sum, uint16(len(b)), uint16(len(out)))
@@ -218,7 +221,7 @@ func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[8]byte) ([]byte, er
 
 // OrigDstOptionBlock fills opt with the NOP NOP kind len addr block that
 // AppendOrigDstOption inserts, so a per-flow cache can precompute it once.
-func OrigDstOptionBlock(opt *[8]byte, orig ipv4.Addr) {
+func OrigDstOptionBlock(opt *[origDstBlockLen]byte, orig ipv4.Addr) {
 	opt[0] = OptNOP
 	opt[1] = OptNOP
 	opt[2] = OptOrigDst
@@ -226,76 +229,81 @@ func OrigDstOptionBlock(opt *[8]byte, orig ipv4.Addr) {
 	ipv4.PutAddr(opt[4:8], orig)
 }
 
-// HasOrigDstOption reports whether the marshaled segment carries the
-// original-destination option, without copying or modifying it. The
+// HasOrigDstOption reports whether the marshaled segment carries an
+// original-destination option, and whether it carries it in exactly the
+// shape AppendOrigDstOption writes, without copying or modifying it. The
 // primary's demultiplexer uses it to classify a datagram before the
-// checksum verification that must precede the in-place strip.
-func HasOrigDstOption(b []byte) bool {
-	_, _, _, ok := findOrigDstOption(b)
-	return ok
+// checksum verification that must precede the in-place strip, and drops a
+// segment with the option in any other shape: the strip's offset and
+// checksum arithmetic hold for that block alone.
+func HasOrigDstOption(b []byte) (present, wellFormed bool) {
+	_, present, wellFormed = findOrigDstOption(b)
+	return present, wellFormed
 }
 
-// StripOrigDstOptionInPlace removes the original-destination option (and
-// its alignment pads) without copying the segment, restoring the header the
-// secondary's TCP layer produced: the header bytes before the option shift
-// forward over it and the stripped segment — a tail slice of b — is
-// returned with the option value. The last return is false, and b comes
-// back whole, when no option is present. The caller must own b (the
-// primary's inbound hook does: each receiver gets a private copy of the
-// frame).
+// StripOrigDstOptionInPlace removes the original-destination block without
+// copying the segment, restoring the header the secondary's TCP layer
+// produced: the header bytes before the block shift forward over it and the
+// stripped segment — a tail slice of b — is returned with the option value.
+// The last return is false, and b comes back whole, unless the segment
+// carries the option as AppendOrigDstOption writes it. The caller must own b
+// (the primary's inbound hook does: each receiver gets a private copy of
+// the frame).
 func StripOrigDstOptionInPlace(b []byte) ([]byte, ipv4.Addr, bool) {
-	absStart, absEnd, addr, ok := findOrigDstOption(b)
+	addr, _, ok := findOrigDstOption(b)
 	if !ok {
 		return b, 0, false
 	}
 	hdrLen := RawHeaderLen(b)
-	removed := absEnd - absStart
-	// Capture the removed bytes and old offset word before the shift
-	// overwrites them (removed <= 8, see findOrigDstOption).
-	var gone [8]byte
-	copy(gone[:], b[absStart:absEnd])
+	start := hdrLen - origDstBlockLen
+	// Capture the block and the old offset word before the shift
+	// overwrites them.
+	var gone [origDstBlockLen]byte
+	copy(gone[:], b[start:hdrLen])
 	oldOffWord := getU16(b[12:])
 
-	copy(b[removed:absEnd], b[:absStart])
-	out := b[removed:]
+	copy(b[origDstBlockLen:hdrLen], b[:start])
+	out := b[origDstBlockLen:]
 
 	sum := RawChecksum(out)
-	out[12] = byte((hdrLen-removed)/4) << 4
+	out[12] = byte(start/4) << 4
 	sum = checksum.Update(sum, oldOffWord, getU16(out[12:]))
-	sum = checksum.UpdateBytes(sum, gone[:removed], nil)
+	sum = checksum.UpdateBytes(sum, gone[:], nil)
 	sum = checksum.Update(sum, uint16(len(b)), uint16(len(out)))
 	putU16(out[16:], sum)
 	return out, addr, true
 }
 
-// findOrigDstOption locates the NOP NOP kind len addr block written by
-// AppendOrigDstOption, returning the absolute [start, end) byte range
-// (including alignment pads, at most 8 bytes) and the option value.
-func findOrigDstOption(b []byte) (absStart, absEnd int, addr ipv4.Addr, ok bool) {
+// findOrigDstOption walks the option area for original-destination options
+// (kind 253, length 6). present reports at least one; wellFormed reports
+// exactly one, stepped to over two NOPs and ending at the data offset — the
+// block AppendOrigDstOption writes, on a word boundary because the data
+// offset is one — and addr is then its value. A malformed option area
+// carries none.
+func findOrigDstOption(b []byte) (addr ipv4.Addr, present, wellFormed bool) {
 	if !RawSane(b) {
-		return 0, 0, 0, false
+		return 0, false, false
 	}
 	opts := b[HeaderLen:RawHeaderLen(b)]
-	start, end := -1, -1
+	found, nops, last := 0, 0, false
 	for i := 0; i < len(opts); {
 		kind, next, ok := nextOption(opts, i)
 		if !ok {
-			return 0, 0, 0, false
+			return 0, false, false
 		}
 		if kind == OptOrigDst && next-i == 6 {
+			found++
 			addr = ipv4.GetAddr(opts[i+2 : next])
-			start, end = i, next
-			// Include the two alignment NOPs preceding the option.
-			for start > 0 && opts[start-1] == OptNOP && end-start < 8 {
-				start--
-			}
+			last = nops >= 2 && next == len(opts)
+		}
+		if kind == OptNOP {
+			nops++
+		} else {
+			nops = 0
 		}
 		i = next
 	}
-	if start < 0 {
-		return 0, 0, 0, false
-	}
-	return HeaderLen + start, HeaderLen + end, addr, true
+	return addr, found > 0, found == 1 && last
 }
 
 // CanCoalesceRaw reports whether marshaled segment next can be GRO-merged
