@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
@@ -102,18 +103,26 @@ func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint1
 // carried a byte costs its server application's own state and no copy
 // buffer; the scratch is the stack's, allocated on first use. The bare
 // accept itself is a handful of heap objects per connection pair — the two
-// Conns with their rings embedded, RTT estimators, flow-table and timer
-// state — and no ring storage before the first byte.
+// Conns with their rings and RTT estimators embedded, flow-table and timer
+// state — and no ring storage before the first byte. A Conn stays in the
+// 480-byte size class: one field more must not move every connection into
+// the 512-byte one.
 func TestIdleConnectionHeapGate(t *testing.T) {
+	if size := unsafe.Sizeof(tcp.Conn{}); size > 480 {
+		t.Errorf("tcp.Conn is %d bytes, want at most 480", size)
+	}
 	const conns = 256
 	bare, bareObjects := liveHeapAfterAccepts(t, conns, func(s *tcp.Stack, port uint16) error {
 		_, err := s.Listen(port, func(*tcp.Conn) {})
 		return err
 	})
-	perPair := float64(bareObjects) / conns
-	t.Logf("bare accept: %.0f B and %.1f heap objects per connection pair", float64(bare)/conns, perPair)
-	if perPair >= 12 {
-		t.Errorf("bare accept: %.1f heap objects per connection pair, want under 12 (9.7 with the rings embedded, 13.7 with each a heap object)", perPair)
+	perPair, perPairBytes := float64(bareObjects)/conns, float64(bare)/conns
+	t.Logf("bare accept: %.0f B and %.1f heap objects per connection pair", perPairBytes, perPair)
+	if perPair >= 9 {
+		t.Errorf("bare accept: %.1f heap objects per connection pair, want under 9 (7.7 with the estimators embedded, 9.7 with each a heap object)", perPair)
+	}
+	if perPairBytes > 1833 {
+		t.Errorf("bare accept: %.0f B per connection pair, want at most 1833 (the size with the estimators on the heap)", perPairBytes)
 	}
 	for _, srv := range []struct {
 		name   string

@@ -10,11 +10,11 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-// The differential harness drives the sequence-indexed ring and the block
-// list it replaced (queue_oracle_test.go) through one programme and demands
-// the same Len, Floor and ready bytes after every step, and the same
-// released stream at the end. The oracle has no span limit, so the harness
-// clips what it feeds it the way Insert documents, and checks the count.
+// The differential harness drives the sequence-indexed ring and a byte map
+// (queue_oracle_test.go) through one programme and demands the same Len,
+// Floor and ready bytes after every step, and the same released stream at
+// the end. The oracle has no span limit, so the harness clips what it feeds
+// it the way Insert documents, and checks the count.
 
 // runQueueProgramme decodes prog into operations, six bytes each: a kind,
 // a 16-bit position, a 16-bit length and a payload salt.

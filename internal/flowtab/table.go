@@ -1,8 +1,8 @@
-// Package flowtab provides the pointer-free connection-state containers the
-// bridges and the TCP demultiplexer keep on the per-segment critical path:
-// an open-addressing hash table over packed uint64 flow keys (Table), a slab
-// arena handing out dense slot indices instead of heap pointers (Slab), and
-// a fixed-size port bitset (PortSet).
+// Package flowtab provides the connection-state containers the bridges and
+// the TCP demultiplexer keep on the per-segment critical path: an
+// open-addressing hash table over packed uint64 flow keys (Map, and Table
+// for its uint32 instance), a slab arena handing out dense slot indices
+// instead of heap pointers (Slab), and a fixed-size port bitset (PortSet).
 //
 // The containers exist for one reason: at a million concurrent connections,
 // Go's built-in map[key]*record keeps millions of individually GC-scanned
@@ -11,25 +11,29 @@
 // over a Slab replaces all of that with a handful of large, flat backing
 // arrays: the garbage collector sees O(1) objects regardless of the
 // connection count, lookups probe a contiguous cache-dense array, and
-// record-to-record links (LRU lists, hash chains) are 32-bit slot indices
-// instead of pointers. DESIGN.md §14 quantifies the effect; experiment E13
-// (failover-bench -experiment memscale) regenerates the numbers.
+// record-to-record links (the LRU lists) are 32-bit slot indices instead of
+// pointers. A Map is pointer-free exactly when its value type is: a Map[*T]
+// is scanned like any slice of pointers and keeps its values alive.
+// DESIGN.md §14 quantifies the effect; experiment E13 (failover-bench
+// -experiment memscale) regenerates the numbers.
 package flowtab
 
 import "math/bits"
 
-// Table is an open-addressing hash table from uint64 keys to uint32 values,
-// intended to map packed flow keys (core.TupleKey, tcp.Tuple.key()) to slot
-// indices in a Slab. It uses robin-hood probing with backward-shift
-// deletion, so there are no tombstones and lookups terminate as soon as the
-// probe distance exceeds the resident entry's — bounded, cache-local scans
-// even at high load factors. The zero value is an empty table ready for use.
+// Map is an open-addressing hash table from uint64 keys to values of type
+// V, intended to map packed flow keys (core.TupleKey, tcp.Tuple.key()) to
+// slot indices in a Slab or to the records themselves. It uses robin-hood
+// probing with backward-shift deletion, so there are no tombstones and
+// lookups terminate as soon as the probe distance exceeds the resident
+// entry's — bounded, cache-local scans even at high load factors. The zero
+// value is an empty table ready for use.
 //
-// The backing arrays contain no pointers: to the garbage collector a Table
-// of a million flows is three allocations, not a million.
-type Table struct {
+// Keys and probe distances live in arrays of their own, so a Map whose V
+// holds no pointers has none either: to the garbage collector a Table of a
+// million flows is three allocations, not a million.
+type Map[V any] struct {
 	keys []uint64
-	vals []uint32
+	vals []V
 	// dist holds, per slot, the probe distance of the resident entry plus
 	// one; 0 marks an empty slot. An entry's distance is how far it sits
 	// from its home slot, which robin-hood keeps within O(log n) with high
@@ -45,6 +49,9 @@ type Table struct {
 // what lets the table stay dense — half the memory of doubling at 50%.
 const tableMaxLoad = 7
 
+// Table maps flow keys to uint32 slot indices: the pointer-free Map.
+type Table = Map[uint32]
+
 // hash finalizes a packed flow key. The keys are structured (address and
 // port bits in fixed positions), so they must be mixed before masking;
 // this is the 64-bit finalizer from MurmurHash3, bijective and cheap.
@@ -58,15 +65,15 @@ func hash(x uint64) uint64 {
 }
 
 // Len returns the number of resident entries.
-func (t *Table) Len() int { return t.n }
+func (t *Map[V]) Len() int { return t.n }
 
 // Cap returns the current slot count (0 before the first Put).
-func (t *Table) Cap() int { return len(t.keys) }
+func (t *Map[V]) Cap() int { return len(t.keys) }
 
 // Get returns the value stored for key.
-func (t *Table) Get(key uint64) (uint32, bool) {
+func (t *Map[V]) Get(key uint64) (val V, ok bool) {
 	if t.n == 0 {
-		return 0, false
+		return val, false
 	}
 	i := hash(key) & t.mask
 	for d := uint8(1); ; d++ {
@@ -74,7 +81,7 @@ func (t *Table) Get(key uint64) (uint32, bool) {
 		case t.dist[i] == 0 || t.dist[i] < d:
 			// An empty slot, or a resident entry closer to home than the
 			// probe: robin-hood invariant says key cannot be further on.
-			return 0, false
+			return val, false
 		case t.keys[i] == key:
 			return t.vals[i], true
 		}
@@ -83,7 +90,7 @@ func (t *Table) Get(key uint64) (uint32, bool) {
 }
 
 // Put stores val for key, replacing any existing value.
-func (t *Table) Put(key uint64, val uint32) {
+func (t *Map[V]) Put(key uint64, val V) {
 	if 8*(t.n+1) > tableMaxLoad*len(t.keys) {
 		t.grow()
 	}
@@ -91,7 +98,7 @@ func (t *Table) Put(key uint64, val uint32) {
 }
 
 // insert places an entry into a table that is guaranteed to have room.
-func (t *Table) insert(key uint64, val uint32) {
+func (t *Map[V]) insert(key uint64, val V) {
 	i := hash(key) & t.mask
 	d := uint8(1)
 	for {
@@ -123,22 +130,24 @@ func (t *Table) insert(key uint64, val uint32) {
 // Delete removes key, returning the value it held. Backward-shift deletion
 // restores the robin-hood invariant immediately: subsequent entries whose
 // probe distance is above one slide back, so no tombstone is ever left to
-// slow later lookups.
-func (t *Table) Delete(key uint64) (uint32, bool) {
+// slow later lookups. The vacated slot's value is zeroed, so a Map of
+// pointers does not keep a deleted value alive.
+func (t *Map[V]) Delete(key uint64) (val V, ok bool) {
 	if t.n == 0 {
-		return 0, false
+		return val, false
 	}
 	i := hash(key) & t.mask
 	for d := uint8(1); ; d++ {
 		switch {
 		case t.dist[i] == 0 || t.dist[i] < d:
-			return 0, false
+			return val, false
 		case t.keys[i] == key:
-			val := t.vals[i]
+			val = t.vals[i]
 			for {
 				next := (i + 1) & t.mask
 				if t.dist[next] <= 1 {
-					t.dist[i] = 0
+					var zero V
+					t.vals[i], t.dist[i] = zero, 0
 					break
 				}
 				t.keys[i], t.vals[i], t.dist[i] = t.keys[next], t.vals[next], t.dist[next]-1
@@ -154,7 +163,7 @@ func (t *Table) Delete(key uint64) (uint32, bool) {
 // AppendKeys appends every resident key to dst and returns it. The order is
 // the table's internal slot order — callers that need determinism (the
 // failover reconfiguration walks) sort the result.
-func (t *Table) AppendKeys(dst []uint64) []uint64 {
+func (t *Map[V]) AppendKeys(dst []uint64) []uint64 {
 	for i, d := range t.dist {
 		if d != 0 {
 			dst = append(dst, t.keys[i])
@@ -164,7 +173,7 @@ func (t *Table) AppendKeys(dst []uint64) []uint64 {
 }
 
 // grow rehashes into a table of at least double the capacity (minimum 8).
-func (t *Table) grow() {
+func (t *Map[V]) grow() {
 	newCap := 8
 	if len(t.keys) > 0 {
 		newCap = 2 * len(t.keys)
@@ -173,13 +182,13 @@ func (t *Table) grow() {
 }
 
 // rehash rebuilds the arrays at capacity c (a power of two).
-func (t *Table) rehash(c int) {
+func (t *Map[V]) rehash(c int) {
 	if c&(c-1) != 0 {
 		c = 1 << bits.Len(uint(c))
 	}
 	oldKeys, oldVals, oldDist := t.keys, t.vals, t.dist
 	t.keys = make([]uint64, c)
-	t.vals = make([]uint32, c)
+	t.vals = make([]V, c)
 	t.dist = make([]uint8, c)
 	t.mask = uint64(c - 1)
 	t.n = 0

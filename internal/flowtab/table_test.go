@@ -2,8 +2,10 @@ package flowtab
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 )
 
 // TestFlowtabDifferential is the table's correctness gate, in the same
@@ -14,13 +16,29 @@ import (
 // trial count and key ranges are chosen so each trial crosses several
 // growth/rehash boundaries and churns deleted slots hard enough that
 // backward-shift deletion bugs (the open-addressing analogue of tombstone
-// leaks) cannot hide.
+// leaks) cannot hide. It runs over the pointer-free Table and over a Map of
+// pointers, whose values must come back as the identical pointers.
 func TestFlowtabDifferential(t *testing.T) {
+	differential(t, func(rng *rand.Rand) uint32 { return rng.Uint32() })
+	differential(t, func(rng *rand.Rand) *[4]uint64 { return &[4]uint64{rng.Uint64()} })
+
+	// A Map of pointers keeps its values alive: after a collection in which
+	// the map holds the only reference, the value is still there. (It
+	// outsizes a 16-byte tiny-allocator block, which a neighbour could pin.)
+	var tab Map[*[4]uint64]
+	w := func() weak.Pointer[[4]uint64] { v := new([4]uint64); tab.Put(7, v); return weak.Make(v) }()
+	runtime.GC()
+	if got, ok := tab.Get(7); !ok || w.Value() == nil || got != w.Value() {
+		t.Fatalf("a value reachable only through the map did not survive a collection")
+	}
+}
+
+func differential[V comparable](t *testing.T, draw func(*rand.Rand) V) {
 	const trials = 1000
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(40_000 + trial)))
-		var tab Table
-		model := make(map[uint64]uint32)
+		var tab Map[V]
+		model := make(map[uint64]V)
 		// A narrow key universe forces constant collisions and re-insertion
 		// over freshly deleted slots; a handful of trials use a wide
 		// universe to exercise growth deep past the initial capacity.
@@ -33,22 +51,22 @@ func TestFlowtabDifferential(t *testing.T) {
 			key := rng.Uint64() % universe
 			switch op := rng.Intn(10); {
 			case op < 5: // insert / update
-				val := rng.Uint32()
+				val := draw(rng)
 				tab.Put(key, val)
 				model[key] = val
 			case op < 8: // delete
 				gotVal, gotOK := tab.Delete(key)
 				wantVal, wantOK := model[key]
 				delete(model, key)
-				if gotOK != wantOK || (gotOK && gotVal != wantVal) {
-					t.Fatalf("trial %d step %d: Delete(%d) = (%d,%v), want (%d,%v)",
+				if gotOK != wantOK || gotVal != wantVal {
+					t.Fatalf("trial %d step %d: Delete(%d) = (%v,%v), want (%v,%v)",
 						trial, step, key, gotVal, gotOK, wantVal, wantOK)
 				}
 			default: // lookup
 				gotVal, gotOK := tab.Get(key)
 				wantVal, wantOK := model[key]
-				if gotOK != wantOK || (gotOK && gotVal != wantVal) {
-					t.Fatalf("trial %d step %d: Get(%d) = (%d,%v), want (%d,%v)",
+				if gotOK != wantOK || gotVal != wantVal {
+					t.Fatalf("trial %d step %d: Get(%d) = (%v,%v), want (%v,%v)",
 						trial, step, key, gotVal, gotOK, wantVal, wantOK)
 				}
 			}
@@ -60,7 +78,7 @@ func TestFlowtabDifferential(t *testing.T) {
 		// retrievable, and the key walk is exactly the model's key set.
 		for k, want := range model {
 			if got, ok := tab.Get(k); !ok || got != want {
-				t.Fatalf("trial %d: final Get(%d) = (%d,%v), want (%d,true)", trial, k, got, ok, want)
+				t.Fatalf("trial %d: final Get(%d) = (%v,%v), want (%v,true)", trial, k, got, ok, want)
 			}
 		}
 		keys := tab.AppendKeys(nil)

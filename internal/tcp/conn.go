@@ -17,6 +17,7 @@ type Conn struct {
 	tuple    Tuple
 	state    State
 	listener *Listener // non-nil for passively opened connections
+	alias    *Conn     // next connection sharing tuple.key() in the stack's demux
 
 	// Send sequence variables (RFC 793 3.2).
 	iss       Seq
@@ -52,7 +53,7 @@ type Conn struct {
 	lastWndSent    int
 
 	// RTT measurement (one segment timed at a time; Karn's rule).
-	rto      *rttEstimator
+	rto      rttEstimator
 	timing   bool
 	timedSeq Seq
 	timedAt  time.Duration
@@ -83,7 +84,7 @@ func (s *Stack) newConn(t Tuple) *Conn {
 		iss:         s.cfg.ISS(s.rng),
 		mss:         s.cfg.MSS,
 		ssthresh:    65535,
-		rto:         newRTTEstimator(initialRTO, minRTO, s.cfg.MaxRTO),
+		rto:         rttEstimator{rto: initialRTO},
 		lastWndSent: s.cfg.RecvBufSize,
 	}
 	c.sndUna = c.iss
@@ -492,7 +493,7 @@ func (c *Conn) onRexmtTimeout() {
 	}
 	c.stack.m.retransmissions.Inc()
 	c.stack.spans.Retransmit(c.tuple.SpanKey())
-	c.rto.backoff()
+	c.rto.backoff(c.stack.cfg.MaxRTO)
 	c.timing = false // Karn: do not time retransmitted segments
 	c.dupAcks = 0
 	c.fastRecovery = false

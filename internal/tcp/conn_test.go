@@ -561,25 +561,6 @@ func TestListenerCloseStopsAccepting(t *testing.T) {
 	p.runUntil(t, func() bool { return refused }, time.Second)
 }
 
-func TestRebindMovesConnection(t *testing.T) {
-	p := newPair(t, Config{})
-	c, s := p.connect(t, 80)
-	_ = c
-	newLocal := ipv4.MustParseAddr("10.0.0.99")
-	if err := p.b.Rebind(s.Tuple(), newLocal); err != nil {
-		t.Fatal(err)
-	}
-	if s.Tuple().LocalAddr != newLocal {
-		t.Errorf("tuple local = %v", s.Tuple().LocalAddr)
-	}
-	if _, ok := p.b.Lookup(s.Tuple()); !ok {
-		t.Error("connection not reachable under the new tuple")
-	}
-	if err := p.b.Rebind(s.Tuple(), newLocal); err == nil {
-		t.Error("rebind onto itself should conflict")
-	}
-}
-
 func TestWriteAfterCloseFails(t *testing.T) {
 	p := newPair(t, Config{})
 	c, _ := p.connect(t, 80)

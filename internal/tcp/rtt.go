@@ -3,23 +3,18 @@ package tcp
 import "time"
 
 // rttEstimator implements the Jacobson/Karels smoothed RTT estimate and the
-// retransmission timeout derived from it (RFC 6298 constants).
+// retransmission timeout derived from it (RFC 6298 constants). It lives in
+// Conn by value; the RTO's floor is minRTO and its ceiling the stack's
+// Config.MaxRTO, passed in by the two calls that move the RTO.
 type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	rto    time.Duration
 	seeded bool
-
-	minRTO time.Duration
-	maxRTO time.Duration
-}
-
-func newRTTEstimator(initial, minRTO, maxRTO time.Duration) *rttEstimator {
-	return &rttEstimator{rto: initial, minRTO: minRTO, maxRTO: maxRTO}
 }
 
 // sample folds a new round-trip measurement into the estimate.
-func (r *rttEstimator) sample(m time.Duration) {
+func (r *rttEstimator) sample(m, maxRTO time.Duration) {
 	if m <= 0 {
 		m = time.Microsecond
 	}
@@ -35,23 +30,12 @@ func (r *rttEstimator) sample(m time.Duration) {
 		r.rttvar = (3*r.rttvar + d) / 4
 		r.srtt = (7*r.srtt + m) / 8
 	}
-	r.rto = r.srtt + max(4*r.rttvar, time.Millisecond)
-	r.clamp()
+	r.rto = min(max(r.srtt+max(4*r.rttvar, time.Millisecond), minRTO), maxRTO)
 }
 
 // backoff doubles the RTO after a retransmission timeout (Karn).
-func (r *rttEstimator) backoff() {
-	r.rto *= 2
-	r.clamp()
-}
-
-func (r *rttEstimator) clamp() {
-	if r.rto < r.minRTO {
-		r.rto = r.minRTO
-	}
-	if r.rto > r.maxRTO {
-		r.rto = r.maxRTO
-	}
+func (r *rttEstimator) backoff(maxRTO time.Duration) {
+	r.rto = min(max(2*r.rto, minRTO), maxRTO)
 }
 
 // RTO returns the current retransmission timeout.

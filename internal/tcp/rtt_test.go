@@ -6,11 +6,11 @@ import (
 )
 
 func TestRTTFirstSampleSeedsEstimate(t *testing.T) {
-	r := newRTTEstimator(time.Second, 200*time.Millisecond, time.Minute)
+	r := rttEstimator{rto: time.Second}
 	if r.RTO() != time.Second {
 		t.Errorf("initial RTO = %v", r.RTO())
 	}
-	r.sample(100 * time.Millisecond)
+	r.sample(100*time.Millisecond, time.Minute)
 	if r.SRTT() != 100*time.Millisecond {
 		t.Errorf("SRTT = %v, want the first sample", r.SRTT())
 	}
@@ -21,22 +21,22 @@ func TestRTTFirstSampleSeedsEstimate(t *testing.T) {
 }
 
 func TestRTTSmoothingConverges(t *testing.T) {
-	r := newRTTEstimator(time.Second, time.Millisecond, time.Minute)
+	r := rttEstimator{rto: time.Second}
 	for range 100 {
-		r.sample(50 * time.Millisecond)
+		r.sample(time.Second, time.Minute)
 	}
-	if d := r.SRTT() - 50*time.Millisecond; d < -time.Millisecond || d > time.Millisecond {
-		t.Errorf("SRTT = %v, want ~50ms", r.SRTT())
+	if d := r.SRTT() - time.Second; d < -time.Millisecond || d > time.Millisecond {
+		t.Errorf("SRTT = %v, want ~1s", r.SRTT())
 	}
-	if r.RTO() > 100*time.Millisecond {
+	if r.RTO() > 1010*time.Millisecond {
 		t.Errorf("RTO = %v, want tight around a steady RTT", r.RTO())
 	}
 }
 
 func TestRTTBackoffDoublesAndClamps(t *testing.T) {
-	r := newRTTEstimator(time.Second, 200*time.Millisecond, 8*time.Second)
+	r := rttEstimator{rto: time.Second}
 	for range 10 {
-		r.backoff()
+		r.backoff(8 * time.Second)
 	}
 	if r.RTO() != 8*time.Second {
 		t.Errorf("RTO = %v, want clamped at max", r.RTO())
@@ -44,16 +44,16 @@ func TestRTTBackoffDoublesAndClamps(t *testing.T) {
 }
 
 func TestRTTMinClamp(t *testing.T) {
-	r := newRTTEstimator(time.Second, 200*time.Millisecond, time.Minute)
-	r.sample(time.Microsecond)
-	if r.RTO() != 200*time.Millisecond {
-		t.Errorf("RTO = %v, want min clamp 200ms", r.RTO())
+	r := rttEstimator{rto: time.Second}
+	r.sample(time.Microsecond, time.Minute)
+	if r.RTO() != minRTO {
+		t.Errorf("RTO = %v, want min clamp %v", r.RTO(), minRTO)
 	}
 }
 
 func TestRTTNonPositiveSample(t *testing.T) {
-	r := newRTTEstimator(time.Second, time.Millisecond, time.Minute)
-	r.sample(0) // must not panic or produce zero estimates
+	r := rttEstimator{rto: time.Second}
+	r.sample(0, time.Minute) // must not panic or produce zero estimates
 	if r.SRTT() <= 0 {
 		t.Errorf("SRTT = %v after zero sample", r.SRTT())
 	}

@@ -180,17 +180,12 @@ type Stack struct {
 	localAddr func(dst ipv4.Addr) (ipv4.Addr, bool)
 
 	listeners map[uint16]*Listener
-	// conns indexes connections by Tuple.key(), mapping each key to the
-	// head of an index-linked chain of connSlot records in chains; conns
-	// differing only in LocalAddr share a key and are told apart by the
-	// chain. The table and slab together replace the old map[uint64]*Conn:
-	// a million-connection demux is a handful of flat allocations, and the
-	// only per-connection heap object left is the *Conn itself (which
-	// application code retains long-term, so it cannot live in a slab whose
-	// backing array moves on growth).
-	conns    flowtab.Table
-	chains   flowtab.Slab[connSlot]
-	nconns   int
+	// conns indexes connections by Tuple.key(), so a segment's lookup is one
+	// table probe and then the Conn itself. Conns differing only in
+	// LocalAddr share a key and chain through Conn.alias, newest first. The
+	// Conn is the only per-connection heap object: applications hold *Conn
+	// long-term, so it cannot live in an arena whose backing array moves.
+	conns    flowtab.Map[*Conn]
 	nextPort uint16
 
 	// inSeg is the scratch segment Input parses into; handlers never retain
@@ -345,82 +340,52 @@ func (s *Stack) allocPort() uint16 {
 	return p
 }
 
-// connSlot is one link of a demux chain: the connection plus the index of
-// the next slot sharing the same packed key (-1 = end of chain).
-type connSlot struct {
-	c    *Conn
-	next int32
-}
-
-// findConn returns the connection for a tuple, or nil. The chain beyond the
-// first hop is populated only by connections sharing a key, which requires
-// two local addresses — in the steady state every probe resolves on the
-// table hit itself.
+// findConn returns the connection for a tuple, or nil. The alias chain is
+// populated only by connections sharing a key, which requires two local
+// addresses — in the steady state every probe resolves on the table hit.
 func (s *Stack) findConn(t Tuple) *Conn {
-	i, ok := s.conns.Get(t.key())
-	if !ok {
-		return nil
+	c, _ := s.conns.Get(t.key())
+	for c != nil && c.tuple != t {
+		c = c.alias
 	}
-	for n := int32(i); n >= 0; {
-		slot := s.chains.At(uint32(n))
-		if slot.c.tuple == t {
-			return slot.c
-		}
-		n = slot.next
-	}
-	return nil
+	return c
 }
 
-// insertConn indexes c under its tuple's key, prepending to the chain.
+// insertConn indexes c under its tuple's key, at the head of the chain.
 func (s *Stack) insertConn(c *Conn) {
 	k := c.tuple.key()
-	head := int32(-1)
-	if i, ok := s.conns.Get(k); ok {
-		head = int32(i)
-	}
-	idx := s.chains.Alloc()
-	slot := s.chains.At(idx)
-	slot.c = c
-	slot.next = head
-	s.conns.Put(k, idx)
-	s.nconns++
+	c.alias, _ = s.conns.Get(k)
+	s.conns.Put(k, c)
 }
 
-// deleteConn unlinks c (by identity) from its chain. It reports whether c
-// was indexed.
-func (s *Stack) deleteConn(c *Conn) bool {
+// removeConn unlinks c, by identity, from its key's chain.
+func (s *Stack) removeConn(c *Conn) {
 	k := c.tuple.key()
-	i, ok := s.conns.Get(k)
-	if !ok {
-		return false
-	}
-	prev := int32(-1)
-	for n := int32(i); n >= 0; {
-		slot := s.chains.At(uint32(n))
-		if slot.c != c {
-			prev, n = n, slot.next
-			continue
+	head, _ := s.conns.Get(k)
+	switch {
+	case head != c:
+		for p := head; p != nil; p = p.alias {
+			if p.alias == c {
+				p.alias = c.alias
+				break
+			}
 		}
-		next := slot.next
-		switch {
-		case prev >= 0:
-			s.chains.At(uint32(prev)).next = next
-		case next >= 0:
-			s.conns.Put(k, uint32(next))
-		default:
-			s.conns.Delete(k)
-		}
-		s.chains.Free(uint32(n))
-		s.nconns--
-		return true
+	case c.alias != nil:
+		s.conns.Put(k, c.alias)
+	default:
+		s.conns.Delete(k)
 	}
-	return false
+	c.alias = nil
 }
 
-// Conns returns the current connections (copy), in slab slot order.
+// Conns returns the current connections (copy), in no particular order.
 func (s *Stack) Conns() []*Conn {
-	out := make([]*Conn, 0, s.nconns)
-	s.chains.Range(func(_ uint32, slot *connSlot) { out = append(out, slot.c) })
+	var out []*Conn
+	for _, k := range s.conns.AppendKeys(nil) {
+		for c, _ := s.conns.Get(k); c != nil; c = c.alias {
+			out = append(out, c)
+		}
+	}
 	return out
 }
 
@@ -444,7 +409,7 @@ func (s *Stack) Rebind(t Tuple, newLocal ipv4.Addr) error {
 	if s.findConn(nt) != nil {
 		return fmt.Errorf("%w: rebind target %s", ErrPortInUse, nt)
 	}
-	s.deleteConn(c)
+	s.removeConn(c)
 	c.tuple = nt
 	s.insertConn(c)
 	return nil
@@ -510,8 +475,4 @@ func (s *Stack) sendRST(t Tuple, seg *Segment) {
 	SealChecksum(t.LocalAddr, t.RemoteAddr, pkt.Bytes())
 	s.m.segmentsOut.Inc()
 	_ = s.output(t.LocalAddr, t.RemoteAddr, pkt)
-}
-
-func (s *Stack) removeConn(c *Conn) {
-	s.deleteConn(c)
 }
