@@ -7,8 +7,8 @@
 // is a function of the per-simulation seeds only, so the output is
 // identical for any worker count. With -json the full run — configuration
 // and results — is also written to BENCH_trajectory.json. Host time is not
-// this command's to measure: E10's events/sec and E13's live heap are the
-// only host-dependent numbers it prints, and benchmark/ owns the rest.
+// this command's to measure: it reads no wall clock, E13's live heap is the
+// only host-dependent number it prints, and benchmark/ owns the rest.
 //
 // Usage (the experiment lines are bench.Usage(), printed by -h and checked
 // against this comment and README.md by a test):
@@ -26,7 +26,6 @@
 //	  -experiment failover     [-runs N]
 //	  -experiment faultsweep   [-runs N] [-faultrates R1,R2,...]
 //	  -experiment failtimeline [-runs N]
-//	  -experiment shardscale   [-shardscale N1,N2,...] [-shards S1,S2,...]
 //	  -experiment adversary
 //	  -experiment slo          [-sloloads L1,L2,...] [-slowindow D] [-sloworkload NAME]
 //	  -experiment memscale     [-memscale N1,N2,...]

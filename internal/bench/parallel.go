@@ -17,28 +17,7 @@ var Workers = runtime.NumCPU()
 // slots, and the error reported is the lowest-indexed one, so the outcome is
 // independent of scheduling.
 func parallelEach(n int, fn func(i int) error) error {
-	return parallelEachBudget(n, 1, fn)
-}
-
-// parallelEachBudget is parallelEach for simulations that are themselves
-// parallel: costPerSim is the number of cores one simulation occupies (its
-// shard-worker count), and the fan-out is limited to Workers/costPerSim
-// concurrent simulations so that simulations x shard workers never exceeds
-// the Workers budget (GOMAXPROCS by default). Aggregation stays config-order:
-// results land in index-addressed slots and the lowest-indexed error wins,
-// exactly as in parallelEach, so mixing sharded and sequential simulations
-// never reorders the output.
-func parallelEachBudget(n, costPerSim int, fn func(i int) error) error {
-	if costPerSim < 1 {
-		costPerSim = 1
-	}
-	w := Workers / costPerSim
-	if w < 1 {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
+	w := min(Workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -72,7 +51,7 @@ func parallelEachBudget(n, costPerSim int, fn func(i int) error) error {
 	return nil
 }
 
-// simsBuilt counts the scenarios the experiments have built, at the four
-// places they are built (testbed, FTPRates, webCrashFleet, shardScalePoint);
+// simsBuilt counts the scenarios the experiments have built, at the three
+// places they are built (testbed, FTPRates, webCrashFleet);
 // TestRenderIsPure checks that rendering builds none.
 var simsBuilt atomic.Int64

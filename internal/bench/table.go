@@ -63,7 +63,7 @@ var (
 		Default: 9, Dest: func(c *Config) any { return &c.Runs }}
 )
 
-// countsAxis is a list axis of positive connection (or shard) counts.
+// countsAxis is a list axis of positive connection counts.
 func countsAxis(flag, arg, usage string, dest func(*Config) any) *Axis {
 	return &Axis{Flag: flag, Arg: arg, Usage: usage, Dest: dest, Accept: positive, Want: "a positive count"}
 }
@@ -177,22 +177,6 @@ var table = []Experiment{
 			return err
 		},
 		Render: renderTimeline,
-	},
-	{
-		Name: "shardscale", Keys: []string{"shard_scale"},
-		Axes: []*Axis{
-			countsAxis("shardscale", "N1,N2,...",
-				"comma-separated connection counts for the sharded scaling sweep (default 100000,1000000)",
-				func(c *Config) any { return &c.ShardScale }),
-			countsAxis("shards", "S1,S2,...",
-				"comma-separated shard counts for the sharded scaling sweep (default 1,2,4,8)",
-				func(c *Config) any { return &c.ShardCounts }),
-		},
-		Run: func(c Config, r *Results) (err error) {
-			r.ShardScale, err = ShardScale(c.ShardScale, c.ShardCounts)
-			return err
-		},
-		Render: renderShardScale,
 	},
 	{
 		Name: "adversary", Keys: []string{"adversary"},

@@ -83,7 +83,7 @@ func TestTableCoversResults(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
 	want := map[string]string{
 		"conns": "51", "reps": "5", "stream": "104857600", "runs": "9",
-		"faultrates": "", "shardscale": "", "shards": "", "memscale": "",
+		"faultrates": "", "memscale": "",
 		"sloloads": "", "slowindow": "0s", "sloworkload": "", "stallscale": "",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -92,18 +92,18 @@ func TestTableCoversResults(t *testing.T) {
 
 	// The defaults land in the Config the flags write, lists parse into
 	// their fields, and a bad entry names its own flag.
-	if err := fs.Parse([]string{"-shards", "1, 2", "-faultrates", "0,0.5", "-slowindow", "2s"}); err != nil {
+	if err := fs.Parse([]string{"-memscale", "1, 2", "-faultrates", "0,0.5", "-slowindow", "2s"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := parseLists(); err != nil {
 		t.Fatal(err)
 	}
 	wantCfg := Config{Conns: 51, Reps: 5, Stream: 100 << 20, Runs: 9,
-		ShardCounts: []int{1, 2}, FaultRates: []float64{0, 0.5}, SLOWindow: 2e9}
+		MemScale: []int{1, 2}, FaultRates: []float64{0, 0.5}, SLOWindow: 2e9}
 	if !reflect.DeepEqual(cfg, wantCfg) {
 		t.Errorf("parsed config = %+v, want %+v", cfg, wantCfg)
 	}
-	for _, bad := range [][2]string{{"shards", "0"}, {"faultrates", "1.5"}, {"sloloads", "x"}} {
+	for _, bad := range [][2]string{{"memscale", "0"}, {"faultrates", "1.5"}, {"sloloads", "x"}} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		parseLists := RegisterFlags(fs, new(Config))
 		if err := fs.Parse([]string{"-" + bad[0], bad[1]}); err != nil {
@@ -119,15 +119,22 @@ func TestTableCoversResults(t *testing.T) {
 // row prints with no simulation behind it, twice to the same bytes, and a
 // row handed only the Results fields it claims prints the same as when
 // handed all of them — so the rendered tables are a function of the JSON
-// alone, which is what checking EXPERIMENTS.md against the JSON needs.
+// alone, which is what checking EXPERIMENTS.md against the JSON needs. The
+// file decodes with no unknown field and re-encodes to the same bytes, so a
+// retired experiment cannot leave its rows behind.
 func TestRenderIsPure(t *testing.T) {
 	blob, err := os.ReadFile("../../BENCH_trajectory.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var traj Trajectory
-	if err := json.Unmarshal(blob, &traj); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&traj); err != nil {
 		t.Fatal(err)
+	}
+	if again, err := json.MarshalIndent(traj, "", "  "); err != nil || !bytes.Equal(append(again, '\n'), blob) {
+		t.Fatalf("BENCH_trajectory.json does not round-trip through Trajectory (err %v)", err)
 	}
 	sims := simsBuilt.Load()
 	var first, second bytes.Buffer

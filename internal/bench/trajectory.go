@@ -23,12 +23,6 @@ type Config struct {
 	// FaultRates overrides the loss-rate axis of the fault sweep (E7);
 	// nil means DefaultFaultRates.
 	FaultRates []float64 `json:"fault_rates,omitempty"`
-	// ShardScale overrides the connection-count axis of E10; nil means
-	// DefaultShardScale.
-	ShardScale []int `json:"shard_scale,omitempty"`
-	// ShardCounts overrides the shard-count axis of E10; nil means
-	// DefaultShardCounts.
-	ShardCounts []int `json:"shard_counts,omitempty"`
 	// MemScale overrides the connection-count sweep of E13; nil means
 	// DefaultMemScale.
 	MemScale []int `json:"mem_scale,omitempty"`
@@ -54,10 +48,10 @@ func (c Config) sizes() []int64 {
 	return c.Sizes
 }
 
-// Results holds every experiment's outputs in config order. All values are
-// functions of the simulation seeds only, so for a fixed Config the
-// marshalled Results are byte-identical regardless of the worker count —
-// the determinism test pins this down.
+// Results holds every experiment's outputs in config order. Every value but
+// MemScale's live heap is a function of the simulation seeds only, so for a
+// fixed Config the marshalled Results are byte-identical regardless of the
+// worker count — the determinism test pins this down.
 type Results struct {
 	ConnSetup  []ConnSetupResult `json:"conn_setup,omitempty"` // standard, then failover
 	Fig3Std    []TransferPoint   `json:"fig3_standard,omitempty"`
@@ -74,11 +68,9 @@ type Results struct {
 	Adversary  []AdversaryPoint  `json:"adversary,omitempty"`
 	SLO        []SLOPoint        `json:"slo,omitempty"`
 	StallScale []StallScalePoint `json:"stall_scale,omitempty"`
-	// ShardScale and MemScale are the Results members with host-dependent
-	// fields (E10's wall clock, E13's live heap); the determinism test
-	// compares the experiments above, which are functions of the seeds only.
-	ShardScale []ShardScalePoint `json:"shard_scale,omitempty"`
-	MemScale   []MemScalePoint   `json:"mem_scale,omitempty"`
+	// MemScale reads the live heap, so the determinism test compares only
+	// the experiments above.
+	MemScale []MemScalePoint `json:"mem_scale,omitempty"`
 }
 
 // Trajectory is the machine-readable record of one failover-bench run: the

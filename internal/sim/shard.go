@@ -82,9 +82,6 @@ func NewShardGroup(domains ...*Scheduler) *ShardGroup {
 	}
 }
 
-// Domains returns the group's domain schedulers in partition order.
-func (g *ShardGroup) Domains() []*Scheduler { return g.domains }
-
 // Now returns the group's virtual time: the end of the last completed
 // window. Individual domain clocks always equal it between windows.
 func (g *ShardGroup) Now() time.Duration { return g.now }
@@ -123,9 +120,6 @@ func (g *ShardGroup) SetWorkers(n int) {
 	}
 	g.workers = n
 }
-
-// Workers returns the per-window worker cap.
-func (g *ShardGroup) Workers() int { return g.workers }
 
 // Lookahead returns the group's conservative lookahead: the minimum latency
 // over cross-domain mailboxes, or MaxInt64 if no link crosses a boundary

@@ -4,9 +4,9 @@ import "testing"
 
 // The ring as a connection's buffers use it: inserts at the end of the run
 // bounded by a small logical capacity, copies out at an offset, advances.
-// The differential harnesses are in recv_oracle_test.go (a Conn against the
-// parent's ring and reassembly list) and internal/core/queue_diff_test.go
-// (the ring as the bridge's match queue against the block list).
+// The differential harnesses are in recv_oracle_test.go (a Conn against a
+// model of its receive and send buffers) and internal/core/queue_diff_test.go
+// (the ring as the bridge's match queue against a model of that queue).
 
 func ringAt(floor Seq) *ByteRing {
 	r := new(ByteRing)

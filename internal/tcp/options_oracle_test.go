@@ -11,8 +11,7 @@ import (
 
 // The header writer and the three option walkers as they stood before they
 // became putHeader and nextOption, kept verbatim as the reference the
-// rewritten ones are compared against (as recv_oracle_test.go keeps the old
-// ring and reassembly list). Only the function names changed.
+// rewritten ones are compared against. Only the function names changed.
 
 // oracleClampRawMSS is ClampRawMSS with its own option walk.
 func oracleClampRawMSS(b []byte, reduce uint16) bool {

@@ -137,10 +137,6 @@ type Options struct {
 	// schedule is armed by Start. Nil means a clean network — but
 	// Scenario.Faults still exists, so impairments can be added mid-run.
 	Faults *fault.Plan
-	// CellIndex selects the cell's address/MAC plan in a sharded multi-cell
-	// topology (see NewSharded). The default 0 is the historical single-cell
-	// plan, so plain scenarios are unchanged.
-	CellIndex int
 	// Spans enables fleet span tracing: a per-connection lifecycle recorder
 	// is attached to the client stack and the replica group, and the crash
 	// schedule stamps the fleet failure mark. Off by default — the recorder
@@ -215,18 +211,18 @@ var ErrTimeout = errors.New("tcpfailover: condition not met before deadline")
 
 // NewScenario builds the topology of the paper's Figure 1.
 func NewScenario(opts Options) (*Scenario, error) {
-	return newScenarioOn(sim.New(opts.Seed), opts)
+	return newScenarioOn(sim.New(opts.Seed), 0, opts)
 }
 
-// newScenarioOn builds one testbed cell on an existing scheduler. The
-// sharded builder uses it to place several cells on one domain scheduler;
-// the plain path hands it a fresh scheduler, which makes the two builds
-// literally the same code.
-func newScenarioOn(sched *sim.Scheduler, opts Options) (*Scenario, error) {
+// newScenarioOn builds one testbed cell on an existing scheduler, addressed
+// by planCell(cell). The sharded builder uses it to place several cells on
+// one domain scheduler; the plain path hands it a fresh scheduler and cell 0,
+// which makes the two builds literally the same code.
+func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, error) {
 	if opts.HostProfile == (netstack.Profile{}) {
 		opts.HostProfile = netstack.DefaultProfile()
 	}
-	plan := planCell(opts.CellIndex)
+	plan := planCell(cell)
 	sc := &Scenario{Sched: sched, opts: opts, plan: plan}
 
 	sc.ServerLAN = ethernet.NewSegment(sched, opts.ServerLAN)

@@ -34,10 +34,9 @@ type ShardedOptions struct {
 	Workers int
 	// Cell is the per-cell scenario template. Cell.Seed is the base seed:
 	// cell i runs with a seed mixed deterministically from (Seed, i).
-	// Cell.CellIndex is ignored (assigned per cell).
 	Cell Options
-	// ConfigureCell, when set, may adjust each cell's options (after the
-	// index and seed are assigned, before the cell is built).
+	// ConfigureCell, when set, may adjust cell i's options (after its seed
+	// is assigned, before the cell is built).
 	ConfigureCell func(i int, o *Options)
 	// CrossLink configures the inter-router trunk links. Latency must be
 	// positive when Shards > 1 — it bounds the lockstep lookahead.
@@ -55,7 +54,7 @@ type Cell struct {
 	Stream *sim.Stream
 	// Domain is the scheduler the cell is partitioned onto.
 	Domain *sim.Scheduler
-	// Index is the cell index, also the CellIndex of its address plan.
+	// Index is the cell index, which also selects its address plan.
 	Index int
 }
 
@@ -142,12 +141,11 @@ func NewSharded(opts ShardedOptions) (*ShardedScenario, error) {
 		st := dom.NewStream(sim.StreamID(i+1), cellSeed(opts.Cell.Seed, i))
 		st.Use()
 		o := opts.Cell
-		o.CellIndex = i
 		o.Seed = cellSeed(opts.Cell.Seed, i)
 		if opts.ConfigureCell != nil {
 			opts.ConfigureCell(i, &o)
 		}
-		sc, err := newScenarioOn(dom, o)
+		sc, err := newScenarioOn(dom, i, o)
 		if err != nil {
 			return nil, fmt.Errorf("tcpfailover: cell %d: %w", i, err)
 		}

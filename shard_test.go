@@ -207,7 +207,8 @@ func TestShardedSingleCell(t *testing.T) {
 
 // TestShardedZeroLatencyRejected: a zero-latency cross-domain link cannot
 // support conservative lookahead; the builder must reject it with a clear
-// error while still allowing the sequential (shards=1) fallback.
+// error while still allowing the sequential (shards=1) fallback. A cell count
+// the address plan cannot hold is rejected the same way.
 func TestShardedZeroLatencyRejected(t *testing.T) {
 	opts := tcpfailover.ShardedOptions{
 		Cells:  2,
@@ -224,5 +225,11 @@ func TestShardedZeroLatencyRejected(t *testing.T) {
 	opts.Shards = 1
 	if _, err := tcpfailover.NewSharded(opts); err != nil {
 		t.Errorf("sequential fallback rejected: %v", err)
+	}
+	for _, cells := range []int{0, 65} {
+		opts.Cells = cells
+		if _, err := tcpfailover.NewSharded(opts); err == nil {
+			t.Errorf("%d cells accepted", cells)
+		}
 	}
 }
