@@ -21,11 +21,13 @@ func newChainEchoScenario(t *testing.T, opts tcpfailover.Options) *tcpfailover.S
 
 func TestChainFaultFree(t *testing.T) {
 	sc := newChainEchoScenario(t, tcpfailover.LANOptions())
+	checkSeals := tapSeals(sc)
 	ec := startEchoClient(t, sc, 128*1024)
 	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
 		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
 	}
 	ec.check(t)
+	checkSeals(t)
 
 	// All three stages did their part: the tail diverted to the middle,
 	// the middle merged and diverted to the head, the head merged for the

@@ -155,7 +155,7 @@ func (f *msFixture) establish(i int) error {
 	if err != nil {
 		return err
 	}
-	tcp.PatchPseudoAddr(div, aC, f.aP)
+	tcp.SealChecksum(f.aS, f.aP, div)
 	if v, _, _ := f.pri.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}, div); v != netstack.VerdictDrop {
 		return fmt.Errorf("conn %d: diverted SYN-ACK verdict %v", i, v)
 	}

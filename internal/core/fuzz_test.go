@@ -162,13 +162,9 @@ func FuzzPrimaryDiverted(f *testing.F) {
 		fromClient := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aC, Dst: pri.aP}
 		fromSecondary := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: pri.aS, Dst: pri.aP}
 		divert := func(raw []byte) {
-			div, err := divertedCopy(raw, pri.aC)
-			if err != nil {
-				return
+			if div, err := pri.divertedCopy(raw); err == nil {
+				pri.b.Inbound(0, fromSecondary, div)
 			}
-			binary.BigEndian.PutUint16(div[16:], 0)
-			binary.BigEndian.PutUint16(div[16:], tcp.ComputeChecksum(pri.aS, pri.aP, div))
-			pri.b.Inbound(0, fromSecondary, div)
 		}
 
 		pri.b.Inbound(0, fromClient, append([]byte(nil), data...))

@@ -146,6 +146,17 @@ func (c *pconn) effMSS() int {
 // queued returns the bytes parked in the connection's two output queues.
 func (c *pconn) queued() int { return c.p.q.Len() + c.s.q.Len() }
 
+// keptSum records that the secondary's bytes [seq, seq+n) on connection key
+// sum to sum. Its stream holds the same bytes at a sequence number however
+// often they are sent, so the record stays true until replaced; the zero
+// record describes no connection.
+type keptSum struct {
+	key TupleKey
+	seq tcp.Seq
+	n   int
+	sum uint16
+}
+
 // PrimaryBridge is the bridge sublayer on the primary server P.
 type PrimaryBridge struct {
 	host   *netstack.Host
@@ -182,6 +193,10 @@ type PrimaryBridge struct {
 	// straddle its ring's wrap point; every other payload is read in place.
 	emitSeg      tcp.Segment
 	wrapP, wrapS []byte
+
+	// kept is the payload sum of the last diverted segment verifyDiverted
+	// passed, which a release of exactly its bytes is sealed from.
+	kept keptSum
 
 	stats PrimaryStats
 	m     primaryMetrics
@@ -309,6 +324,7 @@ func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 		flags := tcp.RawFlags(segment)
 		if !flags.Has(tcp.FlagSYN) {
 			if flags.Has(tcp.FlagRST) && flags.Has(tcp.FlagACK) {
+				tcp.SealChecksum(b.aP, dst, segment)
 				_ = b.host.SendIPFast(b.aP, dst, ipv4.ProtoTCP, segment)
 			}
 			return true
@@ -387,17 +403,17 @@ func (b *PrimaryBridge) fromReplica(c *pconn, r *replica, segment []byte) {
 }
 
 // verifyDiverted checks the TCP checksum of a diverted segment before the
-// demultiplexer consumes it. Diverted segments bypass the local TCP layer's
-// verification, and the bridge re-checksums the bytes it merges toward the
-// client — so without this check, a bit flipped on the server LAN would be
-// laundered into a validly-checksummed client segment. Dropping the
+// demultiplexer consumes it and returns its payload sum, taken in the same
+// pass. Diverted segments bypass the local TCP layer's verification, and the
+// bridge seals what it merges toward the client from that sum or over the
+// queued bytes — so without this check, a bit flipped on the server LAN
+// would be laundered into a validly-checksummed client segment. Dropping the
 // segment instead lets the secondary's TCP retransmit it.
-func (b *PrimaryBridge) verifyDiverted(hdr ipv4.Header, payload []byte) bool {
-	if tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) != 0 {
+func (b *PrimaryBridge) verifyDiverted(hdr ipv4.Header, payload []byte) (payloadSum uint16, ok bool) {
+	if payloadSum, ok = tcp.VerifyChecksum(hdr.Src, hdr.Dst, payload); !ok {
 		b.m.badChecksumDrops.Inc()
-		return false
 	}
-	return true
+	return payloadSum, ok
 }
 
 // --- inbound: datagrams addressed to aP --------------------------------------
@@ -423,12 +439,11 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		// different segment. The checksum is verified before the strip,
 		// which cancels corrupted option bytes out of the sum; the payload
 		// is this station's private copy, so the option is stripped in place.
-		switch {
-		case !wellFormed:
+		if !wellFormed {
 			b.m.malformedDrops.Inc()
-		case b.verifyDiverted(hdr, payload) && !b.degraded:
+		} else if sum, ok := b.verifyDiverted(hdr, payload); ok && !b.degraded {
 			stripped, orig, _ := tcp.StripOrigDstOptionInPlace(payload)
-			b.fromSecondary(orig, stripped)
+			b.fromSecondary(orig, stripped, sum)
 		}
 		return netstack.VerdictDrop, hdr, payload
 	}
@@ -536,15 +551,20 @@ func (b *PrimaryBridge) forwardDegraded(c *pconn, sSeq tcp.Seq, segment []byte, 
 	}
 	b.stats.SegmentsToClient++
 	// The segment slice is borrowed from the outbound hook; the emit
-	// function takes ownership of its argument, so hand it a pooled copy.
-	b.emit(c.key.PeerAddr(), netbuf.From(segment))
+	// function takes ownership of its argument, so hand it a pooled copy,
+	// sealed now that it is rewritten.
+	pkt := netbuf.From(segment)
+	tcp.SealChecksum(b.aP, c.key.PeerAddr(), pkt.Bytes())
+	b.emit(c.key.PeerAddr(), pkt)
 }
 
 // fromSecondary processes a diverted segment whose original destination was
-// orig (the client address).
-func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte) {
+// orig (the client address) and whose payload verifyDiverted summed to
+// payloadSum.
+func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte, payloadSum uint16) {
 	b.stats.SegmentsFromSecondary++
 	key := MakeTupleKey(orig, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
+	b.kept = keptSum{key: key, seq: tcp.RawSeq(segment), n: len(tcp.RawPayload(segment)), sum: payloadSum}
 	c := b.lookup(key)
 	if c != nil {
 		b.lruTouch(c)
@@ -581,6 +601,9 @@ func (b *PrimaryBridge) ingestServerSegment(c *pconn, r *replica, sSeq tcp.Seq, 
 		// A retransmission of bytes already released: the bridge receives
 		// only a single copy, so it must send it immediately (section 4).
 		b.stats.RetransmissionsForwarded++
+		if r == &c.p {
+			b.kept = keptSum{} // the primary's own bytes: summed in full
+		}
 		// payload aliases the inbound frame's private copy; emitToClient
 		// marshals it into a packet buffer before returning, so no copy.
 		b.emitToClient(c, b.segmentAt(c, sSeq, tcp.FlagACK|tcp.FlagPSH|flags&tcp.FlagFIN, payload))
@@ -783,7 +806,13 @@ func (b *PrimaryBridge) emitToClient(c *pconn, seg *tcp.Segment) {
 	// payload, and the emit function forwards the buffer without another.
 	pkt := netbuf.Get()
 	copy(tcp.MarshalReserve(pkt, seg, len(seg.Payload)), seg.Payload)
-	tcp.SealChecksum(b.aP, c.key.PeerAddr(), pkt.Bytes())
+	if k := &b.kept; k.key == c.key && k.seq == seg.Seq && k.n == len(seg.Payload) {
+		// The payload is not summed again (paper section 3.1), so a byte
+		// damaged while it waited in the queue fails the client's check.
+		tcp.SealChecksumFrom(b.aP, c.key.PeerAddr(), pkt.Bytes(), k.sum)
+	} else {
+		tcp.SealChecksum(b.aP, c.key.PeerAddr(), pkt.Bytes())
+	}
 	b.stats.SegmentsToClient++
 	b.m.releasedBytes.Add(int64(len(seg.Payload)))
 	if seg.Flags.Has(tcp.FlagACK) {
@@ -852,6 +881,7 @@ func (b *PrimaryBridge) HandleSecondaryFailure() {
 		return
 	}
 	b.degraded = true
+	b.kept = keptSum{} // what the drain releases is the primary's
 	// The walk must be deterministic (the table's internal order is not):
 	// sort the keys into the bridge's reusable scratch buffer rather than
 	// allocating O(conns) in the middle of a takeover.

@@ -75,28 +75,31 @@ func (f *priFixture) fromPrimaryTCP(t *testing.T, seg *tcp.Segment) {
 	}
 }
 
-// divertedCopy is raw in its diverted form — the original-destination
-// option naming client appended — copied out of the pooled buffer
-// AppendOrigDstOption builds it in.
-func divertedCopy(raw []byte, client ipv4.Addr) ([]byte, error) {
+// divertedCopy is raw as the secondary bridge sends it — the
+// original-destination option naming the client appended, sealed for the
+// hop from S to P — copied out of the pooled buffer AppendOrigDstOption
+// builds it in.
+func (f *priFixture) divertedCopy(raw []byte) ([]byte, error) {
 	var opt [8]byte
-	tcp.OrigDstOptionBlock(&opt, client)
+	tcp.OrigDstOptionBlock(&opt, f.aC)
 	pkt := netbuf.Get()
 	defer pkt.Release()
 	out, err := tcp.AppendOrigDstOption(pkt, raw, &opt)
-	return append([]byte(nil), out...), err
+	if err != nil {
+		return nil, err
+	}
+	tcp.SealChecksum(f.aS, f.aP, out)
+	return append([]byte(nil), out...), nil
 }
 
 // fromSecondaryWire pushes a diverted segment as it would arrive from S.
 func (f *priFixture) fromSecondaryWire(t *testing.T, seg *tcp.Segment) {
 	t.Helper()
 	seg.SrcPort, seg.DstPort = 80, 49152
-	raw := tcp.Marshal(f.aS, f.aC, seg)
-	div, err := divertedCopy(raw, f.aC)
+	div, err := f.divertedCopy(tcp.Marshal(f.aS, f.aC, seg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp.PatchPseudoAddr(div, f.aC, f.aP)
 	verdict, _, _ := f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}, div)
 	if verdict != netstack.VerdictDrop {
 		t.Fatalf("diverted segment not consumed (verdict %v)", verdict)
@@ -277,6 +280,59 @@ func TestBridgeRetransmissionForwardedImmediately(t *testing.T) {
 	}
 }
 
+// TestReleaseSealsFromVerifiedSum: a release of exactly the bytes of one
+// diverted segment is sealed from the payload sum verifyDiverted took, not
+// by re-summing the queue, so a byte damaged while it waits there fails the
+// client's checksum instead of leaving with a fresh, valid one. Any other
+// release is summed in full and must verify.
+func TestReleaseSealsFromVerifiedSum(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		primaryFirst   bool
+		fromSecondary  []string // the diverted segments carrying "hello"
+		flip, wantGood bool
+	}{
+		{"secondary ahead, byte flipped in the queue", false, []string{"hello"}, true, false},
+		{"secondary ahead", false, []string{"hello"}, false, true},
+		{"primary ahead", true, []string{"hello"}, false, true},
+		{"two diverted segments, one release", false, []string{"he", "llo"}, false, true},
+	} {
+		f := newPriFixture(t)
+		f.establish(t)
+		var out [][]byte
+		f.b.SetEmitFunc(func(_ ipv4.Addr, pkt *netbuf.Buffer) {
+			out = append(out, append([]byte(nil), pkt.Bytes()...))
+			pkt.Release()
+		})
+		fromPrimary := func() {
+			f.fromPrimaryTCP(t, &tcp.Segment{Seq: pISS + 1, Ack: clientISS + 1,
+				Flags: tcp.FlagACK | tcp.FlagPSH, Window: 60000, Payload: []byte("hello")})
+		}
+		if tc.primaryFirst {
+			fromPrimary()
+		}
+		off := 0
+		for _, p := range tc.fromSecondary {
+			f.fromSecondaryWire(t, &tcp.Segment{Seq: tcp.Seq(sISS + 1).Add(off), Ack: clientISS + 1,
+				Flags: tcp.FlagACK | tcp.FlagPSH, Window: 58000, Payload: []byte(p)})
+			off += len(p)
+		}
+		if tc.flip {
+			c := f.b.lookup(MakeTupleKey(f.aC, 49152, 80))
+			c.s.q.Peek(2, &f.b.wrapS)[1] ^= 0x20 // the ring's own storage
+		}
+		if !tc.primaryFirst {
+			fromPrimary()
+		}
+		if len(out) != 1 || len(tcp.RawPayload(out[0])) != 5 {
+			t.Fatalf("%s: %d client segments, want one carrying the five bytes", tc.name, len(out))
+		}
+		if good := tcp.ComputeChecksum(f.aP, f.aC, out[0]) == 0; good != tc.wantGood {
+			t.Errorf("%s: client segment %q verifies %v, want %v", tc.name, tcp.RawPayload(out[0]), good, tc.wantGood)
+		}
+	}
+}
+
 func TestBridgeReplicaBytesMustMatch(t *testing.T) {
 	f := newPriFixture(t)
 	f.b.cfg.VerifyReplicaOutput = true
@@ -435,12 +491,11 @@ func TestBridgeHandshakeAllocs(t *testing.T) {
 		Flags: tcp.FlagRST})
 	pSynAck := tcp.Marshal(f.aP, f.aC, &tcp.Segment{SrcPort: 80, DstPort: 49152, Seq: pISS, Ack: clientISS + 1,
 		Flags: tcp.FlagSYN | tcp.FlagACK, Window: 60000, Options: mssOpt})
-	sSynAck, err := divertedCopy(tcp.Marshal(f.aS, f.aC, &tcp.Segment{SrcPort: 80, DstPort: 49152, Seq: sISS,
-		Ack: clientISS + 1, Flags: tcp.FlagSYN | tcp.FlagACK, Window: 58000, Options: mssOpt}), f.aC)
+	sSynAck, err := f.divertedCopy(tcp.Marshal(f.aS, f.aC, &tcp.Segment{SrcPort: 80, DstPort: 49152, Seq: sISS,
+		Ack: clientISS + 1, Flags: tcp.FlagSYN | tcp.FlagACK, Window: 58000, Options: mssOpt}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp.PatchPseudoAddr(sSynAck, f.aC, f.aP)
 	// The hooks patch and strip in place: every handshake gets its own copy.
 	scratch := make([]byte, len(sSynAck))
 	fromClient := ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aC, Dst: f.aP}

@@ -313,8 +313,9 @@ func (b *SecondaryBridge) divert(src, client ipv4.Addr, segment []byte) bool {
 		pkt.Release()
 		return true
 	}
-	// The checksum must reflect the new pseudo-header destination.
-	tcp.PatchPseudoAddr(out, client, b.upstream)
+	// The segment arrives unsealed (or, from a chain's matcher, sealed for
+	// the client): it is summed once, as it goes upstream.
+	tcp.SealChecksum(src, b.upstream, out)
 	b.m.divertedOut.Inc()
 	_ = b.host.SendIPFastBuf(src, b.upstream, ipv4.ProtoTCP, pkt)
 	return true

@@ -101,8 +101,10 @@ const (
 type InboundHook func(ifIndex int, hdr ipv4.Header, payload []byte) (InVerdict, ipv4.Header, []byte)
 
 // OutboundHook interposes on segments the local TCP layer emits, before IP
-// encapsulation. Returning true consumes the segment (the bridge will emit
-// its own datagrams instead).
+// encapsulation. The segment is not yet sealed: its checksum field is zero.
+// Returning true consumes the segment (the bridge will emit its own
+// datagrams instead, sealing each); false passes it on to be sealed and
+// sent.
 type OutboundHook func(src, dst ipv4.Addr, segment []byte) bool
 
 // ErrHostDown is returned when sending from a crashed host.
@@ -653,7 +655,9 @@ func (h *Host) jitter() time.Duration {
 // --- send path ----------------------------------------------------------------
 
 // tcpOutput is the TCP stack's Output: the bridge hook interposes here,
-// exactly between the TCP layer and the IP layer. It owns pkt.
+// exactly between the TCP layer and the IP layer. It owns pkt. The stack
+// hands over an unsealed segment; it is sealed here only if the hook lets it
+// pass, since a segment the bridge consumes never reaches a wire as is.
 func (h *Host) tcpOutput(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
 	if !h.alive {
 		pkt.Release()
@@ -663,6 +667,7 @@ func (h *Host) tcpOutput(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
 		pkt.Release()
 		return nil
 	}
+	tcp.SealChecksum(src, dst, pkt.Bytes())
 	return h.sendPacket(src, dst, ipv4.ProtoTCP, pkt, h.profile.StackEgress, "ip.output")
 }
 

@@ -245,13 +245,12 @@ func (c *Conn) Abort() {
 // --- segment transmission ---------------------------------------------------
 
 // emit marshals a control segment (whose Payload, if any, is copied) into a
-// pooled buffer and hands ownership to the stack output.
+// pooled buffer and hands ownership to the stack output, unsealed.
 func (c *Conn) emit(seg *Segment) {
 	seg.SrcPort = c.tuple.LocalPort
 	seg.DstPort = c.tuple.RemotePort
 	pkt := netbuf.Get()
 	copy(MarshalReserve(pkt, seg, len(seg.Payload)), seg.Payload)
-	SealChecksum(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt.Bytes())
 	c.stack.m.segmentsOut.Inc()
 	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
 }
@@ -264,7 +263,6 @@ func (c *Conn) emitData(seg *Segment, off, n int) {
 	seg.DstPort = c.tuple.RemotePort
 	pkt := netbuf.Get()
 	c.sndBuf.CopyAt(off, MarshalReserve(pkt, seg, n))
-	SealChecksum(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt.Bytes())
 	c.stack.m.segmentsOut.Inc()
 	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
 }

@@ -14,7 +14,8 @@ import (
 
 // pair wires two stacks together through the scheduler with a fixed
 // one-way delay and controllable loss, bypassing the full netstack — pure
-// TCP state-machine testing.
+// TCP state-machine testing. Each pipe seals what it carries, as the
+// netstack's output does.
 type pair struct {
 	sched    *sim.Scheduler
 	a, b     *Stack
@@ -37,6 +38,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 	}
 	p.a = NewStack(p.sched, cfg, func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
 		defer pkt.Release()
+		SealChecksum(src, dst, pkt.Bytes())
 		p.toBCount++
 		if p.dropToB != nil && p.dropToB(pkt.Bytes()) {
 			return nil
@@ -47,6 +49,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 	}, func(ipv4.Addr) (ipv4.Addr, bool) { return p.aAddr, true })
 	p.b = NewStack(p.sched, cfg, func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
 		defer pkt.Release()
+		SealChecksum(src, dst, pkt.Bytes())
 		p.toACount++
 		if p.dropToA != nil && p.dropToA(pkt.Bytes()) {
 			return nil
@@ -107,6 +110,7 @@ func TestMSSNegotiationTakesMinimum(t *testing.T) {
 	small := Config{MSS: 536}
 	p.b = NewStack(p.sched, small, func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
 		defer pkt.Release()
+		SealChecksum(src, dst, pkt.Bytes())
 		cp := append([]byte(nil), pkt.Bytes()...)
 		p.sched.After(p.delay, "pipe.ba", func() { p.a.Input(src, dst, cp) })
 		return nil

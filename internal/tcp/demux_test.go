@@ -32,7 +32,8 @@ func TestDemuxAgainstTupleMap(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		var out []byte // the last segment the stack sent
 		local := locals[0]
-		s := NewStack(sim.New(int64(seed)), Config{}, func(_, _ ipv4.Addr, pkt *netbuf.Buffer) error {
+		s := NewStack(sim.New(int64(seed)), Config{}, func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
+			SealChecksum(src, dst, pkt.Bytes())
 			out = append(out[:0], pkt.Bytes()...)
 			pkt.Release()
 			return nil

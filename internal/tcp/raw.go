@@ -10,9 +10,10 @@ import (
 
 // This file implements the raw-segment surgery the failover bridges
 // perform. The bridges sit below the TCP layer and operate on marshaled
-// segments; all mutators maintain the TCP checksum incrementally rather
-// than recomputing it (paper section 3.1: "we subtract the original bytes
-// from the checksum, and add the new bytes").
+// segments; the in-place mutators maintain the TCP checksum incrementally
+// rather than recomputing it (paper section 3.1: "we subtract the original
+// bytes from the checksum, and add the new bytes"). AppendOrigDstOption
+// builds a new segment, which its caller seals once for the wire it takes.
 
 // Raw field readers. All assume a well-formed segment (len >= HeaderLen).
 
@@ -182,7 +183,7 @@ func RawMSS(b []byte) (mss uint16, present bool, err error) {
 // PatchPseudoAddr adjusts the checksum of a marshaled segment for a change
 // of an address in the IPv4 pseudo-header (the address itself lives in the
 // IP header, not in the segment). The secondary bridge uses this when it
-// rewrites the destination address of incoming and outgoing datagrams.
+// rewrites the destination address of the client datagrams it snoops.
 func PatchPseudoAddr(b []byte, oldAddr, newAddr ipv4.Addr) {
 	putU16(b[16:], checksum.UpdateUint32(RawChecksum(b), uint32(oldAddr), uint32(newAddr)))
 }
@@ -194,11 +195,11 @@ const origDstBlockLen = 8
 // AppendOrigDstOption builds the diverted form of a marshaled segment
 // directly into a pooled packet buffer: header, then the 8-byte
 // original-destination option block, then payload, with the data offset
-// patched and the checksum updated incrementally for the inserted bytes,
-// the changed offset word and the grown pseudo-header length. The secondary
-// bridge applies this to every segment it diverts upstream so the primary
-// bridge can recover the client address (paper section 3.1); opt is the
-// flow's precomputed option block (see OrigDstOptionBlock).
+// patched. The checksum field is copied as it was; the caller seals the
+// result for the hop it takes (SealChecksum). The secondary bridge applies
+// this to every segment it diverts upstream so the primary bridge can
+// recover the client address (paper section 3.1); opt is the flow's
+// precomputed option block (see OrigDstOptionBlock).
 func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[origDstBlockLen]byte) ([]byte, error) {
 	hdrLen := RawHeaderLen(b)
 	if hdrLen-HeaderLen+origDstBlockLen > MaxOptionLen {
@@ -208,14 +209,7 @@ func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[origDstBlockLen]byt
 	copy(out, b[:hdrLen])
 	copy(out[hdrLen:], opt[:])
 	copy(out[hdrLen+origDstBlockLen:], b[hdrLen:])
-
-	sum := RawChecksum(out)
-	oldOffWord := getU16(out[12:])
 	out[12] = byte((hdrLen+origDstBlockLen)/4) << 4
-	sum = checksum.Update(sum, oldOffWord, getU16(out[12:]))
-	sum = checksum.UpdateBytes(sum, nil, opt[:])
-	sum = checksum.Update(sum, uint16(len(b)), uint16(len(out)))
-	putU16(out[16:], sum)
 	return out, nil
 }
 
@@ -343,6 +337,5 @@ func FinishCoalesceRaw(src, dst ipv4.Addr, tail, next []byte) {
 	putU32(tail[8:], uint32(RawAck(next)))
 	putU16(tail[14:], RawWindow(next))
 	tail[13] |= byte(RawFlags(next) & FlagPSH)
-	putU16(tail[16:], 0)
-	putU16(tail[16:], ComputeChecksum(src, dst, tail))
+	SealChecksum(src, dst, tail)
 }

@@ -78,8 +78,8 @@ func TestPatchPseudoAddr(t *testing.T) {
 	}
 }
 
-// TestInsertStripOrigDstRoundTrip covers the diversion option: insertion
-// must keep the checksum valid (after the pseudo-destination patch) and
+// TestInsertStripOrigDstRoundTrip covers the diversion option: the inserted
+// block must parse once the diverted segment is sealed for its hop, and
 // stripping must restore byte-identical original segments.
 func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
@@ -104,8 +104,7 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		PatchPseudoAddr(diverted, client, aP)
-		checkValid(t, aS, aP, diverted)
+		SealChecksum(aS, aP, diverted)
 		if got, ok := mustSeg(t, aS, aP, diverted).OrigDst(); !ok || got != client {
 			t.Fatalf("OrigDst = %v %v", got, ok)
 		}

@@ -80,7 +80,8 @@ func TestReassemblyInOrderPop(t *testing.T) {
 func oracleConn(t testing.TB, cfg Config, irs Seq) *Conn {
 	t.Helper()
 	local, remote := ipv4.MustParseAddr("10.0.0.1"), ipv4.MustParseAddr("10.0.0.2")
-	s := NewStack(sim.New(1), cfg, func(_, _ ipv4.Addr, pkt *netbuf.Buffer) error {
+	s := NewStack(sim.New(1), cfg, func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
+		SealChecksum(src, dst, pkt.Bytes())
 		pkt.Release()
 		return nil
 	}, func(ipv4.Addr) (ipv4.Addr, bool) { return local, true })

@@ -130,7 +130,9 @@ func (c Config) withDefaults() Config {
 // Output transmits a marshaled TCP segment toward dst. The netstack
 // installs this; on the replicated servers the bridge interposes here.
 // Ownership of pkt transfers to the callee unconditionally — even on
-// error — which must eventually Release it (or hand it on).
+// error — which must eventually Release it (or hand it on). The segment's
+// checksum field is zero: whoever puts it on a wire seals it
+// (SealChecksum).
 type Output func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error
 
 // Tuple identifies a connection by its four-tuple.
@@ -472,7 +474,6 @@ func (s *Stack) sendRST(t Tuple, seg *Segment) {
 	}
 	pkt := netbuf.Get()
 	MarshalReserve(pkt, rst, 0)
-	SealChecksum(t.LocalAddr, t.RemoteAddr, pkt.Bytes())
 	s.m.segmentsOut.Inc()
 	_ = s.output(t.LocalAddr, t.RemoteAddr, pkt)
 }

@@ -207,10 +207,45 @@ func MarshalReserve(pkt *netbuf.Buffer, s *Segment, payloadLen int) []byte {
 	return b[hdrLen:]
 }
 
-// SealChecksum computes and stores the checksum of a marshaled segment
-// whose checksum field is currently zero.
+// SealChecksum computes and stores the checksum of a marshaled segment,
+// overwriting whatever its checksum field held. Whoever puts a segment on a
+// wire seals it, once (see Output).
 func SealChecksum(src, dst ipv4.Addr, b []byte) {
+	putU16(b[16:], 0)
 	putU16(b[16:], ComputeChecksum(src, dst, b))
+}
+
+// VerifyChecksum reports whether a marshaled segment's checksum verifies, as
+// ComputeChecksum(src, dst, b) == 0 does, and returns the one's-complement
+// sum of its payload, b[RawHeaderLen(b):], taken on the way (each byte is
+// summed once), for SealChecksumFrom to reuse.
+func VerifyChecksum(src, dst ipv4.Addr, b []byte) (payloadSum uint16, ok bool) {
+	hl := RawHeaderLen(b)
+	payloadSum = ^checksum.Sum(b[hl:]) // Sum complements the folded sum
+	return payloadSum, splitChecksum(src, dst, b, hl, payloadSum) == 0
+}
+
+// SealChecksumFrom is SealChecksum for a segment whose payload sums to
+// payloadSum, as VerifyChecksum returned it: only the pseudo-header and the
+// header are read. The field it stores is the one SealChecksum would, bit for
+// bit — a one's-complement sum is independent of grouping, and the payload
+// starts on a word boundary.
+func SealChecksumFrom(src, dst ipv4.Addr, b []byte, payloadSum uint16) {
+	putU16(b[16:], 0)
+	putU16(b[16:], splitChecksum(src, dst, b, RawHeaderLen(b), payloadSum))
+}
+
+// splitChecksum is the checksum of segment b over the pseudo-header, where
+// the header b[:hl] is summed and the rest, b[hl:], is taken to sum to
+// payloadSum, which rides as a pseudo-header word.
+func splitChecksum(src, dst ipv4.Addr, b []byte, hl int, payloadSum uint16) uint16 {
+	var pseudo [14]byte
+	ipv4.PutAddr(pseudo[0:4], src)
+	ipv4.PutAddr(pseudo[4:8], dst)
+	pseudo[9] = ipv4.ProtoTCP
+	putU16(pseudo[10:], uint16(len(b)))
+	putU16(pseudo[12:], payloadSum)
+	return checksum.Sum(pseudo[:], b[:hl])
 }
 
 // Unmarshal parses a wire-format segment. If verify is true the checksum is
@@ -294,12 +329,7 @@ func nextOption(opts []byte, i int) (kind byte, end int, ok bool) {
 // IPv4 pseudo-header. Computing it over a segment whose checksum field is
 // already filled yields zero for a valid segment.
 func ComputeChecksum(src, dst ipv4.Addr, b []byte) uint16 {
-	var pseudo [12]byte
-	ipv4.PutAddr(pseudo[0:4], src)
-	ipv4.PutAddr(pseudo[4:8], dst)
-	pseudo[9] = ipv4.ProtoTCP
-	putU16(pseudo[10:], uint16(len(b)))
-	return checksum.Sum(pseudo[:], b)
+	return splitChecksum(src, dst, b, len(b), 0) // all header; 0 sums nothing
 }
 
 func putU16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }

@@ -59,3 +59,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSealChecksumFrom: for any header and payload, the split seal stores the
+// field SealChecksum does (checkSplitSeal). The header is the input's first
+// 20 + 4*(words%11) bytes, zero-padded; the payload is the rest.
+func FuzzSealChecksumFrom(f *testing.F) {
+	f.Add(uint8(0), []byte("a header of twenty bytes, then an odd payload"))
+	f.Add(uint8(2), make([]byte, 28+1460))
+	f.Add(uint8(10), bytes.Repeat([]byte{0xff}, 60+1459))
+	f.Fuzz(func(t *testing.T, words uint8, data []byte) {
+		hdr := make([]byte, HeaderLen+4*int(words%11))
+		checkSplitSeal(t, hdr, data[copy(hdr, data):])
+	})
+}

@@ -94,6 +94,65 @@ func TestChecksumCoversPseudoHeader(t *testing.T) {
 	}
 }
 
+// checkSplitSeal seals hdr+payload twice and wants the same checksum field,
+// bit for bit — the pcap output and the digests read the field, so merely
+// verifying is not enough: SealChecksum over every byte, and
+// SealChecksumFrom with the payload sum VerifyChecksum took off the same
+// payload under another header (the primary bridge's path from the
+// secondary's diverted segment to the client's). hdr's data offset is set
+// from its length; its checksum field may hold anything.
+func checkSplitSeal(t testing.TB, hdr, payload []byte) {
+	t.Helper()
+	segment := func(h []byte) []byte {
+		b := append(append([]byte(nil), h...), payload...)
+		b[12] = byte(len(h)/4) << 4
+		return b
+	}
+	var opt [origDstBlockLen]byte
+	OrigDstOptionBlock(&opt, srcA)
+	diverted := segment(append(make([]byte, HeaderLen), opt[:]...))
+	SealChecksum(dstA, srcA, diverted)
+	sum, ok := VerifyChecksum(dstA, srcA, diverted)
+	if !ok {
+		t.Fatalf("header %d, payload %d: a sealed segment fails VerifyChecksum", len(hdr), len(payload))
+	}
+	out := segment(hdr)
+	SealChecksum(srcA, dstA, out)
+	want := RawChecksum(out)
+	SealChecksumFrom(srcA, dstA, out, sum)
+	if got := RawChecksum(out); got != want {
+		t.Fatalf("header %d, payload %d: SealChecksumFrom stored %#04x, SealChecksum %#04x", len(hdr), len(payload), got, want)
+	}
+	if len(payload) > 0 {
+		diverted[len(diverted)-1] ^= 0x80
+		if _, ok := VerifyChecksum(dstA, srcA, diverted); ok {
+			t.Fatalf("header %d, payload %d: VerifyChecksum passed a flipped bit", len(hdr), len(payload))
+		}
+	}
+}
+
+// TestSealChecksumFromMatchesSealChecksum runs checkSplitSeal over every
+// header length (20–60) and every payload length up to one MSS, odd ones
+// included, with payloads of zeros and of 0xff — the two one's-complement
+// zeros — and of random bytes.
+func TestSealChecksumFromMatchesSealChecksum(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	hdr, payload := make([]byte, HeaderLen+MaxOptionLen), make([]byte, 1460)
+	for _, fill := range []func([]byte){
+		func(b []byte) { clear(b) },
+		func(b []byte) { copy(b, bytes.Repeat([]byte{0xff}, len(b))) },
+		func(b []byte) { rng.Read(b) },
+	} {
+		for hl := HeaderLen; hl <= len(hdr); hl += 4 {
+			for n := range len(payload) + 1 {
+				rng.Read(hdr)
+				fill(payload[:n])
+				checkSplitSeal(t, hdr[:hl], payload[:n])
+			}
+		}
+	}
+}
+
 func TestUnmarshalRejectsMalformed(t *testing.T) {
 	if _, err := Unmarshal(srcA, dstA, make([]byte, 10), false); err == nil {
 		t.Error("short segment accepted")

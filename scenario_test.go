@@ -7,6 +7,7 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
+	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
@@ -107,6 +108,34 @@ func startEchoClientPort(t *testing.T, sc *tcpfailover.Scenario, total int64, po
 	return ec
 }
 
+// tapSeals taps every host of sc and returns a check that every TCP
+// datagram a host transmitted carried a checksum that verifies. A segment is
+// sealed by whoever puts it on a wire — the stack's output, the secondary's
+// divert, the primary bridge's releases, drain and pass-through — so a send
+// path that forgets to fails here rather than as a stall.
+func tapSeals(sc *tcpfailover.Scenario) func(t *testing.T) {
+	var sent, unsealed int
+	for _, h := range []*netstack.Host{sc.Client, sc.Router, sc.Primary, sc.Secondary, sc.Tertiary} {
+		if h == nil {
+			continue
+		}
+		h.AddPacketTap(func(dir string, hdr ipv4.Header, payload []byte) {
+			if dir == "tx" && hdr.Protocol == ipv4.ProtoTCP {
+				sent++
+				if tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) != 0 {
+					unsealed++
+				}
+			}
+		})
+	}
+	return func(t *testing.T) {
+		t.Helper()
+		if sent == 0 || unsealed > 0 {
+			t.Errorf("%d of %d transmitted TCP datagrams fail their checksum", unsealed, sent)
+		}
+	}
+}
+
 func (ec *echoClient) check(t *testing.T) {
 	t.Helper()
 	if ec.sent != ec.total {
@@ -157,6 +186,7 @@ func TestStandardEchoBaseline(t *testing.T) {
 
 func TestFailoverPrimaryMidStream(t *testing.T) {
 	sc := newEchoScenario(t, tcpfailover.LANOptions())
+	checkSeals := tapSeals(sc)
 	ec := startEchoClient(t, sc, 512*1024)
 
 	// Let the transfer get going, then kill the primary.
@@ -170,13 +200,17 @@ func TestFailoverPrimaryMidStream(t *testing.T) {
 			err, ec.sent, ec.received, ec.eof)
 	}
 	ec.check(t)
+	checkSeals(t)
 	if got := sc.Group.SecondaryBridge().Stats().TakenOver; got == 0 {
 		t.Error("secondary bridge reports no connections taken over")
 	}
 }
 
+// TestFailoverSecondaryMidStream also covers the degraded send paths: the
+// section 6 drain of the primary's queue and forwardDegraded.
 func TestFailoverSecondaryMidStream(t *testing.T) {
 	sc := newEchoScenario(t, tcpfailover.LANOptions())
+	checkSeals := tapSeals(sc)
 	ec := startEchoClient(t, sc, 512*1024)
 
 	if err := sc.RunUntil(func() bool { return ec.received > 64*1024 }, 60*time.Second); err != nil {
@@ -189,6 +223,7 @@ func TestFailoverSecondaryMidStream(t *testing.T) {
 			err, ec.sent, ec.received, ec.eof)
 	}
 	ec.check(t)
+	checkSeals(t)
 	if !sc.Group.PrimaryBridge().Degraded() {
 		t.Error("primary bridge did not degrade after secondary failure")
 	}
