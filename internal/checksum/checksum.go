@@ -16,51 +16,95 @@ import (
 // specifies; this is handled correctly even when the odd byte falls at a
 // slice boundary.
 func Sum(chunks ...[]byte) uint16 {
-	// The one's-complement sum is taken eight bytes at a time: a big-endian
-	// 64-bit load is four of the 16-bit words side by side, 2^16 ≡ 1 modulo
-	// 2^16-1, and so the 64-bit sum with end-around carry folds down to the
-	// sum of the words. The carry out of each add is fed into the next one
-	// and the last is added back at the end.
-	var sum, carry uint64
+	// The one's-complement sum is taken eight bytes at a time: a 64-bit load
+	// is four of the 16-bit words side by side, 2^16 ≡ 1 modulo 2^16-1, and
+	// so the 64-bit sum with end-around carry folds down to the sum of the
+	// words. The sum is byte-order independent (RFC 1071 §2(B)): words loaded
+	// little-endian sum to the byte-swapped result, so the loads are native
+	// on little-endian hosts and the swap is done once, on the folded sum.
+	//
+	// Two accumulators run independent carry chains, s0 over the low half of
+	// each 64-byte step and s1 over the high half. Each step starts its
+	// chains from no carry and banks their carries out in c, so the chain
+	// carried from one step to the next is the adds alone.
+	var s0, s1, c, k0, k1 uint64
 	odd := false // the previous chunk ended on the high byte of a word
 	for _, b := range chunks {
 		if odd && len(b) > 0 {
-			sum, carry = bits.Add64(sum, uint64(b[0]), carry)
+			// Low byte of the word the previous chunk began.
+			s0, k0 = bits.Add64(s0, uint64(b[0])<<8, 0)
+			c += k0
 			b = b[1:]
 			odd = false
 		}
-		for len(b) >= 32 { // unrolled: twice the speed on full-sized segments
-			sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
-			sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:]), carry)
-			sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:]), carry)
-			sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:]), carry)
+		if len(b) >= 64 { // headers and the pseudo-header skip the loop's set-up
+			n := len(b) &^ 63
+			for i := 0; i < n; i += 64 {
+				x := b[i : i+64 : i+64]
+				s0, k0 = bits.Add64(s0, le64(x), 0)
+				s0, k0 = bits.Add64(s0, le64(x[8:]), k0)
+				s0, k0 = bits.Add64(s0, le64(x[16:]), k0)
+				s0, k0 = bits.Add64(s0, le64(x[24:]), k0)
+				s1, k1 = bits.Add64(s1, le64(x[32:]), 0)
+				s1, k1 = bits.Add64(s1, le64(x[40:]), k1)
+				s1, k1 = bits.Add64(s1, le64(x[48:]), k1)
+				s1, k1 = bits.Add64(s1, le64(x[56:]), k1)
+				c += k0 + k1
+			}
+			b = b[n:]
+		}
+		if len(b) >= 32 {
+			s0, k0 = bits.Add64(s0, le64(b), 0)
+			s0, k0 = bits.Add64(s0, le64(b[8:]), k0)
+			s1, k1 = bits.Add64(s1, le64(b[16:]), 0)
+			s1, k1 = bits.Add64(s1, le64(b[24:]), k1)
+			c += k0 + k1
 			b = b[32:]
 		}
-		for len(b) >= 8 {
-			sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		if len(b) >= 16 {
+			s0, k0 = bits.Add64(s0, le64(b), 0)
+			s1, k1 = bits.Add64(s1, le64(b[8:]), 0)
+			c += k0 + k1
+			b = b[16:]
+		}
+		if len(b) >= 8 {
+			s0, k0 = bits.Add64(s0, le64(b), 0)
+			c += k0
 			b = b[8:]
 		}
+		// Under eight bytes are left: they fill one word, added once.
+		var w uint64
 		if len(b) >= 4 {
-			sum, carry = bits.Add64(sum, uint64(binary.BigEndian.Uint32(b)), carry)
+			w = uint64(binary.LittleEndian.Uint32(b))
 			b = b[4:]
 		}
 		if len(b) >= 2 {
-			sum, carry = bits.Add64(sum, uint64(binary.BigEndian.Uint16(b)), carry)
+			w |= uint64(binary.LittleEndian.Uint16(b)) << 32
 			b = b[2:]
 		}
 		if len(b) == 1 {
 			// High byte of a word whose low byte is the next chunk's first
 			// byte, or the zero padding if there is none.
-			sum, carry = bits.Add64(sum, uint64(b[0])<<8, carry)
+			w |= uint64(b[0]) << 48
 			odd = true
 		}
+		s1, k1 = bits.Add64(s1, w, 0)
+		c += k1
 	}
-	sum, carry = bits.Add64(sum, carry, 0)
-	sum += carry
-	sum = sum>>32 + sum&0xffffffff // < 2^33
-	sum = sum>>16 + sum&0xffff     // < 2^18
-	return ^fold(uint32(sum))
+	sum, carry := bits.Add64(s0, s1, 0)
+	sum, carry = bits.Add64(sum, c, carry)
+	sum += carry // cannot wrap: a carried add leaves sum ≤ c
+	// Adding a word to itself rotated by half its width leaves the
+	// end-around-carry sum of its halves in the upper half: the lower
+	// half's carry out is the end-around carry.
+	sum += bits.RotateLeft64(sum, 32)
+	half := uint32(sum >> 32)
+	half += bits.RotateLeft32(half, 16)
+	return ^bits.ReverseBytes16(uint16(half >> 16))
 }
+
+// le64 loads eight bytes little-endian.
+func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // fold reduces a 32-bit partial sum to 16 bits with end-around carry.
 func fold(sum uint32) uint16 {

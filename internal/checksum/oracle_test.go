@@ -40,6 +40,9 @@ func randomBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
+// TestSumMatchesOracleByLength covers every length up to 2 KB (and the
+// largest datagram), each starting at offsets 0–7 of one backing array so
+// the word loads meet every alignment.
 func TestSumMatchesOracleByLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	lengths := []int{65535}
@@ -47,10 +50,14 @@ func TestSumMatchesOracleByLength(t *testing.T) {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		b := randomBytes(rng, n)
-		if got, want := Sum(b), refSum(b); got != want {
-			t.Fatalf("len %d: Sum = %#04x, oracle %#04x", n, got, want)
+		backing := randomBytes(rng, n+7)
+		for off := 0; off < 8; off++ {
+			b := backing[off : off+n]
+			if got, want := Sum(b), refSum(b); got != want {
+				t.Fatalf("len %d offset %d: Sum = %#04x, oracle %#04x", n, off, got, want)
+			}
 		}
+		b := backing[:n]
 		// Carry saturation: every word is 0xffff, every add carries.
 		for i := range b {
 			b[i] = 0xff
@@ -66,7 +73,7 @@ func TestSumMatchesOracleByLength(t *testing.T) {
 // ones) land before, between and after even ones.
 func TestSumMatchesOracleAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n = 41 // covers the 32-, 8-, 4-, 2- and 1-byte steps in one chunk
+	const n = 127 // covers the 64-byte step and the 32-, 16-, 8-, 4-, 2- and 1-byte tails in one chunk
 	b := randomBytes(rng, n)
 	want := refSum(b)
 	if got := Sum(b); got != want {
@@ -89,14 +96,17 @@ func TestSumMatchesOracleAcrossChunks(t *testing.T) {
 	}
 }
 
-// FuzzSum checks Sum against the oracle on arbitrary data cut into three
-// chunks at arbitrary points.
+// FuzzSum checks Sum against the oracle on arbitrary data, starting at an
+// arbitrary offset 0–7 into its backing array and cut into three chunks at
+// arbitrary points.
 func FuzzSum(f *testing.F) {
-	f.Add([]byte{}, uint16(0), uint16(0))
-	f.Add([]byte{0xab}, uint16(1), uint16(0))
-	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}, uint16(3), uint16(4))
-	f.Add(make([]byte, 1500), uint16(12), uint16(700))
-	f.Fuzz(func(t *testing.T, data []byte, cutA, cutB uint16) {
+	f.Add([]byte{}, uint8(0), uint16(0), uint16(0))
+	f.Add([]byte{0xab}, uint8(3), uint16(1), uint16(0))
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}, uint8(0), uint16(3), uint16(4))
+	f.Add(make([]byte, 1500), uint8(5), uint16(12), uint16(700))
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8, cutA, cutB uint16) {
+		o := int(off % 8)
+		data := append(make([]byte, o, o+len(raw)), raw...)[o:]
 		i := int(cutA) % (len(data) + 1)
 		j := i + int(cutB)%(len(data)-i+1)
 		want := refSum(data)
@@ -112,23 +122,31 @@ func FuzzSum(f *testing.F) {
 var sumSink uint16
 
 // BenchmarkSum covers the header-only sizes that dominate small-packet
-// workloads (a bare IPv4 header; a pseudo-header plus a 20-byte TCP header)
-// and data segments, for both implementations.
+// workloads (a bare IPv4 header; a bare TCP ACK's IPv4 and TCP headers),
+// conn-scale's 276-byte reply segment, and data segments: a direct call, one
+// behind the 14-byte pseudo-header chunk the TCP checksum sums first (its
+// last word carries a kept payload sum), and the oracle.
 func BenchmarkSum(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	var pseudo [12]byte
-	for _, n := range []int{20, 40, 296, 1480} {
+	var pseudo [14]byte
+	for _, n := range []int{20, 40, 276, 296, 1480} {
 		data := randomBytes(rng, n)
-		b.Run("words/"+strconv.Itoa(n), func(b *testing.B) {
+		b.Run("direct/"+strconv.Itoa(n), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				sumSink += Sum(data) + Sum(pseudo[:], data)
+				sumSink += Sum(data)
+			}
+		})
+		b.Run("pseudo/"+strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				sumSink += Sum(pseudo[:], data)
 			}
 		})
 		b.Run("oracle/"+strconv.Itoa(n), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				sumSink += refSum(data) + refSum(pseudo[:], data)
+				sumSink += refSum(pseudo[:], data)
 			}
 		})
 	}

@@ -173,7 +173,7 @@ func (b *SecondaryBridge) SetFlowLimit(n int) { b.maxFlows = n }
 func (b *SecondaryBridge) Flows() int { return b.flows.Len() }
 
 // NewSecondaryBridge installs the bridge on host's interface ifIndex. The
-// NIC is placed in promiscuous receive mode.
+// interface snoops the primary's address in promiscuous receive mode.
 func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector) *SecondaryBridge {
 	b := &SecondaryBridge{
 		host:     host,
@@ -185,7 +185,7 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 		active:   true,
 		m:        newSecondaryMetrics(nil, ""),
 	}
-	host.Iface(ifIndex).NIC().SetPromiscuous(true)
+	host.Iface(ifIndex).Snoop(primaryAddr)
 	host.SetInboundHook(b.Inbound)
 	host.SetOutboundHook(b.Outbound)
 	return b
@@ -379,7 +379,7 @@ func (b *SecondaryBridge) Takeover() error {
 	// Steps 1, 3, 4: a single flag gates both hooks and the output path.
 	b.active = false
 	// Step 2.
-	b.host.Iface(b.ifIndex).NIC().SetPromiscuous(false)
+	b.host.Iface(b.ifIndex).Snoop(0)
 	// Step 5.
 	b.host.AddAddress(b.ifIndex, b.aP)
 	if b.matcher != nil {

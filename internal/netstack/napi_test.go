@@ -302,11 +302,12 @@ func TestBatchedIngressDoesNotAllocate(t *testing.T) {
 		frames = append(frames, ipv4.Marshal(ipv4.Header{TTL: 64, Protocol: ipv4.ProtoTCP, Src: src, Dst: dst},
 			tcp.Marshal(src, dst, &seg)))
 	}
+	ifc := r.h.ifaces[0]
 	burst := func() {
 		for _, f := range frames {
 			pkt := netbuf.Get()
 			copy(pkt.Extend(len(f)), f)
-			r.h.frameIn(r.h.ifaces[0], ethernet.Frame{Type: ethernet.TypeIPv4, Payload: pkt.Bytes(), Buf: pkt})
+			r.h.frameIn(ifc, ethernet.Frame{Dst: ifc.nic.MAC(), Type: ethernet.TypeIPv4, Payload: pkt.Bytes(), Buf: pkt})
 		}
 		if err := r.sched.Run(); err != nil {
 			t.Fatal(err)

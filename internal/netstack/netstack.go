@@ -94,10 +94,11 @@ const (
 	VerdictDrop
 )
 
-// InboundHook inspects every received TCP datagram — including frames
-// captured promiscuously — before normal IP processing. It may rewrite the
-// header and payload (the secondary bridge's address translation) or
-// consume the datagram (the primary bridge's demultiplexer).
+// InboundHook inspects every received TCP datagram — including those a
+// snooping interface captures for its snooped address (Iface.Snoop) — before
+// normal IP processing. It may rewrite the header and payload (the secondary
+// bridge's address translation) or consume the datagram (the primary
+// bridge's demultiplexer).
 type InboundHook func(ifIndex int, hdr ipv4.Header, payload []byte) (InVerdict, ipv4.Header, []byte)
 
 // OutboundHook interposes on segments the local TCP layer emits, before IP
@@ -117,10 +118,22 @@ type Iface struct {
 	nic   *ethernet.NIC
 	arp   *arp.Module
 	addrs []ipv4.Addr
+	snoop ipv4.Addr // the foreign destination captured promiscuously, if any
 }
 
-// NIC exposes the underlying Ethernet interface (promiscuous control).
+// NIC exposes the underlying Ethernet interface.
 func (i *Iface) NIC() *ethernet.NIC { return i.nic }
+
+// Snoop puts the interface's NIC in promiscuous receive mode to capture the
+// datagrams addressed to addr, as the paper's secondary captures the
+// client's segments to the primary (section 3); the zero address turns
+// promiscuous mode off again (section 5, step 2). What else the NIC
+// overhears is dropped on arrival unless the host owns, forwards or taps it
+// (see frameIn).
+func (i *Iface) Snoop(addr ipv4.Addr) {
+	i.snoop = addr
+	i.nic.SetPromiscuous(!addr.IsZero())
+}
 
 // ARP exposes the interface's ARP module (cache seeding, announcements).
 func (i *Iface) ARP() *arp.Module { return i.arp }
@@ -463,6 +476,13 @@ func (h *Host) frameIn(ifc *Iface, f ethernet.Frame) {
 			f.Buf.Release()
 			return
 		}
+		if h.overheard(ifc, f.Dst, hdr.Dst) {
+			// It costs the CPU what any arrival does, and goes no further:
+			// the inbound hook and IP input would only discard it.
+			h.chargeIngress(len(payload))
+			f.Buf.Release()
+			return
+		}
 		if h.profile.NAPIBudget > 1 && hdr.Protocol == ipv4.ProtoTCP && len(payload) >= tcp.HeaderLen {
 			h.batchedIn(ifc, hdr, payload, f.Buf)
 			return
@@ -473,6 +493,15 @@ func (h *Host) frameIn(ifc *Iface, f ethernet.Frame) {
 	default:
 		f.Buf.Release()
 	}
+}
+
+// overheard reports whether a frame a promiscuous NIC delivered is of no use
+// to the host: addressed to another station, and to an IP destination that
+// is neither the interface's snooped address nor one the host owns, on a
+// host that neither forwards nor taps what it receives.
+func (h *Host) overheard(ifc *Iface, mac ethernet.MAC, dst ipv4.Addr) bool {
+	return mac != ifc.nic.MAC() && !mac.IsBroadcast() && dst != ifc.snoop &&
+		!h.forwarding && len(h.taps) == 0 && !h.Owns(dst)
 }
 
 // batchedIn is frameIn's TCP ingress path under NAPI batching. A frame whose

@@ -132,48 +132,64 @@ func TestNonForwardingHostDropsTransit(t *testing.T) {
 }
 
 func TestInboundHookRewritesAndDelivers(t *testing.T) {
-	// The secondary-bridge pattern: promiscuous NIC + inbound hook that
-	// rewrites a foreign destination to a local one.
-	sched := sim.New(1)
-	lan := ethernet.NewSegment(sched, ethernet.Config{})
+	// The secondary-bridge pattern: an interface snooping aP and an inbound
+	// hook that rewrites that foreign destination to a local one. The
+	// snooper overhears a datagram to another foreign address as well; it
+	// must reach neither the hook nor IP input — unless a packet tap watches
+	// the host, which then runs everything it receives.
 	prefix := ipv4.PrefixFrom(ipv4.MustParseAddr("10.0.1.0"), 24)
 	aP := ipv4.MustParseAddr("10.0.1.1")
 	aS := ipv4.MustParseAddr("10.0.1.2")
-
-	sender := netstack.NewHost(sched, "sender", netstack.DefaultProfile())
-	sender.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 1}, aP, prefix)
-
-	snooper := netstack.NewHost(sched, "snooper", netstack.DefaultProfile())
-	snooper.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 2}, aS, prefix)
-	snooper.Iface(0).NIC().SetPromiscuous(true)
-
-	// A third host owns aP so the datagram is legitimately addressed there.
-	target := netstack.NewHost(sched, "target", netstack.DefaultProfile())
-	target.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 3}, ipv4.MustParseAddr("10.0.1.3"), prefix)
-	_ = target
-
-	var delivered []byte
-	snooper.RegisterProtocol(ipv4.ProtoTCP, nil) // not used; hook handles
-	snooper.SetInboundHook(func(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
-		if hdr.Dst == aP {
-			hdr.Dst = aS
-			delivered = append([]byte(nil), payload...)
-			return netstack.VerdictDrop, hdr, payload // drop after recording
+	src := ipv4.MustParseAddr("10.0.1.3")
+	other := ipv4.MustParseAddr("10.0.1.9")
+	run := func(tap bool) (hooked []ipv4.Addr, delivered []byte, events int) {
+		sched := sim.New(1)
+		lan := ethernet.NewSegment(sched, ethernet.Config{})
+		sender := netstack.NewHost(sched, "sender", netstack.DefaultProfile())
+		sender.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 1}, aP, prefix)
+		snooper := netstack.NewHost(sched, "snooper", netstack.DefaultProfile())
+		snooper.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 2}, aS, prefix)
+		snooper.Iface(0).Snoop(aP)
+		if tap {
+			snooper.AddPacketTap(func(string, ipv4.Header, []byte) {})
 		}
-		return netstack.VerdictPass, hdr, payload
-	})
+		snooper.SetInboundHook(func(ifIndex int, hdr ipv4.Header, payload []byte) (netstack.InVerdict, ipv4.Header, []byte) {
+			hooked = append(hooked, hdr.Dst)
+			if hdr.Dst == aP {
+				hdr.Dst = aS
+				delivered = append([]byte(nil), payload...)
+				return netstack.VerdictDrop, hdr, payload // drop after recording
+			}
+			return netstack.VerdictPass, hdr, payload
+		})
+		// Unicast frames to stations other than the snooper.
+		sender.Iface(0).ARP().Seed(aP, ethernet.MAC{2, 0, 0, 0, 0, 1})
+		sender.Iface(0).ARP().Seed(other, ethernet.MAC{2, 0, 0, 0, 0, 9})
+		for _, dst := range []ipv4.Addr{aP, other} {
+			seg := tcp.Marshal(src, dst, &tcp.Segment{SrcPort: 1, DstPort: 2, Flags: tcp.FlagACK})
+			if err := sender.SendIP(src, dst, ipv4.ProtoTCP, seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return hooked, delivered, sched.Executed()
+	}
 
-	seg := tcp.Marshal(ipv4.MustParseAddr("10.0.1.3"), aP, &tcp.Segment{SrcPort: 1, DstPort: 2, Flags: tcp.FlagACK})
-	if err := sender.SendIP(ipv4.MustParseAddr("10.0.1.3"), aP, ipv4.ProtoTCP, seg); err != nil {
-		t.Fatal(err)
-	}
-	// Seed ARP so the unicast resolves.
-	sender.Iface(0).ARP().Seed(aP, ethernet.MAC{2, 0, 0, 0, 0, 1})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	hooked, delivered, events := run(false)
 	if len(delivered) == 0 {
-		t.Fatal("promiscuous inbound hook never saw the snooped datagram")
+		t.Fatal("inbound hook never saw the snooped datagram")
+	}
+	if len(hooked) != 1 {
+		t.Errorf("inbound hook saw datagrams to %v, want only the snooped %v", hooked, aP)
+	}
+	hooked, _, tapped := run(true)
+	if len(hooked) != 2 {
+		t.Errorf("with a packet tap the inbound hook saw datagrams to %v, want %v and %v", hooked, aP, other)
+	}
+	if tapped-events != 1 {
+		t.Errorf("a packet tap added %d events, want 1: the overheard datagram's IP input", tapped-events)
 	}
 }
 

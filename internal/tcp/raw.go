@@ -13,7 +13,9 @@ import (
 // segments; the in-place mutators maintain the TCP checksum incrementally
 // rather than recomputing it (paper section 3.1: "we subtract the original
 // bytes from the checksum, and add the new bytes"). AppendOrigDstOption
-// builds a new segment, which its caller seals once for the wire it takes.
+// builds a new segment, which its caller seals once for the wire it takes;
+// StripOrigDstOptionInPlace yields one that never reaches a wire, and so
+// leaves its checksum field alone.
 
 // Raw field readers. All assume a well-formed segment (len >= HeaderLen).
 
@@ -228,8 +230,8 @@ func OrigDstOptionBlock(opt *[origDstBlockLen]byte, orig ipv4.Addr) {
 // shape AppendOrigDstOption writes, without copying or modifying it. The
 // primary's demultiplexer uses it to classify a datagram before the
 // checksum verification that must precede the in-place strip, and drops a
-// segment with the option in any other shape: the strip's offset and
-// checksum arithmetic hold for that block alone.
+// segment with the option in any other shape: the strip's offset arithmetic
+// holds for that block alone.
 func HasOrigDstOption(b []byte) (present, wellFormed bool) {
 	_, present, wellFormed = findOrigDstOption(b)
 	return present, wellFormed
@@ -239,10 +241,12 @@ func HasOrigDstOption(b []byte) (present, wellFormed bool) {
 // copying the segment, restoring the header the secondary's TCP layer
 // produced: the header bytes before the block shift forward over it and the
 // stripped segment — a tail slice of b — is returned with the option value.
-// The last return is false, and b comes back whole, unless the segment
-// carries the option as AppendOrigDstOption writes it. The caller must own b
-// (the primary's inbound hook does: each receiver gets a private copy of
-// the frame).
+// Its checksum field still holds the diverted segment's: the stripped
+// segment never reaches a wire, and whatever the bridge sends of it is
+// sealed anew. The last return is false, and b comes back whole, unless the
+// segment carries the option as AppendOrigDstOption writes it. The caller
+// must own b (the primary's inbound hook does: each receiver gets a private
+// copy of the frame).
 func StripOrigDstOptionInPlace(b []byte) ([]byte, ipv4.Addr, bool) {
 	addr, _, ok := findOrigDstOption(b)
 	if !ok {
@@ -250,21 +254,9 @@ func StripOrigDstOptionInPlace(b []byte) ([]byte, ipv4.Addr, bool) {
 	}
 	hdrLen := RawHeaderLen(b)
 	start := hdrLen - origDstBlockLen
-	// Capture the block and the old offset word before the shift
-	// overwrites them.
-	var gone [origDstBlockLen]byte
-	copy(gone[:], b[start:hdrLen])
-	oldOffWord := getU16(b[12:])
-
 	copy(b[origDstBlockLen:hdrLen], b[:start])
 	out := b[origDstBlockLen:]
-
-	sum := RawChecksum(out)
 	out[12] = byte(start/4) << 4
-	sum = checksum.Update(sum, oldOffWord, getU16(out[12:]))
-	sum = checksum.UpdateBytes(sum, gone[:], nil)
-	sum = checksum.Update(sum, uint16(len(b)), uint16(len(out)))
-	putU16(out[16:], sum)
 	return out, addr, true
 }
 

@@ -80,7 +80,8 @@ func TestPatchPseudoAddr(t *testing.T) {
 
 // TestInsertStripOrigDstRoundTrip covers the diversion option: the inserted
 // block must parse once the diverted segment is sealed for its hop, and
-// stripping must restore byte-identical original segments.
+// stripping must restore the original segment byte for byte, the checksum
+// field aside.
 func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	aP := dstA
@@ -113,7 +114,11 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 			t.Fatal("payload damaged by insertion")
 		}
 
-		// Primary inbound: strip and verify the client address comes back.
+		// Primary inbound: strip and verify the client address comes back,
+		// with the secondary's segment byte for byte but for the checksum
+		// field, which still holds the diverted segment's.
+		want := append([]byte(nil), orig...)
+		putU16(want[16:], RawChecksum(diverted))
 		stripped, gotOrig, ok := StripOrigDstOptionInPlace(diverted)
 		if !ok {
 			t.Fatal("option not found on diverted segment")
@@ -121,14 +126,8 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 		if gotOrig != client {
 			t.Fatalf("stripped orig = %v, want %v", gotOrig, client)
 		}
-		PatchPseudoAddr(stripped, aP, client)
-		checkValid(t, aS, client, stripped)
-		if len(stripped) != len(orig) {
-			t.Fatalf("stripped length %d, want %d", len(stripped), len(orig))
-		}
-		if RawSeq(stripped) != s.Seq || RawAck(stripped) != s.Ack ||
-			string(RawPayload(stripped)) != string(s.Payload) {
-			t.Fatal("stripped segment fields damaged")
+		if string(stripped) != string(want) {
+			t.Fatalf("stripped segment % x, want % x", stripped, want)
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
+	"tcpfailover/internal/core"
+	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
@@ -46,6 +48,7 @@ type echoClient struct {
 	badAt    int64
 	eof      bool
 	closed   bool
+	closedAt time.Duration
 	err      error
 }
 
@@ -103,6 +106,7 @@ func startEchoClientPort(t *testing.T, sc *tcpfailover.Scenario, total int64, po
 	})
 	conn.OnClose(func(err error) {
 		ec.closed = true
+		ec.closedAt = sc.Sched.Now()
 		ec.err = err
 	})
 	return ec
@@ -203,6 +207,65 @@ func TestFailoverPrimaryMidStream(t *testing.T) {
 	checkSeals(t)
 	if got := sc.Group.SecondaryBridge().Stats().TakenOver; got == 0 {
 		t.Error("secondary bridge reports no connections taken over")
+	}
+}
+
+// TestOverheardFramesSkipMatchesTappedRun: the secondary's promiscuous NIC
+// overhears every frame the primary sends toward the router, and frameIn
+// drops those on arrival instead of running them through the inbound hook
+// and IP input. A packet tap turns the drop off, so the same seeded failover
+// stream with a no-op tap on the secondary takes the old path. The primary
+// crashes mid-stream, so the takeover's Snoop(0) is crossed. Everything
+// observable must match, and the untapped run executes exactly one event
+// fewer per overheard frame.
+func TestOverheardFramesSkipMatchesTappedRun(t *testing.T) {
+	type outcome struct {
+		received, badAt int64
+		err             error
+		closedAt        time.Duration
+		lan, client     ethernet.Stats
+		primary         core.PrimaryStats
+		secondary       core.SecondaryStats
+		executed        int
+		overheard       int
+	}
+	run := func(tap bool) outcome {
+		sc := newEchoScenario(t, tcpfailover.LANOptions())
+		var o outcome
+		if tap {
+			s := sc.Secondary
+			s.AddPacketTap(func(dir string, hdr ipv4.Header, _ []byte) {
+				if dir == "rx" && hdr.Dst != sc.ServiceAddr() && !s.Owns(hdr.Dst) {
+					o.overheard++
+				}
+			})
+		}
+		ec := startEchoClient(t, sc, 256*1024)
+		if err := sc.RunUntil(func() bool { return ec.received > 64*1024 }, 60*time.Second); err != nil {
+			t.Fatalf("warm-up: %v (received=%d)", err, ec.received)
+		}
+		sc.Group.CrashPrimary()
+		if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
+			t.Fatalf("post-failover run: %v (received=%d)", err, ec.received)
+		}
+		ec.check(t)
+		o.received, o.badAt, o.err, o.closedAt = ec.received, ec.badAt, ec.err, ec.closedAt
+		o.lan, o.client = sc.ServerLAN.Stats(), sc.ClientLink.Stats()
+		o.primary, o.secondary = sc.Group.PrimaryBridge().Stats(), sc.Group.SecondaryBridge().Stats()
+		o.executed = sc.Sched.Executed()
+		return o
+	}
+	skipped, tapped := run(false), run(true)
+	if tapped.overheard == 0 {
+		t.Fatal("the secondary overheard no frames")
+	}
+	if skipped.executed+tapped.overheard != tapped.executed {
+		t.Errorf("executed %d events untapped, %d tapped: want a difference of the %d overheard frames",
+			skipped.executed, tapped.executed, tapped.overheard)
+	}
+	skipped.executed, skipped.overheard = tapped.executed, tapped.overheard
+	if skipped != tapped {
+		t.Errorf("runs differ:\nuntapped %+v\ntapped   %+v", skipped, tapped)
 	}
 }
 
