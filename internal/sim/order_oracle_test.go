@@ -79,7 +79,7 @@ type oracleRun struct {
 
 func (o *oracleRun) horizon() time.Duration {
 	now := o.s.Now()
-	switch o.rng.Intn(7) {
+	switch o.rng.Intn(8) {
 	case 0:
 		return now - time.Microsecond // clamped to now
 	case 1:
@@ -89,9 +89,11 @@ func (o *oracleRun) horizon() time.Duration {
 	case 4:
 		return now + time.Duration(o.rng.Intn(int(3*time.Millisecond))) // around the staging threshold
 	case 5:
-		return now + time.Duration(o.rng.Intn(int(900*time.Millisecond))) // wheel
+		return now + time.Duration(o.rng.Intn(int(900*time.Millisecond))) // near wheel
+	case 6:
+		return now + time.Second + time.Duration(o.rng.Intn(int(2*time.Second))) // far level, soon cascaded
 	}
-	return now + time.Second + time.Duration(o.rng.Intn(int(2*time.Second))) // beyond the wheel
+	return now + time.Duration(o.rng.Int63n(int64(2*farTick*wheelSlots))) // either level or past the far horizon
 }
 
 // arm schedules id (a new one when id == len(timers)) through one of the

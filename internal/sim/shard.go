@@ -264,8 +264,8 @@ func (mb *Mailbox) drain() {
 // --- window loop ---------------------------------------------------------
 
 // nextEventBound returns a lower bound on the scheduler's earliest pending
-// event: the heap top, or the timing wheel's earliest staged tick (whose
-// slot start is ≤ every event staged in it).
+// event: the heap top, or either wheel level's earliest staged slot start
+// (≤ every event staged in that slot).
 func (s *Scheduler) nextEventBound() (time.Duration, bool) {
 	has := false
 	var b time.Duration
@@ -273,13 +273,16 @@ func (s *Scheduler) nextEventBound() (time.Duration, bool) {
 		b = s.queue[0].when
 		has = true
 	}
-	if s.wheel != nil && s.wheel.count > 0 {
-		wb := time.Duration(s.wheel.nextTick()) * wheelTick
-		if !has || wb < b {
-			b = wb
+	staged := func(w *timerWheel, unit time.Duration) {
+		if w != nil && w.count > 0 {
+			if wb := time.Duration(w.nextTick()) * unit; !has || wb < b {
+				b = wb
+			}
+			has = true
 		}
-		has = true
 	}
+	staged(s.wheel, wheelTick)
+	staged(s.far, farTick)
 	return b, has
 }
 

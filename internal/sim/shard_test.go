@@ -216,6 +216,39 @@ func TestPostLookaheadViolationPanics(t *testing.T) {
 	_ = g.RunUntil(time.Second)
 }
 
+// TestShardWindowsReachFarStagedTimer: a domain whose only pending event is
+// a far-staged 60 s timer bounds the window loop. Ignoring it would let one
+// window run past the timer, whose cross-domain post then lands inside its
+// own window and panics; a bound that never moved would stall the loop at
+// one lookahead per window for a minute of virtual time.
+func TestShardWindowsReachFarStagedTimer(t *testing.T) {
+	a, b := New(1), New(2)
+	g := NewShardGroup(a, b)
+	g.SetWorkers(1) // serial windows so a lookahead panic surfaces here
+	mb, err := g.NewMailbox(a, b, time.Millisecond, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.NewStream(1, 1).Use()
+	var got time.Duration
+	tm := a.At(60*time.Second, "timewait", func() {
+		mb.Post(a.Now()+time.Millisecond, "deliver", func(any) { got = b.Now() }, nil)
+	})
+	if lv := level(tm); lv != "far" {
+		t.Fatalf("60 s timer staged in %s, want far", lv)
+	}
+	if err := g.RunUntil(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if want := 60*time.Second + time.Millisecond; got != want {
+		t.Fatalf("delivery ran at %v, want %v", got, want)
+	}
+	// Far slot start, the timer, the delivery, then straight to the end.
+	if w := g.Windows(); w > 4 {
+		t.Fatalf("%d windows for three events, want at most 4", w)
+	}
+}
+
 // TestInjectExplicitKey: injected events order against local events by their
 // explicit (when, stream, seq) key.
 func TestInjectExplicitKey(t *testing.T) {

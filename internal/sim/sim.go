@@ -74,7 +74,8 @@ func (st *Stream) Use() { st.s.cur = st.st }
 
 // event is a pooled scheduled callback. Exactly one of fn and fnArg is set.
 // A pending event lives either in the heap (index >= 0) or staged in a
-// timing-wheel slot (slot >= 0), never both.
+// timing-wheel slot (slot >= 0: near level below wheelSlots, far level at
+// or above), never both.
 type event struct {
 	when  time.Duration
 	seq   uint64
@@ -119,9 +120,13 @@ func (t Timer) Stop() bool {
 	}
 	s := e.sched
 	if e.slot >= 0 {
-		// Staged in the timing wheel: O(1) swap-remove from its slot.
+		// Staged in a wheel level: O(1) unlink from its slot.
+		w := s.wheel
+		if e.slot >= wheelSlots {
+			w = s.far
+		}
 		s.pending--
-		s.wheel.remove(e)
+		w.remove(e)
 		s.release(e)
 		return true
 	}
@@ -164,10 +169,16 @@ type Scheduler struct {
 	// push fills it, fire closes it otherwise, so it is set only inside a
 	// callback: settle, RunUntil, runBefore and nextEventBound, which read
 	// queue[0], run outside one and always see the root filled.
-	vacant   bool
-	wheel    *timerWheel // short-horizon staging wheel; nil for BackendHeap
-	free     []*event    // recycled events
-	pending  int         // queued events not yet stopped
+	vacant bool
+	wheel  *timerWheel // near staging level; nil for BackendHeap
+	far    *timerWheel // far staging level; nil until the first far arm
+	// farFrom is a lower bound on the start of the far level's earliest
+	// staged slot, maxDuration when that level is empty: settle's one
+	// comparison against the heap top. Stop leaves it low; cascade
+	// refreshes it.
+	farFrom  time.Duration
+	free     []*event // recycled events
+	pending  int      // queued events not yet stopped
 	cur      *streamState
 	streams  []*streamState // registration order; streams[0] is stream 0
 	digestOn bool
@@ -184,14 +195,14 @@ type Scheduler struct {
 
 // New returns a Scheduler whose RNG is seeded with seed, making the entire
 // simulation reproducible. The scheduler uses the process-default timer
-// backend (the single-level hashed timing wheel unless SetDefaultBackend
+// backend (the two-level hashed timing wheel unless SetDefaultBackend
 // says otherwise); execution order is identical for either backend.
 func New(seed int64) *Scheduler {
 	return NewBackend(seed, DefaultBackend())
 }
 
 // NewBackend returns a Scheduler with an explicit timer backend. BackendWheel
-// stages short-horizon timers in a hashed wheel for O(1) arm/cancel;
+// stages timers in a two-level hashed wheel for O(1) arm/cancel;
 // BackendHeap keeps every pending event in the binary heap. The two execute
 // the same event sequence byte-for-byte (the wheel only stages events — they
 // always pass through the (when, seq) heap before firing), so BackendHeap
@@ -201,12 +212,13 @@ func NewBackend(seed int64, b Backend) *Scheduler {
 	s := &Scheduler{
 		cur:       st,
 		streams:   []*streamState{st},
+		farFrom:   maxDuration,
 		limit:     DefaultEventLimit,
 		wheelArms: (*obs.Registry)(nil).Counter("sim_timer_wheel_arms_total"),
 		heapArms:  (*obs.Registry)(nil).Counter("sim_timer_heap_arms_total"),
 	}
 	if b == BackendWheel {
-		s.wheel = newTimerWheel()
+		s.wheel = &timerWheel{}
 	}
 	return s
 }
@@ -319,14 +331,15 @@ func (s *Scheduler) release(ev *event) {
 }
 
 // schedule inserts a prepared event and returns its handle. Events whose
-// deadline is comfortably ahead of the current tick and within the wheel's
-// horizon are staged in a slot (O(1)); everything else goes straight into
-// the heap. Near-term events — packet hops and CPU charges, microseconds
-// out — are deliberately excluded: they execute almost immediately, so
-// staging would only add a settle-time flush on top of the heap push they
-// pay anyway. The wheel is for the timers that usually get canceled
-// (delayed ack, retransmission), whose cancel then costs O(1) unlinking
-// instead of an O(log n) heap repair.
+// deadline is comfortably ahead of the current tick and within the near
+// wheel's horizon are staged in a slot (O(1)); those beyond it, in the far
+// level's; everything else goes straight into the heap. Near-term events —
+// packet hops and CPU charges, microseconds out — are deliberately
+// excluded: they execute almost immediately, so staging would only add a
+// settle-time flush on top of the heap push they pay anyway. The near wheel
+// is for the timers that usually get canceled (delayed ack, retransmission),
+// whose cancel then costs O(1) unlinking instead of an O(log n) heap
+// repair; the far level keeps the long ones (TIME-WAIT) out of the heap.
 func (s *Scheduler) schedule(ev *event) Timer {
 	cur := s.cur
 	ev.sid = cur.id
@@ -336,20 +349,17 @@ func (s *Scheduler) schedule(ev *event) Timer {
 	s.pending++
 	if w := s.wheel; w != nil {
 		nowTick := int64(s.now / wheelTick)
-		if w.count == 0 && w.baseTick < nowTick {
-			// Nothing staged: slide the horizon window up to the present.
-			// Without this the window goes stale whenever every staged
-			// timer is canceled before expiring — the wheel's normal
-			// workload — because baseTick otherwise advances only when a
-			// slot is flushed.
-			w.baseTick = nowTick
-			w.scanFrom = nowTick
-		}
-		t := int64(ev.when / wheelTick)
-		if t > nowTick+1 && t >= w.baseTick && t-w.baseTick < wheelSlots {
-			s.wheelArms.Inc()
-			w.insert(ev, t)
-			return Timer{ev: ev, gen: ev.gen}
+		w.advance(nowTick)
+		if t := int64(ev.when / wheelTick); t > nowTick+1 {
+			if w.holds(t) {
+				s.wheelArms.Inc()
+				w.insert(ev, t)
+				return Timer{ev: ev, gen: ev.gen}
+			}
+			if t-w.baseTick >= wheelSlots && s.stageFar(ev, t) {
+				s.wheelArms.Inc()
+				return Timer{ev: ev, gen: ev.gen}
+			}
 		}
 	}
 	s.heapArms.Inc()

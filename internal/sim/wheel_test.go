@@ -4,44 +4,74 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
 
-// TestWheelHorizonBoundary arms timers straddling the wheel horizon: one in
-// the last in-horizon tick, one exactly at the horizon (heap), one far
-// beyond, and one at time zero. They must fire in deadline order and
-// Pending/When must hold for staged and heap-resident events alike.
+// level names where a pending timer's event waits.
+func level(tm Timer) string {
+	switch slot := tm.ev.slot; {
+	case slot >= wheelSlots:
+		return "far"
+	case slot >= 0:
+		return "near"
+	case tm.ev.index >= 0:
+		return "heap"
+	}
+	return "none"
+}
+
+// TestWheelHorizonBoundary arms timers straddling both levels' horizons:
+// time zero and the current tick (heap), the near wheel's last tick, the
+// first tick past it (far level), 60 s (TIME-WAIT), the far level's last
+// tick, and the first tick past that (heap). Each must be staged where the
+// rules say and fire in deadline order, and Pending/When must hold for
+// every timer still waiting at every deadline on the way — across each
+// cascade and flush.
 func TestWheelHorizonBoundary(t *testing.T) {
 	s := NewBackend(1, BackendWheel)
-	horizon := wheelTick * wheelSlots
-	deadlines := []time.Duration{
-		0,                   // current tick: straight to the heap
-		wheelTick - 1,       // near-term: straight to the heap
-		horizon - 1,         // last staged tick
-		horizon,             // first out-of-horizon tick: heap
-		horizon + wheelTick, // beyond: heap
-		10 * horizon,        // far future: heap
+	near := wheelTick * wheelSlots // first tick past the near wheel
+	far := farTick * wheelSlots    // first tick past the far level
+	cases := []struct {
+		d     time.Duration
+		level string
+	}{
+		{0, "heap"},                    // current tick
+		{wheelTick - 1, "heap"},        // near-term
+		{near - 1, "near"},             // last near tick
+		{near, "far"},                  // first tick past the near horizon
+		{near + wheelTick, "far"},      // beyond it
+		{10 * near, "far"},             // ten near rotations
+		{60 * time.Second, "far"},      // TIME-WAIT
+		{far - wheelTick, "far"},       // last far tick
+		{far - 1, "far"},               // its last nanosecond
+		{far, "heap"},                  // first tick past the far horizon
+		{far + 10*time.Second, "heap"}, // beyond it
+		{maxDuration, "heap"},          // the end of time
 	}
 	var fired []time.Duration
-	timers := make([]Timer, len(deadlines))
-	for i, d := range deadlines {
-		d := d
+	timers := make([]Timer, len(cases))
+	for i, c := range cases {
+		d := c.d
 		timers[i] = s.At(d, "t", func() { fired = append(fired, d) })
-	}
-	for i, tm := range timers {
-		if !tm.Pending() {
-			t.Fatalf("timer %d not pending", i)
-		}
-		if tm.When() != deadlines[i] {
-			t.Fatalf("timer %d When=%v want %v", i, tm.When(), deadlines[i])
+		if got := level(timers[i]); got != c.level {
+			t.Fatalf("timer %d (%v) staged in %s, want %s", i, d, got, c.level)
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fired, deadlines) {
-		t.Fatalf("fire order %v, want %v", fired, deadlines)
+	for i, c := range cases {
+		for j := i; j < len(cases); j++ {
+			if !timers[j].Pending() || timers[j].When() != cases[j].d {
+				t.Fatalf("before %v: timer %d Pending %v When %v, want pending at %v",
+					c.d, j, timers[j].Pending(), timers[j].When(), cases[j].d)
+			}
+		}
+		if err := s.RunUntil(c.d); err != nil {
+			t.Fatal(err)
+		}
+		if len(fired) != i+1 || fired[i] != c.d || timers[i].Pending() {
+			t.Fatalf("by %v fired %v, want timer %d last", c.d, fired, i)
+		}
 	}
 	if s.PendingEvents() != 0 {
 		t.Fatalf("PendingEvents = %d after drain", s.PendingEvents())
@@ -159,10 +189,12 @@ func TestWheelSameTickOrdering(t *testing.T) {
 }
 
 // TestWheelVsHeapRandomSchedule drives both backends through an identical
-// randomized arm/cancel/step workload — deadlines spanning the horizon,
-// cancellations, re-arms from inside callbacks — and requires byte-identical
-// execution traces.
+// randomized arm/cancel/step workload — deadlines spanning the near
+// horizon, the far level (cascades) and past the far horizon, cancellations
+// and re-arms from outside and inside callbacks — and requires
+// byte-identical execution traces.
 func TestWheelVsHeapRandomSchedule(t *testing.T) {
+	spans := []time.Duration{wheelTick * wheelSlots * 2, farTick * 8, farTick * wheelSlots * 2}
 	run := func(b Backend) string {
 		s := NewBackend(7, b)
 		rng := rand.New(rand.NewSource(42))
@@ -170,12 +202,15 @@ func TestWheelVsHeapRandomSchedule(t *testing.T) {
 		var timers []Timer
 		var arm func(id int)
 		arm = func(id int) {
-			d := time.Duration(rng.Int63n(int64(wheelTick * wheelSlots * 2)))
+			d := time.Duration(rng.Int63n(int64(spans[rng.Intn(len(spans))])))
 			id2 := id
 			timers = append(timers, s.After(d, "r", func() {
 				trace += fmt.Sprintf("%d@%v;", id2, s.Now())
 				if id2 < 400 && rng.Intn(3) == 0 {
 					arm(id2 + 1000)
+				}
+				if rng.Intn(4) == 0 {
+					timers[rng.Intn(len(timers))].Stop()
 				}
 			}))
 		}
@@ -219,5 +254,84 @@ func TestWheelPastDeadlineClamped(t *testing.T) {
 	want := []string{"a", "late", "now"}
 	if !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fire order %v, want %v", fired, want)
+	}
+}
+
+// TestFarTimersStayOutOfTheHeap is TIME-WAIT beside traffic: 128 timers at
+// 60 s (sixteen instants, eight ties each) next to three heap-resident hop
+// chains. The heap must hold only the chains' events until the timers'
+// tick comes due — far-staged until their far slot's start, near-staged
+// after its cascade — and the timers must then fire in key order.
+func TestFarTimersStayOutOfTheHeap(t *testing.T) {
+	s := NewBackend(1, BackendWheel)
+	const chains, timers = 3, 128
+	due := 60 * time.Second
+	var hop func(any)
+	hop = func(any) {
+		if s.Now() < due+time.Second {
+			s.AfterArg(700*time.Microsecond, "hop", hop, nil)
+		}
+	}
+	for i := 0; i < chains; i++ {
+		s.AfterArg(time.Duration(i)*100*time.Microsecond, "hop", hop, nil)
+	}
+	var fired, want []int
+	tms := make([]Timer, timers)
+	whens := make([]time.Duration, timers)
+	for i := range tms {
+		i := i
+		whens[i] = due + time.Duration(i*37%16)*50*time.Microsecond
+		tms[i] = s.At(whens[i], "timewait", func() { fired = append(fired, i) })
+		want = append(want, i)
+	}
+	sort.SliceStable(want, func(a, b int) bool { return whens[want[a]] < whens[want[b]] })
+
+	cascade := due / farTick * farTick // start of the timers' far slot
+	for steps := 0; ; steps++ {
+		s.settle()
+		if len(s.queue) == 0 {
+			break
+		}
+		if top := s.queue[0].when; top < due {
+			if len(s.queue) != chains {
+				t.Fatalf("heap holds %d events at %v, want the %d chains'", len(s.queue), top, chains)
+			}
+			lv := "far"
+			if top >= cascade {
+				lv = "near"
+			}
+			if steps%256 == 0 || top >= cascade {
+				for i, tm := range tms {
+					if got := level(tm); got != lv {
+						t.Fatalf("timer %d in %s at %v, want %s", i, got, top, lv)
+					}
+				}
+			}
+		}
+		s.fire()
+	}
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("timers fired in order %v, want key order %v", fired, want)
+	}
+}
+
+// TestFarSlotStartTiesHeapTop: a far-staged event exactly at its slot's
+// start ties with a heap event at the same instant and a larger key. The
+// slot must cascade when its start is at, not only before, the heap top,
+// or the heap event fires first.
+func TestFarSlotStartTiesHeapTop(t *testing.T) {
+	s := NewBackend(1, BackendWheel)
+	rx := s.NewStream(1, 1)
+	at := 2 * farTick
+	var got []string
+	if tm := s.At(at, "far", func() { got = append(got, "far") }); level(tm) != "far" {
+		t.Fatalf("timer at a far slot's start staged in %s", level(tm))
+	}
+	s.Inject(at, 1, 0, rx, "heap", func(any) { got = append(got, "heap") }, nil)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"far", "heap"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fire order %v, want %v", got, want)
 	}
 }

@@ -451,10 +451,11 @@ func (c *Conn) maybeSendWindowUpdate() {
 
 // --- timers ------------------------------------------------------------------
 
-// connRexmt and connDelack are scheduled via AfterArg with the connection as
-// the argument: a top-level function plus a pointer argument schedules
-// without allocating, unlike a closure or method value, which matters
-// because the retransmission timer is re-armed for every data segment sent.
+// connRexmt, connDelack, connPersist and connTimeWait are scheduled via
+// AfterArg with the connection as the argument: a top-level function plus a
+// pointer argument schedules without allocating, unlike a closure or method
+// value, which matters because the retransmission timer is re-armed for
+// every data segment sent (and saves one allocation per closed connection).
 func connRexmt(v any) { v.(*Conn).onRexmtTimeout() }
 
 func connDelack(v any) {
@@ -535,40 +536,43 @@ func (c *Conn) maybeArmPersist() {
 
 func (c *Conn) armPersist() {
 	d := c.rto.RTO() * time.Duration(1<<min(c.persistCount, 6))
-	c.persistTimer = c.stack.sched.After(d, "tcp.persist", func() {
-		c.persistTimer = sim.Timer{}
-		if c.state == StateClosed {
-			return
+	c.persistTimer = c.stack.sched.AfterArg(d, "tcp.persist", connPersist, c)
+}
+
+func connPersist(v any) {
+	c := v.(*Conn)
+	c.persistTimer = sim.Timer{}
+	if c.state == StateClosed {
+		return
+	}
+	// If regular transmission has resumed, stand down.
+	if c.trySend() > 0 || c.sndNxt != c.sndUna {
+		return
+	}
+	// Window probe / SWS override: force out data starting at the
+	// first unacknowledged byte — one byte into a zero window, or as
+	// much as the sub-MSS window allows. The receiver trims it to its
+	// window but must process the ACK field.
+	off := c.sndUna.Diff(c.sndBuf.Floor())
+	if off < 0 {
+		off = 0
+	}
+	if off < c.sndBuf.Ready() {
+		n := min(c.sndBuf.Ready()-off, c.mss, max(c.sndWnd, 1))
+		seg := &Segment{
+			Seq:    c.sndUna,
+			Ack:    c.rcvNxt,
+			Flags:  FlagACK | FlagPSH,
+			Window: c.advertisedWindow(),
 		}
-		// If regular transmission has resumed, stand down.
-		if c.trySend() > 0 || c.sndNxt != c.sndUna {
-			return
-		}
-		// Window probe / SWS override: force out data starting at the
-		// first unacknowledged byte — one byte into a zero window, or as
-		// much as the sub-MSS window allows. The receiver trims it to its
-		// window but must process the ACK field.
-		off := c.sndUna.Diff(c.sndBuf.Floor())
-		if off < 0 {
-			off = 0
-		}
-		if off < c.sndBuf.Ready() {
-			n := min(c.sndBuf.Ready()-off, c.mss, max(c.sndWnd, 1))
-			seg := &Segment{
-				Seq:    c.sndUna,
-				Ack:    c.rcvNxt,
-				Flags:  FlagACK | FlagPSH,
-				Window: c.advertisedWindow(),
-			}
-			c.sndNxt = MaxSeq(c.sndNxt, c.sndUna.Add(n))
-			c.sndMaxSeq = MaxSeq(c.sndMaxSeq, c.sndNxt)
-			c.emitData(seg, off, n)
-			c.armRexmt()
-			return
-		}
-		c.persistCount++
-		c.armPersist()
-	})
+		c.sndNxt = MaxSeq(c.sndNxt, c.sndUna.Add(n))
+		c.sndMaxSeq = MaxSeq(c.sndMaxSeq, c.sndNxt)
+		c.emitData(seg, off, n)
+		c.armRexmt()
+		return
+	}
+	c.persistCount++
+	c.armPersist()
 }
 
 func (c *Conn) enterTimeWait() {
@@ -579,10 +583,13 @@ func (c *Conn) enterTimeWait() {
 	c.releaseRcvBuf()
 	c.stopRexmt()
 	c.timeWaitTimer.Stop()
-	c.timeWaitTimer = c.stack.sched.After(c.stack.cfg.TimeWaitDuration, "tcp.timewait", func() {
-		c.timeWaitTimer = sim.Timer{}
-		c.destroy(nil)
-	})
+	c.timeWaitTimer = c.stack.sched.AfterArg(c.stack.cfg.TimeWaitDuration, "tcp.timewait", connTimeWait, c)
+}
+
+func connTimeWait(v any) {
+	c := v.(*Conn)
+	c.timeWaitTimer = sim.Timer{}
+	c.destroy(nil)
 }
 
 // destroy tears the connection down and fires OnClose exactly once.
