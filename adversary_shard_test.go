@@ -31,6 +31,7 @@ func TestAdversaryShardedDifferential(t *testing.T) {
 		injected  int64
 		snooped   int64
 		unicastRx int64
+		rejected  int64 // forged bindings cell 0's ARP filters refused
 	}
 	run := func(shards int) result {
 		t.Helper()
@@ -93,6 +94,9 @@ func TestAdversaryShardedDifferential(t *testing.T) {
 		for _, recv := range recvs {
 			r.received = append(r.received, recv.Received)
 		}
+		for _, h := range []*netstack.Host{cell0.Router, cell0.Primary, cell0.Secondary} {
+			r.rejected += h.Iface(0).ARP().RejectedBindings()
+		}
 		blob, err := json.Marshal(ss.MergedSnapshot())
 		if err != nil {
 			t.Fatal(err)
@@ -113,9 +117,9 @@ func TestAdversaryShardedDifferential(t *testing.T) {
 	if seq.injected == 0 || seq.snooped == 0 {
 		t.Errorf("attacker inactive: injected=%d snooped=%d", seq.injected, seq.snooped)
 	}
-	// The ARP takeover must actually tilt cell 0's traffic into the rogue
-	// station, or the differential is comparing an idle attacker.
-	if seq.unicastRx == 0 {
-		t.Errorf("takeover drew no victim traffic (unicastRx=0)")
+	// The forged announces must actually reach cell 0's stations — and be
+	// refused there — or the differential is comparing an idle attacker.
+	if seq.rejected == 0 {
+		t.Errorf("cell 0's ARP filters rejected no forged binding")
 	}
 }

@@ -1,15 +1,16 @@
 package tcpfailover_test
 
 import (
+	"errors"
 	"io"
 	"testing"
 	"time"
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
-	"tcpfailover/internal/core"
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
@@ -50,52 +51,74 @@ func TestCombinedSynUsesMinimumMSS(t *testing.T) {
 	}
 }
 
-// TestDivergenceDetection violates the paper's per-connection determinism
-// assumption on purpose: the two replicas produce different reply bytes,
-// and the bridge's verification counts the divergence.
-func TestDivergenceDetection(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ServerPorts = []uint16{9000}
-	opts.Replication.Bridge = core.PrimaryConfig{VerifyReplicaOutput: true}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deliberately different applications: each replica pushes a different
-	// byte pattern.
-	install := func(h *netstack.Host, fill byte) error {
-		_, err := h.TCP().Listen(9000, func(c *tcp.Conn) {
-			payload := make([]byte, 4096)
-			for i := range payload {
-				payload[i] = fill
+// TestDivergenceResetsConnection violates the paper's per-connection
+// determinism assumption on purpose: the last member's reply departs from
+// the others' after a common prefix. The bridge that matches the two
+// streams must release none of the differing bytes: the client's
+// connection ends in a reset after at most the common prefix, one
+// divergence is counted, and no packet buffer is left once the group is
+// quiet. In the pair the resets on the client's behalf also end both
+// replicas' connections, so within a second nothing of it is left; in the
+// chain the log reports what each member still holds.
+func TestDivergenceResetsConnection(t *testing.T) {
+	const port, prefix, total = 9000, 3000, 8192
+	for i, name := range []string{"pair", "chain"} {
+		backups := i + 1
+		t.Run(name, func(t *testing.T) {
+			netbuf.SetLeakCheck(true)
+			defer netbuf.SetLeakCheck(false)
+			opts := tcpfailover.LANOptions()
+			opts.ServerPorts, opts.Backups = []uint16{port}, backups
+			sc, err := tcpfailover.NewScenario(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, _ = c.Write(payload)
-			c.Close()
+			members := []*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary}[:backups+1]
+			for i, h := range members {
+				reply := make([]byte, total)
+				apps.Pattern(reply, 0)
+				for j := prefix; i == backups && j < total; j++ {
+					reply[j] ^= 0xff
+				}
+				_, _ = h.TCP().Listen(port, func(c *tcp.Conn) { _, _ = c.Write(reply); c.Close() })
+			}
+			sc.Start()
+			conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), port)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recv, closed, closeErr := apps.NewReceiver(conn, sc.Sched), false, error(nil)
+			conn.OnClose(func(err error) { closed, closeErr = true, err })
+			if err := sc.RunUntil(func() bool { return closed }, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.Run(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			var conns []int
+			var divergences int64
+			for _, h := range members {
+				v, _ := sc.Obs.Lookup(`bridge_divergences_total{host="` + h.Name() + `"}`)
+				divergences += v
+				conns = append(conns, len(h.TCP().Conns()))
+			}
+			if !errors.Is(closeErr, tcp.ErrConnReset) || recv.Received > prefix || recv.BadAt >= 0 || divergences != 1 {
+				t.Errorf("client closed with %v after %d bytes (first bad at %d), %d divergences; want a reset, at most the %d-byte common prefix, 1",
+					closeErr, recv.Received, recv.BadAt, divergences, prefix)
+			}
+			records := sc.Group.PrimaryBridge().Conns()
+			t.Logf("1 s after the reset: member connections %v, head bridge records %d", conns, records)
+			if backups == 1 && (conns[0] != 0 || conns[1] != 0 || records != 0) {
+				t.Errorf("1 s after the reset the members hold %v connections and the bridge %d records, want none", conns, records)
+			}
+			sc.Group.Stop()
+			if err := sc.Run(30 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if live := netbuf.Live(); live != 0 {
+				t.Errorf("%d packet buffers live at quiescence", live)
+			}
 		})
-		return err
-	}
-	if err := install(sc.Primary, 0xAA); err != nil {
-		t.Fatal(err)
-	}
-	if err := install(sc.Secondary, 0xBB); err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
-
-	var diverged []core.TupleKey
-	sc.Group.PrimaryBridge().OnDivergence = func(k core.TupleKey, seq tcp.Seq) {
-		diverged = append(diverged, k)
-	}
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 9000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv := apps.NewReceiver(conn, sc.Sched)
-	if err := sc.RunUntil(func() bool { return recv.EOF }, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Group.PrimaryBridge().Stats().Divergences == 0 || len(diverged) == 0 {
-		t.Error("replica divergence went undetected")
 	}
 }
 

@@ -120,12 +120,12 @@ func TestChainFailoverCallbacks(t *testing.T) {
 }
 
 // TestChainHonoursGroupConfig: what the options promise a pair they promise
-// a chain — the flow cap on every backup, the bridge series of every host,
+// a chain — the flow cap on every bridge, the bridge series of every host,
 // the fleet marks and a stall the span model can attribute.
 func TestChainHonoursGroupConfig(t *testing.T) {
 	opts := tcpfailover.LANOptions()
 	opts.Spans = true
-	opts.Replication.SecondaryMaxFlows = 1
+	opts.Replication.MaxFlows = 1
 	sc := newChainEchoScenario(t, opts)
 	// Two short connections come and go, so the cap has something to evict;
 	// the third is mid-stream when the head dies.
@@ -151,8 +151,11 @@ func TestChainHonoursGroupConfig(t *testing.T) {
 
 	for pos := 1; pos <= 2; pos++ {
 		if n := sc.Group.Backup(pos).Flows(); n > 1 {
-			t.Errorf("backup %d caches %d flows under SecondaryMaxFlows = 1", pos, n)
+			t.Errorf("backup %d caches %d flows under MaxFlows = 1", pos, n)
 		}
+	}
+	if n := sc.Group.Backup(1).Matcher().Conns(); n > 1 {
+		t.Errorf("the middle's matcher tracks %d connections under MaxFlows = 1", n)
 	}
 	for _, series := range []string{
 		`bridge_bytes_matched_total{host="primary"}`,

@@ -7,11 +7,12 @@
 // The attacker is deliberately *off-path with respect to sequence numbers*:
 // snooping is used only for address, port, and MAC discovery, while every
 // forged sequence number is drawn from a seeded splittable PRNG. That is
-// the classic blind in-LAN threat model the hardening knobs
-// (tcp.Config.StrictSeqValidation, core.PrimaryConfig.ValidateSeq,
-// arp SetBindingFilter, the bridge flow caps) are measured against in
-// experiment E11. Everything is a function of the seed, so attack outcomes
-// are reproducible and shard-invariant like every other experiment.
+// the classic blind in-LAN threat model the defences every scenario runs
+// (the endpoints' in-window RST and SYN test, the bridge's in-window
+// validation, ARP binding filters, the bridges' flow caps) are measured
+// against in experiment E11. Everything is a function of the seed, so
+// attack outcomes are reproducible and shard-invariant like every other
+// experiment.
 package adversary
 
 import (

@@ -41,10 +41,10 @@ const (
 
 // RSTInjection forges connection-killing RST probes from Src toward Dst
 // with uniformly random sequence numbers: the blind off-path teardown
-// attack of RFC 5961's threat model. Against the unhardened bridge any
-// probe wipes the tracked connection; against an unhardened endpoint each
-// probe lands in the acceptable half-space with probability ~1/2; with
-// strict validation a probe must hit a 2^16-wide window in a 2^32 space.
+// attack of RFC 5961's threat model. Against a bridge that trusts the wire
+// any probe wipes the tracked connection, and against an endpoint with the
+// legacy half-space test a probe lands with probability ~1/2; in-window
+// validation makes a probe hit a 2^16-wide window in a 2^32 space.
 type RSTInjection struct {
 	Src, Dst         ipv4.Addr
 	SrcPort, DstPort uint16
@@ -107,10 +107,10 @@ func (a ARPTakeover) Launch(st *Station) {
 
 // AckStorm forges stale data segments from Src toward Dst with random
 // sequence numbers and a small garbage payload. A receiver that answers
-// old data with a duplicate acknowledgment — which plain TCP must, and the
-// unhardened bridge does from its own state — reflects a frame at the
-// spoofed source per hit, turning the victim into an ACK amplifier aimed
-// at whoever the attacker names as Src.
+// old data with a duplicate acknowledgment — which plain TCP must, and a
+// bridge without in-window validation does from its own state — reflects a
+// frame at the spoofed source per hit, turning the victim into an ACK
+// amplifier aimed at whoever the attacker names as Src.
 type AckStorm struct {
 	Src, Dst         ipv4.Addr
 	SrcPort, DstPort uint16

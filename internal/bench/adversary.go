@@ -23,14 +23,13 @@ var adversaryAttacks = []string{"rst", "arp", "ackstorm", "synflood"}
 var rogueMAC = ethernet.MAC{2, 0, 0, 0, 0, 0xad}
 
 // AdversaryPoint is one cell of the attack-outcome matrix: one attack
-// against one topology (standard TCP vs. the failover bridge pair), with
-// the hardening knobs off or on. Every field is a function of virtual time
-// and the seed, so the matrix is byte-identical across worker and shard
-// counts like every other experiment.
+// against one topology (standard TCP vs. the failover bridge pair). Every
+// field is a function of virtual time and the seed, so the matrix is
+// byte-identical across worker and shard counts like every other
+// experiment.
 type AdversaryPoint struct {
 	Attack   string `json:"attack"`
 	Topology string `json:"topology"` // "standard" | "failover"
-	Hardened bool   `json:"hardened"`
 	Outcome  string `json:"outcome"`
 
 	Injected    int64 `json:"frames_injected"`   // frames the attacker forged
@@ -53,29 +52,27 @@ type AdversaryPoint struct {
 // AdversaryMatrix runs the E11 adversarial suite: four seeded attack
 // models — blind RST injection, forged gratuitous-ARP takeover, stale-data
 // ACK-storm reflection, and a spoofed SYN flood — each against both the
-// standard-TCP baseline and the failover topology, with the hardening
-// knobs (strict endpoint sequence validation, bridge in-window validation,
-// ARP-announce authentication, bounded LRU flow tables) off and on.
-// 4 attacks x 2 topologies x 2 hardening states = 16 cells.
+// standard-TCP baseline and the failover topology, with the defences every
+// scenario runs (strict endpoint sequence validation, bridge in-window
+// validation, ARP binding filters, LRU-capped flow tables).
+// 4 attacks x 2 topologies = 8 cells.
 func AdversaryMatrix() ([]AdversaryPoint, error) {
 	type cell struct {
-		attack             string
-		failover, hardened bool
+		attack   string
+		failover bool
 	}
 	var cells []cell
 	for _, a := range adversaryAttacks {
 		for _, fo := range []bool{false, true} {
-			for _, h := range []bool{false, true} {
-				cells = append(cells, cell{a, fo, h})
-			}
+			cells = append(cells, cell{a, fo})
 		}
 	}
 	points := make([]AdversaryPoint, len(cells))
 	err := parallelEach(len(cells), func(j int) error {
 		c := cells[j]
-		p, err := runAdversaryCell(c.attack, c.failover, c.hardened, int64(11000+j))
+		p, err := runAdversaryCell(c.attack, c.failover, int64(11000+j))
 		if err != nil {
-			return fmt.Errorf("adversary %s/%v/hardened=%v: %w", c.attack, c.failover, c.hardened, err)
+			return fmt.Errorf("adversary %s/failover=%v: %w", c.attack, c.failover, err)
 		}
 		points[j] = p
 		return nil
@@ -88,12 +85,12 @@ func AdversaryMatrix() ([]AdversaryPoint, error) {
 
 // runAdversaryCell builds one scenario, wires the workload and the rogue
 // station, launches the attack mid-stream, and classifies the outcome.
-func runAdversaryCell(attack string, failover, hardened bool, seed int64) (AdversaryPoint, error) {
+func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint, error) {
 	const total = 1 << 20  // push-workload bytes
 	const echoBytes = 64   // echo-workload request size
 	const floodCount = 256 // synflood SYNs
 	const stormSegs = 64   // ackstorm forged segments
-	const flowCap = 64     // hardened bridge table bound
+	const flowCap = 64     // bridge table bound, so the flood reaches it
 
 	echo := attack == "ackstorm"
 	mode, install := Standard, pushServer(total)
@@ -104,13 +101,7 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 		install = func(s *tcp.Stack) error { _, err := apps.NewEchoServer(s, benchPort); return err }
 	}
 	sc, err := testbed(mode, seed, func(o *tcpfailover.Options) {
-		if hardened {
-			o.TCP.StrictSeqValidation = true
-			o.ARPAuth = true
-			o.Replication.Bridge.ValidateSeq = true
-			o.Replication.Bridge.MaxConns = flowCap
-			o.Replication.SecondaryMaxFlows = flowCap
-		}
+		o.Replication.MaxFlows = flowCap
 	}, install)
 	if err != nil {
 		return AdversaryPoint{}, err
@@ -200,7 +191,6 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 	const stallAfter = 5 * time.Second
 	var lastProgress time.Duration
 	var prevReceived int64
-	stalled := false
 	wantBytes := int64(total)
 	if echo {
 		wantBytes = echoBytes
@@ -220,7 +210,6 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 			lastProgress = sc.Now()
 		}
 		if sc.Now()-lastProgress > stallAfter {
-			stalled = true
 			break
 		}
 		if sc.Now() > time.Hour {
@@ -238,7 +227,6 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 	p := AdversaryPoint{
 		Attack:     attack,
 		Topology:   "standard",
-		Hardened:   hardened,
 		Injected:   st.Injected,
 		Delivered:  recv.Received,
 		AttackerRx: st.UnicastRx,
@@ -319,7 +307,6 @@ func runAdversaryCell(attack string, failover, hardened bool, seed int64) (Adver
 			p.Outcome = string(adversary.OutcomeIntact)
 		}
 	}
-	_ = stalled
 	return p, nil
 }
 
@@ -327,21 +314,17 @@ func renderAdversary(w io.Writer, _ Config, r *Results) {
 	fmt.Fprintln(w, "=== E11 (extension): adversarial attack-outcome matrix ===")
 	fmt.Fprintln(w, "(seeded in-LAN attacker vs a live connection: blind RST probes,")
 	fmt.Fprintln(w, " forged gratuitous-ARP takeover, stale-data ACK reflection, and a")
-	fmt.Fprintln(w, " spoofed SYN flood, against both topologies with the hardening")
-	fmt.Fprintln(w, " knobs off and on; every cell is a pure function of its seed)")
-	fmt.Fprintf(w, "%10s %10s %9s %16s %9s %10s %6s %7s %7s %7s\n",
-		"attack", "topology", "hardened", "outcome", "injected", "delivered", "drops", "arpRej", "amp", "evict")
+	fmt.Fprintln(w, " spoofed SYN flood, against both topologies and the defences every")
+	fmt.Fprintln(w, " scenario runs; every cell is a pure function of its seed)")
+	fmt.Fprintf(w, "%10s %10s %16s %9s %10s %6s %7s %7s %7s\n",
+		"attack", "topology", "outcome", "injected", "delivered", "drops", "arpRej", "amp", "evict")
 	points := r.Adversary
 	for i, p := range points {
 		if i > 0 && p.Attack != points[i-1].Attack {
 			fmt.Fprintln(w)
 		}
-		h := "off"
-		if p.Hardened {
-			h = "on"
-		}
-		fmt.Fprintf(w, "%10s %10s %9s %16s %9d %10d %6d %7d %7.2f %7d\n",
-			p.Attack, p.Topology, h, p.Outcome, p.Injected, p.Delivered,
+		fmt.Fprintf(w, "%10s %10s %16s %9d %10d %6d %7d %7.2f %7d\n",
+			p.Attack, p.Topology, p.Outcome, p.Injected, p.Delivered,
 			p.SeqDrops, p.ARPFiltered, p.Amplification, p.Evictions)
 	}
 	fmt.Fprintln(w)

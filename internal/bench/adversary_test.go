@@ -9,7 +9,7 @@ import (
 // TestAdversaryMatrixDeterministicAcrossWorkerCounts is E11's half of the
 // repo-wide guarantee: every forged frame is drawn from seed-derived
 // streams before the event loop runs, so the full attack-outcome matrix is
-// byte-identical no matter how the 16 cells are scheduled across
+// byte-identical no matter how the 8 cells are scheduled across
 // goroutines.
 func TestAdversaryMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
@@ -37,9 +37,9 @@ func TestAdversaryMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestAdversaryMatrixOutcomes pins the shape of the matrix: each attack
-// succeeds somewhere with the hardening off and every hardened cell is
-// intact. The exact expected outcome per cell is asserted so a regression
+// TestAdversaryMatrixOutcomes pins the shape of the matrix: every failover
+// cell is intact, and the standard cells break only at the two honest
+// limits. The exact expected outcome per cell is asserted so a regression
 // in either an attack model or a defense flips a named cell, not a vague
 // aggregate.
 func TestAdversaryMatrixOutcomes(t *testing.T) {
@@ -47,35 +47,23 @@ func TestAdversaryMatrixOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 16 {
-		t.Fatalf("got %d cells, want 16", len(points))
+	if len(points) != 8 {
+		t.Fatalf("got %d cells, want 8", len(points))
 	}
-	want := map[[3]string]string{
-		{"rst", "standard", "off"}:      "reset",
-		{"rst", "standard", "on"}:       "intact",
-		{"rst", "failover", "off"}:      "wedged",
-		{"rst", "failover", "on"}:       "intact",
-		{"arp", "standard", "off"}:      "hijacked",
-		{"arp", "standard", "on"}:       "intact",
-		{"arp", "failover", "off"}:      "hijacked",
-		{"arp", "failover", "on"}:       "intact",
-		{"ackstorm", "standard", "off"}: "amplified",
-		{"ackstorm", "standard", "on"}:  "amplified", // RFC dup-ACKs: strict seq validation covers RST/SYN only
-		{"ackstorm", "failover", "off"}: "amplified",
-		{"ackstorm", "failover", "on"}:  "intact",
-		{"synflood", "standard", "off"}: "state-exhausted",
-		{"synflood", "standard", "on"}:  "state-exhausted", // SYN cookies are out of scope
-		{"synflood", "failover", "off"}: "state-exhausted",
-		{"synflood", "failover", "on"}:  "intact",
+	want := map[[2]string]string{
+		{"rst", "standard"}:      "intact",
+		{"rst", "failover"}:      "intact",
+		{"arp", "standard"}:      "intact",
+		{"arp", "failover"}:      "intact",
+		{"ackstorm", "standard"}: "amplified", // RFC dup-ACKs: the endpoint's in-window test covers RST/SYN only
+		{"ackstorm", "failover"}: "intact",
+		{"synflood", "standard"}: "state-exhausted", // SYN cookies are out of scope
+		{"synflood", "failover"}: "intact",
 	}
 	for _, p := range points {
-		h := "off"
-		if p.Hardened {
-			h = "on"
-		}
-		key := [3]string{p.Attack, p.Topology, h}
-		t.Logf("%-8s %-8s hardened=%-3s -> %-15s injected=%d delivered=%d seqDrops=%d arpRejected=%d amp=%.2f bridgeConns=%d bridgeFlows=%d endpointConns=%d evictions=%d attackerRx=%d",
-			p.Attack, p.Topology, h, p.Outcome, p.Injected, p.Delivered, p.SeqDrops,
+		key := [2]string{p.Attack, p.Topology}
+		t.Logf("%-8s %-8s -> %-15s injected=%d delivered=%d seqDrops=%d arpRejected=%d amp=%.2f bridgeConns=%d bridgeFlows=%d endpointConns=%d evictions=%d attackerRx=%d",
+			p.Attack, p.Topology, p.Outcome, p.Injected, p.Delivered, p.SeqDrops,
 			p.ARPFiltered, p.Amplification, p.BridgeConns, p.BridgeFlows, p.EndpointConns,
 			p.Evictions, p.AttackerRx)
 		if w, ok := want[key]; !ok {
@@ -83,19 +71,14 @@ func TestAdversaryMatrixOutcomes(t *testing.T) {
 		} else if p.Outcome != w {
 			t.Errorf("%v: outcome %q, want %q", key, p.Outcome, w)
 		}
-	}
-	// The defenses must leave evidence, not just a verdict.
-	for _, p := range points {
-		if !p.Hardened {
-			continue
-		}
+		// The defenses must leave evidence, not just a verdict.
 		switch {
 		case p.Attack == "rst" && p.Topology == "failover" && p.SeqDrops == 0:
-			t.Errorf("hardened failover rst cell dropped nothing")
+			t.Errorf("failover rst cell dropped nothing")
 		case p.Attack == "arp" && p.ARPFiltered == 0:
-			t.Errorf("hardened arp/%s cell rejected no bindings", p.Topology)
+			t.Errorf("arp/%s cell rejected no bindings", p.Topology)
 		case p.Attack == "synflood" && p.Topology == "failover" && p.Evictions == 0:
-			t.Errorf("hardened failover synflood cell evicted nothing")
+			t.Errorf("failover synflood cell evicted nothing")
 		}
 	}
 }

@@ -95,7 +95,7 @@ func newMsFixture() *msFixture {
 	priHost.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 1}, f.aP, prefix)
 	priSel := core.NewSelector()
 	priSel.EnableServerPort(benchPort)
-	f.pri = core.NewPrimaryBridge(priHost, f.aP, f.aS, priSel, core.PrimaryConfig{})
+	f.pri = core.NewPrimaryBridge(priHost, f.aP, f.aS, priSel, 0)
 	// Emitted client-bound segments (the combined SYNs) go nowhere.
 	f.pri.SetEmitFunc(func(_ ipv4.Addr, pkt *netbuf.Buffer) { pkt.Release() })
 
@@ -103,7 +103,7 @@ func newMsFixture() *msFixture {
 	secHost.AttachIface(lan, ethernet.MAC{2, 0, 0, 0, 0, 2}, f.aS, prefix)
 	secSel := core.NewSelector()
 	secSel.EnableServerPort(benchPort)
-	f.sec = core.NewSecondaryBridge(secHost, 0, f.aP, f.aS, secSel)
+	f.sec = core.NewSecondaryBridge(secHost, 0, f.aP, f.aS, secSel, 0)
 	return f
 }
 

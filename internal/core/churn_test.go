@@ -8,10 +8,11 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-// Flow-table growth under SYN-flood churn: unbounded tables track every
-// spoofed tuple; with a cap the live entry count stays at the bound, the
-// overflow shows up in the eviction counters, and LRU order protects the
-// entry that keeps seeing traffic.
+// Flow-table growth under SYN-flood churn: under the default cap, far above
+// the flood (the …Unbounded tests), the tables track every spoofed tuple
+// and evict nothing; under a small cap the live entry count stays at the
+// bound, the overflow shows up in the eviction counters, and LRU order
+// protects the entry that keeps seeing traffic.
 
 // churnSYN pushes a client SYN from a distinct spoofed (addr, port) tuple
 // through the primary bridge's inbound hook.
@@ -29,16 +30,16 @@ func TestPrimaryBridgeChurnUnbounded(t *testing.T) {
 		churnSYN(f, i)
 	}
 	if got := f.b.Conns(); got != propTrials {
-		t.Errorf("unbounded bridge tracks %d conns, want %d", got, propTrials)
+		t.Errorf("bridge tracks %d conns, want %d", got, propTrials)
 	}
 	if ev := f.b.Stats().ConnsEvicted; ev != 0 {
-		t.Errorf("unbounded bridge evicted %d", ev)
+		t.Errorf("bridge evicted %d under a cap of %d", ev, defaultMaxFlows)
 	}
 }
 
 func TestPrimaryBridgeChurnBounded(t *testing.T) {
 	const cap = 64
-	f := newPriFixtureCfg(t, PrimaryConfig{MaxConns: cap})
+	f := newPriFixtureCap(t, cap)
 	// A legitimate connection established before the flood…
 	f.establishForAttack(t)
 	for i := 0; i < propTrials; i++ {
@@ -97,17 +98,17 @@ func TestSecondaryBridgeChurnUnbounded(t *testing.T) {
 		snoopSYN(t, f, i)
 	}
 	if got := f.b.Flows(); got != propTrials {
-		t.Errorf("unbounded flow cache holds %d entries, want %d", got, propTrials)
+		t.Errorf("flow cache holds %d entries, want %d", got, propTrials)
 	}
 	if ev := f.b.Stats().FlowsEvicted; ev != 0 {
-		t.Errorf("unbounded cache evicted %d", ev)
+		t.Errorf("cache evicted %d under a cap of %d", ev, defaultMaxFlows)
 	}
 }
 
 func TestSecondaryBridgeChurnBounded(t *testing.T) {
 	const cap = 64
 	f := newSecFixture(t)
-	f.b.SetFlowLimit(cap)
+	f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel, cap)
 	// The legitimate client's flow, refreshed throughout the flood.
 	legit := &tcp.Segment{SrcPort: 49152, DstPort: 80, Seq: 100, Flags: tcp.FlagACK, Window: 65535}
 	legitRaw := tcp.Marshal(f.aC, f.aP, legit)

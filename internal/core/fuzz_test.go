@@ -78,7 +78,7 @@ func FuzzSecondarySnoop(f *testing.F) {
 		if len(data) < 10 {
 			return
 		}
-		pri2 := newPriFixtureCfg(t, PrimaryConfig{ValidateSeq: data[9]&1 == 1})
+		pri2 := newPriFixture(t)
 		pri2.establish(t)
 		seq := tcp.Seq(clientISS + 1).Add(int(int32(binary.BigEndian.Uint32(data[:4]))))
 		ack := tcp.Seq(sISS + 1).Add(int(int32(binary.BigEndian.Uint32(data[4:8]))))
@@ -115,11 +115,13 @@ var wrapISS = [4][2]tcp.Seq{
 // The input is used three ways: as it is, from the client; as it is plus
 // the orig-dst option with the checksum made good, from the secondary (the
 // demultiplexer); and as a script — seq and ack offsets from the
-// connection's own state, flags, which wrap-around ISS pair, ValidateSeq,
-// which sender — so the fuzzer lands inside the window without guessing 64
-// bits. Nothing may panic; every segment the bridge emits must parse and
-// checksum (the fixture checks); the queue gauge must equal the bytes the
-// queues hold and return to zero at teardown, with no packet buffer live.
+// connection's own state, flags, which wrap-around ISS pair, which sender —
+// so the fuzzer lands inside the window without guessing 64 bits. Nothing
+// may panic; every segment the bridge emits must parse and checksum (the
+// fixture checks); the queue gauge must equal the bytes the queues hold and
+// return to zero at teardown, with no packet buffer live. Bytes that differ
+// from the parked ones are a divergence: the connection must end in a reset
+// to the client with its record gone.
 func FuzzPrimaryDiverted(f *testing.F) {
 	script := func(seqOff, ackOff int32, flags tcp.Flags, mode byte, payload int) []byte {
 		b := make([]byte, 10+payload)
@@ -129,13 +131,13 @@ func FuzzPrimaryDiverted(f *testing.F) {
 		return b
 	}
 	for pair := byte(0); pair < 4; pair++ {
-		f.Add(script(100, 0, tcp.FlagACK, pair<<1, 100))             // fills the hole
-		f.Add(script(0, 0, tcp.FlagACK|tcp.FlagPSH, pair<<1|1, 300)) // the primary's bytes and past them
-		f.Add(script(150, 0, tcp.FlagACK, pair<<1, 1400))            // overlaps the parked span
-		f.Add(script(300, 0, tcp.FlagACK|tcp.FlagFIN, pair<<1, 0))   // FIN past the parked span
-		f.Add(script(-70000, 0, tcp.FlagACK, pair<<1|1, 64))         // stale, far below the window
-		f.Add(script(0, 0, tcp.FlagRST, pair<<1|8, 0))               // client RST
-		f.Add(script(0, 200, tcp.FlagACK, pair<<1|8, 10))            // client data acking parked bytes
+		f.Add(script(100, 0, tcp.FlagACK, pair<<1, 100))           // fills the hole
+		f.Add(script(0, 0, tcp.FlagACK|tcp.FlagPSH, pair<<1, 300)) // the primary's bytes and past them
+		f.Add(script(150, 0, tcp.FlagACK, pair<<1, 1400))          // overlaps the parked span
+		f.Add(script(300, 0, tcp.FlagACK|tcp.FlagFIN, pair<<1, 0)) // FIN past the parked span
+		f.Add(script(-70000, 0, tcp.FlagACK, pair<<1, 64))         // stale, far below the window
+		f.Add(script(0, 0, tcp.FlagRST, pair<<1|8, 0))             // client RST
+		f.Add(script(0, 200, tcp.FlagACK, pair<<1|8, 10))          // client data acking parked bytes
 	}
 	f.Add([]byte{0xc0, 0x00, 0x00, 0x50, 0, 0, 0, 1})
 
@@ -147,7 +149,7 @@ func FuzzPrimaryDiverted(f *testing.F) {
 			mode = data[9]
 		}
 		iss := wrapISS[mode>>1&3]
-		pri := newPriFixtureCfg(t, PrimaryConfig{ValidateSeq: mode&1 == 1})
+		pri := newPriFixture(t)
 		pri.establishAt(t, iss[0], iss[1])
 		parked := make([]byte, 100)
 		for i := range parked {
@@ -190,6 +192,9 @@ func FuzzPrimaryDiverted(f *testing.F) {
 			}
 		}
 		pri.checkQueueGauge(t, -1)
+		if last := pri.sent[len(pri.sent)-1].seg; pri.b.Stats().Divergences > 0 && (pri.b.Conns() != 0 || !last.Flags.Has(tcp.FlagRST)) {
+			t.Fatalf("divergence left %d records, last client segment %v", pri.b.Conns(), last.Flags)
+		}
 
 		for _, k := range pri.b.conns.AppendKeys(nil) {
 			idx, _ := pri.b.conns.Get(k)

@@ -14,6 +14,21 @@ type primaryMetrics struct {
 	seqInvalidDrops  obs.Counter // segments dropped by in-window validation
 	flowEvictions    obs.Counter // tracked connections evicted by the LRU cap
 	malformedDrops   obs.Counter // frames with an inconsistent data offset
+
+	// divergences counts connections reset because the replicas' bytes
+	// differed; its series is attached to reg at the first, for the reason
+	// secondaryMetrics gives for bridge_takeover_errors_total.
+	divergences obs.Counter
+	reg         *obs.Registry
+	host        string
+}
+
+// countDivergence counts one connection reset by a divergence.
+func (m *primaryMetrics) countDivergence() {
+	if m.divergences.Value() == 0 {
+		m.divergences = m.reg.Counter(obs.HostSeries("bridge_divergences_total", m.host))
+	}
+	m.divergences.Inc()
 }
 
 func newPrimaryMetrics(reg *obs.Registry, host string) primaryMetrics {
@@ -26,6 +41,9 @@ func newPrimaryMetrics(reg *obs.Registry, host string) primaryMetrics {
 		seqInvalidDrops:  reg.Counter(obs.HostSeries("bridge_seq_invalid_drops_total", host)),
 		flowEvictions:    reg.Counter(obs.HostSeries("bridge_flow_evictions_total", host)),
 		malformedDrops:   reg.Counter(obs.HostSeries("bridge_malformed_drops_total", host)),
+		divergences:      (*obs.Registry)(nil).Counter(""),
+		reg:              reg,
+		host:             host,
 	}
 }
 

@@ -11,29 +11,19 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-// PrimaryConfig tunes the primary bridge.
-type PrimaryConfig struct {
-	// VerifyReplicaOutput compares the matched bytes from the two replicas
-	// and counts divergences (a replica-determinism check the paper assumes
-	// rather than enforces). The secondary's bytes win, since the client's
-	// sequence numbers are synchronized to the secondary.
-	VerifyReplicaOutput bool
-	// ValidateSeq enables in-window sequence validation on the bridge's
-	// client-facing and diverted paths: a client RST tears bridge state
-	// down only when its sequence number sits within one window of the
-	// combined acknowledgment, client data is answered or forwarded only
-	// within one window of the same horizon, and a diverted RST from the
-	// secondary must land within one window of the release point. Off by
-	// default (the paper's bridge trusts the wire); the E11 adversary
-	// experiment measures the difference. Out-of-horizon segments are
-	// dropped and counted in bridge_seq_invalid_drops_total.
-	ValidateSeq bool
-	// MaxConns bounds the tracked-connection table. When the cap is
-	// exceeded the least-recently-touched connection is evicted (counted in
-	// bridge_flow_evictions_total), which keeps a SYN flood of spoofed
-	// clients from growing the table without limit. 0 means unbounded (the
-	// historical behavior, with zero bookkeeping cost).
-	MaxConns int
+// defaultMaxFlows is the flow-table cap a bridge constructor handed zero
+// selects: above every experiment's connection count (E13 holds a million),
+// so only a flood of spoofed tuples reaches it. Past the cap the least
+// recently touched entry is evicted and counted in
+// bridge_flow_evictions_total; there is no unbounded setting.
+const defaultMaxFlows = 1 << 20
+
+// flowCap is the cap a constructor's maxFlows argument selects.
+func flowCap(maxFlows int) int {
+	if maxFlows <= 0 {
+		return defaultMaxFlows
+	}
+	return maxFlows
 }
 
 // defaultMSS is assumed when a SYN carries no MSS option (RFC 1122).
@@ -47,21 +37,25 @@ type PrimaryStats struct {
 	BytesMatched             int64
 	EmptyAcks                int64
 	RetransmissionsForwarded int64
-	Divergences              int64
+	Divergences              int64 // connections reset because the replicas' bytes differed
 	LateFinAcks              int64
 	ConnsOpened              int64
 	ConnsClosed              int64
 	BadChecksumDrops         int64
-	ConnsEvicted             int64 // LRU evictions under the MaxConns cap
+	ConnsEvicted             int64 // LRU evictions under the flow cap
 	SeqInvalidDrops          int64 // segments rejected by in-window validation
 	MalformedDrops           int64 // frames with an inconsistent data offset or a forged orig-dst block
 }
 
-// seqHorizon is the validation window ValidateSeq applies around the
-// bridge's acknowledgment and release points: one maximum unscaled TCP
-// window. A blind off-path forger must land within it, which shrinks the
-// per-probe success probability from certainty (any RST tore state down)
-// to 2^16/2^32.
+// seqHorizon is the validation window the bridge applies around its
+// acknowledgment and release points: one maximum unscaled TCP window. A
+// client RST tears bridge state down only within it of the combined
+// acknowledgment, client data is answered or passed on only within it of
+// the same point, and a diverted RST must land within it of the release
+// point; anything else is dropped and counted in
+// bridge_seq_invalid_drops_total. A blind off-path forger must land within
+// it, which shrinks the per-probe success probability from certainty (the
+// paper's bridge trusts the wire) to 2^16/2^32.
 const seqHorizon = 65536
 
 // queueSpan is how far past its floor an output queue holds bytes. TCP here
@@ -162,7 +156,6 @@ type PrimaryBridge struct {
 	host   *netstack.Host
 	aP, aS ipv4.Addr
 	sel    *Selector
-	cfg    PrimaryConfig
 
 	// conns maps TupleKey to a slot index in slots; together they replace
 	// the map[TupleKey]*pconn a pointer-chasing design would use.
@@ -170,9 +163,11 @@ type PrimaryBridge struct {
 	slots    flowtab.Slab[pconn]
 	degraded bool // after secondary failure (section 6)
 
-	// lru orders the slots of conns by recency; only maintained when
-	// cfg.MaxConns > 0, so the unbounded default path pays nothing for it.
-	lru flowtab.LRU
+	// lru orders the slots of conns by recency; past maxConns the oldest
+	// is evicted. Legitimate traffic keeps its connection fresh, so a SYN
+	// flood's idle embryos are the ones the cap evicts.
+	lru      flowtab.LRU
+	maxConns int
 
 	// keyScratch is the reusable buffer for the sorted-key reconfiguration
 	// walks, so HandleSecondaryFailure does not allocate O(conns) memory in
@@ -200,13 +195,12 @@ type PrimaryBridge struct {
 
 	stats PrimaryStats
 	m     primaryMetrics
-	// OnDivergence, if set, is called when replica outputs differ.
-	OnDivergence func(key TupleKey, seq tcp.Seq)
 }
 
-// NewPrimaryBridge installs the bridge on the primary host.
-func NewPrimaryBridge(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, cfg PrimaryConfig) *PrimaryBridge {
-	b := NewPrimaryBridgeCore(host, primaryAddr, secondaryAddr, sel, cfg)
+// NewPrimaryBridge installs the bridge on the primary host; it tracks at
+// most maxFlows connections (zero selects defaultMaxFlows).
+func NewPrimaryBridge(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, maxFlows int) *PrimaryBridge {
+	b := NewPrimaryBridgeCore(host, primaryAddr, secondaryAddr, sel, maxFlows)
 	host.SetInboundHook(b.Inbound)
 	host.SetOutboundHook(b.Outbound)
 	return b
@@ -215,14 +209,14 @@ func NewPrimaryBridge(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr,
 // NewPrimaryBridgeCore builds the bridge without installing its hooks on
 // the host; a composing bridge (NewInteriorBridge) calls the Inbound/Outbound
 // handlers itself.
-func NewPrimaryBridgeCore(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, cfg PrimaryConfig) *PrimaryBridge {
+func NewPrimaryBridgeCore(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, maxFlows int) *PrimaryBridge {
 	b := &PrimaryBridge{
-		host: host,
-		aP:   primaryAddr,
-		aS:   secondaryAddr,
-		sel:  sel,
-		cfg:  cfg,
-		m:    newPrimaryMetrics(nil, ""),
+		host:     host,
+		aP:       primaryAddr,
+		aS:       secondaryAddr,
+		sel:      sel,
+		maxConns: flowCap(maxFlows),
+		m:        newPrimaryMetrics(nil, ""),
 	}
 	b.emit = func(client ipv4.Addr, pkt *netbuf.Buffer) {
 		_ = b.host.SendIPFastBuf(b.aP, client, ipv4.ProtoTCP, pkt)
@@ -245,6 +239,7 @@ func (b *PrimaryBridge) SetMatchingPeer(a ipv4.Addr) { b.aS = a }
 func (b *PrimaryBridge) Stats() PrimaryStats {
 	s := b.stats
 	s.BytesMatched = b.m.matchedBytes.Value()
+	s.Divergences = b.m.divergences.Value()
 	s.ConnsEvicted = b.m.flowEvictions.Value()
 	s.BadChecksumDrops = b.m.badChecksumDrops.Value()
 	s.SeqInvalidDrops = b.m.seqInvalidDrops.Value()
@@ -278,26 +273,14 @@ func (b *PrimaryBridge) conn(key TupleKey) *pconn {
 	c.self = int32(idx)
 	b.conns.Put(uint64(key), idx)
 	b.stats.ConnsOpened++
-	if b.cfg.MaxConns > 0 {
-		b.lru.Push(idx)
-		for b.conns.Len() > b.cfg.MaxConns {
-			old, ok := b.lru.Oldest()
-			if !ok || old == idx {
-				break
-			}
-			b.removeConn(b.slots.At(old))
-			b.m.flowEvictions.Inc()
-		}
+	b.lru.Push(idx)
+	if b.conns.Len() > b.maxConns {
+		// The cap is at least one, so the oldest is another record.
+		old, _ := b.lru.Oldest()
+		b.removeConn(b.slots.At(old))
+		b.m.flowEvictions.Inc()
 	}
 	return c
-}
-
-// lruTouch moves c to the front: legitimate traffic keeps its connection
-// fresh, so a SYN flood's idle embryos are the ones the cap evicts.
-func (b *PrimaryBridge) lruTouch(c *pconn) {
-	if b.cfg.MaxConns > 0 {
-		b.lru.Touch(uint32(c.self))
-	}
 }
 
 // --- outbound: segments from the primary's own TCP layer --------------------
@@ -315,7 +298,7 @@ func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 	}
 	b.stats.SegmentsFromPrimary++
 	if c != nil {
-		b.lruTouch(c)
+		b.lru.Touch(uint32(c.self))
 	} else {
 		// Only a SYN may create bridge state (a server-initiated
 		// connection, section 7.2). Anything else for an unknown
@@ -370,7 +353,7 @@ func (b *PrimaryBridge) fromReplica(c *pconn, r *replica, segment []byte) {
 		b.maybeSendCombinedSyn(c)
 
 	case flags.Has(tcp.FlagRST):
-		if !own && b.cfg.ValidateSeq && c.deltaKnown &&
+		if !own && c.deltaKnown &&
 			!tcp.RawSeq(segment).InWindow(c.sndMax.Add(-seqHorizon), 2*seqHorizon) {
 			// A diverted RST is forged unless it lands near the release
 			// point: the secondary resets in its own sequence space, which
@@ -474,7 +457,7 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		return netstack.VerdictPass, hdr, payload
 	}
 
-	b.lruTouch(c)
+	b.lru.Touch(uint32(c.self))
 	if flags.Has(tcp.FlagACK) && c.deltaKnown {
 		ackS := tcp.RawAck(payload)
 		if c.finSent && ackS.Greater(c.finSeq) {
@@ -491,7 +474,7 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		c.clientFinEnd = tcp.RawSeq(payload).Add(len(tcp.RawPayload(payload)) + 1)
 	}
 	if flags.Has(tcp.FlagRST) {
-		if b.cfg.ValidateSeq && c.combinedSynSent && (c.p.ackSet || c.s.ackSet) &&
+		if c.combinedSynSent && (c.p.ackSet || c.s.ackSet) &&
 			!tcp.RawSeq(payload).InWindow(b.minAck(c), seqHorizon) {
 			// A blind off-path RST: outside the horizon around the combined
 			// acknowledgment it cannot be the client's, and letting it
@@ -505,8 +488,7 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		return netstack.VerdictPass, hdr, payload
 	}
 	if n := len(tcp.RawPayload(payload)); n > 0 && c.combinedSynSent && c.lastAckValid {
-		if b.cfg.ValidateSeq &&
-			!tcp.RawSeq(payload).Add(n).InWindow(b.minAck(c).Add(-seqHorizon), 3*seqHorizon) {
+		if !tcp.RawSeq(payload).Add(n).InWindow(b.minAck(c).Add(-seqHorizon), 3*seqHorizon) {
 			// Stale or far-future data: answering it would hand a blind
 			// forger an acknowledgment reflector, so it is dropped instead.
 			b.m.seqInvalidDrops.Inc()
@@ -567,7 +549,7 @@ func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte, payloadSum
 	b.kept = keptSum{key: key, seq: tcp.RawSeq(segment), n: len(tcp.RawPayload(segment)), sum: payloadSum}
 	c := b.lookup(key)
 	if c != nil {
-		b.lruTouch(c)
+		b.lru.Touch(uint32(c.self))
 	} else {
 		flags := tcp.RawFlags(segment)
 		switch {
@@ -623,17 +605,17 @@ func (b *PrimaryBridge) ingestServerSegment(c *pconn, r *replica, sSeq tcp.Seq, 
 }
 
 // pump constructs new client segments from matching queued payload
-// (Figure 2) and forwards acknowledgment/window advances.
+// (Figure 2) and forwards acknowledgment/window advances. The two queues'
+// bytes are compared before release: the paper assumes the replicas are
+// deterministic, and a stream the bridge cannot vouch for ends in a reset.
 func (b *PrimaryBridge) pump(c *pconn) {
 	mss := c.effMSS()
 	for {
 		if n := min(c.p.q.Ready(), c.s.q.Ready(), mss); n > 0 {
 			sb := c.s.q.Peek(n, &b.wrapS)
-			if b.cfg.VerifyReplicaOutput && !bytes.Equal(c.p.q.Peek(n, &b.wrapP), sb) {
-				b.stats.Divergences++
-				if b.OnDivergence != nil {
-					b.OnDivergence(c.key, c.sndMax)
-				}
+			if !bytes.Equal(c.p.q.Peek(n, &b.wrapP), sb) {
+				b.resetDiverged(c)
+				return
 			}
 			b.m.matchedBytes.Add(int64(n))
 			b.releaseData(c, sb)
@@ -799,6 +781,43 @@ func (b *PrimaryBridge) forwardRST(c *pconn, segment []byte, own bool) {
 	b.removeConn(c)
 }
 
+// resetDiverged ends connection c, whose replicas produced different bytes
+// at the release point, without releasing any of them: the client gets a
+// reset there, each replica's TCP layer gets the reset the client would
+// send it — at its own last acknowledgment, as ackOnBehalf speaks for the
+// client — and the record goes. The own layer's reset is delivered as a
+// separate event, since pump may be running inside that layer's output.
+func (b *PrimaryBridge) resetDiverged(c *pconn) {
+	b.m.countDivergence()
+	b.emitToClient(c, &tcp.Segment{Seq: c.sndMax, Flags: tcp.FlagRST})
+	client, self := c.key.PeerAddr(), b.aP
+	_ = b.host.SendIPFastBuf(client, b.aS, ipv4.ProtoTCP, b.rstOnBehalf(c, b.aS, c.s.ack))
+	rst, h := b.rstOnBehalf(c, self, c.p.ack), b.host
+	h.Scheduler().After(0, "bridge.divergence_reset", func() {
+		if h.Alive() {
+			h.TCP().Input(client, self, rst.Bytes())
+		}
+		rst.Release()
+	})
+	b.removeConn(c)
+}
+
+// rstOnBehalf builds the reset c's client would send the replica at dst,
+// at sequence number seq.
+func (b *PrimaryBridge) rstOnBehalf(c *pconn, dst ipv4.Addr, seq tcp.Seq) *netbuf.Buffer {
+	b.emitSeg = tcp.Segment{SrcPort: c.key.PeerPort(), DstPort: c.key.LocalPort(), Seq: seq, Flags: tcp.FlagRST}
+	return sealedFor(c.key.PeerAddr(), dst, &b.emitSeg)
+}
+
+// sealedFor marshals the payload-less seg into a pooled packet buffer,
+// sealed for the hop from src to dst.
+func sealedFor(src, dst ipv4.Addr, seg *tcp.Segment) *netbuf.Buffer {
+	pkt := netbuf.Get()
+	tcp.MarshalReserve(pkt, seg, 0)
+	tcp.SealChecksum(src, dst, pkt.Bytes())
+	return pkt
+}
+
 func (b *PrimaryBridge) emitToClient(c *pconn, seg *tcp.Segment) {
 	seg.SrcPort = c.key.LocalPort()
 	seg.DstPort = c.key.PeerPort()
@@ -841,11 +860,8 @@ func (b *PrimaryBridge) ackOnBehalf(src, dst ipv4.Addr, segment []byte) *netbuf.
 		Flags:   tcp.FlagACK,
 		Window:  65535,
 	}
-	pkt := netbuf.Get()
-	tcp.MarshalReserve(pkt, &b.emitSeg, 0)
-	tcp.SealChecksum(src, dst, pkt.Bytes())
 	b.stats.LateFinAcks++
-	return pkt
+	return sealedFor(src, dst, &b.emitSeg)
 }
 
 // maybeGC deletes the connection record once both directions are fully

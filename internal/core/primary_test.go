@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -34,10 +35,12 @@ type capturedSeg struct {
 
 func newPriFixture(t *testing.T) *priFixture {
 	t.Helper()
-	return newPriFixtureCfg(t, PrimaryConfig{})
+	return newPriFixtureCap(t, 0)
 }
 
-func newPriFixtureCfg(t *testing.T, cfg PrimaryConfig) *priFixture {
+// newPriFixtureCap builds the fixture with a bridge tracking at most maxFlows
+// connections (zero: the default cap).
+func newPriFixtureCap(t *testing.T, maxFlows int) *priFixture {
 	t.Helper()
 	f := &priFixture{
 		sched: sim.New(1),
@@ -51,7 +54,7 @@ func newPriFixtureCfg(t *testing.T, cfg PrimaryConfig) *priFixture {
 	f.host.AttachIface(seg, ethernet.MAC{2, 0, 0, 0, 0, 1}, f.aP, prefix)
 	sel := NewSelector()
 	sel.EnableServerPort(80)
-	f.b = NewPrimaryBridge(f.host, f.aP, f.aS, sel, cfg)
+	f.b = NewPrimaryBridge(f.host, f.aP, f.aS, sel, maxFlows)
 	// Capture emissions without touching the wire.
 	f.b.SetEmitFunc(func(client ipv4.Addr, pkt *netbuf.Buffer) {
 		raw := append([]byte(nil), pkt.Bytes()...)
@@ -282,20 +285,23 @@ func TestBridgeRetransmissionForwardedImmediately(t *testing.T) {
 
 // TestReleaseSealsFromVerifiedSum: a release of exactly the bytes of one
 // diverted segment is sealed from the payload sum verifyDiverted took, not
-// by re-summing the queue, so a byte damaged while it waits there fails the
-// client's checksum instead of leaving with a fresh, valid one. Any other
-// release is summed in full and must verify.
+// by re-summing the queue, so a byte damaged in both queues while it waits
+// there fails the client's checksum instead of leaving with a fresh, valid
+// one. Damage to one queue's copy is a divergence and releases nothing. Any
+// other release is summed in full and must verify.
 func TestReleaseSealsFromVerifiedSum(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		primaryFirst   bool
-		fromSecondary  []string // the diverted segments carrying "hello"
-		flip, wantGood bool
+		name          string
+		primaryFirst  bool
+		fromSecondary []string // the diverted segments carrying "hello"
+		flip          int      // queues whose copy of byte 1 is flipped before the match: the secondary's, then the primary's
+		want          string   // "good", "bad" (the client's checksum fails) or "reset"
 	}{
-		{"secondary ahead, byte flipped in the queue", false, []string{"hello"}, true, false},
-		{"secondary ahead", false, []string{"hello"}, false, true},
-		{"primary ahead", true, []string{"hello"}, false, true},
-		{"two diverted segments, one release", false, []string{"he", "llo"}, false, true},
+		{"secondary ahead, byte flipped in both queues", false, []string{"hello"}, 2, "bad"},
+		{"secondary ahead, byte flipped in the secondary's queue", false, []string{"hello"}, 1, "reset"},
+		{"secondary ahead", false, []string{"hello"}, 0, "good"},
+		{"primary ahead", true, []string{"hello"}, 0, "good"},
+		{"two diverted segments, one release", false, []string{"he", "llo"}, 0, "good"},
 	} {
 		f := newPriFixture(t)
 		f.establish(t)
@@ -317,32 +323,47 @@ func TestReleaseSealsFromVerifiedSum(t *testing.T) {
 				Flags: tcp.FlagACK | tcp.FlagPSH, Window: 58000, Payload: []byte(p)})
 			off += len(p)
 		}
-		if tc.flip {
-			c := f.b.lookup(MakeTupleKey(f.aC, 49152, 80))
-			c.s.q.Peek(2, &f.b.wrapS)[1] ^= 0x20 // the ring's own storage
-		}
-		if !tc.primaryFirst {
+		switch c := f.b.lookup(MakeTupleKey(f.aC, 49152, 80)); {
+		case tc.flip > 0:
+			// The primary's copy joins its queue without a match attempt, so
+			// the flips land in the rings' own storage before the compare.
+			f.b.ingestServerSegment(c, &c.p, sISS+1, []byte("hello"), tcp.FlagACK|tcp.FlagPSH)
+			for _, q := range []*tcp.ByteRing{&c.s.q, &c.p.q}[:tc.flip] {
+				q.Peek(2, &f.b.wrapS)[1] ^= 0x20
+			}
+			f.b.pump(c)
+		case !tc.primaryFirst:
 			fromPrimary()
 		}
-		if len(out) != 1 || len(tcp.RawPayload(out[0])) != 5 {
-			t.Fatalf("%s: %d client segments, want one carrying the five bytes", tc.name, len(out))
+		got := fmt.Sprintf("%d client segments", len(out))
+		switch {
+		case len(out) != 1:
+		case tcp.RawFlags(out[0]) == tcp.FlagRST && f.b.Stats().Divergences == 1 && f.b.Conns() == 0:
+			got = "reset"
+		case len(tcp.RawPayload(out[0])) == 5 && tcp.ComputeChecksum(f.aP, f.aC, out[0]) == 0:
+			got = "good"
+		case len(tcp.RawPayload(out[0])) == 5:
+			got = "bad"
 		}
-		if good := tcp.ComputeChecksum(f.aP, f.aC, out[0]) == 0; good != tc.wantGood {
-			t.Errorf("%s: client segment %q verifies %v, want %v", tc.name, tcp.RawPayload(out[0]), good, tc.wantGood)
+		if got != tc.want {
+			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
 
+// TestBridgeReplicaBytesMustMatch: replicas that send different bytes at
+// the release point end the connection; the client gets a reset there
+// instead of either replica's bytes, and the divergence is counted.
 func TestBridgeReplicaBytesMustMatch(t *testing.T) {
 	f := newPriFixture(t)
-	f.b.cfg.VerifyReplicaOutput = true
 	f.establish(t)
+	f.sent = nil
 	f.fromPrimaryTCP(t, &tcp.Segment{Seq: pISS + 1, Ack: clientISS + 1,
 		Flags: tcp.FlagACK, Window: 60000, Payload: []byte("AAAA")})
 	f.fromSecondaryWire(t, &tcp.Segment{Seq: sISS + 1, Ack: clientISS + 1,
 		Flags: tcp.FlagACK, Window: 58000, Payload: []byte("BBBB")})
-	if f.b.Stats().Divergences == 0 {
-		t.Error("divergent replica output not detected")
+	if len(f.sent) != 1 || f.sent[0].seg.Flags != tcp.FlagRST || f.sent[0].seg.Seq != sISS+1 || f.b.Stats().Divergences != 1 {
+		t.Errorf("client got %d segments (%+v), %d divergences; want one RST at the release point, 1", len(f.sent), f.sent, f.b.Stats().Divergences)
 	}
 }
 

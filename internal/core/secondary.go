@@ -22,7 +22,7 @@ type SecondaryStats struct {
 	SnoopedIn      int64 // client segments captured promiscuously and translated
 	DivertedOut    int64 // locally generated segments diverted to the primary
 	TakenOver      int64 // connections re-keyed to the primary address
-	FlowsEvicted   int64 // flow-cache entries evicted by the SetFlowLimit cap
+	FlowsEvicted   int64 // flow-cache entries evicted by the flow cap
 	MalformedDrops int64 // snooped frames with an inconsistent data offset
 }
 
@@ -70,12 +70,11 @@ type SecondaryBridge struct {
 	flows  flowtab.Table
 	fslots flowtab.Slab[sflow]
 	// maxFlows bounds the flow cache (and the takeover records it holds):
-	// when exceeded, the least-recently-touched flow is evicted. 0 means
-	// unbounded — the historical behavior. The packed-uint64 keys make each
-	// entry cheap, but a SYN flood of spoofed clients would still grow the
-	// table without limit.
+	// when exceeded, the least-recently-touched flow is evicted. The
+	// packed-uint64 keys make each entry cheap, but a SYN flood of spoofed
+	// clients would otherwise grow the table without limit.
 	maxFlows int
-	lru      flowtab.LRU // recency of fslots slots, maintained only under maxFlows
+	lru      flowtab.LRU // recency of fslots slots
 
 	// keyScratch is the reusable buffer for Takeover's sorted re-key walk.
 	keyScratch []uint64
@@ -116,31 +115,22 @@ func (b *SecondaryBridge) flow(key TupleKey) *sflow {
 	var f *sflow
 	if i, ok := b.flows.Get(uint64(key)); ok {
 		f = b.fslots.At(i)
-	}
-	if f != nil && f.gen == b.sel.Gen() {
-		if b.maxFlows > 0 {
-			b.lru.Touch(uint32(f.self))
+		b.lru.Touch(i)
+		if f.gen == b.sel.Gen() {
+			return f
 		}
-		return f
-	}
-	if f == nil {
+	} else {
 		idx := b.fslots.Alloc()
 		f = b.fslots.At(idx)
 		f.key = key
 		f.self = int32(idx)
 		b.flows.Put(uint64(key), idx)
-		if b.maxFlows > 0 {
-			b.lru.Push(idx)
-			for b.flows.Len() > b.maxFlows {
-				old, ok := b.lru.Oldest()
-				if !ok || old == idx {
-					break
-				}
-				b.evict(b.fslots.At(old))
-			}
+		b.lru.Push(idx)
+		if b.flows.Len() > b.maxFlows {
+			// The cap is at least one, so the oldest is another flow.
+			old, _ := b.lru.Oldest()
+			b.evict(b.fslots.At(old))
 		}
-	} else if b.maxFlows > 0 {
-		b.lru.Touch(uint32(f.self))
 	}
 	f.gen = b.sel.Gen()
 	f.match = b.sel.Match(key)
@@ -162,19 +152,13 @@ func (b *SecondaryBridge) evict(f *sflow) {
 	b.fslots.Free(uint32(f.self))
 }
 
-// SetFlowLimit bounds the flow cache to n entries, evicting the least
-// recently touched beyond the cap. 0 (the default) means unbounded. Set at
-// build time, before traffic is snooped: entries cached while unbounded are
-// only indexed lazily as they are next touched (walking the map here would
-// impose a nondeterministic eviction order).
-func (b *SecondaryBridge) SetFlowLimit(n int) { b.maxFlows = n }
-
 // Flows returns the number of cached flow entries.
 func (b *SecondaryBridge) Flows() int { return b.flows.Len() }
 
 // NewSecondaryBridge installs the bridge on host's interface ifIndex. The
-// interface snoops the primary's address in promiscuous receive mode.
-func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector) *SecondaryBridge {
+// interface snoops the primary's address in promiscuous receive mode. The
+// flow cache holds at most maxFlows entries (zero selects defaultMaxFlows).
+func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, maxFlows int) *SecondaryBridge {
 	b := &SecondaryBridge{
 		host:     host,
 		ifIndex:  ifIndex,
@@ -183,6 +167,7 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 		upstream: primaryAddr,
 		sel:      sel,
 		active:   true,
+		maxFlows: flowCap(maxFlows),
 		m:        newSecondaryMetrics(nil, ""),
 	}
 	host.Iface(ifIndex).Snoop(primaryAddr)
@@ -192,10 +177,11 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 }
 
 // NewInteriorBridge installs a secondary bridge with a matcher behind it on
-// a backup that has a further backup, at nextAddr, down the chain.
-func NewInteriorBridge(host *netstack.Host, ifIndex int, primaryAddr, selfAddr, nextAddr ipv4.Addr, sel *Selector, cfg PrimaryConfig) *SecondaryBridge {
-	b := NewSecondaryBridge(host, ifIndex, primaryAddr, selfAddr, sel)
-	b.matcher = NewPrimaryBridgeCore(host, selfAddr, nextAddr, sel, cfg)
+// a backup that has a further backup, at nextAddr, down the chain. The flow
+// cache and the matcher's table each hold at most maxFlows entries.
+func NewInteriorBridge(host *netstack.Host, ifIndex int, primaryAddr, selfAddr, nextAddr ipv4.Addr, sel *Selector, maxFlows int) *SecondaryBridge {
+	b := NewSecondaryBridge(host, ifIndex, primaryAddr, selfAddr, sel, maxFlows)
+	b.matcher = NewPrimaryBridgeCore(host, selfAddr, nextAddr, sel, maxFlows)
 	b.matcher.SetEmitFunc(b.emitMerged)
 	return b
 }

@@ -47,9 +47,9 @@ func newSecFixtureNext(t *testing.T, next ipv4.Addr) *secFixture {
 	f.sel = NewSelector()
 	f.sel.EnableServerPort(80)
 	if next.IsZero() {
-		f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel)
+		f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel, 0)
 	} else {
-		f.b = NewInteriorBridge(f.host, 0, f.aP, f.aS, next, f.sel, PrimaryConfig{})
+		f.b = NewInteriorBridge(f.host, 0, f.aP, f.aS, next, f.sel, 0)
 	}
 	return f
 }

@@ -7,11 +7,11 @@ import "slices"
 // links live in a side array indexed by slot, stored as index+1 so that
 // zero means "none" and the zero value is an empty list ready for use; the
 // records themselves carry no link fields. The side array grows on Push
-// only, so an owner that pushes only while a cap is set (the bridges' flow
-// tables) pays nothing for the list on its uncapped default path.
+// only, to the highest slot pushed: 8 bytes a slot, which is what the
+// bridges' always-on flow caps cost per connection.
 //
 // A slot that was never pushed is simply not listed: Remove ignores it and
-// Touch lists it, which is how a cap set late picks up existing entries.
+// Touch lists it.
 type LRU struct {
 	links      []lruLink
 	head, tail uint32 // index+1 of the most and least recent slot; 0 = empty

@@ -89,7 +89,7 @@ type SpanRecorder struct {
 	slab flowtab.Slab[Span]
 
 	// lru orders the slab's slots by recency. The list bounds the arena
-	// under SYN-flood churn exactly like the hardened bridge flow tables.
+	// under SYN-flood churn exactly like the bridges' capped flow tables.
 	lru       flowtab.LRU
 	limit     int
 	highWater int

@@ -28,11 +28,11 @@ type Config struct {
 	PeerPorts []uint16
 	// Detect tunes the fault detectors.
 	Detect detect.Config
-	// Bridge tunes the matching bridges.
-	Bridge core.PrimaryConfig
-	// SecondaryMaxFlows bounds each backup bridge's flow cache (LRU
-	// eviction beyond the cap); 0 means unbounded.
-	SecondaryMaxFlows int
+	// MaxFlows bounds every bridge's flow table — each matcher's tracked
+	// connections and each backup's flow cache — evicting the least
+	// recently touched entry beyond it. Zero selects a default above a
+	// million; no value leaves the tables unbounded.
+	MaxFlows int
 }
 
 // ifIndex is the server-LAN interface of every member.
@@ -103,15 +103,14 @@ func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
 		g.sel.EnablePeerPort(p)
 	}
 	last := len(hosts) - 1
-	g.head = core.NewPrimaryBridge(hosts[0], g.addrs[0], g.addrs[1], g.sel, cfg.Bridge)
+	g.head = core.NewPrimaryBridge(hosts[0], g.addrs[0], g.addrs[1], g.sel, cfg.MaxFlows)
 	for i := 1; i <= last; i++ {
 		if i < last {
-			g.backups[i] = core.NewInteriorBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.addrs[i+1], g.sel, cfg.Bridge)
+			g.backups[i] = core.NewInteriorBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.addrs[i+1], g.sel, cfg.MaxFlows)
 		} else {
-			g.backups[i] = core.NewSecondaryBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.sel)
+			g.backups[i] = core.NewSecondaryBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.sel, cfg.MaxFlows)
 		}
 		g.backups[i].SetUpstream(g.addrs[i-1])
-		g.backups[i].SetFlowLimit(cfg.SecondaryMaxFlows)
 	}
 	// A full mesh of fault detectors: every member watches every other, and
 	// the controller routes each failure according to who is left.

@@ -22,14 +22,9 @@ func (c *Conn) input(seg *Segment) {
 		return
 	}
 
-	acceptable := c.segAcceptable(seg)
 	if seg.Flags.Has(FlagRST) {
-		if c.stack.cfg.StrictSeqValidation {
-			if !c.strictSeqOK(seg.Seq) {
-				return // blind RST outside the window (RFC 5961 spirit)
-			}
-		} else if !acceptable {
-			return // out-of-window RSTs are ignored (blind-reset protection)
+		if !c.strictSeqOK(seg.Seq) {
+			return // blind RST outside the window (RFC 5961 spirit)
 		}
 		switch c.state {
 		case StateSynReceived:
@@ -44,10 +39,8 @@ func (c *Conn) input(seg *Segment) {
 	}
 
 	if seg.Flags.Has(FlagSYN) && seg.Seq.Geq(c.rcvNxt) {
-		if c.stack.cfg.StrictSeqValidation && !c.strictSeqOK(seg.Seq) {
-			// A SYN anywhere in the upper half-space would reset the
-			// connection under the legacy test; strict mode only honors a
-			// SYN that actually lands in the window.
+		if !c.strictSeqOK(seg.Seq) {
+			// Past the window: a blind probe, not the peer restarting.
 			return
 		}
 		// SYN in the window is an error; reset.
@@ -57,6 +50,7 @@ func (c *Conn) input(seg *Segment) {
 		return
 	}
 
+	acceptable := c.segAcceptable(seg)
 	if !seg.Flags.Has(FlagACK) {
 		return
 	}
@@ -162,10 +156,12 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	c.sendSYN(true)
 }
 
-// strictSeqOK is the tightened acceptability test StrictSeqValidation
-// applies to RST and SYN segments: exactly rcvNxt (the common case for a
+// strictSeqOK is the acceptability test for connection-killing segments, RST
+// and SYN, in the spirit of RFC 5961: exactly rcvNxt (the common case for a
 // legitimate peer, and the only acceptable value against a closed window)
-// or inside the receive window.
+// or inside the receive window — not the half-space segAcceptable grants
+// other segments, under which a blind off-path probe succeeds with
+// probability ~1/2.
 func (c *Conn) strictSeqOK(seq Seq) bool {
 	return seq == c.rcvNxt || seq.InWindow(c.rcvNxt, c.rcvFree())
 }

@@ -76,15 +76,6 @@ type Config struct {
 	MaxRetries        int           // default 12 retransmissions before abort
 	TimeWaitDuration  time.Duration // default 60 s (2 MSL compressed)
 	DisableNagle      bool
-	// StrictSeqValidation tightens the acceptability test for connection-
-	// killing segments, in the spirit of RFC 5961: a RST is honored only
-	// when its sequence number is exactly rcvNxt or inside the receive
-	// window, and a SYN resets an established connection only from inside
-	// the window — instead of the historical half-space tests, under which
-	// a blind off-path probe succeeds with probability ~1/2. Off by
-	// default: the paper's stack predates blind-reset hardening, and the
-	// adversary experiment (E11) measures the exposure both ways.
-	StrictSeqValidation bool
 	// ISS generates initial sequence numbers; default draws from the
 	// scheduler RNG. The primary and secondary draw different values, which
 	// is precisely what the bridge's Delta-seq machinery compensates for.

@@ -121,13 +121,6 @@ type Options struct {
 	// ColdARP leaves ARP caches empty; by default they are pre-warmed, as
 	// in the paper's measurements.
 	ColdARP bool
-	// ARPAuth installs binding filters on every station's ARP modules,
-	// pinning each scenario address to the MAC (or, for the service
-	// address, the replica-group MACs) the cell plan assigns it. The
-	// legitimate takeover announce still rebinds the service address; a
-	// rogue station's forged gratuitous ARP is rejected and counted. Off by
-	// default — classic unauthenticated ARP, as the paper's testbed ran.
-	ARPAuth bool
 	// StartDetectors starts heartbeat fault detectors (default true for
 	// replicated scenarios). Disable for microbenchmarks that want a quiet
 	// event queue.
@@ -276,9 +269,7 @@ func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, err
 	if !opts.ColdARP {
 		sc.warmARP()
 	}
-	if opts.ARPAuth {
-		sc.installARPAuth()
-	}
+	sc.pinARPBindings()
 
 	serverStations := map[fault.Role]*ethernet.NIC{
 		fault.RoleRouter:  sc.Router.Iface(0).NIC(),
@@ -415,12 +406,13 @@ func (sc *Scenario) warmARP() {
 	}
 }
 
-// installARPAuth pins every planned address to its station's MAC on all ARP
+// pinARPBindings pins every planned address to its station's MAC on all ARP
 // modules of the cell. The service address is authorized for the whole
 // replica group, so the paper's takeover announce (the secondary claiming
 // aP) still succeeds while a rogue station's forged gratuitous ARP is
-// rejected. Addresses outside the plan stay unrestricted.
-func (sc *Scenario) installARPAuth() {
+// rejected and counted — where the paper's testbed ran classic
+// unauthenticated ARP. Addresses outside the plan stay unrestricted.
+func (sc *Scenario) pinARPBindings() {
 	p := sc.plan
 	serviceMACs := []ethernet.MAC{p.macP}
 	if sc.Secondary != nil {
