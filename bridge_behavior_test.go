@@ -122,6 +122,74 @@ func TestDivergenceResetsConnection(t *testing.T) {
 	}
 }
 
+// TestIdleConnectionsHoldNoRingStorage: a ring holds storage only while it
+// holds bytes, in TCP as in the bridge. Clients each finish one echo round
+// through the pair and through the chain and keep their connections open;
+// once the scheduler is idle no ring anywhere — the client's, a member's
+// TCP layer, a bridge's match queue — holds storage, while every
+// connection is still ESTABLISHED and ready for its next round.
+func TestIdleConnectionsHoldNoRingStorage(t *testing.T) {
+	const conns, size = 8, 3000
+	for i, name := range []string{"pair", "chain"} {
+		backups := i + 1
+		t.Run(name, func(t *testing.T) {
+			netbuf.SetLeakCheck(true)
+			defer netbuf.SetLeakCheck(false)
+			opts := tcpfailover.LANOptions()
+			opts.Backups = backups
+			sc := newEchoScenario(t, opts)
+			var clients []*tcp.Conn
+			echoed, rbuf := 0, make([]byte, 4096)
+			for j := range conns {
+				c, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 80)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, got := make([]byte, size), []byte(nil)
+				apps.Pattern(msg, int64(j*size))
+				c.OnEstablished(func() { _, _ = c.Write(msg) })
+				c.OnReadable(func() {
+					for n := 1; n > 0; {
+						n, _ = c.Read(rbuf)
+						got = append(got, rbuf[:n]...)
+					}
+					if len(got) == size && string(got) == string(msg) {
+						echoed++
+					}
+				})
+				clients = append(clients, c)
+			}
+			if err := sc.RunUntil(func() bool { return echoed == conns }, time.Minute); err != nil {
+				t.Fatalf("%v: %d of %d rounds echoed intact", err, echoed, conns)
+			}
+			sc.Group.Stop()
+			if err := sc.Run(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if n := sc.Sched.PendingEvents(); n != 0 {
+				t.Fatalf("%d events pending a minute after the last round", n)
+			}
+			for _, c := range clients {
+				if c.State() != tcp.StateEstablished {
+					t.Fatalf("a client connection is %v, want ESTABLISHED", c.State())
+				}
+			}
+			members := []*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary}[:backups+1]
+			for _, h := range members {
+				if n := len(h.TCP().Conns()); n != conns {
+					t.Errorf("%s holds %d connections, want %d", h.Name(), n, conns)
+				}
+			}
+			if n := sc.Group.PrimaryBridge().Conns(); n != conns {
+				t.Errorf("the bridge holds %d records, want %d", n, conns)
+			}
+			if live := netbuf.LiveBytes(); live != 0 {
+				t.Errorf("%d bytes of ring storage live with every connection idle", live)
+			}
+		})
+	}
+}
+
 // TestBridgeGarbageCollectsClosedConnections: after a clean close the
 // bridge deletes its per-connection structures (section 8).
 func TestBridgeGarbageCollectsClosedConnections(t *testing.T) {

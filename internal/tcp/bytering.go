@@ -25,6 +25,12 @@ import (
 // from the floor to the highest held byte grows, so a ring that only ever
 // holds a few bytes never pays for its owner's capacity.
 //
+// A ring holds storage only while it holds bytes. Each owner calls Release
+// when its ring drains, and the next Insert takes storage again: a send
+// buffer when an ack leaves it empty, a receive buffer when a read empties
+// it with nothing held beyond a gap, and the bridge's two queues of a
+// connection together, once neither holds a byte.
+//
 // The zero ByteRing is an empty ring with floor 0, and an empty ring holds
 // no heap pointer: it can be embedded by value in records the collector
 // should not have to scan.

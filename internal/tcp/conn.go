@@ -139,7 +139,8 @@ func (c *Conn) rcvFree() int { return c.stack.cfg.RecvBufSize - c.rcvBuf.Ready()
 
 // buffer inserts p into ring r at seq, bounded by the ring's configured
 // capacity, and returns how many bytes it accepted. tcp_ring_grows_total
-// counts every take from the byte store, a ring's first included.
+// counts every take from the byte store, a ring's first and a re-take after
+// parking included.
 func (c *Conn) buffer(r *ByteRing, seq Seq, p []byte, capacity int) int {
 	held := r.Cap()
 	n := len(p) - r.Insert(seq, p, capacity)
@@ -193,6 +194,9 @@ func (c *Conn) Read(p []byte) (int, error) {
 	n := c.rcvBuf.CopyAt(0, p)
 	if n > 0 {
 		c.rcvBuf.Advance(n)
+		if c.rcvBuf.Len() == 0 {
+			c.rcvBuf.Release() // drained: park the storage until the next segment
+		}
 		c.maybeSendWindowUpdate()
 		return n, nil
 	}
@@ -577,9 +581,9 @@ func connPersist(v any) {
 
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
-	// Everything sent has been acknowledged and nothing more will be
-	// buffered: the rings give their storage back now, not after the linger.
-	c.sndBuf.Release()
+	// Nothing more will be buffered: the receive ring gives back what it
+	// holds beyond a gap now, not after the linger. The send ring parked
+	// when the ack of our FIN drained it.
 	c.releaseRcvBuf()
 	c.stopRexmt()
 	c.timeWaitTimer.Stop()

@@ -254,6 +254,158 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 	}
 }
 
+// TestDrainedRingsPark: a ring holds storage only while it holds bytes. A
+// send ring parks when the ack of its last byte arrives, a receive ring when
+// a read takes its last byte and nothing waits beyond a gap, and an idle
+// ESTABLISHED pair holds no ring storage at all. Parking changes no logical
+// capacity: SendFree and rcvFree read the same at every step as the bytes
+// held say they must.
+func TestDrainedRingsPark(t *testing.T) {
+	defer netbuf.SetLeakCheck(false)
+	// dropNth drops the nth full-sized data segment (counted from 1) that
+	// crosses the pipe it guards.
+	dropNth := func(n int) func([]byte) bool {
+		seen := 0
+		return func(seg []byte) bool {
+			if len(RawPayload(seg)) != 1460 {
+				return false
+			}
+			seen++
+			return seen == n
+		}
+	}
+	setup := func(t *testing.T) (p *pair, c, s *Conn, holds func(step string, conn *Conn, unacked, unread int)) {
+		netbuf.SetLeakCheck(true)
+		p = newPair(t, Config{})
+		c, s = p.connect(t, 80)
+		cfg := p.a.Config()
+		holds = func(step string, conn *Conn, unacked, unread int) {
+			t.Helper()
+			if conn.SendFree() != cfg.SendBufSize-unacked || conn.rcvFree() != cfg.RecvBufSize-unread {
+				t.Errorf("%s: SendFree %d, rcvFree %d; want %d, %d", step,
+					conn.SendFree(), conn.rcvFree(), cfg.SendBufSize-unacked, cfg.RecvBufSize-unread)
+			}
+		}
+		return p, c, s, holds
+	}
+	reply := bytes.Repeat([]byte{7}, 256)
+
+	t.Run("round-trip", func(t *testing.T) {
+		p, c, s, holds := setup(t)
+		got := 0
+		s.OnReadable(func() {
+			if n, _ := s.Read(make([]byte, 64)); n > 0 {
+				_, _ = s.Write(reply)
+			}
+		})
+		c.OnReadable(func() {
+			n, _ := c.Read(make([]byte, 512))
+			got += n
+		})
+		if _, err := c.Write([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		p.runUntil(t, func() bool { return got == len(reply) && c.SendQueued() == 0 && s.SendQueued() == 0 }, time.Second)
+		if c.State() != StateEstablished || s.State() != StateEstablished {
+			t.Fatalf("states %v / %v, want both ESTABLISHED", c.State(), s.State())
+		}
+		for _, r := range []*ByteRing{&c.sndBuf, &c.rcvBuf, &s.sndBuf, &s.rcvBuf} {
+			if r.Cap() != 0 {
+				t.Errorf("an idle ring holds %d bytes of storage", r.Cap())
+			}
+		}
+		if live := netbuf.LiveBytes(); live != 0 {
+			t.Errorf("%d bytes of ring storage live between rounds", live)
+		}
+		holds("client idle", c, 0, 0)
+		holds("server idle", s, 0, 0)
+	})
+
+	t.Run("unread", func(t *testing.T) {
+		const k = 56
+		p, c, s, holds := setup(t)
+		if _, err := s.Write(reply); err != nil {
+			t.Fatal(err)
+		}
+		p.runUntil(t, func() bool { return c.Buffered() == len(reply) && s.SendQueued() == 0 }, time.Second)
+		if n, _ := c.Read(make([]byte, len(reply)-k)); n != len(reply)-k {
+			t.Fatalf("read %d bytes, want %d", n, len(reply)-k)
+		}
+		if c.rcvBuf.Cap() == 0 {
+			t.Fatal("a receive ring with unread bytes holds no storage")
+		}
+		if live := netbuf.LiveBytes(); live != int64(c.rcvBuf.Cap()) {
+			t.Errorf("%d bytes of ring storage live, the unread bytes' ring is %d", live, c.rcvBuf.Cap())
+		}
+		holds("k unread", c, 0, k)
+		if n, _ := c.Read(make([]byte, 512)); n != k {
+			t.Fatalf("read %d bytes, want %d", n, k)
+		}
+		if c.rcvBuf.Cap() != 0 || netbuf.LiveBytes() != 0 {
+			t.Errorf("read dry: the ring holds %d bytes, %d live", c.rcvBuf.Cap(), netbuf.LiveBytes())
+		}
+		holds("read dry", c, 0, 0)
+	})
+
+	t.Run("beyond-gap", func(t *testing.T) {
+		p, c, s, holds := setup(t)
+		if _, err := s.Write(reply[:100]); err != nil {
+			t.Fatal(err)
+		}
+		p.runUntil(t, func() bool { return c.Buffered() == 100 && s.SendQueued() == 0 }, time.Second)
+		p.dropToA = dropNth(1)
+		data := bytes.Repeat([]byte{3}, 2*1460)
+		if _, err := s.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		p.runUntil(t, func() bool { return c.rcvBuf.Len() > c.rcvBuf.Ready() }, time.Second)
+		// Reading everything before the gap leaves the span beyond it.
+		if n, _ := c.Read(make([]byte, 4096)); n != 100 || c.rcvBuf.Cap() == 0 {
+			t.Fatalf("with a span held beyond the gap: read %d, ring storage %d", n, c.rcvBuf.Cap())
+		}
+		holds("span held", c, 0, 0)
+		p.runUntil(t, func() bool { return c.Buffered() == len(data) }, 5*time.Second)
+		if n, _ := c.Read(make([]byte, 1000)); n != 1000 || c.rcvBuf.Cap() == 0 {
+			t.Fatalf("gap filled, part read: read %d, ring storage %d", n, c.rcvBuf.Cap())
+		}
+		holds("part read", c, 0, len(data)-1000)
+		if n, _ := c.Read(make([]byte, 4096)); n != len(data)-1000 {
+			t.Fatalf("read %d bytes, want %d", n, len(data)-1000)
+		}
+		if c.rcvBuf.Cap() != 0 {
+			t.Errorf("read dry after the gap filled: the ring holds %d bytes", c.rcvBuf.Cap())
+		}
+		holds("read dry", c, 0, 0)
+	})
+
+	t.Run("partly-acked", func(t *testing.T) {
+		p, c, s, holds := setup(t)
+		p.dropToB = dropNth(2)
+		s.OnReadable(func() {
+			for n := 1; n > 0; {
+				n, _ = s.Read(make([]byte, 4096))
+			}
+		})
+		if _, err := c.Write(bytes.Repeat([]byte{9}, 3000)); err != nil {
+			t.Fatal(err)
+		}
+		p.runUntil(t, func() bool { return c.SendQueued() < 3000 }, time.Second)
+		// The first segment is acked; the dropped second and the third wait.
+		if queued := c.SendQueued(); queued != 3000-1460 || c.sndBuf.Cap() == 0 {
+			t.Fatalf("after a partial ack: %d bytes queued, ring storage %d", queued, c.sndBuf.Cap())
+		}
+		holds("partly acked", c, 3000-1460, 0)
+		p.runUntil(t, func() bool { return c.SendQueued() == 0 }, 5*time.Second)
+		if c.sndBuf.Cap() != 0 {
+			t.Errorf("every byte acked: the send ring holds %d bytes", c.sndBuf.Cap())
+		}
+		holds("all acked", c, 0, 0)
+		if live := netbuf.LiveBytes(); live != 0 {
+			t.Errorf("%d bytes of ring storage live once both ends drained", live)
+		}
+	})
+}
+
 // TestResetAndAbortReleaseRings: a connection torn down without a close
 // handshake gives its storage back at once too. The aborting side drops the
 // bytes it could not send; the side that receives the RST keeps what its

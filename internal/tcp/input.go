@@ -244,6 +244,9 @@ func (c *Conn) handleNewAck(ack Seq) {
 	// SYN/FIN consume sequence space, not buffer.
 	if consume := min(ack.Diff(c.sndBuf.Floor()), c.sndBuf.Ready()); consume > 0 {
 		c.sndBuf.Advance(consume)
+		if c.sndBuf.Ready() == 0 {
+			c.sndBuf.Release() // drained: park the storage until the next Write
+		}
 	}
 	c.sndUna = ack
 	if c.sndNxt.Less(c.sndUna) {
