@@ -1,8 +1,6 @@
 package tcpfailover_test
 
 import (
-	"io"
-	"strings"
 	"testing"
 	"time"
 
@@ -107,264 +105,73 @@ func TestFTPOverWAN(t *testing.T) {
 	runFTPGetPut(t, sc, false)
 }
 
-// TestTwoTierBackend exercises section 7.2: the replicated middle tier
-// opens server-initiated connections to an unreplicated back end running on
-// the client-side host.
-func TestTwoTierBackend(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ServerPorts = []uint16{8000}
-	opts.PeerPorts = []uint16{apps.KVDefaultPort}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
-	// The unreplicated back end T lives across the router, on the client
-	// host (any unreplicated host works).
-	if _, err := apps.NewKVServer(sc.Client.TCP(), apps.KVDefaultPort,
-		map[string]string{"motd": "hello"}); err != nil {
-		t.Fatalf("kv server: %v", err)
-	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewFrontend(h.TCP(), 8000, tcpfailover.ClientAddr, apps.KVDefaultPort)
-		return err
-	}); err != nil {
-		t.Fatalf("install frontend: %v", err)
-	}
-	sc.Start()
-
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 8000)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	var lines []string
-	var lr strings.Builder
-	buf := make([]byte, 4096)
-	conn.OnEstablished(func() {
-		_, _ = conn.Write([]byte("FETCH motd\nSTORE greet hi\nFETCH greet\nFETCH missing\nQUIT\n"))
-	})
-	closed := false
-	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(buf)
-			if n > 0 {
-				lr.Write(buf[:n])
-				continue
+// TestPeerPortConnectionSurvivesCrash exercises section 7.2: the replicated
+// tier opens a server-initiated connection to an unreplicated back end (a
+// sink on the client host, at a peer port). Both replicas dial it and send
+// the same 512 KiB; the back end must see one connection and one copy of the
+// stream, including when the primary crashes halfway through. The control
+// row leaves the peer port unmarked, so each replica's connection reaches
+// the back end on its own.
+func TestPeerPortConnectionSurvivesCrash(t *testing.T) {
+	const backendPort, total = 5432, 512 * 1024
+	for _, tc := range []struct {
+		name      string
+		peerPorts []uint16
+		crash     bool
+		wantConns int
+	}{
+		{"peer-port-crash", []uint16{backendPort}, true, 1},
+		{"unmarked-control", nil, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tcpfailover.LANOptions()
+			opts.PeerPorts = tc.peerPorts
+			sc, err := tcpfailover.NewScenario(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rerr == io.EOF {
-				conn.Close()
+			sink, err := apps.NewSinkServer(sc.Client.TCP(), backendPort)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-	})
-	conn.OnClose(func(error) { closed = true })
-
-	if err := sc.RunUntil(func() bool { return closed }, 5*time.Minute); err != nil {
-		t.Fatalf("run: %v (got %q)", err, lr.String())
-	}
-	lines = strings.Split(strings.TrimSpace(lr.String()), "\n")
-	want := []string{"200 hello", "201", "200 hi", "404", "221"}
-	if len(lines) != len(want) {
-		t.Fatalf("got %d lines %q, want %q", len(lines), lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d: got %q want %q", i, lines[i], want[i])
-		}
-	}
-}
-
-// TestStoreReplicated drives the paper's introductory online-store example
-// through a failover.
-func TestStoreReplicated(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ServerPorts = []uint16{8080}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewStoreServer(h.TCP(), 8080, apps.DefaultCatalog())
-		return err
-	}); err != nil {
-		t.Fatalf("install store: %v", err)
-	}
-	sc.Start()
-
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 8080)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	var out strings.Builder
-	buf := make([]byte, 4096)
-	step := 0
-	crashed := false
-	var send func(s string)
-	send = func(s string) { _, _ = conn.Write([]byte(s)) }
-	conn.OnEstablished(func() { send("BROWSE keyboard\n") })
-	closed := false
-	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(buf)
-			if n > 0 {
-				out.Write(buf[:n])
-				for strings.Count(out.String(), "\n") > step {
-					step++
-					switch step {
-					case 1:
-						if !crashed {
-							crashed = true
-							sc.Group.CrashPrimary()
-						}
-						send("BUY keyboard 2\n")
-					case 2:
-						send("BUY mouse 1\n")
-					case 3:
-						send("QUIT\n")
-					}
+			sc.Start()
+			var sec *apps.Transfer // the secondary's copy of the stream
+			if err := sc.Group.OnEach(func(h *netstack.Host) error {
+				x, err := apps.NewBulkSend(h.TCP(), sc.Sched, tcpfailover.ClientAddr, backendPort, total)
+				if h == sc.Secondary {
+					sec = x
 				}
-				continue
+				return err
+			}); err != nil {
+				t.Fatal(err)
 			}
-			if rerr == io.EOF {
-				conn.Close()
+			if tc.crash {
+				if err := sc.RunUntil(func() bool { return sink.Received >= total/2 }, time.Minute); err != nil {
+					t.Fatalf("first half: %v (received %d)", err, sink.Received)
+				}
+				if sink.Received == total {
+					t.Fatal("the stream finished before the crash")
+				}
+				sc.Group.CrashPrimary()
 			}
-			return
-		}
-	})
-	conn.OnClose(func(error) { closed = true })
-
-	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (got %q)", err, out.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	want := []string{
-		"200 keyboard 4999 120 mechanical keyboard",
-		"201 ORDER 1000 keyboard 2 9998",
-		"201 ORDER 1001 mouse 1 1999",
-		"221 bye",
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("got lines %q, want %q", lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d: got %q want %q", i, lines[i], want[i])
-		}
-	}
-}
-
-// TestStoreProtocolEdges drives the store's LIST output and malformed
-// commands.
-func TestStoreProtocolEdges(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ServerPorts = []uint16{8080}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewStoreServer(h.TCP(), 8080, apps.DefaultCatalog())
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
-
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 8080)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	buf := make([]byte, 8192)
-	closed := false
-	conn.OnEstablished(func() {
-		_, _ = conn.Write([]byte("LIST\nBROWSE\nBUY keyboard nonsense\nBUY keyboard 0\nFROBNICATE\nQUIT\n"))
-	})
-	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(buf)
-			if n > 0 {
-				out.Write(buf[:n])
-				continue
+			if err := sc.RunUntil(func() bool { return sec.Closed > 0 && sink.Conns >= tc.wantConns }, 10*time.Minute); err != nil {
+				t.Fatalf("run: %v (received %d, conns %d)", err, sink.Received, sink.Conns)
 			}
-			if rerr == io.EOF {
-				conn.Close()
+			if sink.Conns != tc.wantConns {
+				t.Errorf("back end accepted %d connections, want %d", sink.Conns, tc.wantConns)
 			}
-			return
-		}
-	})
-	conn.OnClose(func(error) { closed = true })
-	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (got %q)", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{"200 5 items", "keyboard", "cable", "\n.\n",
-		"400 usage: BROWSE", "400 bad quantity", "400 unknown command", "221 bye"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("transcript missing %q:\n%s", want, got)
-		}
-	}
-	// "400 bad quantity" must appear twice (non-numeric and zero).
-	if strings.Count(got, "400 bad quantity") != 2 {
-		t.Errorf("bad-quantity rejections = %d, want 2", strings.Count(got, "400 bad quantity"))
-	}
-}
-
-// TestKVProtocolEdges drives the back end's error replies through the
-// replicated middle tier.
-func TestKVProtocolEdges(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ServerPorts = []uint16{8000}
-	opts.PeerPorts = []uint16{apps.KVDefaultPort}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := apps.NewKVServer(sc.Client.TCP(), apps.KVDefaultPort, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewFrontend(h.TCP(), 8000, tcpfailover.ClientAddr, apps.KVDefaultPort)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
-
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	buf := make([]byte, 4096)
-	closed := false
-	conn.OnEstablished(func() {
-		_, _ = conn.Write([]byte("FETCH missing\nGARBAGE\nSTORE a 1\nFETCH a\nQUIT\n"))
-	})
-	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(buf)
-			if n > 0 {
-				out.Write(buf[:n])
-				continue
+			if !tc.crash {
+				return
 			}
-			if rerr == io.EOF {
-				conn.Close()
+			if sink.Received != total {
+				t.Errorf("back end received %d bytes, want %d", sink.Received, total)
 			}
-			return
-		}
-	})
-	conn.OnClose(func(error) { closed = true })
-	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (got %q)", err, out.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	want := []string{"404", "400 unknown command", "201", "200 1", "221"}
-	if len(lines) != len(want) {
-		t.Fatalf("lines %q, want %q", lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d: %q, want %q", i, lines[i], want[i])
-		}
+			if !sec.Done || sec.Err != nil {
+				t.Errorf("secondary's transfer: done %v, err %v", sec.Done, sec.Err)
+			}
+			if d := sc.Group.PrimaryBridge().Stats().Divergences; d != 0 {
+				t.Errorf("primary bridge counted %d divergences", d)
+			}
+		})
 	}
 }

@@ -32,13 +32,13 @@
 //	  -experiment stallscale   [-stallscale N1,N2,...]
 //
 // With -metrics-out, one instrumented failover scenario is run after the
-// experiments and its metrics registry is written to FILE — JSON when the
-// name ends in .json, Prometheus text exposition format otherwise.
+// experiments and its metrics registry is written to FILE in the Prometheus
+// text exposition format.
 //
 // With -timeseries-out, a two-cell sharded scenario under open-loop web
 // traffic is run with a mid-window primary crash, every cell's registry is
 // sampled on a fixed sim-time grid, and the merged fleet timeseries is
-// written to FILE — JSON when the name ends in .json, CSV otherwise.
+// written to FILE as JSON.
 package main
 
 import (
@@ -72,9 +72,9 @@ func main() {
 		list       = flag.Bool("list", false, "list the experiment names and exit")
 		jsonOut    = flag.Bool("json", false, "also write "+trajectoryFile)
 		metricsOut = flag.String("metrics-out", "",
-			"write a metrics snapshot from one failover scenario to this file (.json or Prometheus text)")
+			"write a metrics snapshot from one failover scenario to this file (Prometheus text)")
 		timeseriesOut = flag.String("timeseries-out", "",
-			"write a sampled metrics timeseries from a sharded crash scenario to this file (.json or CSV)")
+			"write a sampled metrics timeseries from a sharded crash scenario to this file (JSON)")
 		workers = flag.Int("workers", bench.Workers, "simulation worker goroutines")
 	)
 	flag.Usage = func() {
@@ -111,7 +111,7 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 		if err != nil {
 			return err
 		}
-		if err := writeOut(metricsOut, reg.WriteJSON, reg.DumpText); err != nil {
+		if err := writeFile(metricsOut, reg.DumpText); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (metrics snapshot, one failover scenario)\n", metricsOut)
@@ -121,7 +121,7 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 		if err != nil {
 			return err
 		}
-		if err := writeOut(timeseriesOut, ts.WriteJSON, ts.WriteCSV); err != nil {
+		if err := writeFile(timeseriesOut, ts.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (sampled fleet timeseries, sharded crash scenario)\n", timeseriesOut)
@@ -139,16 +139,11 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 	return nil
 }
 
-// writeOut creates path and fills it with asJSON when the name ends in
-// .json and with asText otherwise.
-func writeOut(path string, asJSON, asText func(io.Writer) error) error {
+// writeFile creates path and hands it to write; the first error wins.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
-	}
-	write := asText
-	if strings.HasSuffix(path, ".json") {
-		write = asJSON
 	}
 	err = write(f)
 	if cerr := f.Close(); err == nil {

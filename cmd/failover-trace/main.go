@@ -14,8 +14,7 @@
 //
 // The traced hosts feed one obs flight recorder; the text lines are its
 // records as they are captured, and with -pcap the same records are
-// written as a standard pcap file (or pcapng when the file name ends in
-// .pcapng), readable by tcpdump and Wireshark.
+// written as a standard pcap file, readable by tcpdump and Wireshark.
 //
 // With -perfetto, the run records per-connection lifecycle spans and a
 // sampled metrics timeseries and writes them as Chrome trace-event JSON —
@@ -46,7 +45,7 @@ func main() {
 		noCrash = flag.Bool("no-crash", false, "fault-free run")
 		hosts   = flag.String("hosts", "client,primary,secondary,router",
 			"comma-separated hosts to trace")
-		pcapOut = flag.String("pcap", "", "write the traced packets to this pcap (or .pcapng) file")
+		pcapOut = flag.String("pcap", "", "write the traced packets to this pcap file")
 		perfOut = flag.String("perfetto", "",
 			"write connection spans and sampled metrics as Chrome trace-event JSON to this file")
 	)
@@ -176,11 +175,7 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 	}
 	mark("connection closed")
 	if pcapOut != "" {
-		write := obs.WritePcap
-		if strings.HasSuffix(pcapOut, ".pcapng") {
-			write = obs.WritePcapNG
-		}
-		if err := writeFile(pcapOut, func(w io.Writer) error { return write(w, rec.Records()) }); err != nil {
+		if err := writeFile(pcapOut, func(w io.Writer) error { return obs.WritePcap(w, rec.Records()) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d packets to %s\n", rec.Len(), pcapOut)

@@ -1,20 +1,18 @@
 // Command pcapcheck verifies the framing of capture files written by the
-// obs flight recorder (or anything else producing nanosecond pcap /
-// pcapng with raw-IP packets). It is a pure-Go stand-in for "tcpdump -r"
-// in environments without libpcap: CI uses it to prove that the files
+// obs flight recorder (or anything else producing nanosecond pcap with
+// raw-IP packets). It is a pure-Go stand-in for "tcpdump -r" in
+// environments without libpcap: CI uses it to prove that the files
 // failover-trace -pcap writes are structurally sound.
 //
 // Usage:
 //
-//	pcapcheck file.pcap [file2.pcapng ...]
+//	pcapcheck file.pcap [file2.pcap ...]
 //
-// The format is chosen by each file's leading magic number. Exit status is
-// non-zero if any file fails verification.
+// Exit status is non-zero if any file fails verification.
 package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"os"
 
@@ -28,36 +26,24 @@ func main() {
 	}
 	failed := false
 	for _, path := range os.Args[1:] {
-		n, format, err := checkFile(path)
+		n, err := checkFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pcapcheck: %s: %v\n", path, err)
 			failed = true
 			continue
 		}
-		fmt.Printf("%s: ok, %s, %d packets\n", path, format, n)
+		fmt.Printf("%s: ok, pcap, %d packets\n", path, n)
 	}
 	if failed {
 		os.Exit(1)
 	}
 }
 
-func checkFile(path string) (packets int, format string, err error) {
+func checkFile(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return 0, "", fmt.Errorf("reading magic: %w", err)
-	}
-	switch binary.LittleEndian.Uint32(magic) {
-	case 0x0A0D0D0A:
-		n, err := obs.VerifyPcapNG(br)
-		return n, "pcapng", err
-	default:
-		n, err := obs.VerifyPcap(br)
-		return n, "pcap", err
-	}
+	return obs.VerifyPcap(bufio.NewReader(f))
 }

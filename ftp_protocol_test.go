@@ -8,7 +8,6 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
 
@@ -114,62 +113,6 @@ func TestFTPListCommand(t *testing.T) {
 	for _, n := range names {
 		if !strings.Contains(joined, n) {
 			t.Errorf("listing missing %q", n)
-		}
-	}
-}
-
-// TestStoreInsufficientStock drives the store's rejection path and verifies
-// both replicas stay in step afterward (the connection continues).
-func TestStoreInsufficientStock(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ServerPorts = []uint16{8080}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewStoreServer(h.TCP(), 8080, apps.DefaultCatalog())
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
-
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 8080)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	buf := make([]byte, 4096)
-	closed := false
-	conn.OnEstablished(func() {
-		_, _ = conn.Write([]byte("BUY monitor 9999\nBUY monitor 2\nBROWSE nothing\nQUIT\n"))
-	})
-	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(buf)
-			if n > 0 {
-				out.Write(buf[:n])
-				continue
-			}
-			if rerr == io.EOF {
-				conn.Close()
-			}
-			return
-		}
-	})
-	conn.OnClose(func(error) { closed = true })
-	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (got %q)", err, out.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	want := []string{"409 insufficient stock", "201 ORDER 1000 monitor 2 49998", "404 no such item", "221 bye"}
-	if len(lines) != len(want) {
-		t.Fatalf("lines %q, want %q", lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d: %q, want %q", i, lines[i], want[i])
 		}
 	}
 }

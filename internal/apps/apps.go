@@ -1,9 +1,8 @@
 // Package apps provides the deterministic server applications and client
 // workload generators used by the examples and the benchmark harness: an
-// echo server, bulk stream sources and sinks, a request/reply server, a
-// simplified FTP server and client (the paper's real-world application),
-// the online store from the paper's introduction, and a key-value back end
-// for server-initiated connections.
+// echo server, bulk stream sources and sinks, a request/reply server, an
+// HTTP/1.1 keep-alive server and client, and a simplified FTP server and
+// client (the paper's real-world application).
 //
 // All applications are written against the event-driven socket API of
 // internal/tcp and are deterministic on a per-connection basis, the

@@ -79,74 +79,3 @@ func VerifyPcap(r io.Reader) (int, error) {
 		n++
 	}
 }
-
-// VerifyPcapNG checks a pcapng stream and returns its packet count.
-func VerifyPcapNG(r io.Reader) (int, error) {
-	le := binary.LittleEndian
-	sawSHB, sawIDB := false, false
-	n := 0
-	var bh [8]byte
-	for {
-		if _, err := io.ReadFull(r, bh[:]); err == io.EOF {
-			if !sawSHB {
-				return n, badf("missing section header block")
-			}
-			if !sawIDB {
-				return n, badf("missing interface description block")
-			}
-			return n, nil
-		} else if err != nil {
-			return n, badf("block header: %v", err)
-		}
-		btype := le.Uint32(bh[0:])
-		blen := le.Uint32(bh[4:])
-		if blen < 12 || blen%4 != 0 {
-			return n, badf("block %#x: bad length %d", btype, blen)
-		}
-		body := make([]byte, blen-8)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return n, badf("block %#x body: %v", btype, err)
-		}
-		if tl := le.Uint32(body[len(body)-4:]); tl != blen {
-			return n, badf("block %#x: trailing length %d != %d", btype, tl, blen)
-		}
-		body = body[:len(body)-4]
-		switch btype {
-		case blockSHB:
-			if len(body) < 16 {
-				return n, badf("section header too short")
-			}
-			if bom := le.Uint32(body[0:]); bom != 0x1A2B3C4D {
-				return n, badf("byte-order magic %#x", bom)
-			}
-			sawSHB = true
-		case blockIDB:
-			if !sawSHB {
-				return n, badf("interface block before section header")
-			}
-			if lt := le.Uint16(body[0:]); lt != linktypeRaw {
-				return n, badf("interface linktype %d, want %d", lt, linktypeRaw)
-			}
-			sawIDB = true
-		case blockEPB:
-			if !sawIDB {
-				return n, badf("packet block before interface block")
-			}
-			if len(body) < 20 {
-				return n, badf("packet block %d too short", n)
-			}
-			capLen := le.Uint32(body[12:])
-			origLen := le.Uint32(body[16:])
-			if capLen > origLen {
-				return n, badf("packet %d: captured %d exceeds original %d", n, capLen, origLen)
-			}
-			if uint32(len(body)-20) < capLen {
-				return n, badf("packet %d: body %d shorter than captured %d", n, len(body)-20, capLen)
-			}
-			if err := checkRawIP(body[20 : 20+capLen]); err != nil {
-				return n, fmt.Errorf("packet %d: %w", n, err)
-			}
-			n++
-		}
-	}
-}

@@ -1,6 +1,6 @@
 // Package obs is the observability core, three lines of one pipeline: a
 // zero-allocation metrics registry with its sampler and exporters; a
-// bounded flight recorder with standard pcap/pcapng output (and, through
+// bounded flight recorder with standard pcap output (and, through
 // internal/trace, text); and per-connection lifecycle spans, scored by
 // Stall into the repo's one failover phase breakdown. Everything in this
 // package is deterministic — values are functions of the simulation only,
@@ -225,35 +225,6 @@ func (r *Registry) Snapshot() []Sample {
 		out = append(out, s)
 	}
 	return out
-}
-
-// WriteJSON emits the snapshot as a JSON array. The encoding is built by
-// hand to keep the output layout stable under Go version changes (the
-// snapshot doubles as a golden artifact in determinism gates).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	_, err := io.WriteString(w, "[\n")
-	if err != nil {
-		return err
-	}
-	for i, s := range r.Snapshot() {
-		sep := ","
-		if i == len(r.metrics)-1 {
-			sep = ""
-		}
-		switch s.Kind {
-		case "histogram":
-			_, err = fmt.Fprintf(w, "  {\"name\": %q, \"kind\": %q, \"sum\": %d, \"count\": %d, \"bounds\": %s, \"counts\": %s}%s\n",
-				s.Name, s.Kind, s.Sum, s.Count, jsonInts(s.Bounds), jsonInts(s.Counts), sep)
-		default:
-			_, err = fmt.Fprintf(w, "  {\"name\": %q, \"kind\": %q, \"value\": %d}%s\n",
-				s.Name, s.Kind, s.Value, sep)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	_, err = io.WriteString(w, "]\n")
-	return err
 }
 
 func jsonInts(vs []int64) string {

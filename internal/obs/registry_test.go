@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -87,24 +86,6 @@ func TestKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	reg.Gauge("dual")
-}
-
-func TestWriteJSONIsValid(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter(`tcp_segments_in_total{host="primary"}`).Add(7)
-	reg.Gauge("depth").Set(-2)
-	reg.Histogram("d", DurationBuckets(time.Microsecond, time.Millisecond)).Observe(int64(50 * time.Microsecond))
-	var sb strings.Builder
-	if err := reg.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, sb.String())
-	}
-	if len(out) != 3 {
-		t.Fatalf("got %d series, want 3", len(out))
-	}
 }
 
 func TestDumpTextPrometheusShape(t *testing.T) {

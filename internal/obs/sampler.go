@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 )
 
@@ -180,9 +179,9 @@ func MergeTimeseries(parts ...*Timeseries) (*Timeseries, error) {
 	return out, nil
 }
 
-// WriteJSON emits the timeseries as a JSON object. Hand-built, like
-// Registry.WriteJSON, so the byte layout is stable across Go versions and
-// can serve as a golden artifact.
+// WriteJSON emits the timeseries as a JSON object. The encoding is built by
+// hand so the byte layout is stable across Go versions and can serve as a
+// golden artifact.
 func (ts *Timeseries) WriteJSON(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "{\n  \"period_ns\": %d,\n  \"times_ns\": %s,\n  \"series\": [\n",
 		ts.PeriodNs, jsonInts(ts.TimesNs)); err != nil {
@@ -199,26 +198,5 @@ func (ts *Timeseries) WriteJSON(w io.Writer) error {
 		}
 	}
 	_, err := io.WriteString(w, "  ]\n}\n")
-	return err
-}
-
-// WriteCSV emits the timeseries as CSV: a header row (t_ns plus series
-// names) followed by one row per sample.
-func (ts *Timeseries) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("t_ns")
-	for _, col := range ts.Series {
-		b.WriteByte(',')
-		b.WriteString(col.Name)
-	}
-	b.WriteByte('\n')
-	for i, t := range ts.TimesNs {
-		fmt.Fprintf(&b, "%d", t)
-		for _, col := range ts.Series {
-			fmt.Fprintf(&b, ",%d", col.Values[i])
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
 	return err
 }

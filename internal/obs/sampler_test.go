@@ -176,25 +176,3 @@ func TestTimeseriesGoldenJSON(t *testing.T) {
 		t.Errorf("parsed golden lost content: %+v", parsed)
 	}
 }
-
-// TestTimeseriesGoldenCSV pins the CSV flavor of the same artifact.
-func TestTimeseriesGoldenCSV(t *testing.T) {
-	reg, c, _, _ := samplerFixture()
-	s := NewSampler(reg, time.Millisecond, 4)
-	c.Add(2)
-	s.Sample(1 * time.Millisecond)
-	c.Add(2)
-	s.Sample(2 * time.Millisecond)
-
-	var buf bytes.Buffer
-	if err := s.Timeseries().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const golden = `t_ns,segments_total,conns_active,rtt_ns.count,rtt_ns.sum
-1000000,2,0,0,0
-2000000,4,0,0,0
-`
-	if buf.String() != golden {
-		t.Errorf("timeseries CSV drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", buf.String(), golden)
-	}
-}
