@@ -105,11 +105,11 @@ func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint1
 // accept itself is a handful of heap objects per connection pair — the two
 // Conns with their rings and RTT estimators embedded, flow-table and timer
 // state — and no ring storage before the first byte. A Conn stays in the
-// 480-byte size class: one field more must not move every connection into
-// the 512-byte one.
+// 448-byte size class, which its eight flags packed into one word reached
+// from the 480-byte one: a field more must not move every connection back.
 func TestIdleConnectionHeapGate(t *testing.T) {
-	if size := unsafe.Sizeof(tcp.Conn{}); size > 480 {
-		t.Errorf("tcp.Conn is %d bytes, want at most 480", size)
+	if size := unsafe.Sizeof(tcp.Conn{}); size > 448 {
+		t.Errorf("tcp.Conn is %d bytes, want at most 448", size)
 	}
 	const conns = 256
 	bare, bareObjects := liveHeapAfterAccepts(t, conns, func(s *tcp.Stack, port uint16) error {

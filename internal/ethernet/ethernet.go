@@ -149,7 +149,7 @@ type Segment struct {
 
 	// Free list of delivery events and a reusable receiver list: the
 	// per-frame hot path schedules delivery without allocating.
-	deliverFree []*deliverEvent
+	deliverFree sim.FreeList[deliverEvent]
 	recvScratch []*NIC
 
 	// impair, when set, judges every frame: at transmission (drop, extra
@@ -302,9 +302,7 @@ type deliverEvent struct {
 }
 
 func (s *Segment) getDeliverEvent() *deliverEvent {
-	if n := len(s.deliverFree); n > 0 {
-		ev := s.deliverFree[n-1]
-		s.deliverFree = s.deliverFree[:n-1]
+	if ev := s.deliverFree.Get(); ev != nil {
 		return ev
 	}
 	return &deliverEvent{seg: s}
@@ -314,7 +312,7 @@ func runDeliver(v any) {
 	ev := v.(*deliverEvent)
 	s, src, f := ev.seg, ev.src, ev.f
 	ev.src, ev.f = nil, Frame{}
-	s.deliverFree = append(s.deliverFree, ev)
+	s.deliverFree.Put(ev)
 	s.deliver(src, f)
 }
 

@@ -171,7 +171,7 @@ type Host struct {
 
 	// Free list of packet events: every scheduled stack crossing (ingress,
 	// egress, forward) reuses these instead of allocating a closure.
-	pktFree []*pktEvent
+	pktFree sim.FreeList[pktEvent]
 
 	// inPend holds, per TCP flow, the ingress delivery still awaiting its
 	// completion time, so NAPI batching (Profile.NAPIBudget) can coalesce
@@ -441,9 +441,7 @@ func (h *Host) unpend(e *pktEvent) {
 }
 
 func (h *Host) getPktEvent() *pktEvent {
-	if n := len(h.pktFree); n > 0 {
-		e := h.pktFree[n-1]
-		h.pktFree = h.pktFree[:n-1]
+	if e := h.pktFree.Get(); e != nil {
 		return e
 	}
 	return &pktEvent{h: h}
@@ -453,7 +451,7 @@ func (h *Host) putPktEvent(e *pktEvent) {
 	e.ifc, e.hdr, e.payload, e.buf = nil, ipv4.Header{}, nil, nil
 	e.next, e.tail, e.chained = nil, nil, 0
 	e.timer, e.key, e.sumOK = sim.Timer{}, flowKey{}, false
-	h.pktFree = append(h.pktFree, e)
+	h.pktFree.Put(e)
 }
 
 func releaseBuf(b *netbuf.Buffer) {

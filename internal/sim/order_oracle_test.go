@@ -244,8 +244,14 @@ func (o *oracleRun) outside() {
 	}
 }
 
+// runOracle runs seed's programme on backend b. Every tenth seed begins
+// with a burst, whose idle events are shed during the programme.
 func runOracle(t *testing.T, seed int64, b Backend) int {
 	s := NewBackend(seed, b)
+	bursts := seed%10 == 0
+	if bursts {
+		burst(t, s, 4_000, 1+int(seed*7%300))
+	}
 	o := &oracleRun{t: t, s: s, rx: s.NewStream(1, seed), rng: rand.New(rand.NewSource(seed))}
 	for len(o.timers) < oracleIDs/2 {
 		o.ops(1 + o.rng.Intn(8))
@@ -271,6 +277,9 @@ func runOracle(t *testing.T, seed int64, b Backend) int {
 	}
 	if len(o.ref.events) != 0 {
 		t.Fatalf("scheduler drained with %d events left in the reference", len(o.ref.events))
+	}
+	if bursts && s.free.Len() >= 4_000 {
+		t.Fatalf("seed %d: %d events on the free list: the burst was not shed during the programme", seed, s.free.Len())
 	}
 	return o.fired
 }

@@ -51,8 +51,8 @@ func TestStoppedEventsRecycled(t *testing.T) {
 	if len(s.queue) != 0 {
 		t.Errorf("queue holds %d dead events, want 0 (eager removal)", len(s.queue))
 	}
-	if len(s.free) != 1 {
-		t.Errorf("free list has %d events, want the single event all 8 cycles reused", len(s.free))
+	if s.free.Len() != 1 {
+		t.Errorf("free list has %d events, want the single event all 8 cycles reused", s.free.Len())
 	}
 	if s.Step() {
 		t.Error("Step fired a stopped event")

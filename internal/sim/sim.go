@@ -10,12 +10,13 @@
 // The scheduler is built for the hot path: the priority queue is a
 // hand-rolled indexed binary min-heap over []*event (no interface boxing,
 // sift-up/down specialized to the (when, seq) key), and fired or canceled
-// events are recycled through a free list instead of being garbage
-// collected. TCP timer churn — a retransmission timer re-armed per segment —
-// therefore allocates nothing in steady state. Callers hold Timer handles,
-// not events; a generation counter in each pooled event makes Stop on a
-// stale handle (whose event has been recycled for an unrelated purpose) a
-// safe no-op.
+// events are recycled through a FreeList, which the hosts and LANs use for
+// their own callback arguments too. TCP timer churn — a retransmission timer
+// re-armed per segment — therefore allocates nothing in steady state, while
+// what a set-up burst left idle is shed to the collector once the load
+// settles. Callers hold Timer handles, not events; a generation counter in
+// each pooled event makes Stop on a stale handle (whose event has been
+// recycled for an unrelated purpose, or shed) a safe no-op.
 package sim
 
 import (
@@ -177,8 +178,8 @@ type Scheduler struct {
 	// comparison against the heap top. Stop leaves it low; cascade
 	// refreshes it.
 	farFrom  time.Duration
-	free     []*event // recycled events
-	pending  int      // queued events not yet stopped
+	free     FreeList[event] // recycled events
+	pending  int             // queued events not yet stopped
 	cur      *streamState
 	streams  []*streamState // registration order; streams[0] is stream 0
 	digestOn bool
@@ -306,10 +307,7 @@ func (s *Scheduler) Executed() int { return s.executed }
 
 // acquire takes an event from the free list or allocates one.
 func (s *Scheduler) acquire() *event {
-	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if ev := s.free.Get(); ev != nil {
 		return ev
 	}
 	return &event{sched: s, index: -1, slot: -1}
@@ -327,7 +325,7 @@ func (s *Scheduler) release(ev *event) {
 	ev.name = ""
 	ev.index = -1
 	ev.slot = -1
-	s.free = append(s.free, ev)
+	s.free.Put(ev)
 }
 
 // schedule inserts a prepared event and returns its handle. Events whose

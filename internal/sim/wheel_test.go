@@ -192,11 +192,13 @@ func TestWheelSameTickOrdering(t *testing.T) {
 // randomized arm/cancel/step workload — deadlines spanning the near
 // horizon, the far level (cascades) and past the far horizon, cancellations
 // and re-arms from outside and inside callbacks — and requires
-// byte-identical execution traces.
+// byte-identical execution traces. A burst before the draws leaves 40 000
+// idle events on the free list, shed 100 Puts into the draws.
 func TestWheelVsHeapRandomSchedule(t *testing.T) {
 	spans := []time.Duration{wheelTick * wheelSlots * 2, farTick * 8, farTick * wheelSlots * 2}
 	run := func(b Backend) string {
 		s := NewBackend(7, b)
+		burst(t, s, 40_000, 100)
 		rng := rand.New(rand.NewSource(42))
 		trace := ""
 		var timers []Timer
@@ -228,6 +230,9 @@ func TestWheelVsHeapRandomSchedule(t *testing.T) {
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if s.free.Len() >= 40_000 {
+			t.Fatalf("%d events on the free list: the burst was not shed during the draws", s.free.Len())
 		}
 		return trace
 	}

@@ -13,11 +13,21 @@ import (
 // OnReadable / OnWritable / OnEstablished / OnClose callbacks signal
 // progress. All methods must be called from the simulation event loop.
 type Conn struct {
-	stack    *Stack
-	tuple    Tuple
-	state    State
-	listener *Listener // non-nil for passively opened connections
-	alias    *Conn     // next connection sharing tuple.key() in the stack's demux
+	stack *Stack
+	tuple Tuple
+	state State
+	// The flags share one word; spread among wider fields, their padding
+	// put Conn in the 480-byte size class instead of the 448-byte one.
+	finQueued      bool
+	finSent        bool
+	remoteFinValid bool
+	peerFinRcvd    bool
+	fastRecovery   bool
+	ackNowFlag     bool
+	timing         bool // an RTT measurement is in progress
+	closed         bool
+	listener       *Listener // non-nil for passively opened connections
+	alias          *Conn     // next connection sharing tuple.key() in the stack's demux
 
 	// Send sequence variables (RFC 793 3.2).
 	iss       Seq
@@ -29,32 +39,25 @@ type Conn struct {
 	sndWl1    Seq
 	sndWl2    Seq
 	sndBuf    ByteRing // unacknowledged and unsent data; capacity Config.SendBufSize
-	finQueued bool
-	finSent   bool
 	finSeq    Seq
 
 	// Receive sequence variables.
-	rcvNxt         Seq
-	rcvBuf         ByteRing // unread data up to rcvNxt, and what arrived beyond a gap; capacity Config.RecvBufSize
-	remoteFinSeq   Seq
-	remoteFinValid bool
-	peerFinRcvd    bool
+	rcvNxt       Seq
+	rcvBuf       ByteRing // unread data up to rcvNxt, and what arrived beyond a gap; capacity Config.RecvBufSize
+	remoteFinSeq Seq
 
 	// Congestion control (Reno).
-	mss          int
-	cwnd         int
-	ssthresh     int
-	dupAcks      int
-	fastRecovery bool
+	mss      int
+	cwnd     int
+	ssthresh int
+	dupAcks  int
 
 	// Acknowledgment strategy.
 	ackPendingSegs int
-	ackNowFlag     bool
 	lastWndSent    int
 
 	// RTT measurement (one segment timed at a time; Karn's rule).
 	rto      rttEstimator
-	timing   bool
 	timedSeq Seq
 	timedAt  time.Duration
 
@@ -72,7 +75,6 @@ type Conn struct {
 	onWritable    func()
 	onClose       func(error)
 
-	closed   bool
 	closeErr error
 }
 
