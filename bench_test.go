@@ -142,7 +142,7 @@ func BenchmarkFailoverLatency(b *testing.B) {
 // E12 — extension: open-loop SLO (one failover crash cell at moderate load).
 func BenchmarkSLOFailoverCrash(b *testing.B) {
 	for b.Loop() {
-		pts, err := bench.SLO("web", []float64{60}, 2*time.Second)
+		pts, err := bench.SLO([]float64{60}, 2*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,31 +5,32 @@
 //
 // Independent simulations fan out across the machine's CPUs; every result
 // is a function of the per-simulation seeds only, so the output is
-// identical for any worker count. With -json the full run — configuration
-// and results — is also written to BENCH_trajectory.json. Host time is not
-// this command's to measure: it reads no wall clock, E13's live heap is the
-// only host-dependent number it prints, and benchmark/ owns the rest.
+// identical for any worker count. Every experiment runs at the sizes of the
+// committed record, so a full run reproduces BENCH_trajectory.json; with
+// -json the run — configuration and results — is also written there. The
+// command reads no wall clock: E13's live heap is the only host-dependent
+// number it prints, and benchmark/ owns host time.
 //
 // Usage (the experiment lines are bench.Usage(), printed by -h and checked
 // against this comment and README.md by a test):
 //
-//	failover-bench [-experiment NAME|all] [-list] [-workers N] [-json]
+//	failover-bench [-experiment NAME|all] [-workers N] [-json]
 //	               [-metrics-out FILE] [-timeseries-out FILE]
 //
-//	experiments, in execution order, and the flags that size each:
-//	  -experiment connsetup    [-conns N]
-//	  -experiment fig3         [-reps N]
-//	  -experiment fig4         [-reps N]
-//	  -experiment fig5         [-stream BYTES]
-//	  -experiment fig6         [-reps N]
-//	  -experiment ablate       [-stream BYTES]
-//	  -experiment failover     [-runs N]
-//	  -experiment faultsweep   [-runs N] [-faultrates R1,R2,...]
-//	  -experiment failtimeline [-runs N]
+//	experiments, in execution order:
+//	  -experiment connsetup
+//	  -experiment fig3
+//	  -experiment fig4
+//	  -experiment fig5
+//	  -experiment fig6
+//	  -experiment ablate
+//	  -experiment failover
+//	  -experiment faultsweep
+//	  -experiment failtimeline
 //	  -experiment adversary
-//	  -experiment slo          [-sloloads L1,L2,...] [-slowindow D] [-sloworkload NAME]
-//	  -experiment memscale     [-memscale N1,N2,...]
-//	  -experiment stallscale   [-stallscale N1,N2,...]
+//	  -experiment slo
+//	  -experiment memscale
+//	  -experiment stallscale
 //
 // With -metrics-out, one instrumented failover scenario is run after the
 // experiments and its metrics registry is written to FILE in the Prometheus
@@ -57,19 +58,16 @@ const trajectoryFile = "BENCH_trajectory.json"
 
 // synopsis is the command's own half of the usage text; bench.Usage() is
 // the other.
-const synopsis = `failover-bench [-experiment NAME|all] [-list] [-workers N] [-json]
+const synopsis = `failover-bench [-experiment NAME|all] [-workers N] [-json]
                [-metrics-out FILE] [-timeseries-out FILE]
 
-experiments, in execution order, and the flags that size each:
+experiments, in execution order:
 `
 
 func main() {
-	var cfg bench.Config
-	parseLists := bench.RegisterFlags(flag.CommandLine, &cfg)
 	var (
 		experiment = flag.String("experiment", "all",
 			"which experiment to run: all, "+strings.Join(bench.ExperimentNames(), ", "))
-		list       = flag.Bool("list", false, "list the experiment names and exit")
 		jsonOut    = flag.Bool("json", false, "also write "+trajectoryFile)
 		metricsOut = flag.String("metrics-out", "",
 			"write a metrics snapshot from one failover scenario to this file (Prometheus text)")
@@ -82,19 +80,9 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *list {
-		for _, name := range bench.ExperimentNames() {
-			fmt.Println(name)
-		}
-		return
-	}
 	bench.Workers = *workers
-	cfg.Experiments = []string{*experiment}
-	err := parseLists()
-	if err == nil {
-		err = run(cfg, *jsonOut, *metricsOut, *timeseriesOut)
-	}
-	if err != nil {
+	cfg := bench.Config{Experiments: []string{*experiment}}
+	if err := run(cfg, *jsonOut, *metricsOut, *timeseriesOut); err != nil {
 		fmt.Fprintln(os.Stderr, "failover-bench:", err)
 		os.Exit(1)
 	}

@@ -57,6 +57,12 @@ func main() {
 }
 
 func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut string) error {
+	if total <= 0 {
+		return fmt.Errorf("-bytes %d: want a positive byte count", total)
+	}
+	if crashAt > total {
+		return fmt.Errorf("-crash-at %d: past the end of the %d-byte transfer", crashAt, total)
+	}
 	opts := tcpfailover.LANOptions()
 	opts.Seed = seed
 	opts.ServerPorts = []uint16{7}

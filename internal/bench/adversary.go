@@ -310,7 +310,7 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 	return p, nil
 }
 
-func renderAdversary(w io.Writer, _ Config, r *Results) {
+func renderAdversary(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E11 (extension): adversarial attack-outcome matrix ===")
 	fmt.Fprintln(w, "(seeded in-LAN attacker vs a live connection: blind RST probes,")
 	fmt.Fprintln(w, " forged gratuitous-ARP takeover, stale-data ACK reflection, and a")

@@ -162,7 +162,7 @@ func ConnectionSetup(mode Mode, n int) (ConnSetupResult, error) {
 
 func us(d time.Duration) string { return fmt.Sprintf("%.0f", float64(d.Nanoseconds())/1e3) }
 
-func renderConnSetup(w io.Writer, _ Config, r *Results) {
+func renderConnSetup(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E1: connection setup time (paper sec. 9) ===")
 	fmt.Fprintln(w, "paper:    standard TCP median 294 us, max 603 us")
 	fmt.Fprintln(w, "paper:    TCP Failover median 505 us, max 1193 us")
@@ -245,7 +245,7 @@ func renderTransfer(w io.Writer, column string, std, fo []TransferPoint) {
 	fmt.Fprintln(w)
 }
 
-func renderFig3(w io.Writer, _ Config, r *Results) {
+func renderFig3(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E2: Figure 3, client-to-server send time ===")
 	fmt.Fprintln(w, "(median time for the client application to send a message;")
 	fmt.Fprintln(w, " paper shape: sub-32KB region grows slowly due to the 64 KB")
@@ -277,7 +277,7 @@ func ServerToClientTransfer(mode Mode, sizes []int64, reps int) ([]TransferPoint
 		})
 }
 
-func renderFig4(w io.Writer, _ Config, r *Results) {
+func renderFig4(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E3: Figure 4, server-to-client transfer time ===")
 	fmt.Fprintln(w, "(client sends a 4-byte request; median time until the last byte")
 	fmt.Fprintln(w, " of the sized reply arrives; paper shape as figure 3)")
@@ -370,13 +370,13 @@ func streamRates(mode Mode, total int64, mutate func(*tcpfailover.Options)) (Rat
 	return res, err
 }
 
-func renderFig5(w io.Writer, cfg Config, r *Results) {
+func renderFig5(w io.Writer, r *Results) {
 	if len(r.Fig5) != 2 {
 		return
 	}
 	std, fo := r.Fig5[0], r.Fig5[1]
 	fmt.Fprintln(w, "=== E4: Figure 5, send/receive rates for long streams ===")
-	fmt.Fprintf(w, "(streams of %d MB)\n", cfg.Stream/(1024*1024))
+	fmt.Fprintf(w, "(streams of %d MB)\n", recordStream/(1024*1024))
 	fmt.Fprintln(w, "paper:    standard TCP  send 7833.70 KB/s   receive 8707.88 KB/s")
 	fmt.Fprintln(w, "paper:    TCP Failover  send 5835.80 KB/s   receive 3510.03 KB/s")
 	fmt.Fprintf(w, "measured: %-13s send %8.2f KB/s   receive %8.2f KB/s\n", std.Mode, std.SendKBps, std.RecvKBps)
@@ -497,7 +497,7 @@ func FTPRates(mode Mode, reps int) ([]FTPPoint, error) {
 	return out, nil
 }
 
-func renderFig6(w io.Writer, _ Config, r *Results) {
+func renderFig6(w io.Writer, r *Results) {
 	std, fo := r.Fig6Std, r.Fig6Fo
 	fmt.Fprintln(w, "=== E5: Figure 6, FTP get/put rates over a WAN [KB/s] ===")
 	fmt.Fprintln(w, "paper (get std/fo, put std/fo):")
@@ -566,9 +566,9 @@ func Ablation(total int64) ([]AblationRow, error) {
 	return out, nil
 }
 
-func renderAblation(w io.Writer, cfg Config, r *Results) {
+func renderAblation(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== Ablations: design choices toggled one at a time ===")
-	fmt.Fprintf(w, "(figure-5 workload, %d MB streams)\n", cfg.Stream/4/(1024*1024))
+	fmt.Fprintf(w, "(figure-5 workload, %d MB streams)\n", recordStream/4/(1024*1024))
 	for _, row := range r.Ablation {
 		fmt.Fprintf(w, "%-42s send %8.2f KB/s   receive %8.2f KB/s\n", row.Name, row.SendKBps, row.RecvKBps)
 	}
@@ -623,7 +623,7 @@ func FailoverLatency(n int) (FailoverResult, error) {
 	}, nil
 }
 
-func renderFailover(w io.Writer, _ Config, r *Results) {
+func renderFailover(w io.Writer, r *Results) {
 	if r.Failover == nil {
 		return
 	}

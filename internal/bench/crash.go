@@ -86,8 +86,8 @@ func (r *crashRun) run(what string, crashAt int64, alive func() bool) error {
 	return nil
 }
 
-// webCrashWorkload is the workload-zoo entry webCrashFleet drives.
-const webCrashWorkload = "web"
+// webWorkload is the workload-zoo entry E12 and webCrashFleet drive.
+const webWorkload = "web"
 
 // webCrashFleet builds and starts the sharded testbed behind E14 and
 // CollectTimeseries: cells on a trunk ring, an HTTP server on every
@@ -126,7 +126,7 @@ func webCrashFleet(seed int64, cells, shards int, load float64, warmup, window t
 	}
 	ss.Start()
 
-	spec, err := loadgen.Zoo(webCrashWorkload, load)
+	spec, err := loadgen.Zoo(webWorkload, load)
 	if err != nil {
 		return nil, err
 	}

@@ -3,22 +3,32 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"tcpfailover/internal/netbuf"
 )
 
-// smallConfig is a workload small enough to run twice in a unit test but
-// still covering every experiment family's fan-out shape.
-func smallConfig() Config {
-	return Config{
-		Experiments: []string{"connsetup", "fig3", "fig5", "failover"},
-		Conns:       3,
-		Reps:        2,
-		Stream:      256 * 1024,
-		Runs:        2,
-		Sizes:       []int64{64, 4096},
+// smallResults runs E1, E2, E4 and E6 at sizes small enough to run twice in
+// a unit test, each still covering its experiment family's fan-out shape,
+// and returns the marshalled results.
+func smallResults() ([]byte, error) {
+	r := Results{ConnSetup: make([]ConnSetupResult, 2), Fig5: make([]RateResult, 2), Failover: new(FailoverResult)}
+	var errs [4]error
+	errs[0] = bothModes("connsetup", &r.ConnSetup[0], &r.ConnSetup[1], func(m Mode) (ConnSetupResult, error) {
+		return ConnectionSetup(m, 3)
+	})
+	errs[1] = bothModes("fig3", &r.Fig3Std, &r.Fig3Fo, func(m Mode) ([]TransferPoint, error) {
+		return ClientToServerSend(m, []int64{64, 4096}, 2)
+	})
+	errs[2] = bothModes("fig5", &r.Fig5[0], &r.Fig5[1], func(m Mode) (RateResult, error) {
+		return StreamRates(m, 256*1024)
+	})
+	*r.Failover, errs[3] = FailoverLatency(2)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
 	}
+	return json.MarshalIndent(r, "", " ")
 }
 
 // TestResultsIdenticalAcrossWorkerCounts is the harness's core invariant:
@@ -33,13 +43,9 @@ func TestResultsIdenticalAcrossWorkerCounts(t *testing.T) {
 		old := Workers
 		Workers = workers
 		defer func() { Workers = old }()
-		traj, err := RunAll(smallConfig())
+		blob, err := smallResults()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		blob, err := json.MarshalIndent(traj.Results, "", " ")
-		if err != nil {
-			t.Fatal(err)
 		}
 		return blob
 	}

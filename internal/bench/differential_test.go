@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"tcpfailover/internal/sim"
@@ -10,7 +9,7 @@ import (
 
 // TestResultsIdenticalAcrossTimerBackends is the differential gate for the
 // timing wheel: the wheel only stages events — execution order is always
-// decided by the (when, seq) heap — so a full benchmark run must produce
+// decided by the (when, seq) heap — so the harness's experiments must produce
 // byte-identical results whether schedulers use the wheel or the plain
 // heap. Any divergence means the wheel changed event order, which would
 // silently invalidate every deterministic result in the suite. CI runs this
@@ -24,13 +23,9 @@ func TestResultsIdenticalAcrossTimerBackends(t *testing.T) {
 		old := sim.DefaultBackend()
 		sim.SetDefaultBackend(b)
 		defer sim.SetDefaultBackend(old)
-		traj, err := RunAll(smallConfig())
+		blob, err := smallResults()
 		if err != nil {
 			t.Fatalf("backend=%v: %v", b, err)
-		}
-		blob, err := json.MarshalIndent(traj.Results, "", " ")
-		if err != nil {
-			t.Fatal(err)
 		}
 		return blob
 	}

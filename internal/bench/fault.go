@@ -40,9 +40,6 @@ type FaultPoint struct {
 // the recovery window (lost retransmissions push the client into
 // exponential RTO backoff on top of the detection timeout).
 func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
-	if len(rates) == 0 {
-		rates = DefaultFaultRates
-	}
 	const total = 1024 * 1024
 	type cell struct {
 		model string
@@ -157,7 +154,7 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 	return points, nil
 }
 
-func renderFaultSweep(w io.Writer, _ Config, r *Results) {
+func renderFaultSweep(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E7 (extension): failover latency under link impairment ===")
 	fmt.Fprintln(w, "(1 MB server-to-client stream over lossy links, primary crashed")
 	fmt.Fprintln(w, " mid-stream by the failure schedule; stall = longest post-crash")

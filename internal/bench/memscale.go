@@ -44,9 +44,6 @@ type MemScalePoint struct {
 // on the calling goroutine: heap measurements of the process itself need an
 // otherwise quiet process.
 func MemScale(counts []int) ([]MemScalePoint, error) {
-	if len(counts) == 0 {
-		counts = DefaultMemScale
-	}
 	out := make([]MemScalePoint, 0, len(counts))
 	for _, n := range counts {
 		p, err := memScaleCell(n)
@@ -58,7 +55,7 @@ func MemScale(counts []int) ([]MemScalePoint, error) {
 	return out, nil
 }
 
-func renderMemScale(w io.Writer, _ Config, r *Results) {
+func renderMemScale(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E13: live heap per connection at scale (flowtab bridges) ===")
 	fmt.Fprintln(w, "(N established failover connections held live on real bridges,")
 	fmt.Fprintln(w, " their state in open-addressing tables and slab arenas; live")

@@ -29,9 +29,6 @@ var DefaultSLOLoads = []float64{40, 160, 320}
 // DefaultSLOWindow is the measurement window of virtual time per cell.
 const DefaultSLOWindow = 8 * time.Second
 
-// DefaultSLOWorkload names the workload-zoo entry E12 drives.
-const DefaultSLOWorkload = "web"
-
 // sloWarmup is virtual time before the measurement window: arrivals run but
 // are not measured, so the window sees a steady-state connection population.
 const sloWarmup = time.Second
@@ -70,24 +67,11 @@ type SLOPoint struct {
 	Max  time.Duration `json:"max_ns"`
 }
 
-// SLO runs the open-loop load experiment: modes x loads x {no-crash, crash},
+// SLO runs the open-loop web workload: modes x loads x {no-crash, crash},
 // each cell an independent simulation. In crash cells the primary fail-stops
 // at the middle of the measurement window. Results are functions of the
 // seeds only — byte-identical for any bench worker count.
-func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, error) {
-	if workload == "" {
-		workload = DefaultSLOWorkload
-	}
-	if len(loads) == 0 {
-		loads = DefaultSLOLoads
-	}
-	if window <= 0 {
-		window = DefaultSLOWindow
-	}
-	if _, err := loadgen.Zoo(workload, 1); err != nil {
-		return nil, err
-	}
-
+func SLO(loads []float64, window time.Duration) ([]SLOPoint, error) {
 	type cell struct {
 		mode  Mode
 		load  float64
@@ -122,7 +106,7 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 		}
 		sc.Start()
 
-		spec, err := loadgen.Zoo(workload, c.load)
+		spec, err := loadgen.Zoo(webWorkload, c.load)
 		if err != nil {
 			return err
 		}
@@ -144,7 +128,7 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 		st := &gen.Stats
 		out[j] = SLOPoint{
 			Mode:        c.mode,
-			Workload:    workload,
+			Workload:    webWorkload,
 			Load:        c.load,
 			Crash:       c.crash,
 			Arrivals:    st.Arrivals,
@@ -167,7 +151,7 @@ func SLO(workload string, loads []float64, window time.Duration) ([]SLOPoint, er
 	return out, nil
 }
 
-func renderSLO(w io.Writer, _ Config, r *Results) {
+func renderSLO(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E12 (extension): SLO under open-loop production traffic ===")
 	fmt.Fprintln(w, "(workload-zoo sessions arrive open-loop — they do not wait for the")
 	fmt.Fprintln(w, " service — at the offered rate; goodput and client-visible request")

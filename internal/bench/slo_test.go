@@ -19,7 +19,7 @@ func sloSmall() ([]float64, time.Duration) {
 // loses the rest of the window), and the crash must show up in the tail.
 func TestSLOSmoke(t *testing.T) {
 	loads, window := sloSmall()
-	points, err := SLO("web", loads, window)
+	points, err := SLO(loads, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSLOIdenticalAcrossWorkerCounts(t *testing.T) {
 		old := Workers
 		Workers = workers
 		defer func() { Workers = old }()
-		points, err := SLO("web", loads, window)
+		points, err := SLO(loads, window)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -90,12 +90,5 @@ func TestSLOIdenticalAcrossWorkerCounts(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("SLO results differ between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
-	}
-}
-
-// TestSLOUnknownWorkload checks the argument paths fail cleanly.
-func TestSLOUnknownWorkload(t *testing.T) {
-	if _, err := SLO("nope", []float64{1}, time.Second); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }

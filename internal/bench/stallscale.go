@@ -108,9 +108,6 @@ type StallScalePoint struct {
 // recorders. shards <= 0 selects min(cells, Workers) per point; any value
 // produces byte-identical results.
 func StallScale(conns []int, shards int) ([]StallScalePoint, error) {
-	if len(conns) == 0 {
-		conns = DefaultStallScale
-	}
 	out := make([]StallScalePoint, len(conns))
 	for i, n := range conns {
 		p, _, err := runStallScale(i, n, DefaultStallWindow, shards)
@@ -127,9 +124,6 @@ func StallScale(conns []int, shards int) ([]StallScalePoint, error) {
 // cell), which the percentile cross-check test compares against the
 // histogram estimates.
 func runStallScale(idx, conns int, window time.Duration, shards int) (StallScalePoint, []time.Duration, error) {
-	if window <= 0 {
-		window = DefaultStallWindow
-	}
 	cells := stallCells(conns)
 	load := float64(conns) / (float64(cells) * window.Seconds())
 	ss, err := webCrashFleet(int64(14000+100*idx), cells, shards, load, stallWarmup, window)
@@ -143,7 +137,7 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	p := StallScalePoint{
 		Conns:       conns,
 		Cells:       cells,
-		Workload:    webCrashWorkload,
+		Workload:    webWorkload,
 		LoadPerCell: load,
 		Window:      window,
 	}
@@ -179,7 +173,7 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	return p, exact, nil
 }
 
-func renderStallScale(w io.Writer, _ Config, r *Results) {
+func renderStallScale(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "=== E14 (extension): fleet-scale stall attribution ===")
 	fmt.Fprintln(w, "(open-loop web sessions across testbed cells; every cell's primary")
 	fmt.Fprintln(w, " crashes mid-window; each connection's client-visible stall is read")

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"reflect"
 	"slices"
@@ -28,8 +27,7 @@ func resultsKeys(t *testing.T) map[string]int {
 
 // TestTableCoversResults checks the table against the types it feeds: every
 // Results field belongs to exactly one row, every row can run and render,
-// ExperimentNames is the table order, and the flag set the axes register is
-// exactly the one the command has always had — names and defaults.
+// and ExperimentNames is the table order.
 func TestTableCoversResults(t *testing.T) {
 	keys := resultsKeys(t)
 	owner := make(map[string]string)
@@ -65,53 +63,6 @@ func TestTableCoversResults(t *testing.T) {
 	}
 	if slices.Contains(order, "all") {
 		t.Error(`a row is named "all", the pseudo-name`)
-	}
-
-	byFlag := make(map[string]*Axis)
-	for _, e := range table {
-		for _, ax := range e.Axes {
-			if prev, ok := byFlag[ax.Flag]; ok && prev != ax {
-				t.Errorf("two axes share the flag name -%s", ax.Flag)
-			}
-			byFlag[ax.Flag] = ax
-		}
-	}
-	var cfg Config
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	parseLists := RegisterFlags(fs, &cfg)
-	got := make(map[string]string)
-	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-	want := map[string]string{
-		"conns": "51", "reps": "5", "stream": "104857600", "runs": "9",
-		"faultrates": "", "memscale": "",
-		"sloloads": "", "slowindow": "0s", "sloworkload": "", "stallscale": "",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("axis flags and defaults = %v, want %v", got, want)
-	}
-
-	// The defaults land in the Config the flags write, lists parse into
-	// their fields, and a bad entry names its own flag.
-	if err := fs.Parse([]string{"-memscale", "1, 2", "-faultrates", "0,0.5", "-slowindow", "2s"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := parseLists(); err != nil {
-		t.Fatal(err)
-	}
-	wantCfg := Config{Conns: 51, Reps: 5, Stream: 100 << 20, Runs: 9,
-		MemScale: []int{1, 2}, FaultRates: []float64{0, 0.5}, SLOWindow: 2e9}
-	if !reflect.DeepEqual(cfg, wantCfg) {
-		t.Errorf("parsed config = %+v, want %+v", cfg, wantCfg)
-	}
-	for _, bad := range [][2]string{{"memscale", "0"}, {"faultrates", "1.5"}, {"sloloads", "x"}} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		parseLists := RegisterFlags(fs, new(Config))
-		if err := fs.Parse([]string{"-" + bad[0], bad[1]}); err != nil {
-			t.Fatal(err)
-		}
-		if err := parseLists(); err == nil || !strings.Contains(err.Error(), "bad -"+bad[0]+" entry") {
-			t.Errorf("-%s %s: error %v, want a bad-entry error naming the flag", bad[0], bad[1], err)
-		}
 	}
 }
 
@@ -153,8 +104,8 @@ func TestRenderIsPure(t *testing.T) {
 			reflect.ValueOf(&own).Elem().Field(f).Set(reflect.ValueOf(traj.Results).Field(f))
 		}
 		var alone, among bytes.Buffer
-		e.Render(&alone, traj.Config, &own)
-		e.Render(&among, traj.Config, &traj.Results)
+		e.Render(&alone, &own)
+		e.Render(&among, &traj.Results)
 		if alone.Len() == 0 {
 			t.Errorf("row %q rendered nothing from the committed run", e.Name)
 		}

@@ -95,7 +95,7 @@ func spanCrashRun(seed, total, crashAt int64) (*crashRun, obs.StallBreakdown, er
 	return r, st, nil
 }
 
-func renderTimeline(w io.Writer, _ Config, res *Results) {
+func renderTimeline(w io.Writer, res *Results) {
 	r := res.Timeline
 	if r == nil {
 		return

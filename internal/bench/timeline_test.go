@@ -37,8 +37,8 @@ func TestFailoverTimelineDeterministic(t *testing.T) {
 	}
 
 	var sb1, sb2 strings.Builder
-	renderTimeline(&sb1, Config{}, &Results{Timeline: &r1})
-	renderTimeline(&sb2, Config{}, &Results{Timeline: &r1})
+	renderTimeline(&sb1, &Results{Timeline: &r1})
+	renderTimeline(&sb2, &Results{Timeline: &r1})
 	if sb1.Len() == 0 || sb1.String() != sb2.String() {
 		t.Fatalf("rendering not deterministic:\n%s\n%s", sb1.String(), sb2.String())
 	}

@@ -1,57 +1,20 @@
 package bench
 
-import (
-	"io"
-	"time"
-)
+import "io"
 
-// Config selects which experiments RunAll executes and with what workload
-// parameters. Every field but Experiments and Sizes is the destination of
-// one axis of the experiment table, and so of one failover-bench flag.
+// Config selects which experiments RunAll executes. Each runs at the
+// record's sizes.
 type Config struct {
 	// Experiments names the experiments to run (ExperimentNames lists
 	// them). Empty or containing "all" runs everything. Execution order is
 	// always the table's, regardless of the order named here.
 	Experiments []string `json:"experiments"`
-	Conns       int      `json:"conns"`  // connections for E1
-	Reps        int      `json:"reps"`   // repetitions per data point (E2, E3, E5)
-	Stream      int64    `json:"stream"` // stream bytes for E4 (ablations use a quarter)
-	Runs        int      `json:"runs"`   // failover-latency runs (E6, E7)
-	// Sizes overrides the message-size sweep for figures 3 and 4;
-	// nil means Figure3Sizes.
-	Sizes []int64 `json:"sizes,omitempty"`
-	// FaultRates overrides the loss-rate axis of the fault sweep (E7);
-	// nil means DefaultFaultRates.
-	FaultRates []float64 `json:"fault_rates,omitempty"`
-	// MemScale overrides the connection-count sweep of E13; nil means
-	// DefaultMemScale.
-	MemScale []int `json:"mem_scale,omitempty"`
-	// SLOLoads overrides the offered-load axis of E12 (sessions/second);
-	// nil means DefaultSLOLoads.
-	SLOLoads []float64 `json:"slo_loads,omitempty"`
-	// SLOWindow overrides E12's per-cell measurement window of virtual
-	// time; zero means DefaultSLOWindow.
-	SLOWindow time.Duration `json:"slo_window_ns,omitempty"`
-	// SLOWorkload names the workload-zoo entry E12 drives; empty means
-	// DefaultSLOWorkload.
-	SLOWorkload string `json:"slo_workload,omitempty"`
-	// StallScale overrides the connection-count axis of E14; nil means
-	// DefaultStallScale.
-	StallScale []int `json:"stall_scale,omitempty"`
-}
-
-// sizes returns the message-size sweep of figures 3 and 4.
-func (c Config) sizes() []int64 {
-	if c.Sizes == nil {
-		return Figure3Sizes
-	}
-	return c.Sizes
 }
 
 // Results holds every experiment's outputs in config order. Every value but
-// MemScale's live heap is a function of the simulation seeds only, so for a
-// fixed Config the marshalled Results are byte-identical regardless of the
-// worker count — the determinism test pins this down.
+// MemScale's live heap is a function of the simulation seeds only, so the
+// marshalled Results are byte-identical regardless of the worker count —
+// the determinism test pins this down.
 type Results struct {
 	ConnSetup  []ConnSetupResult `json:"conn_setup,omitempty"` // standard, then failover
 	Fig3Std    []TransferPoint   `json:"fig3_standard,omitempty"`
@@ -93,7 +56,7 @@ func RunAll(cfg Config) (*Trajectory, error) {
 		if !want[table[i].Name] {
 			continue
 		}
-		if err := table[i].Run(cfg, &t.Results); err != nil {
+		if err := table[i].Run(&t.Results); err != nil {
 			return nil, err
 		}
 	}
@@ -106,7 +69,7 @@ func (t *Trajectory) Render(w io.Writer) {
 	want, _ := t.Config.enabled() // an unknown name renders nothing, as it ran nothing
 	for i := range table {
 		if want[table[i].Name] {
-			table[i].Render(w, t.Config, &t.Results)
+			table[i].Render(w, &t.Results)
 		}
 	}
 }
