@@ -105,11 +105,15 @@ func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint1
 // accept itself is a handful of heap objects per connection pair — the two
 // Conns with their rings and RTT estimators embedded, flow-table and timer
 // state — and no ring storage before the first byte. A Conn stays in the
-// 448-byte size class, which its eight flags packed into one word reached
-// from the 480-byte one: a field more must not move every connection back.
+// 352-byte size class, which one timer slot for retransmit, persist and
+// TIME-WAIT and 40-byte rings reached from the 448-byte one: a field more
+// must not move every connection back.
 func TestIdleConnectionHeapGate(t *testing.T) {
-	if size := unsafe.Sizeof(tcp.Conn{}); size > 448 {
-		t.Errorf("tcp.Conn is %d bytes, want at most 448", size)
+	if size := unsafe.Sizeof(tcp.Conn{}); size > 352 {
+		t.Errorf("tcp.Conn is %d bytes, want at most 352", size)
+	}
+	if size := unsafe.Sizeof(tcp.ByteRing{}); size > 40 {
+		t.Errorf("tcp.ByteRing is %d bytes, want at most 40 (its out-of-order list behind a pointer)", size)
 	}
 	const conns = 256
 	bare, bareObjects := liveHeapAfterAccepts(t, conns, func(s *tcp.Stack, port uint16) error {
@@ -121,8 +125,8 @@ func TestIdleConnectionHeapGate(t *testing.T) {
 	if perPair >= 9 {
 		t.Errorf("bare accept: %.1f heap objects per connection pair, want under 9 (7.7 with the estimators embedded, 9.7 with each a heap object)", perPair)
 	}
-	if perPairBytes > 1833 {
-		t.Errorf("bare accept: %.0f B per connection pair, want at most 1833 (the size with the estimators on the heap)", perPairBytes)
+	if perPairBytes > 1600 {
+		t.Errorf("bare accept: %.0f B per connection pair, want at most 1600 (1 713 with 448-byte Conns)", perPairBytes)
 	}
 	for _, srv := range []struct {
 		name   string

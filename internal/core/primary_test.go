@@ -489,10 +489,11 @@ func TestSecondaryFailureFlushDoesNotAllocate(t *testing.T) {
 // primary's SYN-ACK, the secondary's diverted SYN-ACK, the combined SYN-ACK
 // out) allocates nothing. It was 6 allocations while each replica's SYN was
 // parsed into a Segment with its option slice. The record the handshake
-// fills, two replica records and all, stays the size it was.
+// fills, two replica records and all, stays the size it is: 184 bytes,
+// from 216 when each queue's out-of-order list went behind a pointer.
 func TestBridgeHandshakeAllocs(t *testing.T) {
-	if got := unsafe.Sizeof(pconn{}); got > 216 {
-		t.Errorf("pconn is %d bytes, want <= 216", got)
+	if got := unsafe.Sizeof(pconn{}); got > 184 {
+		t.Errorf("pconn is %d bytes, want <= 184", got)
 	}
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of returns under the race detector, and each one is an allocation")

@@ -18,12 +18,13 @@ import (
 // the floor (2^32 is a multiple of every ring size, so the index survives
 // sequence wraparound). The run held contiguously from the floor is kept
 // inline as [floor, end); ranges held beyond a gap are a sorted list of
-// disjoint spans that touch neither each other nor the run, and that list
-// is nil on a ring no segment ever reached out of order. Insert copies only
-// bytes not yet held, so the first copy of a byte wins; Advance only moves
-// the floor. The buffer grows through the store's classes as the distance
-// from the floor to the highest held byte grows, so a ring that only ever
-// holds a few bytes never pays for its owner's capacity.
+// disjoint spans that touch neither each other nor the run, behind a
+// pointer that stays nil until a segment arrives out of order (8 bytes, not
+// a slice header). Insert copies only bytes not yet held, so the first copy
+// of a byte wins; Advance only moves the floor. The buffer grows through the
+// store's classes as the distance from the floor to the highest held byte
+// grows, so a ring that only ever holds a few bytes never pays for its
+// owner's capacity.
 //
 // A ring holds storage only while it holds bytes. Each owner calls Release
 // when its ring drains, and the next Insert takes storage again: a send
@@ -35,10 +36,10 @@ import (
 // no heap pointer: it can be embedded by value in records the collector
 // should not have to scan.
 type ByteRing struct {
-	floor Seq    // lowest sequence number of interest
-	end   Seq    // end of the in-order run [floor, end)
-	buf   []byte // ring storage; nil until the first insert and after Release
-	ooo   []span // ranges held beyond the run; nil until something arrives out of order
+	floor Seq     // lowest sequence number of interest
+	end   Seq     // end of the in-order run [floor, end)
+	buf   []byte  // ring storage; nil until the first insert and after Release
+	ooo   *[]span // ranges held beyond the run; taken by the first out-of-order insert, dropped by Release
 }
 
 // span is the held range [seq, end).
@@ -70,10 +71,18 @@ func (r *ByteRing) End() Seq { return r.end }
 // Ready returns the number of bytes held contiguously from the floor.
 func (r *ByteRing) Ready() int { return r.end.Diff(r.floor) }
 
+// spans returns the ranges held beyond the run.
+func (r *ByteRing) spans() []span {
+	if r.ooo == nil {
+		return nil
+	}
+	return *r.ooo
+}
+
 // Len returns the number of bytes held, those beyond a gap included.
 func (r *ByteRing) Len() int {
 	n := r.Ready()
-	for _, s := range r.ooo {
+	for _, s := range r.spans() {
 		n += s.end.Diff(s.seq)
 	}
 	return n
@@ -108,7 +117,7 @@ func (r *ByteRing) grow(need int) {
 		return
 	}
 	ringMove(r.buf, old, r.floor, r.end)
-	for _, s := range r.ooo {
+	for _, s := range r.spans() {
 		ringMove(r.buf, old, s.seq, s.end)
 	}
 	netbuf.ReturnBytes(&old)
@@ -140,7 +149,7 @@ func (r *ByteRing) Insert(seq Seq, payload []byte, limit int) (clipped int) {
 		r.grow(need)
 	}
 	end := seq.Add(len(payload))
-	if seq == r.end && len(r.ooo) == 0 {
+	if seq == r.end && len(r.spans()) == 0 {
 		// In order with nothing held beyond: the steady state.
 		ringPut(r.buf, seq, payload)
 		r.end = end
@@ -160,13 +169,13 @@ func (r *ByteRing) merge(seq, end Seq, payload []byte) {
 	if next.Geq(end) {
 		return
 	}
-	i := 0
-	for i < len(r.ooo) && r.ooo[i].end.Less(seq) {
+	ooo, i := r.spans(), 0
+	for i < len(ooo) && ooo[i].end.Less(seq) {
 		i++
 	}
 	j := i
-	for ; j < len(r.ooo) && r.ooo[j].seq.Leq(end); j++ {
-		h := r.ooo[j]
+	for ; j < len(ooo) && ooo[j].seq.Leq(end); j++ {
+		h := ooo[j]
 		if next.Less(h.seq) {
 			ringPut(r.buf, next, payload[next.Diff(seq):h.seq.Diff(seq)])
 		}
@@ -176,14 +185,19 @@ func (r *ByteRing) merge(seq, end Seq, payload []byte) {
 		ringPut(r.buf, next, payload[next.Diff(seq):])
 	}
 	if i < j {
-		seq, end = MinSeq(seq, r.ooo[i].seq), MaxSeq(end, r.ooo[j-1].end)
+		seq, end = MinSeq(seq, ooo[i].seq), MaxSeq(end, ooo[j-1].end)
 	}
 	if seq.Leq(r.end) {
 		r.end = end
-		r.ooo = slices.Delete(r.ooo, i, j)
+		if i < j {
+			*r.ooo = slices.Delete(ooo, i, j)
+		}
 		return
 	}
-	r.ooo = slices.Replace(r.ooo, i, j, span{seq, end})
+	if r.ooo == nil {
+		r.ooo = new([]span) // a fresh box: pointing at a local would move it to the heap on every call
+	}
+	*r.ooo = slices.Replace(ooo, i, j, span{seq, end})
 }
 
 // Peek returns the first n ready bytes without consuming them, 0 < n <=
@@ -222,13 +236,15 @@ func (r *ByteRing) Advance(n int) {
 	// Past the run: spans the floor has passed go, and one it has reached
 	// becomes the run.
 	r.end = r.floor
-	k := 0
-	for k < len(r.ooo) && r.ooo[k].end.Leq(r.floor) {
+	ooo, k := r.spans(), 0
+	for k < len(ooo) && ooo[k].end.Leq(r.floor) {
 		k++
 	}
-	if k < len(r.ooo) && r.ooo[k].seq.Leq(r.floor) {
-		r.end = r.ooo[k].end
+	if k < len(ooo) && ooo[k].seq.Leq(r.floor) {
+		r.end = ooo[k].end
 		k++
 	}
-	r.ooo = slices.Delete(r.ooo, 0, k)
+	if k > 0 {
+		*r.ooo = slices.Delete(ooo, 0, k)
+	}
 }

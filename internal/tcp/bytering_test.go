@@ -118,3 +118,40 @@ func TestRingDrop(t *testing.T) {
 		t.Fatalf("dropped ring: storage %d, len %d", r.Cap(), r.Len())
 	}
 }
+
+// TestRingSpanBoxLifecycle: in-order inserts, overlaps of the run included,
+// leave the out-of-order list's box nil. The first insert beyond a gap
+// takes it, later gaps reuse it, and Release drops it. Once it exists, a
+// gap filled and drained allocates nothing.
+func TestRingSpanBoxLifecycle(t *testing.T) {
+	r := ringAt(0)
+	r.Insert(0, []byte("abcd"), 64)
+	r.Insert(2, []byte("cdef"), 64)
+	if r.ooo != nil {
+		t.Fatal("in-order inserts took a span box")
+	}
+	r.Insert(10, []byte("kl"), 64)
+	box := r.ooo
+	if box == nil || len(*box) != 1 {
+		t.Fatalf("an insert beyond a gap left box %v", box)
+	}
+	r.Insert(6, []byte("ghij"), 64)
+	r.Insert(20, []byte("uv"), 64)
+	if r.ooo != box || ringString(r) != "abcdefghijkl" || r.Len() != 14 {
+		t.Fatalf("a later gap: box %p (was %p), run %q, Len %d", r.ooo, box, ringString(r), r.Len())
+	}
+	r.Advance(r.Ready())
+	cycle := func() {
+		f := r.Floor()
+		r.Insert(f.Add(8), []byte("yz"), 64)
+		r.Insert(f, []byte("qrstuvwx"), 64)
+		r.Advance(r.Ready())
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 || r.ooo != box {
+		t.Fatalf("a gap filled and drained allocates %.1f times; box %p, was %p", allocs, r.ooo, box)
+	}
+	r.Release()
+	if r.ooo != nil {
+		t.Fatal("Release kept the span box")
+	}
+}

@@ -16,8 +16,8 @@ type Conn struct {
 	stack *Stack
 	tuple Tuple
 	state State
-	// The flags share one word; spread among wider fields, their padding
-	// put Conn in the 480-byte size class instead of the 448-byte one.
+	// The flags and the timer slot's kind share state's word; spread among
+	// wider fields, their padding put Conn in the 480-byte size class.
 	finQueued      bool
 	finSent        bool
 	remoteFinValid bool
@@ -26,6 +26,7 @@ type Conn struct {
 	ackNowFlag     bool
 	timing         bool // an RTT measurement is in progress
 	closed         bool
+	timerKind      uint8     // which of timerRexmt, timerPersist and timerTimeWait holds timer
 	listener       *Listener // non-nil for passively opened connections
 	alias          *Conn     // next connection sharing tuple.key() in the stack's demux
 
@@ -45,29 +46,28 @@ type Conn struct {
 	rcvNxt       Seq
 	rcvBuf       ByteRing // unread data up to rcvNxt, and what arrived beyond a gap; capacity Config.RecvBufSize
 	remoteFinSeq Seq
+	timedSeq     Seq // the timed segment ends here: an ack at or past it is the RTT sample
 
 	// Congestion control (Reno).
 	mss      int
 	cwnd     int
 	ssthresh int
-	dupAcks  int
+	dupAcks  int32
 
 	// Acknowledgment strategy.
-	ackPendingSegs int
+	ackPendingSegs int32
 	lastWndSent    int
 
 	// RTT measurement (one segment timed at a time; Karn's rule).
-	rto      rttEstimator
-	timedSeq Seq
-	timedAt  time.Duration
+	rto     rttEstimator
+	timedAt time.Duration
 
-	// Timers.
-	rexmtTimer    sim.Timer
-	delackTimer   sim.Timer
-	timeWaitTimer sim.Timer
-	persistTimer  sim.Timer
-	rtxCount      int
-	persistCount  int
+	// Timers. Retransmit, persist and TIME-WAIT share a slot (4.4BSD): retransmit
+	// replaces persist, TIME-WAIT both, and only the holder disarms it.
+	timer        sim.Timer
+	delackTimer  sim.Timer
+	rtxCount     int32
+	persistCount int32
 
 	// Callbacks.
 	onEstablished func()
@@ -457,12 +457,31 @@ func (c *Conn) maybeSendWindowUpdate() {
 
 // --- timers ------------------------------------------------------------------
 
-// connRexmt, connDelack, connPersist and connTimeWait are scheduled via
-// AfterArg with the connection as the argument: a top-level function plus a
-// pointer argument schedules without allocating, unlike a closure or method
-// value, which matters because the retransmission timer is re-armed for
-// every data segment sent (and saves one allocation per closed connection).
-func connRexmt(v any) { v.(*Conn).onRexmtTimeout() }
+// The kinds of timer Conn.timer holds.
+const (
+	timerRexmt uint8 = iota + 1
+	timerPersist
+	timerTimeWait
+)
+
+// connTimer and connDelack are scheduled via AfterArg with the connection as
+// the argument: a top-level function plus a pointer argument schedules
+// without allocating, unlike a closure or method value, which matters
+// because the retransmission timer is re-armed for every data segment sent
+// (and saves one allocation per closed connection).
+func connTimer(v any) {
+	c := v.(*Conn)
+	kind := c.timerKind
+	c.timer, c.timerKind = sim.Timer{}, 0
+	switch kind {
+	case timerRexmt:
+		c.onRexmtTimeout()
+	case timerPersist:
+		c.onPersistTimeout()
+	case timerTimeWait:
+		c.destroy(nil)
+	}
+}
 
 func connDelack(v any) {
 	c := v.(*Conn)
@@ -472,19 +491,28 @@ func connDelack(v any) {
 	}
 }
 
-func (c *Conn) armRexmt() {
-	c.rexmtTimer.Stop()
-	c.rexmtTimer = c.stack.sched.AfterArg(c.rto.RTO(), "tcp.rexmt", connRexmt, c)
+// setTimer arms the slot as kind to fire after d, stopping whatever held it.
+func (c *Conn) setTimer(kind uint8, d time.Duration, name string) {
+	c.timer.Stop()
+	c.timer, c.timerKind = c.stack.sched.AfterArg(d, name, connTimer, c), kind
 }
 
+// stopTimer disarms the slot if kind holds it.
+func (c *Conn) stopTimer(kind uint8) {
+	if c.timerKind == kind {
+		c.timer.Stop()
+		c.timer, c.timerKind = sim.Timer{}, 0
+	}
+}
+
+func (c *Conn) armRexmt() { c.setTimer(timerRexmt, c.rto.RTO(), "tcp.rexmt") }
+
 func (c *Conn) stopRexmt() {
-	c.rexmtTimer.Stop()
-	c.rexmtTimer = sim.Timer{}
+	c.stopTimer(timerRexmt)
 	c.rtxCount = 0
 }
 
 func (c *Conn) onRexmtTimeout() {
-	c.rexmtTimer = sim.Timer{}
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}
@@ -492,7 +520,7 @@ func (c *Conn) onRexmtTimeout() {
 		return // stale timer: everything sent has been acknowledged
 	}
 	c.rtxCount++
-	if c.rtxCount > c.stack.cfg.MaxRetries {
+	if int(c.rtxCount) > c.stack.cfg.MaxRetries {
 		c.destroy(ErrTimeout)
 		return
 	}
@@ -532,7 +560,7 @@ func (c *Conn) onRexmtTimeout() {
 // a silly-window hold. The probe doubles as BSD's SWS override.
 func (c *Conn) maybeArmPersist() {
 	unsent := c.sndBuf.End().Diff(c.sndNxt)
-	if unsent > 0 && c.sndNxt == c.sndUna && !c.persistTimer.Pending() && !c.rexmtTimer.Pending() {
+	if unsent > 0 && c.sndNxt == c.sndUna && !c.timer.Pending() {
 		c.persistCount = 0
 		c.stack.m.zeroWindowStalls.Inc()
 		c.stack.spans.ZeroWindow(c.tuple.SpanKey())
@@ -541,13 +569,10 @@ func (c *Conn) maybeArmPersist() {
 }
 
 func (c *Conn) armPersist() {
-	d := c.rto.RTO() * time.Duration(1<<min(c.persistCount, 6))
-	c.persistTimer = c.stack.sched.AfterArg(d, "tcp.persist", connPersist, c)
+	c.setTimer(timerPersist, c.rto.RTO()*time.Duration(1<<min(c.persistCount, 6)), "tcp.persist")
 }
 
-func connPersist(v any) {
-	c := v.(*Conn)
-	c.persistTimer = sim.Timer{}
+func (c *Conn) onPersistTimeout() {
 	if c.state == StateClosed {
 		return
 	}
@@ -587,15 +612,8 @@ func (c *Conn) enterTimeWait() {
 	// holds beyond a gap now, not after the linger. The send ring parked
 	// when the ack of our FIN drained it.
 	c.releaseRcvBuf()
-	c.stopRexmt()
-	c.timeWaitTimer.Stop()
-	c.timeWaitTimer = c.stack.sched.AfterArg(c.stack.cfg.TimeWaitDuration, "tcp.timewait", connTimeWait, c)
-}
-
-func connTimeWait(v any) {
-	c := v.(*Conn)
-	c.timeWaitTimer = sim.Timer{}
-	c.destroy(nil)
+	c.rtxCount = 0
+	c.setTimer(timerTimeWait, c.stack.cfg.TimeWaitDuration, "tcp.timewait")
 }
 
 // destroy tears the connection down and fires OnClose exactly once.
@@ -606,9 +624,8 @@ func (c *Conn) destroy(err error) {
 	c.closed = true
 	c.closeErr = err
 	c.state = StateClosed
-	for _, t := range []sim.Timer{c.rexmtTimer, c.delackTimer, c.timeWaitTimer, c.persistTimer} {
-		t.Stop()
-	}
+	c.timer.Stop()
+	c.delackTimer.Stop()
 	c.stack.removeConn(c)
 	// However the connection ended — TIME-WAIT expiry, RST, LAST-ACK, Abort
 	// — its rings go back to the store now rather than when the collector

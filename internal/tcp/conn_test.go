@@ -654,6 +654,93 @@ func TestZeroWindowAndPersistProbe(t *testing.T) {
 	p.runUntil(t, func() bool { return got == len(data) }, 120*time.Second)
 }
 
+// TestTimerSlotZeroWindowReopens: the window fills, stalls for two seconds
+// and then reopens in 700-byte reads. Retransmit and persist share one
+// slot: after every event, data in flight means the slot holds the
+// retransmit, and the persist timer holds it only while nothing is in
+// flight. The stream arrives byte for byte.
+func TestTimerSlotZeroWindowReopens(t *testing.T) {
+	p := newPair(t, Config{RecvBufSize: 4096})
+	c, s := p.connect(t, 80)
+	data := make([]byte, 20000)
+	for i := range data {
+		data[i] = byte(i*7 + i>>8)
+	}
+	if n, err := c.Write(data); n != len(data) || err != nil {
+		t.Fatalf("Write took %d bytes, %v", n, err)
+	}
+	var got []byte
+	var read func()
+	read = func() {
+		buf := make([]byte, 700)
+		n, _ := s.Read(buf)
+		got = append(got, buf[:n]...)
+		p.sched.After(20*time.Millisecond, "read", read)
+	}
+	p.sched.After(2*time.Second, "read", read)
+	persisted := false
+	p.runUntil(t, func() bool {
+		inFlight := c.sndNxt != c.sndUna
+		switch {
+		case inFlight && (c.timerKind != timerRexmt || !c.timer.Pending()):
+			t.Fatalf("at %v: %d bytes in flight, slot kind %d", p.sched.Now(), c.sndNxt.Diff(c.sndUna), c.timerKind)
+		case c.timerKind == timerPersist:
+			persisted = persisted || p.sched.Now() > time.Second
+		}
+		return len(got) == len(data)
+	}, 120*time.Second)
+	if !persisted || !bytes.Equal(got, data) {
+		t.Fatalf("persist armed during the stall: %v; stream intact: %v", persisted, bytes.Equal(got, data))
+	}
+}
+
+// TestTimerSlotKeepsTimeWait: the client's ACK of the server's FIN is lost,
+// so the FIN comes again in TIME-WAIT and restarts 2 MSL; a stale ACK
+// after it runs the window-update path, whose persist stop must not
+// disarm the slot. The connection closes TimeWaitDuration after the
+// retransmitted FIN arrived.
+func TestTimerSlotKeepsTimeWait(t *testing.T) {
+	const twd = 500 * time.Millisecond
+	p := newPair(t, Config{TimeWaitDuration: twd})
+	c, s := p.connect(t, 80)
+	s.OnReadable(func() {
+		if _, err := s.Read(make([]byte, 16)); err == io.EOF {
+			s.Close()
+		}
+	})
+	dropped := false
+	p.dropToB = func([]byte) bool {
+		drop := !dropped && c.State() == StateTimeWait
+		dropped = dropped || drop
+		return drop
+	}
+	var lastFin time.Duration
+	p.dropToA = func(seg []byte) bool {
+		if RawFlags(seg).Has(FlagFIN) {
+			lastFin = p.sched.Now() + p.delay
+		}
+		return false
+	}
+	var closedAt time.Duration
+	c.OnClose(func(error) { closedAt = p.sched.Now() })
+	c.Close()
+	p.runUntil(t, func() bool { return s.State() == StateClosed }, 5*time.Second)
+	if !dropped || c.State() != StateTimeWait || c.timer.When() != lastFin+twd {
+		t.Fatalf("after the second FIN: dropped %v, %v, 2 MSL ends at %v, want %v", dropped, c.State(), c.timer.When(), lastFin+twd)
+	}
+	stale := Marshal(p.bAddr, p.aAddr, &Segment{SrcPort: 80, DstPort: c.tuple.LocalPort,
+		Seq: c.rcvNxt, Ack: c.sndUna.Add(-1), Flags: FlagACK, Window: 4096})
+	SealChecksum(p.bAddr, p.aAddr, stale)
+	p.a.Input(p.bAddr, p.aAddr, stale)
+	if c.timerKind != timerTimeWait || c.timer.When() != lastFin+twd {
+		t.Fatalf("a stale ACK left slot kind %d ending at %v, want TIME-WAIT at %v", c.timerKind, c.timer.When(), lastFin+twd)
+	}
+	p.runUntil(t, func() bool { return closedAt > 0 }, time.Second)
+	if closedAt != lastFin+twd {
+		t.Fatalf("closed at %v, want %v", closedAt, lastFin+twd)
+	}
+}
+
 func TestDelayedAckCoalesces(t *testing.T) {
 	p := newPair(t, Config{DisableNagle: true})
 	c, s := p.connect(t, 80)

@@ -2,10 +2,7 @@ package tcp
 
 // Segment arrival processing (RFC 793 section 3.9, "SEGMENT ARRIVES").
 
-import (
-	"tcpfailover/internal/obs"
-	"tcpfailover/internal/sim"
-)
+import "tcpfailover/internal/obs"
 
 func (c *Conn) input(seg *Segment) {
 	if sp := c.stack.spans; sp != nil && sp.TakeoverMarked() {
@@ -204,9 +201,8 @@ func (c *Conn) processAck(seg *Segment) bool {
 		c.setSndWnd(int(seg.Window))
 		c.sndWl1 = seg.Seq
 		c.sndWl2 = ack
-		if c.sndWnd > 0 && c.persistTimer.Pending() {
-			c.persistTimer.Stop()
-			c.persistTimer = sim.Timer{}
+		if c.sndWnd > 0 {
+			c.stopTimer(timerPersist)
 		}
 		if c.sndWnd > oldWnd {
 			c.trySend()

@@ -10,7 +10,6 @@ type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	rto    time.Duration
-	seeded bool
 }
 
 // sample folds a new round-trip measurement into the estimate.
@@ -18,10 +17,9 @@ func (r *rttEstimator) sample(m, maxRTO time.Duration) {
 	if m <= 0 {
 		m = time.Microsecond
 	}
-	if !r.seeded {
+	if r.srtt == 0 { // unseeded: a sample is at least 1 µs, and so is every average of them
 		r.srtt = m
 		r.rttvar = m / 2
-		r.seeded = true
 	} else {
 		d := r.srtt - m
 		if d < 0 {

@@ -13,8 +13,9 @@ import (
 	"tcpfailover/internal/sim"
 )
 
-// State is a TCP connection state (RFC 793 section 3.2).
-type State int
+// State is a TCP connection state (RFC 793 section 3.2). One byte, so a
+// Conn keeps it in the word its flags share.
+type State uint8
 
 // Connection states.
 const (
