@@ -40,6 +40,8 @@ type Detector struct {
 	peerAddr  ipv4.Addr
 	cfg       Config
 	onFailure func()
+	claim     ipv4.Addr // announced in the heartbeats while the host owns it
+	onClaim   func()    // runs for each of the peer's heartbeats that announces it
 
 	lastHeard time.Duration
 	seq       uint64
@@ -81,6 +83,9 @@ func (d *Detector) Start() {
 	d.host.RegisterProtocol(ipv4.ProtoHeartbeat, func(hdr ipv4.Header, payload []byte) {
 		if hdr.Src == d.peerAddr {
 			d.lastHeard = d.sched.Now()
+			if d.onClaim != nil && len(payload) == len(d.payload) && payload[0]&claimBit != 0 {
+				d.onClaim()
+			}
 		}
 	})
 	d.sendHeartbeat()
@@ -94,14 +99,22 @@ func (d *Detector) Stop() {
 	d.checkTimer.Stop()
 }
 
-// Fired reports whether failure has been declared.
-func (d *Detector) Fired() bool { return d.fired }
+// claimBit, the top bit of a heartbeat's 8-byte sequence number, says that
+// its sender owns the claimed address.
+const claimBit = 0x80
+
+// Claim sets the claim bit in the heartbeats while the host owns addr, and
+// runs onClaim for each heartbeat from the peer that carries it.
+func (d *Detector) Claim(addr ipv4.Addr, onClaim func()) { d.claim, d.onClaim = addr, onClaim }
 
 func (d *Detector) sendHeartbeat() {
 	if d.stopped || !d.host.Alive() {
 		return
 	}
 	binary.BigEndian.PutUint64(d.payload[:], d.seq)
+	if d.onClaim != nil && d.host.Owns(d.claim) {
+		d.payload[0] |= claimBit
+	}
 	d.seq++
 	_ = d.host.SendIP(d.localAddr, d.peerAddr, ipv4.ProtoHeartbeat, d.payload[:])
 	d.sendTimer = d.sched.After(d.cfg.Period, "detect.heartbeat", d.send)

@@ -57,7 +57,8 @@ func TestDetectsCrashWithinTimeout(t *testing.T) {
 	d := newDuo(t)
 	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
 	var firedAt time.Duration
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { firedAt = d.sched.Now() })
+	fired := 0
+	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { firedAt = d.sched.Now(); fired++ })
 	db := detect.New(d.b, d.bAddr, d.aAddr, cfg, func() {})
 	da.Start()
 	db.Start()
@@ -77,8 +78,8 @@ func TestDetectsCrashWithinTimeout(t *testing.T) {
 		t.Errorf("detection latency %v, want within [%v, %v]",
 			latency, cfg.Timeout, cfg.Timeout+3*cfg.Period)
 	}
-	if !da.Fired() {
-		t.Error("Fired() = false after detection")
+	if fired != 1 {
+		t.Errorf("onFailure ran %d times after detection, want 1", fired)
 	}
 	da.Stop()
 }
@@ -130,6 +131,38 @@ func TestCrashedHostDetectorGoesQuiet(t *testing.T) {
 	}
 	if fired {
 		t.Error("detector on the crashed host declared the (healthy) peer failed")
+	}
+}
+
+// TestClaimBitRoundTrip: a detector whose host owns the claimed address
+// sets the claim bit in its 8-byte heartbeats and the peer's onClaim runs
+// for each; the peer, which does not own it, sends none.
+func TestClaimBitRoundTrip(t *testing.T) {
+	d := newDuo(t)
+	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
+	var heardByA, heardByB int
+	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() {})
+	db := detect.New(d.b, d.bAddr, d.aAddr, cfg, func() {})
+	da.Claim(d.aAddr, func() { heardByA++ })
+	db.Claim(d.aAddr, func() { heardByB++ })
+	var beats, claims int
+	d.b.RegisterProtocol(ipv4.ProtoHeartbeat, func(hdr ipv4.Header, payload []byte) {
+		beats++
+		if len(payload) != 8 {
+			t.Errorf("heartbeat payload is %d bytes, want 8", len(payload))
+		}
+		if len(payload) > 0 && payload[0]&0x80 != 0 {
+			claims++
+		}
+	})
+	da.Start()
+	db.Start()
+	if err := d.sched.RunUntil(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if beats == 0 || claims != beats || heardByB != claims || heardByA != 0 {
+		t.Errorf("b got %d heartbeats, %d with the claim bit, onClaim ran %d times; a's onClaim ran %d times",
+			beats, claims, heardByB, heardByA)
 	}
 }
 

@@ -363,21 +363,11 @@ func (h *Host) RegisterProtocol(proto uint8, handler func(hdr ipv4.Header, paylo
 }
 
 // Crash stops the host: interfaces go down and all future I/O is dropped.
-// It models fail-stop host or process failure.
+// It models fail-stop host or process failure; a crashed host stays down.
 func (h *Host) Crash() {
 	h.alive = false
 	for _, ifc := range h.ifaces {
 		ifc.nic.SetUp(false)
-	}
-}
-
-// Restart brings a crashed host's interfaces back up. (Reintegration of the
-// replication protocol is out of scope, as in the paper; this only restores
-// basic connectivity.)
-func (h *Host) Restart() {
-	h.alive = true
-	for _, ifc := range h.ifaces {
-		ifc.nic.SetUp(true)
 	}
 }
 

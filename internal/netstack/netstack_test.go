@@ -231,16 +231,6 @@ func TestCrashStopsAllIO(t *testing.T) {
 	if n.h1.Alive() {
 		t.Error("Alive() after Crash()")
 	}
-	n.h1.Restart()
-	if err := n.h1.SendIP(n.a1, n.a2, testProto, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Errorf("after restart got %d datagrams, want 1", got)
-	}
 }
 
 func TestAddRemoveAddress(t *testing.T) {

@@ -1,15 +1,16 @@
 // Package replica orchestrates an actively replicated TCP server: an
 // ordered group of hosts — the paper's primary and secondary, or a daisy
 // chain with one more backup behind them — on which it installs the bridges,
-// runs the fault detectors in every direction, and triggers the paper's
-// failover procedures. The server application is instantiated identically
-// on every host (active replication) and must behave deterministically on a
+// runs the fault detectors in every direction, and has each member run its
+// part of the paper's failover procedures on what its own detectors report.
+// The server application is instantiated identically on every host (active replication) and must behave deterministically on a
 // per-connection basis, as the paper requires.
 package replica
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tcpfailover/internal/core"
 	"tcpfailover/internal/detect"
@@ -46,13 +47,13 @@ const ifIndex = 0
 // are the paper's pair; a failure shortens the chain, and primary and
 // backup are positions in it, not types.
 //
-// The failure routing lives in this controller; a production deployment
-// would replicate it on each node (driven by the same mesh of fault
-// detectors).
+// Every member acts on its own view of who is alive, written only by its own
+// detectors. A member that owns the service address claims it in its
+// heartbeats; an owner that hears a later member's claim fail-stops.
 type Group struct {
 	hosts []*netstack.Host
 	addrs []ipv4.Addr
-	alive []bool
+	alive [][]bool // alive[m][i]: member m's belief about member i
 
 	sel     *core.Selector
 	head    *core.PrimaryBridge
@@ -60,11 +61,13 @@ type Group struct {
 
 	detectors []*detect.Detector
 
-	// OnFailover, if set, is invoked after a failover procedure completes;
-	// the argument is the position (0 = primary) that failed. TakeoverErr
-	// tells it whether the takeovers so far completed cleanly.
+	// OnFailover, if set, is invoked by the member that ran a failover
+	// procedure, once per failed position (0 = primary). TakeoverErr tells
+	// it whether the takeovers so far completed cleanly.
 	OnFailover  func(position int)
 	takeoverErr error
+
+	reg *obs.Registry // replica_fences_total attaches at the first fence
 
 	// spans, when attached, receives the failure fleet mark when the
 	// member serving the client is crashed and the detector-fired mark the
@@ -85,13 +88,13 @@ func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
 	g := &Group{
 		hosts:   hosts,
 		addrs:   make([]ipv4.Addr, len(hosts)),
-		alive:   make([]bool, len(hosts)),
+		alive:   make([][]bool, len(hosts)),
 		sel:     core.NewSelector(),
 		backups: make([]*core.SecondaryBridge, len(hosts)),
 	}
 	for i, h := range hosts {
 		g.addrs[i] = h.Iface(ifIndex).Addr()
-		g.alive[i] = true
+		g.alive[i] = slices.Repeat([]bool{true}, len(hosts))
 		if g.addrs[i].IsZero() {
 			return nil, fmt.Errorf("replica: host %d has no address", i)
 		}
@@ -112,13 +115,15 @@ func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
 		}
 		g.backups[i].SetUpstream(g.addrs[i-1])
 	}
-	// A full mesh of fault detectors: every member watches every other, and
-	// the controller routes each failure according to who is left.
+	// A full mesh of fault detectors: every member watches every other and
+	// routes each failure it detects according to who it believes is left.
 	for watcher := range hosts {
 		for watched := range hosts {
 			if watcher != watched {
-				g.detectors = append(g.detectors, detect.New(hosts[watcher], g.addrs[watcher], g.addrs[watched],
-					cfg.Detect, func() { g.onFailure(watcher, watched) }))
+				d := detect.New(hosts[watcher], g.addrs[watcher], g.addrs[watched],
+					cfg.Detect, func() { g.onFailure(watcher, watched) })
+				d.Claim(g.addrs[0], func() { g.onClaim(watcher, watched) })
+				g.detectors = append(g.detectors, d)
 			}
 		}
 	}
@@ -133,59 +138,70 @@ func (g *Group) matcher(i int) *core.PrimaryBridge {
 	return g.backups[i].Matcher()
 }
 
-// liveNeighbours returns the nearest live members before and after
-// position; -1 where there is none.
-func (g *Group) liveNeighbours(position int) (up, down int) {
+// liveNeighbours returns the nearest members before and after position
+// that member m believes alive; -1 where there is none.
+func (g *Group) liveNeighbours(m, position int) (up, down int) {
 	up, down = -1, -1
 	for i := position - 1; i >= 0 && up < 0; i-- {
-		if g.alive[i] {
+		if g.alive[m][i] {
 			up = i
 		}
 	}
 	for i := position + 1; i < len(g.hosts) && down < 0; i++ {
-		if g.alive[i] {
+		if g.alive[m][i] {
 			down = i
 		}
 	}
 	return up, down
 }
 
-// onFailure routes a detected failure by the failed member's nearest live
-// neighbours. Detectors on every surviving member fire; only the first
-// report of a position reconfigures. Whoever reports is alive, whatever an
-// earlier suspicion said: a backup the primary wrongly gave up on still
-// takes over when the primary dies.
+// onFailure runs the watcher's part, if it has one, of the procedure for a
+// member its own detector declared dead, routed by that member's nearest
+// live neighbours in the watcher's view.
 func (g *Group) onFailure(watcher, position int) {
-	g.alive[watcher] = true
-	if !g.alive[position] {
-		return
-	}
-	g.alive[position] = false
-	up, down := g.liveNeighbours(position)
+	g.alive[watcher][position] = false
+	up, down := g.liveNeighbours(watcher, position)
 	switch {
-	case up < 0 && down >= 0:
-		// The member serving the client died: the next one runs the
-		// section 5 takeover, and the member behind that one diverts to the
-		// service address it now owns.
-		g.spans.MarkDetect(g.hosts[down].Scheduler().Now())
-		g.takeoverErr = errors.Join(g.takeoverErr, g.backups[down].Takeover())
-		if _, next := g.liveNeighbours(down); next >= 0 {
-			g.backups[next].SetUpstream(g.addrs[0])
+	case up < 0 && down == watcher:
+		// The member serving the client died: this one runs the section 5
+		// takeover.
+		g.spans.MarkDetect(g.hosts[watcher].Scheduler().Now())
+		g.takeoverErr = errors.Join(g.takeoverErr, g.backups[watcher].Takeover())
+	case up < 0:
+		// Right behind the one taking over: divert to the address it takes.
+		if _, next := g.liveNeighbours(watcher, down); next == watcher {
+			g.backups[watcher].SetUpstream(g.addrs[0])
 		}
-	case up >= 0 && down >= 0:
-		// A backup between two live members died: the one behind it
-		// re-attaches to the one before it, which keeps matching (the stream
-		// and its sequence space are the same, since the client was
-		// synchronized to the last member's sequence numbers all along).
-		g.backups[down].SetUpstream(g.addrs[up])
-		g.matcher(up).SetMatchingPeer(g.addrs[down])
-	case up >= 0:
-		// The last live member died: the one before it degrades to
-		// unmatched operation (section 6).
-		g.matcher(up).HandleSecondaryFailure()
+		return
+	case down == watcher:
+		// A backup between two live members died: this one re-attaches to
+		// the one before it, which keeps matching (the stream and its
+		// sequence space are the same: the client was synchronized to the
+		// last member's sequence numbers all along).
+		g.backups[watcher].SetUpstream(g.addrs[up])
+	case up == watcher && down >= 0:
+		// The same failure, seen by the member before it: match the next one.
+		g.matcher(watcher).SetMatchingPeer(g.addrs[down])
+		return
+	case up == watcher:
+		// The last live member died: this one degrades to unmatched
+		// operation (section 6).
+		g.matcher(watcher).HandleSecondaryFailure()
+	default:
+		return
 	}
 	if g.OnFailover != nil {
 		g.OnFailover(position)
+	}
+}
+
+// onClaim handles claimant's claim on the service address. A watcher ahead
+// of it that still owns the address was wrongly replaced: it fail-stops,
+// and the later claimant keeps the address.
+func (g *Group) onClaim(watcher, claimant int) {
+	if claimant > watcher && g.hosts[watcher].Owns(g.addrs[0]) {
+		g.hosts[watcher].Crash()
+		g.reg.Counter("replica_fences_total").Inc()
 	}
 }
 
@@ -237,8 +253,9 @@ func (g *Group) AttachSpans(r *obs.SpanRecorder) {
 }
 
 // AttachObs resolves every bridge's metric handles against reg, labeled
-// with its host's name.
+// with its host's name, and keeps reg for the group's fence counter.
 func (g *Group) AttachObs(reg *obs.Registry) {
+	g.reg = reg
 	g.head.AttachObs(reg, g.hosts[0].Name())
 	for i, b := range g.backups[1:] {
 		b.AttachObs(reg, g.hosts[i+1].Name())
@@ -267,9 +284,9 @@ func (g *Group) OnEach(f func(h *netstack.Host) error) error {
 
 // Crash fail-stops the host at position; the other members' fault detectors
 // will notice and reconfigure. Crashing the member that serves the client
-// stamps the failure mark.
+// (every member before it is down) stamps the failure mark.
 func (g *Group) Crash(position int) {
-	if up, _ := g.liveNeighbours(position); up < 0 {
+	if !slices.ContainsFunc(g.hosts[:position], (*netstack.Host).Alive) {
 		g.spans.MarkFailure(g.hosts[position].Scheduler().Now())
 	}
 	g.hosts[position].Crash()

@@ -11,6 +11,7 @@ import (
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/replica"
 	"tcpfailover/internal/sim"
 )
@@ -33,6 +34,32 @@ func pairHosts(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 	t.Helper()
 	sched, _, hosts := lanHosts(2)
 	return sched, hosts[0], hosts[1]
+}
+
+// startGroup builds and starts an n-member group with fast detectors and
+// an attached registry, recording every OnFailover position.
+func startGroup(t *testing.T, n int) (*sim.Scheduler, *ethernet.Segment, []*netstack.Host, *replica.Group, *obs.Registry, *[]int) {
+	t.Helper()
+	sched, seg, hosts := lanHosts(n)
+	g, err := replica.NewGroup(hosts, replica.Config{
+		ServerPorts: []uint16{80},
+		Detect:      detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g.AttachObs(reg)
+	failed := new([]int)
+	g.OnFailover = func(pos int) { *failed = append(*failed, pos) }
+	g.Start()
+	return sched, seg, hosts, g, reg, failed
+}
+
+// fences reads replica_fences_total; the series is attached at the first.
+func fences(reg *obs.Registry) int64 {
+	v, _ := reg.Lookup("replica_fences_total")
+	return v
 }
 
 func TestGroupWiring(t *testing.T) {
@@ -192,17 +219,7 @@ func TestGroupFailureRouting(t *testing.T) {
 		for _, order := range permutations(n) {
 			order = order[:n-1]
 			t.Run(fmt.Sprint(n, "hosts", order), func(t *testing.T) {
-				sched, _, hosts := lanHosts(n)
-				g, err := replica.NewGroup(hosts, replica.Config{
-					ServerPorts: []uint16{80},
-					Detect:      detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var failed []int
-				g.OnFailover = func(pos int) { failed = append(failed, pos) }
-				g.Start()
+				sched, _, hosts, g, _, failed := startGroup(t, n)
 				alive := slices.Repeat([]bool{true}, n)
 				for step, pos := range order {
 					g.Crash(pos)
@@ -210,11 +227,11 @@ func TestGroupFailureRouting(t *testing.T) {
 					if err := sched.RunFor(100 * time.Millisecond); err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(failed, order[:step+1]) {
-						t.Fatalf("OnFailover positions = %v, want %v", failed, order[:step+1])
+					if !slices.Equal(*failed, order[:step+1]) {
+						t.Fatalf("OnFailover positions = %v, want %v", *failed, order[:step+1])
 					}
 					if err := g.TakeoverErr(); err != nil {
-						t.Errorf("after %v: takeover: %v", failed, err)
+						t.Errorf("after %v: takeover: %v", *failed, err)
 					}
 					owners, first, last := 0, slices.Index(alive, true), n-1
 					for !alive[last] {
@@ -228,7 +245,7 @@ func TestGroupFailureRouting(t *testing.T) {
 							owners++
 						}
 						if i > 0 && g.Backup(i).Active() != (i != first) {
-							t.Errorf("after %v: backup %d diverting = %v", failed, i, g.Backup(i).Active())
+							t.Errorf("after %v: backup %d diverting = %v", *failed, i, g.Backup(i).Active())
 						}
 						m := g.PrimaryBridge()
 						if i > 0 {
@@ -238,12 +255,12 @@ func TestGroupFailureRouting(t *testing.T) {
 							t.Fatalf("member %d: matcher = %v", i, m)
 						}
 						if m != nil && m.Degraded() != (i == last) {
-							t.Errorf("after %v: member %d degraded = %v", failed, i, m.Degraded())
+							t.Errorf("after %v: member %d degraded = %v", *failed, i, m.Degraded())
 						}
 					}
 					if owners != 1 || !hosts[first].Owns(g.ServiceAddr()) {
 						t.Errorf("after %v: %d live owners of the service address, first live member owns it: %v",
-							failed, owners, hosts[first].Owns(g.ServiceAddr()))
+							*failed, owners, hosts[first].Owns(g.ServiceAddr()))
 					}
 				}
 			})
@@ -258,36 +275,98 @@ func (deaf) Tx(*ethernet.NIC, ethernet.Frame) ethernet.TxVerdict { return ethern
 func (d deaf) Rx(dst *ethernet.NIC, _ ethernet.Frame) bool       { return dst == d.nic }
 
 // TestSuspectedBackupStillTakesOver: a primary that stops hearing a healthy
-// secondary degrades; when the primary then dies, the secondary's report is
-// not discounted by the earlier suspicion, and it takes over.
+// secondary degrades; when the primary then dies, the secondary, whose own
+// view never lost the primary, takes over.
 func TestSuspectedBackupStillTakesOver(t *testing.T) {
-	sched, seg, hosts := lanHosts(2)
-	g, err := replica.NewGroup(hosts, replica.Config{
-		ServerPorts: []uint16{80},
-		Detect:      detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failed []int
-	g.OnFailover = func(pos int) { failed = append(failed, pos) }
-	g.Start()
+	sched, seg, hosts, g, _, failed := startGroup(t, 2)
 	// Deaf only once ARP has resolved, so its own heartbeats keep flowing.
 	sched.After(30*time.Millisecond, "test.deafen", func() { seg.SetImpairer(deaf{hosts[0].Iface(0).NIC()}) })
 	if err := sched.RunFor(130 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(failed, []int{1}) || !g.PrimaryBridge().Degraded() {
-		t.Fatalf("deaf primary: failed = %v, degraded = %v", failed, g.PrimaryBridge().Degraded())
+	if !slices.Equal(*failed, []int{1}) || !g.PrimaryBridge().Degraded() {
+		t.Fatalf("deaf primary: failed = %v, degraded = %v", *failed, g.PrimaryBridge().Degraded())
 	}
 	g.CrashPrimary()
 	if err := sched.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(failed, []int{1, 0}) {
-		t.Fatalf("failed = %v, want [1 0]", failed)
+	if !slices.Equal(*failed, []int{1, 0}) {
+		t.Fatalf("failed = %v, want [1 0]", *failed)
 	}
 	if g.SecondaryBridge().Active() || !hosts[1].Owns(g.ServiceAddr()) {
 		t.Error("the suspected secondary did not take over")
+	}
+}
+
+// TestEarlierClaimIgnored: a backup that owns the service address (as after
+// a takeover) goes on hearing the primary's claim-bearing heartbeats — the
+// primary is deaf, so it never hears the backup's — and ignores them: only
+// a claim from behind fences.
+func TestEarlierClaimIgnored(t *testing.T) {
+	sched, seg, hosts, g, reg, _ := startGroup(t, 2)
+	sched.After(30*time.Millisecond, "test.own", func() {
+		seg.SetImpairer(deaf{hosts[0].Iface(0).NIC()})
+		hosts[1].AddAddress(0, g.ServiceAddr())
+	})
+	if err := sched.RunFor(130 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !hosts[1].Alive() || !hosts[0].Alive() || fences(reg) != 0 {
+		t.Errorf("primary alive %v, backup alive %v, fences %d; want both alive, no fence",
+			hosts[0].Alive(), hosts[1].Alive(), fences(reg))
+	}
+}
+
+// TestLaterClaimFencesOnlyTheOwner sends one claim-bearing heartbeat from
+// the last member of a chain to each member ahead of it. The middle member
+// does not own the service address and ignores it; the primary owns it and
+// fail-stops. Its detectors go quiet with it, and the survivors see a
+// crash: the middle member takes over, the last one diverts to it.
+func TestLaterClaimFencesOnlyTheOwner(t *testing.T) {
+	sched, _, hosts, g, reg, failed := startGroup(t, 3)
+	claim := func(to int) {
+		payload := [8]byte{0x80} // the claim bit, sequence number 0
+		if err := hosts[2].SendIP(hosts[2].Iface(0).Addr(), hosts[to].Iface(0).Addr(), ipv4.ProtoHeartbeat, payload[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sched.RunFor(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	claim(1)
+	if err := sched.RunFor(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !hosts[1].Alive() || fences(reg) != 0 {
+		t.Fatalf("a claim fenced a member that does not own the service address (alive %v, fences %d)",
+			hosts[1].Alive(), fences(reg))
+	}
+	claim(0)
+	if err := sched.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if hosts[0].Alive() || fences(reg) != 1 {
+		t.Fatalf("the primary heard a later claim and stayed up (alive %v, fences %d)", hosts[0].Alive(), fences(reg))
+	}
+	sent := 0
+	hosts[0].AddPacketTap(func(dir string, _ ipv4.Header, _ []byte) {
+		if dir == "tx" {
+			sent++
+		}
+	})
+	if err := sched.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if sent != 0 || !slices.Equal(*failed, []int{0}) {
+		t.Errorf("after the fence: the primary sent %d datagrams, OnFailover positions %v; want 0 and [0]", sent, *failed)
+	}
+	if !hosts[1].Owns(g.ServiceAddr()) || g.Backup(1).Active() || !g.Backup(2).Active() || g.TakeoverErr() != nil {
+		t.Errorf("survivors: middle owns %v, middle diverting %v, last diverting %v, takeover %v",
+			hosts[1].Owns(g.ServiceAddr()), g.Backup(1).Active(), g.Backup(2).Active(), g.TakeoverErr())
+	}
+	if hosts[2].Owns(g.ServiceAddr()) || !hosts[1].Alive() || !hosts[2].Alive() || fences(reg) != 1 {
+		t.Errorf("one fence only: last owns %v, middle alive %v, last alive %v, fences %d",
+			hosts[2].Owns(g.ServiceAddr()), hosts[1].Alive(), hosts[2].Alive(), fences(reg))
 	}
 }
