@@ -6,10 +6,11 @@ import "testing"
 // bridges (CI runs it on every push). At a small connection count it checks
 // the structural claim E13 makes at a million connections: the flowtab
 // layout keeps the GC-scannable object count per connection far below one
-// (the tables and arenas are O(1) objects total, so the quotient shrinks
-// with N; anything near 1.0 means a per-connection heap object crept back
-// in). Heap counters are exact (runtime.ReadMemStats after runtime.GC), so
-// the threshold is structural, not timing-noise-prone. The bridges' hot
+// (the tables are O(1) objects total and each arena one 32-record chunk
+// per 32 connections, so the quotient stays near two 32nds; anything near
+// 1.0 means a per-connection heap object crept back in). Heap counters are
+// exact (runtime.ReadMemStats after runtime.GC), so the threshold is
+// structural, not timing-noise-prone. The bridges' hot
 // path allocating nothing is TestShardScaleSteadyStateAllocs's to gate:
 // every client ACK there crosses the same PrimaryBridge.Inbound.
 func TestMemScaleGates(t *testing.T) {

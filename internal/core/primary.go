@@ -255,7 +255,7 @@ func (b *PrimaryBridge) Degraded() bool { return b.degraded }
 func (b *PrimaryBridge) Conns() int { return b.conns.Len() }
 
 // lookup returns the live record for key, or nil. The returned pointer is
-// valid until the next slot allocation (b.conn on a miss).
+// valid until the record is removed.
 func (b *PrimaryBridge) lookup(key TupleKey) *pconn {
 	if i, ok := b.conns.Get(uint64(key)); ok {
 		return b.slots.At(i)

@@ -65,8 +65,8 @@ type SecondaryBridge struct {
 	// steady-state segments in either direction pay a single table hit
 	// instead of up to three selector probes. Entries self-invalidate when
 	// the selector configuration changes. The table maps keys to slot
-	// indices in fslots; records live by value, so a million snooped flows
-	// are a handful of flat allocations rather than a million heap objects.
+	// indices in fslots; records live by value in 32-record chunks, so a
+	// million snooped flows are some 31 000 allocations, not a million.
 	flows  flowtab.Table
 	fslots flowtab.Slab[sflow]
 	// maxFlows bounds the flow cache (and the takeover records it holds):
@@ -89,9 +89,15 @@ type SecondaryBridge struct {
 }
 
 // sflow is a cached per-flow decision of the secondary bridge. Records live
-// by value in the bridge's slab.
+// by value in the bridge's slab; the fields are ordered to pack into 32
+// bytes with no padding.
 type sflow struct {
-	gen   uint64 // selector generation the verdict was computed under
+	gen uint64 // selector generation the verdict was computed under
+
+	// Owning key and slot index.
+	key  TupleKey
+	self int32
+
 	match bool
 	// rec marks a flow that matched at least once: at takeover its TCP
 	// connection must be re-keyed to aP. The tuple itself is not stored —
@@ -101,10 +107,6 @@ type sflow struct {
 	// matching the old table's never-unrecorded semantics.
 	rec bool
 	opt [8]byte // orig-dst option block carrying the client address
-
-	// Owning key and slot index.
-	key  TupleKey
-	self int32
 }
 
 // flow returns the cached decision for key, classifying the flow on first

@@ -8,12 +8,14 @@
 // Go's built-in map[key]*record keeps millions of individually GC-scanned
 // heap objects alive — one record (plus its sub-objects) per connection,
 // chased through randomly placed hash buckets on every segment. A Table
-// over a Slab replaces all of that with a handful of large, flat backing
-// arrays: the garbage collector sees O(1) objects regardless of the
-// connection count, lookups probe a contiguous cache-dense array, and
-// record-to-record links (the LRU lists) are 32-bit slot indices instead of
-// pointers. A Map is pointer-free exactly when its value type is: a Map[*T]
-// is scanned like any slice of pointers and keeps its values alive.
+// over a Slab replaces all of that with a few flat table arrays and records
+// stored by value in 32-record chunks that never move: the garbage
+// collector sees one object per 32 records, growth copies no record, a
+// pointer to a record stays valid until the record is freed, lookups probe
+// a contiguous cache-dense array, and record-to-record links (the LRU
+// lists) are 32-bit slot indices instead of pointers. A Map is pointer-free
+// exactly when its value type is: a Map[*T] is scanned like any slice of
+// pointers and keeps its values alive.
 // DESIGN.md §14 quantifies the effect; experiment E13 (failover-bench
 // -experiment memscale) regenerates the numbers.
 package flowtab

@@ -24,8 +24,8 @@ type Conn struct {
 	peerFinRcvd    bool
 	fastRecovery   bool
 	ackNowFlag     bool
-	timing         bool // an RTT measurement is in progress
-	closed         bool
+	timing         bool      // an RTT measurement is in progress
+	closeCode      uint8     // how the connection ended, an index into closeErrs; zero while it lives
 	timerKind      uint8     // which of timerRexmt, timerPersist and timerTimeWait holds timer
 	listener       *Listener // non-nil for passively opened connections
 	alias          *Conn     // next connection sharing tuple.key() in the stack's demux
@@ -34,9 +34,9 @@ type Conn struct {
 	iss       Seq
 	sndUna    Seq
 	sndNxt    Seq
-	sndMaxSeq Seq // highest sequence number ever sent (BSD's snd_max)
-	sndWnd    int
-	maxSndWnd int // largest window the peer has advertised
+	sndMaxSeq Seq   // highest sequence number ever sent (BSD's snd_max)
+	sndWnd    int32 // TCP's quantities are int32: windows and the MSS fit 16 bits (no window scaling), buffers 30 (withDefaults)
+	maxSndWnd int32 // largest window the peer has advertised
 	sndWl1    Seq
 	sndWl2    Seq
 	sndBuf    ByteRing // unacknowledged and unsent data; capacity Config.SendBufSize
@@ -49,14 +49,14 @@ type Conn struct {
 	timedSeq     Seq // the timed segment ends here: an ack at or past it is the RTT sample
 
 	// Congestion control (Reno).
-	mss      int
-	cwnd     int
-	ssthresh int
+	mss      int32
+	cwnd     int32 // at most maxCwnd
+	ssthresh int32
 	dupAcks  int32
 
 	// Acknowledgment strategy.
 	ackPendingSegs int32
-	lastWndSent    int
+	lastWndSent    int32
 
 	// RTT measurement (one segment timed at a time; Karn's rule).
 	rto     rttEstimator
@@ -74,8 +74,25 @@ type Conn struct {
 	onReadable    func()
 	onWritable    func()
 	onClose       func(error)
+}
 
-	closeErr error
+// The ways a connection ends, as Conn.closeCode holds them. destroy is only
+// ever handed one of these, so a byte replaces an error interface.
+const (
+	closeClean   uint8 = iota + 1 // FIN exchange, TIME-WAIT expiry, a RST while closing, Close before the SYN-ACK
+	closeAborted                  // Abort
+	closeTimeout                  // retransmission limit
+	closeRefused                  // RST in SYN-SENT or SYN-RECEIVED
+	closeReset                    // RST or in-window SYN on a synchronized connection
+)
+
+// closeErrs is the error Err, Read, Write and OnClose report for each close
+// code; the open connection's zero and a clean close read nil.
+var closeErrs = [...]error{
+	closeAborted: ErrAborted,
+	closeTimeout: ErrTimeout,
+	closeRefused: ErrConnRefused,
+	closeReset:   ErrConnReset,
 }
 
 func (s *Stack) newConn(t Tuple) *Conn {
@@ -84,10 +101,10 @@ func (s *Stack) newConn(t Tuple) *Conn {
 		tuple:       t,
 		state:       StateClosed,
 		iss:         s.cfg.ISS(s.rng),
-		mss:         s.cfg.MSS,
+		mss:         int32(s.cfg.MSS),
 		ssthresh:    65535,
 		rto:         rttEstimator{rto: initialRTO},
-		lastWndSent: s.cfg.RecvBufSize,
+		lastWndSent: int32(s.cfg.RecvBufSize),
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -106,10 +123,10 @@ func (c *Conn) Tuple() Tuple { return c.tuple }
 func (c *Conn) State() State { return c.state }
 
 // Err returns the terminal error, if the connection has failed.
-func (c *Conn) Err() error { return c.closeErr }
+func (c *Conn) Err() error { return closeErrs[c.closeCode] }
 
 // MSS returns the effective maximum segment size.
-func (c *Conn) MSS() int { return c.mss }
+func (c *Conn) MSS() int { return int(c.mss) }
 
 // OnEstablished sets the callback fired when the connection reaches
 // ESTABLISHED.
@@ -175,8 +192,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateSynSent, StateSynReceived:
 	default:
-		if c.closeErr != nil {
-			return 0, c.closeErr
+		if err := c.Err(); err != nil {
+			return 0, err
 		}
 		return 0, ErrClosed
 	}
@@ -205,10 +222,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if c.peerFinRcvd {
 		return 0, io.EOF
 	}
-	if c.closeErr != nil {
-		return 0, c.closeErr
-	}
-	return 0, nil
+	return 0, c.Err()
 }
 
 // Close closes the sending direction after all buffered data drains (a
@@ -220,7 +234,7 @@ func (c *Conn) Close() {
 	}
 	switch c.state {
 	case StateSynSent:
-		c.destroy(nil)
+		c.destroy(closeClean)
 		return
 	case StateSynReceived, StateEstablished:
 		c.finQueued = true
@@ -245,7 +259,7 @@ func (c *Conn) Abort() {
 		rst := &Segment{Flags: FlagRST | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt}
 		c.emit(rst)
 	}
-	c.destroy(ErrAborted)
+	c.destroy(closeAborted)
 }
 
 // --- segment transmission ---------------------------------------------------
@@ -275,11 +289,9 @@ func (c *Conn) emitData(seg *Segment, off, n int) {
 
 // setSndWnd records a peer window advertisement, tracking the maximum for
 // the silly-window-avoidance threshold.
-func (c *Conn) setSndWnd(w int) {
-	c.sndWnd = w
-	if w > c.maxSndWnd {
-		c.maxSndWnd = w
-	}
+func (c *Conn) setSndWnd(w uint16) {
+	c.sndWnd = int32(w)
+	c.maxSndWnd = max(c.maxSndWnd, c.sndWnd)
 }
 
 func (c *Conn) advertisedWindow() uint16 {
@@ -321,7 +333,7 @@ func (c *Conn) trySend() int {
 	default:
 		return 0
 	}
-	sent := 0
+	sent, mss := 0, int(c.mss)
 	for {
 		dataEnd := c.sndBuf.End()
 		if c.finSent && c.sndNxt.Greater(c.finSeq) {
@@ -331,16 +343,9 @@ func (c *Conn) trySend() int {
 		if unsent < 0 {
 			unsent = 0
 		}
-		wnd := c.sndWnd
-		if c.cwnd < wnd {
-			wnd = c.cwnd
-		}
 		inFlight := c.sndNxt.Diff(c.sndUna)
-		avail := wnd - inFlight
-		if avail < 0 {
-			avail = 0
-		}
-		n := min(unsent, c.mss, avail)
+		avail := max(int(min(c.sndWnd, c.cwnd))-inFlight, 0)
+		n := min(unsent, mss, avail)
 		// The FIN rides the segment that drains the buffer; after an RTO
 		// rollback it is re-sent when sndNxt reaches its position again.
 		sendFin := c.finQueued && n == unsent &&
@@ -352,11 +357,11 @@ func (c *Conn) trySend() int {
 		// sub-MSS, sub-buffer segment only when it covers at least half
 		// the peer's largest-ever window; otherwise hold until the window
 		// opens (the persist machinery overrides a permanent hold).
-		if n < c.mss && n < unsent && n < max(c.maxSndWnd/2, 1) {
+		if n < mss && n < unsent && n < max(int(c.maxSndWnd/2), 1) {
 			break
 		}
 		// Nagle: hold small segments while data is in flight.
-		if n > 0 && n < c.mss && inFlight > 0 && !sendFin &&
+		if n > 0 && n < mss && inFlight > 0 && !sendFin &&
 			!c.stack.cfg.DisableNagle && n == unsent {
 			break
 		}
@@ -375,7 +380,7 @@ func (c *Conn) trySend() int {
 			// PSH marks the end of a burst: either the buffer drains, or
 			// Nagle is about to hold a sub-MSS remainder until this segment
 			// is acknowledged — the receiver should acknowledge promptly.
-			if n == unsent || (unsent-n < c.mss && !c.stack.cfg.DisableNagle) {
+			if n == unsent || (unsent-n < mss && !c.stack.cfg.DisableNagle) {
 				seg.Flags |= FlagPSH
 			}
 		}
@@ -423,7 +428,7 @@ func (c *Conn) clearAckPending() {
 	c.ackNowFlag = false
 	c.delackTimer.Stop()
 	c.delackTimer = sim.Timer{}
-	c.lastWndSent = c.rcvFree()
+	c.lastWndSent = int32(c.rcvFree())
 }
 
 // flushOutput runs at the end of input processing: it piggybacks pending
@@ -450,7 +455,7 @@ func (c *Conn) maybeSendWindowUpdate() {
 	if c.state != StateEstablished && c.state != StateFinWait1 && c.state != StateFinWait2 {
 		return
 	}
-	if c.rcvFree()-c.lastWndSent >= min(2*c.mss, c.stack.cfg.RecvBufSize/2) {
+	if c.rcvFree()-int(c.lastWndSent) >= min(2*int(c.mss), c.stack.cfg.RecvBufSize/2) {
 		c.sendAck()
 	}
 }
@@ -479,7 +484,7 @@ func connTimer(v any) {
 	case timerPersist:
 		c.onPersistTimeout()
 	case timerTimeWait:
-		c.destroy(nil)
+		c.destroy(closeClean)
 	}
 }
 
@@ -521,7 +526,7 @@ func (c *Conn) onRexmtTimeout() {
 	}
 	c.rtxCount++
 	if int(c.rtxCount) > c.stack.cfg.MaxRetries {
-		c.destroy(ErrTimeout)
+		c.destroy(closeTimeout)
 		return
 	}
 	c.stack.m.retransmissions.Inc()
@@ -531,7 +536,7 @@ func (c *Conn) onRexmtTimeout() {
 	c.dupAcks = 0
 	c.fastRecovery = false
 	flight := c.sndNxt.Diff(c.sndUna)
-	c.ssthresh = max(flight/2, 2*c.mss)
+	c.ssthresh = int32(max(flight/2, 2*int(c.mss)))
 	c.cwnd = c.mss
 	switch c.state {
 	case StateSynSent:
@@ -589,7 +594,7 @@ func (c *Conn) onPersistTimeout() {
 		off = 0
 	}
 	if off < c.sndBuf.Ready() {
-		n := min(c.sndBuf.Ready()-off, c.mss, max(c.sndWnd, 1))
+		n := min(c.sndBuf.Ready()-off, int(c.mss), int(max(c.sndWnd, 1)))
 		seg := &Segment{
 			Seq:    c.sndUna,
 			Ack:    c.rcvNxt,
@@ -616,13 +621,13 @@ func (c *Conn) enterTimeWait() {
 	c.setTimer(timerTimeWait, c.stack.cfg.TimeWaitDuration, "tcp.timewait")
 }
 
-// destroy tears the connection down and fires OnClose exactly once.
-func (c *Conn) destroy(err error) {
-	if c.closed {
+// destroy tears the connection down, ending it as code says, and fires
+// OnClose exactly once.
+func (c *Conn) destroy(code uint8) {
+	if c.closeCode != 0 {
 		return
 	}
-	c.closed = true
-	c.closeErr = err
+	c.closeCode = code
 	c.state = StateClosed
 	c.timer.Stop()
 	c.delackTimer.Stop()
@@ -633,7 +638,7 @@ func (c *Conn) destroy(err error) {
 	c.sndBuf.Release()
 	c.releaseRcvBuf()
 	if c.onClose != nil {
-		c.onClose(err)
+		c.onClose(closeErrs[code])
 	}
 }
 

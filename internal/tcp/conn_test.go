@@ -864,3 +864,187 @@ func TestDialEphemeralPortExhaustion(t *testing.T) {
 		t.Fatalf("dial to a fresh destination port: %v", err)
 	}
 }
+
+// TestConnCloseErr: however a connection ends, Err, Read, Write and the
+// OnClose argument report the same sentinel — the Conn keeps a one-byte
+// close code, not the error — and OnClose fires exactly once.
+func TestConnCloseErr(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		cfg  Config
+		want error
+		eof  bool // the peer's FIN arrived first: Read reports io.EOF
+		// end starts the ending and returns the connection it ends, after
+		// handing it to watch.
+		end func(t *testing.T, p *pair, watch func(*Conn)) *Conn
+	}{
+		{"clean close", Config{TimeWaitDuration: 10 * time.Millisecond}, nil, true,
+			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
+				c, s := p.connect(t, 80)
+				watch(c)
+				s.OnReadable(func() {
+					if _, err := s.Read(make([]byte, 1)); err == io.EOF {
+						s.Close()
+					}
+				})
+				c.Close()
+				return c
+			}},
+		{"abort", Config{}, ErrAborted, false,
+			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
+				c, _ := p.connect(t, 80)
+				watch(c)
+				c.Abort()
+				return c
+			}},
+		{"RTO exhaustion", Config{MaxRetries: 2}, ErrTimeout, false,
+			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
+				c, _ := p.connect(t, 80)
+				watch(c)
+				p.dropToB = func([]byte) bool { return true }
+				if _, err := c.Write([]byte("never acknowledged")); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}},
+		{"RST in SYN-SENT", Config{}, ErrConnRefused, false,
+			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
+				c, err := p.a.Dial(p.bAddr, 9999) // nobody listens
+				if err != nil {
+					t.Fatal(err)
+				}
+				watch(c)
+				return c
+			}},
+		{"RST in SYN-RECEIVED", Config{}, ErrConnRefused, false,
+			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
+				if _, err := p.b.Listen(80, func(*Conn) { t.Error("an embryo was accepted") }); err != nil {
+					t.Fatal(err)
+				}
+				// The handshake's last ACK never arrives; the client's RST does.
+				p.dropToB = func(seg []byte) bool { return !RawFlags(seg).Has(FlagRST) && !RawFlags(seg).Has(FlagSYN) }
+				c, err := p.a.Dial(p.bAddr, 80)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.runUntil(t, func() bool { return c.State() == StateEstablished }, time.Second)
+				s := p.b.findConn(Tuple{LocalAddr: p.bAddr, LocalPort: 80, RemoteAddr: p.aAddr, RemotePort: c.Tuple().LocalPort})
+				if s == nil || s.State() != StateSynReceived {
+					t.Fatalf("server end %v, want one in SYN-RECEIVED", s)
+				}
+				watch(s)
+				c.Abort()
+				return s
+			}},
+		{"RST when established", Config{}, ErrConnReset, false,
+			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
+				c, s := p.connect(t, 80)
+				watch(s)
+				c.Abort()
+				return s
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := newPair(t, row.cfg)
+			closes, onClose := 0, error(nil)
+			c := row.end(t, p, func(c *Conn) {
+				c.OnClose(func(err error) { closes, onClose = closes+1, err })
+			})
+			p.runUntil(t, func() bool { return closes > 0 }, time.Minute)
+			// Ending it again, and letting every pending timer fire, must
+			// not call OnClose a second time.
+			c.Close()
+			c.Abort()
+			for p.sched.Step() {
+			}
+			if closes != 1 || c.State() != StateClosed {
+				t.Fatalf("OnClose fired %d times, state %v; want once, CLOSED", closes, c.State())
+			}
+			wantRead, wantWrite := row.want, row.want
+			if row.eof {
+				wantRead = io.EOF
+			}
+			if wantWrite == nil {
+				wantWrite = ErrClosed
+			}
+			_, readErr := c.Read(make([]byte, 1))
+			_, writeErr := c.Write([]byte{1})
+			if onClose != row.want || c.Err() != row.want || readErr != wantRead || writeErr != wantWrite {
+				t.Errorf("OnClose %v, Err %v, Read %v, Write %v; want %v, %v, %v, %v",
+					onClose, c.Err(), readErr, writeErr, row.want, row.want, wantRead, wantWrite)
+			}
+		})
+	}
+}
+
+// TestConfigOutOfRangePanics: a Conn keeps sizes and windows as int32, so a
+// stack refuses a Config it could not hold.
+func TestConfigOutOfRangePanics(t *testing.T) {
+	for _, cfg := range []Config{{MSS: 65536}, {SendBufSize: 1<<30 + 1}, {RecvBufSize: 1<<30 + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MSS %d, buffers %d/%d accepted", cfg.MSS, cfg.SendBufSize, cfg.RecvBufSize)
+				}
+			}()
+			cfg.withDefaults()
+		}()
+	}
+	Config{MSS: 65535, SendBufSize: 1 << 30, RecvBufSize: 1 << 30}.withDefaults() // the largest it holds
+}
+
+// TestCwndCappedOnLongStream: without window scaling no peer advertises
+// more than 65 535 bytes, so cwnd stops there (maxCwnd) and fits the
+// Conn's int32; a long loss-free stream, which would otherwise grow it
+// every round trip, stays capped and arrives byte for byte.
+func TestCwndCappedOnLongStream(t *testing.T) {
+	p := newPair(t, Config{})
+	c, s := p.connect(t, 80)
+	const total = 4 << 20
+	pattern := func(i int) byte { return byte(i*7 + i>>9) }
+	written, received, bad := 0, 0, -1
+	buf, out := make([]byte, 8192), make([]byte, 8192)
+	s.OnReadable(func() {
+		for {
+			n, _ := s.Read(buf)
+			if n == 0 {
+				return
+			}
+			for i, b := range buf[:n] {
+				if bad < 0 && b != pattern(received+i) {
+					bad = received + i
+				}
+			}
+			received += n
+		}
+	})
+	fill := func() {
+		for written < total {
+			chunk := out[:min(len(out), total-written, c.SendFree())]
+			if len(chunk) == 0 {
+				return
+			}
+			for i := range chunk {
+				chunk[i] = pattern(written + i)
+			}
+			n, err := c.Write(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written += n
+		}
+	}
+	c.OnWritable(fill)
+	fill()
+	peak := int32(0)
+	p.runUntil(t, func() bool {
+		peak = max(peak, c.cwnd)
+		return received == total
+	}, time.Minute)
+	if peak > maxCwnd || peak < maxCwnd-c.mss {
+		t.Errorf("cwnd peaked at %d, want it to reach and hold at most %d", peak, maxCwnd)
+	}
+	if rtx := p.a.Stats().Retransmissions; bad >= 0 || rtx != 0 {
+		t.Errorf("first wrong byte at %d, %d retransmissions; want none", bad, rtx)
+	}
+}

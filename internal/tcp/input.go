@@ -26,11 +26,11 @@ func (c *Conn) input(seg *Segment) {
 		switch c.state {
 		case StateSynReceived:
 			// Passive open returns to LISTEN: just drop the embryo.
-			c.destroy(ErrConnRefused)
+			c.destroy(closeRefused)
 		case StateTimeWait, StateLastAck, StateClosing:
-			c.destroy(nil)
+			c.destroy(closeClean)
 		default:
-			c.destroy(ErrConnReset)
+			c.destroy(closeReset)
 		}
 		return
 	}
@@ -43,7 +43,7 @@ func (c *Conn) input(seg *Segment) {
 		// SYN in the window is an error; reset.
 		rst := &Segment{Flags: FlagRST | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt}
 		c.emit(rst)
-		c.destroy(ErrConnReset)
+		c.destroy(closeReset)
 		return
 	}
 
@@ -55,7 +55,7 @@ func (c *Conn) input(seg *Segment) {
 	if c.state == StateSynReceived {
 		if c.sndUna.Leq(seg.Ack) && seg.Ack.Leq(c.sndNxt) {
 			c.state = StateEstablished
-			c.setSndWnd(int(seg.Window))
+			c.setSndWnd(seg.Window)
 			c.sndWl1 = seg.Seq
 			c.sndWl2 = seg.Ack
 			c.stopRexmt()
@@ -112,7 +112,7 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	}
 	if seg.Flags.Has(FlagRST) {
 		if seg.Flags.Has(FlagACK) {
-			c.destroy(ErrConnRefused)
+			c.destroy(closeRefused)
 		}
 		return
 	}
@@ -121,10 +121,10 @@ func (c *Conn) inputSynSent(seg *Segment) {
 	}
 	c.setRcvNxt(seg.Seq.Add(1))
 	if mss, ok := seg.MSS(); ok {
-		c.mss = min(c.mss, int(mss))
+		c.mss = min(c.mss, int32(mss))
 		c.cwnd = initialCwndSegs * c.mss
 	}
-	c.setSndWnd(int(seg.Window))
+	c.setSndWnd(seg.Window)
 	c.sndWl1 = seg.Seq
 	c.sndWl2 = seg.Ack
 	if seg.Flags.Has(FlagACK) {
@@ -190,7 +190,7 @@ func (c *Conn) processAck(seg *Segment) bool {
 	}
 	if ack.Greater(c.sndUna) {
 		c.handleNewAck(ack)
-	} else if ack == c.sndUna && seg.Len() == 0 && int(seg.Window) == c.sndWnd &&
+	} else if ack == c.sndUna && seg.Len() == 0 && int32(seg.Window) == c.sndWnd &&
 		c.sndNxt != c.sndUna {
 		c.handleDupAck()
 	}
@@ -198,7 +198,7 @@ func (c *Conn) processAck(seg *Segment) bool {
 	// Window update (RFC 793 ordering rule).
 	if c.sndWl1.Less(seg.Seq) || (c.sndWl1 == seg.Seq && c.sndWl2.Leq(ack)) {
 		oldWnd := c.sndWnd
-		c.setSndWnd(int(seg.Window))
+		c.setSndWnd(seg.Window)
 		c.sndWl1 = seg.Seq
 		c.sndWl2 = ack
 		if c.sndWnd > 0 {
@@ -221,7 +221,7 @@ func (c *Conn) processAck(seg *Segment) bool {
 		}
 	case StateLastAck:
 		if finAcked {
-			c.destroy(nil)
+			c.destroy(closeClean)
 			return false
 		}
 	case StateTimeWait:
@@ -255,9 +255,9 @@ func (c *Conn) handleNewAck(ack Seq) {
 		c.cwnd = c.ssthresh
 		c.fastRecovery = false
 	} else if c.cwnd < c.ssthresh {
-		c.cwnd += min(acked, c.mss)
+		c.cwnd = min(c.cwnd+int32(min(acked, int(c.mss))), maxCwnd)
 	} else {
-		c.cwnd += max(c.mss*c.mss/c.cwnd, 1)
+		c.cwnd = min(c.cwnd+int32(max(int(c.mss)*int(c.mss)/int(c.cwnd), 1)), maxCwnd)
 	}
 	c.dupAcks = 0
 
@@ -279,12 +279,12 @@ func (c *Conn) handleDupAck() {
 		// Fast retransmit (Reno).
 		c.stack.m.fastRetransmits.Inc()
 		flight := c.sndNxt.Diff(c.sndUna)
-		c.ssthresh = max(flight/2, 2*c.mss)
+		c.ssthresh = int32(max(flight/2, 2*int(c.mss)))
 		c.retransmitOne()
-		c.cwnd = c.ssthresh + 3*c.mss
+		c.cwnd = min(c.ssthresh+3*c.mss, maxCwnd)
 		c.fastRecovery = true
 	case c.dupAcks > 3:
-		c.cwnd += c.mss
+		c.cwnd = min(c.cwnd+c.mss, maxCwnd)
 		c.trySend()
 	}
 }
@@ -292,7 +292,7 @@ func (c *Conn) handleDupAck() {
 // retransmitOne resends the segment at the left edge of the send window.
 func (c *Conn) retransmitOne() {
 	off := c.sndUna.Diff(c.sndBuf.Floor())
-	n := min(c.mss, c.sndBuf.Ready()-off)
+	n := min(int(c.mss), c.sndBuf.Ready()-off)
 	seg := &Segment{
 		Seq:    c.sndUna,
 		Ack:    c.rcvNxt,

@@ -89,6 +89,10 @@ const (
 	initialRTO      = time.Second            // before the first RTT sample
 	minRTO          = 200 * time.Millisecond // floor of the estimator
 	initialCwndSegs = 2                      // Reno's initial window, in segments
+	// maxCwnd caps the congestion window where it grows (4.4BSD's
+	// TCP_MAXWIN). Without window scaling no peer advertises more, so
+	// min(sndWnd, cwnd) reads the same capped or not, and cwnd fits an int32.
+	maxCwnd = 65535
 )
 
 func (c Config) withDefaults() Config {
@@ -115,6 +119,11 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ISS == nil {
 		c.ISS = func(rng *rand.Rand) Seq { return Seq(rng.Uint32()) }
+	}
+	// Conn stores sizes and windows as int32 (the MSS option is 16 bits).
+	if c.MSS > 65535 || c.SendBufSize > 1<<30 || c.RecvBufSize > 1<<30 {
+		panic(fmt.Sprintf("tcp: Config MSS %d, SendBufSize %d or RecvBufSize %d out of range (MSS <= 65535, buffers <= 1<<30)",
+			c.MSS, c.SendBufSize, c.RecvBufSize))
 	}
 	return c
 }
@@ -443,9 +452,9 @@ func (s *Stack) accept(l *Listener, t Tuple, syn *Segment) {
 	c.listener = l
 	s.insertConn(c)
 	c.setRcvNxt(syn.Seq.Add(1))
-	c.setSndWnd(int(syn.Window))
+	c.setSndWnd(syn.Window)
 	if mss, ok := syn.MSS(); ok {
-		c.mss = min(c.mss, int(mss))
+		c.mss = min(c.mss, int32(mss))
 	}
 	c.sendSYN(true)
 }
