@@ -1,6 +1,7 @@
 package tcpfailover_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,75 +10,69 @@ import (
 	"tcpfailover/internal/netstack"
 )
 
-// ftpScenario builds a replicated FTP service (control port 21, data
-// connections dialed from port 20).
-func ftpScenario(t *testing.T, opts tcpfailover.Options) *tcpfailover.Scenario {
-	t.Helper()
-	opts.ServerPorts = []uint16{apps.FTPControlPort, apps.FTPDataPort}
-	sc, err := tcpfailover.NewScenario(opts)
+// ftpOptions serves FTP (control port 21, data connections dialed from
+// port 20) on o's testbed.
+func ftpOptions(o tcpfailover.Options) tcpfailover.Options {
+	o.ServerPorts = []uint16{apps.FTPControlPort, apps.FTPDataPort}
+	return o
+}
+
+func ftpServer(h *netstack.Host) error {
+	_, err := apps.NewFTPServer(h.TCP(), apps.DefaultFTPFiles())
+	return err
+}
+
+// ftpSession is an FTP client's get, put, get and quit. Its bytes are its
+// transfer results in order, and its ending the first failed operation.
+type ftpSession struct {
+	outcome
+	loggedIn bool
+	results  []apps.FTPResult
+}
+
+func dialFTP(sc *tcpfailover.Scenario) (*ftpSession, error) {
+	cl, err := apps.NewFTPClient(sc.Client.TCP(), sc.Sched, tcpfailover.ClientAddr, sc.ServiceAddr())
 	if err != nil {
-		t.Fatalf("scenario: %v", err)
+		return nil, err
 	}
-	install := func(h *netstack.Host) error {
-		_, err := apps.NewFTPServer(h.TCP(), apps.DefaultFTPFiles())
-		return err
-	}
-	if sc.Group != nil {
-		if err := sc.Group.OnEach(install); err != nil {
-			t.Fatalf("install ftp: %v", err)
+	f := &ftpSession{}
+	note := func(r apps.FTPResult) {
+		f.read(fmt.Appendf(nil, "%s %d %d %v\n", r.Name, r.Bytes, r.BadAt, r.Err))
+		if f.err == nil {
+			f.err = r.Err
 		}
-	} else if err := install(sc.Primary); err != nil {
-		t.Fatalf("install ftp: %v", err)
 	}
-	sc.Start()
-	return sc
+	cl.Login(func(r apps.FTPResult) { f.loggedIn = true; note(r) })
+	record := func(r apps.FTPResult) { f.results = append(f.results, r); note(r) }
+	cl.Get("medium.bin", record)
+	cl.Put("upload.bin", 20000, record)
+	cl.Get("small.txt", record)
+	cl.Done = func() { f.close(sc, f.err) }
+	cl.Quit()
+	return f, nil
 }
 
 func runFTPGetPut(t *testing.T, sc *tcpfailover.Scenario, crashAfterLogin bool) {
 	t.Helper()
-	cl, err := apps.NewFTPClient(sc.Client.TCP(), sc.Sched, tcpfailover.ClientAddr, sc.ServiceAddr())
-	if err != nil {
-		t.Fatalf("ftp client: %v", err)
+	f := driven(t, sc, dialFTP)
+	if crashAfterLogin {
+		runUntil(t, sc, func() bool { return f.loggedIn }, time.Minute)
+		sc.Group.CrashPrimary()
 	}
-	var results []apps.FTPResult
-	record := func(r apps.FTPResult) { results = append(results, r) }
-	cl.Login(func(r apps.FTPResult) {
-		if r.Err != nil {
-			t.Errorf("login: %v", r.Err)
-		}
-		if crashAfterLogin {
-			sc.Group.CrashPrimary()
-		}
-	})
-	cl.Get("medium.bin", record)
-	cl.Put("upload.bin", 20000, record)
-	cl.Get("small.txt", record)
-	done := false
-	cl.Done = func() { done = true }
-	cl.Quit()
-
-	if err := sc.RunUntil(func() bool { return done }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (results=%+v)", err, results)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d transfer results, want 3: %+v", len(results), results)
-	}
+	runUntil(t, sc, func() bool { return f.closed }, 10*time.Minute)
 	wantBytes := []int64{18637, 20000, 1331}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Errorf("transfer %d (%s): %v", i, r.Name, r.Err)
-		}
+	if len(f.results) != len(wantBytes) {
+		t.Fatalf("got %d transfer results, want 3: %+v", len(f.results), f.results)
+	}
+	for i, r := range f.results {
 		if r.Bytes != wantBytes[i] {
 			t.Errorf("transfer %d (%s): %d bytes, want %d", i, r.Name, r.Bytes, wantBytes[i])
-		}
-		if r.BadAt >= 0 {
-			t.Errorf("transfer %d (%s): corruption at %d", i, r.Name, r.BadAt)
 		}
 	}
 }
 
 func TestFTPReplicatedFaultFree(t *testing.T) {
-	sc := ftpScenario(t, tcpfailover.LANOptions())
+	sc := newScenario(t, ftpOptions(tcpfailover.LANOptions()), ftpServer)
 	runFTPGetPut(t, sc, false)
 	// The data connections are server-initiated through the bridge.
 	if got := sc.Group.PrimaryBridge().Stats().ConnsOpened; got < 4 {
@@ -85,15 +80,8 @@ func TestFTPReplicatedFaultFree(t *testing.T) {
 	}
 }
 
-func TestFTPStandardBaseline(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.Unreplicated = true
-	sc := ftpScenario(t, opts)
-	runFTPGetPut(t, sc, false)
-}
-
 func TestFTPFailoverDuringSession(t *testing.T) {
-	sc := ftpScenario(t, tcpfailover.LANOptions())
+	sc := newScenario(t, ftpOptions(tcpfailover.LANOptions()), ftpServer)
 	runFTPGetPut(t, sc, true)
 	if sc.Group.SecondaryBridge().Active() {
 		t.Error("secondary bridge still active after primary crash")
@@ -101,7 +89,7 @@ func TestFTPFailoverDuringSession(t *testing.T) {
 }
 
 func TestFTPOverWAN(t *testing.T) {
-	sc := ftpScenario(t, tcpfailover.WANOptions())
+	sc := newScenario(t, ftpOptions(tcpfailover.WANOptions()), ftpServer)
 	runFTPGetPut(t, sc, false)
 }
 
@@ -126,15 +114,11 @@ func TestPeerPortConnectionSurvivesCrash(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tcpfailover.LANOptions()
 			opts.PeerPorts = tc.peerPorts
-			sc, err := tcpfailover.NewScenario(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc := newScenario(t, opts, nil)
 			sink, err := apps.NewSinkServer(sc.Client.TCP(), backendPort)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.Start()
 			var sec *apps.Transfer // the secondary's copy of the stream
 			if err := sc.Group.OnEach(func(h *netstack.Host) error {
 				x, err := apps.NewBulkSend(h.TCP(), sc.Sched, tcpfailover.ClientAddr, backendPort, total)
@@ -146,17 +130,13 @@ func TestPeerPortConnectionSurvivesCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.crash {
-				if err := sc.RunUntil(func() bool { return sink.Received >= total/2 }, time.Minute); err != nil {
-					t.Fatalf("first half: %v (received %d)", err, sink.Received)
-				}
+				runUntil(t, sc, func() bool { return sink.Received >= total/2 }, time.Minute)
 				if sink.Received == total {
 					t.Fatal("the stream finished before the crash")
 				}
 				sc.Group.CrashPrimary()
 			}
-			if err := sc.RunUntil(func() bool { return sec.Closed > 0 && sink.Conns >= tc.wantConns }, 10*time.Minute); err != nil {
-				t.Fatalf("run: %v (received %d, conns %d)", err, sink.Received, sink.Conns)
-			}
+			runUntil(t, sc, func() bool { return sec.Closed > 0 && sink.Conns >= tc.wantConns }, 10*time.Minute)
 			if sink.Conns != tc.wantConns {
 				t.Errorf("back end accepted %d connections, want %d", sink.Conns, tc.wantConns)
 			}

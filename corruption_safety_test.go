@@ -59,17 +59,8 @@ func TestCorruptionAlwaysCaughtByChecksums(t *testing.T) {
 // segment must be discarded at a checksum and recovered by retransmission;
 // the application-observed stream stays byte-exact.
 func TestCorruptedLinkStreamIntact(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.Faults = &fault.Plan{Impairments: []fault.Impairment{
-		{Link: fault.LinkClientLink, Models: []fault.Spec{fault.Corrupt(0.02)}},
-	}}
-	sc := newEchoScenario(t, opts)
-	ec := startEchoClient(t, sc, 128*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-	if got := sc.Faults.Stats().Corrupted; got == 0 {
+	corrupt := fault.Impairment{Link: fault.LinkClientLink, Models: []fault.Spec{fault.Corrupt(0.02)}}
+	if impairedEcho(t, 128*1024, corrupt).Corrupted == 0 {
 		t.Error("no corruption was actually injected")
 	}
 }
@@ -80,17 +71,8 @@ func TestCorruptedLinkStreamIntact(t *testing.T) {
 // checksum verification, never corrupting replica state visible to the
 // client.
 func TestCorruptedServerLANStreamIntact(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.Faults = &fault.Plan{Impairments: []fault.Impairment{
-		{Link: fault.LinkServerLAN, Models: []fault.Spec{fault.Corrupt(0.01)}},
-	}}
-	sc := newEchoScenario(t, opts)
-	ec := startEchoClient(t, sc, 128*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-	if got := sc.Faults.Stats().Corrupted; got == 0 {
+	corrupt := fault.Impairment{Link: fault.LinkServerLAN, Models: []fault.Spec{fault.Corrupt(0.01)}}
+	if impairedEcho(t, 128*1024, corrupt).Corrupted == 0 {
 		t.Error("no corruption was actually injected")
 	}
 }
@@ -142,17 +124,13 @@ func TestCorruptedLinkStreamIntactUnderBatching(t *testing.T) {
 			opts.Faults = &fault.Plan{Impairments: []fault.Impairment{
 				{Link: link, Models: []fault.Spec{fault.Corrupt(0.05)}},
 			}}
-			sc := newEchoScenario(t, opts)
+			sc := newScenario(t, opts, echoServer)
 			countGROMerges(sc, &merges)
 			ec := startEchoClient(t, sc, 256*1024)
-			if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-				t.Fatalf("%s seed %d: run: %v (sent=%d received=%d)", link, seed, err, ec.sent, ec.received)
-			}
+			runUntil(t, sc, func() bool { return ec.closed }, 30*time.Minute)
 			if ec.badAt >= 0 {
 				bad++
 				t.Logf("%s seed %d: echoed stream corrupted at offset %d, close error %v", link, seed, ec.badAt, ec.err)
-			} else {
-				ec.check(t)
 			}
 			corrupted += sc.Faults.Stats().Corrupted
 		}

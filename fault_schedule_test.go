@@ -15,13 +15,11 @@ import (
 // calls: the crash is an event inside the simulation, armed at build time,
 // so the whole faulty run is reproducible from the scenario options alone.
 
-// scheduledScenario builds a replicated echo scenario whose failure
-// schedule is the given steps.
-func scheduledScenario(t *testing.T, steps ...fault.Step) *tcpfailover.Scenario {
-	t.Helper()
+// scheduled is the LAN testbed whose failure schedule is the given steps.
+func scheduled(steps ...fault.Step) tcpfailover.Options {
 	opts := tcpfailover.LANOptions()
 	opts.Faults = &fault.Plan{Schedule: steps}
-	return newEchoScenario(t, opts)
+	return opts
 }
 
 // TestScheduleCrashPrimaryBeforeHandshake crashes the primary before the
@@ -29,16 +27,12 @@ func scheduledScenario(t *testing.T, steps ...fault.Step) *tcpfailover.Scenario 
 // have taken over the service address, and the connection runs entirely on
 // the promoted replica.
 func TestScheduleCrashPrimaryBeforeHandshake(t *testing.T) {
-	sc := scheduledScenario(t, fault.Step{At: time.Millisecond, Op: fault.OpCrashPrimary})
+	sc := newScenario(t, scheduled(fault.Step{At: time.Millisecond, Op: fault.OpCrashPrimary}), echoServer)
 	// Run past detection (50 ms heartbeat timeout) and takeover.
 	if err := sc.Run(120 * time.Millisecond); err != nil {
 		t.Fatalf("pre-dial run: %v", err)
 	}
-	ec := startEchoClient(t, sc, 64*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
+	startEchoClient(t, sc, 64*1024)
 }
 
 // TestScheduleCrashPrimaryDuringHandshake schedules the crash inside the
@@ -47,27 +41,17 @@ func TestScheduleCrashPrimaryBeforeHandshake(t *testing.T) {
 // retransmissions must land on the promoted secondary and the stream
 // complete bit-compatibly.
 func TestScheduleCrashPrimaryDuringHandshake(t *testing.T) {
-	sc := scheduledScenario(t, fault.Step{At: 300 * time.Microsecond, Op: fault.OpCrashPrimary})
-	ec := startEchoClient(t, sc, 64*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
+	sc := newScenario(t, scheduled(fault.Step{At: 300 * time.Microsecond, Op: fault.OpCrashPrimary}), echoServer)
+	startEchoClient(t, sc, 64*1024)
 }
 
 // TestScheduleCrashPrimaryMidStream crashes the primary at a fixed virtual
 // time in the middle of the transfer; the connection must be taken over
 // and the stream delivered exactly once.
 func TestScheduleCrashPrimaryMidStream(t *testing.T) {
-	sc := scheduledScenario(t, fault.Step{At: 30 * time.Millisecond, Op: fault.OpCrashPrimary})
-	ec := startEchoClient(t, sc, 192*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-	if got := sc.Group.SecondaryBridge().Stats().TakenOver; got == 0 {
-		t.Error("secondary bridge reports no connections taken over")
-	}
+	sc := newScenario(t, scheduled(fault.Step{At: 30 * time.Millisecond, Op: fault.OpCrashPrimary}), echoServer)
+	startEchoClient(t, sc, 192*1024)
+	runUntil(t, sc, func() bool { return sc.Group.SecondaryBridge().Stats().TakenOver > 0 }, time.Minute)
 }
 
 // TestScheduleCrashSecondaryDegradedFlush crashes the secondary mid-stream.
@@ -75,15 +59,9 @@ func TestScheduleCrashPrimaryMidStream(t *testing.T) {
 // secondary copy; degraded mode must flush them to the client rather than
 // wait forever (section 6).
 func TestScheduleCrashSecondaryDegradedFlush(t *testing.T) {
-	sc := scheduledScenario(t, fault.Step{At: 30 * time.Millisecond, Op: fault.OpCrashSecondary})
-	ec := startEchoClient(t, sc, 192*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-	if !sc.Group.PrimaryBridge().Degraded() {
-		t.Error("primary bridge did not degrade after secondary failure")
-	}
+	sc := newScenario(t, scheduled(fault.Step{At: 30 * time.Millisecond, Op: fault.OpCrashSecondary}), echoServer)
+	startEchoClient(t, sc, 192*1024)
+	runUntil(t, sc, sc.Group.PrimaryBridge().Degraded, time.Minute)
 }
 
 // TestSchedulePartitionThenHeal cuts the server LAN between the primary and
@@ -138,7 +116,7 @@ func TestSchedulePartitionThenHeal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tcpfailover.LANOptions()
 			opts.Faults = &tc.plan
-			sc := newEchoScenario(t, opts)
+			sc := newScenario(t, opts, echoServer)
 			takeoverAt := time.Duration(-1)
 			sc.Group.OnFailover = func(pos int) {
 				if pos == 0 {
@@ -153,10 +131,7 @@ func TestSchedulePartitionThenHeal(t *testing.T) {
 				}
 			})
 			ec := startEchoClient(t, sc, 2<<20)
-			if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-				t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-			}
-			ec.check(t)
+			runUntil(t, sc, func() bool { return ec.closed }, 30*time.Minute)
 			if sc.Faults.Stats().Dropped == 0 {
 				t.Error("the fault dropped nothing")
 			}
@@ -204,12 +179,7 @@ func TestScheduleCascade(t *testing.T) {
 			{At: 30 * time.Millisecond, Op: fault.OpCrashPrimary},
 		},
 	}
-	sc := newEchoScenario(t, opts)
-	ec := startEchoClient(t, sc, 128*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
+	startEchoClient(t, newScenario(t, opts, echoServer), 128*1024)
 }
 
 // TestScheduleValidation pins the build-time rejection of schedules the

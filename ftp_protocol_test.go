@@ -15,20 +15,25 @@ import (
 // driven by a hand-rolled control-connection client against the replicated
 // server.
 
+// ftpProber's bytes are the reply lines it received.
 type ftpProber struct {
+	outcome
 	conn   *tcp.Conn
 	lines  []string
 	buf    []byte
 	script []string // commands issued one per terminal reply
 	step   int
-	closed bool
 }
 
 func startFTPProber(t *testing.T, sc *tcpfailover.Scenario, script []string) *ftpProber {
 	t.Helper()
+	return driven(t, sc, func(sc *tcpfailover.Scenario) (*ftpProber, error) { return dialProber(sc, script) })
+}
+
+func dialProber(sc *tcpfailover.Scenario, script []string) (*ftpProber, error) {
 	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), apps.FTPControlPort)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	p := &ftpProber{conn: conn, buf: make([]byte, 8192), script: script}
 	var pending string
@@ -44,6 +49,7 @@ func startFTPProber(t *testing.T, sc *tcpfailover.Scenario, script []string) *ft
 					}
 					pending = rest
 					p.lines = append(p.lines, line)
+					p.read([]byte(line + "\n"))
 					p.advance()
 				}
 				continue
@@ -54,8 +60,8 @@ func startFTPProber(t *testing.T, sc *tcpfailover.Scenario, script []string) *ft
 			return
 		}
 	})
-	conn.OnClose(func(error) { p.closed = true })
-	return p
+	conn.OnClose(func(err error) { p.close(sc, err) })
+	return p, nil
 }
 
 // advance issues the next command after each reply that looks terminal
@@ -81,7 +87,7 @@ func (p *ftpProber) hasReply(prefix string) bool {
 }
 
 func TestFTPErrorReplies(t *testing.T) {
-	sc := ftpScenario(t, tcpfailover.LANOptions())
+	sc := newScenario(t, ftpOptions(tcpfailover.LANOptions()), ftpServer)
 	p := startFTPProber(t, sc, []string{
 		"RETR nonexistent.bin", // 550 before any PORT
 		"STOR upload.bin",      // 425: no PORT yet
@@ -89,9 +95,7 @@ func TestFTPErrorReplies(t *testing.T) {
 		"PORT 1,2,3",           // 501: malformed
 		"QUIT",
 	})
-	if err := sc.RunUntil(func() bool { return p.closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (lines=%q)", err, p.lines)
-	}
+	runUntil(t, sc, func() bool { return p.closed }, 10*time.Minute)
 	for _, want := range []string{"220", "550", "425", "502", "501", "221"} {
 		if !p.hasReply(want) {
 			t.Errorf("no %s reply; transcript: %q", want, p.lines)
@@ -100,11 +104,9 @@ func TestFTPErrorReplies(t *testing.T) {
 }
 
 func TestFTPListCommand(t *testing.T) {
-	sc := ftpScenario(t, tcpfailover.LANOptions())
+	sc := newScenario(t, ftpOptions(tcpfailover.LANOptions()), ftpServer)
 	p := startFTPProber(t, sc, []string{"LIST", "QUIT"})
-	if err := sc.RunUntil(func() bool { return p.closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (lines=%q)", err, p.lines)
-	}
+	runUntil(t, sc, func() bool { return p.closed }, 10*time.Minute)
 	if !p.hasReply("226") {
 		t.Fatalf("LIST did not complete: %q", p.lines)
 	}

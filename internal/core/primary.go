@@ -469,7 +469,7 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		tcp.SetRawAck(payload, ackS+c.delta)
 		b.m.seqTranslations.Inc()
 	}
-	if flags.Has(tcp.FlagFIN) {
+	if flags.Has(tcp.FlagFIN) && tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0 { // a FIN a flipped bit set is never acknowledged
 		c.clientFinSeen = true
 		c.clientFinEnd = tcp.RawSeq(payload).Add(len(tcp.RawPayload(payload)) + 1)
 	}

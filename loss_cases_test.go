@@ -34,23 +34,30 @@ func payloadIsTCPData(p []byte, dst ipv4.Addr) bool {
 // with exactly one injected drop.
 func runLossCase(t *testing.T, arm func(sc *tcpfailover.Scenario) fault.Impairment) *tcpfailover.Scenario {
 	t.Helper()
-	sc := newEchoScenario(t, tcpfailover.LANOptions())
+	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 	ec := startEchoClient(t, sc, 128*1024)
 
-	if err := sc.RunUntil(func() bool { return ec.received > 16*1024 }, time.Minute); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
+	runUntil(t, sc, func() bool { return ec.received > 16*1024 }, time.Minute)
 	if err := sc.Faults.Impair(arm(sc)); err != nil {
 		t.Fatalf("impair: %v", err)
 	}
-	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
+	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 	if got := sc.Faults.Stats().Dropped; got != 1 {
 		t.Fatalf("injected drops = %d, want 1", got)
 	}
-	ec.check(t)
 	return sc
+}
+
+// impairedEcho runs an echo transfer of total bytes through the pair over a
+// network with the given impairments, and returns what they did.
+func impairedEcho(t *testing.T, total int64, imps ...fault.Impairment) fault.Stats {
+	t.Helper()
+	opts := tcpfailover.LANOptions()
+	opts.Faults = &fault.Plan{Impairments: imps}
+	sc := newScenario(t, opts, echoServer)
+	ec := startEchoClient(t, sc, total)
+	runUntil(t, sc, func() bool { return ec.closed }, 30*time.Minute)
+	return sc.Faults.Stats()
 }
 
 // Case 1: "The primary server does not receive a client segment m" — the
@@ -137,18 +144,9 @@ func TestLossCase5MergedSegmentLostTowardClient(t *testing.T) {
 // TestLossSustainedRandom drives the replicated stream through sustained
 // random loss on both LANs — every section 4 case occurs repeatedly.
 func TestLossSustainedRandom(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.Faults = &fault.Plan{Impairments: []fault.Impairment{
-		{Link: fault.LinkServerLAN, Models: []fault.Spec{fault.Bernoulli(0.01)}},
-		{Link: fault.LinkClientLink, Models: []fault.Spec{fault.Bernoulli(0.01)}},
-	}}
-	sc := newEchoScenario(t, opts)
-	ec := startEchoClient(t, sc, 256*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-	if sc.Faults.Stats().Dropped == 0 {
+	loss := []fault.Spec{fault.Bernoulli(0.01)}
+	if impairedEcho(t, 256*1024, fault.Impairment{Link: fault.LinkServerLAN, Models: loss},
+		fault.Impairment{Link: fault.LinkClientLink, Models: loss}).Dropped == 0 {
 		t.Error("no loss actually occurred")
 	}
 }
@@ -157,18 +155,9 @@ func TestLossSustainedRandom(t *testing.T) {
 // Gilbert–Elliott bursty channel, where consecutive losses defeat
 // single-retransmission recovery paths.
 func TestLossSustainedBursty(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.Faults = &fault.Plan{Impairments: []fault.Impairment{
-		{Link: fault.LinkServerLAN, Models: []fault.Spec{fault.BurstyLoss(0.01)}},
-		{Link: fault.LinkClientLink, Models: []fault.Spec{fault.BurstyLoss(0.01)}},
-	}}
-	sc := newEchoScenario(t, opts)
-	ec := startEchoClient(t, sc, 256*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-	if sc.Faults.Stats().Dropped == 0 {
+	loss := []fault.Spec{fault.BurstyLoss(0.01)}
+	if impairedEcho(t, 256*1024, fault.Impairment{Link: fault.LinkServerLAN, Models: loss},
+		fault.Impairment{Link: fault.LinkClientLink, Models: loss}).Dropped == 0 {
 		t.Error("no loss actually occurred")
 	}
 }

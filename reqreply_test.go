@@ -15,17 +15,10 @@ import (
 func TestReqReplySequentialRequests(t *testing.T) {
 	opts := tcpfailover.LANOptions()
 	opts.ServerPorts = []uint16{9000}
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
+	sc := newScenario(t, opts, func(h *netstack.Host) error {
 		_, err := apps.NewReqReplyServer(h.TCP(), 9000)
 		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
+	})
 
 	cl, err := apps.NewReqReplyClient(sc.Client.TCP(), sc.Sched, sc.ServiceAddr(), 9000)
 	if err != nil {
@@ -48,10 +41,7 @@ func TestReqReplySequentialRequests(t *testing.T) {
 	}
 	issue(0)
 
-	if err := sc.RunUntil(func() bool { return len(elapsed) == len(sizes) },
-		30*time.Minute); err != nil {
-		t.Fatalf("run: %v (completed %d of %d)", err, len(elapsed), len(sizes))
-	}
+	runUntil(t, sc, func() bool { return len(elapsed) == len(sizes) }, 30*time.Minute)
 	for i, e := range elapsed {
 		if e <= 0 {
 			t.Errorf("request %d reported non-positive elapsed %v", i, e)

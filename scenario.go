@@ -202,9 +202,16 @@ type Scenario struct {
 // before the deadline.
 var ErrTimeout = errors.New("tcpfailover: condition not met before deadline")
 
+// onBuild, when set, sees every scenario NewScenario builds (tests only).
+var onBuild func(*Scenario)
+
 // NewScenario builds the topology of the paper's Figure 1.
 func NewScenario(opts Options) (*Scenario, error) {
-	return newScenarioOn(sim.New(opts.Seed), 0, opts)
+	sc, err := newScenarioOn(sim.New(opts.Seed), 0, opts)
+	if err == nil && onBuild != nil {
+		onBuild(sc)
+	}
+	return sc, err
 }
 
 // newScenarioOn builds one testbed cell on an existing scheduler, addressed

@@ -23,23 +23,15 @@ func TestScenarioRejectsBadReplicationDegree(t *testing.T) {
 func TestScenarioUnreplicatedHasNoGroup(t *testing.T) {
 	opts := tcpfailover.LANOptions()
 	opts.Unreplicated = true
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newScenario(t, opts, nil) // starts it: must not panic with no detectors
 	if sc.Group != nil || sc.Secondary != nil {
 		t.Error("unreplicated scenario built replication machinery")
 	}
-	sc.Start() // must not panic with no detectors
 }
 
 func TestRunUntilTimesOut(t *testing.T) {
-	sc, err := tcpfailover.NewScenario(tcpfailover.LANOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
-	err = sc.RunUntil(func() bool { return false }, 50*time.Millisecond)
+	sc := newScenario(t, tcpfailover.LANOptions(), nil)
+	err := sc.RunUntil(func() bool { return false }, 50*time.Millisecond)
 	if !errors.Is(err, tcpfailover.ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
@@ -52,11 +44,7 @@ func TestDetectorsCanBeDisabled(t *testing.T) {
 	opts := tcpfailover.LANOptions()
 	off := false
 	opts.StartDetectors = &off
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
+	sc := newScenario(t, opts, nil)
 	// With no detectors and no traffic the event queue drains completely.
 	if err := sc.Sched.Run(); err != nil {
 		t.Fatal(err)
@@ -76,11 +64,9 @@ func TestDetectorsCanBeDisabled(t *testing.T) {
 
 func TestScenarioDeterminism(t *testing.T) {
 	run := func() (time.Duration, int64) {
-		sc := newEchoScenario(t, tcpfailover.LANOptions())
+		sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 		ec := startEchoClient(t, sc, 64*1024)
-		if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
-			t.Fatal(err)
-		}
+		runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 		return sc.Now(), sc.Group.PrimaryBridge().Stats().SegmentsToClient
 	}
 	t1, s1 := run()
@@ -109,16 +95,12 @@ func TestWANOptionsShape(t *testing.T) {
 func TestCrashPrimaryMarksFailure(t *testing.T) {
 	opts := tcpfailover.LANOptions()
 	opts.Spans = true
-	sc := newEchoScenario(t, opts)
+	sc := newScenario(t, opts, echoServer)
 	ec := startEchoClient(t, sc, 256*1024)
-	if err := sc.RunUntil(func() bool { return ec.received >= 64*1024 }, time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	runUntil(t, sc, func() bool { return ec.received >= 64*1024 }, time.Minute)
 	crashedAt := sc.Now()
 	sc.Group.CrashPrimary()
-	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 	if at, ok := sc.Spans.FailureMark(); !ok || at != crashedAt {
 		t.Fatalf("failure mark = (%v, %v), want the crash instant %v", at, ok, crashedAt)
 	}
@@ -137,10 +119,7 @@ func TestCrashPrimaryMarksFailure(t *testing.T) {
 // field, a field is moved by at most one series, and the number of views is
 // pinned so that adding one means reading this test.
 func TestStatsViewsOwnTheirSeries(t *testing.T) {
-	sc, err := tcpfailover.NewScenario(tcpfailover.LANOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newScenario(t, tcpfailover.LANOptions(), nil)
 	views := func() map[string]int64 {
 		out := map[string]int64{}
 		flatten := func(owner string, stats any) {

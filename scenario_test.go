@@ -14,42 +14,27 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-// newEchoScenario builds a replicated (or standard) echo service on port 80.
-func newEchoScenario(t *testing.T, opts tcpfailover.Options) *tcpfailover.Scenario {
-	t.Helper()
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
-	install := func(h *netstack.Host) error {
-		_, err := apps.NewEchoServer(h.TCP(), 80)
-		return err
-	}
-	if sc.Group != nil {
-		if err := sc.Group.OnEach(install); err != nil {
-			t.Fatalf("install echo: %v", err)
-		}
-	} else {
-		if err := install(sc.Primary); err != nil {
-			t.Fatalf("install echo: %v", err)
-		}
-	}
-	sc.Start()
-	return sc
+// echoServer installs the echo service on port 80.
+func echoServer(h *netstack.Host) error {
+	_, err := apps.NewEchoServer(h.TCP(), 80)
+	return err
+}
+
+// chainOptions is the LAN testbed with the three-way chain.
+func chainOptions() tcpfailover.Options {
+	o := tcpfailover.LANOptions()
+	o.Backups = 2
+	return o
 }
 
 // echoClient drives a client connection that sends total bytes and expects
 // them echoed back.
 type echoClient struct {
-	conn     *tcp.Conn
-	total    int64
-	sent     int64
-	received int64
-	badAt    int64
-	eof      bool
-	closed   bool
-	closedAt time.Duration
-	err      error
+	outcome
+	conn  *tcp.Conn
+	sent  int64
+	badAt int64 // where the stream first departs from the pattern, or -1
+	eof   bool
 }
 
 func startEchoClient(t *testing.T, sc *tcpfailover.Scenario, total int64) *echoClient {
@@ -59,24 +44,24 @@ func startEchoClient(t *testing.T, sc *tcpfailover.Scenario, total int64) *echoC
 
 func startEchoClientPort(t *testing.T, sc *tcpfailover.Scenario, total int64, port uint16) *echoClient {
 	t.Helper()
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), port)
+	return driven(t, sc, func(sc *tcpfailover.Scenario) (*echoClient, error) {
+		return dialEcho(sc, sc.ServiceAddr(), total, port)
+	})
+}
+
+func dialEcho(sc *tcpfailover.Scenario, to ipv4.Addr, total int64, port uint16) (*echoClient, error) {
+	conn, err := sc.Client.TCP().Dial(to, port)
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		return nil, err
 	}
-	ec := &echoClient{conn: conn, total: total, badAt: -1}
+	ec := &echoClient{conn: conn, badAt: -1}
 	chunk := make([]byte, 16*1024)
 	pump := func() {
-		for ec.sent < ec.total {
-			n := int64(len(chunk))
-			if ec.total-ec.sent < n {
-				n = ec.total - ec.sent
-			}
+		for ec.sent < total {
+			n := min(int64(len(chunk)), total-ec.sent)
 			apps.Pattern(chunk[:n], ec.sent)
 			m, werr := conn.Write(chunk[:n])
-			if werr != nil {
-				return
-			}
-			if m == 0 {
+			if werr != nil || m == 0 {
 				return
 			}
 			ec.sent += int64(m)
@@ -87,29 +72,17 @@ func startEchoClientPort(t *testing.T, sc *tcpfailover.Scenario, total int64, po
 	conn.OnEstablished(pump)
 	conn.OnWritable(pump)
 	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(rbuf)
-			if n > 0 {
-				if ec.badAt < 0 {
-					if i := apps.VerifyPattern(rbuf[:n], ec.received); i >= 0 {
-						ec.badAt = ec.received + int64(i)
-					}
-				}
-				ec.received += int64(n)
-				continue
+		n, rerr := conn.Read(rbuf)
+		for ; n > 0; n, rerr = conn.Read(rbuf) {
+			if i := apps.VerifyPattern(rbuf[:n], ec.received); i >= 0 && ec.badAt < 0 {
+				ec.badAt = ec.received + int64(i)
 			}
-			if rerr == io.EOF {
-				ec.eof = true
-			}
-			return
+			ec.read(rbuf[:n])
 		}
+		ec.eof = ec.eof || rerr == io.EOF
 	})
-	conn.OnClose(func(err error) {
-		ec.closed = true
-		ec.closedAt = sc.Sched.Now()
-		ec.err = err
-	})
-	return ec
+	conn.OnClose(func(err error) { ec.close(sc, err) })
+	return ec, nil
 }
 
 // tapSeals taps every host of sc and returns a check that every TCP
@@ -140,33 +113,10 @@ func tapSeals(sc *tcpfailover.Scenario) func(t *testing.T) {
 	}
 }
 
-func (ec *echoClient) check(t *testing.T) {
-	t.Helper()
-	if ec.sent != ec.total {
-		t.Errorf("client sent %d of %d bytes", ec.sent, ec.total)
-	}
-	if ec.received != ec.total {
-		t.Errorf("client received %d of %d echoed bytes", ec.received, ec.total)
-	}
-	if ec.badAt >= 0 {
-		t.Errorf("echoed stream corrupted at offset %d", ec.badAt)
-	}
-	if !ec.closed {
-		t.Error("connection did not close")
-	}
-	if ec.err != nil {
-		t.Errorf("connection closed with error: %v", ec.err)
-	}
-}
-
 func TestReplicatedEchoFaultFree(t *testing.T) {
-	sc := newEchoScenario(t, tcpfailover.LANOptions())
+	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 	ec := startEchoClient(t, sc, 200*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 5*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
-
+	runUntil(t, sc, func() bool { return ec.closed }, 5*time.Minute)
 	pstats := sc.Group.PrimaryBridge().Stats()
 	if pstats.BytesMatched < 200*1024 {
 		t.Errorf("primary bridge matched %d bytes, want >= %d", pstats.BytesMatched, 200*1024)
@@ -177,35 +127,22 @@ func TestReplicatedEchoFaultFree(t *testing.T) {
 	}
 }
 
-func TestStandardEchoBaseline(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.Unreplicated = true
-	sc := newEchoScenario(t, opts)
-	ec := startEchoClient(t, sc, 200*1024)
-	if err := sc.RunUntil(func() bool { return ec.closed }, 5*time.Minute); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	ec.check(t)
+// crashMidStream runs a 512 KiB echo through the pair with every host's
+// seals tapped, crashes the member at pos once 64 KiB are back, and runs the
+// transfer to its close.
+func crashMidStream(t *testing.T, pos int) *tcpfailover.Scenario {
+	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
+	checkSeals := tapSeals(sc)
+	ec := startEchoClient(t, sc, 512*1024)
+	runUntil(t, sc, func() bool { return ec.received > 64*1024 }, 60*time.Second)
+	sc.Group.Crash(pos)
+	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
+	checkSeals(t)
+	return sc
 }
 
 func TestFailoverPrimaryMidStream(t *testing.T) {
-	sc := newEchoScenario(t, tcpfailover.LANOptions())
-	checkSeals := tapSeals(sc)
-	ec := startEchoClient(t, sc, 512*1024)
-
-	// Let the transfer get going, then kill the primary.
-	if err := sc.RunUntil(func() bool { return ec.received > 64*1024 }, 60*time.Second); err != nil {
-		t.Fatalf("warm-up: %v (received=%d)", err, ec.received)
-	}
-	sc.Group.CrashPrimary()
-
-	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
-		t.Fatalf("post-failover run: %v (sent=%d received=%d eof=%v)",
-			err, ec.sent, ec.received, ec.eof)
-	}
-	ec.check(t)
-	checkSeals(t)
-	if got := sc.Group.SecondaryBridge().Stats().TakenOver; got == 0 {
+	if got := crashMidStream(t, 0).Group.SecondaryBridge().Stats().TakenOver; got == 0 {
 		t.Error("secondary bridge reports no connections taken over")
 	}
 }
@@ -219,7 +156,7 @@ func TestFailoverPrimaryMidStream(t *testing.T) {
 // observable must match, and the untapped run executes exactly one event
 // fewer per overheard frame.
 func TestOverheardFramesSkipMatchesTappedRun(t *testing.T) {
-	type outcome struct {
+	type run struct {
 		received, badAt int64
 		err             error
 		closedAt        time.Duration
@@ -229,9 +166,9 @@ func TestOverheardFramesSkipMatchesTappedRun(t *testing.T) {
 		executed        int
 		overheard       int
 	}
-	run := func(tap bool) outcome {
-		sc := newEchoScenario(t, tcpfailover.LANOptions())
-		var o outcome
+	do := func(tap bool) run {
+		sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
+		var o run
 		if tap {
 			s := sc.Secondary
 			s.AddPacketTap(func(dir string, hdr ipv4.Header, _ []byte) {
@@ -241,21 +178,16 @@ func TestOverheardFramesSkipMatchesTappedRun(t *testing.T) {
 			})
 		}
 		ec := startEchoClient(t, sc, 256*1024)
-		if err := sc.RunUntil(func() bool { return ec.received > 64*1024 }, 60*time.Second); err != nil {
-			t.Fatalf("warm-up: %v (received=%d)", err, ec.received)
-		}
+		runUntil(t, sc, func() bool { return ec.received > 64*1024 }, 60*time.Second)
 		sc.Group.CrashPrimary()
-		if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
-			t.Fatalf("post-failover run: %v (received=%d)", err, ec.received)
-		}
-		ec.check(t)
+		runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 		o.received, o.badAt, o.err, o.closedAt = ec.received, ec.badAt, ec.err, ec.closedAt
 		o.lan, o.client = sc.ServerLAN.Stats(), sc.ClientLink.Stats()
 		o.primary, o.secondary = sc.Group.PrimaryBridge().Stats(), sc.Group.SecondaryBridge().Stats()
 		o.executed = sc.Sched.Executed()
 		return o
 	}
-	skipped, tapped := run(false), run(true)
+	skipped, tapped := do(false), do(true)
 	if tapped.overheard == 0 {
 		t.Fatal("the secondary overheard no frames")
 	}
@@ -272,22 +204,7 @@ func TestOverheardFramesSkipMatchesTappedRun(t *testing.T) {
 // TestFailoverSecondaryMidStream also covers the degraded send paths: the
 // section 6 drain of the primary's queue and forwardDegraded.
 func TestFailoverSecondaryMidStream(t *testing.T) {
-	sc := newEchoScenario(t, tcpfailover.LANOptions())
-	checkSeals := tapSeals(sc)
-	ec := startEchoClient(t, sc, 512*1024)
-
-	if err := sc.RunUntil(func() bool { return ec.received > 64*1024 }, 60*time.Second); err != nil {
-		t.Fatalf("warm-up: %v (received=%d)", err, ec.received)
-	}
-	sc.Group.Crash(1)
-
-	if err := sc.RunUntil(func() bool { return ec.closed }, 10*time.Minute); err != nil {
-		t.Fatalf("post-failure run: %v (sent=%d received=%d eof=%v)",
-			err, ec.sent, ec.received, ec.eof)
-	}
-	ec.check(t)
-	checkSeals(t)
-	if !sc.Group.PrimaryBridge().Degraded() {
+	if !crashMidStream(t, 1).Group.PrimaryBridge().Degraded() {
 		t.Error("primary bridge did not degrade after secondary failure")
 	}
 }

@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/apps"
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/fault"
-	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/sim"
 )
 
@@ -47,60 +45,21 @@ func runShardedEcho(t *testing.T, cells, shards int, faults *fault.Plan, barrier
 	// Echo service on every cell's replicated pair.
 	for _, cell := range ss.Cells {
 		cell.Stream.Use()
-		install := func(h *netstack.Host) error {
-			_, err := apps.NewEchoServer(h.TCP(), 80)
-			return err
-		}
-		if err := cell.Group.OnEach(install); err != nil {
+		if err := cell.Group.OnEach(echoServer); err != nil {
 			t.Fatalf("cell %d install: %v", cell.Index, err)
 		}
 	}
 
 	// Per cell: one local echo client, and one cross-cell client dialing the
 	// next cell's service through the trunk ring.
-	type client struct {
-		received int64
-		closed   bool
-	}
-	var clients []*client
+	var clients []*echoClient
 	dial := func(cell *tcpfailover.Cell, to *tcpfailover.Cell, total int64) {
 		cell.Stream.Use()
-		conn, err := cell.Client.TCP().Dial(to.ServiceAddr(), 80)
+		ec, err := dialEcho(cell.Scenario, to.ServiceAddr(), total, 80)
 		if err != nil {
 			t.Fatalf("dial cell %d -> %d: %v", cell.Index, to.Index, err)
 		}
-		cl := &client{}
-		clients = append(clients, cl)
-		var sent int64
-		chunk := make([]byte, 4096)
-		pump := func() {
-			for sent < total {
-				n := total - sent
-				if n > int64(len(chunk)) {
-					n = int64(len(chunk))
-				}
-				apps.Pattern(chunk[:n], sent)
-				m, werr := conn.Write(chunk[:n])
-				if werr != nil || m == 0 {
-					return
-				}
-				sent += int64(m)
-			}
-			conn.Close()
-		}
-		rbuf := make([]byte, 4096)
-		conn.OnEstablished(pump)
-		conn.OnWritable(pump)
-		conn.OnReadable(func() {
-			for {
-				n, _ := conn.Read(rbuf)
-				if n <= 0 {
-					return
-				}
-				cl.received += int64(n)
-			}
-		})
-		conn.OnClose(func(error) { cl.closed = true })
+		clients = append(clients, ec)
 	}
 	for i, cell := range ss.Cells {
 		dial(cell, cell, 48*1024)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tcpfailover"
-	"tcpfailover/internal/apps"
 	"tcpfailover/internal/netstack"
 	"tcpfailover/internal/tcp"
 )
@@ -15,42 +14,26 @@ import (
 // initial sequence numbers straddle the wrap, so Delta-seq itself wraps,
 // and the translated stream crosses zero mid-transfer.
 
-func wrapScenario(t *testing.T, primaryISS, secondaryISS uint32) *tcpfailover.Scenario {
-	t.Helper()
-	opts := tcpfailover.LANOptions()
-	sc, err := tcpfailover.NewScenario(opts)
-	if err != nil {
-		t.Fatal(err)
+// wrapEcho installs the echo service with the replicas' initial sequence
+// numbers set; the unreplicated twin's server takes the primary's.
+func wrapEcho(primaryISS, secondaryISS uint32) func(*netstack.Host) error {
+	return func(h *netstack.Host) error {
+		iss := tcp.Seq(primaryISS)
+		if h.Name() == "secondary" {
+			iss = tcp.Seq(secondaryISS)
+		}
+		h.SetTCPConfig(tcp.Config{ISS: func(*rand.Rand) tcp.Seq { return iss }})
+		return echoServer(h)
 	}
-	sc.Primary.SetTCPConfig(tcp.Config{
-		ISS: func(*rand.Rand) tcp.Seq { return tcp.Seq(primaryISS) },
-	})
-	sc.Secondary.SetTCPConfig(tcp.Config{
-		ISS: func(*rand.Rand) tcp.Seq { return tcp.Seq(secondaryISS) },
-	})
-	if err := sc.Group.OnEach(func(h *netstack.Host) error {
-		_, err := apps.NewEchoServer(h.TCP(), 80)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sc.Start()
-	return sc
 }
 
 func runWrapTransfer(t *testing.T, sc *tcpfailover.Scenario, crash bool) {
 	t.Helper()
 	ec := startEchoClient(t, sc, 96*1024)
 	if crash {
-		if err := sc.RunUntil(func() bool { return ec.received > 24*1024 }, time.Minute); err != nil {
-			t.Fatalf("warm-up: %v", err)
-		}
+		runUntil(t, sc, func() bool { return ec.received > 24*1024 }, time.Minute)
 		sc.Group.CrashPrimary()
 	}
-	if err := sc.RunUntil(func() bool { return ec.closed }, 30*time.Minute); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
 }
 
 func TestBridgeDeltaSeqWrap(t *testing.T) {
@@ -65,7 +48,7 @@ func TestBridgeDeltaSeqWrap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			runWrapTransfer(t, wrapScenario(t, tc.pISS, tc.sISS), false)
+			runWrapTransfer(t, newScenario(t, tcpfailover.LANOptions(), wrapEcho(tc.pISS, tc.sISS)), false)
 		})
 	}
 }
@@ -73,21 +56,14 @@ func TestBridgeDeltaSeqWrap(t *testing.T) {
 func TestBridgeDeltaSeqWrapWithFailover(t *testing.T) {
 	// The client's sequence space (synchronized to the secondary) crosses
 	// zero right around the takeover.
-	runWrapTransfer(t, wrapScenario(t, 7777, 0xffffffff-20000), true)
+	runWrapTransfer(t, newScenario(t, tcpfailover.LANOptions(), wrapEcho(7777, 0xffffffff-20000)), true)
 }
 
 // TestWANFailover: the paper's WAN profile with a primary crash mid-FTP-
 // style bulk transfer — high RTT and loss compound with the takeover.
 func TestWANFailoverBulk(t *testing.T) {
-	opts := tcpfailover.WANOptions()
-	sc := newEchoScenario(t, opts)
+	sc := newScenario(t, tcpfailover.WANOptions(), echoServer)
 	ec := startEchoClient(t, sc, 96*1024)
-	if err := sc.RunUntil(func() bool { return ec.received > 16*1024 }, 10*time.Minute); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
+	runUntil(t, sc, func() bool { return ec.received > 16*1024 }, 10*time.Minute)
 	sc.Group.CrashPrimary()
-	if err := sc.RunUntil(func() bool { return ec.closed }, time.Hour); err != nil {
-		t.Fatalf("run: %v (sent=%d received=%d)", err, ec.sent, ec.received)
-	}
-	ec.check(t)
 }
