@@ -57,7 +57,7 @@ func runFTPGetPut(t *testing.T, sc *tcpfailover.Scenario, crashAfterLogin bool) 
 	f := driven(t, sc, dialFTP)
 	if crashAfterLogin {
 		runUntil(t, sc, func() bool { return f.loggedIn }, time.Minute)
-		sc.Group.CrashPrimary()
+		sc.Group.Crash(0)
 	}
 	runUntil(t, sc, func() bool { return f.closed }, 10*time.Minute)
 	wantBytes := []int64{18637, 20000, 1331}
@@ -134,7 +134,7 @@ func TestPeerPortConnectionSurvivesCrash(t *testing.T) {
 				if sink.Received == total {
 					t.Fatal("the stream finished before the crash")
 				}
-				sc.Group.CrashPrimary()
+				sc.Group.Crash(0)
 			}
 			runUntil(t, sc, func() bool { return sec.Closed > 0 && sink.Conns >= tc.wantConns }, 10*time.Minute)
 			if sink.Conns != tc.wantConns {

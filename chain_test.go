@@ -106,7 +106,7 @@ func TestChainHonoursGroupConfig(t *testing.T) {
 	}
 	ec := startEchoClient(t, sc, 192*1024)
 	runUntil(t, sc, func() bool { return ec.received > 48*1024 }, sc.Now()+time.Minute)
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 	runUntil(t, sc, func() bool { return ec.closed }, sc.Now()+30*time.Minute)
 	if err := sc.Group.TakeoverErr(); err != nil {
 		t.Errorf("takeover: %v", err)

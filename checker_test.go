@@ -276,10 +276,9 @@ func allClosed(outs []*outcome) bool {
 }
 
 // quiesce runs the scenario until every driven client has closed, stops the
-// group and drains the event queue. Then no packet buffer is live, no ring
-// storage is live unless a host crashed (a crashed host keeps its rings), and
-// no live member's TCP layer or live head bridge holds anything for a
-// connection the client has closed.
+// group and drains the event queue. Then no packet buffer or ring storage is
+// live, and no member's TCP layer or matcher, crashed or not, holds anything
+// for a connection the client has closed.
 func (c *checker) quiesce() {
 	sc := c.sc
 	var got []*outcome
@@ -297,15 +296,11 @@ func (c *checker) quiesce() {
 	}
 	live, liveBytes := netbuf.Live()-settled.live-c.live, netbuf.LiveBytes()-settled.liveBytes-c.liveBytes
 	settled.live, settled.liveBytes = settled.live+live, settled.liveBytes+liveBytes
-	members, crashed := []*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary}, false
-	for _, h := range members {
-		crashed = crashed || h != nil && !h.Alive()
-	}
 	if live != 0 {
 		c.flag("quiescence", "netbuf.Live() = %d at quiescence", live)
 	}
-	if liveBytes != 0 && !crashed {
-		c.flag("quiescence", "netbuf.LiveBytes() = %d at quiescence with no host crashed", liveBytes)
+	if liveBytes != 0 {
+		c.flag("quiescence", "netbuf.LiveBytes() = %d at quiescence", liveBytes)
 	}
 	type ports struct{ client, server uint16 }
 	open, toService := map[ports]bool{}, 0 // the client's connections
@@ -316,9 +311,8 @@ func (c *checker) quiesce() {
 			toService++
 		}
 	}
-	headSeen := sc.Group == nil
-	for pos, h := range members {
-		if h == nil || !h.Alive() {
+	for pos, h := range []*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary} {
+		if h == nil {
 			continue
 		}
 		for _, mc := range h.TCP().Conns() {
@@ -326,15 +320,15 @@ func (c *checker) quiesce() {
 				c.flag("quiescence", "%s holds %v in %v after the client closed it", h.Name(), tu, mc.State())
 			}
 		}
-		if !headSeen { // the first live member's matcher; a promoted last member has none
-			headSeen = true
-			head := sc.Group.PrimaryBridge()
-			if pos > 0 {
-				head = sc.Group.Backup(pos).Matcher()
-			}
-			if head != nil && head.Conns() > toService {
-				c.flag("quiescence", "%s's bridge holds %d records, the client %d connections", h.Name(), head.Conns(), toService)
-			}
+		if sc.Group == nil {
+			continue
+		}
+		m := sc.Group.PrimaryBridge() // the member's matcher; the last member has none
+		if pos > 0 {
+			m = sc.Group.Backup(pos).Matcher()
+		}
+		if m != nil && m.Conns() > toService {
+			c.flag("quiescence", "%s's bridge holds %d records, the client %d connections", h.Name(), m.Conns(), toService)
 		}
 	}
 }

@@ -170,7 +170,7 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 			return err
 		}
 		mark("primary crashes (echoed %d bytes)", received)
-		sc.Group.CrashPrimary()
+		sc.Group.Crash(0)
 	}
 	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
 		return err

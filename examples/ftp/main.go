@@ -69,7 +69,7 @@ func run() error {
 		report("GET")(r)
 		fmt.Printf("t=%7.1fms  *** primary crashes; session continues on the secondary ***\n",
 			sc.Now().Seconds()*1e3)
-		sc.Group.CrashPrimary()
+		sc.Group.Crash(0)
 	})
 	cl.Put("report.dat", 50_000, report("PUT"))
 	cl.Get("large.bin", report("GET"))

@@ -102,7 +102,7 @@ func run() error {
 	}
 	fmt.Printf("t=%8.3fms  %d/%d bytes echoed — crashing the primary now\n",
 		sc.Now().Seconds()*1e3, received, total)
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 
 	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
 		return err

@@ -65,7 +65,7 @@ func TestPropertyFailoverUnderLoss(t *testing.T) {
 func TestFailoverDuringHandshake(t *testing.T) {
 	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 	startEchoClient(t, sc, 4096)
-	sc.Group.CrashPrimary() // before any packet processing
+	sc.Group.Crash(0) // before any packet processing
 }
 
 // TestFailoverWithRouterARPDelay exercises the paper's interval T: the
@@ -77,7 +77,7 @@ func TestFailoverWithRouterARPDelay(t *testing.T) {
 	sc := newScenario(t, opts, echoServer)
 	ec := startEchoClient(t, sc, 192*1024)
 	runUntil(t, sc, func() bool { return ec.received > 64*1024 }, time.Minute)
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 }
 
 // TestColdARPConnection covers connection setup without pre-warmed caches:
@@ -107,7 +107,7 @@ func TestManyConcurrentConnections(t *testing.T) {
 		return true
 	}
 	runUntil(t, sc, progressed, 10*time.Minute)
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 	runUntil(t, sc, func() bool { return !sc.Group.SecondaryBridge().Active() }, time.Minute)
 	if got := sc.Group.SecondaryBridge().Stats().TakenOver; got != conns {
 		t.Errorf("TakenOver = %d, want %d", got, conns)

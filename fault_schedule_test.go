@@ -11,7 +11,7 @@ import (
 )
 
 // These tests drive replica failures through the declarative failure
-// schedule (Options.Faults.Schedule) instead of imperative CrashPrimary
+// schedule (Options.Faults.Schedule) instead of imperative Group.Crash
 // calls: the crash is an event inside the simulation, armed at build time,
 // so the whole faulty run is reproducible from the scenario options alone.
 

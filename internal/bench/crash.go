@@ -66,7 +66,7 @@ func (r *crashRun) run(what string, crashAt int64, alive func() bool) error {
 			return fmt.Errorf("%s: queue empty (received=%d)", what, r.recv.Received)
 		}
 		if crashAt > 0 && r.sc.Primary.Alive() && r.recv.Received >= crashAt {
-			r.sc.Group.CrashPrimary()
+			r.sc.Group.Crash(0)
 		}
 		if r.recv.Received != r.prevReceived {
 			if r.sinceCrash {

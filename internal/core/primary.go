@@ -458,9 +458,11 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 	}
 
 	b.lru.Touch(uint32(c.self))
+	// The client's FIN, RST and ACK of the servers' FIN act on the record only
+	// if the sum verifies: both replicas discard a segment a wire error hit.
 	if flags.Has(tcp.FlagACK) && c.deltaKnown {
 		ackS := tcp.RawAck(payload)
-		if c.finSent && ackS.Greater(c.finSeq) {
+		if c.finSent && !c.finAckedByCl && ackS.Greater(c.finSeq) && tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0 {
 			c.finAckedByCl = true
 		}
 		// Translate the acknowledgment into the primary's sequence space so
@@ -469,7 +471,7 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		tcp.SetRawAck(payload, ackS+c.delta)
 		b.m.seqTranslations.Inc()
 	}
-	if flags.Has(tcp.FlagFIN) && tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0 { // a FIN a flipped bit set is never acknowledged
+	if flags.Has(tcp.FlagFIN) && tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0 {
 		c.clientFinSeen = true
 		c.clientFinEnd = tcp.RawSeq(payload).Add(len(tcp.RawPayload(payload)) + 1)
 	}
@@ -482,9 +484,11 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 			b.m.seqInvalidDrops.Inc()
 			return netstack.VerdictDrop, hdr, payload
 		}
-		// Both replicas' TCP layers observe the reset; nothing remains for
-		// the bridge to reconcile.
-		b.removeConn(c)
+		// Both replicas' TCP layers observe a reset that verifies; nothing
+		// remains for the bridge to reconcile.
+		if tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) == 0 {
+			b.removeConn(c)
+		}
 		return netstack.VerdictPass, hdr, payload
 	}
 	if n := len(tcp.RawPayload(payload)); n > 0 && c.combinedSynSent && c.lastAckValid {
@@ -885,6 +889,18 @@ func (b *PrimaryBridge) removeConn(c *pconn) {
 	c.p.q.Release()
 	c.s.q.Release()
 	b.slots.Free(idx) // zeroes the record
+}
+
+// Crash drops every record and its queues, in key order as
+// HandleSecondaryFailure walks: a fail-stopped member holds nothing.
+func (b *PrimaryBridge) Crash() {
+	b.keyScratch = b.conns.AppendKeys(b.keyScratch[:0])
+	slices.Sort(b.keyScratch)
+	for _, k := range b.keyScratch {
+		if idx, ok := b.conns.Get(k); ok {
+			b.removeConn(b.slots.At(idx))
+		}
+	}
 }
 
 // HandleSecondaryFailure reconfigures the bridge per section 6 of the

@@ -643,6 +643,50 @@ func TestBridgeRSTForwarding(t *testing.T) {
 	})
 }
 
+// TestClientControlNeedsValidSum: a client's RST, and its ACK of the
+// servers' FIN, change the bridge's record only when the checksum verifies.
+// Both replicas' TCP layers discard a segment a wire error corrupted, so a
+// bad-sum RST keeps the record and a bad-sum ACK past the FIN leaves it to
+// the GC; the valid forms still act.
+func TestClientControlNeedsValidSum(t *testing.T) {
+	rst := tcp.Segment{Seq: clientISS + 1, Ack: sISS + 1, Flags: tcp.FlagACK | tcp.FlagRST}
+	finAck := tcp.Segment{Seq: clientISS + 2, Ack: sISS + 2, Flags: tcp.FlagACK, Window: 65535}
+	for _, tc := range []struct {
+		name    string
+		closing bool // every FIN but the servers' is acknowledged: the record waits for finAck
+		seg     tcp.Segment
+		bad     bool
+		want    int // records left
+	}{
+		{"RST", false, rst, false, 0},
+		{"bad-sum RST", false, rst, true, 1},
+		{"ACK past the FIN", true, finAck, false, 0},
+		{"bad-sum ACK past the FIN", true, finAck, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newPriFixture(t)
+			f.establish(t)
+			if tc.closing {
+				f.fromPrimaryTCP(t, &tcp.Segment{Seq: pISS + 1, Ack: clientISS + 1, Flags: tcp.FlagACK | tcp.FlagFIN, Window: 60000})
+				f.fromSecondaryWire(t, &tcp.Segment{Seq: sISS + 1, Ack: clientISS + 1, Flags: tcp.FlagACK | tcp.FlagFIN, Window: 58000})
+				f.fromClientWire(t, &tcp.Segment{Seq: clientISS + 1, Ack: sISS + 1, Flags: tcp.FlagACK | tcp.FlagFIN, Window: 65535})
+				f.fromPrimaryTCP(t, &tcp.Segment{Seq: pISS + 2, Ack: clientISS + 2, Flags: tcp.FlagACK, Window: 60000})
+				f.fromSecondaryWire(t, &tcp.Segment{Seq: sISS + 2, Ack: clientISS + 2, Flags: tcp.FlagACK, Window: 58000})
+			}
+			seg := tc.seg
+			seg.SrcPort, seg.DstPort = 49152, 80
+			raw := tcp.Marshal(f.aC, f.aP, &seg)
+			if tc.bad {
+				raw[17] ^= 0x40 // the checksum field's low byte
+			}
+			f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aC, Dst: f.aP}, raw)
+			if got := f.b.Conns(); got != tc.want {
+				t.Errorf("%d records left, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestBridgeDegradedNewConnections: connections arriving after the
 // secondary has failed establish against the primary alone, with
 // Delta-seq = 0 (the primary's SYN stands in for the missing secondary's).

@@ -22,8 +22,8 @@ import (
 //   - ReturnBytes ends the owner's claim. Nothing may alias the buffer
 //     afterwards; a slice of it handed to other code must have been
 //     consumed (copied, marshalled) before the return.
-//   - Returning is optional. An owner dropped wholesale (a crashed host's
-//     bridge, a discarded scenario) leaves its buffers to the collector.
+//   - Every owner returns, a crashed host's TCP layer and bridge too; only a
+//     scenario discarded wholesale leaves its buffers to the collector.
 const (
 	MinBytes = 64    // smallest class
 	MaxBytes = 65536 // largest class: one unscaled TCP window, rounded up

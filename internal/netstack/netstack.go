@@ -362,12 +362,15 @@ func (h *Host) RegisterProtocol(proto uint8, handler func(hdr ipv4.Header, paylo
 	h.protocols[proto] = append(h.protocols[proto], handler)
 }
 
-// Crash stops the host: interfaces go down and all future I/O is dropped.
-// It models fail-stop host or process failure; a crashed host stays down.
+// Crash fail-stops the host, TCP layer included: interfaces go down and all
+// future I/O is dropped. A crashed host stays down.
 func (h *Host) Crash() {
 	h.alive = false
 	for _, ifc := range h.ifaces {
 		ifc.nic.SetUp(false)
+	}
+	if h.tcpStack != nil {
+		h.tcpStack.Crash()
 	}
 }
 
@@ -451,10 +454,6 @@ func releaseBuf(b *netbuf.Buffer) {
 }
 
 func (h *Host) frameIn(ifc *Iface, f ethernet.Frame) {
-	if !h.alive {
-		f.Buf.Release() // handler owns the delivered frame's buffer
-		return
-	}
 	switch f.Type {
 	case ethernet.TypeARP:
 		ifc.arp.HandleFrame(f) // releases the buffer after parsing

@@ -200,7 +200,7 @@ func (g *Group) onFailure(watcher, position int) {
 // and the later claimant keeps the address.
 func (g *Group) onClaim(watcher, claimant int) {
 	if claimant > watcher && g.hosts[watcher].Owns(g.addrs[0]) {
-		g.hosts[watcher].Crash()
+		g.stop(watcher)
 		g.reg.Counter("replica_fences_total").Inc()
 	}
 }
@@ -282,17 +282,20 @@ func (g *Group) OnEach(f func(h *netstack.Host) error) error {
 	return nil
 }
 
-// Crash fail-stops the host at position; the other members' fault detectors
-// will notice and reconfigure. Crashing the member that serves the client
-// (every member before it is down) stamps the failure mark.
+// Crash fail-stops the member at position; the other members' fault
+// detectors will notice and reconfigure. Crashing the member that serves the
+// client (every member before it is down) stamps the failure mark.
 func (g *Group) Crash(position int) {
 	if !slices.ContainsFunc(g.hosts[:position], (*netstack.Host).Alive) {
 		g.spans.MarkFailure(g.hosts[position].Scheduler().Now())
 	}
-	g.hosts[position].Crash()
+	g.stop(position)
 }
 
-// CrashPrimary fail-stops the primary host and stamps the failure mark;
-// the secondary's fault detector will notice and run the takeover
-// procedure.
-func (g *Group) CrashPrimary() { g.Crash(0) }
+// stop fail-stops the member at position: its host and its matcher.
+func (g *Group) stop(position int) {
+	g.hosts[position].Crash()
+	if m := g.matcher(position); m != nil {
+		m.Crash()
+	}
+}

@@ -120,7 +120,7 @@ func TestOnFailoverCallbacks(t *testing.T) {
 		t.Fatalf("failover callbacks with healthy hosts: %v", failed)
 	}
 
-	g.CrashPrimary()
+	g.Crash(0)
 	if err := sched.RunUntil(300 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestSuspectedBackupStillTakesOver(t *testing.T) {
 	if !slices.Equal(*failed, []int{1}) || !g.PrimaryBridge().Degraded() {
 		t.Fatalf("deaf primary: failed = %v, degraded = %v", *failed, g.PrimaryBridge().Degraded())
 	}
-	g.CrashPrimary()
+	g.Crash(0)
 	if err := sched.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

@@ -409,6 +409,50 @@ func TestDrainedRingsPark(t *testing.T) {
 // TestResetAndAbortReleaseRings: a connection torn down without a close
 // handshake gives its storage back at once too. The aborting side drops the
 // bytes it could not send; the side that receives the RST keeps what its
+// TestCrashStopsTheStack: a crashed stack runs no code. Its ESTABLISHED
+// connection holds unacknowledged and unread bytes with a delayed ACK armed,
+// and a listener waits beside it. After Crash nothing leaves the stack,
+// OnClose never runs, no connection or listener is left, every ring is back
+// in the store and no timer of the stack is left to fire.
+func TestCrashStopsTheStack(t *testing.T) {
+	netbuf.SetLeakCheck(true)
+	defer netbuf.SetLeakCheck(false)
+	p := newPair(t, Config{})
+	c, s := p.connect(t, 80)
+	if _, err := p.b.Listen(81, func(*Conn) { t.Error("a crashed stack accepted a connection") }); err != nil {
+		t.Fatal(err)
+	}
+	// s's bytes never reach c, so they stay unacknowledged. Only c's first
+	// segment reaches s: without PSH, unread, it arms s's delayed ACK.
+	p.dropToA = func([]byte) bool { return true }
+	toB := 0
+	p.dropToB = func([]byte) bool { toB++; return toB > 1 }
+	if _, err := s.Write(make([]byte, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(make([]byte, 4000)); err != nil {
+		t.Fatal(err)
+	}
+	p.runUntil(t, func() bool { return s.Buffered() > 0 }, time.Second)
+	if s.SendQueued() == 0 || !s.timer.Pending() || !s.delackTimer.Pending() {
+		t.Fatalf("set-up: %d bytes unacknowledged, retransmit armed %v, delayed ACK armed %v",
+			s.SendQueued(), s.timer.Pending(), s.delackTimer.Pending())
+	}
+	s.OnClose(func(err error) { t.Errorf("OnClose(%v) ran on a crashed stack", err) })
+	out := p.toACount
+	p.b.Crash()
+	p.dropToB = func([]byte) bool { return true } // the crashed host's NIC is down
+	c.Abort()
+	p.runUntil(t, func() bool { return p.sched.PendingEvents() == 0 }, time.Second)
+	if p.toACount != out || len(p.b.Conns()) != 0 || len(p.b.listeners) != 0 {
+		t.Errorf("after the crash: %d segments out, %d connections and %d listeners left",
+			p.toACount-out, len(p.b.Conns()), len(p.b.listeners))
+	}
+	if live := netbuf.LiveBytes(); live != 0 {
+		t.Errorf("%d bytes of ring storage live after the crash", live)
+	}
+}
+
 // application has not read yet, and only that.
 func TestResetAndAbortReleaseRings(t *testing.T) {
 	netbuf.SetLeakCheck(true)

@@ -381,6 +381,17 @@ func (s *Stack) removeConn(c *Conn) {
 	c.alias = nil
 }
 
+// Crash fail-stops the stack: each connection stops its timers, returns its
+// rings and leaves the tables with no callback run, and the listeners go.
+func (s *Stack) Crash() {
+	for _, c := range s.Conns() {
+		c.onClose = nil
+		c.destroy(closeAborted)
+		c.rcvBuf.Release()
+	}
+	clear(s.listeners)
+}
+
 // Conns returns the current connections (copy), in no particular order.
 func (s *Stack) Conns() []*Conn {
 	var out []*Conn

@@ -79,7 +79,7 @@ func TestLoadgenShardedDifferential(t *testing.T) {
 		cell0 := ss.Cells[0]
 		cell0.Stream.Use()
 		cell0.Sched.At(600*time.Millisecond, "test.crash", func() {
-			cell0.Group.CrashPrimary()
+			cell0.Group.Crash(0)
 		})
 
 		if err := ss.RunUntil(2 * time.Second); err != nil {

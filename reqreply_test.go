@@ -32,7 +32,7 @@ func TestReqReplySequentialRequests(t *testing.T) {
 			return
 		}
 		if i == 2 {
-			sc.Group.CrashPrimary() // between replies 2 and 3
+			sc.Group.Crash(0) // between replies 2 and 3
 		}
 		cl.Request(sizes[i], func(e time.Duration) {
 			elapsed = append(elapsed, e)

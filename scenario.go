@@ -373,15 +373,15 @@ func (sc *Scenario) applyStep(step fault.Step) {
 	switch step.Op {
 	case fault.OpCrashPrimary:
 		if sc.Group != nil {
-			sc.Group.CrashPrimary()
+			sc.Group.Crash(0)
 			break
 		}
 		sc.Spans.MarkFailure(sc.Sched.Now())
 		sc.Primary.Crash()
 	case fault.OpCrashSecondary:
-		sc.Secondary.Crash()
+		sc.Group.Crash(1)
 	case fault.OpCrashTertiary:
-		sc.Tertiary.Crash()
+		sc.Group.Crash(2)
 	case fault.OpPartition:
 		_ = sc.Faults.Partition(step.Arg)
 	case fault.OpHeal:

@@ -53,7 +53,7 @@ func TestDetectorsCanBeDisabled(t *testing.T) {
 		t.Errorf("%d events pending in a quiet scenario", sc.Sched.PendingEvents())
 	}
 	// And no failover ever triggers.
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 	if err := sc.Sched.RunFor(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCrashPrimaryMarksFailure(t *testing.T) {
 	ec := startEchoClient(t, sc, 256*1024)
 	runUntil(t, sc, func() bool { return ec.received >= 64*1024 }, time.Minute)
 	crashedAt := sc.Now()
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 	if at, ok := sc.Spans.FailureMark(); !ok || at != crashedAt {
 		t.Fatalf("failure mark = (%v, %v), want the crash instant %v", at, ok, crashedAt)

@@ -129,13 +129,21 @@ func TestReplicatedEchoFaultFree(t *testing.T) {
 
 // crashMidStream runs a 512 KiB echo through the pair with every host's
 // seals tapped, crashes the member at pos once 64 KiB are back, and runs the
-// transfer to its close.
+// transfer to its close. The crashed member runs no code: its TCP layer holds
+// no connection, and the replica's OnClose never runs.
 func crashMidStream(t *testing.T, pos int) *tcpfailover.Scenario {
 	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 	checkSeals := tapSeals(sc)
 	ec := startEchoClient(t, sc, 512*1024)
 	runUntil(t, sc, func() bool { return ec.received > 64*1024 }, 60*time.Second)
+	dead := []*netstack.Host{sc.Primary, sc.Secondary}[pos]
+	for _, c := range dead.TCP().Conns() {
+		c.OnClose(func(err error) { t.Errorf("the crashed %s's replica saw OnClose(%v)", dead.Name(), err) })
+	}
 	sc.Group.Crash(pos)
+	if n := len(dead.TCP().Conns()); n != 0 {
+		t.Errorf("the crashed %s's TCP layer holds %d connections", dead.Name(), n)
+	}
 	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 	checkSeals(t)
 	return sc
@@ -179,7 +187,7 @@ func TestOverheardFramesSkipMatchesTappedRun(t *testing.T) {
 		}
 		ec := startEchoClient(t, sc, 256*1024)
 		runUntil(t, sc, func() bool { return ec.received > 64*1024 }, 60*time.Second)
-		sc.Group.CrashPrimary()
+		sc.Group.Crash(0)
 		runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
 		o.received, o.badAt, o.err, o.closedAt = ec.received, ec.badAt, ec.err, ec.closedAt
 		o.lan, o.client = sc.ServerLAN.Stats(), sc.ClientLink.Stats()

@@ -41,7 +41,7 @@ func TestPerSocketFailoverEnabling(t *testing.T) {
 	}
 	runUntil(t, sc, func() bool { return unprotected.received > 16*1024 }, time.Minute)
 
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 
 	// The unprotected connection dies with the primary (reset by the
 	// promoted secondary, or a retransmission timeout).

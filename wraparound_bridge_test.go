@@ -32,7 +32,7 @@ func runWrapTransfer(t *testing.T, sc *tcpfailover.Scenario, crash bool) {
 	ec := startEchoClient(t, sc, 96*1024)
 	if crash {
 		runUntil(t, sc, func() bool { return ec.received > 24*1024 }, time.Minute)
-		sc.Group.CrashPrimary()
+		sc.Group.Crash(0)
 	}
 }
 
@@ -65,5 +65,5 @@ func TestWANFailoverBulk(t *testing.T) {
 	sc := newScenario(t, tcpfailover.WANOptions(), echoServer)
 	ec := startEchoClient(t, sc, 96*1024)
 	runUntil(t, sc, func() bool { return ec.received > 16*1024 }, 10*time.Minute)
-	sc.Group.CrashPrimary()
+	sc.Group.Crash(0)
 }
