@@ -1,7 +1,6 @@
 package tcpfailover_test
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -35,29 +34,12 @@ func TestAdversaryShardedDifferential(t *testing.T) {
 	}
 	run := func(shards int) result {
 		t.Helper()
-		opts := tcpfailover.ShardedOptions{
-			Cells:     2,
-			Shards:    shards,
-			Cell:      tcpfailover.LANOptions(),
-			CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
-			Digest:    true,
-		}
-		opts.Cell.ServerPorts = []uint16{80}
-		ss, err := tcpfailover.NewSharded(opts)
-		if err != nil {
-			t.Fatalf("sharded scenario: %v", err)
-		}
-		const total = 256 * 1024
-		for _, cell := range ss.Cells {
-			cell.Stream.Use()
-			if err := cell.Group.OnEach(func(h *netstack.Host) error {
-				_, err := apps.NewPushServer(h.TCP(), 80, total)
-				return err
-			}); err != nil {
-				t.Fatalf("cell %d install: %v", cell.Index, err)
-			}
-		}
-		ss.Start()
+		opts := tcpfailover.LANOptions()
+		opts.ServerPorts = []uint16{80}
+		ss, scs := newEngine(t, 2, shards, opts, func(h *netstack.Host) error {
+			_, err := apps.NewPushServer(h.TCP(), 80, 256*1024)
+			return err
+		})
 
 		// The rogue station snoops cell 0's server LAN and attacks its
 		// service address mid-stream.
@@ -97,11 +79,7 @@ func TestAdversaryShardedDifferential(t *testing.T) {
 		for _, h := range []*netstack.Host{cell0.Router, cell0.Primary, cell0.Secondary} {
 			r.rejected += h.Iface(0).ARP().RejectedBindings()
 		}
-		blob, err := json.Marshal(ss.MergedSnapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.snapshot = blob
+		r.snapshot = mergedSnapshot(t, scs)
 		return r
 	}
 

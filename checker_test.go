@@ -20,6 +20,7 @@ import (
 // root test's run to three checks — wire (toClient), twin and quiescence
 // (quiesce) — which report "check: what" strings rather than fail the test,
 // so TestCheckerReportsPlantedViolations can hold the checker to them.
+// newCells holds every cell of a NewCells fleet to wire and quiescence.
 
 // closeAllowance is how far a driven client's close may sit from its twin's,
 // either way, with no per-test override. It covers a failover's detection,
@@ -98,8 +99,9 @@ var (
 )
 
 // policeBuild is the build hook TestMain installs: a scenario a test file
-// builds without newScenario is recorded by its call site (frame 2, the
-// caller of NewScenario), and TestMain fails the run.
+// builds without newScenario or newCells is recorded by its call site
+// (frame 2, the caller of NewScenario or NewCells), and TestMain fails the
+// run.
 func policeBuild(*tcpfailover.Scenario) {
 	if _, file, line, _ := runtime.Caller(2); !claiming && strings.HasSuffix(file, "_test.go") {
 		unclaimed = append(unclaimed, fmt.Sprintf("%s:%d", filepath.Base(file), line))
@@ -115,17 +117,55 @@ func newScenario(t *testing.T, opts tcpfailover.Options, install func(*netstack.
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
+	t.Cleanup(func() { report(t, "", c.violations()) })
+	return c.sc
+}
+
+// newCells is newScenario for a NewCells fleet, less the twin check (cells
+// take no driven clients). Every cell drains before any is checked: netbuf's
+// counters are process-wide, so a cell checked beside an undrained sibling
+// would be blamed for its rings; what the fleet leaves shows in cell 0's.
+func newCells(t *testing.T, n int, opts tcpfailover.Options, install func(*netstack.Host) error) []*tcpfailover.Scenario {
+	t.Helper()
+	live, liveBytes := netbuf.Live()-settled.live, netbuf.LiveBytes()-settled.liveBytes
+	claiming = true
+	cells, err := tcpfailover.NewCells(n, opts)
+	claiming = false
+	if err != nil {
+		t.Fatalf("cells: %v", err)
+	}
+	cs := make([]*checker, len(cells))
+	for i, sc := range cells {
+		if err := setUp(sc, install); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		cs[i] = &checker{sc: sc, conns: map[uint16]*wireConn{}, seen: map[string]bool{}, live: live, liveBytes: liveBytes}
+		cs[i].watch()
+	}
 	t.Cleanup(func() {
-		for _, v := range c.violations() {
-			check, _, _ := strings.Cut(v, ":")
-			if why, ok := expectedFail[t.Name()+" "+check]; ok {
-				t.Logf("checker, expected to fail (%s): %s", why, v)
-			} else {
-				t.Errorf("checker: %s", v)
-			}
+		for _, c := range cs {
+			c.drain()
+		}
+		for i, c := range cs {
+			c.quiesce()
+			report(t, fmt.Sprintf("cell %d: ", i), c.found)
 		}
 	})
-	return c.sc
+	return cells
+}
+
+// report fails t with each violation, unless expectedFail names its check
+// for t.
+func report(t *testing.T, where string, vs []string) {
+	t.Helper()
+	for _, v := range vs {
+		check, _, _ := strings.Cut(v, ":")
+		if why, ok := expectedFail[t.Name()+" "+check]; ok {
+			t.Logf("checker, expected to fail (%s): %s%s", why, where, v)
+		} else {
+			t.Errorf("checker: %s%s", where, v)
+		}
+	}
 }
 
 func newChecker(opts tcpfailover.Options, install func(*netstack.Host) error) (*checker, error) {
@@ -136,6 +176,13 @@ func newChecker(opts tcpfailover.Options, install func(*netstack.Host) error) (*
 		return nil, err
 	}
 	c.sc, checkers[sc] = sc, c
+	c.watch()
+	return c, nil
+}
+
+// watch taps the client and the router for the wire check.
+func (c *checker) watch() {
+	sc := c.sc
 	client := sc.Client.Iface(0).Addr()
 	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
 		if hdr.Protocol != ipv4.ProtoTCP || !tcp.RawSane(seg) {
@@ -158,7 +205,6 @@ func newChecker(opts tcpfailover.Options, install func(*netstack.Host) error) (*
 			c.toClient(hdr, seg)
 		}
 	})
-	return c, nil
 }
 
 // build assembles, installs and starts a scenario the checker owns.
@@ -166,15 +212,25 @@ func build(opts tcpfailover.Options, install func(*netstack.Host) error) (*tcpfa
 	claiming = true
 	sc, err := tcpfailover.NewScenario(opts)
 	claiming = false
-	if err == nil && install != nil && sc.Group != nil {
+	if err == nil {
+		err = setUp(sc, install)
+	}
+	return sc, err
+}
+
+// setUp installs the service with install on every member, or on the lone
+// server, and starts sc.
+func setUp(sc *tcpfailover.Scenario, install func(*netstack.Host) error) error {
+	var err error
+	if install != nil && sc.Group != nil {
 		err = sc.Group.OnEach(install)
-	} else if err == nil && install != nil {
+	} else if install != nil {
 		err = install(sc.Primary)
 	}
 	if err == nil {
 		sc.Start()
 	}
-	return sc, err
+	return err
 }
 
 // driven starts a client with dial on sc now, and registers it to be started
@@ -275,11 +331,9 @@ func allClosed(outs []*outcome) bool {
 	return true
 }
 
-// quiesce runs the scenario until every driven client has closed, stops the
-// group and drains the event queue. Then no packet buffer or ring storage is
-// live, and no member's TCP layer or matcher, crashed or not, holds anything
-// for a connection the client has closed.
-func (c *checker) quiesce() {
+// drain runs the scenario until every driven client has closed, stops the
+// group and drains the event queue.
+func (c *checker) drain() {
 	sc := c.sc
 	var got []*outcome
 	for _, d := range c.drives {
@@ -294,6 +348,14 @@ func (c *checker) quiesce() {
 	if err := sc.RunUntil(func() bool { return sc.Sched.PendingEvents() == 0 }, sc.Now()+time.Hour); err != nil {
 		c.flag("quiescence", "%d events still pending: %v", sc.Sched.PendingEvents(), err)
 	}
+}
+
+// quiesce drains the scenario. Then no packet buffer or ring storage is
+// live, and no member's TCP layer or matcher, crashed or not, holds anything
+// for a connection the client has closed.
+func (c *checker) quiesce() {
+	c.drain()
+	sc := c.sc
 	live, liveBytes := netbuf.Live()-settled.live-c.live, netbuf.LiveBytes()-settled.liveBytes-c.liveBytes
 	settled.live, settled.liveBytes = settled.live+live, settled.liveBytes+liveBytes
 	if live != 0 {

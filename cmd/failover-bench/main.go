@@ -36,10 +36,10 @@
 // experiments and its metrics registry is written to FILE in the Prometheus
 // text exposition format.
 //
-// With -timeseries-out, a two-cell sharded scenario under open-loop web
-// traffic is run with a mid-window primary crash, every cell's registry is
-// sampled on a fixed sim-time grid, and the merged fleet timeseries is
-// written to FILE as JSON.
+// With -timeseries-out, two testbed cells under open-loop web traffic are
+// run with a mid-window primary crash, every cell's registry is sampled on a
+// fixed sim-time grid, and the merged fleet timeseries is written to FILE as
+// JSON.
 package main
 
 import (
@@ -72,7 +72,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "",
 			"write a metrics snapshot from one failover scenario to this file (Prometheus text)")
 		timeseriesOut = flag.String("timeseries-out", "",
-			"write a sampled metrics timeseries from a sharded crash scenario to this file (JSON)")
+			"write a sampled metrics timeseries from two crashing testbed cells to this file (JSON)")
 		workers = flag.Int("workers", bench.Workers, "simulation worker goroutines")
 	)
 	flag.Usage = func() {
@@ -105,14 +105,14 @@ func run(cfg bench.Config, jsonOut bool, metricsOut, timeseriesOut string) error
 		fmt.Printf("wrote %s (metrics snapshot, one failover scenario)\n", metricsOut)
 	}
 	if timeseriesOut != "" {
-		ts, err := bench.CollectTimeseries(0, 0)
+		ts, err := bench.CollectTimeseries(0)
 		if err != nil {
 			return err
 		}
 		if err := writeFile(timeseriesOut, ts.WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (sampled fleet timeseries, sharded crash scenario)\n", timeseriesOut)
+		fmt.Printf("wrote %s (sampled fleet timeseries, two crashing testbed cells)\n", timeseriesOut)
 	}
 	if jsonOut {
 		blob, err := json.MarshalIndent(t, "", "  ")

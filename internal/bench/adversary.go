@@ -25,8 +25,7 @@ var rogueMAC = ethernet.MAC{2, 0, 0, 0, 0, 0xad}
 // AdversaryPoint is one cell of the attack-outcome matrix: one attack
 // against one topology (standard TCP vs. the failover bridge pair). Every
 // field is a function of virtual time and the seed, so the matrix is
-// byte-identical across worker and shard counts like every other
-// experiment.
+// byte-identical across worker counts like every other experiment.
 type AdversaryPoint struct {
 	Attack   string `json:"attack"`
 	Topology string `json:"topology"` // "standard" | "failover"

@@ -6,7 +6,6 @@ import (
 
 	"tcpfailover"
 	"tcpfailover/internal/apps"
-	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/loadgen"
 	"tcpfailover/internal/netstack"
@@ -89,17 +88,14 @@ func (r *crashRun) run(what string, crashAt int64, alive func() bool) error {
 // webWorkload is the workload-zoo entry E12 and webCrashFleet drive.
 const webWorkload = "web"
 
-// webCrashFleet builds and starts the sharded testbed behind E14 and
-// CollectTimeseries: cells on a trunk ring, an HTTP server on every
-// replica, span recording on, open-loop web sessions arriving at load
-// sessions/s in every cell from time zero until warmup+window (measured
-// from warmup), and every cell's primary crashed by the fault schedule at
-// the middle of the window. shards <= 0 selects min(cells, Workers). The
-// caller arms anything else it needs and runs the fleet to its horizon.
-func webCrashFleet(seed int64, cells, shards int, load float64, warmup, window time.Duration) (*tcpfailover.ShardedScenario, error) {
-	if shards <= 0 {
-		shards = min(cells, Workers)
-	}
+// webCrashFleet builds and starts the testbed cells behind E14 and
+// CollectTimeseries (tcpfailover.NewCells): an HTTP server on every replica,
+// span recording on, open-loop web sessions arriving at load sessions/s in
+// every cell from time zero until warmup+window (measured from warmup), and
+// every cell's primary crashed by the fault schedule at the middle of the
+// window. The caller arms anything else it needs and runs each cell to its
+// horizon; cells share nothing, so they may run on separate goroutines.
+func webCrashFleet(seed int64, cells int, load float64, warmup, window time.Duration) ([]*tcpfailover.Scenario, error) {
 	cellOpts := tcpfailover.LANOptions()
 	cellOpts.Seed = seed
 	cellOpts.ServerPorts = []uint16{benchPort}
@@ -107,41 +103,37 @@ func webCrashFleet(seed int64, cells, shards int, load float64, warmup, window t
 	cellOpts.Faults = &fault.Plan{
 		Schedule: []fault.Step{{At: warmup + window/2, Op: fault.OpCrashPrimary}},
 	}
-	ss, err := tcpfailover.NewSharded(tcpfailover.ShardedOptions{
-		Cells:     cells,
-		Shards:    shards,
-		Workers:   Workers,
-		Cell:      cellOpts,
-		CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
-	})
+	fleet, err := tcpfailover.NewCells(cells, cellOpts)
 	if err != nil {
 		return nil, err
 	}
 	simsBuilt.Add(1)
-	for _, cell := range ss.Cells {
-		cell.Stream.Use()
-		if err := cell.Group.OnEach(func(h *netstack.Host) error { return httpServer(h.TCP()) }); err != nil {
-			return nil, fmt.Errorf("cell %d install: %w", cell.Index, err)
-		}
-	}
-	ss.Start()
-
 	spec, err := loadgen.Zoo(webWorkload, load)
 	if err != nil {
 		return nil, err
 	}
-	for _, cell := range ss.Cells {
-		cell.Stream.Use()
+	for i, sc := range fleet {
+		if err := sc.Group.OnEach(func(h *netstack.Host) error { return httpServer(h.TCP()) }); err != nil {
+			return nil, fmt.Errorf("cell %d install: %w", i, err)
+		}
+		sc.Start()
 		loadgen.New(loadgen.Config{
-			Sched:       cell.Sched,
-			Stack:       cell.Client.TCP(),
-			Addr:        cell.ServiceAddr(),
+			Sched:       sc.Sched,
+			Stack:       sc.Client.TCP(),
+			Addr:        sc.ServiceAddr(),
 			Port:        benchPort,
 			Spec:        spec,
-			Rand:        fault.NewRand(uint64(seed) + uint64(cell.Index)),
+			Rand:        fault.NewRand(uint64(seed) + uint64(i)),
 			Stop:        warmup + window,
 			MeasureFrom: warmup,
 		}).Start(0)
 	}
-	return ss, nil
+	return fleet, nil
+}
+
+// runFleet runs every cell across the bench workers up to, not including,
+// horizon: a scheduler's RunUntil bound is closed, so horizon-1 executes
+// the events before horizon and none at it.
+func runFleet(fleet []*tcpfailover.Scenario, horizon time.Duration) error {
+	return parallelEach(len(fleet), func(i int) error { return fleet[i].Sched.RunUntil(horizon - 1) })
 }

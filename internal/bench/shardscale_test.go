@@ -32,7 +32,7 @@ const (
 )
 
 // shardRun is one sharded run of the cells. Rounds and Events are functions
-// of the seed and the virtual poll instants only; CrossPosts is zero when
+// of the seed and the 1 ms virtual poll instants only; CrossPosts is zero when
 // nothing crosses a domain boundary.
 type shardRun struct {
 	Conns, Shards              int
@@ -101,9 +101,13 @@ func shardScaleRun(cell tcpfailover.Options, conns, shards, workers int, digest 
 		return nil
 	}
 	runTo := func(target int64) error {
-		cond := func() bool { return firstErr() == nil && total() < target }
-		if err := ss.RunWhile(cond, 10*time.Minute); err != nil {
-			return err
+		// Check at fixed 1 ms virtual instants, not at window barriers:
+		// barriers move with the partition, so a stop decided at one would
+		// execute a partition-dependent set of events.
+		for firstErr() == nil && total() < target && ss.Now() < 10*time.Minute {
+			if err := ss.RunUntil(ss.Now() + time.Millisecond); err != nil {
+				return err
+			}
 		}
 		if err := firstErr(); err != nil {
 			return err

@@ -19,10 +19,10 @@ import (
 // computed from its recorded lifecycle span (internal/obs.SpanRecorder) and
 // attributed per phase against the fleet failure/detect/takeover marks;
 // phase and total distributions are aggregated into log-bucketed histograms
-// whose p50/p99/p999/max land in BENCH_trajectory.json. All values are
-// functions of the seeds only — byte-identical for any bench worker count
-// and any shard count (the shard axis is purely a wall-clock knob and is
-// deliberately absent from the output).
+// whose p50/p99/p999/max land in BENCH_trajectory.json. Each testbed cell is
+// an independent simulation (tcpfailover.NewCells) and the cells run on the
+// bench worker pool, so every value is a function of the seeds only —
+// byte-identical for any bench worker count.
 
 // DefaultStallScale is the connection-count axis of E14: the approximate
 // number of sessions arriving during the measurement window, spread over
@@ -41,9 +41,9 @@ const (
 )
 
 // stallCells maps a connection count to a cell count: one cell per 1000
-// connections, clamped to [2, 64] (two cells so the sharded engine is
-// always exercised; 64 is the address plan's ceiling). The per-cell load
-// stays well under the ~270 sessions/s LAN saturation of the web workload.
+// connections, clamped to [2, 64] (two cells at the smallest point; 64 is
+// the address plan's ceiling). The per-cell load stays well under the
+// ~270 sessions/s LAN saturation of the web workload.
 func stallCells(conns int) int {
 	c := conns / 1000
 	if c < 2 {
@@ -74,8 +74,7 @@ func stallStats(h *metrics.LogHistogram) StallPhaseStats {
 	}
 }
 
-// StallScalePoint is one connection-count point of E14. The shard count is
-// deliberately not recorded: it must not influence a single byte here.
+// StallScalePoint is one connection-count point of E14.
 type StallScalePoint struct {
 	Conns       int           `json:"conns"`
 	Cells       int           `json:"cells"`
@@ -90,8 +89,8 @@ type StallScalePoint struct {
 	Stalled int64 `json:"stalled"`
 
 	// SpanDigest folds every cell's span-recorder digest (in cell order)
-	// into one fleet hash — the determinism gates compare it across worker
-	// and shard counts.
+	// into one fleet hash — the determinism gate compares it across worker
+	// counts.
 	SpanDigest string `json:"span_digest"`
 
 	Total     StallPhaseStats `json:"total"`
@@ -102,15 +101,13 @@ type StallScalePoint struct {
 	Recovery  StallPhaseStats `json:"recovery"`
 }
 
-// StallScale runs E14: for each connection count, a sharded multi-cell
-// simulation under open-loop web traffic whose every cell crashes its
-// primary mid-window (a correlated fleet failure), scored from the span
-// recorders. shards <= 0 selects min(cells, Workers) per point; any value
-// produces byte-identical results.
-func StallScale(conns []int, shards int) ([]StallScalePoint, error) {
+// StallScale runs E14: for each connection count, a fleet of testbed cells
+// under open-loop web traffic whose every cell crashes its primary
+// mid-window (a correlated fleet failure), scored from the span recorders.
+func StallScale(conns []int) ([]StallScalePoint, error) {
 	out := make([]StallScalePoint, len(conns))
 	for i, n := range conns {
-		p, _, err := runStallScale(i, n, DefaultStallWindow, shards)
+		p, _, err := runStallScale(i, n, DefaultStallWindow)
 		if err != nil {
 			return nil, fmt.Errorf("stallscale %d conns: %w", n, err)
 		}
@@ -123,14 +120,14 @@ func StallScale(conns []int, shards int) ([]StallScalePoint, error) {
 // stall of every scored connection (cell order, span-key order within a
 // cell), which the percentile cross-check test compares against the
 // histogram estimates.
-func runStallScale(idx, conns int, window time.Duration, shards int) (StallScalePoint, []time.Duration, error) {
+func runStallScale(idx, conns int, window time.Duration) (StallScalePoint, []time.Duration, error) {
 	cells := stallCells(conns)
 	load := float64(conns) / (float64(cells) * window.Seconds())
-	ss, err := webCrashFleet(int64(14000+100*idx), cells, shards, load, stallWarmup, window)
+	fleet, err := webCrashFleet(int64(14000+100*idx), cells, load, stallWarmup, window)
 	if err != nil {
 		return StallScalePoint{}, nil, err
 	}
-	if err := ss.RunUntil(stallWarmup + window + stallDrain); err != nil {
+	if err := runFleet(fleet, stallWarmup+window+stallDrain); err != nil {
 		return StallScalePoint{}, nil, err
 	}
 
@@ -144,8 +141,8 @@ func runStallScale(idx, conns int, window time.Duration, shards int) (StallScale
 	var total, precrash, detection, announce, resume, recovery metrics.LogHistogram
 	var exact []time.Duration
 	digests := make([]uint64, 0, cells)
-	for _, cell := range ss.Cells {
-		rec := cell.Scenario.Spans
+	for _, sc := range fleet {
+		rec := sc.Spans
 		digests = append(digests, rec.Digest())
 		for _, sp := range rec.Spans() {
 			p.Spans++
@@ -179,7 +176,7 @@ func renderStallScale(w io.Writer, r *Results) {
 	fmt.Fprintln(w, " crashes mid-window; each connection's client-visible stall is read")
 	fmt.Fprintln(w, " from its lifecycle span and attributed per phase against the fleet")
 	fmt.Fprintln(w, " failure/detect/takeover marks; log-histogram percentiles, <=1/32")
-	fmt.Fprintln(w, " relative error; byte-identical for any worker or shard count)")
+	fmt.Fprintln(w, " relative error; byte-identical for any worker count)")
 	for _, p := range r.StallScale {
 		fmt.Fprintf(w, "conns %d (cells %d, %.1f sessions/s/cell, %v window): %d spans, %d stalled, digest %s\n",
 			p.Conns, p.Cells, p.LoadPerCell, p.Window, p.Spans, p.Stalled, p.SpanDigest)

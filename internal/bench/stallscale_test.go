@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -13,9 +14,9 @@ import (
 // attribution still exercised by the mid-window crash.
 const stallSmallConns = 300
 
-func stallSmall(t *testing.T, shards int) (StallScalePoint, []time.Duration) {
+func stallSmall(t *testing.T) (StallScalePoint, []time.Duration) {
 	t.Helper()
-	p, exact, err := runStallScale(0, stallSmallConns, 2*time.Second, shards)
+	p, exact, err := runStallScale(0, stallSmallConns, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func stallSmall(t *testing.T, shards int) (StallScalePoint, []time.Duration) {
 // basic shape: spans were recorded, a nonempty subset of them completed a
 // measurable failover stall, and the per-phase breakdown is sane.
 func TestStallScaleSmoke(t *testing.T) {
-	p, exact := stallSmall(t, 1)
+	p, exact := stallSmall(t)
 	if p.Cells != 2 {
 		t.Errorf("got %d cells, want 2", p.Cells)
 	}
@@ -75,7 +76,7 @@ func TestStallScaleSmoke(t *testing.T) {
 // reports its bucket's inclusive upper bound, so each estimate is >= the
 // exact nearest-rank value and overshoots by at most 1/32 (one sub-bucket).
 func TestStallScalePercentilesMatchExact(t *testing.T) {
-	p, exact := stallSmall(t, 1)
+	p, exact := stallSmall(t)
 	sorted := append([]time.Duration(nil), exact...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	n := len(sorted)
@@ -114,20 +115,18 @@ func TestStallScalePercentilesMatchExact(t *testing.T) {
 	}
 }
 
-// TestStallScaleIdenticalAcrossWorkerAndShardCounts is the E14 determinism
-// gate (CI runs it under -race): the marshalled point — span digest
-// included — must be byte-identical for any bench worker count and any
-// shard count, and so must the exact per-connection stall list. The shard
-// axis is purely a wall-clock knob.
-func TestStallScaleIdenticalAcrossWorkerAndShardCounts(t *testing.T) {
-	type cfg struct{ workers, shards int }
-	cfgs := []cfg{{1, 1}, {4, 1}, {4, 2}}
-	blobs := make([][]byte, len(cfgs))
-	exacts := make([][]time.Duration, len(cfgs))
-	for i, c := range cfgs {
+// TestStallScaleIdenticalAcrossWorkerCounts is the E14 determinism gate
+// (CI runs it under -race): the marshalled point — span digest included —
+// and the exact per-connection stall list must be byte-identical whether
+// the cells run on one bench worker or on four.
+func TestStallScaleIdenticalAcrossWorkerCounts(t *testing.T) {
+	workers := []int{1, 4}
+	blobs := make([][]byte, len(workers))
+	exacts := make([][]time.Duration, len(workers))
+	for i, w := range workers {
 		old := Workers
-		Workers = c.workers
-		p, exact := stallSmall(t, c.shards)
+		Workers = w
+		p, exact := stallSmall(t)
 		Workers = old
 		blob, err := json.MarshalIndent(p, "", " ")
 		if err != nil {
@@ -136,22 +135,10 @@ func TestStallScaleIdenticalAcrossWorkerAndShardCounts(t *testing.T) {
 		blobs[i] = blob
 		exacts[i] = exact
 	}
-	for i := 1; i < len(cfgs); i++ {
-		if !bytes.Equal(blobs[i], blobs[0]) {
-			t.Errorf("workers=%d shards=%d diverges from workers=1 shards=1:\n--- base ---\n%s\n--- got ---\n%s",
-				cfgs[i].workers, cfgs[i].shards, blobs[0], blobs[i])
-		}
-		if len(exacts[i]) != len(exacts[0]) {
-			t.Errorf("workers=%d shards=%d: %d exact stalls vs %d",
-				cfgs[i].workers, cfgs[i].shards, len(exacts[i]), len(exacts[0]))
-			continue
-		}
-		for j := range exacts[0] {
-			if exacts[i][j] != exacts[0][j] {
-				t.Errorf("workers=%d shards=%d: exact stall %d = %v, want %v",
-					cfgs[i].workers, cfgs[i].shards, j, exacts[i][j], exacts[0][j])
-				break
-			}
-		}
+	if !bytes.Equal(blobs[1], blobs[0]) {
+		t.Errorf("workers=4 diverges from workers=1:\n--- base ---\n%s\n--- got ---\n%s", blobs[0], blobs[1])
+	}
+	if !slices.Equal(exacts[1], exacts[0]) {
+		t.Errorf("workers=4: exact stalls differ from workers=1 (%d vs %d entries)", len(exacts[1]), len(exacts[0]))
 	}
 }

@@ -166,7 +166,7 @@ var table = []Experiment{
 	{
 		Name: "stallscale", Keys: []string{"stall_scale"},
 		Run: func(r *Results) (err error) {
-			r.StallScale, err = StallScale(DefaultStallScale, 0)
+			r.StallScale, err = StallScale(DefaultStallScale)
 			return err
 		},
 		Render: renderStallScale,

@@ -2,14 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
+
+	"tcpfailover/internal/obs"
 )
 
 // TestCollectTimeseriesShape checks the -timeseries-out workload samples a
-// regular grid and actually sees traffic: some counter must be increasing.
+// regular grid and actually sees traffic: some counter must be increasing,
+// and each cell's scheduler counts its timer arms into its registry.
 func TestCollectTimeseriesShape(t *testing.T) {
-	ts, err := CollectTimeseries(200*time.Millisecond, 1)
+	ts, err := CollectTimeseries(200 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,33 +36,30 @@ func TestCollectTimeseriesShape(t *testing.T) {
 		t.Error("no series changed over the run — the sampler saw no traffic")
 	}
 	// The eviction-bounded span recorder exports through the same registry;
-	// its active-span gauge must be present and populated by the load.
-	found := false
-	for _, col := range ts.Series {
-		if col.Name == "obs_spans_active" {
-			found = true
-			if col.Values[len(col.Values)-1] == 0 {
-				t.Error("obs_spans_active never rose above zero under load")
-			}
+	// its active-span gauge must be present and populated by the load, and
+	// so must both timer-arm counters.
+	for _, name := range []string{"obs_spans_active", "sim_timer_wheel_arms_total", "sim_timer_heap_arms_total"} {
+		i := slices.IndexFunc(ts.Series, func(col obs.TimeseriesCol) bool { return col.Name == name })
+		if i < 0 {
+			t.Errorf("%s series missing from the sampled registry", name)
+		} else if vs := ts.Series[i].Values; vs[len(vs)-1] == 0 {
+			t.Errorf("%s ends at zero under load", name)
 		}
-	}
-	if !found {
-		t.Error("obs_spans_active series missing from the sampled registry")
 	}
 }
 
-// TestCollectTimeseriesIdenticalAcrossShardCounts gates the merge: cells
+// TestCollectTimeseriesIdenticalAcrossWorkerCounts gates the merge: cells
 // sample their own registries on a shared sim-time grid, so the merged
-// fleet view must be byte-identical however the cells are packed onto
-// shards or bench workers.
-func TestCollectTimeseriesIdenticalAcrossShardCounts(t *testing.T) {
-	run := func(workers, shards int) []byte {
+// fleet view must be byte-identical however many bench workers run the
+// cells.
+func TestCollectTimeseriesIdenticalAcrossWorkerCounts(t *testing.T) {
+	run := func(workers int) []byte {
 		old := Workers
 		Workers = workers
 		defer func() { Workers = old }()
-		ts, err := CollectTimeseries(200*time.Millisecond, shards)
+		ts, err := CollectTimeseries(200 * time.Millisecond)
 		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var buf bytes.Buffer
 		if err := ts.WriteJSON(&buf); err != nil {
@@ -66,12 +67,7 @@ func TestCollectTimeseriesIdenticalAcrossShardCounts(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	base := run(1, 1)
-	for _, c := range []struct{ workers, shards int }{{4, 1}, {4, 2}} {
-		got := run(c.workers, c.shards)
-		if !bytes.Equal(base, got) {
-			t.Errorf("timeseries differs at workers=%d shards=%d:\n--- base ---\n%s\n--- got ---\n%s",
-				c.workers, c.shards, base, got)
-		}
+	if base, got := run(1), run(4); !bytes.Equal(base, got) {
+		t.Errorf("timeseries differs at workers=4:\n--- base ---\n%s\n--- got ---\n%s", base, got)
 	}
 }

@@ -51,12 +51,8 @@ type ShardGroup struct {
 	windowEnd time.Duration // published before each window's workers start
 	nextSID   StreamID      // wire/rx stream id allocator
 	windows   int64
-	poll      time.Duration
 	errs      []error // per-domain, reused every window
 }
-
-// DefaultPollInterval is RunWhile's condition-check spacing.
-const DefaultPollInterval = time.Millisecond
 
 // mailboxStreamBase is the first stream id handed to mailboxes. Topology
 // builders must keep cell stream ids below it.
@@ -384,35 +380,6 @@ func (g *ShardGroup) runWindow(w time.Duration) error {
 func (g *ShardGroup) RunUntil(t time.Duration) error {
 	for g.now < t {
 		if err := g.runWindow(g.nextWindow(t)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunWhile advances the group while cond returns true, stopping at the
-// until deadline. cond is evaluated at fixed virtual-time poll instants
-// (multiples of the poll interval past the start), NOT at every window
-// barrier: window placement depends on the partition, and a stop decided at
-// a partition-dependent instant would execute a partition-dependent event
-// set. Poll instants are pure virtual times, so the set of events executed
-// before the stop — and therefore every digest and stat — is byte-identical
-// for every shard count. cond runs at a barrier and may read any domain's
-// state race-free.
-func (g *ShardGroup) RunWhile(cond func() bool, until time.Duration) error {
-	p := g.poll
-	if p <= 0 {
-		p = DefaultPollInterval
-	}
-	for g.now < until {
-		if cond != nil && !cond() {
-			return nil
-		}
-		target := g.now + p
-		if target > until {
-			target = until
-		}
-		if err := g.RunUntil(target); err != nil {
 			return err
 		}
 	}

@@ -23,9 +23,9 @@ var auditedStructs = map[string][]string{
 }
 
 // knobCeiling bounds the exported fields of auditedStructs taken together,
-// as CI's line ceilings bound the code. (Lowered 63 -> 57 when the defence
-// off-switches went and one MaxFlows replaced both flow caps.)
-const knobCeiling = 57
+// as CI's line ceilings bound the code. (Lowered 63 -> 57 as the defence
+// off-switches and a flow cap went, 57 -> 56 as ShardedOptions' cell hook went.)
+const knobCeiling = 56
 
 // TestEveryOptionHasAWriter is the knob audit as a gate: an exported field
 // of a configuration struct that nothing in the repo ever sets — no

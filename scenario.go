@@ -202,7 +202,8 @@ type Scenario struct {
 // before the deadline.
 var ErrTimeout = errors.New("tcpfailover: condition not met before deadline")
 
-// onBuild, when set, sees every scenario NewScenario builds (tests only).
+// onBuild, when set, sees every scenario NewScenario and NewCells build
+// (tests only).
 var onBuild func(*Scenario)
 
 // NewScenario builds the topology of the paper's Figure 1.
@@ -214,10 +215,45 @@ func NewScenario(opts Options) (*Scenario, error) {
 	return sc, err
 }
 
+// NewCells builds n copies of the testbed, cell i addressed by planCell(i)
+// and seeded with cellSeed(opts.Seed, i) on a scheduler of its own. Cells
+// never exchange a frame, so each is an independent simulation that may run
+// on its own goroutine.
+func NewCells(n int, opts Options) ([]*Scenario, error) {
+	if n < 1 || n > maxCells {
+		return nil, fmt.Errorf("tcpfailover: cell count %d outside [1,%d]", n, maxCells)
+	}
+	cells := make([]*Scenario, n)
+	for i := range cells {
+		o := opts
+		o.Seed = cellSeed(opts.Seed, i)
+		sc, err := newScenarioOn(sim.New(o.Seed), i, o)
+		if err != nil {
+			return nil, fmt.Errorf("tcpfailover: cell %d: %w", i, err)
+		}
+		if onBuild != nil {
+			onBuild(sc)
+		}
+		cells[i] = sc
+	}
+	return cells, nil
+}
+
+// cellSeed mixes the base seed with the cell index (splitmix64-style) so
+// cells are decorrelated but each cell's seed is a pure function of
+// (base, i).
+func cellSeed(base int64, i int) int64 {
+	x := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return int64(x)
+}
+
 // newScenarioOn builds one testbed cell on an existing scheduler, addressed
-// by planCell(cell). The sharded builder uses it to place several cells on
-// one domain scheduler; the plain path hands it a fresh scheduler and cell 0,
-// which makes the two builds literally the same code.
+// by planCell(cell). NewCells hands it a fresh scheduler per cell, the
+// sharded builder places several cells on one domain scheduler, and the
+// plain path hands it a fresh scheduler and cell 0.
 func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, error) {
 	if opts.HostProfile == (netstack.Profile{}) {
 		opts.HostProfile = netstack.DefaultProfile()

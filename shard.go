@@ -6,7 +6,6 @@ import (
 
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
-	"tcpfailover/internal/obs"
 	"tcpfailover/internal/sim"
 )
 
@@ -19,7 +18,10 @@ import (
 // a sim.ShardGroup. Every cell's events live in its own sim stream and every
 // trunk's deliveries in its own mailbox streams, so the simulation's results
 // are byte-identical for every value of Shards (including 1): the shard
-// count is purely a wall-clock parallelism knob.
+// count is purely a wall-clock parallelism knob. Cells never exchange a
+// frame unless a test routes one over the trunks, so only benchmark/'s
+// web-crash workload and the engine's own tests still build one; everything
+// else runs NewCells.
 
 // ShardedOptions configures a sharded multi-cell scenario.
 type ShardedOptions struct {
@@ -35,9 +37,6 @@ type ShardedOptions struct {
 	// Cell is the per-cell scenario template. Cell.Seed is the base seed:
 	// cell i runs with a seed mixed deterministically from (Seed, i).
 	Cell Options
-	// ConfigureCell, when set, may adjust cell i's options (after its seed
-	// is assigned, before the cell is built).
-	ConfigureCell func(i int, o *Options)
 	// CrossLink configures the inter-router trunk links. Latency must be
 	// positive when Shards > 1 — it bounds the lockstep lookahead.
 	CrossLink ethernet.XConfig
@@ -62,20 +61,8 @@ type Cell struct {
 type ShardedScenario struct {
 	Group *sim.ShardGroup
 	Cells []*Cell
-	Links []*ethernet.XLink
 
 	opts ShardedOptions
-}
-
-// cellSeed mixes the base seed with the cell index (splitmix64-style) so
-// cells are decorrelated but each cell's seed is a pure function of
-// (base, i) — identical in every partition.
-func cellSeed(base int64, i int) int64 {
-	x := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int64(x)
 }
 
 // trunkNet is the /24 for trunk link k (between cell k and cell (k+1)%C):
@@ -142,9 +129,6 @@ func NewSharded(opts ShardedOptions) (*ShardedScenario, error) {
 		st.Use()
 		o := opts.Cell
 		o.Seed = cellSeed(opts.Cell.Seed, i)
-		if opts.ConfigureCell != nil {
-			opts.ConfigureCell(i, &o)
-		}
 		sc, err := newScenarioOn(dom, i, o)
 		if err != nil {
 			return nil, fmt.Errorf("tcpfailover: cell %d: %w", i, err)
@@ -154,7 +138,7 @@ func NewSharded(opts ShardedOptions) (*ShardedScenario, error) {
 
 	// Scheduler-level metrics (timer arms) are per *domain*, not per cell:
 	// their values depend on the partition, so they must not leak into the
-	// per-cell registries that MergedSnapshot aggregates. Detach them.
+	// per-cell registries. Detach them.
 	for _, d := range domains {
 		d.AttachObs(nil)
 	}
@@ -194,14 +178,13 @@ func (ss *ShardedScenario) linkRing() error {
 	// stream ids are identical for every partition.
 	for k := 0; k < c; k++ {
 		j := (k + 1) % c
-		l, err := ethernet.ConnectDomains(ss.Group,
+		_, err := ethernet.ConnectDomains(ss.Group,
 			ss.Cells[k].Domain, east[k], trunkEastMAC(k),
 			ss.Cells[j].Domain, west[k], trunkWestMAC(k),
 			ss.opts.CrossLink, cellSeed(ss.opts.Cell.Seed, 1000+k))
 		if err != nil {
 			return fmt.Errorf("tcpfailover: trunk %d: %w", k, err)
 		}
-		ss.Links = append(ss.Links, l)
 	}
 
 	// Routes and trunk ARP. Foreign prefixes route around the ring the
@@ -244,29 +227,11 @@ func (ss *ShardedScenario) Start() {
 // wait for a later call; see sim.ShardGroup.RunUntil).
 func (ss *ShardedScenario) RunUntil(t time.Duration) error { return ss.Group.RunUntil(t) }
 
-// RunWhile advances the group while cond holds, up to the deadline. cond is
-// evaluated at window barriers, where it may safely read any cell's state.
-func (ss *ShardedScenario) RunWhile(cond func() bool, until time.Duration) error {
-	return ss.Group.RunWhile(cond, until)
-}
-
 // Now returns the group's virtual time.
 func (ss *ShardedScenario) Now() time.Duration { return ss.Group.Now() }
 
 // Executed returns total events executed across all domains.
 func (ss *ShardedScenario) Executed() int { return ss.Group.Executed() }
-
-// MergedSnapshot aggregates every cell's metrics registry (obs.MergeRegistries)
-// in cell order. The result is partition-independent: shard-engine metrics
-// (window counts, cross-domain posts) are deliberately excluded — read them
-// from Group directly.
-func (ss *ShardedScenario) MergedSnapshot() []obs.Sample {
-	regs := make([]*obs.Registry, 0, len(ss.Cells))
-	for _, cell := range ss.Cells {
-		regs = append(regs, cell.Obs)
-	}
-	return obs.MergeRegistries(regs...)
-}
 
 // Digests returns the per-stream execution digests across all domains,
 // ordered by stream id. Requires ShardedOptions.Digest.

@@ -1,15 +1,18 @@
 package tcpfailover_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"tcpfailover"
 	"tcpfailover/internal/ethernet"
-	"tcpfailover/internal/fault"
+	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/sim"
 )
 
@@ -23,32 +26,11 @@ type shardRunResult struct {
 	executed int
 }
 
-func runShardedEcho(t *testing.T, cells, shards int, faults *fault.Plan, barrierAt time.Duration) shardRunResult {
+// crashAt > 0 crashes cell 0's primary at that instant and forces a window
+// barrier there.
+func runShardedEcho(t *testing.T, cells, shards int, crashAt time.Duration) shardRunResult {
 	t.Helper()
-	opts := tcpfailover.ShardedOptions{
-		Cells:  cells,
-		Shards: shards,
-		Cell:   tcpfailover.LANOptions(),
-		ConfigureCell: func(i int, o *tcpfailover.Options) {
-			if i == 0 && faults != nil {
-				o.Faults = faults
-			}
-		},
-		CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
-		Digest:    true,
-	}
-	ss, err := tcpfailover.NewSharded(opts)
-	if err != nil {
-		t.Fatalf("sharded scenario: %v", err)
-	}
-
-	// Echo service on every cell's replicated pair.
-	for _, cell := range ss.Cells {
-		cell.Stream.Use()
-		if err := cell.Group.OnEach(echoServer); err != nil {
-			t.Fatalf("cell %d install: %v", cell.Index, err)
-		}
-	}
+	ss, scs := newEngine(t, cells, shards, tcpfailover.LANOptions(), echoServer)
 
 	// Per cell: one local echo client, and one cross-cell client dialing the
 	// next cell's service through the trunk ring.
@@ -65,7 +47,11 @@ func runShardedEcho(t *testing.T, cells, shards int, faults *fault.Plan, barrier
 		dial(cell, cell, 48*1024)
 		dial(cell, ss.Cells[(i+1)%len(ss.Cells)], 24*1024)
 	}
-	ss.Start()
+	if crashAt > 0 {
+		cell0 := ss.Cells[0]
+		cell0.Stream.Use()
+		cell0.Sched.At(crashAt, "test.crash", func() { cell0.Group.Crash(0) })
+	}
 
 	done := func() bool {
 		for _, cl := range clients {
@@ -75,18 +61,22 @@ func runShardedEcho(t *testing.T, cells, shards int, faults *fault.Plan, barrier
 		}
 		return true
 	}
-	if barrierAt > 0 {
-		// Force a window barrier exactly at the requested instant (RunUntil
-		// clamps the final window edge to its deadline).
-		if err := ss.RunUntil(barrierAt); err != nil {
+	if crashAt > 0 {
+		// Force a window barrier exactly at the crash (RunUntil clamps the
+		// final window edge to its deadline).
+		if err := ss.RunUntil(crashAt); err != nil {
 			t.Fatalf("run to barrier: %v", err)
 		}
-		if got := ss.Now(); got != barrierAt {
-			t.Fatalf("barrier at %v, want %v", got, barrierAt)
+		if got := ss.Now(); got != crashAt {
+			t.Fatalf("barrier at %v, want %v", got, crashAt)
 		}
 	}
-	if err := ss.RunWhile(func() bool { return !done() }, 5*time.Minute); err != nil {
-		t.Fatalf("run: %v", err)
+	// Check at fixed 1 ms virtual instants, not at window barriers, which
+	// move with the partition.
+	for !done() && ss.Now() < 5*time.Minute {
+		if err := ss.RunUntil(ss.Now() + time.Millisecond); err != nil {
+			t.Fatalf("run: %v", err)
+		}
 	}
 	if !done() {
 		for i, cl := range clients {
@@ -97,55 +87,31 @@ func runShardedEcho(t *testing.T, cells, shards int, faults *fault.Plan, barrier
 		t.Fatal("traffic did not finish")
 	}
 
-	snap, err := json.Marshal(ss.MergedSnapshot())
-	if err != nil {
-		t.Fatalf("marshal snapshot: %v", err)
-	}
-	res := shardRunResult{digests: ss.Digests(), snapshot: snap, executed: ss.Executed()}
+	res := shardRunResult{digests: ss.Digests(), snapshot: mergedSnapshot(t, scs), executed: ss.Executed()}
 	for _, cl := range clients {
 		res.received = append(res.received, cl.received)
 	}
 	return res
 }
 
-// TestShardedDifferential is the tentpole's acceptance test: identical seeds
+// TestShardedDifferential is the engine's acceptance test: identical seeds
 // through shards=1 (sequential) and shards=2/4 must produce byte-identical
 // per-stream digests, merged metrics snapshots, and traffic outcomes.
-func TestShardedDifferential(t *testing.T) {
-	base := runShardedEcho(t, 4, 1, nil, 0)
-	for _, shards := range []int{2, 4} {
-		got := runShardedEcho(t, 4, shards, nil, 0)
-		if !reflect.DeepEqual(got.digests, base.digests) {
-			t.Errorf("shards=%d: stream digests diverge from sequential\n seq: %+v\n got: %+v",
-				shards, base.digests, got.digests)
-		}
-		if string(got.snapshot) != string(base.snapshot) {
-			t.Errorf("shards=%d: merged snapshot diverges from sequential", shards)
-		}
-		if !reflect.DeepEqual(got.received, base.received) {
-			t.Errorf("shards=%d: client byte counts diverge: %v vs %v", shards, got.received, base.received)
-		}
-		if got.executed != base.executed {
-			t.Errorf("shards=%d: executed %d events, sequential executed %d", shards, got.executed, base.executed)
-		}
-	}
-}
+func TestShardedDifferential(t *testing.T) { sameAcrossShards(t, 0) }
 
 // TestShardedCrashOnWindowBarrier pins the degenerate case of a failure
-// schedule firing exactly on a window barrier: cell 0's primary crashes at
-// an instant that is forced to be a window edge, and the failover must
-// still complete byte-identically across shard counts.
-func TestShardedCrashOnWindowBarrier(t *testing.T) {
-	const crashAt = 100 * time.Millisecond
-	plan := &fault.Plan{Schedule: []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}}}
-	base := runShardedEcho(t, 4, 1, plan, crashAt)
+// firing exactly on a window barrier: cell 0's primary crashes at an
+// instant that is forced to be a window edge, and the failover must still
+// complete byte-identically across shard counts.
+func TestShardedCrashOnWindowBarrier(t *testing.T) { sameAcrossShards(t, 100*time.Millisecond) }
+
+func sameAcrossShards(t *testing.T, crashAt time.Duration) {
+	t.Helper()
+	base := runShardedEcho(t, 4, 1, crashAt)
 	for _, shards := range []int{2, 4} {
-		got := runShardedEcho(t, 4, shards, plan, crashAt)
-		if !reflect.DeepEqual(got.digests, base.digests) {
-			t.Errorf("shards=%d: digests diverge after barrier-aligned crash", shards)
-		}
-		if string(got.snapshot) != string(base.snapshot) {
-			t.Errorf("shards=%d: merged snapshot diverges after barrier-aligned crash", shards)
+		if got := runShardedEcho(t, 4, shards, crashAt); !reflect.DeepEqual(got, base) {
+			t.Errorf("shards=%d diverges from sequential: executed %d vs %d, received %v vs %v, snapshots equal %t\n seq: %+v\n got: %+v",
+				shards, got.executed, base.executed, got.received, base.received, bytes.Equal(got.snapshot, base.snapshot), base.digests, got.digests)
 		}
 	}
 }
@@ -153,7 +119,7 @@ func TestShardedCrashOnWindowBarrier(t *testing.T) {
 // TestShardedSingleCell covers the degenerate all-hosts-in-one-domain
 // partition: one cell, shards clamped to 1, no trunks.
 func TestShardedSingleCell(t *testing.T) {
-	res := runShardedEcho(t, 1, 8, nil, 0)
+	res := runShardedEcho(t, 1, 8, 0)
 	if len(res.digests) == 0 {
 		t.Fatal("no stream digests")
 	}
@@ -167,7 +133,8 @@ func TestShardedSingleCell(t *testing.T) {
 // TestShardedZeroLatencyRejected: a zero-latency cross-domain link cannot
 // support conservative lookahead; the builder must reject it with a clear
 // error while still allowing the sequential (shards=1) fallback. A cell count
-// the address plan cannot hold is rejected the same way.
+// the address plan cannot hold is rejected the same way, by NewSharded and
+// by NewCells.
 func TestShardedZeroLatencyRejected(t *testing.T) {
 	opts := tcpfailover.ShardedOptions{
 		Cells:  2,
@@ -190,5 +157,52 @@ func TestShardedZeroLatencyRejected(t *testing.T) {
 		if _, err := tcpfailover.NewSharded(opts); err == nil {
 			t.Errorf("%d cells accepted", cells)
 		}
+		if _, err := tcpfailover.NewCells(cells, opts.Cell); err == nil {
+			t.Errorf("NewCells accepted %d cells", cells)
+		}
 	}
+}
+
+// newEngine builds cells testbed cells on the lockstep engine across shards
+// domain schedulers, digests on, installs the service with install on every
+// cell's members and starts them. It returns the cells as scenarios too.
+func newEngine(t *testing.T, cells, shards int, cell tcpfailover.Options, install func(*netstack.Host) error) (*tcpfailover.ShardedScenario, []*tcpfailover.Scenario) {
+	t.Helper()
+	ss, err := tcpfailover.NewSharded(tcpfailover.ShardedOptions{
+		Cells:     cells,
+		Shards:    shards,
+		Cell:      cell,
+		CrossLink: ethernet.XConfig{Latency: 500 * time.Microsecond},
+		Digest:    true,
+	})
+	if err != nil {
+		t.Fatalf("sharded scenario: %v", err)
+	}
+	var scs []*tcpfailover.Scenario
+	for _, c := range ss.Cells {
+		c.Stream.Use()
+		if err := c.Group.OnEach(install); err != nil {
+			t.Fatalf("cell %d install: %v", c.Index, err)
+		}
+		scs = append(scs, c.Scenario)
+	}
+	ss.Start()
+	return ss, scs
+}
+
+// mergedSnapshot marshals obs.MergeRegistries over the cells' registries,
+// in cell order, less the scheduler's timer-arm counters: the engine
+// detaches them, so only a NewCells fleet counts them.
+func mergedSnapshot(t *testing.T, cells []*tcpfailover.Scenario) []byte {
+	t.Helper()
+	regs := make([]*obs.Registry, len(cells))
+	for i, sc := range cells {
+		regs[i] = sc.Obs
+	}
+	samples := slices.DeleteFunc(obs.MergeRegistries(regs...), func(s obs.Sample) bool { return strings.HasPrefix(s.Name, "sim_timer_") })
+	blob, err := json.Marshal(samples)
+	if err != nil {
+		t.Fatalf("marshal snapshot: %v", err)
+	}
+	return blob
 }
