@@ -10,17 +10,18 @@ import (
 	"time"
 
 	"tcpfailover"
+	"tcpfailover/internal/check"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/sim"
 	"tcpfailover/internal/tcp"
 )
 
-// The root checker (DESIGN.md section 4.2): newScenario holds every
-// root test's run to three checks — wire (toClient), twin and quiescence
-// (quiesce) — which report "check: what" strings rather than fail the test,
-// so TestCheckerReportsPlantedViolations can hold the checker to them.
-// newCells holds every cell of a NewCells fleet to wire and quiescence.
+// The root checker (DESIGN.md section 4.2): newScenario holds every root
+// test's run to internal/check's online rules, the twin and quiescence, as
+// "check: what" strings that TestCheckerReportsPlantedViolations reads;
+// newCells holds every cell of a NewCells fleet to all but the twin.
 
 // closeAllowance is how far a driven client's close may sit from its twin's,
 // either way, with no per-test override. It covers a failover's detection,
@@ -34,7 +35,7 @@ import (
 const closeAllowance = 10 * time.Second
 
 // expectedFail maps "TestName check" to why that test is known to fail that
-// check; each entry is carried on ROADMAP item 1. None is: all three pass.
+// check; each entry is carried on ROADMAP item 1. None is: every check passes.
 var expectedFail = map[string]string{}
 
 // outcome is what a driven client saw of the service.
@@ -65,55 +66,39 @@ type drive struct {
 	replay func(*tcpfailover.Scenario) *outcome // nil when the dial fails
 }
 
-// wireConn is a connection the client dialed to the service address, as the
-// segments on the wire show it.
-type wireConn struct {
-	sent   tcp.Seq // one past the last sequence number the client has sent
-	synced bool    // the server's SYN has been seen and base set
-	base   tcp.Seq // the sequence number of the server's first byte
-	data   []byte  // the server's bytes by offset from base, up to 64 MiB
-	seen   []bool
-}
-
 type checker struct {
 	sc      *tcpfailover.Scenario
 	opts    tcpfailover.Options
 	install func(*netstack.Host) error
 	drives  []*drive
-	conns   map[uint16]*wireConn // by the client's port
-	found   []string             // violations, "check: what"
-	seen    map[string]bool      // wire violations already found, by port and kind
-
-	live, liveBytes int64 // netbuf's counters, less settled, before the build
+	w       *check.Checker
+	found   []string // violations, "check: what"
 }
 
 var (
-	checkers  = map[*tcpfailover.Scenario]*checker{}
-	claiming  bool     // build is building: the scenario is claimed
-	unclaimed []string // call sites in tests that built a scenario directly
-
-	// settled is what earlier quiescence checks left live: their scenarios'
-	// residue, which a scenario built before them and checked after them
-	// (cleanups run last in, first out) must not count as its own.
-	settled struct{ live, liveBytes int64 }
+	checkers  = map[*sim.Scheduler]*checker{} // by scheduler, from the build hook until claimed
+	claiming  bool                            // build is building: the scenario is claimed
+	unclaimed []string                        // call sites in tests that built a scenario directly
 )
 
-// policeBuild is the build hook TestMain installs: a scenario a test file
-// builds without newScenario or newCells is recorded by its call site
-// (frame 2, the caller of NewScenario or NewCells), and TestMain fails the
-// run.
-func policeBuild(*tcpfailover.Scenario) {
+// watchBuild is the build hook TestMain installs: it watches every testbed,
+// and records the call site (frame 2, the caller of NewScenario or NewCells)
+// of a test's build without newScenario or newCells, which fails the run.
+func watchBuild(tb check.Testbed) {
 	if _, file, line, _ := runtime.Caller(2); !claiming && strings.HasSuffix(file, "_test.go") {
 		unclaimed = append(unclaimed, fmt.Sprintf("%s:%d", filepath.Base(file), line))
 	}
+	c := &checker{}
+	c.w = check.Watch(tb, func(v string) { c.found = append(c.found, v) })
+	checkers[tb.Sched] = c
 }
 
 // newScenario builds a scenario, installs the service with install on every
 // member (or on the lone server; nil installs nothing), starts it, and holds
-// the run to the three checks when the test ends.
+// the run to the checks when the test ends.
 func newScenario(t *testing.T, opts tcpfailover.Options, install func(*netstack.Host) error) *tcpfailover.Scenario {
 	t.Helper()
-	c, err := newChecker(opts, install)
+	c, err := build(opts, install)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
 	}
@@ -127,7 +112,6 @@ func newScenario(t *testing.T, opts tcpfailover.Options, install func(*netstack.
 // would be blamed for its rings; what the fleet leaves shows in cell 0's.
 func newCells(t *testing.T, n int, opts tcpfailover.Options, install func(*netstack.Host) error) []*tcpfailover.Scenario {
 	t.Helper()
-	live, liveBytes := netbuf.Live()-settled.live, netbuf.LiveBytes()-settled.liveBytes
 	claiming = true
 	cells, err := tcpfailover.NewCells(n, opts)
 	claiming = false
@@ -136,18 +120,18 @@ func newCells(t *testing.T, n int, opts tcpfailover.Options, install func(*netst
 	}
 	cs := make([]*checker, len(cells))
 	for i, sc := range cells {
+		cs[i] = checkers[sc.Sched]
+		delete(checkers, sc.Sched)
 		if err := setUp(sc, install); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		cs[i] = &checker{sc: sc, conns: map[uint16]*wireConn{}, seen: map[string]bool{}, live: live, liveBytes: liveBytes}
-		cs[i].watch()
 	}
 	t.Cleanup(func() {
 		for _, c := range cs {
-			c.drain()
+			c.w.Drain(func() bool { return true })
 		}
 		for i, c := range cs {
-			c.quiesce()
+			c.w.Quiesce()
 			report(t, fmt.Sprintf("cell %d: ", i), c.found)
 		}
 	})
@@ -159,8 +143,8 @@ func newCells(t *testing.T, n int, opts tcpfailover.Options, install func(*netst
 func report(t *testing.T, where string, vs []string) {
 	t.Helper()
 	for _, v := range vs {
-		check, _, _ := strings.Cut(v, ":")
-		if why, ok := expectedFail[t.Name()+" "+check]; ok {
+		rule, _, _ := strings.Cut(v, ":")
+		if why, ok := expectedFail[t.Name()+" "+rule]; ok {
 			t.Logf("checker, expected to fail (%s): %s%s", why, where, v)
 		} else {
 			t.Errorf("checker: %s%s", where, v)
@@ -168,54 +152,18 @@ func report(t *testing.T, where string, vs []string) {
 	}
 }
 
-func newChecker(opts tcpfailover.Options, install func(*netstack.Host) error) (*checker, error) {
-	c := &checker{opts: opts, install: install, conns: map[uint16]*wireConn{}, seen: map[string]bool{},
-		live: netbuf.Live() - settled.live, liveBytes: netbuf.LiveBytes() - settled.liveBytes}
-	sc, err := build(opts, install)
-	if err != nil {
-		return nil, err
-	}
-	c.sc, checkers[sc] = sc, c
-	c.watch()
-	return c, nil
-}
-
-// watch taps the client and the router for the wire check.
-func (c *checker) watch() {
-	sc := c.sc
-	client := sc.Client.Iface(0).Addr()
-	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
-		if hdr.Protocol != ipv4.ProtoTCP || !tcp.RawSane(seg) {
-			return
-		}
-		if dir == "rx" {
-			c.toClient(hdr, seg)
-			return
-		}
-		port, end := tcp.RawSrcPort(seg), tcp.RawSeq(seg).Add(tcp.RawSegLen(seg))
-		if c.conns[port] == nil && hdr.Dst == sc.ServiceAddr() && tcp.RawFlags(seg) == tcp.FlagSYN {
-			c.conns[port] = &wireConn{sent: end}
-		}
-		if w := c.conns[port]; w != nil && end.Greater(w.sent) {
-			w.sent = end
-		}
-	})
-	sc.Router.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
-		if dir == "rx" && hdr.Dst == client && hdr.Protocol == ipv4.ProtoTCP && tcp.RawSane(seg) {
-			c.toClient(hdr, seg)
-		}
-	})
-}
-
-// build assembles, installs and starts a scenario the checker owns.
-func build(opts tcpfailover.Options, install func(*netstack.Host) error) (*tcpfailover.Scenario, error) {
+// build assembles, installs and starts a scenario, and returns the checker
+// the build hook attached to it.
+func build(opts tcpfailover.Options, install func(*netstack.Host) error) (*checker, error) {
 	claiming = true
 	sc, err := tcpfailover.NewScenario(opts)
 	claiming = false
-	if err == nil {
-		err = setUp(sc, install)
+	if err != nil {
+		return nil, err
 	}
-	return sc, err
+	c := checkers[sc.Sched]
+	c.sc, c.opts, c.install = sc, opts, install
+	return c, setUp(sc, install)
 }
 
 // setUp installs the service with install on every member, or on the lone
@@ -237,8 +185,8 @@ func setUp(sc *tcpfailover.Scenario, install func(*netstack.Host) error) error {
 // again at the same instant on the twin.
 func driven[C interface{ result() *outcome }](t *testing.T, sc *tcpfailover.Scenario, dial func(*tcpfailover.Scenario) (C, error)) C {
 	t.Helper()
-	c := checkers[sc]
-	if c == nil {
+	c := checkers[sc.Sched]
+	if c == nil || c.sc != sc {
 		t.Fatal("a driven client needs a scenario built by newScenario")
 	}
 	cl, err := dial(sc)
@@ -267,57 +215,16 @@ func (c *checker) flag(check, format string, args ...any) {
 	c.found = append(c.found, check+": "+fmt.Sprintf(format, args...))
 }
 
-// toClient is the wire check (DESIGN.md section 4.2) on a segment bound for
-// the client; it keeps the first violation of each kind per connection.
-func (c *checker) toClient(hdr ipv4.Header, seg []byte) {
-	port := tcp.RawDstPort(seg)
-	w := c.conns[port]
-	if w == nil || tcp.ComputeChecksum(hdr.Src, hdr.Dst, seg) != 0 {
-		return
-	}
-	flag := func(kind, format string, args ...any) {
-		if key := fmt.Sprint(port, kind); !c.seen[key] {
-			c.seen[key] = true
-			c.flag("wire", "client port %d: %s", port, fmt.Sprintf(format, args...))
-		}
-	}
-	if hdr.Src != c.sc.ServiceAddr() {
-		flag("source", "a segment from %v, not the service address", hdr.Src)
-		return
-	}
-	seq, flags := tcp.RawSeq(seg), tcp.RawFlags(seg)
-	if ack := tcp.RawAck(seg); flags.Has(tcp.FlagACK) && ack.Greater(w.sent) {
-		flag("ack", "acknowledges %d, the client has sent up to %d", ack, w.sent)
-	}
-	if flags.Has(tcp.FlagSYN) {
-		if !w.synced {
-			w.synced, w.base = true, seq+1
-		}
-		seq++
-	}
-	p, off := tcp.RawPayload(seg), seq.Diff(w.base)
-	if !w.synced || off < 0 || off+len(p) > 64<<20 {
-		return
-	}
-	if n := off + len(p); n > len(w.data) {
-		w.data = append(w.data, make([]byte, n-len(w.data))...)
-		w.seen = append(w.seen, make([]bool, n-len(w.seen))...)
-	}
-	for i, b := range p {
-		if j := off + i; !w.seen[j] {
-			w.data[j], w.seen[j] = b, true
-		} else if w.data[j] != b {
-			flag("bytes", "byte %d of the stream is %#02x, earlier %#02x", j, b, w.data[j])
-			return
-		}
-	}
-}
-
 // violations runs the scenario to quiescence and returns what the three
 // checks found.
 func (c *checker) violations() []string {
-	delete(checkers, c.sc)
-	c.quiesce()
+	delete(checkers, c.sc.Sched)
+	var got []*outcome
+	for _, d := range c.drives {
+		got = append(got, d.got)
+	}
+	c.w.Drain(func() bool { return allClosed(got) })
+	c.w.Quiesce()
 	c.twin()
 	return c.found
 }
@@ -331,70 +238,6 @@ func allClosed(outs []*outcome) bool {
 	return true
 }
 
-// drain runs the scenario until every driven client has closed, stops the
-// group and drains the event queue.
-func (c *checker) drain() {
-	sc := c.sc
-	var got []*outcome
-	for _, d := range c.drives {
-		got = append(got, d.got)
-	}
-	if err := sc.RunUntil(func() bool { return allClosed(got) }, sc.Now()+time.Hour); err != nil {
-		c.flag("quiescence", "driven clients still open: %v", err)
-	}
-	if sc.Group != nil {
-		sc.Group.Stop()
-	}
-	if err := sc.RunUntil(func() bool { return sc.Sched.PendingEvents() == 0 }, sc.Now()+time.Hour); err != nil {
-		c.flag("quiescence", "%d events still pending: %v", sc.Sched.PendingEvents(), err)
-	}
-}
-
-// quiesce drains the scenario. Then no packet buffer or ring storage is
-// live, and no member's TCP layer or matcher, crashed or not, holds anything
-// for a connection the client has closed.
-func (c *checker) quiesce() {
-	c.drain()
-	sc := c.sc
-	live, liveBytes := netbuf.Live()-settled.live-c.live, netbuf.LiveBytes()-settled.liveBytes-c.liveBytes
-	settled.live, settled.liveBytes = settled.live+live, settled.liveBytes+liveBytes
-	if live != 0 {
-		c.flag("quiescence", "netbuf.Live() = %d at quiescence", live)
-	}
-	if liveBytes != 0 {
-		c.flag("quiescence", "netbuf.LiveBytes() = %d at quiescence", liveBytes)
-	}
-	type ports struct{ client, server uint16 }
-	open, toService := map[ports]bool{}, 0 // the client's connections
-	for _, cc := range sc.Client.TCP().Conns() {
-		tu := cc.Tuple()
-		open[ports{tu.LocalPort, tu.RemotePort}] = true
-		if tu.RemoteAddr == sc.ServiceAddr() {
-			toService++
-		}
-	}
-	for pos, h := range []*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary} {
-		if h == nil {
-			continue
-		}
-		for _, mc := range h.TCP().Conns() {
-			if tu := mc.Tuple(); tu.RemoteAddr == sc.Client.Iface(0).Addr() && !open[ports{tu.RemotePort, tu.LocalPort}] {
-				c.flag("quiescence", "%s holds %v in %v after the client closed it", h.Name(), tu, mc.State())
-			}
-		}
-		if sc.Group == nil {
-			continue
-		}
-		m := sc.Group.PrimaryBridge() // the member's matcher; the last member has none
-		if pos > 0 {
-			m = sc.Group.Backup(pos).Matcher()
-		}
-		if m != nil && m.Conns() > toService {
-			c.flag("quiescence", "%s's bridge holds %d records, the client %d connections", h.Name(), m.Conns(), toService)
-		}
-	}
-}
-
 // twin starts every driven client again, at the instant it started, on a twin
 // built from the same Options with Unreplicated set and no Faults — so the
 // test's own crashes and impairments are never replayed — and compares: the
@@ -406,18 +249,24 @@ func (c *checker) twin() {
 	}
 	opts := c.opts
 	opts.Unreplicated, opts.Faults = true, nil
-	tw, err := build(opts, c.install)
+	tc, err := build(opts, c.install)
 	if err != nil {
 		c.flag("twin", "build: %v", err)
 		return
 	}
+	tw := tc.sc
+	delete(checkers, tw.Sched)
+	defer func() {
+		for _, v := range tc.found {
+			rule, what, _ := strings.Cut(v, ": ")
+			c.flag(rule, "the twin's run: %s", what)
+		}
+	}()
 	outs := make([]*outcome, len(c.drives))
 	for i, d := range c.drives {
 		tw.Sched.At(d.at, "checker.replay", func() { outs[i] = d.replay(tw) })
 	}
-	_ = tw.RunUntil(func() bool { return allClosed(outs) }, tw.Now()+2*time.Hour)
-	// Drained, the twin leaves netbuf's counters as it found them.
-	_ = tw.RunUntil(func() bool { return tw.Sched.PendingEvents() == 0 }, tw.Now()+time.Hour)
+	tc.w.Drain(func() bool { return allClosed(outs) }) // leaves netbuf's counters as it found them
 	for i, d := range c.drives {
 		got, want := d.got, outs[i]
 		if want == nil {
@@ -440,34 +289,115 @@ func (c *checker) twin() {
 	}
 }
 
-// TestCheckerReportsPlantedViolations holds the checker to its three checks:
-// each row plants one defect, and the checker must report exactly the one
-// violation that defect is.
+// wireView is the client's last connection as its packet tap shows it.
+type wireView struct {
+	port      uint16
+	sent      tcp.Seq // one past what the client has sent
+	next, ack tcp.Seq // one past the server's last sequence number, and its last ack
+	win       uint16
+	data      bool // the client has sent a payload byte
+}
+
+func watchClient(sc *tcpfailover.Scenario) *wireView {
+	v := &wireView{}
+	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
+		if hdr.Protocol != ipv4.ProtoTCP || !tcp.RawSane(seg) {
+			return
+		}
+		syn, end := tcp.RawFlags(seg).Has(tcp.FlagSYN), tcp.RawSeq(seg).Add(tcp.RawSegLen(seg))
+		switch {
+		case dir == "tx":
+			if syn {
+				v.port, v.sent = tcp.RawSrcPort(seg), end
+			}
+			v.sent, v.data = tcp.MaxSeq(v.sent, end), v.data || len(tcp.RawPayload(seg)) > 0
+		case hdr.Src == sc.ServiceAddr():
+			if syn {
+				v.next = end
+			}
+			v.next, v.ack, v.win = tcp.MaxSeq(v.next, end), tcp.RawAck(seg), tcp.RawWindow(seg)
+		}
+	})
+	return v
+}
+
+// TestCheckerReportsPlantedViolations holds the checker to its checks: each
+// row plants one defect in an echo through the pair, and the checker must
+// report exactly the one violation that defect is.
 func TestCheckerReportsPlantedViolations(t *testing.T) {
-	const total = 8192
+	type run struct {
+		t  *testing.T
+		sc *tcpfailover.Scenario
+		ec *echoClient
+		v  *wireView
+	}
+	echoed := func(r run) { runUntil(r.t, r.sc, func() bool { return r.ec.received > 0 }, time.Minute) }
+	// send has h send seg to the client's port from src; bad breaks its sum.
+	send := func(r run, h *netstack.Host, src ipv4.Addr, seg tcp.Segment, bad bool) error {
+		seg.SrcPort, seg.DstPort = 80, r.v.port
+		b := tcp.Marshal(src, tcpfailover.ClientAddr, &seg)
+		if bad {
+			b[16] ^= 0xff
+		}
+		return h.SendIP(src, tcpfailover.ClientAddr, ipv4.ProtoTCP, b)
+	}
+	svc, secondary := tcpfailover.PrimaryAddr, tcpfailover.SecondaryAddr
 	for _, tc := range []struct {
 		name, check, says string
 		install           func(*netstack.Host) error
-		plant             func(sc *tcpfailover.Scenario) error
+		plant             func(r run) error
 	}{
 		{"secondary diverges", "twin", "ended with " + tcp.ErrConnReset.Error() + ", twin with <nil>", flipEcho("secondary", 3000),
-			func(*tcpfailover.Scenario) error { return nil }},
+			func(r run) error { echoed(r); return nil }},
 		{"unreleased buffer", "quiescence", "netbuf.Live() = 1 ", echoServer,
-			func(*tcpfailover.Scenario) error { netbuf.Get(); return nil }},
-		{"segment from the secondary", "wire", "a segment from 10.0.1.2,", echoServer, func(sc *tcpfailover.Scenario) error {
-			seg := tcp.Marshal(tcpfailover.SecondaryAddr, tcpfailover.ClientAddr,
-				&tcp.Segment{SrcPort: 80, DstPort: 49152, Flags: tcp.FlagRST | tcp.FlagACK})
-			return sc.Secondary.SendIP(tcpfailover.SecondaryAddr, tcpfailover.ClientAddr, ipv4.ProtoTCP, seg)
+			func(r run) error { echoed(r); netbuf.Get(); return nil }},
+		{"segment from the secondary", "wire", "a segment from 10.0.1.2,", echoServer, func(r run) error {
+			echoed(r)
+			return send(r, r.sc.Secondary, secondary, tcp.Segment{Flags: tcp.FlagRST | tcp.FlagACK}, false)
+		}},
+		{"a byte past the client's window", "window", "bytes [", echoServer, func(r run) error {
+			echoed(r)
+			return send(r, r.sc.Router, svc, tcp.Segment{Seq: r.v.next.Add(1 << 20), Ack: r.v.ack, Flags: tcp.FlagACK, Window: r.v.win, Payload: []byte{1}}, false)
+		}},
+		{"an unsealed datagram", "seal", "secondary sent 10.0.2.1 ", echoServer, func(r run) error {
+			echoed(r)
+			return send(r, r.sc.Secondary, secondary, tcp.Segment{Seq: r.v.next, Ack: r.v.ack, Flags: tcp.FlagACK}, true)
+		}},
+		{"the primary acknowledges alone", "min ack", "primary acknowledges", echoServer, func(r run) error {
+			// Right after the client sends data, only the client holds it.
+			runUntil(r.t, r.sc, func() bool { return r.v.data }, time.Minute)
+			return send(r, r.sc.Primary, svc, tcp.Segment{Seq: r.v.next, Ack: r.v.sent, Flags: tcp.FlagACK, Window: 4096}, false)
+		}},
+		{"the primary opens its own window", "window edge", "primary opens the window", echoServer, func(r run) error {
+			echoed(r) // the backups' windows close to 16 KiB
+			return send(r, r.sc.Primary, svc, tcp.Segment{Seq: r.v.next, Ack: r.v.ack, Flags: tcp.FlagACK, Window: 65535}, false)
+		}},
+		{"the primary releases its own byte", "release", "primary releases", echoServer, func(r run) error {
+			echoed(r)
+			return send(r, r.sc.Primary, svc, tcp.Segment{Seq: r.v.next.Add(16384), Ack: r.v.ack, Flags: tcp.FlagACK, Window: r.v.win, Payload: []byte{1}}, false)
+		}},
+		{"an ack past a reused port's stream", "wire", "acknowledges", echoServer, func(r run) error {
+			// A second connection from the first one's port, after TIME-WAIT,
+			// starts a record of its own, not judged by the first's stream.
+			runUntil(r.t, r.sc, func() bool { return r.ec.closed && len(r.sc.Client.TCP().Conns()) == 0 }, 5*time.Minute)
+			conn, err := r.sc.Client.TCP().DialFrom(r.v.port, svc, 80)
+			if err != nil {
+				return err
+			}
+			runUntil(r.t, r.sc, func() bool { return conn.State() == tcp.StateEstablished }, r.sc.Now()+time.Minute)
+			defer conn.Close()
+			return send(r, r.sc.Router, svc, tcp.Segment{Seq: r.v.next, Ack: r.v.sent.Add(1000), Flags: tcp.FlagACK, Window: r.v.win}, false)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := newChecker(tcpfailover.LANOptions(), tc.install)
+			opts := tcpfailover.LANOptions()
+			opts.TCP.RecvBufSize = 16 << 10
+			c, err := build(opts, tc.install)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ec := startEchoClient(t, c.sc, total)
-			runUntil(t, c.sc, func() bool { return ec.received > 0 }, time.Minute)
-			if err := tc.plant(c.sc); err != nil {
+			v := watchClient(c.sc)
+			if err := tc.plant(run{t, c.sc, startEchoClient(t, c.sc, 8192), v}); err != nil {
 				t.Fatal(err)
 			}
 			if vs := c.violations(); len(vs) != 1 || !strings.HasPrefix(vs[0], tc.check+": ") || !strings.Contains(vs[0], tc.says) {

@@ -58,6 +58,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 // frame carried.
 func streamAllocsPerFrame(t *testing.T, loss float64) (mallocs, bytes float64) {
 	const reply, replies = 128 << 10, 64
+	defer unchecked()()
 	sc, err := testbed(Failover, 9100, func(o *tcpfailover.Options) {
 		// Heartbeats allocate per period of virtual time, not per segment of
 		// the stream; they would be the whole of what this gate reads.

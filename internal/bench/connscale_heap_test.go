@@ -24,6 +24,7 @@ func TestConnScaleHeapShedsSetUpBurst(t *testing.T) {
 		t.Skip("race instrumentation allocates; the gate only means anything in a plain build")
 	}
 	const conns = 2000
+	defer unchecked()()
 	base := liveHeapBytes()
 	sc, err := tcpfailover.NewScenario(connScaleOptions(44))
 	if err != nil {

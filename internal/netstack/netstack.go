@@ -184,6 +184,8 @@ type Host struct {
 	// and sends. A fan-out list, not a single func: the trace facility, the
 	// obs flight recorder, and tests can all watch one host at once.
 	taps []PacketTapFunc
+	// txTaps observe only what the host sends, so the overheard drop holds.
+	txTaps []PacketTapFunc
 
 	// napiBatch records the frame count of each batched TCP ingress
 	// delivery (a discard handle until AttachObs).
@@ -200,6 +202,11 @@ type PacketTapFunc func(dir string, hdr ipv4.Header, payload []byte)
 // must not retain the payload slice past the call (it may be a pooled
 // buffer's bytes).
 func (h *Host) AddPacketTap(f PacketTapFunc) { h.taps = append(h.taps, f) }
+
+// AddTxTap appends an observer of the datagrams the host transmits, on the
+// terms of AddPacketTap; unlike a packet tap it keeps overheard frames
+// dropped on arrival, so it moves no event.
+func (h *Host) AddTxTap(f PacketTapFunc) { h.txTaps = append(h.txTaps, f) }
 
 // AttachRecorder taps the host into an obs flight recorder: every datagram
 // the host receives or sends is captured (the recorder copies, so the
@@ -745,6 +752,9 @@ func (h *Host) transmit(hdr ipv4.Header, pkt *netbuf.Buffer) {
 	}
 	if len(h.taps) > 0 {
 		h.tap("tx", hdr, pkt.Bytes())
+	}
+	for _, f := range h.txTaps {
+		f("tx", hdr, pkt.Bytes())
 	}
 	route, ok := h.routes.Lookup(hdr.Dst)
 	if !ok {

@@ -130,8 +130,8 @@ func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
 	return g, nil
 }
 
-// matcher returns member i's matching bridge; nil for the last member.
-func (g *Group) matcher(i int) *core.PrimaryBridge {
+// Matcher returns member i's matching bridge; nil for the last member.
+func (g *Group) Matcher(i int) *core.PrimaryBridge {
 	if i == 0 {
 		return g.head
 	}
@@ -181,12 +181,12 @@ func (g *Group) onFailure(watcher, position int) {
 		g.backups[watcher].SetUpstream(g.addrs[up])
 	case up == watcher && down >= 0:
 		// The same failure, seen by the member before it: match the next one.
-		g.matcher(watcher).SetMatchingPeer(g.addrs[down])
+		g.Matcher(watcher).SetMatchingPeer(g.addrs[down])
 		return
 	case up == watcher:
 		// The last live member died: this one degrades to unmatched
 		// operation (section 6).
-		g.matcher(watcher).HandleSecondaryFailure()
+		g.Matcher(watcher).HandleSecondaryFailure()
 	default:
 		return
 	}
@@ -295,7 +295,7 @@ func (g *Group) Crash(position int) {
 // stop fail-stops the member at position: its host and its matcher.
 func (g *Group) stop(position int) {
 	g.hosts[position].Crash()
-	if m := g.matcher(position); m != nil {
+	if m := g.Matcher(position); m != nil {
 		m.Crash()
 	}
 }

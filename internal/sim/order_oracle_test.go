@@ -244,10 +244,10 @@ func (o *oracleRun) outside() {
 	}
 }
 
-// runOracle runs seed's programme on backend b. Every tenth seed begins
-// with a burst, whose idle events are shed during the programme.
-func runOracle(t *testing.T, seed int64, b Backend) int {
-	s := NewBackend(seed, b)
+// runOracle runs seed's programme. Every tenth seed begins with a burst,
+// whose idle events are shed during the programme.
+func runOracle(t *testing.T, seed int64) int {
+	s := New(seed)
 	bursts := seed%10 == 0
 	if bursts {
 		burst(t, s, 4_000, 1+int(seed*7%300))
@@ -286,19 +286,16 @@ func runOracle(t *testing.T, seed int64, b Backend) int {
 
 // TestSchedulerAgainstOrderOracle runs random programmes of At / After /
 // AtArg / Inject / Stop / re-arm, issued from outside the loop and from
-// inside callbacks, on each backend against the sorted-slice reference:
-// events fire in the reference's order, Pending / When / PendingEvents
-// agree throughout, and the heap's root is filled whenever control is
-// outside a callback. The callbacks cover what the vacant root must
-// survive: nothing scheduled, one event earlier than everything, several,
-// and a Stop of the heap's last node before anything has filled the root
-// (which node that is depends on the backend, so the two backends run
-// different programmes from one seed and are not compared with each other;
-// TestWheelVsHeapRandomSchedule does that).
+// inside callbacks, against the sorted-slice reference: events fire in the
+// reference's order, Pending / When / PendingEvents agree throughout, and
+// the heap's root is filled whenever control is outside a callback. The
+// callbacks cover what the vacant root must survive: nothing scheduled, one
+// event earlier than everything, several, and a Stop of the heap's last node
+// before anything has filled the root.
 func TestSchedulerAgainstOrderOracle(t *testing.T) {
 	total := 0
 	for seed := int64(1); seed <= 150; seed++ {
-		total += runOracle(t, seed, BackendWheel) + runOracle(t, seed, BackendHeap)
+		total += runOracle(t, seed)
 	}
 	t.Logf("%d events fired in reference order", total)
 }

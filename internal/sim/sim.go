@@ -171,7 +171,7 @@ type Scheduler struct {
 	// callback: settle, RunUntil, runBefore and nextEventBound, which read
 	// queue[0], run outside one and always see the root filled.
 	vacant bool
-	wheel  *timerWheel // near staging level; nil for BackendHeap
+	wheel  *timerWheel // near staging level
 	far    *timerWheel // far staging level; nil until the first far arm
 	// farFrom is a lower bound on the start of the far level's earliest
 	// staged slot, maxDuration when that level is empty: settle's one
@@ -195,31 +195,17 @@ type Scheduler struct {
 }
 
 // New returns a Scheduler whose RNG is seeded with seed, making the entire
-// simulation reproducible. The scheduler uses the process-default timer
-// backend (the two-level hashed timing wheel unless SetDefaultBackend
-// says otherwise); execution order is identical for either backend.
+// simulation reproducible.
 func New(seed int64) *Scheduler {
-	return NewBackend(seed, DefaultBackend())
-}
-
-// NewBackend returns a Scheduler with an explicit timer backend. BackendWheel
-// stages timers in a two-level hashed wheel for O(1) arm/cancel;
-// BackendHeap keeps every pending event in the binary heap. The two execute
-// the same event sequence byte-for-byte (the wheel only stages events — they
-// always pass through the (when, seq) heap before firing), so BackendHeap
-// exists as the differential-testing baseline.
-func NewBackend(seed int64, b Backend) *Scheduler {
 	st := &streamState{id: 0, rng: rand.New(rand.NewSource(seed))}
 	s := &Scheduler{
 		cur:       st,
 		streams:   []*streamState{st},
+		wheel:     &timerWheel{},
 		farFrom:   maxDuration,
 		limit:     DefaultEventLimit,
 		wheelArms: (*obs.Registry)(nil).Counter("sim_timer_wheel_arms_total"),
 		heapArms:  (*obs.Registry)(nil).Counter("sim_timer_heap_arms_total"),
-	}
-	if b == BackendWheel {
-		s.wheel = &timerWheel{}
 	}
 	return s
 }
@@ -345,19 +331,18 @@ func (s *Scheduler) schedule(ev *event) Timer {
 	ev.st = cur
 	cur.seq++
 	s.pending++
-	if w := s.wheel; w != nil {
-		nowTick := int64(s.now / wheelTick)
-		w.advance(nowTick)
-		if t := int64(ev.when / wheelTick); t > nowTick+1 {
-			if w.holds(t) {
-				s.wheelArms.Inc()
-				w.insert(ev, t)
-				return Timer{ev: ev, gen: ev.gen}
-			}
-			if t-w.baseTick >= wheelSlots && s.stageFar(ev, t) {
-				s.wheelArms.Inc()
-				return Timer{ev: ev, gen: ev.gen}
-			}
+	w := s.wheel
+	nowTick := int64(s.now / wheelTick)
+	w.advance(nowTick)
+	if t := int64(ev.when / wheelTick); t > nowTick+1 {
+		if w.holds(t) {
+			s.wheelArms.Inc()
+			w.insert(ev, t)
+			return Timer{ev: ev, gen: ev.gen}
+		}
+		if t-w.baseTick >= wheelSlots && s.stageFar(ev, t) {
+			s.wheelArms.Inc()
+			return Timer{ev: ev, gen: ev.gen}
 		}
 	}
 	s.heapArms.Inc()

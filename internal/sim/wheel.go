@@ -1,11 +1,8 @@
 package sim
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Timer backend selection.
+// The timer wheel.
 //
 // A two-level hashed timing wheel stages timers in per-tick slots, making
 // arm and cancel O(1) instead of O(log n) heap sifts. The near level holds
@@ -27,20 +24,8 @@ import (
 // events are flushed into the (when, stream, seq) binary heap, and the heap
 // alone decides execution order. Since keys are unique and fixed at arm
 // time, the pop sequence is a total order independent of how events arrived
-// in the heap — so a wheel-backed and a heap-only scheduler run
-// byte-identical simulations for the same seed (pinned by the differential
-// tests and the workers-1-vs-N CI gate).
-
-// Backend selects the Scheduler's timer data structure.
-type Backend int
-
-const (
-	// BackendWheel stages timers in a two-level hashed wheel (default).
-	BackendWheel Backend = iota
-	// BackendHeap keeps every pending timer in the binary heap. Identical
-	// observable behavior; exists as the differential-testing baseline.
-	BackendHeap
-)
+// in the heap: the order a sorted list of every pending event gives, which
+// TestSchedulerAgainstOrderOracle holds the scheduler to.
 
 const (
 	wheelBits  = 10
@@ -53,24 +38,6 @@ const (
 	// 1024 slots reach ≈ 17.5 min, past TIME-WAIT and MaxRTO (60 s each).
 	farTick = wheelTick << wheelBits
 )
-
-// defaultHeapOnly flips the process-default backend; atomic because the
-// parallel bench harness constructs schedulers from multiple goroutines.
-var defaultHeapOnly atomic.Bool
-
-// DefaultBackend returns the backend New uses.
-func DefaultBackend() Backend {
-	if defaultHeapOnly.Load() {
-		return BackendHeap
-	}
-	return BackendWheel
-}
-
-// SetDefaultBackend changes the backend used by subsequent New calls.
-// Schedulers already constructed are unaffected. Intended for differential
-// tests and A/B benchmarks; call it only while no scheduler is being
-// constructed concurrently elsewhere.
-func SetDefaultBackend(b Backend) { defaultHeapOnly.Store(b == BackendHeap) }
 
 // timerWheel is one level of the hashed wheel: wheelSlots slots over ticks
 // of the level's own unit (wheelTick near, farTick far). Events in slot
@@ -202,9 +169,6 @@ func (s *Scheduler) stageFar(ev *event, t int64) bool {
 // land in near slots that then need flushing, hence the outer loop.
 func (s *Scheduler) settle() {
 	w := s.wheel
-	if w == nil {
-		return
-	}
 	for {
 		if len(s.queue) > 0 {
 			top := s.queue[0].when

@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"fmt"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func level(tm Timer) string {
 // every timer still waiting at every deadline on the way — across each
 // cascade and flush.
 func TestWheelHorizonBoundary(t *testing.T) {
-	s := NewBackend(1, BackendWheel)
+	s := New(1)
 	near := wheelTick * wheelSlots // first tick past the near wheel
 	far := farTick * wheelSlots    // first tick past the far level
 	cases := []struct {
@@ -82,7 +83,7 @@ func TestWheelHorizonBoundary(t *testing.T) {
 // slot index is reusable for a tick one full rotation later and events still
 // fire at the right times.
 func TestWheelHorizonAdvances(t *testing.T) {
-	s := NewBackend(2, BackendWheel)
+	s := New(2)
 	var fired []time.Duration
 	note := func(d time.Duration) func() { return func() { fired = append(fired, d) } }
 	first := 5 * wheelTick
@@ -109,7 +110,7 @@ func TestWheelHorizonAdvances(t *testing.T) {
 // recycle through the scheduler's pool: the pending count stays at one and
 // stale handles remain safe no-ops.
 func TestWheelCancelRearmRecycles(t *testing.T) {
-	s := NewBackend(3, BackendWheel)
+	s := New(3)
 	var tm Timer
 	var stale []Timer
 	for i := 0; i < 5000; i++ {
@@ -149,96 +150,28 @@ func TestWheelCancelRearmRecycles(t *testing.T) {
 
 // TestWheelSameTickOrdering arms many events inside one wheel tick in a
 // scrambled deadline order, plus ties at the same instant, and requires
-// execution in (when, arm-sequence) order — the same total order the heap
-// baseline produces.
+// execution in (when, arm-sequence) order.
 func TestWheelSameTickOrdering(t *testing.T) {
 	const n = 64
-	run := func(b Backend) []int {
-		s := NewBackend(4, b)
-		rng := rand.New(rand.NewSource(99))
-		var fired []int
-		base := wheelTick * 3
-		for i := 0; i < n; i++ {
-			i := i
-			// All deadlines inside tick 3; every fourth is a tie at base.
-			off := time.Duration(rng.Intn(int(wheelTick)))
-			if i%4 == 0 {
-				off = 0
-			}
-			s.At(base+off, "e", func() { fired = append(fired, i) })
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return fired
-	}
-	wheel, heap := run(BackendWheel), run(BackendHeap)
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Fatalf("same-tick order diverged:\nwheel %v\nheap  %v", wheel, heap)
-	}
-	// Ties must fire in arm order.
-	seenTie := -1
-	for _, i := range wheel {
+	s := New(4)
+	rng := rand.New(rand.NewSource(99))
+	var fired []int
+	at := make([]time.Duration, n)
+	base := wheelTick * 3
+	for i := range n {
+		// All deadlines inside tick 3; every fourth is a tie at base.
+		at[i] = base + time.Duration(rng.Intn(int(wheelTick)))
 		if i%4 == 0 {
-			if i < seenTie {
-				t.Fatalf("tied events out of arm order: %v", wheel)
-			}
-			seenTie = i
+			at[i] = base
 		}
+		s.At(at[i], "e", func() { fired = append(fired, i) })
 	}
-}
-
-// TestWheelVsHeapRandomSchedule drives both backends through an identical
-// randomized arm/cancel/step workload — deadlines spanning the near
-// horizon, the far level (cascades) and past the far horizon, cancellations
-// and re-arms from outside and inside callbacks — and requires
-// byte-identical execution traces. A burst before the draws leaves 40 000
-// idle events on the free list, shed 100 Puts into the draws.
-func TestWheelVsHeapRandomSchedule(t *testing.T) {
-	spans := []time.Duration{wheelTick * wheelSlots * 2, farTick * 8, farTick * wheelSlots * 2}
-	run := func(b Backend) string {
-		s := NewBackend(7, b)
-		burst(t, s, 40_000, 100)
-		rng := rand.New(rand.NewSource(42))
-		trace := ""
-		var timers []Timer
-		var arm func(id int)
-		arm = func(id int) {
-			d := time.Duration(rng.Int63n(int64(spans[rng.Intn(len(spans))])))
-			id2 := id
-			timers = append(timers, s.After(d, "r", func() {
-				trace += fmt.Sprintf("%d@%v;", id2, s.Now())
-				if id2 < 400 && rng.Intn(3) == 0 {
-					arm(id2 + 1000)
-				}
-				if rng.Intn(4) == 0 {
-					timers[rng.Intn(len(timers))].Stop()
-				}
-			}))
-		}
-		for i := 0; i < 300; i++ {
-			arm(i)
-			if i%3 == 0 && len(timers) > 4 {
-				victim := rng.Intn(len(timers))
-				timers[victim].Stop()
-			}
-			if i%17 == 0 {
-				if err := s.RunFor(time.Duration(rng.Int63n(int64(wheelTick * 50)))); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if s.free.Len() >= 40_000 {
-			t.Fatalf("%d events on the free list: the burst was not shed during the draws", s.free.Len())
-		}
-		return trace
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	wheel, heap := run(BackendWheel), run(BackendHeap)
-	if wheel != heap {
-		t.Fatalf("execution traces diverged between wheel and heap backends:\nwheel %.300s\nheap  %.300s", wheel, heap)
+	inOrder := func(x, y int) int { return cmp.Or(cmp.Compare(at[x], at[y]), cmp.Compare(x, y)) }
+	if len(fired) != n || !slices.IsSortedFunc(fired, inOrder) {
+		t.Fatalf("same-tick order %v, want (when, arm order)", fired)
 	}
 }
 
@@ -246,7 +179,7 @@ func TestWheelVsHeapRandomSchedule(t *testing.T) {
 // now) lands in the heap, not a stale wheel slot, and runs after events
 // already queued for the current instant.
 func TestWheelPastDeadlineClamped(t *testing.T) {
-	s := NewBackend(8, BackendWheel)
+	s := New(8)
 	var fired []string
 	s.At(3*wheelTick, "a", func() {
 		fired = append(fired, "a")
@@ -268,7 +201,7 @@ func TestWheelPastDeadlineClamped(t *testing.T) {
 // tick comes due — far-staged until their far slot's start, near-staged
 // after its cascade — and the timers must then fire in key order.
 func TestFarTimersStayOutOfTheHeap(t *testing.T) {
-	s := NewBackend(1, BackendWheel)
+	s := New(1)
 	const chains, timers = 3, 128
 	due := 60 * time.Second
 	var hop func(any)
@@ -325,7 +258,7 @@ func TestFarTimersStayOutOfTheHeap(t *testing.T) {
 // slot must cascade when its start is at, not only before, the heap top,
 // or the heap event fires first.
 func TestFarSlotStartTiesHeapTop(t *testing.T) {
-	s := NewBackend(1, BackendWheel)
+	s := New(1)
 	rx := s.NewStream(1, 1)
 	at := 2 * farTick
 	var got []string

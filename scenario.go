@@ -18,9 +18,11 @@ package tcpfailover
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tcpfailover/internal/arp"
+	"tcpfailover/internal/check"
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/ipv4"
@@ -202,17 +204,20 @@ type Scenario struct {
 // before the deadline.
 var ErrTimeout = errors.New("tcpfailover: condition not met before deadline")
 
-// onBuild, when set, sees every scenario NewScenario and NewCells build
-// (tests only).
-var onBuild func(*Scenario)
-
 // NewScenario builds the topology of the paper's Figure 1.
 func NewScenario(opts Options) (*Scenario, error) {
 	sc, err := newScenarioOn(sim.New(opts.Seed), 0, opts)
-	if err == nil && onBuild != nil {
-		onBuild(sc)
+	if err == nil && check.OnBuild != nil {
+		check.OnBuild(sc.testbed())
 	}
 	return sc, err
+}
+
+// testbed is what the checker's build hook, set only in tests, sees of sc.
+func (sc *Scenario) testbed() check.Testbed {
+	members := slices.DeleteFunc([]*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary}, func(h *netstack.Host) bool { return h == nil })
+	return check.Testbed{Seed: sc.opts.Seed, Sched: sc.Sched, Client: sc.Client, Router: sc.Router,
+		Members: members, Group: sc.Group, Service: sc.ServiceAddr()}
 }
 
 // NewCells builds n copies of the testbed, cell i addressed by planCell(i)
@@ -231,8 +236,8 @@ func NewCells(n int, opts Options) ([]*Scenario, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tcpfailover: cell %d: %w", i, err)
 		}
-		if onBuild != nil {
-			onBuild(sc)
+		if check.OnBuild != nil {
+			check.OnBuild(sc.testbed())
 		}
 		cells[i] = sc
 	}

@@ -85,34 +85,6 @@ func dialEcho(sc *tcpfailover.Scenario, to ipv4.Addr, total int64, port uint16) 
 	return ec, nil
 }
 
-// tapSeals taps every host of sc and returns a check that every TCP
-// datagram a host transmitted carried a checksum that verifies. A segment is
-// sealed by whoever puts it on a wire — the stack's output, the secondary's
-// divert, the primary bridge's releases, drain and pass-through — so a send
-// path that forgets to fails here rather than as a stall.
-func tapSeals(sc *tcpfailover.Scenario) func(t *testing.T) {
-	var sent, unsealed int
-	for _, h := range []*netstack.Host{sc.Client, sc.Router, sc.Primary, sc.Secondary, sc.Tertiary} {
-		if h == nil {
-			continue
-		}
-		h.AddPacketTap(func(dir string, hdr ipv4.Header, payload []byte) {
-			if dir == "tx" && hdr.Protocol == ipv4.ProtoTCP {
-				sent++
-				if tcp.ComputeChecksum(hdr.Src, hdr.Dst, payload) != 0 {
-					unsealed++
-				}
-			}
-		})
-	}
-	return func(t *testing.T) {
-		t.Helper()
-		if sent == 0 || unsealed > 0 {
-			t.Errorf("%d of %d transmitted TCP datagrams fail their checksum", unsealed, sent)
-		}
-	}
-}
-
 func TestReplicatedEchoFaultFree(t *testing.T) {
 	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 	ec := startEchoClient(t, sc, 200*1024)
@@ -127,13 +99,12 @@ func TestReplicatedEchoFaultFree(t *testing.T) {
 	}
 }
 
-// crashMidStream runs a 512 KiB echo through the pair with every host's
-// seals tapped, crashes the member at pos once 64 KiB are back, and runs the
-// transfer to its close. The crashed member runs no code: its TCP layer holds
-// no connection, and the replica's OnClose never runs.
+// crashMidStream runs a 512 KiB echo through the pair, crashes the member at
+// pos once 64 KiB are back, and runs the transfer to its close. The crashed
+// member runs no code: its TCP layer holds no connection, and the replica's
+// OnClose never runs.
 func crashMidStream(t *testing.T, pos int) *tcpfailover.Scenario {
 	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
-	checkSeals := tapSeals(sc)
 	ec := startEchoClient(t, sc, 512*1024)
 	runUntil(t, sc, func() bool { return ec.received > 64*1024 }, 60*time.Second)
 	dead := []*netstack.Host{sc.Primary, sc.Secondary}[pos]
@@ -145,7 +116,6 @@ func crashMidStream(t *testing.T, pos int) *tcpfailover.Scenario {
 		t.Errorf("the crashed %s's TCP layer holds %d connections", dead.Name(), n)
 	}
 	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
-	checkSeals(t)
 	return sc
 }
 
