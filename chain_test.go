@@ -89,7 +89,7 @@ func TestChainFailoverCallbacks(t *testing.T) {
 }
 
 // TestChainHonoursGroupConfig: what the options promise a pair they promise
-// a chain — the flow cap on every bridge, the bridge series of every host,
+// a chain — the flow cap on every matcher, the bridge series of every host,
 // the fleet marks and a stall the span model can attribute.
 func TestChainHonoursGroupConfig(t *testing.T) {
 	opts := chainOptions()
@@ -110,11 +110,6 @@ func TestChainHonoursGroupConfig(t *testing.T) {
 		t.Errorf("takeover: %v", err)
 	}
 
-	for pos := 1; pos <= 2; pos++ {
-		if n := sc.Group.Backup(pos).Flows(); n > 1 {
-			t.Errorf("backup %d caches %d flows under MaxFlows = 1", pos, n)
-		}
-	}
 	if n := sc.Group.Backup(1).Matcher().Conns(); n > 1 {
 		t.Errorf("the middle's matcher tracks %d connections under MaxFlows = 1", n)
 	}

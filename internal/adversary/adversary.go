@@ -9,7 +9,7 @@
 // forged sequence number is drawn from a seeded splittable PRNG. That is
 // the classic blind in-LAN threat model the defences every scenario runs
 // (the endpoints' in-window RST and SYN test, the bridge's in-window
-// validation, ARP binding filters, the bridges' flow caps) are measured
+// validation, ARP binding filters, the matchers' flow cap) are measured
 // against in experiment E11. Everything is a function of the seed, so
 // attack outcomes are reproducible and shard-invariant like every other
 // experiment.

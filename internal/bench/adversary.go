@@ -40,9 +40,8 @@ type AdversaryPoint struct {
 	Amplification float64 `json:"amplification"`    // ackstorm: reflected/injected
 
 	BridgeConns   int   `json:"bridge_conns"`   // primary bridge table at end
-	BridgeFlows   int   `json:"bridge_flows"`   // secondary flow cache at end
 	EndpointConns int   `json:"endpoint_conns"` // primary host's TCP table at end
-	Evictions     int64 `json:"evictions"`      // LRU evictions (both bridges)
+	Evictions     int64 `json:"evictions"`      // LRU evictions (the primary's matcher)
 	AttackerRx    int64 `json:"attacker_unicast_rx"`
 
 	VirtualMS float64 `json:"virtual_ms"`
@@ -233,11 +232,10 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 	}
 	if failover {
 		p.Topology = "failover"
-		pb, sb := sc.Group.PrimaryBridge(), sc.Group.SecondaryBridge()
+		pb := sc.Group.PrimaryBridge()
 		p.SeqDrops = pb.Stats().SeqInvalidDrops
 		p.BridgeConns = pb.Conns()
-		p.BridgeFlows = sb.Flows()
-		p.Evictions = pb.Stats().ConnsEvicted + sb.Stats().FlowsEvicted
+		p.Evictions = pb.Stats().ConnsEvicted
 	}
 	p.EndpointConns = len(sc.Primary.TCP().Conns())
 	for _, m := range []interface{ RejectedBindings() int64 }{

@@ -62,9 +62,9 @@ func TestAdversaryMatrixOutcomes(t *testing.T) {
 	}
 	for _, p := range points {
 		key := [2]string{p.Attack, p.Topology}
-		t.Logf("%-8s %-8s -> %-15s injected=%d delivered=%d seqDrops=%d arpRejected=%d amp=%.2f bridgeConns=%d bridgeFlows=%d endpointConns=%d evictions=%d attackerRx=%d",
+		t.Logf("%-8s %-8s -> %-15s injected=%d delivered=%d seqDrops=%d arpRejected=%d amp=%.2f bridgeConns=%d endpointConns=%d evictions=%d attackerRx=%d",
 			p.Attack, p.Topology, p.Outcome, p.Injected, p.Delivered, p.SeqDrops,
-			p.ARPFiltered, p.Amplification, p.BridgeConns, p.BridgeFlows, p.EndpointConns,
+			p.ARPFiltered, p.Amplification, p.BridgeConns, p.EndpointConns,
 			p.Evictions, p.AttackerRx)
 		if w, ok := want[key]; !ok {
 			t.Errorf("unexpected cell %v", key)

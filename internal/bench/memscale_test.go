@@ -6,8 +6,8 @@ import "testing"
 // bridges (CI runs it on every push). At a small connection count it checks
 // the structural claim E13 makes at a million connections: the flowtab
 // layout keeps the GC-scannable object count per connection far below one
-// (the tables are O(1) objects total and each arena one 32-record chunk
-// per 32 connections, so the quotient stays near two 32nds; anything near
+// (the tables are O(1) objects total and the primary's arena one 32-record
+// chunk per 32 connections, so the quotient stays near one 32nd; anything near
 // 1.0 means a per-connection heap object crept back in). Heap counters are
 // exact (runtime.ReadMemStats after runtime.GC), so the threshold is
 // structural, not timing-noise-prone. The bridges' hot

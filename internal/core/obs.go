@@ -59,7 +59,6 @@ func (b *PrimaryBridge) AttachObs(reg *obs.Registry, host string) {
 type secondaryMetrics struct {
 	snoopedIn      obs.Counter
 	divertedOut    obs.Counter
-	flowEvictions  obs.Counter // flow-cache entries evicted by the LRU cap
 	malformedDrops obs.Counter // snooped frames with an inconsistent offset
 
 	// reg and host attach bridge_takeover_errors_total at the first failed
@@ -83,14 +82,13 @@ func newSecondaryMetrics(reg *obs.Registry, host string) secondaryMetrics {
 		host:           host,
 		snoopedIn:      reg.Counter(obs.HostSeries("bridge_snooped_in_total", host)),
 		divertedOut:    reg.Counter(obs.HostSeries("bridge_diverted_out_total", host)),
-		flowEvictions:  reg.Counter(obs.HostSeries("bridge_flow_evictions_total", host)),
 		malformedDrops: reg.Counter(obs.HostSeries("bridge_malformed_drops_total", host)),
 	}
 }
 
 // AttachObs resolves the bridge's metric handles against reg, labeled with
-// the host name — and its matcher's, which shares the host's eviction and
-// malformed-drop series.
+// the host name — and its matcher's, which shares the host's malformed-drop
+// series.
 func (b *SecondaryBridge) AttachObs(reg *obs.Registry, host string) {
 	b.m = newSecondaryMetrics(reg, host)
 	if b.matcher != nil {

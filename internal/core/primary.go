@@ -11,20 +11,12 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-// defaultMaxFlows is the flow-table cap a bridge constructor handed zero
+// defaultMaxFlows is the connection cap a matcher's constructor handed zero
 // selects: above every experiment's connection count (E13 holds a million),
 // so only a flood of spoofed tuples reaches it. Past the cap the least
 // recently touched entry is evicted and counted in
 // bridge_flow_evictions_total; there is no unbounded setting.
 const defaultMaxFlows = 1 << 20
-
-// flowCap is the cap a constructor's maxFlows argument selects.
-func flowCap(maxFlows int) int {
-	if maxFlows <= 0 {
-		return defaultMaxFlows
-	}
-	return maxFlows
-}
 
 // defaultMSS is assumed when a SYN carries no MSS option (RFC 1122).
 const defaultMSS = 536
@@ -210,12 +202,15 @@ func NewPrimaryBridge(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr,
 // the host; a composing bridge (NewInteriorBridge) calls the Inbound/Outbound
 // handlers itself.
 func NewPrimaryBridgeCore(host *netstack.Host, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, maxFlows int) *PrimaryBridge {
+	if maxFlows <= 0 {
+		maxFlows = defaultMaxFlows
+	}
 	b := &PrimaryBridge{
 		host:     host,
 		aP:       primaryAddr,
 		aS:       secondaryAddr,
 		sel:      sel,
-		maxConns: flowCap(maxFlows),
+		maxConns: maxFlows,
 		m:        newPrimaryMetrics(nil, ""),
 	}
 	b.emit = func(client ipv4.Addr, pkt *netbuf.Buffer) {

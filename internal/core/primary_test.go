@@ -83,11 +83,9 @@ func (f *priFixture) fromPrimaryTCP(t *testing.T, seg *tcp.Segment) {
 // hop from S to P — copied out of the pooled buffer AppendOrigDstOption
 // builds it in.
 func (f *priFixture) divertedCopy(raw []byte) ([]byte, error) {
-	var opt [8]byte
-	tcp.OrigDstOptionBlock(&opt, f.aC)
 	pkt := netbuf.Get()
 	defer pkt.Release()
-	out, err := tcp.AppendOrigDstOption(pkt, raw, &opt)
+	out, err := tcp.AppendOrigDstOption(pkt, raw, f.aC)
 	if err != nil {
 		return nil, err
 	}
@@ -490,14 +488,10 @@ func TestSecondaryFailureFlushDoesNotAllocate(t *testing.T) {
 // out) allocates nothing. It was 6 allocations while each replica's SYN was
 // parsed into a Segment with its option slice. The record the handshake
 // fills, two replica records and all, stays the size it is: 184 bytes,
-// from 216 when each queue's out-of-order list went behind a pointer. The
-// secondary's flow record packs into 32 bytes, from 40 with padding.
+// from 216 when each queue's out-of-order list went behind a pointer.
 func TestBridgeHandshakeAllocs(t *testing.T) {
 	if got := unsafe.Sizeof(pconn{}); got > 184 {
 		t.Errorf("pconn is %d bytes, want <= 184", got)
-	}
-	if got := unsafe.Sizeof(sflow{}); got > 32 {
-		t.Errorf("sflow is %d bytes, want <= 32", got)
 	}
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of returns under the race detector, and each one is an allocation")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"tcpfailover/internal/flowtab"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
@@ -22,7 +21,6 @@ type SecondaryStats struct {
 	SnoopedIn      int64 // client segments captured promiscuously and translated
 	DivertedOut    int64 // locally generated segments diverted to the primary
 	TakenOver      int64 // connections re-keyed to the primary address
-	FlowsEvicted   int64 // flow-cache entries evicted by the flow cap
 	MalformedDrops int64 // snooped frames with an inconsistent data offset
 }
 
@@ -59,28 +57,8 @@ type SecondaryBridge struct {
 	matcher *PrimaryBridge
 
 	active bool
-	// flows caches the per-tuple snoop/divert decision: the selector
-	// verdict and, for failover flows, the precomputed original-destination
-	// option block. Both hooks normalize a segment to the same TupleKey, so
-	// steady-state segments in either direction pay a single table hit
-	// instead of up to three selector probes. Entries self-invalidate when
-	// the selector configuration changes. The table maps keys to slot
-	// indices in fslots; records live by value in 32-record chunks, so a
-	// million snooped flows are some 31 000 allocations, not a million.
-	flows  flowtab.Table
-	fslots flowtab.Slab[sflow]
-	// maxFlows bounds the flow cache (and the takeover records it holds):
-	// when exceeded, the least-recently-touched flow is evicted. The
-	// packed-uint64 keys make each entry cheap, but a SYN flood of spoofed
-	// clients would otherwise grow the table without limit.
-	maxFlows int
-	lru      flowtab.LRU // recency of fslots slots
-
-	// keyScratch is the reusable buffer for Takeover's sorted re-key walk.
-	keyScratch []uint64
-
-	stats SecondaryStats
-	m     secondaryMetrics
+	stats  SecondaryStats
+	m      secondaryMetrics
 
 	// spans, when non-nil, receives the first-diverted milestone per flow
 	// (the bridge's TupleKey for an outbound diverted segment is bit-for-bit
@@ -88,79 +66,11 @@ type SecondaryBridge struct {
 	spans *obs.SpanRecorder
 }
 
-// sflow is a cached per-flow decision of the secondary bridge. Records live
-// by value in the bridge's slab; the fields are ordered to pack into 32
-// bytes with no padding.
-type sflow struct {
-	gen uint64 // selector generation the verdict was computed under
-
-	// Owning key and slot index.
-	key  TupleKey
-	self int32
-
-	match bool
-	// rec marks a flow that matched at least once: at takeover its TCP
-	// connection must be re-keyed to aP. The tuple itself is not stored —
-	// it is fully derivable from the key plus the bridge's own address, so
-	// the separate map[TupleKey]tcp.Tuple earlier revisions kept was pure
-	// redundancy. The bit is sticky across selector reconfigurations,
-	// matching the old table's never-unrecorded semantics.
-	rec bool
-	opt [8]byte // orig-dst option block carrying the client address
-}
-
-// flow returns the cached decision for key, classifying the flow on first
-// sight (or after a selector change): the verdict is computed, the option
-// block prebuilt, and — for failover flows — the connection marked for
-// takeover re-keying.
-func (b *SecondaryBridge) flow(key TupleKey) *sflow {
-	var f *sflow
-	if i, ok := b.flows.Get(uint64(key)); ok {
-		f = b.fslots.At(i)
-		b.lru.Touch(i)
-		if f.gen == b.sel.Gen() {
-			return f
-		}
-	} else {
-		idx := b.fslots.Alloc()
-		f = b.fslots.At(idx)
-		f.key = key
-		f.self = int32(idx)
-		b.flows.Put(uint64(key), idx)
-		b.lru.Push(idx)
-		if b.flows.Len() > b.maxFlows {
-			// The cap is at least one, so the oldest is another flow.
-			old, _ := b.lru.Oldest()
-			b.evict(b.fslots.At(old))
-		}
-	}
-	f.gen = b.sel.Gen()
-	f.match = b.sel.Match(key)
-	if f.match {
-		tcp.OrigDstOptionBlock(&f.opt, key.PeerAddr())
-		f.rec = true
-	}
-	return f
-}
-
-// evict drops a flow-cache entry, including its takeover record. Active
-// connections stay LRU-fresh (every snooped or diverted segment touches the
-// entry), so what the cap sheds under a SYN flood is the flood's own
-// single-segment flows.
-func (b *SecondaryBridge) evict(f *sflow) {
-	b.lru.Remove(uint32(f.self))
-	b.flows.Delete(uint64(f.key))
-	b.m.flowEvictions.Inc()
-	b.fslots.Free(uint32(f.self))
-}
-
-// Flows returns the number of cached flow entries.
-func (b *SecondaryBridge) Flows() int { return b.flows.Len() }
-
 // NewSecondaryBridge installs the bridge on host's interface ifIndex. The
 // interface snoops the primary's address in promiscuous receive mode. The
-// flow cache holds at most maxFlows entries (zero selects defaultMaxFlows).
-func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector, maxFlows int) *SecondaryBridge {
+// bridge keeps no per-flow state: each segment's verdict is the selector's,
+// and the connections to re-key at takeover are the TCP layer's own.
+func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondaryAddr ipv4.Addr, sel *Selector) *SecondaryBridge {
 	b := &SecondaryBridge{
 		host:     host,
 		ifIndex:  ifIndex,
@@ -169,7 +79,6 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 		upstream: primaryAddr,
 		sel:      sel,
 		active:   true,
-		maxFlows: flowCap(maxFlows),
 		m:        newSecondaryMetrics(nil, ""),
 	}
 	host.Iface(ifIndex).Snoop(primaryAddr)
@@ -179,10 +88,10 @@ func NewSecondaryBridge(host *netstack.Host, ifIndex int, primaryAddr, secondary
 }
 
 // NewInteriorBridge installs a secondary bridge with a matcher behind it on
-// a backup that has a further backup, at nextAddr, down the chain. The flow
-// cache and the matcher's table each hold at most maxFlows entries.
+// a backup that has a further backup, at nextAddr, down the chain. The
+// matcher's table holds at most maxFlows connections.
 func NewInteriorBridge(host *netstack.Host, ifIndex int, primaryAddr, selfAddr, nextAddr ipv4.Addr, sel *Selector, maxFlows int) *SecondaryBridge {
-	b := NewSecondaryBridge(host, ifIndex, primaryAddr, selfAddr, sel, maxFlows)
+	b := NewSecondaryBridge(host, ifIndex, primaryAddr, selfAddr, sel)
 	b.matcher = NewPrimaryBridgeCore(host, selfAddr, nextAddr, sel, maxFlows)
 	b.matcher.SetEmitFunc(b.emitMerged)
 	return b
@@ -198,7 +107,6 @@ func (b *SecondaryBridge) Stats() SecondaryStats {
 	s := b.stats
 	s.SnoopedIn = b.m.snoopedIn.Value()
 	s.DivertedOut = b.m.divertedOut.Value()
-	s.FlowsEvicted = b.m.flowEvictions.Value()
 	s.MalformedDrops = b.m.malformedDrops.Value()
 	return s
 }
@@ -227,7 +135,7 @@ func (b *SecondaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) 
 			return netstack.VerdictDrop, hdr, payload
 		}
 		key := MakeTupleKey(hdr.Src, tcp.RawSrcPort(payload), tcp.RawDstPort(payload))
-		if b.flow(key).match {
+		if b.sel.Match(key) {
 			// The payload is this station's private copy of the bits; patch the
 			// pseudo-header checksum incrementally and rewrite the address.
 			tcp.PatchPseudoAddr(payload, b.aP, b.aS)
@@ -284,18 +192,17 @@ func (b *SecondaryBridge) emitMerged(client ipv4.Addr, pkt *netbuf.Buffer) {
 // not a failover connection's and was left alone.
 func (b *SecondaryBridge) divert(src, client ipv4.Addr, segment []byte) bool {
 	key := MakeTupleKey(client, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
-	f := b.flow(key)
-	if !f.match {
+	if !b.sel.Match(key) {
 		return false
 	}
 	if b.spans != nil {
 		b.spans.Mark(uint64(key), obs.SpanFirstDiverted, b.host.Scheduler().Now())
 	}
 	// Build the diverted segment straight into a pooled packet buffer: the
-	// flow's precomputed option block is appended to the header copy and
+	// option block carrying the client address follows the header copy and
 	// the buffer is handed to the stack without a further copy.
 	pkt := netbuf.Get()
-	out, err := tcp.AppendOrigDstOption(pkt, segment, &f.opt)
+	out, err := tcp.AppendOrigDstOption(pkt, segment, client)
 	if err != nil {
 		// Header options full; fall back to dropping (TCP will retransmit).
 		pkt.Release()
@@ -312,33 +219,6 @@ func (b *SecondaryBridge) divert(src, client ipv4.Addr, segment []byte) bool {
 // SetUpstream redirects future diverted segments, e.g. when the backup this
 // one diverted to fails and it re-attaches to the next live member up.
 func (b *SecondaryBridge) SetUpstream(a ipv4.Addr) { b.upstream = a }
-
-// rekeyConns moves the TCP connection of every key that still has one from
-// local address from to local address to (section 5, step 5), in ascending
-// key order — the flow tables' own order is not stable run to run. A
-// connection whose new tuple is taken stays where it is; the rest still
-// move. It returns how many moved and one error per connection that did not.
-func rekeyConns(stack *tcp.Stack, keys []uint64, from, to ipv4.Addr) (moved int, errs []error) {
-	slices.Sort(keys)
-	for _, kk := range keys {
-		key := TupleKey(kk)
-		t := tcp.Tuple{
-			LocalAddr:  from,
-			LocalPort:  key.LocalPort(),
-			RemoteAddr: key.PeerAddr(),
-			RemotePort: key.PeerPort(),
-		}
-		if _, ok := stack.Lookup(t); !ok {
-			continue // connection already closed
-		}
-		if err := stack.Rebind(t, to); err != nil {
-			errs = append(errs, fmt.Errorf("takeover: %w", err))
-			continue
-		}
-		moved++
-	}
-	return moved, errs
-}
 
 // Takeover executes the paper's section 5 procedure after the fault
 // detector reports the primary failed:
@@ -376,16 +256,29 @@ func (b *SecondaryBridge) Takeover() error {
 		// segments (addressed to it) hit the acknowledgment translation.
 		b.matcher.aP = b.aP
 	}
-	// Only flows that matched the selector have a connection to re-key.
-	b.keyScratch = b.flows.AppendKeys(b.keyScratch[:0])
-	keys := b.keyScratch[:0]
-	for _, kk := range b.keyScratch {
-		if i, ok := b.flows.Get(kk); ok && b.fslots.At(i).rec {
-			keys = append(keys, kk)
+	// The connections to re-key are the failover connections the TCP layer
+	// holds under this host's own address, taken in ascending key order:
+	// the demux table's own order is not stable run to run.
+	stack := b.host.TCP()
+	var keys []uint64
+	for _, c := range stack.Conns() {
+		t := c.Tuple()
+		key := MakeTupleKey(t.RemoteAddr, t.RemotePort, t.LocalPort)
+		if t.LocalAddr == b.aS && b.sel.Match(key) {
+			keys = append(keys, uint64(key))
 		}
 	}
-	moved, errs := rekeyConns(b.host.TCP(), keys, b.aS, b.aP)
-	b.stats.TakenOver += int64(moved)
+	slices.Sort(keys)
+	var errs []error
+	for _, k := range keys {
+		key := TupleKey(k)
+		t := tcp.Tuple{LocalAddr: b.aS, LocalPort: key.LocalPort(), RemoteAddr: key.PeerAddr(), RemotePort: key.PeerPort()}
+		if err := stack.Rebind(t, b.aP); err != nil {
+			errs = append(errs, fmt.Errorf("takeover: %w", err))
+			continue
+		}
+		b.stats.TakenOver++
+	}
 	// Whatever happened above, the address is this host's now: the router
 	// must learn it, or the flows that were re-keyed stall as well.
 	if err := b.host.Iface(b.ifIndex).ARP().Announce(b.aP); err != nil {

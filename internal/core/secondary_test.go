@@ -47,7 +47,7 @@ func newSecFixtureNext(t *testing.T, next ipv4.Addr) *secFixture {
 	f.sel = NewSelector()
 	f.sel.EnableServerPort(80)
 	if next.IsZero() {
-		f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel, 0)
+		f.b = NewSecondaryBridge(f.host, 0, f.aP, f.aS, f.sel)
 	} else {
 		f.b = NewInteriorBridge(f.host, 0, f.aP, f.aS, next, f.sel, 0)
 	}
@@ -281,5 +281,41 @@ func TestTakeoverContinuesPastRebindConflict(t *testing.T) {
 	}
 	if v, _ := reg.Lookup(`bridge_takeover_errors_total{host="s"}`); v != 1 {
 		t.Errorf("bridge_takeover_errors_total = %d, want 1", v)
+	}
+}
+
+// TestTakeoverRekeysIdleConnection: a connection that carries no traffic
+// while a flood of spoofed SYNs is snooped is still re-keyed at takeover,
+// or its client is reset after failover. The connections to re-key are the
+// TCP layer's own, so nothing the flood does on the snoop path can hide one.
+func TestTakeoverRekeysIdleConnection(t *testing.T) {
+	f := newSecFixture(t)
+	stack := f.host.TCP()
+	if _, err := stack.Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	snoop := func(src ipv4.Addr, port uint16) (netstack.InVerdict, ipv4.Header, []byte) {
+		raw := tcp.Marshal(src, f.aP, &tcp.Segment{SrcPort: port, DstPort: 80, Seq: 1, Flags: tcp.FlagSYN, Window: 65535})
+		return f.callInbound(t, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: src, Dst: f.aP}, raw)
+	}
+	// The client's SYN, translated aP -> aS, opens the connection under the
+	// secondary's own address; then the flood.
+	v, nh, np := snoop(f.aC, 49152)
+	if v != netstack.VerdictDeliver {
+		t.Fatalf("snooped SYN verdict %v", v)
+	}
+	stack.Input(nh.Src, nh.Dst, np)
+	for i := range 8 {
+		snoop(ipv4.AddrFrom4(10, 9, 0, byte(i)), uint16(20000+i))
+	}
+	if err := f.b.Takeover(); err != nil {
+		t.Fatal(err)
+	}
+	tuple := tcp.Tuple{LocalAddr: f.aP, LocalPort: 80, RemoteAddr: f.aC, RemotePort: 49152}
+	if _, ok := stack.Lookup(tuple); !ok {
+		t.Error("idle connection not re-keyed to aP")
+	}
+	if got := f.b.Stats().TakenOver; got != 1 {
+		t.Errorf("TakenOver = %d, want 1", got)
 	}
 }

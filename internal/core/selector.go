@@ -55,17 +55,14 @@ func (k TupleKey) LocalPort() uint16 { return uint16(k) }
 // server-initiated connections to well-known back-end ports), and explicit
 // per-connection tuples (the socket-option method).
 // The port sets are flowtab bitsets rather than maps: Match sits on the
-// snoop path of every segment the secondary sees, and a bitset probe is a
-// shift and an indexed load with nothing for the garbage collector to
-// follow. The explicit-tuple set is a flowtab.Table for the same reason.
+// snoop and divert paths of every segment the secondary handles, which
+// keeps no per-flow verdict of its own, and a bitset probe is a shift and
+// an indexed load with nothing for the garbage collector to follow. The
+// explicit-tuple set is a flowtab.Table for the same reason.
 type Selector struct {
 	serverPorts flowtab.PortSet
 	peerPorts   flowtab.PortSet
 	tuples      flowtab.Table
-	// gen counts configuration changes so per-flow verdict caches (the
-	// secondary bridge's) can self-invalidate instead of re-probing the
-	// port sets on every snooped segment.
-	gen uint64
 }
 
 // NewSelector returns an empty selector.
@@ -75,23 +72,19 @@ func NewSelector() *Selector {
 
 // EnableServerPort marks every connection whose replicated-server port is p
 // as a failover connection (paper's method 2, for server sockets).
-func (s *Selector) EnableServerPort(p uint16) { s.serverPorts.Add(p); s.gen++ }
+func (s *Selector) EnableServerPort(p uint16) { s.serverPorts.Add(p) }
 
 // EnablePeerPort marks every connection toward remote port p as a failover
 // connection; used for server-initiated connections to an unreplicated
 // back-end (paper section 7.2).
-func (s *Selector) EnablePeerPort(p uint16) { s.peerPorts.Add(p); s.gen++ }
+func (s *Selector) EnablePeerPort(p uint16) { s.peerPorts.Add(p) }
 
 // EnableTuple marks one specific connection (paper's method 1, the
 // per-socket option).
-func (s *Selector) EnableTuple(k TupleKey) { s.tuples.Put(uint64(k), 1); s.gen++ }
+func (s *Selector) EnableTuple(k TupleKey) { s.tuples.Put(uint64(k), 1) }
 
 // DisableServerPort removes a server port from the set.
-func (s *Selector) DisableServerPort(p uint16) { s.serverPorts.Remove(p); s.gen++ }
-
-// Gen returns the configuration generation; it changes whenever the
-// selection rules do.
-func (s *Selector) Gen() uint64 { return s.gen }
+func (s *Selector) DisableServerPort(p uint16) { s.serverPorts.Remove(p) }
 
 // Match reports whether a connection identified by k is a failover
 // connection.

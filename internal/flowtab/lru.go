@@ -8,7 +8,7 @@ import "slices"
 // zero means "none" and the zero value is an empty list ready for use; the
 // records themselves carry no link fields. The side array grows on Push
 // only, to the highest slot pushed: 8 bytes a slot, which is what the
-// bridges' always-on flow caps cost per connection.
+// matchers' always-on flow cap costs per connection.
 //
 // A slot that was never pushed is simply not listed: Remove ignores it and
 // Touch lists it.

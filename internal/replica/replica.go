@@ -29,10 +29,10 @@ type Config struct {
 	PeerPorts []uint16
 	// Detect tunes the fault detectors.
 	Detect detect.Config
-	// MaxFlows bounds every bridge's flow table — each matcher's tracked
-	// connections and each backup's flow cache — evicting the least
-	// recently touched entry beyond it. Zero selects a default above a
-	// million; no value leaves the tables unbounded.
+	// MaxFlows bounds each matcher's tracked connections (the primary's,
+	// and an interior backup's), evicting the least recently touched one
+	// beyond it. Zero selects a default above a million; no value leaves a
+	// matcher unbounded. A backup's own bridge keeps no per-flow state.
 	MaxFlows int
 }
 
@@ -111,7 +111,7 @@ func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
 		if i < last {
 			g.backups[i] = core.NewInteriorBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.addrs[i+1], g.sel, cfg.MaxFlows)
 		} else {
-			g.backups[i] = core.NewSecondaryBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.sel, cfg.MaxFlows)
+			g.backups[i] = core.NewSecondaryBridge(hosts[i], ifIndex, g.addrs[0], g.addrs[i], g.sel)
 		}
 		g.backups[i].SetUpstream(g.addrs[i-1])
 	}

@@ -112,14 +112,16 @@ func SetRawSrcPort(b []byte, v uint16) { patchU16(b, 0, v) }
 
 // patchBytes overwrites b[off:off+len(newBytes)] and adjusts the checksum
 // incrementally, handling arbitrary (odd) alignment by updating whole
-// aligned 16-bit words.
+// aligned 16-bit words. The old words are kept on the stack: the MSS clamp
+// runs on every SYN the secondary snoops.
 func patchBytes(b []byte, off int, newBytes []byte) {
 	start := off &^ 1
 	end := (off + len(newBytes) + 1) &^ 1
 	if end > len(b) {
 		end = len(b)
 	}
-	old := append([]byte(nil), b[start:end]...)
+	var buf [8]byte
+	old := append(buf[:0], b[start:end]...)
 	copy(b[off:], newBytes)
 	putU16(b[16:], checksum.UpdateBytes(RawChecksum(b), old, b[start:end]))
 }
@@ -196,33 +198,24 @@ const origDstBlockLen = 8
 
 // AppendOrigDstOption builds the diverted form of a marshaled segment
 // directly into a pooled packet buffer: header, then the 8-byte
-// original-destination option block, then payload, with the data offset
-// patched. The checksum field is copied as it was; the caller seals the
-// result for the hop it takes (SealChecksum). The secondary bridge applies
-// this to every segment it diverts upstream so the primary bridge can
-// recover the client address (paper section 3.1); opt is the flow's
-// precomputed option block (see OrigDstOptionBlock).
-func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, opt *[origDstBlockLen]byte) ([]byte, error) {
+// original-destination option block (NOP, NOP, kind, length, orig), then
+// payload, with the data offset patched. The checksum field is copied as it
+// was; the caller seals the result for the hop it takes (SealChecksum). The
+// secondary bridge applies this to every segment it diverts upstream so the
+// primary bridge can recover the client address (paper section 3.1).
+func AppendOrigDstOption(pkt *netbuf.Buffer, b []byte, orig ipv4.Addr) ([]byte, error) {
 	hdrLen := RawHeaderLen(b)
 	if hdrLen-HeaderLen+origDstBlockLen > MaxOptionLen {
 		return nil, ErrBadOption
 	}
 	out := pkt.Extend(len(b) + origDstBlockLen)
 	copy(out, b[:hdrLen])
-	copy(out[hdrLen:], opt[:])
+	opt := out[hdrLen : hdrLen+origDstBlockLen]
+	opt[0], opt[1], opt[2], opt[3] = OptNOP, OptNOP, OptOrigDst, 6
+	ipv4.PutAddr(opt[4:], orig)
 	copy(out[hdrLen+origDstBlockLen:], b[hdrLen:])
 	out[12] = byte((hdrLen+origDstBlockLen)/4) << 4
 	return out, nil
-}
-
-// OrigDstOptionBlock fills opt with the NOP NOP kind len addr block that
-// AppendOrigDstOption inserts, so a per-flow cache can precompute it once.
-func OrigDstOptionBlock(opt *[origDstBlockLen]byte, orig ipv4.Addr) {
-	opt[0] = OptNOP
-	opt[1] = OptNOP
-	opt[2] = OptOrigDst
-	opt[3] = 6
-	ipv4.PutAddr(opt[4:8], orig)
 }
 
 // HasOrigDstOption reports whether the marshaled segment carries an

@@ -135,11 +135,9 @@ func TestInsertStripOrigDstRoundTrip(t *testing.T) {
 // divertedCopy is AppendOrigDstOption's output for raw, copied out of the
 // pooled buffer it was built in.
 func divertedCopy(raw []byte, orig ipv4.Addr) ([]byte, error) {
-	var opt [8]byte
-	OrigDstOptionBlock(&opt, orig)
 	pkt := netbuf.Get()
 	defer pkt.Release()
-	out, err := AppendOrigDstOption(pkt, raw, &opt)
+	out, err := AppendOrigDstOption(pkt, raw, orig)
 	return append([]byte(nil), out...), err
 }
 

@@ -108,9 +108,10 @@ func checkSplitSeal(t testing.TB, hdr, payload []byte) {
 		b[12] = byte(len(h)/4) << 4
 		return b
 	}
-	var opt [origDstBlockLen]byte
-	OrigDstOptionBlock(&opt, srcA)
-	diverted := segment(append(make([]byte, HeaderLen), opt[:]...))
+	diverted, err := divertedCopy(segment(make([]byte, HeaderLen)), srcA)
+	if err != nil {
+		t.Fatal(err)
+	}
 	SealChecksum(dstA, srcA, diverted)
 	sum, ok := VerifyChecksum(dstA, srcA, diverted)
 	if !ok {

@@ -161,8 +161,8 @@ func TestStatsViewsOwnTheirSeries(t *testing.T) {
 			movedBy[field] = s.Name
 		}
 	}
-	// 4 stacks x 6 fields, 2 links x 3, the primary bridge's 5, the secondary's 4.
-	if len(movedBy) != 39 {
-		t.Errorf("%d Stats fields are views of a series, want 39: %v", len(movedBy), movedBy)
+	// 4 stacks x 6 fields, 2 links x 3, the primary bridge's 5, the secondary's 3.
+	if len(movedBy) != 38 {
+		t.Errorf("%d Stats fields are views of a series, want 38: %v", len(movedBy), movedBy)
 	}
 }
