@@ -18,7 +18,7 @@ import (
 	"tcpfailover/internal/tcp"
 )
 
-// The root checker (DESIGN.md section 4.2): newScenario holds every root
+// The root checker (DESIGN.md section 8.2): newScenario holds every root
 // test's run to internal/check's online rules, the twin and quiescence, as
 // "check: what" strings that TestCheckerReportsPlantedViolations reads;
 // newCells holds every cell of a NewCells fleet to all but the twin.

@@ -526,7 +526,7 @@ type AblationRow struct {
 }
 
 // Ablation reruns the Figure 5 workload with individual design choices
-// switched off, quantifying their contribution (DESIGN.md section 5).
+// switched off, quantifying their contribution (DESIGN.md section 8.1).
 func Ablation(total int64) ([]AblationRow, error) {
 	configs := []struct {
 		name   string

@@ -17,7 +17,7 @@ import (
 // it takes back, as the root package's tests do: a bridge queue or TCP ring
 // read through a stale alias fails the crash, loss or attack run it happens
 // in. Every scenario runs under the checker's online rules (DESIGN.md
-// section 4.2); a violation fails the run, named by seed and rule.
+// section 8.2); a violation fails the run, named by seed and rule.
 func TestMain(m *testing.M) {
 	netbuf.SetPoison(true)
 	check.OnBuild = watch

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -119,5 +120,46 @@ func TestRenderIsPure(t *testing.T) {
 	}
 	if simsBuilt.Load() != sims {
 		t.Error("rendering ran a simulation")
+	}
+}
+
+// renderedBlock is one block of EXPERIMENTS.md: the marker, which is also
+// the command that prints the block, and the fenced text under it.
+var renderedBlock = regexp.MustCompile("(?s)<!-- failover-bench -experiment (\\S+) -->\n(?:```text\n(.*?)```\n)?")
+
+// TestExperimentsMatchRecord holds EXPERIMENTS.md to the committed run:
+// every row's rendering of BENCH_trajectory.json, less its closing blank
+// line, is the one block under that row's marker. A block that differs by
+// a byte, a row with no block or two, and a marker naming no row fail.
+func TestExperimentsMatchRecord(t *testing.T) {
+	blob, err := os.ReadFile("../../BENCH_trajectory.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traj Trajectory
+	if err := json.Unmarshal(blob, &traj); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make(map[string][]string)
+	for _, m := range renderedBlock.FindAllStringSubmatch(string(doc), -1) {
+		blocks[m[1]] = append(blocks[m[1]], m[2])
+	}
+	for _, e := range table {
+		var want strings.Builder
+		e.Render(&want, &traj.Results)
+		got := blocks[e.Name]
+		delete(blocks, e.Name)
+		if len(got) != 1 {
+			t.Errorf("EXPERIMENTS.md has %d blocks for %q, want 1", len(got), e.Name)
+		} else if got[0] != strings.TrimRight(want.String(), "\n")+"\n" {
+			t.Errorf("EXPERIMENTS.md's %q block is not the committed run's; it renders as\n%s", e.Name, want.String())
+		}
+	}
+	for name := range blocks {
+		t.Errorf("EXPERIMENTS.md has a block for %q, which is no experiment", name)
 	}
 }

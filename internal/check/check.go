@@ -1,5 +1,5 @@
 // Package check holds every scenario a test builds to the paper's promise
-// while it runs (DESIGN.md section 4.2). tcpfailover.NewScenario and
+// while it runs (DESIGN.md section 8.2). tcpfailover.NewScenario and
 // NewCells hand each build to OnBuild, which only test binaries set; the
 // root tests also Drain and Quiesce each run. Every rule is judged as a
 // segment crosses a tap, and no tap moves an event: the client and the

@@ -89,7 +89,7 @@ func (r *replica) finAt(seq tcp.Seq) bool { return r.finSet && r.fin == seq }
 // the output queues are embedded rings, which hold no pointer at all while
 // nothing is queued. At a million connections the garbage collector
 // therefore sees one conns table and one slab — not a million pconns each
-// dragging two queue objects (DESIGN.md §14).
+// dragging two queue objects (DESIGN.md §12).
 type pconn struct {
 	key             TupleKey
 	self            int32 // own slot index in the bridge's slab

@@ -16,8 +16,8 @@
 // lists) are 32-bit slot indices instead of pointers. A Map is pointer-free
 // exactly when its value type is: a Map[*T] is scanned like any slice of
 // pointers and keeps its values alive.
-// DESIGN.md §14 quantifies the effect; experiment E13 (failover-bench
-// -experiment memscale) regenerates the numbers.
+// DESIGN.md §12 describes the layout; experiment E13 (failover-bench
+// -experiment memscale) measures its effect.
 package flowtab
 
 import "math/bits"

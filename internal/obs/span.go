@@ -49,7 +49,7 @@ func (m SpanMilestone) String() string {
 
 // Span is one connection's lifecycle record. It is pointer-free so a slab
 // of a million spans is a single never-scanned allocation (the flowtab
-// discipline from DESIGN.md §14); the recorder's recency list is a
+// discipline from DESIGN.md §12); the recorder's recency list is a
 // flowtab.LRU beside the slab, so a span carries no links.
 type Span struct {
 	// Key is the packed flow key (clientAddr<<32 | clientPort<<16 |

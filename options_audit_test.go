@@ -1,11 +1,14 @@
 package tcpfailover_test
 
 import (
+	"cmp"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -120,5 +123,38 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 	}
 	if total > knobCeiling {
 		t.Errorf("the audited structs hold %d exported fields, over the ceiling of %d", total, knobCeiling)
+	}
+}
+
+// designCitation is a reference to a DESIGN.md section — "DESIGN §3",
+// "DESIGN.md §9.3", "DESIGN.md section 8.2", also across a comment break.
+var designCitation = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)*(?:§\s?|sections?\s+)(\d+(?:\.\d+)?)`)
+
+// TestDesignCitationsResolve fails on a citation of DESIGN.md, in a .go,
+// .md or .yml file, whose section number has no heading there. CHANGES.md
+// is a ledger: each entry keeps the numbering it was written against.
+func TestDesignCitationsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := regexp.MustCompile(`(?m)^###? (\d+(?:\.\d+)?)[. ]`).FindAllStringSubmatch(string(design), -1)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.Name() == ".git" || d.Name() == ".bench_build" {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if d.IsDir() || path == "CHANGES.md" || !slices.Contains([]string{".go", ".md", ".yml"}, filepath.Ext(path)) {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		for _, m := range designCitation.FindAllStringSubmatch(string(text), -1) {
+			if !slices.ContainsFunc(headings, func(h []string) bool { return h[1] == m[1] }) {
+				t.Errorf("%s cites %q: DESIGN.md has no section %s", path, m[0], m[1])
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
