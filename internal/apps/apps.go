@@ -20,12 +20,13 @@ import (
 // and generate payload in.
 const copyBufSize = 32 * 1024
 
-// scratch returns the copy buffer shared by every application on c's stack.
-// A stack lives in one scheduler domain and pumps run to completion, so
-// sharing is race-free; the price is the application scratch rule: nothing
-// read into or generated in the buffer may be relied on across a Write or a
-// user callback, either of which may run another connection's pump. Readers
-// copy out what they keep (lineReader, the HTTP heads) before calling on.
+// scratch returns the copy buffer shared by every application on c's event
+// loop, on every host and cell it runs. The loop runs one callback at a
+// time and pumps run to completion, so sharing is race-free; the price is
+// the application scratch rule: nothing read into or generated in the
+// buffer may be relied on across a Write or a user callback, either of
+// which may run another connection's pump. Readers copy out what they keep
+// (lineReader, the HTTP heads) before calling on.
 func scratch(c *tcp.Conn) []byte { return c.Scratch(copyBufSize) }
 
 // patternRow is two periods of the byte sequence 131·k mod 256. The pattern

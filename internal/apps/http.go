@@ -288,7 +288,7 @@ func (cl *HTTPClient) feed(p []byte) {
 		cl.want -= n
 		p = p[n:]
 		if cl.want == 0 {
-			// p may be the stack's scratch, which the completion callback is
+			// p may be the loop's scratch, which the completion callback is
 			// free to reuse; bytes past the body (none, without pipelining)
 			// are copied out first.
 			p = append([]byte(nil), p...)

@@ -61,6 +61,35 @@ func TestSendPatternGeneratesOnce(t *testing.T) {
 	}
 }
 
+// TestScratchSharedPerEventLoop: the copy buffer belongs to the event loop,
+// not to a stack. The server's and the client's connection on one scheduler
+// are handed one backing array; a connection on a second scheduler gets its
+// own, so independent loops on separate goroutines never share it.
+func TestScratchSharedPerEventLoop(t *testing.T) {
+	connect := func() (server, client *tcp.Conn) {
+		sched, srv, cl := hostPair()
+		if _, err := srv.TCP().Listen(7, func(c *tcp.Conn) { server = c }); err != nil {
+			t.Fatal(err)
+		}
+		client, err := cl.TCP().Dial(pairServerAddr, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.RunUntil(time.Second); err != nil || server == nil {
+			t.Fatalf("no connection accepted (%v)", err)
+		}
+		return server, client
+	}
+	base := func(c *tcp.Conn) *byte { return unsafe.SliceData(scratch(c)) }
+	server, client := connect()
+	if base(server) != base(client) {
+		t.Error("server and client on one event loop hold two scratch buffers, want one")
+	}
+	if other, _ := connect(); base(other) == base(server) {
+		t.Error("two event loops share one scratch buffer, want one each")
+	}
+}
+
 // liveHeapAfterAccepts builds a host pair, installs a server with listen,
 // opens conns idle connections to it and returns the live heap that took,
 // in bytes and in objects.
@@ -101,7 +130,7 @@ func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint1
 
 // TestIdleConnectionHeapGate: an accepted connection that has not yet
 // carried a byte costs its server application's own state and no copy
-// buffer; the scratch is the stack's, allocated on first use. The bare
+// buffer; the scratch is the event loop's, allocated on first use. The bare
 // accept itself is a handful of heap objects per connection pair — the two
 // Conns with their rings and RTT estimators embedded, flow-table and timer
 // state — and no ring storage before the first byte. A Conn stays in the

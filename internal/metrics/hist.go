@@ -48,9 +48,9 @@ func logHistIndex(v int64) int {
 }
 
 // logHistUpper returns the largest value the bucket holds (its inclusive
-// upper bound). Quantiles report this value, so the estimate never
-// undershoots the exact order statistic and overshoots it by at most one
-// bucket width (a factor of 1 + 1/logHistSub).
+// upper bound). Quantiles report this value, capped at the exact max, so
+// the estimate never undershoots the exact order statistic and overshoots
+// it by at most one bucket width (a factor of 1 + 1/logHistSub).
 func logHistUpper(i int) int64 {
 	if i < 2*logHistSub {
 		return int64(i)
@@ -112,8 +112,9 @@ func (h *LogHistogram) Mean() float64 {
 // Percentile returns the pth percentile using the same nearest-rank
 // convention as Durations.Percentile: the sample at sorted index
 // int((n-1)*p/100). The returned value is the containing bucket's upper
-// bound, so it is >= the exact order statistic and within a relative
-// 1/32 of it. Exact min and max are substituted at the extremes.
+// bound clamped to the exact max, so it is >= the exact order statistic,
+// within a relative 1/32 of it, and never above Max. Exact min and max are
+// substituted at the extremes.
 func (h *LogHistogram) Percentile(p float64) int64 {
 	if h.count == 0 {
 		return 0
@@ -129,7 +130,7 @@ func (h *LogHistogram) Percentile(p float64) int64 {
 	for i := range h.counts {
 		cum += h.counts[i]
 		if cum >= rank {
-			return logHistUpper(i)
+			return min(logHistUpper(i), h.max)
 		}
 	}
 	return h.max // unreachable: cum reaches h.count

@@ -56,6 +56,9 @@ func TestLogHistogramVsExactPercentiles(t *testing.T) {
 			return int64(1000 * math.Pow(1-r.float(), -1/1.2))
 		},
 		"tiny": func(r *rng) int64 { return int64(r.next() % 40) }, // exact region
+		// Identical samples: every quantile is the max, exactly, though the
+		// bucket's upper edge lies above it.
+		"constant": func(*rng) int64 { return int64(90 * time.Millisecond) },
 	}
 	quantiles := []float64{0, 10, 50, 90, 99, 99.9, 100}
 	for name, draw := range distributions {
@@ -70,8 +73,8 @@ func TestLogHistogramVsExactPercentiles(t *testing.T) {
 		for _, q := range quantiles {
 			want := int64(exact.Percentile(q))
 			got := h.Percentile(q)
-			if got < want {
-				t.Errorf("%s p%v: histogram %d undershoots exact %d", name, q, got, want)
+			if got < want || got > h.Max() {
+				t.Errorf("%s p%v: histogram %d outside [exact %d, max %d]", name, q, got, want, h.Max())
 			}
 			// Upper bound: one bucket width, i.e. a relative 1/32 (plus 1 for
 			// the integer edges of the exact region).

@@ -58,6 +58,27 @@ func SetPoison(on bool) { poison.Store(on) }
 // poisonByte is what a returned buffer is filled with under SetPoison.
 const poisonByte = 0xDB
 
+// Poison fills b with the poison byte under SetPoison and leaves it alone
+// otherwise. Owners of reused buffers besides the store (tcp.Conn.Scratch)
+// call it when they hand one out.
+func Poison(b []byte) {
+	if poison.Load() {
+		fillPoison(b)
+	}
+}
+
+// fillPoison fills b with the poison byte in doubling copies, which the race
+// detector checks as ranges rather than byte by byte.
+func fillPoison(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = poisonByte
+	for i := 1; i < len(b); i *= 2 {
+		copy(b[i:], b[:i])
+	}
+}
+
 // byteClass returns the index of the smallest class holding n bytes.
 func byteClass(n int) int {
 	if n <= MinBytes {
@@ -104,9 +125,7 @@ func ReturnBytes(p *[]byte) {
 		return // heap-served oversize request; let the GC take it
 	}
 	if poison.Load() {
-		for i := range b {
-			b[i] = poisonByte
-		}
+		fillPoison(b)
 	}
 	bytePools[c].Put(unsafe.SliceData(b))
 }

@@ -192,6 +192,8 @@ type Scheduler struct {
 	// the staging heuristic, so it is exported rather than inferred.
 	wheelArms obs.Counter
 	heapArms  obs.Counter
+
+	scratch []byte // see Scratch; nil until asked for
 }
 
 // New returns a Scheduler whose RNG is seeded with seed, making the entire
@@ -622,6 +624,18 @@ func (s *Scheduler) RunUntil(t time.Duration) error {
 // RunFor executes events for a span d of virtual time from the current
 // instant.
 func (s *Scheduler) RunFor(d time.Duration) error { return s.RunUntil(s.now + d) }
+
+// Scratch returns an n-byte buffer owned by the event loop, allocated on
+// first use and grown to the largest n asked for. One callback runs at a
+// time, so everything on the loop may share it, but the next call, by
+// anyone, may reuse it: its contents are the caller's only until it hands
+// control to other code.
+func (s *Scheduler) Scratch(n int) []byte {
+	if len(s.scratch) < n {
+		s.scratch = make([]byte, n)
+	}
+	return s.scratch[:n]
+}
 
 // PendingEvents returns the number of queued (not yet stopped) events. The
 // count is maintained incrementally; this is O(1).

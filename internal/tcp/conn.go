@@ -169,18 +169,18 @@ func (c *Conn) buffer(r *ByteRing, seq Seq, p []byte, capacity int) int {
 	return n
 }
 
-// Scratch returns an n-byte buffer owned by the connection's stack, shared
-// by every connection on it and allocated on first use: applications read
-// into it and stage writes in it instead of holding a buffer per
-// connection. A stack runs in one scheduler domain, so the sharing is
+// Scratch returns an n-byte buffer owned by the connection's event loop
+// (sim.Scheduler.Scratch), shared by every connection of every stack on it:
+// applications read into it and stage writes in it instead of holding a
+// buffer per connection. One callback runs at a time, so the sharing is
 // race-free, but any Write, or any callback into other application code,
 // may reuse the buffer: its contents are valid only until the next one.
+// Under netbuf.SetPoison it is handed out full of the poison byte, so bytes
+// relied on across such a call read as a mismatch.
 func (c *Conn) Scratch(n int) []byte {
-	s := c.stack
-	if len(s.scratch) < n {
-		s.scratch = make([]byte, n)
-	}
-	return s.scratch[:n]
+	b := c.stack.sched.Scratch(n)
+	netbuf.Poison(b)
+	return b
 }
 
 // --- application API -------------------------------------------------------

@@ -195,10 +195,6 @@ type Stack struct {
 	// the pointer, so reusing it keeps segment receive allocation-free.
 	inSeg Segment
 
-	// scratch is the copy buffer the stack's applications share (see
-	// Conn.Scratch); nil until one asks for it.
-	scratch []byte
-
 	// m counts the stack's events, one series each; Stats is a view of it.
 	// rstsSent alone has no series.
 	m        stackMetrics
