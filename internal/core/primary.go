@@ -23,17 +23,13 @@ const defaultMSS = 536
 
 // PrimaryStats counts the primary bridge's work.
 type PrimaryStats struct {
-	SegmentsFromPrimary      int64
-	SegmentsFromSecondary    int64
 	SegmentsToClient         int64
 	BytesMatched             int64
-	EmptyAcks                int64
 	RetransmissionsForwarded int64
 	Divergences              int64 // connections reset because the replicas' bytes differed
 	LateFinAcks              int64
 	ConnsOpened              int64
 	ConnsClosed              int64
-	BadChecksumDrops         int64
 	ConnsEvicted             int64 // LRU evictions under the flow cap
 	SeqInvalidDrops          int64 // segments rejected by in-window validation
 	MalformedDrops           int64 // frames with an inconsistent data offset or a forged orig-dst block
@@ -236,7 +232,6 @@ func (b *PrimaryBridge) Stats() PrimaryStats {
 	s.BytesMatched = b.m.matchedBytes.Value()
 	s.Divergences = b.m.divergences.Value()
 	s.ConnsEvicted = b.m.flowEvictions.Value()
-	s.BadChecksumDrops = b.m.badChecksumDrops.Value()
 	s.SeqInvalidDrops = b.m.seqInvalidDrops.Value()
 	s.MalformedDrops = b.m.malformedDrops.Value()
 	return s
@@ -291,7 +286,6 @@ func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 	if c == nil && !b.sel.Match(key) {
 		return false
 	}
-	b.stats.SegmentsFromPrimary++
 	if c != nil {
 		b.lru.Touch(uint32(c.self))
 	} else {
@@ -499,7 +493,6 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 			// duplicate ACKs would not advance the combined minimum, so the
 			// bridge answers directly (the duplicate-ACK analogue of the
 			// section 4 retransmission forwarding).
-			b.stats.EmptyAcks++
 			b.emitToClient(c, b.segmentAt(c, c.sndMax, tcp.FlagACK, nil))
 		}
 	}
@@ -543,7 +536,6 @@ func (b *PrimaryBridge) forwardDegraded(c *pconn, sSeq tcp.Seq, segment []byte, 
 // orig (the client address) and whose payload verifyDiverted summed to
 // payloadSum.
 func (b *PrimaryBridge) fromSecondary(orig ipv4.Addr, segment []byte, payloadSum uint16) {
-	b.stats.SegmentsFromSecondary++
 	key := MakeTupleKey(orig, tcp.RawDstPort(segment), tcp.RawSrcPort(segment))
 	b.kept = keptSum{key: key, seq: tcp.RawSeq(segment), n: len(tcp.RawPayload(segment)), sum: payloadSum}
 	c := b.lookup(key)
@@ -720,7 +712,6 @@ func (b *PrimaryBridge) maybeEmitAck(c *pconn) {
 	if !needAck && !needWin {
 		return
 	}
-	b.stats.EmptyAcks++
 	b.emitToClient(c, b.segmentAt(c, c.sndMax, tcp.FlagACK, nil))
 }
 

@@ -83,9 +83,6 @@ func (s *Selector) EnablePeerPort(p uint16) { s.peerPorts.Add(p) }
 // per-socket option).
 func (s *Selector) EnableTuple(k TupleKey) { s.tuples.Put(uint64(k), 1) }
 
-// DisableServerPort removes a server port from the set.
-func (s *Selector) DisableServerPort(p uint16) { s.serverPorts.Remove(p) }
-
 // Match reports whether a connection identified by k is a failover
 // connection.
 func (s *Selector) Match(k TupleKey) bool {

@@ -18,12 +18,8 @@ func TestSelectorServerPorts(t *testing.T) {
 	if s.Match(MakeTupleKey(client, 49152, 8080)) {
 		t.Error("unrelated port matched")
 	}
-	s.DisableServerPort(80)
-	if s.Match(MakeTupleKey(client, 49152, 80)) {
-		t.Error("disabled port still matched")
-	}
 	ports := s.ServerPorts()
-	if len(ports) != 1 || ports[0] != 21 {
+	if len(ports) != 2 || ports[0] != 21 || ports[1] != 80 {
 		t.Errorf("ServerPorts = %v", ports)
 	}
 }

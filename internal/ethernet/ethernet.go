@@ -152,10 +152,10 @@ type Segment struct {
 	deliverFree sim.FreeList[deliverEvent]
 	recvScratch []*NIC
 
-	// impair, when set, judges every frame: at transmission (drop, extra
-	// delay, duplication, in-place corruption) and once per receiving NIC
-	// (asymmetric drop). internal/fault provides the standard
-	// implementation; the segment only applies verdicts.
+	// impair, when set, judges every frame: at transmission (drop,
+	// in-place corruption) and once per receiving NIC (asymmetric drop).
+	// internal/fault provides the standard implementation; the segment
+	// only applies verdicts.
 	impair Impairer
 
 	// Observability handles (discard slots until AttachObs).
@@ -164,24 +164,14 @@ type Segment struct {
 	mLost       obs.Counter
 }
 
-// TxVerdict is an Impairer's decision about one transmitted frame.
-type TxVerdict struct {
-	// Drop loses the frame on the wire: no station receives it.
-	Drop bool
-	// Delay defers delivery beyond the medium's own serialization,
-	// propagation, and jitter.
-	Delay time.Duration
-	// Duplicates delivers this many extra copies of the frame.
-	Duplicates int
-}
-
 // Impairer is the segment's fault-injection hook (see internal/fault).
 type Impairer interface {
 	// Tx is consulted once per frame at transmission time. It may patch
 	// f.Payload in place (bit corruption): Send has already copied the
 	// payload into a pooled buffer, and every receiver gets its own copy
-	// of the corrupted bits, exactly as on a physical medium.
-	Tx(src *NIC, f Frame) TxVerdict
+	// of the corrupted bits, exactly as on a physical medium. Returning
+	// true loses the frame on the wire: no station receives it.
+	Tx(src *NIC, f Frame) bool
 	// Rx is consulted once per (receiver, frame) pair for frames that
 	// survived transmission; returning true loses the frame at that
 	// station only (e.g. dropped by the secondary but received by the
@@ -265,28 +255,14 @@ func (s *Segment) transmit(src *NIC, f Frame) {
 		f.release()
 		return
 	}
-	var verdict TxVerdict
-	if s.impair != nil {
-		verdict = s.impair.Tx(src, f)
-		if verdict.Drop {
-			s.mLost.Inc()
-			f.release()
-			return
-		}
+	if s.impair != nil && s.impair.Tx(src, f) {
+		s.mLost.Inc()
+		f.release()
+		return
 	}
-	delivery := s.busyUntil + s.cfg.Propagation + verdict.Delay
+	delivery := s.busyUntil + s.cfg.Propagation
 	if s.cfg.Jitter > 0 {
 		delivery += time.Duration(s.sched.Rand().Int63n(int64(s.cfg.Jitter)))
-	}
-	// Duplicates ride the medium back-to-back behind the original; each
-	// copy gets its own pooled buffer so per-receiver ownership rules hold.
-	for k := 1; k <= verdict.Duplicates; k++ {
-		cp := f
-		cp.Buf = f.Buf.Clone()
-		cp.Payload = cp.Buf.Bytes()
-		dev := s.getDeliverEvent()
-		dev.src, dev.f = src, cp
-		s.sched.AtArg(delivery+time.Duration(k)*ser, "ether.deliver", runDeliver, dev)
 	}
 	ev := s.getDeliverEvent()
 	ev.src, ev.f = src, f
@@ -368,7 +344,6 @@ type NIC struct {
 	up          bool
 	handler     func(Frame)
 
-	txFrames int64
 	rxFrames int64
 }
 
@@ -436,13 +411,9 @@ func (n *NIC) send(f Frame, overwriteSrc bool) error {
 	if overwriteSrc {
 		f.Src = n.mac
 	}
-	n.txFrames++
 	n.seg.transmit(n, f)
 	return nil
 }
-
-// TxFrames returns the number of frames sent by this NIC.
-func (n *NIC) TxFrames() int64 { return n.txFrames }
 
 // RxFrames returns the number of frames delivered to this NIC.
 func (n *NIC) RxFrames() int64 { return n.rxFrames }

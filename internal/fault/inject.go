@@ -2,11 +2,9 @@ package fault
 
 import (
 	"fmt"
-	"time"
 
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/obs"
-	"tcpfailover/internal/sim"
 )
 
 // Stats counts faults an injector actually applied (as opposed to model
@@ -14,27 +12,17 @@ import (
 type Stats struct {
 	// Examined counts frames a chain judged.
 	Examined int64
-	// Dropped counts frames discarded (loss models, partitions, rate-limit
-	// tail drops).
+	// Dropped counts frames discarded (loss models and partitions).
 	Dropped int64
-	// Delayed counts frames that picked up extra delivery delay.
-	Delayed int64
-	// Duplicated counts extra copies delivered.
-	Duplicated int64
 	// Corrupted counts bit flips applied.
 	Corrupted int64
-	// ExtraDelay is the sum of injected delays.
-	ExtraDelay time.Duration
 }
 
 // add folds o into s.
 func (s *Stats) add(o Stats) {
 	s.Examined += o.Examined
 	s.Dropped += o.Dropped
-	s.Delayed += o.Delayed
-	s.Duplicated += o.Duplicated
 	s.Corrupted += o.Corrupted
-	s.ExtraDelay += o.ExtraDelay
 }
 
 // binding is one compiled Impairment: a model chain plus its directional
@@ -49,23 +37,21 @@ type binding struct {
 
 // Injector attaches to one ethernet.Segment and implements its Impairer
 // hook by running the compiled chains. Transmit-side chains (To: RoleAny)
-// may drop, delay, duplicate, and corrupt; receive-side chains run once
-// per (receiver, frame) pair and may only drop.
+// may drop and corrupt; receive-side chains run once per (receiver, frame)
+// pair and may only drop.
 type Injector struct {
-	sched *sim.Scheduler
 	link  LinkID
 	tx    []*binding
 	rx    []*binding
 	stats Stats
 
-	// Observability handles (discard slots until attachObs).
+	// Observability handle (a discard slot until attachObs).
 	mDropped obs.Counter
-	mDelayed obs.Counter
 }
 
 // newInjector creates an injector for the link and installs it on seg.
-func newInjector(sched *sim.Scheduler, link LinkID, seg *ethernet.Segment) *Injector {
-	inj := &Injector{sched: sched, link: link}
+func newInjector(link LinkID, seg *ethernet.Segment) *Injector {
+	inj := &Injector{link: link}
 	inj.attachObs(nil)
 	seg.SetImpairer(inj)
 	return inj
@@ -74,16 +60,15 @@ func newInjector(sched *sim.Scheduler, link LinkID, seg *ethernet.Segment) *Inje
 // attachObs resolves the injector's per-link counters against reg.
 func (inj *Injector) attachObs(reg *obs.Registry) {
 	inj.mDropped = reg.Counter(fmt.Sprintf("fault_drops_total{link=%q}", inj.link))
-	inj.mDelayed = reg.Counter(fmt.Sprintf("fault_delays_total{link=%q}", inj.link))
 }
 
 // judge runs b's chain over the frame, stopping at the first model that
 // drops it, and returns the verdict, which is valid until the next call.
-func (b *binding) judge(now time.Duration, payload []byte) *Verdict {
+func (b *binding) judge(payload []byte) *Verdict {
 	v := &b.v
 	*v = Verdict{FlipBits: v.FlipBits[:0]}
 	for _, m := range b.models {
-		m.Judge(now, payload, v)
+		m.Judge(payload, v)
 		if v.Drop {
 			break
 		}
@@ -92,46 +77,32 @@ func (b *binding) judge(now time.Duration, payload []byte) *Verdict {
 }
 
 // Tx implements ethernet.Impairer. It runs every transmit-side chain whose
-// From matches the sender, applies corruption in place, and returns the
-// combined verdict.
-func (inj *Injector) Tx(src *ethernet.NIC, f ethernet.Frame) ethernet.TxVerdict {
-	var out ethernet.TxVerdict
-	now := inj.sched.Now()
+// From matches the sender, applies corruption in place, and reports whether
+// the frame is lost on the wire.
+func (inj *Injector) Tx(src *ethernet.NIC, f ethernet.Frame) bool {
 	for _, b := range inj.tx {
 		if b.from != nil && b.from != src {
 			continue
 		}
 		inj.stats.Examined++
-		v := b.judge(now, f.Payload)
+		v := b.judge(f.Payload)
 		if v.Drop {
 			inj.stats.Dropped++
 			inj.mDropped.Inc()
-			out.Drop = true
-			return out
+			return true
 		}
 		for _, bit := range v.FlipBits {
 			f.Payload[bit/8] ^= 1 << (bit % 8)
 			inj.stats.Corrupted++
 		}
-		if v.Delay > 0 {
-			inj.stats.Delayed++
-			inj.mDelayed.Inc()
-			inj.stats.ExtraDelay += v.Delay
-			out.Delay += v.Delay
-		}
-		if v.Duplicates > 0 {
-			inj.stats.Duplicated += int64(v.Duplicates)
-			out.Duplicates += v.Duplicates
-		}
 	}
-	return out
+	return false
 }
 
 // Rx implements ethernet.Impairer: it runs every receive-side chain whose
 // To matches the receiver (and From, if set, the original sender) and
 // reports whether this receiver loses the frame.
 func (inj *Injector) Rx(dst *ethernet.NIC, f ethernet.Frame) bool {
-	now := inj.sched.Now()
 	for _, b := range inj.rx {
 		if b.to != dst {
 			continue
@@ -140,7 +111,7 @@ func (inj *Injector) Rx(dst *ethernet.NIC, f ethernet.Frame) bool {
 			continue
 		}
 		inj.stats.Examined++
-		if b.judge(now, f.Payload).Drop {
+		if b.judge(f.Payload).Drop {
 			inj.stats.Dropped++
 			inj.mDropped.Inc()
 			return true

@@ -1,33 +1,25 @@
 package fault
 
-import (
-	"time"
-)
-
 // Verdict accumulates the fate of one frame as it passes through a chain of
 // models. Models fold their effects in; the injector applies the combined
 // result to the Ethernet segment.
 type Verdict struct {
 	// Drop discards the frame.
 	Drop bool
-	// Delay is extra delivery delay beyond the medium's own timing.
-	Delay time.Duration
-	// Duplicates is the number of extra copies to deliver.
-	Duplicates int
 	// FlipBits lists payload bit offsets to invert (corruption). The
 	// injector patches the payload in place before delivery.
 	FlipBits []int
 }
 
 // Model is one impairment applied to frames crossing a link in one
-// direction. Models are stateful (burst state, token buckets, hit counts)
+// direction. Models are stateful (burst state, hit counts)
 // and own a private PRNG stream, so a chain's behaviour is a function of
 // the simulation seed and the frame sequence alone.
 type Model interface {
 	// Judge folds the model's effect on one frame into v. payload is the
 	// frame payload (an IP datagram or ARP packet); models must not modify
 	// it — corruption is requested via v.FlipBits and applied centrally.
-	Judge(now time.Duration, payload []byte, v *Verdict)
+	Judge(payload []byte, v *Verdict)
 }
 
 // --- loss ---------------------------------------------------------------
@@ -38,7 +30,7 @@ type bernoulli struct {
 	rng *Rand
 }
 
-func (m *bernoulli) Judge(_ time.Duration, _ []byte, v *Verdict) {
+func (m *bernoulli) Judge(_ []byte, v *Verdict) {
 	if m.p > 0 && m.rng.Float64() < m.p {
 		v.Drop = true
 	}
@@ -54,7 +46,7 @@ type gilbertElliott struct {
 	rng                  *Rand
 }
 
-func (m *gilbertElliott) Judge(_ time.Duration, _ []byte, v *Verdict) {
+func (m *gilbertElliott) Judge(_ []byte, v *Verdict) {
 	if m.bad {
 		if m.rng.Float64() < m.badToGood {
 			m.bad = false
@@ -80,7 +72,7 @@ type dropWhen struct {
 	hits  int
 }
 
-func (m *dropWhen) Judge(_ time.Duration, payload []byte, v *Verdict) {
+func (m *dropWhen) Judge(payload []byte, v *Verdict) {
 	if m.times > 0 && m.hits >= m.times {
 		return
 	}
@@ -90,71 +82,7 @@ func (m *dropWhen) Judge(_ time.Duration, payload []byte, v *Verdict) {
 	}
 }
 
-// --- timing -------------------------------------------------------------
-
-// jitter adds a fixed base delay plus a uniform random component, modeling
-// cross traffic on shared infrastructure.
-type jitter struct {
-	base, spread time.Duration
-	rng          *Rand
-}
-
-func (m *jitter) Judge(_ time.Duration, _ []byte, v *Verdict) {
-	v.Delay += m.base + m.rng.Durationn(m.spread)
-}
-
-// reorder holds a random subset of frames back by a fixed interval, so
-// later frames overtake them on delivery — netem-style reordering.
-type reorder struct {
-	p    float64
-	hold time.Duration
-	rng  *Rand
-}
-
-func (m *reorder) Judge(_ time.Duration, _ []byte, v *Verdict) {
-	if m.p > 0 && m.rng.Float64() < m.p {
-		v.Delay += m.hold
-	}
-}
-
-// rateLimit shapes the direction to a byte rate with a virtual queue: each
-// frame waits behind the backlog, and frames that would wait longer than
-// the queue bound are tail-dropped. It models a slow bottleneck (the
-// paper's WAN) independent of the segment's own bandwidth.
-type rateLimit struct {
-	bps      int64
-	maxQueue time.Duration
-	nextFree time.Duration
-}
-
-func (m *rateLimit) Judge(now time.Duration, payload []byte, v *Verdict) {
-	ser := time.Duration(int64(len(payload)) * 8 * int64(time.Second) / m.bps)
-	start := now
-	if m.nextFree > start {
-		start = m.nextFree
-	}
-	if wait := start - now; m.maxQueue > 0 && wait > m.maxQueue {
-		v.Drop = true
-		return
-	}
-	m.nextFree = start + ser
-	v.Delay += (start - now) + ser
-}
-
 // --- content ------------------------------------------------------------
-
-// duplicate delivers extra copies of random frames.
-type duplicate struct {
-	p      float64
-	copies int
-	rng    *Rand
-}
-
-func (m *duplicate) Judge(_ time.Duration, _ []byte, v *Verdict) {
-	if m.p > 0 && m.rng.Float64() < m.p {
-		v.Duplicates += m.copies
-	}
-}
 
 // corrupt flips one random payload bit in a random subset of frames. The
 // flip models corruption that slipped past the Ethernet CRC, so the IPv4
@@ -165,7 +93,7 @@ type corrupt struct {
 	rng *Rand
 }
 
-func (m *corrupt) Judge(_ time.Duration, payload []byte, v *Verdict) {
+func (m *corrupt) Judge(payload []byte, v *Verdict) {
 	if len(payload) == 0 || m.p <= 0 || m.rng.Float64() >= m.p {
 		return
 	}
@@ -183,7 +111,7 @@ type Partition struct {
 }
 
 // Judge drops the frame while the partition is active.
-func (m *Partition) Judge(_ time.Duration, _ []byte, v *Verdict) {
+func (m *Partition) Judge(_ []byte, v *Verdict) {
 	if m.active {
 		v.Drop = true
 	}

@@ -36,8 +36,8 @@ const (
 //   - To restricts the chain to frames received by that role's NIC; it
 //     runs per receiver, so a frame can be lost at one station and
 //     received by another (the paper's asymmetric loss cases). Receive-
-//     side chains can only drop: delay, duplication, and corruption act on
-//     the shared medium and are therefore transmit-side only.
+//     side chains can only drop: corruption acts on the shared medium and
+//     is therefore transmit-side only.
 //
 // Models apply in order; their random streams derive from the simulation
 // seed, the link, and the chain position.
@@ -46,14 +46,6 @@ type Impairment struct {
 	From   Role
 	To     Role
 	Models []Spec
-}
-
-// rxOnlyKinds are the model kinds allowed on receive-side chains.
-var rxOnlyKinds = map[Kind]bool{
-	KindBernoulli:      true,
-	KindGilbertElliott: true,
-	KindDropWhen:       true,
-	KindPartition:      true,
 }
 
 // validate rejects impairments the injector cannot honor.
@@ -66,7 +58,7 @@ func (imp Impairment) validate() error {
 	}
 	if imp.To != RoleAny {
 		for _, s := range imp.Models {
-			if !rxOnlyKinds[s.Kind] {
+			if s.Kind == KindCorrupt {
 				return fmt.Errorf("fault: model %q cannot run on the receive side (To: %q); only loss and partitions can", s.Kind, imp.To)
 			}
 		}

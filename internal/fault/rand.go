@@ -1,11 +1,11 @@
 // Package fault is the deterministic network-impairment and failure-
 // schedule subsystem. It provides composable, seeded impairment models —
-// Bernoulli and Gilbert–Elliott (bursty) loss, reordering, duplication,
-// bit corruption, delay jitter, token-bucket rate limiting, and directional
-// link partitions — that attach per-link and per-direction to
-// internal/ethernet segments, plus a declarative failure schedule (crash
-// the primary at t, partition then heal, cascading faults) that drives
-// replica failures through the scenario API instead of ad-hoc test code.
+// Bernoulli and Gilbert–Elliott (bursty) loss, targeted drops, bit
+// corruption, and directional link partitions — that attach per-link and
+// per-direction to internal/ethernet segments, plus a declarative failure
+// schedule (crash the primary at t, partition then heal, cascading faults)
+// that drives replica failures through the scenario API instead of ad-hoc
+// test code.
 //
 // All randomness flows from the simulation seed through a splittable PRNG:
 // every model instance owns a private stream derived from
@@ -15,10 +15,7 @@
 // worker count.
 package fault
 
-import (
-	"hash/fnv"
-	"time"
-)
+import "hash/fnv"
 
 // Rand is a small splittable PRNG (SplitMix64 core). Unlike math/rand it
 // can derive independent child streams from string labels, which is how
@@ -66,12 +63,4 @@ func (r *Rand) Float64() float64 {
 // Intn returns a uniform value in [0, n). n must be positive.
 func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
-}
-
-// Durationn returns a uniform duration in [0, d); zero when d <= 0.
-func (r *Rand) Durationn(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(r.Uint64() % uint64(d))
 }

@@ -5,7 +5,6 @@ import (
 
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/obs"
-	"tcpfailover/internal/sim"
 )
 
 // Topology maps the plan's symbolic names onto the assembled network: the
@@ -25,7 +24,6 @@ type Topology struct {
 // simulation seed and the order of Impair calls, which is itself
 // deterministic.
 type Set struct {
-	sched      *sim.Scheduler
 	rng        *Rand
 	topo       Topology
 	injectors  map[LinkID]*Injector
@@ -40,9 +38,8 @@ type Set struct {
 // NewSet creates an empty fault set for the topology. seed must be the
 // simulation seed, so that fault randomness is reproducible alongside
 // everything else.
-func NewSet(sched *sim.Scheduler, seed int64, topo Topology) *Set {
+func NewSet(seed int64, topo Topology) *Set {
 	return &Set{
-		sched:      sched,
 		rng:        NewRand(mix(uint64(seed))).Split("fault"),
 		topo:       topo,
 		injectors:  make(map[LinkID]*Injector),
@@ -50,7 +47,7 @@ func NewSet(sched *sim.Scheduler, seed int64, topo Topology) *Set {
 	}
 }
 
-// AttachObs resolves per-link fault counters (drops, delays) against reg
+// AttachObs resolves per-link fault counters (drops) against reg
 // for every existing injector, and for injectors created afterwards.
 func (s *Set) AttachObs(reg *obs.Registry) {
 	s.reg = reg
@@ -68,7 +65,7 @@ func (s *Set) injector(link LinkID) (*Injector, error) {
 	if !ok || seg == nil {
 		return nil, fmt.Errorf("fault: no such link %q in this topology", link)
 	}
-	inj := newInjector(s.sched, link, seg)
+	inj := newInjector(link, seg)
 	if s.reg != nil {
 		inj.attachObs(s.reg)
 	}

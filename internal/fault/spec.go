@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Kind discriminates impairment model specifications.
 type Kind string
@@ -13,10 +10,6 @@ const (
 	KindBernoulli      Kind = "bernoulli"
 	KindGilbertElliott Kind = "gilbert-elliott"
 	KindDropWhen       Kind = "drop-when"
-	KindDelay          Kind = "delay"
-	KindReorder        Kind = "reorder"
-	KindRateLimit      Kind = "rate-limit"
-	KindDuplicate      Kind = "duplicate"
 	KindCorrupt        Kind = "corrupt"
 	KindPartition      Kind = "partition"
 )
@@ -27,27 +20,12 @@ const (
 type Spec struct {
 	Kind Kind
 
-	// Rate is the per-frame probability for Bernoulli loss, duplication,
-	// corruption, and reordering.
+	// Rate is the per-frame probability for Bernoulli loss and corruption.
 	Rate float64
 
 	// Gilbert–Elliott channel parameters.
 	GoodToBad, BadToGood float64
 	GoodLoss, BadLoss    float64
-
-	// Delay is the fixed extra latency (KindDelay); Jitter the uniform
-	// random component on top.
-	Delay, Jitter time.Duration
-
-	// Hold is how long a reordered frame is held back.
-	Hold time.Duration
-
-	// Copies is the number of extra copies a duplication event delivers.
-	Copies int
-
-	// Bps and MaxQueue parameterize the token-bucket rate limiter.
-	Bps      int64
-	MaxQueue time.Duration
 
 	// Name identifies a partition to the failure schedule; Active is its
 	// initial state.
@@ -91,29 +69,6 @@ func DropWhen(match func(payload []byte) bool, times int) Spec {
 	return Spec{Kind: KindDropWhen, Match: match, Times: times}
 }
 
-// Delay adds base extra latency plus a uniform random component in
-// [0, jitter) to every frame.
-func Delay(base, jitter time.Duration) Spec {
-	return Spec{Kind: KindDelay, Delay: base, Jitter: jitter}
-}
-
-// Reorder holds a fraction rate of frames back by hold, letting later
-// frames overtake them.
-func Reorder(rate float64, hold time.Duration) Spec {
-	return Spec{Kind: KindReorder, Rate: rate, Hold: hold}
-}
-
-// RateLimit shapes the direction to bps with a virtual queue; frames that
-// would wait longer than maxQueue are dropped (0 = unbounded queue).
-func RateLimit(bps int64, maxQueue time.Duration) Spec {
-	return Spec{Kind: KindRateLimit, Bps: bps, MaxQueue: maxQueue}
-}
-
-// Duplicate delivers copies extra copies of a fraction rate of frames.
-func Duplicate(rate float64, copies int) Spec {
-	return Spec{Kind: KindDuplicate, Rate: rate, Copies: copies}
-}
-
 // Corrupt flips one random bit in a fraction rate of frames.
 func Corrupt(rate float64) Spec { return Spec{Kind: KindCorrupt, Rate: rate} }
 
@@ -134,21 +89,6 @@ func (s Spec) build(rng *Rand) (Model, error) {
 			goodLoss: s.GoodLoss, badLoss: s.BadLoss, rng: rng}, nil
 	case KindDropWhen:
 		return &dropWhen{match: s.Match, times: s.Times}, nil
-	case KindDelay:
-		return &jitter{base: s.Delay, spread: s.Jitter, rng: rng}, nil
-	case KindReorder:
-		return &reorder{p: s.Rate, hold: s.Hold, rng: rng}, nil
-	case KindRateLimit:
-		if s.Bps <= 0 {
-			return nil, fmt.Errorf("fault: rate-limit needs a positive byte rate, got %d", s.Bps)
-		}
-		return &rateLimit{bps: s.Bps, maxQueue: s.MaxQueue}, nil
-	case KindDuplicate:
-		copies := s.Copies
-		if copies <= 0 {
-			copies = 1
-		}
-		return &duplicate{p: s.Rate, copies: copies, rng: rng}, nil
 	case KindCorrupt:
 		return &corrupt{p: s.Rate, rng: rng}, nil
 	case KindPartition:

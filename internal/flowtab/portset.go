@@ -22,15 +22,6 @@ func (s *PortSet) Add(p uint16) {
 	}
 }
 
-// Remove deletes port p.
-func (s *PortSet) Remove(p uint16) {
-	w, b := p>>6, uint64(1)<<(p&63)
-	if s.bits[w]&b != 0 {
-		s.bits[w] &^= b
-		s.n--
-	}
-}
-
 // Contains reports whether port p is in the set.
 func (s *PortSet) Contains(p uint16) bool {
 	return s.bits[p>>6]&(uint64(1)<<(p&63)) != 0

@@ -176,9 +176,4 @@ func TestPortSet(t *testing.T) {
 			t.Fatalf("Append = %v, want ascending %v", got, ports)
 		}
 	}
-	ps.Remove(80)
-	ps.Remove(80) // idempotent
-	if ps.Contains(80) || ps.Len() != len(ports)-1 {
-		t.Fatalf("Remove(80) failed: len %d contains %v", ps.Len(), ps.Contains(80))
-	}
 }

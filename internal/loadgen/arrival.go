@@ -7,105 +7,22 @@ import (
 	"tcpfailover/internal/fault"
 )
 
-// Arrival processes. A Process yields successive arrival instants; the
-// generator asks for the next arrival strictly after the current one, so a
-// process is a pure function of (previous arrival, its private fault.Rand
-// stream) and the whole arrival schedule is byte-identical for a fixed seed
+// Poisson is a homogeneous Poisson process, independent exponential
+// interarrivals at Rate events/second: the arrival process of every
+// workload. The generator asks for the next arrival strictly after the
+// current one, so the schedule is a pure function of the previous arrival
+// and a private fault.Rand stream, byte-identical for a fixed seed
 // regardless of bench worker count or shard partition.
-
-// Process yields the next arrival instant strictly after now.
-type Process interface {
-	Next(now time.Duration, r *fault.Rand) time.Duration
-}
-
-// expDur draws an exponential interarrival for a rate in events/second.
-// The +1ns floor keeps successive arrivals strictly ordered.
-func expDur(r *fault.Rand, rate float64) time.Duration {
-	d := time.Duration(-math.Log(1-r.Float64()) / rate * float64(time.Second))
-	if d <= 0 {
-		return time.Nanosecond
-	}
-	return d
-}
-
-// Poisson is a homogeneous Poisson process: independent exponential
-// interarrivals at Rate events/second. The memoryless baseline every
-// open-loop experiment starts from.
 type Poisson struct {
 	Rate float64 // arrivals per second, must be positive
 }
 
-// Next returns the next arrival after now.
+// Next returns the next arrival after now. The 1 ns floor keeps successive
+// arrivals strictly ordered.
 func (p Poisson) Next(now time.Duration, r *fault.Rand) time.Duration {
-	return now + expDur(r, p.Rate)
-}
-
-// RateFunc is an inhomogeneous Poisson process with intensity Rate(t),
-// sampled by Lewis–Shedler thinning against the envelope Max: candidates
-// arrive at the constant envelope rate and survive with probability
-// Rate(t)/Max. Rate must never exceed Max; Max must be positive.
-type RateFunc struct {
-	Max  float64
-	Rate func(t time.Duration) float64
-}
-
-// Next returns the next accepted arrival after now.
-func (p RateFunc) Next(now time.Duration, r *fault.Rand) time.Duration {
-	t := now
-	for {
-		t += expDur(r, p.Max)
-		if r.Float64()*p.Max <= p.Rate(t) {
-			return t
-		}
+	d := time.Duration(-math.Log(1-r.Float64()) / p.Rate * float64(time.Second))
+	if d <= 0 {
+		d = time.Nanosecond
 	}
-}
-
-// FlashCrowd models a steady baseline punctuated by recurring bursts: every
-// Period, the rate jumps to Peak x Base for Burst, then falls back — the
-// load-balancer-flap / thundering-herd shape where open-loop failover pain
-// concentrates.
-type FlashCrowd struct {
-	Base   float64       // off-burst arrivals per second
-	Peak   float64       // burst multiplier (>= 1)
-	Period time.Duration // burst spacing
-	Burst  time.Duration // burst length (< Period)
-}
-
-// RateAt returns the instantaneous rate.
-func (f FlashCrowd) RateAt(t time.Duration) float64 {
-	if t%f.Period < f.Burst {
-		return f.Base * f.Peak
-	}
-	return f.Base
-}
-
-// MeanRate returns the time-averaged rate, used to normalize offered load
-// across workloads.
-func (f FlashCrowd) MeanRate() float64 {
-	frac := float64(f.Burst) / float64(f.Period)
-	return f.Base * (1 + (f.Peak-1)*frac)
-}
-
-// Next thins against the burst-peak envelope.
-func (f FlashCrowd) Next(now time.Duration, r *fault.Rand) time.Duration {
-	return RateFunc{Max: f.Base * math.Max(f.Peak, 1), Rate: f.RateAt}.Next(now, r)
-}
-
-// Diurnal is a sinusoidal ramp around a mean rate:
-// rate(t) = Mean * (1 + Amplitude * sin(2 pi t / Period)). A day compressed
-// into simulation-scale Periods, so a run sweeps trough and peak load.
-type Diurnal struct {
-	Mean      float64       // average arrivals per second
-	Amplitude float64       // relative swing in [0, 1)
-	Period    time.Duration // one full cycle
-}
-
-// RateAt returns the instantaneous rate.
-func (d Diurnal) RateAt(t time.Duration) float64 {
-	return d.Mean * (1 + d.Amplitude*math.Sin(2*math.Pi*float64(t)/float64(d.Period)))
-}
-
-// Next thins against the crest envelope.
-func (d Diurnal) Next(now time.Duration, r *fault.Rand) time.Duration {
-	return RateFunc{Max: d.Mean * (1 + d.Amplitude), Rate: d.RateAt}.Next(now, r)
+	return now + d
 }

@@ -2,15 +2,13 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
-// The workload zoo: named production traffic shapes, each parameterized
-// only by its mean offered load so experiment cells across workloads are
-// comparable. Every workload shares the same churn mix (short keep-alive
-// HTTP sessions, a slice of long bulk transfers, heavy-tailed sizes) and
-// differs in its arrival process.
+// The workload zoo: named traffic shapes, each parameterized only by its
+// mean offered load. Its one workload, web, is Poisson arrivals of a churn
+// mix: short keep-alive HTTP sessions, a slice of long bulk transfers, and
+// heavy-tailed sizes.
 
 // Session describes the per-connection churn: how many requests a
 // keep-alive session issues, how large each response is, the think gap
@@ -30,11 +28,11 @@ type Session struct {
 
 // Spec is one workload: an arrival process plus the session mix it feeds.
 type Spec struct {
-	Arrivals Process
+	Arrivals Poisson
 	Session  Session
 }
 
-// webSession is the shared churn mix: geometric keep-alive sessions
+// webSession is the web churn mix: geometric keep-alive sessions
 // (mean 3 requests), lognormal-body/Pareto-tail response sizes (median
 // 4 KB, 5% tail draws from a 32 KB-scale alpha=1.3 Pareto), 10 ms think
 // time, and 5% of arrivals being 128 KB-scale alpha=1.5 bulk pulls.
@@ -58,58 +56,14 @@ func webSession() Session {
 	}
 }
 
-// zooBuilders maps workload names to constructors taking the mean offered
-// load in sessions/second.
-var zooBuilders = map[string]func(rate float64) Spec{
-	"web": func(rate float64) Spec {
-		return Spec{Arrivals: Poisson{Rate: rate}, Session: webSession()}
-	},
-	"flash": func(rate float64) Spec {
-		// Burst 250 ms out of every 2 s at 8x; scale the baseline so the
-		// time-averaged rate equals the requested one.
-		f := FlashCrowd{Base: 1, Peak: 8, Period: 2 * time.Second, Burst: 250 * time.Millisecond}
-		f.Base = rate / f.MeanRate()
-		return Spec{Arrivals: f, Session: webSession()}
-	},
-	"diurnal": func(rate float64) Spec {
-		return Spec{
-			Arrivals: Diurnal{Mean: rate, Amplitude: 0.8, Period: 4 * time.Second},
-			Session:  webSession(),
-		}
-	},
-}
-
 // Zoo returns the named workload at the given mean offered load
-// (sessions/second). Valid names: web, flash, diurnal.
+// (sessions/second). The only valid name is web.
 func Zoo(name string, rate float64) (Spec, error) {
 	if rate <= 0 {
 		return Spec{}, fmt.Errorf("loadgen: offered load must be positive, got %g", rate)
 	}
-	b, ok := zooBuilders[name]
-	if !ok {
-		return Spec{}, fmt.Errorf("loadgen: unknown workload %q (valid: %s)",
-			name, joinedZooNames())
+	if name != "web" {
+		return Spec{}, fmt.Errorf("loadgen: unknown workload %q (valid: web)", name)
 	}
-	return b(rate), nil
-}
-
-// ZooNames lists the zoo's workload names, sorted.
-func ZooNames() []string {
-	names := make([]string, 0, len(zooBuilders))
-	for n := range zooBuilders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func joinedZooNames() string {
-	s := ""
-	for i, n := range ZooNames() {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
+	return Spec{Arrivals: Poisson{Rate: rate}, Session: webSession()}, nil
 }

@@ -21,7 +21,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Kind discriminates metric types.
@@ -180,15 +179,6 @@ func HostSeries(name, host string) string {
 		return name
 	}
 	return fmt.Sprintf("%s{host=%q}", name, host)
-}
-
-// DurationBuckets builds histogram bounds (in nanoseconds) from durations.
-func DurationBuckets(ds ...time.Duration) []int64 {
-	out := make([]int64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Nanoseconds()
-	}
-	return out
 }
 
 // Sample is one exported series in a Snapshot.

@@ -150,8 +150,8 @@ func BenchmarkCounterInc(b *testing.B) {
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	reg := NewRegistry()
-	h := reg.Histogram("bench_hist", DurationBuckets(
-		time.Microsecond, 10*time.Microsecond, 100*time.Microsecond, time.Millisecond))
+	h := reg.Histogram("bench_hist", []int64{
+		int64(time.Microsecond), int64(10 * time.Microsecond), int64(100 * time.Microsecond), int64(time.Millisecond)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))

@@ -49,8 +49,7 @@ func (m SpanMilestone) String() string {
 
 // Span is one connection's lifecycle record. It is pointer-free so a slab
 // of a million spans is a single never-scanned allocation (the flowtab
-// discipline from DESIGN.md §12); the recorder's recency list is a
-// flowtab.LRU beside the slab, so a span carries no links.
+// discipline from DESIGN.md §12).
 type Span struct {
 	// Key is the packed flow key (clientAddr<<32 | clientPort<<16 |
 	// servicePort) shared by the client stack and the secondary bridge's
@@ -81,22 +80,17 @@ func (s *Span) Time(m SpanMilestone) (time.Duration, bool) {
 // timestamp is sim time, so the record set is a deterministic function of
 // the simulation — byte-identical digests across worker and shard counts.
 //
+// The recorder keeps every span it sees: it is attached only to scenarios
+// that ask for spans, and each of those runs a bounded number of
+// connections.
+//
 // Like the rest of the observability core it belongs to one single-threaded
 // simulation domain; sharded runs give each cell its own recorder and merge
 // digests/records afterwards.
 type SpanRecorder struct {
-	tab  flowtab.Table
-	slab flowtab.Slab[Span]
-
-	// lru orders the slab's slots by recency. The list bounds the arena
-	// under SYN-flood churn exactly like the bridges' capped flow tables.
-	lru       flowtab.LRU
-	limit     int
-	highWater int
-
-	evictedTotal int64
-	evictions    Counter
-	active       Gauge
+	tab    flowtab.Table
+	slab   flowtab.Slab[Span]
+	active Gauge
 
 	// Fleet-wide failover marks, shared by every span's phase attribution.
 	failureAt, detectAt, takeoverAt time.Duration
@@ -104,32 +98,19 @@ type SpanRecorder struct {
 	haveTakeover                    bool
 }
 
-// NewSpanRecorder returns an unbounded recorder. Under SetLimit the least
-// recently touched span is evicted when the limit is reached, so a SYN flood
-// recycles slots instead of growing the arena.
+// NewSpanRecorder returns an empty recorder.
 func NewSpanRecorder() *SpanRecorder {
 	r := &SpanRecorder{}
 	r.AttachObs(nil)
 	return r
 }
 
-// AttachObs re-homes the recorder's own series (eviction counter, active
-// gauge) onto reg. Call before traffic; handles are pre-resolved so the
-// steady state never branches on attachment.
+// AttachObs re-homes the recorder's own series (the active-span gauge) onto
+// reg. Call before traffic; the handle is pre-resolved so the steady state
+// never branches on attachment.
 func (r *SpanRecorder) AttachObs(reg *Registry) {
-	r.evictions = reg.Counter("obs_span_evictions_total")
 	r.active = reg.Gauge("obs_spans_active")
-	r.evictions.Add(r.evictedTotal)
 	r.active.Set(int64(r.slab.Len()))
-}
-
-// SetLimit changes the live-span bound (0 means unbounded). Existing spans
-// above the new limit are evicted oldest-first immediately.
-func (r *SpanRecorder) SetLimit(n int) {
-	r.limit = n
-	for r.limit > 0 && r.slab.Len() > r.limit {
-		r.evictOldest()
-	}
 }
 
 // Len returns the number of live spans.
@@ -140,63 +121,15 @@ func (r *SpanRecorder) Len() int {
 	return r.slab.Len()
 }
 
-// HighWater returns the maximum number of simultaneously live spans seen.
-func (r *SpanRecorder) HighWater() int {
-	if r == nil {
-		return 0
-	}
-	return r.highWater
-}
-
-// ArenaCap returns the total slots ever created (live + free): the arena
-// footprint the churn gate bounds.
-func (r *SpanRecorder) ArenaCap() int {
-	if r == nil {
-		return 0
-	}
-	return r.slab.Cap()
-}
-
-// Evicted returns the total number of spans evicted by the LRU bound.
-func (r *SpanRecorder) Evicted() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.evictedTotal
-}
-
-// evictOldest drops the least recently touched span.
-func (r *SpanRecorder) evictOldest() {
-	i, ok := r.lru.Oldest()
-	if !ok {
-		return
-	}
-	key := r.slab.At(i).Key
-	r.lru.Remove(i)
-	r.tab.Delete(key)
-	r.slab.Free(i)
-	r.evictedTotal++
-	r.evictions.Inc()
-	r.active.Set(int64(r.slab.Len()))
-}
-
-// slot returns the slab index for key, creating (and possibly evicting to
-// make room for) a fresh span when none exists.
+// slot returns the slab index for key, creating a fresh span when none
+// exists.
 func (r *SpanRecorder) slot(key uint64) uint32 {
 	if i, ok := r.tab.Get(key); ok {
-		r.lru.Touch(i)
 		return i
-	}
-	if r.limit > 0 && r.slab.Len() >= r.limit {
-		r.evictOldest()
 	}
 	i := r.slab.Alloc()
 	r.slab.At(i).Key = key
 	r.tab.Put(key, i)
-	r.lru.Push(i)
-	if r.slab.Len() > r.highWater {
-		r.highWater = r.slab.Len()
-	}
 	r.active.Set(int64(r.slab.Len()))
 	return i
 }

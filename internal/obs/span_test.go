@@ -58,84 +58,33 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 	}
 }
 
-// TestSpanRecorderChurnBounded is the churn gate: under a flood of
-// one-shot keys far beyond the limit, the LRU bound must recycle slots so
-// the arena never grows past the limit, with every eviction counted.
-func TestSpanRecorderChurnBounded(t *testing.T) {
-	const limit = 64
+// TestSpanRecorderKeepsEverySpan: the recorder holds one span per key it
+// has seen, and the active gauge counts them.
+func TestSpanRecorderKeepsEverySpan(t *testing.T) {
 	reg := NewRegistry()
 	r := NewSpanRecorder()
-	r.SetLimit(limit)
 	r.AttachObs(reg)
-	const flood = 10000
-	for i := 0; i < flood; i++ {
+	const keys = 1000
+	for i := 0; i < keys; i++ {
 		r.Mark(uint64(i+1), SpanSynSent, time.Duration(i)*time.Microsecond)
+		r.Mark(uint64(i/2+1), SpanEstablished, time.Duration(i)*time.Microsecond)
 	}
-	if r.Len() != limit {
-		t.Errorf("live spans = %d, want %d", r.Len(), limit)
+	if r.Len() != keys {
+		t.Errorf("live spans = %d, want %d", r.Len(), keys)
 	}
-	if r.HighWater() > limit {
-		t.Errorf("high water %d exceeds limit %d", r.HighWater(), limit)
-	}
-	if r.ArenaCap() > limit {
-		t.Errorf("arena grew to %d slots under churn, want <= %d (slots must recycle)", r.ArenaCap(), limit)
-	}
-	if want := int64(flood - limit); r.Evicted() != want {
-		t.Errorf("evicted %d, want %d", r.Evicted(), want)
-	}
-	byName := map[string]int64{}
+	active := int64(-1)
 	for _, s := range reg.Snapshot() {
-		byName[s.Name] = s.Value
-	}
-	if got := byName["obs_span_evictions_total"]; got != int64(flood-limit) {
-		t.Errorf("obs_span_evictions_total = %d, want %d", got, flood-limit)
-	}
-	if got := byName["obs_spans_active"]; got != int64(limit) {
-		t.Errorf("obs_spans_active = %d, want %d", got, limit)
-	}
-	// The survivors are exactly the most recently touched keys.
-	for i := flood - limit; i < flood; i++ {
-		if _, ok := r.Lookup(uint64(i + 1)); !ok {
-			t.Fatalf("recent key %d evicted", i+1)
+		if s.Name == "obs_spans_active" {
+			active = s.Value
 		}
 	}
-	if _, ok := r.Lookup(1); ok {
-		t.Error("oldest key survived a full LRU cycle")
+	if active != keys {
+		t.Errorf("obs_spans_active = %d, want %d", active, keys)
 	}
-}
-
-// TestSpanRecorderLRUTouch checks that touching an old span protects it
-// from eviction.
-func TestSpanRecorderLRUTouch(t *testing.T) {
-	r := NewSpanRecorder()
-	r.SetLimit(3)
-	r.Mark(1, SpanSynSent, 1)
-	r.Mark(2, SpanSynSent, 2)
-	r.Mark(3, SpanSynSent, 3)
-	r.Mark(1, SpanEstablished, 4) // touch key 1: key 2 is now oldest
-	r.Mark(4, SpanSynSent, 5)     // evicts key 2
-	if _, ok := r.Lookup(2); ok {
-		t.Error("least-recently-touched span survived")
-	}
-	for _, k := range []uint64{1, 3, 4} {
-		if _, ok := r.Lookup(k); !ok {
-			t.Errorf("span %d evicted, want retained", k)
-		}
-	}
-}
-
-func TestSpanSetLimitEvictsDown(t *testing.T) {
-	r := NewSpanRecorder()
-	for i := 0; i < 10; i++ {
-		r.Mark(uint64(i+1), SpanSynSent, time.Duration(i))
-	}
-	r.SetLimit(4)
-	if r.Len() != 4 {
-		t.Fatalf("len = %d after SetLimit(4), want 4", r.Len())
-	}
-	for k := uint64(7); k <= 10; k++ {
-		if _, ok := r.Lookup(k); !ok {
-			t.Errorf("recent span %d evicted by SetLimit", k)
+	for i := 0; i < keys; i++ {
+		sp, ok := r.Lookup(uint64(i + 1))
+		if !ok || !sp.Has(SpanSynSent) {
+			t.Fatalf("span %d lost its SYN mark (present %v)", i+1, ok)
 		}
 	}
 }

@@ -271,8 +271,8 @@ func TestGroupFailureRouting(t *testing.T) {
 // deaf loses every frame at one station.
 type deaf struct{ nic *ethernet.NIC }
 
-func (deaf) Tx(*ethernet.NIC, ethernet.Frame) ethernet.TxVerdict { return ethernet.TxVerdict{} }
-func (d deaf) Rx(dst *ethernet.NIC, _ ethernet.Frame) bool       { return dst == d.nic }
+func (deaf) Tx(*ethernet.NIC, ethernet.Frame) bool         { return false }
+func (d deaf) Rx(dst *ethernet.NIC, _ ethernet.Frame) bool { return dst == d.nic }
 
 // TestSuspectedBackupStillTakesOver: a primary that stops hearing a healthy
 // secondary degrades; when the primary then dies, the secondary, whose own

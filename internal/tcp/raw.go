@@ -101,15 +101,6 @@ func SetRawSeq(b []byte, v Seq) { patchU32(b, 4, uint32(v)) }
 // SetRawAck patches the acknowledgment number incrementally.
 func SetRawAck(b []byte, v Seq) { patchU32(b, 8, uint32(v)) }
 
-// SetRawWindow patches the advertised window incrementally.
-func SetRawWindow(b []byte, v uint16) { patchU16(b, 14, v) }
-
-// SetRawDstPort patches the destination port incrementally.
-func SetRawDstPort(b []byte, v uint16) { patchU16(b, 2, v) }
-
-// SetRawSrcPort patches the source port incrementally.
-func SetRawSrcPort(b []byte, v uint16) { patchU16(b, 0, v) }
-
 // patchBytes overwrites b[off:off+len(newBytes)] and adjusts the checksum
 // incrementally, handling arbitrary (odd) alignment by updating whole
 // aligned 16-bit words. The old words are kept on the stack: the MSS clamp

@@ -55,11 +55,11 @@ func TestRawPatchesKeepChecksumValid(t *testing.T) {
 		SetRawAck(raw, newAck)
 		checkValid(t, srcA, dstA, raw)
 
-		SetRawWindow(raw, uint16(rng.Intn(65536)))
+		patchU16(raw, 14, uint16(rng.Intn(65536)))
 		checkValid(t, srcA, dstA, raw)
 
-		SetRawSrcPort(raw, uint16(rng.Intn(65536)))
-		SetRawDstPort(raw, uint16(rng.Intn(65536)))
+		patchU16(raw, 0, uint16(rng.Intn(65536)))
+		patchU16(raw, 2, uint16(rng.Intn(65536)))
 		checkValid(t, srcA, dstA, raw)
 	}
 }

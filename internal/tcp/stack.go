@@ -196,9 +196,7 @@ type Stack struct {
 	inSeg Segment
 
 	// m counts the stack's events, one series each; Stats is a view of it.
-	// rstsSent alone has no series.
-	m        stackMetrics
-	rstsSent int64
+	m stackMetrics
 
 	// spans, when non-nil, records per-connection lifecycle milestones
 	// (SYN sent, established, payload progress, retransmits, zero-window
@@ -208,16 +206,10 @@ type Stack struct {
 	spans *obs.SpanRecorder
 }
 
-// Stats aggregates stack-wide counters. Every field but RSTsSent is a view
-// of the stack's metric series of the same meaning, read when Stats is
-// called.
+// Stats aggregates stack-wide counters. Each field is a view of the
+// stack's metric series of the same meaning, read when Stats is called.
 type Stats struct {
-	SegmentsIn      int64
-	SegmentsOut     int64
-	BadChecksums    int64
-	RSTsSent        int64
 	Retransmissions int64
-	DupAcksIn       int64
 	FastRetransmits int64
 }
 
@@ -242,19 +234,10 @@ func (s *Stack) Config() Config { return s.cfg }
 // Stats returns a copy of the stack counters.
 func (s *Stack) Stats() Stats {
 	return Stats{
-		SegmentsIn:      s.m.segmentsIn.Value(),
-		SegmentsOut:     s.m.segmentsOut.Value(),
-		BadChecksums:    s.m.badChecksums.Value(),
-		RSTsSent:        s.rstsSent,
 		Retransmissions: s.m.retransmissions.Value(),
-		DupAcksIn:       s.m.dupAcks.Value(),
 		FastRetransmits: s.m.fastRetransmits.Value(),
 	}
 }
-
-// SetOutput replaces the transmit function (used when installing a bridge
-// after stack construction).
-func (s *Stack) SetOutput(o Output) { s.output = o }
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
@@ -468,7 +451,6 @@ func (s *Stack) accept(l *Listener, t Tuple, syn *Segment) {
 
 // sendRST answers an unmatched segment per RFC 793.
 func (s *Stack) sendRST(t Tuple, seg *Segment) {
-	s.rstsSent++
 	rst := &Segment{
 		SrcPort: t.LocalPort,
 		DstPort: t.RemotePort,

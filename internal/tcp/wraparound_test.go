@@ -156,14 +156,14 @@ func TestHeavyReordering(t *testing.T) {
 	p := newPair(t, Config{})
 	rng := rand.New(rand.NewSource(99))
 	// Replace a->b transport with randomized delay (0.1ms - 3ms).
-	p.a.SetOutput(func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
+	p.a.output = func(src, dst ipv4.Addr, pkt *netbuf.Buffer) error {
 		defer pkt.Release()
 		SealChecksum(src, dst, pkt.Bytes())
 		cp := append([]byte(nil), pkt.Bytes()...)
 		d := time.Duration(100+rng.Intn(2900)) * time.Microsecond
 		p.sched.After(d, "reorder.ab", func() { p.b.Input(src, dst, cp) })
 		return nil
-	})
+	}
 	c, s := p.connect(t, 80)
 	var got int
 	buf := make([]byte, 65536)

@@ -342,7 +342,7 @@ func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, err
 			},
 		},
 	}
-	sc.Faults = fault.NewSet(sched, opts.Seed, topo)
+	sc.Faults = fault.NewSet(opts.Seed, topo)
 	sc.Obs = obs.NewRegistry()
 	sc.attachObs()
 	if opts.Spans {
