@@ -24,8 +24,7 @@
 //	  -experiment fig5
 //	  -experiment fig6
 //	  -experiment ablate
-//	  -experiment failover
-//	  -experiment faultsweep
+//	//	  -experiment faultsweep
 //	  -experiment failtimeline
 //	  -experiment adversary
 //	  -experiment slo

@@ -1,10 +1,9 @@
 // Package bench implements the paper's evaluation (section 9) as
-// reproducible experiments over the simulated testbed, plus an extension
-// experiment measuring failover latency. Each experiment builds fresh
-// scenarios, drives the workload in virtual time, and reports statistics in
-// the units the paper uses. The cmd/failover-bench tool prints each result
-// next to the paper's published numbers; bench_test.go exposes each as a
-// testing.B benchmark.
+// reproducible experiments over the simulated testbed, plus extension
+// experiments measuring failover. Each experiment builds fresh scenarios,
+// drives the workload in virtual time, and reports statistics in the units
+// the paper uses. The cmd/failover-bench tool prints each result next to
+// the paper's published numbers.
 package bench
 
 import (
@@ -572,65 +571,5 @@ func renderAblation(w io.Writer, r *Results) {
 	for _, row := range r.Ablation {
 		fmt.Fprintf(w, "%-42s send %8.2f KB/s   receive %8.2f KB/s\n", row.Name, row.SendKBps, row.RecvKBps)
 	}
-	fmt.Fprintln(w)
-}
-
-// --- E6 (extension): failover latency ------------------------------------------
-
-// FailoverResult reports the extension experiment: client-observed service
-// interruption when the primary crashes mid-stream.
-type FailoverResult struct {
-	N           int           `json:"n"`
-	StallMedian time.Duration `json:"stall_median_ns"`
-	StallMax    time.Duration `json:"stall_max_ns"`
-	AllIntact   bool          `json:"all_intact"` // every byte delivered exactly once, in order
-}
-
-// FailoverLatency crashes the primary at n different points during a
-// server-to-client stream and measures the longest gap in the client's
-// received-byte timeline around the failure.
-func FailoverLatency(n int) (FailoverResult, error) {
-	const total = 2 * 1024 * 1024
-	gaps := make([]time.Duration, n)
-	intactSlots := make([]bool, n)
-	err := parallelEach(n, func(i int) error {
-		r, err := newCrashRun(int64(6000+i), total, nil)
-		if err != nil {
-			return err
-		}
-		crashAt := int64(total/10) + int64(i)*int64(total/(2*n)) // spread crash points
-		if err := r.run(fmt.Sprintf("run %d", i), crashAt, nil); err != nil {
-			return err
-		}
-		intactSlots[i] = r.intact()
-		gaps[i] = r.maxGap
-		return nil
-	})
-	if err != nil {
-		return FailoverResult{}, err
-	}
-	var stalls metrics.Durations
-	intact := true
-	for i := range n {
-		stalls.Add(gaps[i])
-		intact = intact && intactSlots[i]
-	}
-	return FailoverResult{
-		N:           n,
-		StallMedian: stalls.Median(),
-		StallMax:    stalls.Max(),
-		AllIntact:   intact,
-	}, nil
-}
-
-func renderFailover(w io.Writer, r *Results) {
-	if r.Failover == nil {
-		return
-	}
-	fmt.Fprintln(w, "=== E6 (extension): failover latency, primary crash mid-stream ===")
-	fmt.Fprintln(w, "(not measured in the paper; client-observed stall =")
-	fmt.Fprintln(w, " detection timeout + IP takeover + client RTO recovery)")
-	fmt.Fprintf(w, "measured: stall median %v, max %v over %d runs; streams intact: %v\n",
-		r.Failover.StallMedian, r.Failover.StallMax, r.Failover.N, r.Failover.AllIntact)
 	fmt.Fprintln(w)
 }

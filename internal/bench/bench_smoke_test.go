@@ -119,16 +119,3 @@ func TestAblationSmoke(t *testing.T) {
 		}
 	}
 }
-
-func TestFailoverLatencySmoke(t *testing.T) {
-	r, err := FailoverLatency(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.AllIntact {
-		t.Error("stream damaged across failover")
-	}
-	if r.StallMedian <= 0 || r.StallMedian > 5*time.Second {
-		t.Errorf("stall median %v implausible", r.StallMedian)
-	}
-}

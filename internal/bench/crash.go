@@ -13,7 +13,7 @@ import (
 )
 
 // crashRun is one "crash the primary mid-stream and watch the client"
-// simulation — the run behind E6, E7, E9 and CollectMetrics: the LAN
+// simulation — the run behind E7, E9 and CollectMetrics: the LAN
 // testbed, a push server of a fixed size on both replicas, and one client
 // connection read to EOF.
 type crashRun struct {
@@ -25,7 +25,7 @@ type crashRun struct {
 	// The receiver's byte timeline, watched after every event: when it
 	// last grew, whether the primary was already down then, and the
 	// longest gap between two growths that began with it down — the
-	// client-visible stall E6 and E7 report.
+	// client-visible stall E7 reports.
 	prevReceived int64
 	lastProgress time.Duration
 	sinceCrash   bool

@@ -9,12 +9,12 @@ import (
 	"tcpfailover/internal/netbuf"
 )
 
-// smallResults runs E1, E2, E4 and E6 at sizes small enough to run twice in
-// a unit test, each still covering its experiment family's fan-out shape,
-// and returns the marshalled results.
+// smallResults runs E1, E2 and E4 at sizes small enough to run twice in a
+// unit test, each still covering its experiment family's fan-out shape, and
+// returns the marshalled results.
 func smallResults() ([]byte, error) {
-	r := Results{ConnSetup: make([]ConnSetupResult, 2), Fig5: make([]RateResult, 2), Failover: new(FailoverResult)}
-	var errs [4]error
+	r := Results{ConnSetup: make([]ConnSetupResult, 2), Fig5: make([]RateResult, 2)}
+	var errs [3]error
 	errs[0] = bothModes("connsetup", &r.ConnSetup[0], &r.ConnSetup[1], func(m Mode) (ConnSetupResult, error) {
 		return ConnectionSetup(m, 3)
 	})
@@ -24,7 +24,6 @@ func smallResults() ([]byte, error) {
 	errs[2] = bothModes("fig5", &r.Fig5[0], &r.Fig5[1], func(m Mode) (RateResult, error) {
 		return StreamRates(m, 256*1024)
 	})
-	*r.Failover, errs[3] = FailoverLatency(2)
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}

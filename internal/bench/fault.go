@@ -21,7 +21,7 @@ var faultSweepModels = []string{"bernoulli", "bursty"}
 
 // FaultPoint is one (loss model, loss rate) cell of the fault sweep.
 type FaultPoint struct {
-	Model       string        `json:"model"`
+	Model       string        `json:"model"` // "none" (the clean cell) or a faultSweepModels entry
 	Rate        float64       `json:"rate"`
 	N           int           `json:"n"`
 	StallMedian time.Duration `json:"stall_median_ns"`
@@ -35,20 +35,25 @@ type FaultPoint struct {
 // (model, rate) cell it runs a server-to-client stream through lossy links
 // (both the server LAN and the client link), crashes the primary at a
 // different point in each run via the failure schedule, and reports the
-// client-observed post-crash stall and overall throughput. The zero-rate
-// row reproduces E6 on a clean network; the rest show how loss stretches
-// the recovery window (lost retransmissions push the client into
-// exponential RTO backoff on top of the detection timeout).
+// client-observed post-crash stall and overall throughput. The first row,
+// model "none", is the clean network, run once whatever the models; the
+// rest show how loss stretches the recovery window (lost retransmissions
+// push the client into exponential RTO backoff on top of the detection
+// timeout). A cell's seeds follow its place on the (model, rate) axes; the
+// clean row takes the first model's place at rates[0], which is 0.
 func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 	const total = 1024 * 1024
 	type cell struct {
 		model string
 		rate  float64
+		slot  int // mi·len(rates) + ri; the seeds are 7000 + slot·runs + run
 	}
-	cells := make([]cell, 0, len(faultSweepModels)*len(rates))
-	for _, m := range faultSweepModels {
-		for _, r := range rates {
-			cells = append(cells, cell{m, r})
+	cells := []cell{{model: "none"}}
+	for mi, m := range faultSweepModels {
+		for ri, r := range rates {
+			if r > 0 {
+				cells = append(cells, cell{m, r, mi*len(rates) + ri})
+			}
 		}
 	}
 
@@ -79,7 +84,7 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		crashAt := 20*time.Millisecond +
 			time.Duration(run)*60*time.Millisecond/time.Duration(runs)
 
-		r, err := newCrashRun(int64(7000+j), total, func(o *tcpfailover.Options) {
+		r, err := newCrashRun(int64(7000+c.slot*runs+run), total, func(o *tcpfailover.Options) {
 			o.Faults = &fault.Plan{
 				Impairments: imps,
 				Schedule:    []fault.Step{{At: crashAt, Op: fault.OpCrashPrimary}},

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 )
 
 // TestFaultSweepDeterministicAcrossWorkerCounts pins the fault subsystem's
@@ -39,44 +38,32 @@ func TestFaultSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestFaultSweepShape sanity-checks the sweep's physics on a tiny grid:
-// loss injects drops, streams survive intact, and the lossy cells cannot
-// outrun the clean one.
+// the clean cell is run once and drops nothing, loss injects drops, streams
+// survive intact, and no lossy cell outruns the clean one.
 func TestFaultSweepShape(t *testing.T) {
 	points, err := FaultSweep([]float64{0, 0.02}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 {
-		t.Fatalf("got %d points, want 4 (2 models x 2 rates)", len(points))
+	if want := 1 + len(faultSweepModels); len(points) != want {
+		t.Fatalf("got %d points, want %d (the clean cell, then each model at 0.02)", len(points), want)
 	}
-	byKey := make(map[string]FaultPoint, len(points))
-	for _, p := range points {
-		byKey[p.Model+"@"+time.Duration(int64(p.Rate*1000)).String()] = p
+	clean := points[0]
+	if clean.Model != "none" || clean.Rate != 0 || clean.Injected != 0 {
+		t.Errorf("first point %+v, want the clean cell with no drops", clean)
+	}
+	if !clean.AllIntact {
+		t.Error("clean cell: stream not intact")
+	}
+	for _, p := range points[1:] {
 		if !p.AllIntact {
 			t.Errorf("%s rate %g: stream not intact", p.Model, p.Rate)
 		}
-		if p.Rate == 0 && p.Injected != 0 {
-			t.Errorf("%s rate 0 injected %d drops", p.Model, p.Injected)
+		if p.Rate == 0 || p.Injected == 0 {
+			t.Errorf("%s rate %g injected %d drops, want a lossy cell that drops", p.Model, p.Rate, p.Injected)
 		}
-		if p.Rate > 0 && p.Injected == 0 {
-			t.Errorf("%s rate %g injected no drops", p.Model, p.Rate)
-		}
-	}
-	for _, model := range faultSweepModels {
-		var clean, lossy FaultPoint
-		for _, p := range points {
-			if p.Model != model {
-				continue
-			}
-			if p.Rate == 0 {
-				clean = p
-			} else {
-				lossy = p
-			}
-		}
-		if lossy.RecvKBps >= clean.RecvKBps {
-			t.Errorf("%s: lossy rate %.2f KB/s not below clean %.2f KB/s",
-				model, lossy.RecvKBps, clean.RecvKBps)
+		if p.RecvKBps >= clean.RecvKBps {
+			t.Errorf("%s: lossy rate %.2f KB/s not below clean %.2f KB/s", p.Model, p.RecvKBps, clean.RecvKBps)
 		}
 	}
 }

@@ -32,7 +32,7 @@ const (
 	recordConns  = 51        // E1 connections per mode
 	recordReps   = 5         // repetitions per data point (E2, E3, E5)
 	recordStream = 100 << 20 // E4 stream bytes; the ablations use a quarter
-	recordRuns   = 9         // crash runs per point (E6, E7, E9)
+	recordRuns   = 9         // crash runs per point (E7, E9)
 )
 
 // bothModes runs one experiment for the baseline and then the replicated
@@ -112,15 +112,6 @@ var table = []Experiment{
 			return err
 		},
 		Render: renderAblation,
-	},
-	{
-		Name: "failover", Keys: []string{"failover"},
-		Run: func(r *Results) error {
-			res, err := FailoverLatency(recordRuns)
-			r.Failover = &res
-			return err
-		},
-		Render: renderFailover,
 	},
 	{
 		Name: "faultsweep", Keys: []string{"fault_sweep"},

@@ -35,10 +35,10 @@ func TestCollectTimeseriesShape(t *testing.T) {
 	if !moved {
 		t.Error("no series changed over the run — the sampler saw no traffic")
 	}
-	// The eviction-bounded span recorder exports through the same registry;
-	// its active-span gauge must be present and populated by the load, and
+	// The span recorder exports through the same registry; its
+	// recorded-span counter must be present and populated by the load, and
 	// so must both timer-arm counters.
-	for _, name := range []string{"obs_spans_active", "sim_timer_wheel_arms_total", "sim_timer_heap_arms_total"} {
+	for _, name := range []string{"obs_spans_total", "sim_timer_wheel_arms_total", "sim_timer_heap_arms_total"} {
 		i := slices.IndexFunc(ts.Series, func(col obs.TimeseriesCol) bool { return col.Name == name })
 		if i < 0 {
 			t.Errorf("%s series missing from the sampled registry", name)

@@ -25,7 +25,6 @@ type Results struct {
 	Fig6Std    []FTPPoint        `json:"fig6_standard,omitempty"`
 	Fig6Fo     []FTPPoint        `json:"fig6_failover,omitempty"`
 	Ablation   []AblationRow     `json:"ablation,omitempty"`
-	Failover   *FailoverResult   `json:"failover,omitempty"`
 	FaultSweep []FaultPoint      `json:"fault_sweep,omitempty"`
 	Timeline   *TimelineResult   `json:"timeline,omitempty"`
 	Adversary  []AdversaryPoint  `json:"adversary,omitempty"`

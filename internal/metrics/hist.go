@@ -20,7 +20,6 @@ import (
 type LogHistogram struct {
 	counts [logHistBuckets]int64
 	count  int64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -72,7 +71,6 @@ func (h *LogHistogram) Observe(v int64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
 	h.counts[logHistIndex(v)]++
 }
 
@@ -82,39 +80,13 @@ func (h *LogHistogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 // N returns the number of recorded samples.
 func (h *LogHistogram) N() int64 { return h.count }
 
-// Sum returns the sum of all recorded samples.
-func (h *LogHistogram) Sum() int64 { return h.sum }
-
-// Max returns the largest recorded sample (zero when empty). Exact.
-func (h *LogHistogram) Max() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Min returns the smallest recorded sample (zero when empty). Exact.
-func (h *LogHistogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Mean returns the arithmetic mean (zero when empty). Exact.
-func (h *LogHistogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Percentile returns the pth percentile using the same nearest-rank
 // convention as Durations.Percentile: the sample at sorted index
 // int((n-1)*p/100). The returned value is the containing bucket's upper
 // bound clamped to the exact max, so it is >= the exact order statistic,
-// within a relative 1/32 of it, and never above Max. Exact min and max are
-// substituted at the extremes.
+// within a relative 1/32 of it, and never above the exact max. The exact
+// min and max are substituted at the extremes: Percentile(0) is the min and
+// Percentile(100) the max.
 func (h *LogHistogram) Percentile(p float64) int64 {
 	if h.count == 0 {
 		return 0
@@ -139,23 +111,4 @@ func (h *LogHistogram) Percentile(p float64) int64 {
 // PercentileDuration is Percentile for duration-valued histograms.
 func (h *LogHistogram) PercentileDuration(p float64) time.Duration {
 	return time.Duration(h.Percentile(p))
-}
-
-// Merge folds other's samples into h. Bucket layouts are identical by
-// construction, so merging is elementwise.
-func (h *LogHistogram) Merge(other *LogHistogram) {
-	if other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
 }

@@ -73,8 +73,8 @@ func TestLogHistogramVsExactPercentiles(t *testing.T) {
 		for _, q := range quantiles {
 			want := int64(exact.Percentile(q))
 			got := h.Percentile(q)
-			if got < want || got > h.Max() {
-				t.Errorf("%s p%v: histogram %d outside [exact %d, max %d]", name, q, got, want, h.Max())
+			if top := int64(exact.Max()); got < want || got > top {
+				t.Errorf("%s p%v: histogram %d outside [exact %d, max %d]", name, q, got, want, top)
 			}
 			// Upper bound: one bucket width, i.e. a relative 1/32 (plus 1 for
 			// the integer edges of the exact region).
@@ -86,34 +86,9 @@ func TestLogHistogramVsExactPercentiles(t *testing.T) {
 		if h.N() != int64(exact.N()) {
 			t.Errorf("%s: count %d != %d", name, h.N(), exact.N())
 		}
-		if h.Max() != int64(exact.Max()) || h.Min() != int64(exact.Min()) {
+		if lo, hi := h.Percentile(0), h.Percentile(100); lo != int64(exact.Min()) || hi != int64(exact.Max()) {
 			t.Errorf("%s: min/max not exact: %d/%d vs %d/%d",
-				name, h.Min(), h.Max(), int64(exact.Min()), int64(exact.Max()))
-		}
-	}
-}
-
-// TestLogHistogramMerge checks that merging two histograms reports the same
-// quantiles as observing the union.
-func TestLogHistogramMerge(t *testing.T) {
-	r := &rng{s: 7}
-	var a, b, union LogHistogram
-	for i := 0; i < 10_000; i++ {
-		v := int64(r.next() % 500_000)
-		union.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != union.N() || a.Sum() != union.Sum() || a.Min() != union.Min() || a.Max() != union.Max() {
-		t.Fatalf("merge counters differ: n=%d/%d sum=%d/%d", a.N(), union.N(), a.Sum(), union.Sum())
-	}
-	for _, q := range []float64{50, 99, 99.9} {
-		if a.Percentile(q) != union.Percentile(q) {
-			t.Errorf("p%v: merged %d != union %d", q, a.Percentile(q), union.Percentile(q))
+				name, lo, hi, int64(exact.Min()), int64(exact.Max()))
 		}
 	}
 }
@@ -133,12 +108,12 @@ func TestLogHistogramObserveAllocs(t *testing.T) {
 // TestLogHistogramEmptyAndNegative covers the degenerate inputs.
 func TestLogHistogramEmptyAndNegative(t *testing.T) {
 	var h LogHistogram
-	if h.Percentile(50) != 0 || h.Max() != 0 || h.Min() != 0 || h.Mean() != 0 {
+	if h.Percentile(0) != 0 || h.Percentile(50) != 0 || h.Percentile(100) != 0 {
 		t.Error("empty histogram must report zeros")
 	}
 	h.Observe(-5)
-	if h.Min() != 0 || h.Max() != 0 || h.N() != 1 {
-		t.Errorf("negative sample must clamp to zero: min=%d max=%d n=%d", h.Min(), h.Max(), h.N())
+	if h.Percentile(0) != 0 || h.Percentile(100) != 0 || h.N() != 1 {
+		t.Errorf("negative sample must clamp to zero: min=%d max=%d n=%d", h.Percentile(0), h.Percentile(100), h.N())
 	}
 	h.ObserveDuration(time.Millisecond)
 	if h.PercentileDuration(100) != time.Millisecond {

@@ -74,18 +74,6 @@ func (s *Samples[T]) Min() T {
 	return m
 }
 
-// Mean returns the arithmetic mean (truncated for integer samples).
-func (s *Samples[T]) Mean() T {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	var sum T
-	for _, v := range s.samples {
-		sum += v
-	}
-	return sum / T(len(s.samples))
-}
-
 // RateKBps converts bytes transferred in elapsed time to KB/s (the paper's
 // unit, 1 KB = 1024 bytes).
 func RateKBps(bytes int64, elapsed time.Duration) float64 {

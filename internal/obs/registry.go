@@ -19,7 +19,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -303,17 +302,4 @@ func (r *Registry) Lookup(name string) (int64, bool) {
 		return 0, ok
 	}
 	return m.value, true
-}
-
-// Names returns every registered series name, sorted (diagnostics).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	out := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		out = append(out, m.name)
-	}
-	sort.Strings(out)
-	return out
 }

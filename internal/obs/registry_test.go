@@ -130,13 +130,6 @@ func TestSnapshotRegistrationOrder(t *testing.T) {
 			t.Fatalf("snapshot[%d] = %q, want %q (registration order)", i, snap[i].Name, want[i])
 		}
 	}
-	names := reg.Names()
-	wantSorted := []string{"a_total", "b_total", "c"}
-	for i := range wantSorted {
-		if names[i] != wantSorted[i] {
-			t.Fatalf("Names()[%d] = %q, want %q (sorted)", i, names[i], wantSorted[i])
-		}
-	}
 }
 
 func BenchmarkCounterInc(b *testing.B) {

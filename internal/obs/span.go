@@ -88,9 +88,9 @@ func (s *Span) Time(m SpanMilestone) (time.Duration, bool) {
 // simulation domain; sharded runs give each cell its own recorder and merge
 // digests/records afterwards.
 type SpanRecorder struct {
-	tab    flowtab.Table
-	slab   flowtab.Slab[Span]
-	active Gauge
+	tab   flowtab.Table
+	slab  flowtab.Slab[Span]
+	total Counter // spans ever recorded, which is every span held
 
 	// Fleet-wide failover marks, shared by every span's phase attribution.
 	failureAt, detectAt, takeoverAt time.Duration
@@ -105,15 +105,15 @@ func NewSpanRecorder() *SpanRecorder {
 	return r
 }
 
-// AttachObs re-homes the recorder's own series (the active-span gauge) onto
-// reg. Call before traffic; the handle is pre-resolved so the steady state
-// never branches on attachment.
+// AttachObs re-homes the recorder's own series (the recorded-span counter)
+// onto reg. Call before traffic; the handle is pre-resolved so the steady
+// state never branches on attachment.
 func (r *SpanRecorder) AttachObs(reg *Registry) {
-	r.active = reg.Gauge("obs_spans_active")
-	r.active.Set(int64(r.slab.Len()))
+	r.total = reg.Counter("obs_spans_total")
+	r.total.Add(int64(r.slab.Len()))
 }
 
-// Len returns the number of live spans.
+// Len returns the number of spans held.
 func (r *SpanRecorder) Len() int {
 	if r == nil {
 		return 0
@@ -130,7 +130,7 @@ func (r *SpanRecorder) slot(key uint64) uint32 {
 	i := r.slab.Alloc()
 	r.slab.At(i).Key = key
 	r.tab.Put(key, i)
-	r.active.Set(int64(r.slab.Len()))
+	r.total.Inc()
 	return i
 }
 

@@ -59,7 +59,7 @@ func TestSpanMilestoneSemantics(t *testing.T) {
 }
 
 // TestSpanRecorderKeepsEverySpan: the recorder holds one span per key it
-// has seen, and the active gauge counts them.
+// has seen, and the recorded-span counter counts them.
 func TestSpanRecorderKeepsEverySpan(t *testing.T) {
 	reg := NewRegistry()
 	r := NewSpanRecorder()
@@ -72,14 +72,8 @@ func TestSpanRecorderKeepsEverySpan(t *testing.T) {
 	if r.Len() != keys {
 		t.Errorf("live spans = %d, want %d", r.Len(), keys)
 	}
-	active := int64(-1)
-	for _, s := range reg.Snapshot() {
-		if s.Name == "obs_spans_active" {
-			active = s.Value
-		}
-	}
-	if active != keys {
-		t.Errorf("obs_spans_active = %d, want %d", active, keys)
+	if total, _ := reg.Lookup("obs_spans_total"); total != keys {
+		t.Errorf("obs_spans_total = %d, want %d", total, keys)
 	}
 	for i := 0; i < keys; i++ {
 		sp, ok := r.Lookup(uint64(i + 1))
