@@ -94,7 +94,7 @@ func TestChainFailoverCallbacks(t *testing.T) {
 func TestChainHonoursGroupConfig(t *testing.T) {
 	opts := chainOptions()
 	opts.Spans = true
-	opts.Replication.MaxFlows = 1
+	opts.MaxFlows = 1
 	sc := newScenario(t, opts, echoServer)
 	// Two short connections come and go, so the cap has something to evict;
 	// the third is mid-stream when the head dies.

@@ -24,7 +24,7 @@
 //	  -experiment fig5
 //	  -experiment fig6
 //	  -experiment ablate
-//	//	  -experiment faultsweep
+//	  -experiment faultsweep
 //	  -experiment failtimeline
 //	  -experiment adversary
 //	  -experiment slo

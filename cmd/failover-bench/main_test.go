@@ -21,16 +21,16 @@ func TestUsageMatchesDocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Compare line by line, ignoring the indentation the document wraps
+		// Compare whole lines, ignoring the indentation the document wraps
 		// the block in.
-		text := string(blob)
+		text := "\n" + string(blob)
 		var missing []string
 		for _, line := range strings.Split(strings.TrimRight(usage, "\n"), "\n") {
 			want := strings.TrimRight(doc.indent+line, " \t")
 			if line == "" {
 				continue
 			}
-			if !strings.Contains(text, want+"\n") {
+			if !strings.Contains(text, "\n"+want+"\n") {
 				missing = append(missing, want)
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"tcpfailover"
+	"tcpfailover/internal/ipv4"
+	"tcpfailover/internal/netstack"
 )
 
 // The system's core guarantee, tested as a property: no matter when a
@@ -81,11 +83,34 @@ func TestFailoverWithRouterARPDelay(t *testing.T) {
 }
 
 // TestColdARPConnection covers connection setup without pre-warmed caches:
-// the ARP protocol itself must resolve every hop.
+// the ARP protocol itself must resolve every hop. Every cache is flushed
+// before the dial, so each binding found after the transfer was learned
+// from an ARP packet on the wire.
 func TestColdARPConnection(t *testing.T) {
-	opts := tcpfailover.LANOptions()
-	opts.ColdARP = true
-	startEchoClient(t, newScenario(t, opts, echoServer), 8192)
+	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
+	client, routerLAN, routerWAN := sc.Client.Iface(0), sc.Router.Iface(0), sc.Router.Iface(1)
+	primary, secondary := sc.Primary.Iface(0), sc.Secondary.Iface(0)
+	for _, ifc := range []*netstack.Iface{client, routerLAN, routerWAN, primary, secondary} {
+		ifc.ARP().Flush()
+	}
+	ec := startEchoClient(t, sc, 8192)
+	runUntil(t, sc, func() bool { return ec.closed }, 5*time.Minute)
+	for _, hop := range []struct {
+		name string
+		from *netstack.Iface
+		to   ipv4.Addr
+	}{
+		{"client -> router", client, routerWAN.Addr()},
+		{"router -> client", routerWAN, tcpfailover.ClientAddr},
+		{"router -> primary", routerLAN, tcpfailover.PrimaryAddr},
+		{"primary -> router", primary, routerLAN.Addr()},
+		{"primary -> secondary", primary, tcpfailover.SecondaryAddr},
+		{"secondary -> primary", secondary, tcpfailover.PrimaryAddr},
+	} {
+		if _, ok := hop.from.ARP().Lookup(hop.to); !ok {
+			t.Errorf("%s: %v never resolved", hop.name, hop.to)
+		}
+	}
 }
 
 // TestManyConcurrentConnections puts several replicated connections through

@@ -71,33 +71,12 @@ func Unmarshal(b []byte) (Packet, error) {
 	return p, nil
 }
 
-// Config tunes the module.
-type Config struct {
-	// EntryTTL is how long cache entries stay valid. Default 20 minutes
-	// (BSD heritage); the paper's measurements keep caches warm.
-	EntryTTL time.Duration
-	// RequestTimeout is the per-attempt resolution timeout. Default 1 s.
-	RequestTimeout time.Duration
-	// MaxRetries bounds resolution attempts. Default 3.
-	MaxRetries int
-	// ProcessingDelay is how long after an ARP packet arrives that this
-	// station's table reflects it; it models ARP handling latency in a
-	// router's slow path and contributes to the paper's takeover window T.
-	ProcessingDelay time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.EntryTTL == 0 {
-		c.EntryTTL = 20 * time.Minute
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	return c
-}
+// The resolver's constants no caller varies.
+const (
+	entryTTL       = 20 * time.Minute // BSD heritage; the paper's measurements keep caches warm
+	requestTimeout = time.Second      // per resolution attempt
+	maxAttempts    = 3                // requests sent before a resolution fails
+)
 
 type entry struct {
 	mac     ethernet.MAC
@@ -114,7 +93,10 @@ type pending struct {
 type Module struct {
 	sched *sim.Scheduler
 	nic   *ethernet.NIC
-	cfg   Config
+	// delay is how long after an ARP packet arrives that this station's
+	// table reflects it; it models ARP handling latency in a router's slow
+	// path and contributes to the paper's takeover window T.
+	delay time.Duration
 
 	// owns reports whether this station answers requests for ip on this
 	// interface. It is a func so IP takeover changes behavior immediately.
@@ -135,13 +117,14 @@ type Module struct {
 	waiting map[ipv4.Addr]*pending
 }
 
-// New creates a module bound to nic. owns and srcIP must be non-nil.
-func New(sched *sim.Scheduler, nic *ethernet.NIC, cfg Config,
+// New creates a module bound to nic whose table reflects a received packet
+// delay after it arrives. owns and srcIP must be non-nil.
+func New(sched *sim.Scheduler, nic *ethernet.NIC, delay time.Duration,
 	owns func(ipv4.Addr) bool, srcIP func() ipv4.Addr) *Module {
 	return &Module{
 		sched:   sched,
 		nic:     nic,
-		cfg:     cfg.withDefaults(),
+		delay:   delay,
 		owns:    owns,
 		srcIP:   srcIP,
 		cache:   make(map[ipv4.Addr]entry),
@@ -162,7 +145,7 @@ func (m *Module) Lookup(ip ipv4.Addr) (ethernet.MAC, bool) {
 // paper's measurements do: "We made sure that the MAC addresses of all
 // nodes were present in the ARP caches").
 func (m *Module) Seed(ip ipv4.Addr, mac ethernet.MAC) {
-	m.cache[ip] = entry{mac: mac, expires: m.sched.Now() + m.cfg.EntryTTL}
+	m.cache[ip] = entry{mac: mac, expires: m.sched.Now() + entryTTL}
 }
 
 // Flush discards the cache.
@@ -231,8 +214,8 @@ func (m *Module) sendRequest(ip ipv4.Addr, w *pending) {
 		m.fail(ip, w, err)
 		return
 	}
-	w.timer = m.sched.After(m.cfg.RequestTimeout, "arp.timeout", func() {
-		if w.attempts >= m.cfg.MaxRetries {
+	w.timer = m.sched.After(requestTimeout, "arp.timeout", func() {
+		if w.attempts >= maxAttempts {
 			m.fail(ip, w, fmt.Errorf("%w: %s after %d attempts", ErrUnresolvable, ip, w.attempts))
 			return
 		}
@@ -274,7 +257,7 @@ func (m *Module) HandleFrame(f ethernet.Frame) {
 	if err != nil {
 		return
 	}
-	// Learn/refresh the sender binding. The ProcessingDelay models slow-path
+	// Learn/refresh the sender binding. The processing delay models slow-path
 	// table maintenance (notably in the router during IP takeover). The
 	// binding filter runs at receive time: an unauthorized announce must not
 	// occupy a slow-path slot either.
@@ -284,7 +267,7 @@ func (m *Module) HandleFrame(f ethernet.Frame) {
 		update := func() {
 			m.cache[pkt.SenderIP] = entry{
 				mac:     pkt.SenderMAC,
-				expires: m.sched.Now() + m.cfg.EntryTTL,
+				expires: m.sched.Now() + entryTTL,
 			}
 			if w, ok := m.waiting[pkt.SenderIP]; ok {
 				delete(m.waiting, pkt.SenderIP)
@@ -294,8 +277,8 @@ func (m *Module) HandleFrame(f ethernet.Frame) {
 				}
 			}
 		}
-		if m.cfg.ProcessingDelay > 0 {
-			m.sched.After(m.cfg.ProcessingDelay, "arp.update", update)
+		if m.delay > 0 {
+			m.sched.After(m.delay, "arp.update", update)
 		} else {
 			update()
 		}

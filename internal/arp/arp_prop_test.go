@@ -29,7 +29,7 @@ func TestPropARPBindingFilter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := sim.New(1)
 			seg := ethernet.NewSegment(sched, ethernet.Config{})
-			victim := newStation(sched, seg, macB, ipB, arp.Config{})
+			victim := newStation(sched, seg, macB, ipB, 0)
 			if tc.filter {
 				victim.mod.SetBindingFilter(arp.AuthorizedBindings(
 					map[ipv4.Addr][]ethernet.MAC{ipA: {macA}, ipB: {macB}}))

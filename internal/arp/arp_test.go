@@ -16,10 +16,10 @@ type station struct {
 	ip  ipv4.Addr
 }
 
-func newStation(sched *sim.Scheduler, seg *ethernet.Segment, mac ethernet.MAC, ip ipv4.Addr, cfg arp.Config) *station {
+func newStation(sched *sim.Scheduler, seg *ethernet.Segment, mac ethernet.MAC, ip ipv4.Addr, delay time.Duration) *station {
 	st := &station{ip: ip}
 	st.nic = seg.Attach(mac)
-	st.mod = arp.New(sched, st.nic, cfg,
+	st.mod = arp.New(sched, st.nic, delay,
 		func(a ipv4.Addr) bool { return a == st.ip },
 		func() ipv4.Addr { return st.ip })
 	st.nic.SetHandler(func(f ethernet.Frame) {
@@ -54,8 +54,8 @@ func TestPacketRoundTrip(t *testing.T) {
 func TestResolveViaRequestReply(t *testing.T) {
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{})
-	newStation(sched, seg, macB, ipB, arp.Config{})
+	a := newStation(sched, seg, macA, ipA, 0)
+	newStation(sched, seg, macB, ipB, 0)
 
 	var gotMAC ethernet.MAC
 	var gotErr error
@@ -80,8 +80,8 @@ func TestResolveViaRequestReply(t *testing.T) {
 func TestResolveCoalescesWaiters(t *testing.T) {
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{})
-	b := newStation(sched, seg, macB, ipB, arp.Config{})
+	a := newStation(sched, seg, macA, ipA, 0)
+	b := newStation(sched, seg, macB, ipB, 0)
 	_ = b
 
 	done := 0
@@ -103,7 +103,7 @@ func TestResolveCoalescesWaiters(t *testing.T) {
 func TestResolveTimesOutAfterRetries(t *testing.T) {
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{RequestTimeout: 100 * time.Millisecond, MaxRetries: 3})
+	a := newStation(sched, seg, macA, ipA, 0)
 
 	var gotErr error
 	a.mod.Resolve(ipB, func(m ethernet.MAC, err error) { gotErr = err })
@@ -113,8 +113,8 @@ func TestResolveTimesOutAfterRetries(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("resolution of absent station succeeded")
 	}
-	if sched.Now() < 300*time.Millisecond {
-		t.Errorf("gave up at %v, want after 3 timeouts", sched.Now())
+	if sched.Now() < 3*time.Second {
+		t.Errorf("gave up at %v, want after three 1 s timeouts", sched.Now())
 	}
 }
 
@@ -123,10 +123,10 @@ func TestResolveTimesOutAfterRetries(t *testing.T) {
 func TestGratuitousARPRebindsAddress(t *testing.T) {
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{})
-	newStation(sched, seg, macB, ipB, arp.Config{})
+	a := newStation(sched, seg, macA, ipA, 0)
+	newStation(sched, seg, macB, ipB, 0)
 	macS := ethernet.MAC{2, 0, 0, 0, 0, 0x5}
-	s := newStation(sched, seg, macS, ipv4.MustParseAddr("10.0.0.3"), arp.Config{})
+	s := newStation(sched, seg, macS, ipv4.MustParseAddr("10.0.0.3"), 0)
 
 	a.mod.Seed(ipB, macB)
 	if got, _ := a.mod.Lookup(ipB); got != macB {
@@ -151,8 +151,8 @@ func TestProcessingDelayDefersUpdate(t *testing.T) {
 	const delay = 5 * time.Millisecond
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{ProcessingDelay: delay})
-	b := newStation(sched, seg, macB, ipB, arp.Config{})
+	a := newStation(sched, seg, macA, ipA, delay)
+	b := newStation(sched, seg, macB, ipB, 0)
 
 	if err := b.mod.Announce(ipB); err != nil {
 		t.Fatal(err)
@@ -175,16 +175,22 @@ func TestProcessingDelayDefersUpdate(t *testing.T) {
 func TestEntryExpiry(t *testing.T) {
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{EntryTTL: 10 * time.Millisecond})
+	a := newStation(sched, seg, macA, ipA, 0)
 	a.mod.Seed(ipB, macB)
 	if _, ok := a.mod.Lookup(ipB); !ok {
 		t.Fatal("entry missing right after seed")
 	}
-	if err := sched.RunUntil(20 * time.Millisecond); err != nil {
+	if err := sched.RunUntil(20*time.Minute - time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.mod.Lookup(ipB); !ok {
+		t.Fatal("entry expired before its 20 min TTL")
+	}
+	if err := sched.RunUntil(20 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := a.mod.Lookup(ipB); ok {
-		t.Error("entry still valid after TTL")
+		t.Error("entry still valid after its 20 min TTL")
 	}
 	a.mod.Flush()
 }
@@ -194,8 +200,8 @@ func TestNoReplyToGratuitousForOwnAddress(t *testing.T) {
 	// with a reply storm; gratuitous requests have sender == target.
 	sched := sim.New(1)
 	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, arp.Config{})
-	b := newStation(sched, seg, macB, ipB, arp.Config{})
+	a := newStation(sched, seg, macA, ipA, 0)
+	b := newStation(sched, seg, macB, ipB, 0)
 	_ = b
 	if err := a.mod.Announce(ipA); err != nil {
 		t.Fatal(err)

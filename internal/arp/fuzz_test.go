@@ -27,7 +27,7 @@ func FuzzARPAnnounce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sched := sim.New(1)
 		seg := ethernet.NewSegment(sched, ethernet.Config{})
-		victim := newStation(sched, seg, macB, ipB, arp.Config{})
+		victim := newStation(sched, seg, macB, ipB, 0)
 		victim.mod.SetBindingFilter(arp.AuthorizedBindings(
 			map[ipv4.Addr][]ethernet.MAC{ipA: {macA}, ipB: {macB}}))
 		victim.mod.Seed(ipA, macA)

@@ -99,7 +99,7 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 		install = func(s *tcp.Stack) error { _, err := apps.NewEchoServer(s, benchPort); return err }
 	}
 	sc, err := testbed(mode, seed, func(o *tcpfailover.Options) {
-		o.Replication.MaxFlows = flowCap
+		o.MaxFlows = flowCap
 	}, install)
 	if err != nil {
 		return AdversaryPoint{}, err

@@ -96,7 +96,7 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		sc, recv := r.sc, r.recv
 		var established time.Duration
 		r.conn.OnEstablished(func() { established = sc.Now() })
-		// Severe loss can exhaust TCP's retransmission budget (MaxRetries)
+		// Severe loss can exhaust TCP's retransmission budget (12 timeouts)
 		// and abort the connection; that is a legitimate outcome of the
 		// harshest cells, recorded as a non-intact run rather than a bench
 		// failure.
@@ -112,8 +112,8 @@ func FaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 		// with a single RST; if loss eats that RST the receiving client
 		// has nothing to retransmit and hangs silently, so a no-progress
 		// window longer than the sender's entire backoff sequence
-		// (~0.2 s doubling to the 60 s MaxRTO over MaxRetries ≈ 4.7
-		// virtual minutes) also declares the run dead.
+		// (~0.2 s doubling to TCP's 60 s maximum RTO over 12
+		// retransmissions ≈ 4.7 virtual minutes) also declares the run dead.
 		const deadAfter = 10 * time.Minute
 		what := fmt.Sprintf("%s rate %g run %d", c.model, c.rate, run)
 		if err := r.run(what, 0, func() bool {

@@ -14,23 +14,11 @@ import (
 	"tcpfailover/internal/sim"
 )
 
-// Config tunes a detector.
-type Config struct {
-	// Period between heartbeats. Default 10 ms.
-	Period time.Duration
-	// Timeout without heartbeats before declaring failure. Default 50 ms.
-	Timeout time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Period == 0 {
-		c.Period = 10 * time.Millisecond
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 50 * time.Millisecond
-	}
-	return c
-}
+// The detector's constants no caller varies.
+const (
+	period  = 10 * time.Millisecond // between heartbeats, and between checks
+	timeout = 50 * time.Millisecond // without a heartbeat before declaring failure
+)
 
 // Detector watches one peer from one host.
 type Detector struct {
@@ -38,7 +26,6 @@ type Detector struct {
 	sched     *sim.Scheduler
 	localAddr ipv4.Addr
 	peerAddr  ipv4.Addr
-	cfg       Config
 	onFailure func()
 	claim     ipv4.Addr // announced in the heartbeats while the host owns it
 	onClaim   func()    // runs for each of the peer's heartbeats that announces it
@@ -60,13 +47,12 @@ type Detector struct {
 
 // New creates a detector on host watching peerAddr. onFailure runs once,
 // inside the simulation loop, when the peer is declared failed.
-func New(host *netstack.Host, localAddr, peerAddr ipv4.Addr, cfg Config, onFailure func()) *Detector {
+func New(host *netstack.Host, localAddr, peerAddr ipv4.Addr, onFailure func()) *Detector {
 	d := &Detector{
 		host:      host,
 		sched:     host.Scheduler(),
 		localAddr: localAddr,
 		peerAddr:  peerAddr,
-		cfg:       cfg.withDefaults(),
 		onFailure: onFailure,
 	}
 	d.send, d.check = d.sendHeartbeat, d.checkPeer
@@ -117,21 +103,21 @@ func (d *Detector) sendHeartbeat() {
 	}
 	d.seq++
 	_ = d.host.SendIP(d.localAddr, d.peerAddr, ipv4.ProtoHeartbeat, d.payload[:])
-	d.sendTimer = d.sched.After(d.cfg.Period, "detect.heartbeat", d.send)
+	d.sendTimer = d.sched.After(period, "detect.heartbeat", d.send)
 }
 
 func (d *Detector) scheduleCheck() {
 	if d.stopped || d.fired {
 		return
 	}
-	d.checkTimer = d.sched.After(d.cfg.Period, "detect.check", d.check)
+	d.checkTimer = d.sched.After(period, "detect.check", d.check)
 }
 
 func (d *Detector) checkPeer() {
 	if d.stopped || d.fired || !d.host.Alive() {
 		return
 	}
-	if d.sched.Now()-d.lastHeard > d.cfg.Timeout {
+	if d.sched.Now()-d.lastHeard > timeout {
 		d.fired = true
 		d.onFailure()
 		return

@@ -37,10 +37,9 @@ func newDuo(t *testing.T) *duo {
 
 func TestNoFalsePositiveWhileAlive(t *testing.T) {
 	d := newDuo(t)
-	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
 	fired := false
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { fired = true })
-	db := detect.New(d.b, d.bAddr, d.aAddr, cfg, func() { fired = true })
+	da := detect.New(d.a, d.aAddr, d.bAddr, func() { fired = true })
+	db := detect.New(d.b, d.bAddr, d.aAddr, func() { fired = true })
 	da.Start()
 	db.Start()
 	if err := d.sched.RunUntil(2 * time.Second); err != nil {
@@ -55,11 +54,10 @@ func TestNoFalsePositiveWhileAlive(t *testing.T) {
 
 func TestDetectsCrashWithinTimeout(t *testing.T) {
 	d := newDuo(t)
-	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
 	var firedAt time.Duration
 	fired := 0
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { firedAt = d.sched.Now(); fired++ })
-	db := detect.New(d.b, d.bAddr, d.aAddr, cfg, func() {})
+	da := detect.New(d.a, d.aAddr, d.bAddr, func() { firedAt = d.sched.Now(); fired++ })
+	db := detect.New(d.b, d.bAddr, d.aAddr, func() {})
 	da.Start()
 	db.Start()
 	if err := d.sched.RunUntil(500 * time.Millisecond); err != nil {
@@ -74,9 +72,10 @@ func TestDetectsCrashWithinTimeout(t *testing.T) {
 		t.Fatal("crash never detected")
 	}
 	latency := firedAt - crashAt
-	if latency < cfg.Timeout || latency > cfg.Timeout+3*cfg.Period {
-		t.Errorf("detection latency %v, want within [%v, %v]",
-			latency, cfg.Timeout, cfg.Timeout+3*cfg.Period)
+	// The detector's constants: a 10 ms period and a 50 ms timeout.
+	const period, timeout = 10 * time.Millisecond, 50 * time.Millisecond
+	if latency < timeout || latency > timeout+3*period {
+		t.Errorf("detection latency %v, want within [%v, %v]", latency, timeout, timeout+3*period)
 	}
 	if fired != 1 {
 		t.Errorf("onFailure ran %d times after detection, want 1", fired)
@@ -86,9 +85,8 @@ func TestDetectsCrashWithinTimeout(t *testing.T) {
 
 func TestOnFailureRunsOnce(t *testing.T) {
 	d := newDuo(t)
-	cfg := detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}
 	count := 0
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { count++ })
+	da := detect.New(d.a, d.aAddr, d.bAddr, func() { count++ })
 	da.Start() // peer never starts: failure is certain
 	if err := d.sched.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -100,9 +98,8 @@ func TestOnFailureRunsOnce(t *testing.T) {
 
 func TestStopSilencesDetector(t *testing.T) {
 	d := newDuo(t)
-	cfg := detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}
 	fired := false
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { fired = true })
+	da := detect.New(d.a, d.aAddr, d.bAddr, func() { fired = true })
 	da.Start()
 	da.Stop()
 	if err := d.sched.RunUntil(time.Second); err != nil {
@@ -116,10 +113,9 @@ func TestStopSilencesDetector(t *testing.T) {
 func TestCrashedHostDetectorGoesQuiet(t *testing.T) {
 	// A detector on a crashed host must not keep firing events forever.
 	d := newDuo(t)
-	cfg := detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond}
 	fired := false
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { fired = true })
-	db := detect.New(d.b, d.bAddr, d.aAddr, cfg, func() {})
+	da := detect.New(d.a, d.aAddr, d.bAddr, func() { fired = true })
+	db := detect.New(d.b, d.bAddr, d.aAddr, func() {})
 	da.Start()
 	db.Start()
 	if err := d.sched.RunUntil(100 * time.Millisecond); err != nil {
@@ -139,10 +135,9 @@ func TestCrashedHostDetectorGoesQuiet(t *testing.T) {
 // for each; the peer, which does not own it, sends none.
 func TestClaimBitRoundTrip(t *testing.T) {
 	d := newDuo(t)
-	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
 	var heardByA, heardByB int
-	da := detect.New(d.a, d.aAddr, d.bAddr, cfg, func() {})
-	db := detect.New(d.b, d.bAddr, d.aAddr, cfg, func() {})
+	da := detect.New(d.a, d.aAddr, d.bAddr, func() {})
+	db := detect.New(d.b, d.bAddr, d.aAddr, func() {})
 	da.Claim(d.aAddr, func() { heardByA++ })
 	db.Claim(d.aAddr, func() { heardByB++ })
 	var beats, claims int
@@ -175,10 +170,9 @@ func TestDetectorSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	d := newDuo(t)
-	cfg := detect.Config{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
 	fired := false
-	detect.New(d.a, d.aAddr, d.bAddr, cfg, func() { fired = true }).Start()
-	detect.New(d.b, d.bAddr, d.aAddr, cfg, func() { fired = true }).Start()
+	detect.New(d.a, d.aAddr, d.bAddr, func() { fired = true }).Start()
+	detect.New(d.b, d.bAddr, d.aAddr, func() { fired = true }).Start()
 	if err := d.sched.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}

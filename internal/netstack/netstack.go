@@ -292,7 +292,7 @@ func (h *Host) AttachIface(seg *ethernet.Segment, mac ethernet.MAC, addr ipv4.Ad
 	if !addr.IsZero() {
 		ifc.addrs = append(ifc.addrs, addr)
 	}
-	ifc.arp = arp.New(h.sched, nic, arp.Config{},
+	ifc.arp = arp.New(h.sched, nic, 0,
 		func(ip ipv4.Addr) bool { return h.alive && ifc.hasAddr(ip) },
 		func() ipv4.Addr { return ifc.Addr() })
 	nic.SetHandler(func(f ethernet.Frame) { h.frameIn(ifc, f) })
@@ -301,11 +301,12 @@ func (h *Host) AttachIface(seg *ethernet.Segment, mac ethernet.MAC, addr ipv4.Ad
 	return ifc
 }
 
-// SetARPConfig replaces an interface's ARP module configuration (used to
-// model the router's ARP-processing latency).
-func (h *Host) SetARPConfig(ifIndex int, cfg arp.Config) {
+// SetARPDelay replaces an interface's ARP module with one whose table
+// reflects a received packet delay after it arrives (used to model the
+// router's ARP-processing latency).
+func (h *Host) SetARPDelay(ifIndex int, delay time.Duration) {
 	ifc := h.ifaces[ifIndex]
-	ifc.arp = arp.New(h.sched, ifc.nic, cfg,
+	ifc.arp = arp.New(h.sched, ifc.nic, delay,
 		func(ip ipv4.Addr) bool { return h.alive && ifc.hasAddr(ip) },
 		func() ipv4.Addr { return ifc.Addr() })
 }
@@ -327,17 +328,6 @@ func (h *Host) AddAddress(ifIndex int, addr ipv4.Addr) {
 	ifc := h.ifaces[ifIndex]
 	if !ifc.hasAddr(addr) {
 		ifc.addrs = append(ifc.addrs, addr)
-	}
-}
-
-// RemoveAddress removes an address from an interface.
-func (h *Host) RemoveAddress(ifIndex int, addr ipv4.Addr) {
-	ifc := h.ifaces[ifIndex]
-	for i, x := range ifc.addrs {
-		if x == addr {
-			ifc.addrs = append(ifc.addrs[:i], ifc.addrs[i+1:]...)
-			return
-		}
 	}
 }
 

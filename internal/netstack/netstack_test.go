@@ -233,27 +233,6 @@ func TestCrashStopsAllIO(t *testing.T) {
 	}
 }
 
-func TestAddRemoveAddress(t *testing.T) {
-	n := newRoutedNet(t)
-	alias := ipv4.MustParseAddr("10.0.1.99")
-	if n.h1.Owns(alias) {
-		t.Fatal("owns alias before adding")
-	}
-	n.h1.AddAddress(0, alias)
-	if !n.h1.Owns(alias) {
-		t.Fatal("does not own alias after adding")
-	}
-	n.h1.AddAddress(0, alias) // idempotent
-	n.h1.RemoveAddress(0, alias)
-	if n.h1.Owns(alias) {
-		t.Fatal("owns alias after removal")
-	}
-	// The primary address survives alias churn.
-	if !n.h1.Owns(n.a1) {
-		t.Fatal("lost primary address")
-	}
-}
-
 func TestHostChargesSerializeCPU(t *testing.T) {
 	// Two datagrams sent back-to-back leave at least StackEgress apart.
 	n := newRoutedNet(t)

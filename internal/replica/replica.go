@@ -27,8 +27,6 @@ type Config struct {
 	// PeerPorts mark server-initiated connections toward these remote
 	// ports as failover connections (section 7.2).
 	PeerPorts []uint16
-	// Detect tunes the fault detectors.
-	Detect detect.Config
 	// MaxFlows bounds each matcher's tracked connections (the primary's,
 	// and an interior backup's), evicting the least recently touched one
 	// beyond it. Zero selects a default above a million; no value leaves a
@@ -121,7 +119,7 @@ func NewGroup(hosts []*netstack.Host, cfg Config) (*Group, error) {
 		for watched := range hosts {
 			if watcher != watched {
 				d := detect.New(hosts[watcher], g.addrs[watcher], g.addrs[watched],
-					cfg.Detect, func() { g.onFailure(watcher, watched) })
+					func() { g.onFailure(watcher, watched) })
 				d.Claim(g.addrs[0], func() { g.onClaim(watcher, watched) })
 				g.detectors = append(g.detectors, d)
 			}

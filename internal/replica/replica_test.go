@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tcpfailover/internal/core"
-	"tcpfailover/internal/detect"
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
@@ -36,14 +35,13 @@ func pairHosts(t *testing.T) (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 	return sched, hosts[0], hosts[1]
 }
 
-// startGroup builds and starts an n-member group with fast detectors and
-// an attached registry, recording every OnFailover position.
+// startGroup builds and starts an n-member group with an attached registry,
+// recording every OnFailover position.
 func startGroup(t *testing.T, n int) (*sim.Scheduler, *ethernet.Segment, []*netstack.Host, *replica.Group, *obs.Registry, *[]int) {
 	t.Helper()
 	sched, seg, hosts := lanHosts(n)
 	g, err := replica.NewGroup(hosts, replica.Config{
 		ServerPorts: []uint16{80},
-		Detect:      detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +101,6 @@ func TestOnFailoverCallbacks(t *testing.T) {
 	sched, p, s := pairHosts(t)
 	cfg := replica.Config{
 		ServerPorts: []uint16{80},
-		Detect:      detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond},
 	}
 	g, err := replica.NewGroup([]*netstack.Host{p, s}, cfg)
 	if err != nil {
@@ -143,7 +140,6 @@ func TestSecondaryFailureDegradesPrimary(t *testing.T) {
 	sched, p, s := pairHosts(t)
 	cfg := replica.Config{
 		ServerPorts: []uint16{80},
-		Detect:      detect.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond},
 	}
 	g, err := replica.NewGroup([]*netstack.Host{p, s}, cfg)
 	if err != nil {

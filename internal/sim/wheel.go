@@ -35,7 +35,7 @@ const (
 	// (200ms) and first-RTO (200ms–1s) churn.
 	wheelTick = time.Millisecond
 	// farTick is one far-level slot, one rotation of the near wheel; its
-	// 1024 slots reach ≈ 17.5 min, past TIME-WAIT and MaxRTO (60 s each).
+	// 1024 slots reach ≈ 17.5 min, past TCP's TIME-WAIT and maximum RTO (60 s each).
 	farTick = wheelTick << wheelBits
 )
 

@@ -142,14 +142,8 @@ func (c *Conn) OnWritable(f func()) { c.onWritable = f }
 // terminated; err is nil for a clean close.
 func (c *Conn) OnClose(f func(error)) { c.onClose = f }
 
-// Buffered returns the number of receive-buffer bytes available to Read.
-func (c *Conn) Buffered() int { return c.rcvBuf.Ready() }
-
 // SendFree returns the send-buffer space available to Write.
 func (c *Conn) SendFree() int { return c.stack.cfg.SendBufSize - c.sndBuf.Ready() }
-
-// SendQueued returns the bytes in the send buffer not yet acknowledged.
-func (c *Conn) SendQueued() int { return c.sndBuf.Ready() }
 
 // rcvFree returns the receive window: the configured capacity less the
 // in-order bytes the application has not read. Bytes held beyond a gap lie
@@ -525,13 +519,13 @@ func (c *Conn) onRexmtTimeout() {
 		return // stale timer: everything sent has been acknowledged
 	}
 	c.rtxCount++
-	if int(c.rtxCount) > c.stack.cfg.MaxRetries {
+	if c.rtxCount > maxRetries {
 		c.destroy(closeTimeout)
 		return
 	}
 	c.stack.m.retransmissions.Inc()
 	c.stack.spans.Retransmit(c.tuple.SpanKey())
-	c.rto.backoff(c.stack.cfg.MaxRTO)
+	c.rto.backoff()
 	c.timing = false // Karn: do not time retransmitted segments
 	c.dupAcks = 0
 	c.fastRecovery = false
@@ -618,7 +612,7 @@ func (c *Conn) enterTimeWait() {
 	// when the ack of our FIN drained it.
 	c.releaseRcvBuf()
 	c.rtxCount = 0
-	c.setTimer(timerTimeWait, c.stack.cfg.TimeWaitDuration, "tcp.timewait")
+	c.setTimer(timerTimeWait, timeWait, "tcp.timewait")
 }
 
 // destroy tears the connection down, ending it as code says, and fires

@@ -157,7 +157,7 @@ func TestDataTransferBothDirections(t *testing.T) {
 }
 
 func TestGracefulCloseStateWalk(t *testing.T) {
-	p := newPair(t, Config{TimeWaitDuration: 10 * time.Millisecond})
+	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
 
 	var cClosed, sClosed bool
@@ -173,7 +173,7 @@ func TestGracefulCloseStateWalk(t *testing.T) {
 	})
 	c.Close() // active close on the client
 
-	p.runUntil(t, func() bool { return cClosed && sClosed }, time.Second)
+	p.runUntil(t, func() bool { return cClosed && sClosed }, timeWait+time.Second)
 	if !sSawEOF {
 		t.Error("server never observed EOF")
 	}
@@ -191,7 +191,7 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 	defer netbuf.SetLeakCheck(false)
 	for _, unread := range []bool{false, true} {
 		netbuf.SetLeakCheck(true)
-		p := newPair(t, Config{TimeWaitDuration: time.Minute})
+		p := newPair(t, Config{})
 		c, s := p.connect(t, 80)
 		s.OnReadable(func() {
 			for {
@@ -227,8 +227,8 @@ func TestTimeWaitReleasesRings(t *testing.T) {
 		if c.sndBuf.Cap() != 0 {
 			t.Errorf("unread=%v: TIME-WAIT connection holds a %d-byte send buffer", unread, c.sndBuf.Cap())
 		}
-		if c.SendFree() != p.a.Config().SendBufSize || c.rcvFree()+c.Buffered() != p.a.Config().RecvBufSize {
-			t.Errorf("unread=%v: logical capacities changed: %d / %d", unread, c.SendFree(), c.rcvFree()+c.Buffered())
+		if c.SendFree() != p.a.Config().SendBufSize || c.rcvFree()+c.rcvBuf.Ready() != p.a.Config().RecvBufSize {
+			t.Errorf("unread=%v: logical capacities changed: %d / %d", unread, c.SendFree(), c.rcvFree()+c.rcvBuf.Ready())
 		}
 		p.runUntil(t, func() bool { return s.State() == StateClosed }, time.Second)
 		if s.sndBuf.Cap() != 0 || s.rcvBuf.Cap() != 0 {
@@ -305,7 +305,7 @@ func TestDrainedRingsPark(t *testing.T) {
 		if _, err := c.Write([]byte("ping")); err != nil {
 			t.Fatal(err)
 		}
-		p.runUntil(t, func() bool { return got == len(reply) && c.SendQueued() == 0 && s.SendQueued() == 0 }, time.Second)
+		p.runUntil(t, func() bool { return got == len(reply) && c.sndBuf.Ready() == 0 && s.sndBuf.Ready() == 0 }, time.Second)
 		if c.State() != StateEstablished || s.State() != StateEstablished {
 			t.Fatalf("states %v / %v, want both ESTABLISHED", c.State(), s.State())
 		}
@@ -327,7 +327,7 @@ func TestDrainedRingsPark(t *testing.T) {
 		if _, err := s.Write(reply); err != nil {
 			t.Fatal(err)
 		}
-		p.runUntil(t, func() bool { return c.Buffered() == len(reply) && s.SendQueued() == 0 }, time.Second)
+		p.runUntil(t, func() bool { return c.rcvBuf.Ready() == len(reply) && s.sndBuf.Ready() == 0 }, time.Second)
 		if n, _ := c.Read(make([]byte, len(reply)-k)); n != len(reply)-k {
 			t.Fatalf("read %d bytes, want %d", n, len(reply)-k)
 		}
@@ -352,7 +352,7 @@ func TestDrainedRingsPark(t *testing.T) {
 		if _, err := s.Write(reply[:100]); err != nil {
 			t.Fatal(err)
 		}
-		p.runUntil(t, func() bool { return c.Buffered() == 100 && s.SendQueued() == 0 }, time.Second)
+		p.runUntil(t, func() bool { return c.rcvBuf.Ready() == 100 && s.sndBuf.Ready() == 0 }, time.Second)
 		p.dropToA = dropNth(1)
 		data := bytes.Repeat([]byte{3}, 2*1460)
 		if _, err := s.Write(data); err != nil {
@@ -364,7 +364,7 @@ func TestDrainedRingsPark(t *testing.T) {
 			t.Fatalf("with a span held beyond the gap: read %d, ring storage %d", n, c.rcvBuf.Cap())
 		}
 		holds("span held", c, 0, 0)
-		p.runUntil(t, func() bool { return c.Buffered() == len(data) }, 5*time.Second)
+		p.runUntil(t, func() bool { return c.rcvBuf.Ready() == len(data) }, 5*time.Second)
 		if n, _ := c.Read(make([]byte, 1000)); n != 1000 || c.rcvBuf.Cap() == 0 {
 			t.Fatalf("gap filled, part read: read %d, ring storage %d", n, c.rcvBuf.Cap())
 		}
@@ -389,13 +389,13 @@ func TestDrainedRingsPark(t *testing.T) {
 		if _, err := c.Write(bytes.Repeat([]byte{9}, 3000)); err != nil {
 			t.Fatal(err)
 		}
-		p.runUntil(t, func() bool { return c.SendQueued() < 3000 }, time.Second)
+		p.runUntil(t, func() bool { return c.sndBuf.Ready() < 3000 }, time.Second)
 		// The first segment is acked; the dropped second and the third wait.
-		if queued := c.SendQueued(); queued != 3000-1460 || c.sndBuf.Cap() == 0 {
+		if queued := c.sndBuf.Ready(); queued != 3000-1460 || c.sndBuf.Cap() == 0 {
 			t.Fatalf("after a partial ack: %d bytes queued, ring storage %d", queued, c.sndBuf.Cap())
 		}
 		holds("partly acked", c, 3000-1460, 0)
-		p.runUntil(t, func() bool { return c.SendQueued() == 0 }, 5*time.Second)
+		p.runUntil(t, func() bool { return c.sndBuf.Ready() == 0 }, 5*time.Second)
 		if c.sndBuf.Cap() != 0 {
 			t.Errorf("every byte acked: the send ring holds %d bytes", c.sndBuf.Cap())
 		}
@@ -433,10 +433,10 @@ func TestCrashStopsTheStack(t *testing.T) {
 	if _, err := c.Write(make([]byte, 4000)); err != nil {
 		t.Fatal(err)
 	}
-	p.runUntil(t, func() bool { return s.Buffered() > 0 }, time.Second)
-	if s.SendQueued() == 0 || !s.timer.Pending() || !s.delackTimer.Pending() {
+	p.runUntil(t, func() bool { return s.rcvBuf.Ready() > 0 }, time.Second)
+	if s.sndBuf.Ready() == 0 || !s.timer.Pending() || !s.delackTimer.Pending() {
 		t.Fatalf("set-up: %d bytes unacknowledged, retransmit armed %v, delayed ACK armed %v",
-			s.SendQueued(), s.timer.Pending(), s.delackTimer.Pending())
+			s.sndBuf.Ready(), s.timer.Pending(), s.delackTimer.Pending())
 	}
 	s.OnClose(func(err error) { t.Errorf("OnClose(%v) ran on a crashed stack", err) })
 	out := p.toACount
@@ -464,7 +464,7 @@ func TestResetAndAbortReleaseRings(t *testing.T) {
 	if n, _ := c.Write(make([]byte, 100_000)); n == 0 {
 		t.Fatal("nothing written")
 	}
-	p.runUntil(t, func() bool { return s.Buffered() > 30_000 }, 5*time.Second)
+	p.runUntil(t, func() bool { return s.rcvBuf.Ready() > 30_000 }, 5*time.Second)
 	if _, err := s.Write(bytes.Repeat([]byte{5}, 2000)); err != nil {
 		t.Fatal(err)
 	}
@@ -483,14 +483,14 @@ func TestResetAndAbortReleaseRings(t *testing.T) {
 	if live := netbuf.LiveBytes(); live != int64(s.rcvBuf.Cap()) {
 		t.Errorf("%d bytes of ring storage live, the unread bytes' ring is %d", live, s.rcvBuf.Cap())
 	}
-	unread := s.Buffered()
+	unread := s.rcvBuf.Ready()
 	if n, _ := s.Read(make([]byte, 100_000)); n != unread || unread == 0 {
 		t.Errorf("after the reset %d of %d buffered bytes were readable", n, unread)
 	}
 }
 
 func TestHalfCloseAllowsContinuedTransfer(t *testing.T) {
-	p := newPair(t, Config{TimeWaitDuration: 10 * time.Millisecond})
+	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
 
 	var atClient []byte
@@ -534,14 +534,14 @@ func TestHalfCloseAllowsContinuedTransfer(t *testing.T) {
 }
 
 func TestSimultaneousClose(t *testing.T) {
-	p := newPair(t, Config{TimeWaitDuration: 10 * time.Millisecond})
+	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
 	var cClosed, sClosed bool
 	c.OnClose(func(error) { cClosed = true })
 	s.OnClose(func(error) { sClosed = true })
 	c.Close()
 	s.Close() // both FINs cross in flight
-	p.runUntil(t, func() bool { return cClosed && sClosed }, 5*time.Second)
+	p.runUntil(t, func() bool { return cClosed && sClosed }, timeWait+5*time.Second)
 }
 
 func TestConnectionRefusedGetsRST(t *testing.T) {
@@ -676,7 +676,7 @@ func TestZeroWindowAndPersistProbe(t *testing.T) {
 	}
 	c.OnWritable(pump)
 	pump()
-	p.runUntil(t, func() bool { return s.Buffered() == 4096 }, 5*time.Second)
+	p.runUntil(t, func() bool { return s.rcvBuf.Ready() == 4096 }, 5*time.Second)
 
 	// Drain after a long stall; the persist machinery must revive the flow.
 	var got int
@@ -741,11 +741,10 @@ func TestTimerSlotZeroWindowReopens(t *testing.T) {
 // TestTimerSlotKeepsTimeWait: the client's ACK of the server's FIN is lost,
 // so the FIN comes again in TIME-WAIT and restarts 2 MSL; a stale ACK
 // after it runs the window-update path, whose persist stop must not
-// disarm the slot. The connection closes TimeWaitDuration after the
-// retransmitted FIN arrived.
+// disarm the slot. The connection closes timeWait after the retransmitted
+// FIN arrived.
 func TestTimerSlotKeepsTimeWait(t *testing.T) {
-	const twd = 500 * time.Millisecond
-	p := newPair(t, Config{TimeWaitDuration: twd})
+	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
 	s.OnReadable(func() {
 		if _, err := s.Read(make([]byte, 16)); err == io.EOF {
@@ -769,19 +768,19 @@ func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	c.OnClose(func(error) { closedAt = p.sched.Now() })
 	c.Close()
 	p.runUntil(t, func() bool { return s.State() == StateClosed }, 5*time.Second)
-	if !dropped || c.State() != StateTimeWait || c.timer.When() != lastFin+twd {
-		t.Fatalf("after the second FIN: dropped %v, %v, 2 MSL ends at %v, want %v", dropped, c.State(), c.timer.When(), lastFin+twd)
+	if !dropped || c.State() != StateTimeWait || c.timer.When() != lastFin+timeWait {
+		t.Fatalf("after the second FIN: dropped %v, %v, 2 MSL ends at %v, want %v", dropped, c.State(), c.timer.When(), lastFin+timeWait)
 	}
 	stale := Marshal(p.bAddr, p.aAddr, &Segment{SrcPort: 80, DstPort: c.tuple.LocalPort,
 		Seq: c.rcvNxt, Ack: c.sndUna.Add(-1), Flags: FlagACK, Window: 4096})
 	SealChecksum(p.bAddr, p.aAddr, stale)
 	p.a.Input(p.bAddr, p.aAddr, stale)
-	if c.timerKind != timerTimeWait || c.timer.When() != lastFin+twd {
-		t.Fatalf("a stale ACK left slot kind %d ending at %v, want TIME-WAIT at %v", c.timerKind, c.timer.When(), lastFin+twd)
+	if c.timerKind != timerTimeWait || c.timer.When() != lastFin+timeWait {
+		t.Fatalf("a stale ACK left slot kind %d ending at %v, want TIME-WAIT at %v", c.timerKind, c.timer.When(), lastFin+timeWait)
 	}
-	p.runUntil(t, func() bool { return closedAt > 0 }, time.Second)
-	if closedAt != lastFin+twd {
-		t.Fatalf("closed at %v, want %v", closedAt, lastFin+twd)
+	p.runUntil(t, func() bool { return closedAt > 0 }, timeWait)
+	if closedAt != lastFin+timeWait {
+		t.Fatalf("closed at %v, want %v", closedAt, lastFin+timeWait)
 	}
 }
 
@@ -795,7 +794,7 @@ func TestDelayedAckCoalesces(t *testing.T) {
 	if _, err := c.Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	p.runUntil(t, func() bool { return s.Buffered() == 1 }, time.Second)
+	p.runUntil(t, func() bool { return s.rcvBuf.Ready() == 1 }, time.Second)
 	ackedImmediately := p.toACount > before
 	if ackedImmediately {
 		t.Skip("segment carried PSH; immediate ack is the configured policy")
@@ -885,7 +884,7 @@ func TestRTORollbackAckBeyondSndNxt(t *testing.T) {
 	if _, err := c.Write(data); err != nil {
 		t.Fatal(err)
 	}
-	p.runUntil(t, func() bool { return got == len(data) && c.SendQueued() == 0 }, 30*time.Second)
+	p.runUntil(t, func() bool { return got == len(data) && c.sndBuf.Ready() == 0 }, 30*time.Second)
 }
 
 // TestDialEphemeralPortExhaustion: once every ephemeral port to a
@@ -922,7 +921,7 @@ func TestConnCloseErr(t *testing.T) {
 		// handing it to watch.
 		end func(t *testing.T, p *pair, watch func(*Conn)) *Conn
 	}{
-		{"clean close", Config{TimeWaitDuration: 10 * time.Millisecond}, nil, true,
+		{"clean close", Config{}, nil, true,
 			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
 				c, s := p.connect(t, 80)
 				watch(c)
@@ -941,7 +940,7 @@ func TestConnCloseErr(t *testing.T) {
 				c.Abort()
 				return c
 			}},
-		{"RTO exhaustion", Config{MaxRetries: 2}, ErrTimeout, false,
+		{"RTO exhaustion", Config{}, ErrTimeout, false,
 			func(t *testing.T, p *pair, watch func(*Conn)) *Conn {
 				c, _ := p.connect(t, 80)
 				watch(c)
@@ -994,7 +993,7 @@ func TestConnCloseErr(t *testing.T) {
 			c := row.end(t, p, func(c *Conn) {
 				c.OnClose(func(err error) { closes, onClose = closes+1, err })
 			})
-			p.runUntil(t, func() bool { return closes > 0 }, time.Minute)
+			p.runUntil(t, func() bool { return closes > 0 }, 6*time.Minute) // RTO exhaustion: 342.2 s
 			// Ending it again, and letting every pending timer fire, must
 			// not call OnClose a second time.
 			c.Close()

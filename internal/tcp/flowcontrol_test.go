@@ -27,7 +27,7 @@ func TestWindowUpdateAfterRead(t *testing.T) {
 	c.OnWritable(pump)
 	pump()
 	// Fill the receiver.
-	p.runUntil(t, func() bool { return s.Buffered() == 8192 }, 10*time.Second)
+	p.runUntil(t, func() bool { return s.rcvBuf.Ready() == 8192 }, 10*time.Second)
 	stalledAt := p.sched.Now()
 
 	// The application reads everything; the window update alone must

@@ -317,7 +317,7 @@ func (c *Conn) retransmitOne() {
 
 func (c *Conn) sampleRTT(ack Seq) {
 	if c.timing && ack.Geq(c.timedSeq) {
-		c.rto.sample(c.stack.sched.Now()-c.timedAt, c.stack.cfg.MaxRTO)
+		c.rto.sample(c.stack.sched.Now() - c.timedAt)
 		c.timing = false
 	}
 }

@@ -157,10 +157,10 @@ func runReceiveProgramme(t *testing.T, capacity int, irs Seq, prog []byte) (read
 			c.input(&Segment{Seq: seq, Ack: c.sndNxt, Flags: FlagACK, Window: 65535, Payload: payload})
 			o.deliver(seq, payload)
 		}
-		if c.rcvNxt != o.rcvNxt || c.Buffered() != len(o.readable) || c.rcvBuf.Len()-c.rcvBuf.Ready() != len(o.beyond) ||
+		if c.rcvNxt != o.rcvNxt || c.rcvBuf.Ready() != len(o.readable) || c.rcvBuf.Len()-c.rcvBuf.Ready() != len(o.beyond) ||
 			int(c.advertisedWindow()) != min(o.window(), 65535) {
 			t.Fatalf("step %d (kind %d): rcvNxt %d buffered %d beyond-gap %d window %d, model %d %d %d %d", step, kind%8,
-				c.rcvNxt, c.Buffered(), c.rcvBuf.Len()-c.rcvBuf.Ready(), c.advertisedWindow(),
+				c.rcvNxt, c.rcvBuf.Ready(), c.rcvBuf.Len()-c.rcvBuf.Ready(), c.advertisedWindow(),
 				o.rcvNxt, len(o.readable), len(o.beyond), min(o.window(), 65535))
 		}
 	}
@@ -244,8 +244,8 @@ func TestRingAgainstReference(t *testing.T) {
 				t.Fatalf("op %d: CopyAt(%d) got %q want %q", i, off, got[:n], want)
 			}
 		}
-		if c.SendQueued() != len(queued) || c.SendFree() != capacity-len(queued) {
-			t.Fatalf("op %d: queued/free %d/%d, want %d/%d", i, c.SendQueued(), c.SendFree(), len(queued), capacity-len(queued))
+		if c.sndBuf.Ready() != len(queued) || c.SendFree() != capacity-len(queued) {
+			t.Fatalf("op %d: queued/free %d/%d, want %d/%d", i, c.sndBuf.Ready(), c.SendFree(), len(queued), capacity-len(queued))
 		}
 	}
 	if acked < 64*capacity {

@@ -4,8 +4,7 @@ import "time"
 
 // rttEstimator implements the Jacobson/Karels smoothed RTT estimate and the
 // retransmission timeout derived from it (RFC 6298 constants). It lives in
-// Conn by value; the RTO's floor is minRTO and its ceiling the stack's
-// Config.MaxRTO, passed in by the two calls that move the RTO.
+// Conn by value; the RTO's floor is minRTO and its ceiling maxRTO.
 type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
@@ -13,7 +12,7 @@ type rttEstimator struct {
 }
 
 // sample folds a new round-trip measurement into the estimate.
-func (r *rttEstimator) sample(m, maxRTO time.Duration) {
+func (r *rttEstimator) sample(m time.Duration) {
 	if m <= 0 {
 		m = time.Microsecond
 	}
@@ -32,12 +31,9 @@ func (r *rttEstimator) sample(m, maxRTO time.Duration) {
 }
 
 // backoff doubles the RTO after a retransmission timeout (Karn).
-func (r *rttEstimator) backoff(maxRTO time.Duration) {
+func (r *rttEstimator) backoff() {
 	r.rto = min(max(2*r.rto, minRTO), maxRTO)
 }
 
 // RTO returns the current retransmission timeout.
 func (r *rttEstimator) RTO() time.Duration { return r.rto }
-
-// SRTT returns the smoothed round-trip estimate (zero before any sample).
-func (r *rttEstimator) SRTT() time.Duration { return r.srtt }

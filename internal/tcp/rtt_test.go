@@ -10,9 +10,9 @@ func TestRTTFirstSampleSeedsEstimate(t *testing.T) {
 	if r.RTO() != time.Second {
 		t.Errorf("initial RTO = %v", r.RTO())
 	}
-	r.sample(100*time.Millisecond, time.Minute)
-	if r.SRTT() != 100*time.Millisecond {
-		t.Errorf("SRTT = %v, want the first sample", r.SRTT())
+	r.sample(100 * time.Millisecond)
+	if r.srtt != 100*time.Millisecond {
+		t.Errorf("SRTT = %v, want the first sample", r.srtt)
 	}
 	// RTO = srtt + 4*rttvar = 100 + 200 = 300ms.
 	if r.RTO() != 300*time.Millisecond {
@@ -23,10 +23,10 @@ func TestRTTFirstSampleSeedsEstimate(t *testing.T) {
 func TestRTTSmoothingConverges(t *testing.T) {
 	r := rttEstimator{rto: time.Second}
 	for range 100 {
-		r.sample(time.Second, time.Minute)
+		r.sample(time.Second)
 	}
-	if d := r.SRTT() - time.Second; d < -time.Millisecond || d > time.Millisecond {
-		t.Errorf("SRTT = %v, want ~1s", r.SRTT())
+	if d := r.srtt - time.Second; d < -time.Millisecond || d > time.Millisecond {
+		t.Errorf("SRTT = %v, want ~1s", r.srtt)
 	}
 	if r.RTO() > 1010*time.Millisecond {
 		t.Errorf("RTO = %v, want tight around a steady RTT", r.RTO())
@@ -36,16 +36,16 @@ func TestRTTSmoothingConverges(t *testing.T) {
 func TestRTTBackoffDoublesAndClamps(t *testing.T) {
 	r := rttEstimator{rto: time.Second}
 	for range 10 {
-		r.backoff(8 * time.Second)
+		r.backoff()
 	}
-	if r.RTO() != 8*time.Second {
+	if r.RTO() != maxRTO {
 		t.Errorf("RTO = %v, want clamped at max", r.RTO())
 	}
 }
 
 func TestRTTMinClamp(t *testing.T) {
 	r := rttEstimator{rto: time.Second}
-	r.sample(time.Microsecond, time.Minute)
+	r.sample(time.Microsecond)
 	if r.RTO() != minRTO {
 		t.Errorf("RTO = %v, want min clamp %v", r.RTO(), minRTO)
 	}
@@ -53,8 +53,8 @@ func TestRTTMinClamp(t *testing.T) {
 
 func TestRTTNonPositiveSample(t *testing.T) {
 	r := rttEstimator{rto: time.Second}
-	r.sample(0, time.Minute) // must not panic or produce zero estimates
-	if r.SRTT() <= 0 {
-		t.Errorf("SRTT = %v after zero sample", r.SRTT())
+	r.sample(0) // must not panic or produce zero estimates
+	if r.srtt <= 0 {
+		t.Errorf("SRTT = %v after zero sample", r.srtt)
 	}
 }

@@ -73,9 +73,6 @@ type Config struct {
 	SendBufSize       int           // default 65535 (the paper's 64 KB send buffer)
 	RecvBufSize       int           // default 65535
 	DelayedAckTimeout time.Duration // default 200 ms (BSD heritage)
-	MaxRTO            time.Duration // default 60 s
-	MaxRetries        int           // default 12 retransmissions before abort
-	TimeWaitDuration  time.Duration // default 60 s (2 MSL compressed)
 	DisableNagle      bool
 	// ISS generates initial sequence numbers; default draws from the
 	// scheduler RNG. The primary and secondary draw different values, which
@@ -88,6 +85,9 @@ const (
 	ackEveryN       = 2                      // ack every Nth full segment
 	initialRTO      = time.Second            // before the first RTT sample
 	minRTO          = 200 * time.Millisecond // floor of the estimator
+	maxRTO          = 60 * time.Second       // ceiling of the estimator and its backoff
+	maxRetries      = 12                     // retransmission timeouts in a row before abort
+	timeWait        = 60 * time.Second       // TIME-WAIT linger (2 MSL compressed)
 	initialCwndSegs = 2                      // Reno's initial window, in segments
 	// maxCwnd caps the congestion window where it grows (4.4BSD's
 	// TCP_MAXWIN). Without window scaling no peer advertises more, so
@@ -107,15 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DelayedAckTimeout == 0 {
 		c.DelayedAckTimeout = 200 * time.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 12
-	}
-	if c.TimeWaitDuration == 0 {
-		c.TimeWaitDuration = 60 * time.Second
 	}
 	if c.ISS == nil {
 		c.ISS = func(rng *rand.Rand) Seq { return Seq(rng.Uint32()) }

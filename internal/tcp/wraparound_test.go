@@ -194,9 +194,9 @@ func TestHeavyReordering(t *testing.T) {
 }
 
 // TestRetransmissionLimitAborts: a peer that vanishes mid-connection leads
-// to ErrTimeout after MaxRetries.
+// to ErrTimeout after maxRetries timeouts, the RTO backing off to maxRTO.
 func TestRetransmissionLimitAborts(t *testing.T) {
-	p := newPair(t, Config{MaxRetries: 4, MaxRTO: time.Second})
+	p := newPair(t, Config{})
 	c, _ := p.connect(t, 80)
 	p.dropToB = func([]byte) bool { return true } // peer unreachable
 	var gotErr error
@@ -205,7 +205,8 @@ func TestRetransmissionLimitAborts(t *testing.T) {
 	if _, err := c.Write([]byte("into the void")); err != nil {
 		t.Fatal(err)
 	}
-	p.runUntil(t, func() bool { return closed }, 2*time.Minute)
+	// 0.2 s doubling to 51.2 s, then four at maxRTO: 342.2 s of backoff.
+	p.runUntil(t, func() bool { return closed }, 6*time.Minute)
 	if gotErr != ErrTimeout {
 		t.Errorf("close error = %v, want ErrTimeout", gotErr)
 	}

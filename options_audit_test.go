@@ -21,29 +21,29 @@ var auditedStructs = map[string][]string{
 	"internal/ethernet": {"Config", "XConfig"},
 	"internal/tcp":      {"Config"},
 	"internal/replica":  {"Config"},
-	"internal/detect":   {"Config"},
-	"internal/arp":      {"Config"},
 }
 
-// knobCeiling bounds the exported fields of auditedStructs taken together,
-// as CI's line ceilings bound the code. (Lowered 63 -> 57 as the defence
-// off-switches and a flow cap went, 57 -> 56 as ShardedOptions' cell hook went.)
-const knobCeiling = 56
+// testSeams are the audited fields that only tests set, each kept for the
+// reason given.
+var testSeams = map[string]string{
+	"internal/tcp.Config.ISS": "the sequence-number wraparound tests pick the initial sequence number",
+}
+
+// knobCeiling is the exact count of the exported fields of auditedStructs
+// taken together, as CI's line ceilings bound the code: a PR that adds a
+// knob raises it in its own diff, one that removes one lowers it.
+const knobCeiling = 45
 
 // TestEveryOptionHasAWriter is the knob audit as a gate: an exported field
-// of a configuration struct that nothing in the repo ever sets — no
-// composite-literal key, no assignment, tests and benchmark/ included — has
-// one value in use and should be a constant. The defaulting in the owning
-// package's own withDefaults does not count as a writer. The match is by
-// field name across the whole repo, so the audit may miss a dead knob that
-// shares its name with a live one; it never flags a live one. The fields
-// are also counted, against knobCeiling.
+// of a configuration struct that no shipped code sets — no composite-literal
+// key, no assignment in a non-test file outside examples/ and outside every
+// withDefaults, benchmark/ included — has one value in use and should be a
+// constant, unless testSeams names it. The match is by field name across
+// the whole repo, so the audit may miss a dead knob that shares its name
+// with a live one; it never flags a live one. The fields are also counted,
+// against knobCeiling.
 func TestEveryOptionHasAWriter(t *testing.T) {
-	type write struct {
-		dir        string
-		defaulting bool // inside a func withDefaults
-	}
-	writes := map[string][]write{}
+	written := map[string]bool{}
 	fields := map[string][]string{} // "dir.Struct" -> exported field names
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -64,16 +64,16 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		shipped := !strings.HasSuffix(path, "_test.go") && dir != "examples" && !strings.HasPrefix(dir, "examples/")
 		for _, decl := range file.Decls {
-			defaulting := false
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				defaulting = fn.Name.Name == "withDefaults"
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "withDefaults" {
+				continue
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.TypeSpec:
 					st, ok := n.Type.(*ast.StructType)
-					if !ok || !slices.Contains(auditedStructs[dir], n.Name.Name) || strings.HasSuffix(path, "_test.go") {
+					if !ok || !slices.Contains(auditedStructs[dir], n.Name.Name) || !shipped {
 						break
 					}
 					for _, f := range st.Fields.List {
@@ -85,17 +85,17 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 					}
 				case *ast.CompositeLit:
 					for _, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok && shipped {
 							if key, ok := kv.Key.(*ast.Ident); ok {
-								writes[key.Name] = append(writes[key.Name], write{dir, defaulting})
+								written[key.Name] = true
 							}
 						}
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						// o.TCP.MSS = v sets MSS, and TCP with it.
-						for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
-							writes[sel.Sel.Name] = append(writes[sel.Sel.Name], write{dir, defaulting})
+						for sel, ok := lhs.(*ast.SelectorExpr); ok && shipped; sel, ok = sel.X.(*ast.SelectorExpr) {
+							written[sel.Sel.Name] = true
 						}
 					}
 				}
@@ -115,14 +115,14 @@ func TestEveryOptionHasAWriter(t *testing.T) {
 			}
 			total += len(fields[dir+"."+name])
 			for _, field := range fields[dir+"."+name] {
-				if !slices.ContainsFunc(writes[field], func(w write) bool { return !(w.defaulting && w.dir == dir) }) {
-					t.Errorf("%s: %s.%s is never set outside its own withDefaults: make it a constant", dir, name, field)
+				if _, seam := testSeams[dir+"."+name+"."+field]; !seam && !written[field] {
+					t.Errorf("%s: %s.%s is set by no shipped code, only by tests, examples or a withDefaults: make it a constant", dir, name, field)
 				}
 			}
 		}
 	}
-	if total > knobCeiling {
-		t.Errorf("the audited structs hold %d exported fields, over the ceiling of %d", total, knobCeiling)
+	if total != knobCeiling {
+		t.Errorf("the audited structs hold %d exported fields; knobCeiling says %d", total, knobCeiling)
 	}
 }
 

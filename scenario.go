@@ -115,14 +115,12 @@ type Options struct {
 	// PeerPorts marks server-initiated connections to these remote ports
 	// as failover connections.
 	PeerPorts []uint16
-	// Replication carries the remaining replica.Config knobs.
-	Replication replica.Config
+	// MaxFlows bounds each matcher's tracked connections (see
+	// replica.Config.MaxFlows); zero selects the default.
+	MaxFlows int
 	// RouterARPDelay models the router's ARP-table update latency, part of
 	// the takeover window T.
 	RouterARPDelay time.Duration
-	// ColdARP leaves ARP caches empty; by default they are pre-warmed, as
-	// in the paper's measurements.
-	ColdARP bool
 	// StartDetectors starts heartbeat fault detectors (default true for
 	// replicated scenarios). Disable for microbenchmarks that want a quiet
 	// event queue.
@@ -274,7 +272,7 @@ func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, err
 	sc.Router.AttachIface(sc.ServerLAN, plan.macR1, plan.routerLAN, plan.serverPfx)  // if 0
 	sc.Router.AttachIface(sc.ClientLink, plan.macR2, plan.routerWAN, plan.clientPfx) // if 1
 	if opts.RouterARPDelay > 0 {
-		sc.Router.SetARPConfig(0, arp.Config{ProcessingDelay: opts.RouterARPDelay})
+		sc.Router.SetARPDelay(0, opts.RouterARPDelay)
 	}
 
 	sc.Client = netstack.NewHost(sched, "client", opts.HostProfile)
@@ -293,9 +291,7 @@ func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, err
 		sc.Secondary.AttachIface(sc.ServerLAN, plan.macS, plan.secondary, plan.serverPfx)
 		sc.Secondary.AddRoute(defaultRoute, plan.routerLAN, 0)
 
-		cfg := opts.Replication
-		cfg.ServerPorts = append(cfg.ServerPorts, opts.ServerPorts...)
-		cfg.PeerPorts = append(cfg.PeerPorts, opts.PeerPorts...)
+		cfg := replica.Config{ServerPorts: opts.ServerPorts, PeerPorts: opts.PeerPorts, MaxFlows: opts.MaxFlows}
 		members := []*netstack.Host{sc.Primary, sc.Secondary}
 		switch opts.Backups {
 		case 0, 1:
@@ -314,9 +310,7 @@ func newScenarioOn(sched *sim.Scheduler, cell int, opts Options) (*Scenario, err
 		}
 	}
 
-	if !opts.ColdARP {
-		sc.warmARP()
-	}
+	sc.warmARP()
 	sc.pinARPBindings()
 
 	serverStations := map[fault.Role]*ethernet.NIC{
