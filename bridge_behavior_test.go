@@ -177,6 +177,39 @@ func TestBridgeGarbageCollectsClosedConnections(t *testing.T) {
 	}
 }
 
+// TestStraySegmentIsRefusedFromServiceAddress: a client segment that reaches
+// the pair after the bridge deleted its connection's record is post-cleanup
+// traffic. It is no SYN, so it creates no record; the primary's TCP refuses it
+// with an RST|ACK, which the bridge passes unchanged from the service address.
+func TestStraySegmentIsRefusedFromServiceAddress(t *testing.T) {
+	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
+	ec := startEchoClient(t, sc, 8192)
+	port := ec.conn.Tuple().LocalPort
+	gone := func() bool {
+		return ec.closed && sc.Group.PrimaryBridge().Conns() == 0 && len(sc.Client.TCP().Conns()) == 0
+	}
+	runUntil(t, sc, gone, 10*time.Minute)
+
+	var acks []tcp.Seq // of each RST|ACK the client received from the service address
+	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
+		if dir == "rx" && hdr.Src == sc.ServiceAddr() && tcp.RawSane(seg) && tcp.RawFlags(seg) == tcp.FlagRST|tcp.FlagACK {
+			acks = append(acks, tcp.RawAck(seg))
+		}
+	})
+	// A segment without ACK is refused with an RST|ACK (RFC 793).
+	stray := tcp.Segment{SrcPort: port, DstPort: 80, Seq: 1000, Flags: tcp.FlagPSH, Payload: []byte("late")}
+	b := tcp.Marshal(tcpfailover.ClientAddr, sc.ServiceAddr(), &stray)
+	if err := sc.Client.SendIP(tcpfailover.ClientAddr, sc.ServiceAddr(), ipv4.ProtoTCP, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(acks) != 1 || acks[0] != 1004 {
+		t.Errorf("client received RST|ACKs acknowledging %v from the service address, want one acknowledging 1004", acks)
+	}
+}
+
 // TestLateFinFromSecondarySynthesizedAck: "When the bridge receives a FIN
 // that S sent after the bridge removed all internal data structures
 // associated with the connection, it creates an ACK and sends it back to

@@ -1,41 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-// TestAdversaryMatrixDeterministicAcrossWorkerCounts is E11's half of the
-// repo-wide guarantee: every forged frame is drawn from seed-derived
-// streams before the event loop runs, so the full attack-outcome matrix is
-// byte-identical no matter how the 8 cells are scheduled across
-// goroutines.
-func TestAdversaryMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the matrix twice")
-	}
-	run := func(workers int) []byte {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
-		points, err := AdversaryMatrix()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		blob, err := json.MarshalIndent(points, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	serial := run(1)
-	parallel := run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("adversary matrix differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-}
+import "testing"
 
 // TestAdversaryMatrixOutcomes pins the shape of the matrix: every failover
 // cell is intact, and the standard cells break only at the two honest
@@ -43,10 +8,7 @@ func TestAdversaryMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 // in either an attack model or a defense flips a named cell, not a vague
 // aggregate.
 func TestAdversaryMatrixOutcomes(t *testing.T) {
-	points, err := AdversaryMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := small(t, "adversary").Adversary
 	if len(points) != 8 {
 		t.Fatalf("got %d cells, want 8", len(points))
 	}

@@ -5,34 +5,24 @@ import (
 	"time"
 )
 
-// Smoke tests: every experiment of the harness runs end-to-end with minimal
-// parameters, so the benchmark code cannot rot while only go test runs in
-// CI. Result sanity (not calibration) is asserted.
+// Smoke tests: each reads its experiment's small run (smallRuns), so the
+// benchmark code cannot rot while only go test runs in CI. Result sanity
+// (not calibration) is asserted.
 
 func TestConnectionSetupSmoke(t *testing.T) {
-	for _, mode := range []Mode{Standard, Failover} {
-		r, err := ConnectionSetup(mode, 3)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
+	for _, r := range small(t, "connsetup").ConnSetup {
 		if r.Median <= 0 || r.Max < r.Median || r.Min > r.Median {
-			t.Errorf("%v: implausible stats %+v", mode, r)
+			t.Errorf("%v: implausible stats %+v", r.Mode, r)
 		}
 		if r.Median > 5*time.Millisecond {
-			t.Errorf("%v: connection setup %v, want sub-millisecond scale", mode, r.Median)
+			t.Errorf("%v: connection setup %v, want sub-millisecond scale", r.Mode, r.Median)
 		}
 	}
 }
 
 func TestConnectionSetupFailoverSlower(t *testing.T) {
-	std, err := ConnectionSetup(Standard, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, err := ConnectionSetup(Failover, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := small(t, "connsetup").ConnSetup
+	std, fo := cs[0], cs[1]
 	if fo.Median <= std.Median {
 		t.Errorf("failover setup (%v) not slower than standard (%v)", fo.Median, std.Median)
 	}
@@ -44,35 +34,22 @@ func TestConnectionSetupFailoverSlower(t *testing.T) {
 }
 
 func TestClientToServerSendSmoke(t *testing.T) {
-	sizes := []int64{1024, 131072}
-	pts, err := ClientToServerSend(Failover, sizes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := small(t, "fig3").Fig3Fo
 	if len(pts) != 2 || pts[0].Median <= 0 || pts[1].Median <= pts[0].Median {
 		t.Errorf("implausible curve: %+v", pts)
 	}
 }
 
 func TestServerToClientTransferSmoke(t *testing.T) {
-	pts, err := ServerToClientTransfer(Standard, []int64{4096}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := small(t, "fig4").Fig4Std
 	if pts[0].Median <= 0 || pts[0].Median > 100*time.Millisecond {
 		t.Errorf("4 KB reply took %v", pts[0].Median)
 	}
 }
 
 func TestStreamRatesSmoke(t *testing.T) {
-	std, err := StreamRates(Standard, 2*1024*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, err := StreamRates(Failover, 2*1024*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rates := small(t, "fig5").Fig5
+	std, fo := rates[0], rates[1]
 	if std.SendKBps <= 0 || std.RecvKBps <= 0 {
 		t.Fatalf("zero standard rates: %+v", std)
 	}
@@ -86,10 +63,7 @@ func TestStreamRatesSmoke(t *testing.T) {
 }
 
 func TestFTPRatesSmoke(t *testing.T) {
-	pts, err := FTPRates(Failover, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := small(t, "fig6").Fig6Fo
 	if len(pts) != 5 {
 		t.Fatalf("%d points, want 5 files", len(pts))
 	}
@@ -106,10 +80,7 @@ func TestFTPRatesSmoke(t *testing.T) {
 }
 
 func TestAblationSmoke(t *testing.T) {
-	rows, err := Ablation(2 * 1024 * 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := small(t, "ablate").Ablation
 	if len(rows) != 5 {
 		t.Fatalf("%d ablation rows, want 5", len(rows))
 	}

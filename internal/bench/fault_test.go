@@ -1,50 +1,12 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-// TestFaultSweepDeterministicAcrossWorkerCounts pins the fault subsystem's
-// core guarantee end to end: every impairment draws randomness from a
-// stream derived only from the simulation seed, so a faulty run is
-// byte-identical no matter how the simulations are scheduled across
-// goroutines.
-func TestFaultSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep twice")
-	}
-	run := func(workers int) []byte {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
-		points, err := FaultSweep([]float64{0, 0.02}, 2)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		blob, err := json.MarshalIndent(points, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	serial := run(1)
-	parallel := run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("fault sweep differs between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-}
+import "testing"
 
 // TestFaultSweepShape sanity-checks the sweep's physics on a tiny grid:
 // the clean cell is run once and drops nothing, loss injects drops, streams
 // survive intact, and no lossy cell outruns the clean one.
 func TestFaultSweepShape(t *testing.T) {
-	points, err := FaultSweep([]float64{0, 0.02}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := small(t, "faultsweep").FaultSweep
 	if want := 1 + len(faultSweepModels); len(points) != want {
 		t.Fatalf("got %d points, want %d (the clean cell, then each model at 0.02)", len(points), want)
 	}

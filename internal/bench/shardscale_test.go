@@ -52,7 +52,7 @@ func shardScaleRun(cell tcpfailover.Options, conns, shards, workers int, digest 
 		Shards:    shards,
 		Workers:   workers,
 		Cell:      cell,
-		CrossLink: ethernet.XConfig{BandwidthBps: 10_000_000_000, Latency: ssTrunkLatency},
+		CrossLink: ethernet.XConfig{Latency: ssTrunkLatency},
 		Digest:    digest,
 	})
 	if err != nil {

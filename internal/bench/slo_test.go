@@ -1,28 +1,13 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-	"time"
-)
+import "testing"
 
-// sloSmall is an SLO workload small enough for unit tests: two loads, a
-// short window, every (mode, crash) cell still exercised.
-func sloSmall() ([]float64, time.Duration) {
-	return []float64{20, 60}, 2 * time.Second
-}
-
-// TestSLOSmoke runs the small grid once and checks each cell's accounting
+// TestSLOSmoke reads the small grid and checks each cell's accounting
 // invariants and the experiment's headline claim: the failover crash cell
 // must complete about as many requests as its no-crash twin (standard TCP
 // loses the rest of the window), and the crash must show up in the tail.
 func TestSLOSmoke(t *testing.T) {
-	loads, window := sloSmall()
-	points, err := SLO(loads, window)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loads, points := smallSLOLoads, small(t, "slo").SLO
 	if len(points) != 2*len(loads)*2 {
 		t.Fatalf("got %d cells, want %d", len(points), 2*len(loads)*2)
 	}
@@ -63,32 +48,5 @@ func TestSLOSmoke(t *testing.T) {
 			t.Errorf("load %g: failover crash max latency %v under no-crash p50 %v — no takeover stall?",
 				load, foCrash.Max, foOK.P50)
 		}
-	}
-}
-
-// TestSLOIdenticalAcrossWorkerCounts gates the open-loop experiment's
-// determinism: every cell is a pure function of its seed, so the marshalled
-// results must be byte-identical for any worker count.
-func TestSLOIdenticalAcrossWorkerCounts(t *testing.T) {
-	loads, window := sloSmall()
-	run := func(workers int) []byte {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
-		points, err := SLO(loads, window)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		blob, err := json.MarshalIndent(points, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	serial := run(1)
-	parallel := run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("SLO results differ between 1 and 4 workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
 	}
 }

@@ -1,33 +1,17 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"slices"
 	"sort"
 	"testing"
 	"time"
 )
 
-// stallSmallConns is an E14 point small enough for unit tests: two cells,
-// ~150 sessions per cell over a 2s window, every phase of the stall
-// attribution still exercised by the mid-window crash.
-const stallSmallConns = 300
-
-func stallSmall(t *testing.T) (StallScalePoint, []time.Duration) {
-	t.Helper()
-	p, exact, err := runStallScale(0, stallSmallConns, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, exact
-}
-
-// TestStallScaleSmoke runs the small point once and checks the experiment's
+// TestStallScaleSmoke reads the small point and checks the experiment's
 // basic shape: spans were recorded, a nonempty subset of them completed a
 // measurable failover stall, and the per-phase breakdown is sane.
 func TestStallScaleSmoke(t *testing.T) {
-	p, exact := stallSmall(t)
+	s := small(t, "stallscale")
+	p, exact := s.StallScale[0], s.Stalls
 	if p.Cells != 2 {
 		t.Errorf("got %d cells, want 2", p.Cells)
 	}
@@ -76,7 +60,8 @@ func TestStallScaleSmoke(t *testing.T) {
 // reports its bucket's inclusive upper bound, so each estimate is >= the
 // exact nearest-rank value and overshoots by at most 1/32 (one sub-bucket).
 func TestStallScalePercentilesMatchExact(t *testing.T) {
-	p, exact := stallSmall(t)
+	s := small(t, "stallscale")
+	p, exact := s.StallScale[0], s.Stalls
 	sorted := append([]time.Duration(nil), exact...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	n := len(sorted)
@@ -112,33 +97,5 @@ func TestStallScalePercentilesMatchExact(t *testing.T) {
 			t.Errorf("total %s: histogram %v overshoots exact %v beyond one sub-bucket (%v)",
 				c.name, c.got, want, limit)
 		}
-	}
-}
-
-// TestStallScaleIdenticalAcrossWorkerCounts is the E14 determinism gate
-// (CI runs it under -race): the marshalled point — span digest included —
-// and the exact per-connection stall list must be byte-identical whether
-// the cells run on one bench worker or on four.
-func TestStallScaleIdenticalAcrossWorkerCounts(t *testing.T) {
-	workers := []int{1, 4}
-	blobs := make([][]byte, len(workers))
-	exacts := make([][]time.Duration, len(workers))
-	for i, w := range workers {
-		old := Workers
-		Workers = w
-		p, exact := stallSmall(t)
-		Workers = old
-		blob, err := json.MarshalIndent(p, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs[i] = blob
-		exacts[i] = exact
-	}
-	if !bytes.Equal(blobs[1], blobs[0]) {
-		t.Errorf("workers=4 diverges from workers=1:\n--- base ---\n%s\n--- got ---\n%s", blobs[0], blobs[1])
-	}
-	if !slices.Equal(exacts[1], exacts[0]) {
-		t.Errorf("workers=4: exact stalls differ from workers=1 (%d vs %d entries)", len(exacts[1]), len(exacts[0]))
 	}
 }

@@ -1,48 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestFailoverTimelineDeterministic is the E9 gate: at a fixed seed set the
-// reconstructed timelines — and therefore the marshalled result and the
-// rendered phase breakdown — must be byte-identical across runs and worker
-// counts.
-func TestFailoverTimelineDeterministic(t *testing.T) {
-	run := func(workers int) (TimelineResult, string) {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
-		r, err := FailoverTimeline(3)
-		if err != nil {
-			t.Fatalf("FailoverTimeline(workers=%d): %v", workers, err)
-		}
-		blob, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, string(blob)
-	}
-	r1, blob1 := run(1)
-	_, blob2 := run(4)
-	if blob1 != blob2 {
-		t.Fatalf("timeline results differ across worker counts:\n%s\n%s", blob1, blob2)
-	}
-	_, blob3 := run(4)
-	if blob2 != blob3 {
-		t.Fatalf("timeline results differ across identical runs:\n%s\n%s", blob2, blob3)
-	}
-
-	var sb1, sb2 strings.Builder
-	renderTimeline(&sb1, &Results{Timeline: &r1})
-	renderTimeline(&sb2, &Results{Timeline: &r1})
-	if sb1.Len() == 0 || sb1.String() != sb2.String() {
-		t.Fatalf("rendering not deterministic:\n%s\n%s", sb1.String(), sb2.String())
-	}
-}
 
 // TestFailoverTimelineShape checks the breakdown against the known
 // structure of a LAN failover: the crash lands on a delivery, so nothing
@@ -50,10 +12,7 @@ func TestFailoverTimelineDeterministic(t *testing.T) {
 // period; the ARP announce is synchronous with the takeover procedure; and
 // the phases tile the total.
 func TestFailoverTimelineShape(t *testing.T) {
-	r, err := FailoverTimeline(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := small(t, "failtimeline").Timeline
 	s := r.Sample
 	if s.PreCrash != 0 || s.Detection+s.Announce+s.Resume+s.Recovery != s.Total {
 		t.Fatalf("phases do not tile the stall: %+v", s)
@@ -96,10 +55,7 @@ func TestSpanStallIsTheClientVisibleGap(t *testing.T) {
 // TestCollectMetricsSnapshot checks the -metrics-out workload: the failover
 // scenario must produce a registry whose core counters saw traffic.
 func TestCollectMetricsSnapshot(t *testing.T) {
-	reg, err := CollectMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := small(t, "CollectMetrics").Metrics
 	for _, name := range []string{
 		`tcp_segments_in_total{host="client"}`,
 		`tcp_segments_out_total{host="client"}`,

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 	"time"
@@ -13,10 +12,7 @@ import (
 // regular grid and actually sees traffic: some counter must be increasing,
 // and each cell's scheduler counts its timer arms into its registry.
 func TestCollectTimeseriesShape(t *testing.T) {
-	ts, err := CollectTimeseries(200 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := small(t, "CollectTimeseries").Timeseries
 	if len(ts.TimesNs) == 0 || len(ts.Series) == 0 {
 		t.Fatalf("empty timeseries: %d rows, %d series", len(ts.TimesNs), len(ts.Series))
 	}
@@ -45,29 +41,5 @@ func TestCollectTimeseriesShape(t *testing.T) {
 		} else if vs := ts.Series[i].Values; vs[len(vs)-1] == 0 {
 			t.Errorf("%s ends at zero under load", name)
 		}
-	}
-}
-
-// TestCollectTimeseriesIdenticalAcrossWorkerCounts gates the merge: cells
-// sample their own registries on a shared sim-time grid, so the merged
-// fleet view must be byte-identical however many bench workers run the
-// cells.
-func TestCollectTimeseriesIdenticalAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []byte {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
-		ts, err := CollectTimeseries(200 * time.Millisecond)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var buf bytes.Buffer
-		if err := ts.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if base, got := run(1), run(4); !bytes.Equal(base, got) {
-		t.Errorf("timeseries differs at workers=4:\n--- base ---\n%s\n--- got ---\n%s", base, got)
 	}
 }

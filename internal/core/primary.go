@@ -297,7 +297,7 @@ func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 		if !flags.Has(tcp.FlagSYN) {
 			if flags.Has(tcp.FlagRST) && flags.Has(tcp.FlagACK) {
 				tcp.SealChecksum(b.aP, dst, segment)
-				_ = b.host.SendIPFast(b.aP, dst, ipv4.ProtoTCP, segment)
+				_ = b.host.SendIPFastBuf(b.aP, dst, ipv4.ProtoTCP, netbuf.From(segment))
 			}
 			return true
 		}

@@ -16,7 +16,7 @@ import (
 // store-and-forward to the remote segment through a sim.Mailbox and
 // re-transmitted there with NIC.Inject, preserving the original source MAC —
 // stations on both sides see one transparent L2 path. The relay pays the
-// trunk's own serialization (at XConfig.BandwidthBps) plus XConfig.Latency,
+// trunk's own serialization (at TrunkBandwidthBps) plus XConfig.Latency,
 // which is the latency the shard group's conservative lookahead is derived
 // from: a frame overheard at time t cannot appear remotely before
 // t + Latency, so the link's declared latency is exactly the lockstep
@@ -27,21 +27,15 @@ import (
 // stub cannot echo a relayed frame back through the trunk, and no spanning
 // tree is needed.
 
+// TrunkBandwidthBps is a trunk link's bit rate.
+const TrunkBandwidthBps = 10_000_000_000
+
 // XConfig describes a trunk link's physical characteristics.
 type XConfig struct {
-	// BandwidthBps is the trunk bit rate. Default 10 Gbit/s.
-	BandwidthBps int64
 	// Latency is the one-way store-and-forward delay. It must be positive
 	// when the link crosses a domain boundary — it bounds the group's
 	// conservative lookahead (zero-latency links only work sequentially).
 	Latency time.Duration
-}
-
-func (c XConfig) withDefaults() XConfig {
-	if c.BandwidthBps == 0 {
-		c.BandwidthBps = 10_000_000_000
-	}
-	return c
 }
 
 // XLink is a bidirectional trunk between two segments.
@@ -56,7 +50,6 @@ type xTrunk struct {
 	nic       *NIC
 	mb        *sim.Mailbox
 	peer      *xTrunk
-	bw        int64
 	lat       time.Duration
 	busyUntil time.Duration
 }
@@ -69,7 +62,6 @@ type xTrunk struct {
 // domain, byte-identically to the cross-domain case.
 func ConnectDomains(g *sim.ShardGroup, aSched *sim.Scheduler, a *Segment, aMAC MAC,
 	bSched *sim.Scheduler, b *Segment, bMAC MAC, cfg XConfig, seed int64) (*XLink, error) {
-	cfg = cfg.withDefaults()
 	mbAB, err := g.NewMailbox(aSched, bSched, cfg.Latency, seed)
 	if err != nil {
 		return nil, fmt.Errorf("ethernet: trunk a->b: %w", err)
@@ -78,8 +70,8 @@ func ConnectDomains(g *sim.ShardGroup, aSched *sim.Scheduler, a *Segment, aMAC M
 	if err != nil {
 		return nil, fmt.Errorf("ethernet: trunk b->a: %w", err)
 	}
-	ta := &xTrunk{sched: aSched, mb: mbAB, bw: cfg.BandwidthBps, lat: cfg.Latency}
-	tb := &xTrunk{sched: bSched, mb: mbBA, bw: cfg.BandwidthBps, lat: cfg.Latency}
+	ta := &xTrunk{sched: aSched, mb: mbAB, lat: cfg.Latency}
+	tb := &xTrunk{sched: bSched, mb: mbBA, lat: cfg.Latency}
 	ta.peer, tb.peer = tb, ta
 	ta.nic = a.Attach(aMAC)
 	ta.nic.SetPromiscuous(true)
@@ -100,7 +92,7 @@ func (t *xTrunk) forward(f Frame) {
 		start = t.busyUntil
 	}
 	bits := int64(wireBytes(len(f.Payload))) * 8
-	t.busyUntil = start + time.Duration(bits*int64(time.Second)/t.bw)
+	t.busyUntil = start + time.Duration(bits*int64(time.Second)/TrunkBandwidthBps)
 	xf := xferPool.Get().(*xfer)
 	xf.t = t.peer
 	xf.f = f

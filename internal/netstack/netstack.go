@@ -693,19 +693,11 @@ func (h *Host) SendIP(src, dst ipv4.Addr, proto uint8, payload []byte) error {
 	return h.sendPacket(src, dst, proto, netbuf.From(payload), h.profile.StackEgress, "ip.output")
 }
 
-// SendIPFast emits a datagram with only the bridge processing cost; the
-// bridges use it for segments that never traverse the full local stack. The
-// payload is copied; the caller keeps its slice.
-func (h *Host) SendIPFast(src, dst ipv4.Addr, proto uint8, payload []byte) error {
-	if !h.alive {
-		return ErrHostDown
-	}
-	return h.sendPacket(src, dst, proto, netbuf.From(payload), h.profile.BridgeDelay, "bridge.output")
-}
-
-// SendIPFastBuf is SendIPFast without the copy: it takes ownership of pkt,
-// a pooled buffer the bridge marshaled its segment into directly. This is
-// the bridges' zero-allocation steady-state emit path.
+// SendIPFastBuf emits a datagram with only the bridge processing cost; the
+// bridges use it for segments that never traverse the full local stack. It
+// takes ownership of pkt, a pooled buffer the bridge marshaled its segment
+// into directly, which makes it the bridges' zero-allocation steady-state
+// emit path.
 func (h *Host) SendIPFastBuf(src, dst ipv4.Addr, proto uint8, pkt *netbuf.Buffer) error {
 	if !h.alive {
 		pkt.Release()

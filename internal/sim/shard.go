@@ -286,9 +286,8 @@ func (s *Scheduler) nextEventBound() (time.Duration, bool) {
 // clock to t. The half-open bound is what makes barrier injection safe:
 // deliveries landing exactly on a window edge have not been passed by.
 func (s *Scheduler) runBefore(t time.Duration) error {
-	s.halted = false
 	start := s.executed
-	for !s.halted {
+	for {
 		s.settle()
 		if len(s.queue) == 0 || s.queue[0].when >= t {
 			if s.now < t {
@@ -297,11 +296,10 @@ func (s *Scheduler) runBefore(t time.Duration) error {
 			return nil
 		}
 		s.fire()
-		if s.limit > 0 && s.executed-start > s.limit {
+		if s.executed-start > s.limit {
 			return fmt.Errorf("%w (%d events, now=%v)", ErrEventLimit, s.executed-start, s.now)
 		}
 	}
-	return nil
 }
 
 // nextWindow picks the end of the next lockstep window: min over domains of

@@ -185,7 +185,6 @@ type Scheduler struct {
 	digestOn bool
 	limit    int
 	executed int
-	halted   bool
 
 	// Observability handles (discard slots until AttachObs): which arm each
 	// schedule() takes. The wheel-vs-heap split is the figure of merit for
@@ -285,10 +284,6 @@ func foldDigest(h uint64, when time.Duration, sid StreamID, seq uint64, name str
 	}
 	return h
 }
-
-// SetEventLimit overrides the livelock safety limit for subsequent Run
-// calls. A limit of 0 or below disables the check.
-func (s *Scheduler) SetEventLimit(n int) { s.limit = n }
 
 // Executed returns the total number of events executed so far.
 func (s *Scheduler) Executed() int { return s.executed }
@@ -423,10 +418,6 @@ func (s *Scheduler) Inject(when time.Duration, sid StreamID, seq uint64, exec *S
 	s.pending++
 	s.push(ev)
 }
-
-// Halt stops the current Run/RunUntil call after the in-flight event
-// completes. Pending events remain queued.
-func (s *Scheduler) Halt() { s.halted = true }
 
 // --- heap ---------------------------------------------------------------
 
@@ -581,16 +572,12 @@ func (s *Scheduler) fire() {
 	s.closeVacancy()
 }
 
-// Run executes events until the queue is empty, Halt is called, or the
-// event limit is exceeded.
+// Run executes events until the queue is empty or the event limit is
+// exceeded.
 func (s *Scheduler) Run() error {
-	s.halted = false
 	start := s.executed
-	for !s.halted {
-		if !s.Step() {
-			return nil
-		}
-		if s.limit > 0 && s.executed-start > s.limit {
+	for s.Step() {
+		if s.executed-start > s.limit {
 			return fmt.Errorf("%w (%d events, now=%v)", ErrEventLimit, s.executed-start, s.now)
 		}
 	}
@@ -598,11 +585,10 @@ func (s *Scheduler) Run() error {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. It stops early if Halt is called.
+// t.
 func (s *Scheduler) RunUntil(t time.Duration) error {
-	s.halted = false
 	start := s.executed
-	for !s.halted {
+	for {
 		// After settle the heap top is the globally earliest pending event:
 		// every staged wheel event lies in a strictly later tick, hence
 		// strictly after the heap top.
@@ -614,11 +600,10 @@ func (s *Scheduler) RunUntil(t time.Duration) error {
 			return nil
 		}
 		s.fire()
-		if s.limit > 0 && s.executed-start > s.limit {
+		if s.executed-start > s.limit {
 			return fmt.Errorf("%w (%d events, now=%v)", ErrEventLimit, s.executed-start, s.now)
 		}
 	}
-	return nil
 }
 
 // RunFor executes events for a span d of virtual time from the current

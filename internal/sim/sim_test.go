@@ -123,31 +123,9 @@ func TestScheduleInPastClampsToNow(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	s := New(1)
-	count := 0
-	for range 10 {
-		s.After(time.Millisecond, "e", func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (halted)", count)
-	}
-	if s.PendingEvents() != 7 {
-		t.Errorf("pending = %d, want 7", s.PendingEvents())
-	}
-}
-
 func TestEventLimitDetectsLivelock(t *testing.T) {
 	s := New(1)
-	s.SetEventLimit(100)
+	s.limit = 100
 	var spin func()
 	spin = func() { s.After(time.Microsecond, "spin", spin) }
 	spin()

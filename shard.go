@@ -157,11 +157,7 @@ func (ss *ShardedScenario) linkRing() error {
 	c := len(ss.Cells)
 	east := make([]*ethernet.Segment, c) // east[k]: stub for link k, in dom(cell k)
 	west := make([]*ethernet.Segment, c) // west[k]: stub for link k, in dom(cell k+1)
-	bw := ss.opts.CrossLink.BandwidthBps
-	if bw == 0 {
-		bw = 10_000_000_000
-	}
-	stubCfg := ethernet.Config{BandwidthBps: bw}
+	stubCfg := ethernet.Config{BandwidthBps: ethernet.TrunkBandwidthBps}
 	for k := 0; k < c; k++ {
 		east[k] = ethernet.NewSegment(ss.Cells[k].Domain, stubCfg)
 		west[k] = ethernet.NewSegment(ss.Cells[(k+1)%c].Domain, stubCfg)
