@@ -2,7 +2,9 @@ package tcpfailover_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,36 +179,58 @@ func TestBridgeGarbageCollectsClosedConnections(t *testing.T) {
 	}
 }
 
-// TestStraySegmentIsRefusedFromServiceAddress: a client segment that reaches
-// the pair after the bridge deleted its connection's record is post-cleanup
-// traffic. It is no SYN, so it creates no record; the primary's TCP refuses it
-// with an RST|ACK, which the bridge passes unchanged from the service address.
+// TestStraySegmentIsRefusedFromServiceAddress: a client data segment that
+// reaches the pair after the bridge deleted its connection's record is
+// post-cleanup traffic. It is no SYN, so it creates no record; the primary's
+// TCP refuses it as RFC 793 says, and the bridge passes the refusal unchanged
+// from the service address: the client gets the reset an unreplicated server
+// sends it.
 func TestStraySegmentIsRefusedFromServiceAddress(t *testing.T) {
-	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
-	ec := startEchoClient(t, sc, 8192)
-	port := ec.conn.Tuple().LocalPort
-	gone := func() bool {
-		return ec.closed && sc.Group.PrimaryBridge().Conns() == 0 && len(sc.Client.TCP().Conns()) == 0
-	}
-	runUntil(t, sc, gone, 10*time.Minute)
-
-	var acks []tcp.Seq // of each RST|ACK the client received from the service address
-	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
-		if dir == "rx" && hdr.Src == sc.ServiceAddr() && tcp.RawSane(seg) && tcp.RawFlags(seg) == tcp.FlagRST|tcp.FlagACK {
-			acks = append(acks, tcp.RawAck(seg))
+	// refusals returns the resets the client receives from the service
+	// address for stray, sent once its echo connection is gone everywhere.
+	refusals := func(t *testing.T, opts tcpfailover.Options, stray tcp.Segment) []string {
+		sc := newScenario(t, opts, echoServer)
+		ec := startEchoClient(t, sc, 8192)
+		gone := func() bool {
+			return ec.closed && len(sc.Client.TCP().Conns()) == 0 && (sc.Group == nil || sc.Group.PrimaryBridge().Conns() == 0)
 		}
-	})
-	// A segment without ACK is refused with an RST|ACK (RFC 793).
-	stray := tcp.Segment{SrcPort: port, DstPort: 80, Seq: 1000, Flags: tcp.FlagPSH, Payload: []byte("late")}
-	b := tcp.Marshal(tcpfailover.ClientAddr, sc.ServiceAddr(), &stray)
-	if err := sc.Client.SendIP(tcpfailover.ClientAddr, sc.ServiceAddr(), ipv4.ProtoTCP, b); err != nil {
-		t.Fatal(err)
+		runUntil(t, sc, gone, 10*time.Minute)
+		var got []string
+		sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
+			if dir == "rx" && hdr.Src == sc.ServiceAddr() && tcp.RawSane(seg) && tcp.RawFlags(seg).Has(tcp.FlagRST) {
+				got = append(got, fmt.Sprintf("%v seq=%d ack=%d", tcp.RawFlags(seg), tcp.RawSeq(seg), tcp.RawAck(seg)))
+			}
+		})
+		stray.SrcPort, stray.DstPort = ec.conn.Tuple().LocalPort, 80
+		b := tcp.Marshal(tcpfailover.ClientAddr, sc.ServiceAddr(), &stray)
+		if err := sc.Client.SendIP(tcpfailover.ClientAddr, sc.ServiceAddr(), ipv4.ProtoTCP, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if err := sc.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(acks) != 1 || acks[0] != 1004 {
-		t.Errorf("client received RST|ACKs acknowledging %v from the service address, want one acknowledging 1004", acks)
+	for _, tc := range []struct {
+		name  string
+		stray tcp.Segment
+		want  string // the one reset RFC 793 answers it with
+	}{
+		{"no-ACK data", tcp.Segment{Seq: 1000, Flags: tcp.FlagPSH, Payload: []byte("late")}, "R. seq=0 ack=1004"},
+		{"ACK-bearing data", tcp.Segment{Seq: 1000, Ack: 5000, Flags: tcp.FlagPSH | tcp.FlagACK, Payload: []byte("late")}, "R seq=5000 ack=0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			twin := tcpfailover.LANOptions()
+			twin.Unreplicated = true
+			want := refusals(t, twin, tc.stray)
+			got := refusals(t, tcpfailover.LANOptions(), tc.stray)
+			if !slices.Equal(want, []string{tc.want}) {
+				t.Errorf("an unreplicated server answers with %q, want [%s]", want, tc.want)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("through the pair the client receives %q, from an unreplicated server %q", got, want)
+			}
+		})
 	}
 }
 

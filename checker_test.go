@@ -34,10 +34,6 @@ import (
 // stalled by a failed takeover backs off for minutes.
 const closeAllowance = 10 * time.Second
 
-// expectedFail maps "TestName check" to why that test is known to fail that
-// check; each entry is carried on ROADMAP item 1. None is: every check passes.
-var expectedFail = map[string]string{}
-
 // outcome is what a driven client saw of the service.
 type outcome struct {
 	received int64
@@ -138,17 +134,11 @@ func newCells(t *testing.T, n int, opts tcpfailover.Options, install func(*netst
 	return cells
 }
 
-// report fails t with each violation, unless expectedFail names its check
-// for t.
+// report fails t with each violation.
 func report(t *testing.T, where string, vs []string) {
 	t.Helper()
 	for _, v := range vs {
-		rule, _, _ := strings.Cut(v, ":")
-		if why, ok := expectedFail[t.Name()+" "+rule]; ok {
-			t.Logf("checker, expected to fail (%s): %s%s", why, where, v)
-		} else {
-			t.Errorf("checker: %s%s", where, v)
-		}
+		t.Errorf("checker: %s%s", where, v)
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 // Results and, for an entry whose output Results does not hold, that output.
 type smallRun struct {
 	Results
-	// Stalls is E14's exact stall of every scored connection, in fleet
-	// order, which its histogram percentiles are checked against.
-	Stalls     []time.Duration `json:"stalls,omitempty"`
 	Metrics    *obs.Registry   `json:"-"` // CollectMetrics' registry
 	Timeseries *obs.Timeseries `json:"-"` // CollectTimeseries' fleet view
 }
@@ -83,8 +80,8 @@ var smallRuns = map[string]func(s *smallRun) error{
 		return err
 	},
 	"stallscale": func(s *smallRun) error {
-		p, stalls, err := runStallScale(0, 300, 2*time.Second)
-		s.StallScale, s.Stalls = []StallScalePoint{p}, stalls
+		p, err := runStallScale(0, 300, 2*time.Second)
+		s.StallScale = []StallScalePoint{p}
 		return err
 	},
 	"CollectMetrics": func(s *smallRun) (err error) {

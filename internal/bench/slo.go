@@ -138,10 +138,10 @@ func SLO(loads []float64, window time.Duration) ([]SLOPoint, error) {
 			Failed:      st.Failed,
 			Outstanding: st.Outstanding(),
 			GoodputKBps: metrics.RateKBps(st.BytesIn, window),
-			P50:         st.Lat.PercentileDuration(50),
-			P99:         st.Lat.PercentileDuration(99),
-			P999:        st.Lat.PercentileDuration(99.9),
-			Max:         st.Lat.PercentileDuration(100),
+			P50:         st.Lat.Percentile(50),
+			P99:         st.Lat.Percentile(99),
+			P999:        st.Lat.Percentile(99.9),
+			Max:         st.Lat.Percentile(100),
 		}
 		return nil
 	})

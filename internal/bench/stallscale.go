@@ -18,11 +18,11 @@ import (
 // connection see, and where does its time go? Every connection's stall is
 // computed from its recorded lifecycle span (internal/obs.SpanRecorder) and
 // attributed per phase against the fleet failure/detect/takeover marks;
-// phase and total distributions are aggregated into log-bucketed histograms
-// whose p50/p99/p999/max land in BENCH_trajectory.json. Each testbed cell is
-// an independent simulation (tcpfailover.NewCells) and the cells run on the
-// bench worker pool, so every value is a function of the seeds only —
-// byte-identical for any bench worker count.
+// the exact p50/p99/p999/max of each phase and of the total land in
+// BENCH_trajectory.json. Each testbed cell is an independent simulation
+// (tcpfailover.NewCells) and the cells run on the bench worker pool, so
+// every value is a function of the seeds only — byte-identical for any
+// bench worker count.
 
 // DefaultStallScale is the connection-count axis of E14: the approximate
 // number of sessions arriving during the measurement window, spread over
@@ -55,9 +55,8 @@ func stallCells(conns int) int {
 	return c
 }
 
-// StallPhaseStats are the log-histogram percentiles of one stall phase
-// across the fleet (completed stalls only). The histogram's relative
-// quantile error is bounded by 1/32 (internal/metrics.LogHistogram).
+// StallPhaseStats are the nearest-rank percentiles of one stall phase
+// across the fleet (completed stalls only).
 type StallPhaseStats struct {
 	P50  time.Duration `json:"p50_ns"`
 	P99  time.Duration `json:"p99_ns"`
@@ -65,12 +64,12 @@ type StallPhaseStats struct {
 	Max  time.Duration `json:"max_ns"`
 }
 
-func stallStats(h *metrics.LogHistogram) StallPhaseStats {
+func stallStats(d *metrics.Durations) StallPhaseStats {
 	return StallPhaseStats{
-		P50:  h.PercentileDuration(50),
-		P99:  h.PercentileDuration(99),
-		P999: h.PercentileDuration(99.9),
-		Max:  h.PercentileDuration(100),
+		P50:  d.Percentile(50),
+		P99:  d.Percentile(99),
+		P999: d.Percentile(99.9),
+		Max:  d.Percentile(100),
 	}
 }
 
@@ -107,7 +106,7 @@ type StallScalePoint struct {
 func StallScale(conns []int) ([]StallScalePoint, error) {
 	out := make([]StallScalePoint, len(conns))
 	for i, n := range conns {
-		p, _, err := runStallScale(i, n, DefaultStallWindow)
+		p, err := runStallScale(i, n, DefaultStallWindow)
 		if err != nil {
 			return nil, fmt.Errorf("stallscale %d conns: %w", n, err)
 		}
@@ -116,19 +115,16 @@ func StallScale(conns []int) ([]StallScalePoint, error) {
 	return out, nil
 }
 
-// runStallScale executes one E14 point. It also returns the exact total
-// stall of every scored connection (cell order, span-key order within a
-// cell), which the percentile cross-check test compares against the
-// histogram estimates.
-func runStallScale(idx, conns int, window time.Duration) (StallScalePoint, []time.Duration, error) {
+// runStallScale executes one E14 point.
+func runStallScale(idx, conns int, window time.Duration) (StallScalePoint, error) {
 	cells := stallCells(conns)
 	load := float64(conns) / (float64(cells) * window.Seconds())
 	fleet, err := webCrashFleet(int64(14000+100*idx), cells, load, stallWarmup, window)
 	if err != nil {
-		return StallScalePoint{}, nil, err
+		return StallScalePoint{}, err
 	}
 	if err := runFleet(fleet, stallWarmup+window+stallDrain); err != nil {
-		return StallScalePoint{}, nil, err
+		return StallScalePoint{}, err
 	}
 
 	p := StallScalePoint{
@@ -138,8 +134,7 @@ func runStallScale(idx, conns int, window time.Duration) (StallScalePoint, []tim
 		LoadPerCell: load,
 		Window:      window,
 	}
-	var total, precrash, detection, announce, resume, recovery metrics.LogHistogram
-	var exact []time.Duration
+	var total, precrash, detection, announce, resume, recovery metrics.Durations
 	digests := make([]uint64, 0, cells)
 	for _, sc := range fleet {
 		rec := sc.Spans
@@ -151,13 +146,12 @@ func runStallScale(idx, conns int, window time.Duration) (StallScalePoint, []tim
 				continue
 			}
 			p.Stalled++
-			exact = append(exact, st.Total)
-			total.ObserveDuration(st.Total)
-			precrash.ObserveDuration(st.PreCrash)
-			detection.ObserveDuration(st.Detection)
-			announce.ObserveDuration(st.Announce)
-			resume.ObserveDuration(st.Resume)
-			recovery.ObserveDuration(st.Recovery)
+			total.Add(st.Total)
+			precrash.Add(st.PreCrash)
+			detection.Add(st.Detection)
+			announce.Add(st.Announce)
+			resume.Add(st.Resume)
+			recovery.Add(st.Recovery)
 		}
 	}
 	p.SpanDigest = fmt.Sprintf("%016x", obs.MergeSpanDigests(digests))
@@ -167,7 +161,7 @@ func runStallScale(idx, conns int, window time.Duration) (StallScalePoint, []tim
 	p.Announce = stallStats(&announce)
 	p.Resume = stallStats(&resume)
 	p.Recovery = stallStats(&recovery)
-	return p, exact, nil
+	return p, nil
 }
 
 func renderStallScale(w io.Writer, r *Results) {
@@ -175,8 +169,8 @@ func renderStallScale(w io.Writer, r *Results) {
 	fmt.Fprintln(w, "(open-loop web sessions across testbed cells; every cell's primary")
 	fmt.Fprintln(w, " crashes mid-window; each connection's client-visible stall is read")
 	fmt.Fprintln(w, " from its lifecycle span and attributed per phase against the fleet")
-	fmt.Fprintln(w, " failure/detect/takeover marks; log-histogram percentiles, <=1/32")
-	fmt.Fprintln(w, " relative error; byte-identical for any worker count)")
+	fmt.Fprintln(w, " failure/detect/takeover marks; exact nearest-rank percentiles;")
+	fmt.Fprintln(w, " byte-identical for any worker count)")
 	for _, p := range r.StallScale {
 		fmt.Fprintf(w, "conns %d (cells %d, %.1f sessions/s/cell, %v window): %d spans, %d stalled, digest %s\n",
 			p.Conns, p.Cells, p.LoadPerCell, p.Window, p.Spans, p.Stalled, p.SpanDigest)

@@ -292,10 +292,12 @@ func (b *PrimaryBridge) Outbound(src, dst ipv4.Addr, segment []byte) bool {
 		// Only a SYN may create bridge state (a server-initiated
 		// connection, section 7.2). Anything else for an unknown
 		// connection is post-cleanup traffic: let a refusal RST through
-		// unchanged, swallow the rest.
+		// unchanged, swallow the rest. Inbound keeps the one stray whose
+		// refusal the client must not see, a bare acknowledgment, from
+		// reaching the TCP layer at all.
 		flags := tcp.RawFlags(segment)
 		if !flags.Has(tcp.FlagSYN) {
-			if flags.Has(tcp.FlagRST) && flags.Has(tcp.FlagACK) {
+			if flags.Has(tcp.FlagRST) {
 				tcp.SealChecksum(b.aP, dst, segment)
 				_ = b.host.SendIPFastBuf(b.aP, dst, ipv4.ProtoTCP, netbuf.From(segment))
 			}
@@ -441,6 +443,14 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 			// from the service address, the way every client-bound segment
 			// leaves (section 8).
 			b.emit(hdr.Src, b.ackOnBehalf(b.aP, hdr.Src, payload))
+			return netstack.VerdictDrop, hdr, payload
+		case tcp.RawSegLen(payload) == 0 && !flags.Has(tcp.FlagRST):
+			// A bare acknowledgment: a client in TIME-WAIT answering a FIN
+			// the pair released twice (each replica's TCP retransmits on
+			// its own clock). The primary's TCP would refuse it with an RST
+			// that ends that TIME-WAIT early (RFC 1337). Data, from a client
+			// that believes the connection open, goes on to the TCP layer,
+			// whose refusal Outbound passes, as from an unreplicated server.
 			return netstack.VerdictDrop, hdr, payload
 		}
 		return netstack.VerdictPass, hdr, payload

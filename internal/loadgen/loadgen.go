@@ -73,7 +73,7 @@ type Stats struct {
 	// byte). A session's first request is issued at the arrival instant, so
 	// its latency includes connection setup — and, during failover, the
 	// whole takeover stall.
-	Lat metrics.LogHistogram
+	Lat metrics.Durations
 }
 
 // Outstanding reports measured requests still in flight (issued, neither
@@ -184,7 +184,7 @@ func (s *session) issue() {
 		} else if s.measured {
 			g.Stats.Completed++
 			g.Stats.BytesIn += size
-			g.Stats.Lat.ObserveDuration(g.cfg.Sched.Now() - s.issuedAt)
+			g.Stats.Lat.Add(g.cfg.Sched.Now() - s.issuedAt)
 		}
 		if last || s.dead {
 			return

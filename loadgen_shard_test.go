@@ -17,7 +17,7 @@ import (
 // TestCellsMatchLockstepEngine: the same four-cell web load, cell 0's
 // primary crashed mid-run, through NewCells and through NewSharded at 1 and
 // 2 shards. Each cell executes as many events (its stream 0 against the
-// engine's stream i+1), and generator stats, latency histograms included,
+// engine's stream i+1), and generator stats, latency samples included,
 // and merged snapshots match. Digests fold in each event's stream id, so
 // only the engine's two partitions compare them.
 func TestCellsMatchLockstepEngine(t *testing.T) {

@@ -188,3 +188,50 @@ func TestDesignCitationsResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// testCitation is a code span or fenced block; testName is a test, fuzz
+// target or benchmark named in one, alone or in a command ("`TestX/sub`",
+// "`go test -run 'TestX|TestY'`"). Fences match first, so their three
+// backticks never pair with an inline span's one.
+var (
+	testCitation = regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+	testName     = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	testFunc     = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// TestTestCitationsResolve fails on a test name cited in DESIGN.md,
+// EXPERIMENTS.md or README.md that no _test.go file declares, so a doc
+// cannot lean on a check that has gone. A subtest's name after "/" is not
+// checked.
+func TestTestCitationsResolve(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.Name() == ".git" || d.Name() == ".bench_build" {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(text, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range testCitation.FindAllString(string(text), -1) {
+			for _, name := range testName.FindAllString(span, -1) {
+				if !declared[name] {
+					t.Errorf("%s cites %s, which no _test.go declares", doc, name)
+				}
+			}
+		}
+	}
+}
