@@ -23,7 +23,7 @@ func ftpServer(h *netstack.Host) error {
 	return err
 }
 
-// ftpSession is an FTP client's get, put, get and quit. Its bytes are its
+// ftpSession is an FTP client's login, transfers and quit. Its bytes are its
 // transfer results in order, and its ending the first failed operation.
 type ftpSession struct {
 	outcome
@@ -31,31 +31,39 @@ type ftpSession struct {
 	results  []apps.FTPResult
 }
 
-func dialFTP(sc *tcpfailover.Scenario) (*ftpSession, error) {
-	cl, err := apps.NewFTPClient(sc.Client.TCP(), sc.Sched, tcpfailover.ClientAddr, sc.ServiceAddr())
-	if err != nil {
-		return nil, err
-	}
-	f := &ftpSession{}
-	note := func(r apps.FTPResult) {
-		f.read(fmt.Appendf(nil, "%s %d %d %v\n", r.Name, r.Bytes, r.BadAt, r.Err))
-		if f.err == nil {
-			f.err = r.Err
+// dialFTP returns a dialer for an FTP session that logs in, queues its
+// transfers with ops, each reporting to record, and quits.
+func dialFTP(ops func(cl *apps.FTPClient, record func(apps.FTPResult))) func(*tcpfailover.Scenario) (*ftpSession, error) {
+	return func(sc *tcpfailover.Scenario) (*ftpSession, error) {
+		cl, err := apps.NewFTPClient(sc.Client.TCP(), sc.Sched, tcpfailover.ClientAddr, sc.ServiceAddr())
+		if err != nil {
+			return nil, err
 		}
+		f := &ftpSession{}
+		note := func(r apps.FTPResult) {
+			f.read(fmt.Appendf(nil, "%s %d %d %v\n", r.Name, r.Bytes, r.BadAt, r.Err))
+			if f.err == nil {
+				f.err = r.Err
+			}
+		}
+		cl.Login(func(r apps.FTPResult) { f.loggedIn = true; note(r) })
+		ops(cl, func(r apps.FTPResult) { f.results = append(f.results, r); note(r) })
+		cl.Done = func() { f.close(sc, f.err) }
+		cl.Quit()
+		return f, nil
 	}
-	cl.Login(func(r apps.FTPResult) { f.loggedIn = true; note(r) })
-	record := func(r apps.FTPResult) { f.results = append(f.results, r); note(r) }
+}
+
+// getPutGet is a get, a 20 000-byte put and a get.
+func getPutGet(cl *apps.FTPClient, record func(apps.FTPResult)) {
 	cl.Get("medium.bin", record)
 	cl.Put("upload.bin", 20000, record)
 	cl.Get("small.txt", record)
-	cl.Done = func() { f.close(sc, f.err) }
-	cl.Quit()
-	return f, nil
 }
 
 func runFTPGetPut(t *testing.T, sc *tcpfailover.Scenario, crashAfterLogin bool) {
 	t.Helper()
-	f := driven(t, sc, dialFTP)
+	f := driven(t, sc, dialFTP(getPutGet))
 	if crashAfterLogin {
 		runUntil(t, sc, func() bool { return f.loggedIn }, time.Minute)
 		sc.Group.Crash(0)
@@ -216,7 +224,7 @@ func TestPoisonedScratchAcrossAppShapes(t *testing.T) {
 		}
 		return w, err
 	})
-	ftp := driven(t, sc, dialFTP)
+	ftp := driven(t, sc, dialFTP(getPutGet))
 	runUntil(t, sc, func() bool { return recv.closed && send.closed && page.closed && ftp.closed }, 10*time.Minute)
 	if recv.received != 3*size || recv.badAt >= 0 || recv.err != nil {
 		t.Errorf("stream-recv: %d bytes, corrupt at %d, err %v; want %d clean", recv.received, recv.badAt, recv.err, 3*size)

@@ -234,50 +234,6 @@ func TestStraySegmentIsRefusedFromServiceAddress(t *testing.T) {
 	}
 }
 
-// TestLateFinFromSecondarySynthesizedAck: "When the bridge receives a FIN
-// that S sent after the bridge removed all internal data structures
-// associated with the connection, it creates an ACK and sends it back to
-// S" (section 8). The secondary is made deaf to the client's final ACK, so
-// it retransmits its FIN after the bridge has forgotten the connection.
-func TestLateFinFromSecondarySynthesizedAck(t *testing.T) {
-	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
-	ec := startEchoClient(t, sc, 8192)
-
-	// Once the client has consumed the server stream (EOF seen), drop every
-	// client frame at the secondary's NIC: the closing ACK never arrives.
-	armed := false
-	err := sc.Faults.Impair(fault.Impairment{
-		Link: fault.LinkServerLAN, To: fault.RoleSecondary,
-		Models: []fault.Spec{fault.DropWhen(func(p []byte) bool {
-			if !armed {
-				return false
-			}
-			hdr, _, err := ipv4.Unmarshal(p)
-			return err == nil && hdr.Protocol == ipv4.ProtoTCP && hdr.Src == tcpfailover.ClientAddr
-		}, 0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runUntil(t, sc, func() bool { return ec.eof }, 10*time.Minute)
-	armed = true
-
-	done := func() bool {
-		return ec.closed && sc.Group.PrimaryBridge().Stats().LateFinAcks > 0
-	}
-	runUntil(t, sc, done, 30*time.Minute)
-	// The synthesized ACK must have terminated the secondary's connection.
-	armed = false
-	if err := sc.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range sc.Secondary.TCP().Conns() {
-		if c.Tuple().RemoteAddr == tcpfailover.ClientAddr && c.State() != tcp.StateClosed {
-			t.Errorf("secondary connection still in %v", c.State())
-		}
-	}
-}
-
 // TestLateClientFinIsAcknowledged is the client's side of the same rule: the
 // server closes first, the acknowledgment of the client's FIN is lost, and by
 // the time the client retransmits its FIN the bridge has deleted the
@@ -354,12 +310,4 @@ func TestLateClientFinIsAcknowledged(t *testing.T) {
 		}
 		t.Logf("backups=%d: closed at %v (unreplicated %v), %d late-FIN ACK", backups, at, wantAt, late)
 	}
-}
-
-// TestTerminationClientClosesFirst exercises the server-side close ordering:
-// the client writes 12 bytes and half-closes at once; both replicas observe
-// EOF and close, and the client sees the echo and the ending an unreplicated
-// server gives it (the root checker's twin).
-func TestTerminationClientClosesFirst(t *testing.T) {
-	startEchoClient(t, newScenario(t, tcpfailover.LANOptions(), echoServer), 12)
 }

@@ -37,18 +37,6 @@ func TestChainFaultFree(t *testing.T) {
 	}
 }
 
-func TestChainSingleFailures(t *testing.T) {
-	names := []string{"head", "middle", "tail"}
-	for pos := range 3 {
-		t.Run(names[pos], func(t *testing.T) {
-			sc := newScenario(t, chainOptions(), echoServer)
-			ec := startEchoClient(t, sc, 192*1024)
-			runUntil(t, sc, func() bool { return ec.received > 48*1024 }, time.Minute)
-			sc.Group.Crash(pos)
-		})
-	}
-}
-
 func TestChainCascadingFailures(t *testing.T) {
 	// Every ordered pair of distinct crash positions: the chain shortens
 	// to two-way after the first failure and must survive the second.

@@ -5,12 +5,14 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"tcpfailover"
 	"tcpfailover/internal/check"
+	"tcpfailover/internal/fault"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netbuf"
 	"tcpfailover/internal/netstack"
@@ -213,10 +215,42 @@ func (c *checker) violations() []string {
 	for _, d := range c.drives {
 		got = append(got, d.got)
 	}
-	c.w.Drain(func() bool { return allClosed(got) })
+	c.drain(got)
 	c.w.Quiesce()
 	c.twin()
 	return c.found
+}
+
+// drain runs until every client in outs has closed, and if there is one
+// closeAllowance more for "members end", then stops and drains the scenario.
+func (c *checker) drain(outs []*outcome) {
+	armed, judged := len(outs) == 0, len(outs) == 0
+	c.w.Drain(func() bool {
+		if !armed && allClosed(outs) {
+			armed = true
+			c.sc.Sched.After(closeAllowance, "checker.members-end", func() { c.membersEnd(); judged = true })
+		}
+		return judged
+	})
+}
+
+// membersEnd: every live member (or the lone server) has let go of each
+// connection whose client port is no longer open, but in TIME-WAIT.
+func (c *checker) membersEnd() {
+	open := map[uint16]bool{}
+	for _, cc := range c.sc.Client.TCP().Conns() {
+		open[cc.Tuple().LocalPort] = true
+	}
+	for _, h := range []*netstack.Host{c.sc.Primary, c.sc.Secondary, c.sc.Tertiary} {
+		if h == nil || !h.Alive() {
+			continue
+		}
+		for _, mc := range h.TCP().Conns() {
+			if tu := mc.Tuple(); tu.RemoteAddr == c.sc.Client.Iface(0).Addr() && !open[tu.RemotePort] && mc.State() != tcp.StateTimeWait {
+				c.flag("members end", "%s holds %v in %v %v after the last client closed", h.Name(), tu, mc.State(), closeAllowance)
+			}
+		}
+	}
 }
 
 func allClosed(outs []*outcome) bool {
@@ -256,7 +290,7 @@ func (c *checker) twin() {
 	for i, d := range c.drives {
 		tw.Sched.At(d.at, "checker.replay", func() { outs[i] = d.replay(tw) })
 	}
-	tc.w.Drain(func() bool { return allClosed(outs) }) // leaves netbuf's counters as it found them
+	tc.drain(outs) // leaves netbuf's counters as it found them
 	for i, d := range c.drives {
 		got, want := d.got, outs[i]
 		if want == nil {
@@ -365,6 +399,15 @@ func TestCheckerReportsPlantedViolations(t *testing.T) {
 		{"the primary releases its own byte", "release", "primary releases", echoServer, func(r run) error {
 			echoed(r)
 			return send(r, r.sc.Primary, svc, tcp.Segment{Seq: r.v.next.Add(16384), Ack: r.v.ack, Flags: tcp.FlagACK, Window: r.v.win, Payload: []byte{1}}, false)
+		}},
+		{"a member left in LAST-ACK", "members end", "secondary holds", echoServer, func(r run) error {
+			// The secondary hears nothing more once it has sent its FIN, so
+			// it retransmits it to a client that has closed.
+			lastAck := func(c *tcp.Conn) bool { return c.State() == tcp.StateLastAck }
+			return r.sc.Faults.Impair(fault.Impairment{Link: fault.LinkServerLAN, To: fault.RoleSecondary,
+				Models: []fault.Spec{fault.DropWhen(func(p []byte) bool {
+					return isTCP(p) && slices.ContainsFunc(r.sc.Secondary.TCP().Conns(), lastAck)
+				}, 0)}})
 		}},
 		{"an ack past a reused port's stream", "wire", "acknowledges", echoServer, func(r run) error {
 			// A second connection from the first one's port, after TIME-WAIT,

@@ -1,7 +1,6 @@
 package tcpfailover_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -10,10 +9,10 @@ import (
 	"tcpfailover/internal/netstack"
 )
 
-// The system's core guarantee, tested as a property: no matter when a
-// server fails — and regardless of concurrent packet loss — the client's
-// byte stream is delivered exactly once, in order, and the connection
-// closes cleanly.
+// The system's core guarantee beyond TestEnumerate's small runs: when a
+// server fails mid-stream, with or without concurrent packet loss, the
+// client's byte stream is delivered exactly once, in order, and the
+// connection closes cleanly.
 
 // memberNames names the pair's group positions in subtest names.
 var memberNames = []string{"primary", "secondary"}
@@ -33,41 +32,12 @@ func propertyRun(t *testing.T, seed int64, crashFrac float64, crashPos int, loss
 	sc.Group.Crash(crashPos)
 }
 
-func TestPropertyFailoverSweepPrimary(t *testing.T) {
-	fracs := []float64{0.02, 0.2, 0.5, 0.8, 0.95}
-	for i, frac := range fracs {
-		t.Run(fmt.Sprintf("crash_at_%.0f%%", frac*100), func(t *testing.T) {
-			propertyRun(t, int64(100+i), frac, 0, 0)
-		})
-	}
-}
-
-func TestPropertyFailoverSweepSecondary(t *testing.T) {
-	fracs := []float64{0.02, 0.2, 0.5, 0.8, 0.95}
-	for i, frac := range fracs {
-		t.Run(fmt.Sprintf("crash_at_%.0f%%", frac*100), func(t *testing.T) {
-			propertyRun(t, int64(200+i), frac, 1, 0)
-		})
-	}
-}
-
 func TestPropertyFailoverUnderLoss(t *testing.T) {
 	// Failover while the network is independently dropping frames: the
 	// takeover window and ordinary loss recovery compound.
 	for pos, name := range memberNames {
-		t.Run(name, func(t *testing.T) {
-			propertyRun(t, int64(300+pos), 0.4, pos, 0.01)
-		})
+		t.Run(name, func(t *testing.T) { propertyRun(t, int64(300+pos), 0.4, pos, 0.01) })
 	}
-}
-
-// TestFailoverDuringHandshake crashes the primary immediately after the
-// client's SYN is sent, before the connection can establish. The client's
-// SYN retransmissions must eventually connect to the promoted secondary.
-func TestFailoverDuringHandshake(t *testing.T) {
-	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
-	startEchoClient(t, sc, 4096)
-	sc.Group.Crash(0) // before any packet processing
 }
 
 // TestFailoverWithRouterARPDelay exercises the paper's interval T: the

@@ -22,38 +22,6 @@ func scheduled(steps ...fault.Step) tcpfailover.Options {
 	return opts
 }
 
-// TestScheduleCrashPrimaryBeforeHandshake crashes the primary before the
-// client ever dials. By the time the client connects, the secondary must
-// have taken over the service address, and the connection runs entirely on
-// the promoted replica.
-func TestScheduleCrashPrimaryBeforeHandshake(t *testing.T) {
-	sc := newScenario(t, scheduled(fault.Step{At: time.Millisecond, Op: fault.OpCrashPrimary}), echoServer)
-	// Run past detection (50 ms heartbeat timeout) and takeover.
-	if err := sc.Run(120 * time.Millisecond); err != nil {
-		t.Fatalf("pre-dial run: %v", err)
-	}
-	startEchoClient(t, sc, 64*1024)
-}
-
-// TestScheduleCrashPrimaryDuringHandshake schedules the crash inside the
-// failover connection-setup window (~550 us), so the primary dies between
-// the client's SYN and the combined SYN-ACK. The client's SYN
-// retransmissions must land on the promoted secondary and the stream
-// complete bit-compatibly.
-func TestScheduleCrashPrimaryDuringHandshake(t *testing.T) {
-	sc := newScenario(t, scheduled(fault.Step{At: 300 * time.Microsecond, Op: fault.OpCrashPrimary}), echoServer)
-	startEchoClient(t, sc, 64*1024)
-}
-
-// TestScheduleCrashPrimaryMidStream crashes the primary at a fixed virtual
-// time in the middle of the transfer; the connection must be taken over
-// and the stream delivered exactly once.
-func TestScheduleCrashPrimaryMidStream(t *testing.T) {
-	sc := newScenario(t, scheduled(fault.Step{At: 30 * time.Millisecond, Op: fault.OpCrashPrimary}), echoServer)
-	startEchoClient(t, sc, 192*1024)
-	runUntil(t, sc, func() bool { return sc.Group.SecondaryBridge().Stats().TakenOver > 0 }, time.Minute)
-}
-
 // TestScheduleCrashSecondaryDegradedFlush crashes the secondary mid-stream.
 // The primary bridge is then holding primary output bytes with no matching
 // secondary copy; degraded mode must flush them to the client rather than

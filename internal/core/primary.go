@@ -490,7 +490,7 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 		}
 		return netstack.VerdictPass, hdr, payload
 	}
-	if n := len(tcp.RawPayload(payload)); n > 0 && c.combinedSynSent && c.lastAckValid {
+	if n := tcp.RawSegLen(payload); n > 0 && c.combinedSynSent && c.lastAckValid {
 		if !tcp.RawSeq(payload).Add(n).InWindow(b.minAck(c).Add(-seqHorizon), 3*seqHorizon) {
 			// Stale or far-future data: answering it would hand a blind
 			// forger an acknowledgment reflector, so it is dropped instead.
@@ -498,11 +498,11 @@ func (b *PrimaryBridge) Inbound(ifIndex int, hdr ipv4.Header, payload []byte) (n
 			return netstack.VerdictDrop, hdr, payload
 		}
 		if tcp.RawSeq(payload).Add(n).Leq(b.minAck(c)) {
-			// The client retransmits data both replicas have already
-			// acknowledged — it missed the acknowledgment. The replicas'
-			// duplicate ACKs would not advance the combined minimum, so the
-			// bridge answers directly (the duplicate-ACK analogue of the
-			// section 4 retransmission forwarding).
+			// The client retransmits data, a SYN or a FIN both replicas
+			// have already acknowledged — it missed the acknowledgment.
+			// The replicas' duplicate ACKs would not advance the combined
+			// minimum, so the bridge answers directly (the duplicate-ACK
+			// analogue of the section 4 retransmission forwarding).
 			b.emitToClient(c, b.segmentAt(c, c.sndMax, tcp.FlagACK, nil))
 		}
 	}
@@ -939,5 +939,6 @@ func (b *PrimaryBridge) HandleSecondaryFailure() {
 		}
 		c.parkQueues()
 		b.maybeEmitAck(c)
+		b.maybeGC(c) // the acknowledgment of the client's FIN may be out now
 	}
 }

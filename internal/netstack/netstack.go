@@ -323,11 +323,12 @@ func (i *Iface) hasAddr(a ipv4.Addr) bool {
 // Iface returns the interface at index.
 func (h *Host) Iface(index int) *Iface { return h.ifaces[index] }
 
-// AddAddress adds an address to an interface (IP takeover).
+// AddAddress adds an address to an interface (IP takeover), ahead of the
+// others: the connections the host opens from now on are the service's.
 func (h *Host) AddAddress(ifIndex int, addr ipv4.Addr) {
 	ifc := h.ifaces[ifIndex]
 	if !ifc.hasAddr(addr) {
-		ifc.addrs = append(ifc.addrs, addr)
+		ifc.addrs = append([]ipv4.Addr{addr}, ifc.addrs...)
 	}
 }
 

@@ -611,6 +611,51 @@ func TestRetransmissionRecoversSingleLoss(t *testing.T) {
 	}
 }
 
+// TestOldDuplicateDrawsAck: an old duplicate (data, FIN or SYN ending at or
+// before rcvNxt) says the peer missed an ACK, so it draws one at once in any
+// state (RFC 793 p. 69). a's bare ACKs are lost until b retransmits; b's
+// side must then end within one RTO.
+func TestOldDuplicateDrawsAck(t *testing.T) {
+	for _, synAck := range []bool{true, false} {
+		p := newPair(t, Config{})
+		armed, rexmit, done := synAck, time.Duration(0), time.Duration(0)
+		p.dropToB = func(seg []byte) bool { return armed && RawFlags(seg) == FlagACK && p.b.Stats().Retransmissions == 0 }
+		p.dropToA = func([]byte) bool {
+			if rexmit == 0 && p.b.Stats().Retransmissions > 0 {
+				rexmit = p.sched.Now()
+			}
+			return false
+		}
+		if synAck {
+			// a is ESTABLISHED and sends nothing more: only its answer to the
+			// retransmitted SYN-ACK completes b's side.
+			if _, err := p.b.Listen(80, func(*Conn) { done = p.sched.Now() }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.a.Dial(p.bAddr, 80); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// a closes first; b answers EOF with two segments, the FIN on the
+			// second, and closes: a sits in TIME-WAIT, b in LAST-ACK.
+			c, s := p.connect(t, 80)
+			s.OnReadable(func() {
+				if _, err := s.Read(make([]byte, 64)); err == io.EOF {
+					armed = true
+					_, _ = s.Write(make([]byte, 2000))
+					s.Close()
+				}
+			})
+			s.OnClose(func(error) { done = p.sched.Now() })
+			c.Close()
+		}
+		p.runUntil(t, func() bool { return done > 0 }, timeWait)
+		if rexmit == 0 || done-rexmit > minRTO {
+			t.Errorf("synAck %v: b retransmitted at %v and ended at %v, want within %v", synAck, rexmit, done, minRTO)
+		}
+	}
+}
+
 func TestFastRetransmitOnDupAcks(t *testing.T) {
 	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)

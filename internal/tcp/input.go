@@ -82,20 +82,27 @@ func (c *Conn) input(seg *Segment) {
 	if !c.processAck(seg) {
 		return
 	}
-	if !acceptable {
+	// Text, a SYN or a FIN that we cannot accept, or that ends at or before
+	// rcvNxt (an old duplicate: the peer missed our ACK), draws an immediate
+	// ACK in every synchronized state (RFC 793 p. 69, as BSD does), so the
+	// peer resynchronizes; in TIME-WAIT a FIN also restarts 2 MSL. Pure ACKs
+	// are not answered: answering them is how two desynchronized endpoints
+	// start an ACK war.
+	switch {
+	case !acceptable:
 		if seg.Len() > 0 {
-			// Answer data we cannot accept with a duplicate ACK so the
-			// peer resynchronizes; pure ACKs are not answered (answering
-			// them is how two desynchronized endpoints start an ACK war).
 			c.sendAck()
 		}
-		if c.state != StateClosed {
-			c.flushOutput()
+	case seg.Seq != c.rcvNxt && seg.Len() > 0 && seg.Seq.Add(seg.Len()).Leq(c.rcvNxt):
+		c.ackNowFlag = true
+		if c.state == StateTimeWait && seg.Flags.Has(FlagFIN) {
+			c.sendAck()
+			c.enterTimeWait()
 		}
-		return
+	default:
+		c.processPayload(seg)
+		c.processFin(seg)
 	}
-	c.processPayload(seg)
-	c.processFin(seg)
 	if c.state != StateClosed {
 		c.flushOutput()
 	}
@@ -224,13 +231,6 @@ func (c *Conn) processAck(seg *Segment) bool {
 			c.destroy(closeClean)
 			return false
 		}
-	case StateTimeWait:
-		// A retransmitted FIN: re-ack and restart 2 MSL.
-		if seg.Flags.Has(FlagFIN) {
-			c.sendAck()
-			c.enterTimeWait()
-		}
-		return false
 	}
 	return true
 }
@@ -342,8 +342,7 @@ func (c *Conn) processPayload(seg *Segment) {
 	if start.Less(c.rcvNxt) {
 		skip := c.rcvNxt.Diff(start)
 		if skip >= len(payload) {
-			c.ackNowFlag = true // pure duplicate: ack immediately
-			return
+			return // only the FIN is new (input answers a pure duplicate)
 		}
 		payload = payload[skip:]
 		start = c.rcvNxt
