@@ -42,6 +42,31 @@ func TestCombinedSynUsesMinimumMSS(t *testing.T) {
 	}
 }
 
+// TestSecondaryLostMidHandshake: the secondary crashes as the client dials,
+// so the primary's SYN-ACK waits in the bridge for a partner that never
+// comes. Degrading adopts the primary's handshake as the secondary's
+// (section 6) and releases the SYN-ACK: the client connects on its one SYN,
+// inside the initial RTO, not after retransmitting it.
+func TestSecondaryLostMidHandshake(t *testing.T) {
+	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
+	syns := 0
+	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
+		if dir == "tx" && hdr.Protocol == ipv4.ProtoTCP && tcp.RawSane(seg) && tcp.RawFlags(seg).Has(tcp.FlagSYN) {
+			syns++
+		}
+	})
+	dialed := sc.Now()
+	ec := startEchoClient(t, sc, 8192)
+	sc.Group.Crash(1)
+	runUntil(t, sc, func() bool { return ec.conn.State() != tcp.StateSynSent }, dialed+time.Minute)
+	// Established, the client has already sent its 8 KiB and its FIN.
+	if took := sc.Now() - dialed; ec.conn.State() == tcp.StateClosed || syns != 1 || took >= time.Second {
+		t.Fatalf("left SYN-SENT for %v after %v and %d SYNs, want a connection on the first SYN, inside the 1 s initial RTO",
+			ec.conn.State(), took, syns)
+	}
+	runUntil(t, sc, func() bool { return ec.closed }, time.Hour)
+}
+
 // flipEcho is the echo service, except on the host named flipper, which
 // inverts every byte past prefix of what it echoes (for a transfer that fits
 // the send buffer): the replicas' streams diverge there.
@@ -165,11 +190,15 @@ func TestIdleConnectionsHoldNoRingStorage(t *testing.T) {
 }
 
 // TestBridgeGarbageCollectsClosedConnections: after a clean close the
-// bridge deletes its per-connection structures (section 8).
+// bridge deletes its per-connection structures (section 8). The client's
+// OnClose fires as it enters TIME-WAIT, when the ACK that ends the members'
+// LAST-ACK has just left it; the record goes once that ACK has crossed the
+// bridge, within 10 ms.
 func TestBridgeGarbageCollectsClosedConnections(t *testing.T) {
 	sc := newScenario(t, tcpfailover.LANOptions(), echoServer)
 	ec := startEchoClient(t, sc, 8192)
 	runUntil(t, sc, func() bool { return ec.closed }, 10*time.Minute)
+	runUntil(t, sc, func() bool { return sc.Group.PrimaryBridge().Conns() == 0 }, sc.Now()+10*time.Millisecond)
 	stats := sc.Group.PrimaryBridge().Stats()
 	if stats.ConnsOpened == 0 || stats.ConnsClosed != stats.ConnsOpened {
 		t.Errorf("bridge records: opened=%d closed=%d", stats.ConnsOpened, stats.ConnsClosed)

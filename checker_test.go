@@ -235,11 +235,12 @@ func (c *checker) drain(outs []*outcome) {
 }
 
 // membersEnd: every live member (or the lone server) has let go of each
-// connection whose client port is no longer open, but in TIME-WAIT.
+// connection whose client port is no longer open, but in TIME-WAIT. A
+// client connection in TIME-WAIT has ended: its application is gone.
 func (c *checker) membersEnd() {
 	open := map[uint16]bool{}
 	for _, cc := range c.sc.Client.TCP().Conns() {
-		open[cc.Tuple().LocalPort] = true
+		open[cc.Tuple().LocalPort] = cc.State() != tcp.StateTimeWait
 	}
 	for _, h := range []*netstack.Host{c.sc.Primary, c.sc.Secondary, c.sc.Tertiary} {
 		if h == nil || !h.Alive() {

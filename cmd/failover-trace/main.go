@@ -176,7 +176,11 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 		return err
 	}
 	mark("transfer complete (%d bytes, %d trace events)", received, rec.Total())
-	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
+	// The client's OnClose fires as it enters TIME-WAIT; the run ends once
+	// its last ACK has closed the members' ends, not after its 2 MSL.
+	if err := sc.RunUntil(func() bool {
+		return closed && len(sc.Primary.TCP().Conns())+len(sc.Secondary.TCP().Conns()) == 0
+	}, 10*time.Minute); err != nil {
 		return err
 	}
 	mark("connection closed")

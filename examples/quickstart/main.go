@@ -112,7 +112,7 @@ func run() error {
 	if err := sc.RunUntil(func() bool { return closed }, 10*time.Minute); err != nil {
 		return err
 	}
-	fmt.Printf("t=%8.3fms  connection closed cleanly (includes TIME-WAIT)\n", sc.Now().Seconds()*1e3)
+	fmt.Printf("t=%8.3fms  connection closed cleanly (the client now lingers in TIME-WAIT)\n", sc.Now().Seconds()*1e3)
 	fmt.Printf("sent %d, received %d, corruption at %d (-1 = none)\n", sent, received, badAt)
 	fmt.Printf("secondary bridge: %+v\n", sc.Group.SecondaryBridge().Stats())
 	if received != total || badAt >= 0 {

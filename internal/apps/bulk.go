@@ -48,8 +48,10 @@ func NewSinkServer(stack *tcp.Stack, port uint16) (*SinkServer, error) {
 // application passed the last byte to the stack (SendDone) — "the send call
 // returns when the application has passed the last byte to the stack, not
 // when the last byte has been put on the wire" — and when the connection
-// fully closed (Closed), by which time the receiver has acknowledged
-// everything.
+// closed (Closed), by which time the receiver has acknowledged everything.
+// The client closes first, so Closed is its entry to TIME-WAIT: from then
+// the connection holds nothing of the Transfer, and the stack alone
+// lingers 2 MSL.
 type Transfer struct {
 	Conn        *tcp.Conn
 	Total       int64

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+	"weak"
 
 	"tcpfailover/internal/ethernet"
 	"tcpfailover/internal/ipv4"
@@ -87,6 +88,36 @@ func TestScratchSharedPerEventLoop(t *testing.T) {
 	}
 	if other, _ := connect(); base(other) == base(server) {
 		t.Error("two event loops share one scratch buffer, want one each")
+	}
+}
+
+// TestTimeWaitFreesTransfer: an upload's client closes first and lingers
+// 2 MSL in TIME-WAIT, but its application ends as the linger starts — the
+// connection drops its callbacks, so the Transfer and the closures around
+// it are garbage while the stack alone holds the Conn.
+func TestTimeWaitFreesTransfer(t *testing.T) {
+	sched, srv, cl := hostPair()
+	if _, err := NewSinkServer(srv.TCP(), 7); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewBulkSend(cl.TCP(), sched, pairServerAddr, 7, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := tr.Conn
+	for conn.State() != tcp.StateTimeWait && sched.Step() {
+	}
+	if tr.Err != nil || tr.Sent != tr.Total || conn.State() != tcp.StateTimeWait {
+		t.Fatalf("sent %d of %d bytes, %v, in %v; want all of them, nil, in TIME-WAIT", tr.Sent, tr.Total, tr.Err, conn.State())
+	}
+	transfer := weak.Make(tr)
+	tr = nil
+	runtime.GC()
+	if transfer.Value() != nil {
+		t.Error("the Transfer outlives its OnClose: the connection in TIME-WAIT still reaches it")
+	}
+	if conn.State() != tcp.StateTimeWait {
+		t.Errorf("connection in %v after the collection, want TIME-WAIT", conn.State())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"tcpfailover"
 	"tcpfailover/internal/apps"
 	"tcpfailover/internal/fault"
-	"tcpfailover/internal/tcp"
 )
 
 // The byte-path allocation gates (CI runs both on every push): between the
@@ -131,10 +130,11 @@ func TestSequentialConnsReuseRings(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Full close as the client sees it: its FIN acknowledged and the
-		// servers' FIN received. Entering TIME-WAIT returns the client's
-		// rings; the replicas' go back when LAST-ACK completes.
+		// servers' FIN received, where OnClose fires as TIME-WAIT begins.
+		// Entering TIME-WAIT returns the client's rings; the replicas' go
+		// back when LAST-ACK completes.
 		if err := sc.RunUntil(func() bool {
-			return tr.Err != nil || tr.Conn.State() == tcp.StateTimeWait || tr.Closed > 0
+			return tr.Err != nil || tr.Closed > 0
 		}, time.Hour); err != nil {
 			t.Fatal(err)
 		}

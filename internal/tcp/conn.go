@@ -138,8 +138,11 @@ func (c *Conn) OnReadable(f func()) { c.onReadable = f }
 // OnWritable sets the callback fired when send-buffer space frees up.
 func (c *Conn) OnWritable(f func()) { c.onWritable = f }
 
-// OnClose sets the callback fired exactly once when the connection is fully
-// terminated; err is nil for a clean close.
+// OnClose sets the callback fired exactly once when the connection ends
+// for the application: on entering TIME-WAIT, once the ACK that completes
+// the close is out, or else on reaching CLOSED. err is nil for a clean
+// close. After it the connection holds no callback: the stack alone lingers
+// through 2 MSL, and Close and Abort change nothing.
 func (c *Conn) OnClose(f func(error)) { c.onClose = f }
 
 // SendFree returns the send-buffer space available to Write.
@@ -221,7 +224,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 
 // Close closes the sending direction after all buffered data drains (a
 // half-close; the peer may keep sending). The connection terminates fully
-// once both directions are closed.
+// once both directions are closed. After OnClose it does nothing.
 func (c *Conn) Close() {
 	if c.finQueued {
 		return
@@ -244,9 +247,11 @@ func (c *Conn) Close() {
 }
 
 // Abort resets the connection immediately, notifying the peer with RST.
+// After OnClose it does nothing: from TIME-WAIT no RST goes out (nor does
+// RFC 793's ABORT send one there), and the stack finishes its 2 MSL.
 func (c *Conn) Abort() {
 	switch c.state {
-	case StateClosed:
+	case StateClosed, StateTimeWait:
 		return
 	case StateSynSent, StateListen:
 	default:
@@ -605,6 +610,10 @@ func (c *Conn) onPersistTimeout() {
 	c.armPersist()
 }
 
+// enterTimeWait starts or restarts 2 MSL. The first entry ends the
+// application's part: the ACK that completes the close goes out, OnClose
+// fires, and the connection lets go of every callback, so the stack alone
+// holds the linger and the application's state is garbage.
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	// Nothing more will be buffered: the receive ring gives back what it
@@ -613,10 +622,16 @@ func (c *Conn) enterTimeWait() {
 	c.releaseRcvBuf()
 	c.rtxCount = 0
 	c.setTimer(timerTimeWait, timeWait, "tcp.timewait")
+	onClose := c.onClose
+	c.onEstablished, c.onReadable, c.onWritable, c.onClose = nil, nil, nil, nil
+	if onClose != nil {
+		c.flushOutput()
+		onClose(nil)
+	}
 }
 
 // destroy tears the connection down, ending it as code says, and fires
-// OnClose exactly once.
+// OnClose if TIME-WAIT has not.
 func (c *Conn) destroy(code uint8) {
 	if c.closeCode != 0 {
 		return

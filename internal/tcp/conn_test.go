@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"testing"
@@ -786,7 +787,8 @@ func TestTimerSlotZeroWindowReopens(t *testing.T) {
 // TestTimerSlotKeepsTimeWait: the client's ACK of the server's FIN is lost,
 // so the FIN comes again in TIME-WAIT and restarts 2 MSL; a stale ACK
 // after it runs the window-update path, whose persist stop must not
-// disarm the slot. The connection closes timeWait after the retransmitted
+// disarm the slot. OnClose fires once, as the first FIN puts the client in
+// TIME-WAIT; the connection reaches CLOSED timeWait after the retransmitted
 // FIN arrived.
 func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	p := newPair(t, Config{})
@@ -802,17 +804,21 @@ func TestTimerSlotKeepsTimeWait(t *testing.T) {
 		dropped = dropped || drop
 		return drop
 	}
-	var lastFin time.Duration
+	var firstFin, lastFin time.Duration
 	p.dropToA = func(seg []byte) bool {
 		if RawFlags(seg).Has(FlagFIN) {
 			lastFin = p.sched.Now() + p.delay
+			firstFin = cmp.Or(firstFin, lastFin)
 		}
 		return false
 	}
-	var closedAt time.Duration
-	c.OnClose(func(error) { closedAt = p.sched.Now() })
+	closes, closedAt := 0, time.Duration(0)
+	c.OnClose(func(error) { closes, closedAt = closes+1, p.sched.Now() })
 	c.Close()
 	p.runUntil(t, func() bool { return s.State() == StateClosed }, 5*time.Second)
+	if closes != 1 || closedAt != firstFin {
+		t.Fatalf("OnClose fired %d times, the first at %v; want once, at TIME-WAIT entry %v", closes, closedAt, firstFin)
+	}
 	if !dropped || c.State() != StateTimeWait || c.timer.When() != lastFin+timeWait {
 		t.Fatalf("after the second FIN: dropped %v, %v, 2 MSL ends at %v, want %v", dropped, c.State(), c.timer.When(), lastFin+timeWait)
 	}
@@ -823,9 +829,10 @@ func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	if c.timerKind != timerTimeWait || c.timer.When() != lastFin+timeWait {
 		t.Fatalf("a stale ACK left slot kind %d ending at %v, want TIME-WAIT at %v", c.timerKind, c.timer.When(), lastFin+timeWait)
 	}
-	p.runUntil(t, func() bool { return closedAt > 0 }, timeWait)
-	if closedAt != lastFin+timeWait {
-		t.Fatalf("closed at %v, want %v", closedAt, lastFin+timeWait)
+	p.runUntil(t, func() bool { return c.State() == StateClosed }, timeWait)
+	if now := p.sched.Now(); now != lastFin+timeWait || closes != 1 || len(p.a.Conns()) != 0 {
+		t.Fatalf("CLOSED at %v with OnClose fired %d times and %d connections left, want at %v, once, none",
+			now, closes, len(p.a.Conns()), lastFin+timeWait)
 	}
 }
 
@@ -955,7 +962,9 @@ func TestDialEphemeralPortExhaustion(t *testing.T) {
 
 // TestConnCloseErr: however a connection ends, Err, Read, Write and the
 // OnClose argument report the same sentinel — the Conn keeps a one-byte
-// close code, not the error — and OnClose fires exactly once.
+// close code, not the error — and OnClose fires exactly once: in TIME-WAIT
+// for the side that closed cleanly first, else in CLOSED. Close and Abort
+// after it change nothing, in TIME-WAIT no RST included.
 func TestConnCloseErr(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -1039,10 +1048,18 @@ func TestConnCloseErr(t *testing.T) {
 				c.OnClose(func(err error) { closes, onClose = closes+1, err })
 			})
 			p.runUntil(t, func() bool { return closes > 0 }, 6*time.Minute) // RTO exhaustion: 342.2 s
-			// Ending it again, and letting every pending timer fire, must
-			// not call OnClose a second time.
+			wantAt := StateClosed
+			if row.want == nil {
+				wantAt = StateTimeWait
+			}
+			sent := p.toACount + p.toBCount
 			c.Close()
 			c.Abort()
+			if c.State() != wantAt || c.Err() != row.want || p.toACount+p.toBCount != sent {
+				t.Fatalf("after OnClose, Close and Abort: %v, Err %v, %d segments sent; want %v, %v, none",
+					c.State(), c.Err(), p.toACount+p.toBCount-sent, wantAt, row.want)
+			}
+			// Letting every pending timer fire must not call OnClose again.
 			for p.sched.Step() {
 			}
 			if closes != 1 || c.State() != StateClosed {
