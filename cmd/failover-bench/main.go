@@ -25,7 +25,6 @@
 //	  -experiment fig6
 //	  -experiment ablate
 //	  -experiment faultsweep
-//	  -experiment failtimeline
 //	  -experiment adversary
 //	  -experiment slo
 //	  -experiment memscale

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"tcpfailover"
+	"tcpfailover/internal/arp"
+	"tcpfailover/internal/fault"
 	"tcpfailover/internal/ipv4"
 	"tcpfailover/internal/netstack"
 )
@@ -50,6 +52,31 @@ func TestFailoverWithRouterARPDelay(t *testing.T) {
 	ec := startEchoClient(t, sc, 192*1024)
 	runUntil(t, sc, func() bool { return ec.received > 64*1024 }, time.Minute)
 	sc.Group.Crash(0)
+}
+
+// TestLostTakeoverAnnouncementIsRepeated loses the promoted secondary's
+// first gratuitous ARP on the server LAN, so the router keeps sending the
+// client's segments to the dead primary's MAC. The takeover announces the
+// address again 2 s later (RFC 5227), which rebinds it; with one
+// announcement the secondary's retransmissions run out and the client
+// never learns the stream is dead.
+func TestLostTakeoverAnnouncementIsRepeated(t *testing.T) {
+	opts := tcpfailover.LANOptions()
+	opts.Faults = &fault.Plan{Impairments: []fault.Impairment{{
+		Link: fault.LinkServerLAN, From: fault.RoleSecondary,
+		Models: []fault.Spec{fault.DropWhen(func(p []byte) bool {
+			if _, _, err := ipv4.Unmarshal(p); err == nil {
+				return false
+			}
+			pkt, err := arp.Unmarshal(p)
+			return err == nil && pkt.SenderIP == tcpfailover.PrimaryAddr && pkt.TargetIP == pkt.SenderIP
+		}, 1)},
+	}}}
+	sc := newScenario(t, opts, echoServer)
+	ec := startEchoClient(t, sc, 192*1024)
+	runUntil(t, sc, func() bool { return ec.received > 48*1024 }, time.Minute)
+	sc.Group.Crash(0)
+	runUntil(t, sc, func() bool { return sc.Faults.Stats().Dropped == 1 }, time.Minute)
 }
 
 // TestColdARPConnection covers connection setup without pre-warmed caches:

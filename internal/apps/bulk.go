@@ -186,7 +186,8 @@ func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*PushServer, erro
 // reports totals. Used by clients of PushServer.
 type Receiver struct {
 	Received   int64
-	BadAt      int64 // offset of first corruption, -1 if none
+	LastAt     time.Duration // when Received last grew
+	BadAt      int64         // offset of first corruption, -1 if none
 	EOF        bool
 	EOFAt      time.Duration
 	OnComplete func()
@@ -207,6 +208,7 @@ func NewReceiver(c *tcp.Conn, sched *sim.Scheduler) *Receiver {
 					}
 				}
 				r.Received += int64(n)
+				r.LastAt = sched.Now()
 				continue
 			}
 			if err == io.EOF && !r.EOF {

@@ -200,17 +200,7 @@ func (m *Module) Resolve(ip ipv4.Addr, cb func(ethernet.MAC, error)) {
 
 func (m *Module) sendRequest(ip ipv4.Addr, w *pending) {
 	w.attempts++
-	pkt := Packet{
-		Op:        OpRequest,
-		SenderMAC: m.nic.MAC(),
-		SenderIP:  m.srcIP(),
-		TargetIP:  ip,
-	}
-	if err := m.nic.Send(ethernet.Frame{
-		Dst:     ethernet.Broadcast,
-		Type:    ethernet.TypeARP,
-		Payload: Marshal(pkt),
-	}); err != nil {
+	if err := m.broadcast(m.srcIP(), ip); err != nil {
 		m.fail(ip, w, err)
 		return
 	}
@@ -230,20 +220,38 @@ func (m *Module) fail(ip ipv4.Addr, w *pending, err error) {
 	}
 }
 
-// Announce broadcasts a gratuitous ARP claiming ip for this NIC. This is
-// step 5 of the paper's primary-failure procedure: the secondary "takes
-// over the IP address of the primary server".
+// RFC 5227's announcement schedule (section 2.3): a claimed address is
+// announced announceNum times, announceInterval apart, so that one lost
+// frame does not leave the old binding in every cache.
+const (
+	announceNum      = 2
+	announceInterval = 2 * time.Second
+)
+
+// Announce broadcasts a gratuitous ARP claiming ip for this NIC, then
+// repeats it on RFC 5227's schedule while this station still owns ip; a
+// crashed or fenced station stops announcing. This is step 5 of the
+// paper's primary-failure procedure: the secondary "takes over the IP
+// address of the primary server". The error is the first broadcast's.
 func (m *Module) Announce(ip ipv4.Addr) error {
-	pkt := Packet{
-		Op:        OpRequest,
-		SenderMAC: m.nic.MAC(),
-		SenderIP:  ip,
-		TargetIP:  ip,
+	err := m.broadcast(ip, ip)
+	for i := 1; i < announceNum; i++ {
+		m.sched.After(time.Duration(i)*announceInterval, "arp.announce", func() {
+			if m.owns(ip) {
+				_ = m.broadcast(ip, ip) // only a down NIC fails, and its host owns nothing
+			}
+		})
 	}
+	return err
+}
+
+// broadcast sends an ARP request for target from this NIC with sender as
+// its own address; sender == target makes it a gratuitous ARP.
+func (m *Module) broadcast(sender, target ipv4.Addr) error {
 	return m.nic.Send(ethernet.Frame{
 		Dst:     ethernet.Broadcast,
 		Type:    ethernet.TypeARP,
-		Payload: Marshal(pkt),
+		Payload: Marshal(Packet{Op: OpRequest, SenderMAC: m.nic.MAC(), SenderIP: sender, TargetIP: target}),
 	})
 }
 

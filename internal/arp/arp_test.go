@@ -195,22 +195,29 @@ func TestEntryExpiry(t *testing.T) {
 	a.mod.Flush()
 }
 
+// TestNoReplyToGratuitousForOwnAddress: a station must not answer a
+// gratuitous ARP for an address it owns with a reply storm (gratuitous
+// requests have sender == target), and the announcer repeats it once, 2 s
+// later (RFC 5227), only if it still owns the address then; a crashed or
+// fenced owner has given it up.
 func TestNoReplyToGratuitousForOwnAddress(t *testing.T) {
-	// A station must not answer a gratuitous ARP for an address it owns
-	// with a reply storm; gratuitous requests have sender == target.
-	sched := sim.New(1)
-	seg := ethernet.NewSegment(sched, ethernet.Config{})
-	a := newStation(sched, seg, macA, ipA, 0)
-	b := newStation(sched, seg, macB, ipB, 0)
-	_ = b
-	if err := a.mod.Announce(ipA); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// One broadcast frame total: no replies.
-	if got := seg.Stats().Frames; got != 1 {
-		t.Errorf("%d frames on the wire, want 1 (no replies to gratuitous ARP)", got)
+	for _, keep := range []bool{true, false} {
+		sched := sim.New(1)
+		seg := ethernet.NewSegment(sched, ethernet.Config{})
+		a := newStation(sched, seg, macA, ipA, 0)
+		newStation(sched, seg, macB, ipB, 0)
+		if err := a.mod.Announce(ipA); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(2)
+		if !keep {
+			a.ip, want = 0, 1
+		}
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := seg.Stats().Frames; got != want || keep && sched.Now() < 2*time.Second {
+			t.Errorf("owner keeps the address %v: %d frames on the wire by %v, want %d announcements and no replies", keep, got, sched.Now(), want)
+		}
 	}
 }

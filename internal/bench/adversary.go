@@ -183,12 +183,10 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 		measureEnd = attackAt + floodCount*200*time.Microsecond + 100*time.Millisecond
 	}
 
-	// Walk the event loop watching client progress. A stall longer than
+	// Run the stream out, watching client progress. A stall longer than
 	// stallAfter means the stream is dead even though nobody said so — the
 	// signature of a wedged bridge or a hijacked address.
 	const stallAfter = 5 * time.Second
-	var lastProgress time.Duration
-	var prevReceived int64
 	wantBytes := int64(total)
 	if echo {
 		wantBytes = echoBytes
@@ -199,27 +197,17 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 		}
 		return recv.EOF
 	}
-	for !done() && !died {
-		if !sc.Sched.Step() {
-			break
-		}
-		if recv.Received != prevReceived {
-			prevReceived = recv.Received
-			lastProgress = sc.Now()
-		}
-		if sc.Now()-lastProgress > stallAfter {
-			break
-		}
-		if sc.Now() > time.Hour {
-			return AdversaryPoint{}, fmt.Errorf("timeout at %v (received=%d)", sc.Now(), recv.Received)
-		}
+	// A drained event queue ends either phase too: nothing more can happen.
+	drained := func() bool { return sc.Sched.PendingEvents() == 0 }
+	if err := sc.RunUntil(func() bool {
+		return done() || died || drained() || sc.Now()-recv.LastAt > stallAfter
+	}, time.Hour); err != nil {
+		return AdversaryPoint{}, fmt.Errorf("%w (received=%d)", err, recv.Received)
 	}
-	// Keep stepping until the attack and its aftermath are fully on the
+	// Keep running until the attack and its aftermath are fully on the
 	// books (the stream can finish before the flood does).
-	for sc.Now() < measureEnd && !died {
-		if !sc.Sched.Step() {
-			break
-		}
+	if err := sc.RunUntil(func() bool { return sc.Now() >= measureEnd || died || drained() }, time.Hour); err != nil {
+		return AdversaryPoint{}, err
 	}
 
 	p := AdversaryPoint{

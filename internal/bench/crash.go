@@ -9,32 +9,24 @@ import (
 	"tcpfailover/internal/fault"
 	"tcpfailover/internal/loadgen"
 	"tcpfailover/internal/netstack"
+	"tcpfailover/internal/obs"
 	"tcpfailover/internal/tcp"
 )
 
 // crashRun is one "crash the primary mid-stream and watch the client"
-// simulation — the run behind E7, E9 and CollectMetrics: the LAN
-// testbed, a push server of a fixed size on both replicas, and one client
-// connection read to EOF.
+// simulation — the run behind E7 and CollectMetrics: the LAN testbed, a
+// push server of a fixed size on both replicas, and one client connection
+// read to EOF. The caller drives it with Scenario.RunUntil.
 type crashRun struct {
 	sc    *tcpfailover.Scenario
 	conn  *tcp.Conn
 	recv  *apps.Receiver
 	total int64
-
-	// The receiver's byte timeline, watched after every event: when it
-	// last grew, whether the primary was already down then, and the
-	// longest gap between two growths that began with it down — the
-	// client-visible stall E7 reports.
-	prevReceived int64
-	lastProgress time.Duration
-	sinceCrash   bool
-	maxGap       time.Duration
 }
 
 // newCrashRun builds and starts the testbed and opens the client's
 // connection; options, if set, adjusts the scenario options (a fault plan,
-// the router's ARP delay, span recording).
+// span recording).
 func newCrashRun(seed, total int64, options func(*tcpfailover.Options)) (*crashRun, error) {
 	sc, err := testbed(Failover, seed, options, pushServer(total))
 	if err != nil {
@@ -54,35 +46,35 @@ func (r *crashRun) intact() bool {
 	return r.recv.EOF && r.recv.BadAt < 0 && r.recv.Received == r.total
 }
 
-// run executes events until the client reads EOF. With crashAt > 0 it
-// fail-stops the primary once that many bytes have arrived; otherwise the
-// crash is left to the scenario's fault schedule. alive, if set, is asked
-// after every event and ends the run early by returning false. A drained
-// event queue or an hour of virtual time is an error, named by what.
-func (r *crashRun) run(what string, crashAt int64, alive func() bool) error {
-	for !r.recv.EOF {
-		if !r.sc.Sched.Step() {
-			return fmt.Errorf("%s: queue empty (received=%d)", what, r.recv.Received)
-		}
-		if crashAt > 0 && r.sc.Primary.Alive() && r.recv.Received >= crashAt {
-			r.sc.Group.Crash(0)
-		}
-		if r.recv.Received != r.prevReceived {
-			if r.sinceCrash {
-				r.maxGap = max(r.maxGap, r.sc.Now()-r.lastProgress)
-			}
-			r.prevReceived = r.recv.Received
-			r.lastProgress = r.sc.Now()
-			r.sinceCrash = !r.sc.Primary.Alive()
-		}
-		if alive != nil && !alive() {
-			return nil
-		}
-		if r.sc.Now() > time.Hour {
-			return fmt.Errorf("%s: timeout (received=%d)", what, r.recv.Received)
-		}
+// stall scores the run's one connection span against the fleet marks
+// (obs.SpanRecorder.Stall, DESIGN §9.3). It reports false when span
+// recording is off or the span records no completed stall.
+func (r *crashRun) stall() (obs.StallBreakdown, bool) {
+	spans := r.sc.Spans.Spans()
+	if len(spans) != 1 {
+		return obs.StallBreakdown{}, false
 	}
-	return nil
+	return r.sc.Spans.Stall(&spans[0])
+}
+
+// CollectMetrics runs one instrumented failover scenario (fixed seed,
+// primary crashed once half the stream has arrived) and returns its
+// metrics registry — the workload behind failover-bench -metrics-out. The
+// snapshot is a function of the seed only.
+func CollectMetrics() (*obs.Registry, error) {
+	const total = 256 * 1024
+	r, err := newCrashRun(424242, total, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.sc.RunUntil(func() bool { return r.recv.Received >= total/2 }, time.Hour); err != nil {
+		return nil, fmt.Errorf("collect-metrics: %w", err)
+	}
+	r.sc.Group.Crash(0)
+	if err := r.sc.RunUntil(func() bool { return r.recv.EOF }, time.Hour); err != nil {
+		return nil, fmt.Errorf("collect-metrics: %w", err)
+	}
+	return r.sc.Obs, nil
 }
 
 // webWorkload is the workload-zoo entry E12 and webCrashFleet drive.

@@ -19,11 +19,12 @@ type smallRun struct {
 	Timeseries *obs.Timeseries `json:"-"` // CollectTimeseries' fleet view
 }
 
-// smallSizes are E2's and E3's message sizes at unit-test size, and
-// smallSLOLoads E12's offered loads.
+// smallSizes are E2's and E3's message sizes at unit-test size,
+// smallFaultRuns E7's runs per cell, and smallSLOLoads E12's offered loads.
 var (
-	smallSizes    = []int64{4096, 131072}
-	smallSLOLoads = []float64{20, 60}
+	smallSizes     = []int64{4096, 131072}
+	smallFaultRuns = 2
+	smallSLOLoads  = []float64{20, 60}
 )
 
 // smallRuns names a run at unit-test size for every table row that
@@ -63,12 +64,7 @@ var smallRuns = map[string]func(s *smallRun) error{
 		return err
 	},
 	"faultsweep": func(s *smallRun) (err error) {
-		s.FaultSweep, err = FaultSweep([]float64{0, 0.02}, 2)
-		return err
-	},
-	"failtimeline": func(s *smallRun) error {
-		r, err := FailoverTimeline(3)
-		s.Timeline = &r
+		s.FaultSweep, err = FaultSweep([]float64{0, 0.02}, smallFaultRuns)
 		return err
 	},
 	"adversary": func(s *smallRun) (err error) {

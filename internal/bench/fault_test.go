@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestFaultSweepShape sanity-checks the sweep's physics on a tiny grid:
 // the clean cell is run once and drops nothing, loss injects drops, streams
@@ -27,5 +30,29 @@ func TestFaultSweepShape(t *testing.T) {
 		if p.RecvKBps >= clean.RecvKBps {
 			t.Errorf("%s: lossy rate %.2f KB/s not below clean %.2f KB/s", p.Model, p.RecvKBps, clean.RecvKBps)
 		}
+	}
+}
+
+// TestFailoverTimelineShape checks the clean cell's phases against the known
+// structure of a LAN failover: every run scores a stall; detection is
+// bounded by the detector timeout plus one check period; the ARP announce
+// is synchronous with the takeover procedure; and the secondary's
+// retransmission timeout dominates.
+func TestFailoverTimelineShape(t *testing.T) {
+	clean := small(t, "faultsweep").FaultSweep[0]
+	if clean.N != smallFaultRuns {
+		t.Errorf("%d of %d clean runs scored a stall", clean.N, smallFaultRuns)
+	}
+	// LANOptions detector: 10 ms period, 50 ms timeout -> detection lands
+	// in (timeout, timeout+period] less the in-flight residue the client
+	// still received after the crash.
+	if d := clean.DetectionMedian; d < 40*time.Millisecond || d > 70*time.Millisecond {
+		t.Errorf("detection median %v outside the detector's timeout window", d)
+	}
+	if clean.AnnounceMedian > time.Millisecond {
+		t.Errorf("announce median %v: the gratuitous ARP should go out with the takeover", clean.AnnounceMedian)
+	}
+	if clean.ResumeMedian < 100*time.Millisecond {
+		t.Errorf("resume median %v: the secondary's retransmission timeout should dominate the stall", clean.ResumeMedian)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // --- E14: fleet-scale stall attribution ------------------------------------------
 //
-// E9 decomposes the client-visible failover stall (detection, ARP announce,
-// redirection, ACK turnaround) for ONE hand-driven connection. E14 asks the
+// E7 decomposes the client-visible failover stall (detection, ARP announce,
+// resume, recovery) for each crash run's one connection. E14 asks the
 // question at fleet scale: when the primary crashes mid-window under
 // open-loop web traffic at 1k/10k/100k connections, what stall does EACH
 // connection see, and where does its time go? Every connection's stall is

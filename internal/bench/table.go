@@ -32,7 +32,7 @@ const (
 	recordConns  = 51        // E1 connections per mode
 	recordReps   = 5         // repetitions per data point (E2, E3, E5)
 	recordStream = 100 << 20 // E4 stream bytes; the ablations use a quarter
-	recordRuns   = 9         // crash runs per point (E7, E9)
+	recordRuns   = 9         // crash runs per E7 cell
 )
 
 // bothModes runs one experiment for the baseline and then the replicated
@@ -120,15 +120,6 @@ var table = []Experiment{
 			return err
 		},
 		Render: renderFaultSweep,
-	},
-	{
-		Name: "failtimeline", Keys: []string{"timeline"},
-		Run: func(r *Results) error {
-			res, err := FailoverTimeline(recordRuns)
-			r.Timeline = &res
-			return err
-		},
-		Render: renderTimeline,
 	},
 	{
 		Name: "adversary", Keys: []string{"adversary"},

@@ -26,7 +26,6 @@ type Results struct {
 	Fig6Fo     []FTPPoint        `json:"fig6_failover,omitempty"`
 	Ablation   []AblationRow     `json:"ablation,omitempty"`
 	FaultSweep []FaultPoint      `json:"fault_sweep,omitempty"`
-	Timeline   *TimelineResult   `json:"timeline,omitempty"`
 	Adversary  []AdversaryPoint  `json:"adversary,omitempty"`
 	SLO        []SLOPoint        `json:"slo,omitempty"`
 	StallScale []StallScalePoint `json:"stall_scale,omitempty"`

@@ -234,7 +234,8 @@ func (b *SecondaryBridge) SetUpstream(a ipv4.Addr) { b.upstream = a }
 // that is left. The connections the TCP layer established under aS are
 // re-keyed to aP, and a gratuitous ARP is broadcast so the router rebinds
 // aP to this host's MAC (the router's ARP processing latency forms part of
-// the takeover window T).
+// the takeover window T); the ARP module repeats it 2 s later while this
+// host still owns aP, so one lost frame cannot strand the router.
 //
 // A connection that cannot be re-keyed (its aP tuple is already taken) does
 // not stop the procedure: every other flow is re-keyed and the address is

@@ -4,8 +4,8 @@ import "time"
 
 // StallBreakdown is one connection's client-visible failover stall,
 // attributed per phase against the fleet marks. It is the repo's one
-// failover phase model: E9 reads it for a single connection, E14 and the
-// benchmark's traced run for every connection of a fleet.
+// failover phase model: E7 reads it for each crash run's one connection,
+// E14 and the benchmark's traced run for every connection of a fleet.
 //
 // The stall runs from Anchor (the last delivery before the takeover, which
 // only the primary can have served; or connection establishment for flows

@@ -29,6 +29,7 @@ var auditedStructs = map[string][]string{
 var testSeams = map[string]string{
 	"internal/tcp.Config.ISS": "the sequence-number wraparound tests pick the initial sequence number",
 	"Options.PeerPorts":       "paper §7.2 server-initiated connections, which no experiment opens",
+	"Options.RouterARPDelay":  "the paper's interval T, which TestFailoverWithRouterARPDelay lengthens and no experiment does",
 }
 
 // knobCeiling is the exact count of the exported fields of auditedStructs
