@@ -110,42 +110,11 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 	if crashAt < 0 {
 		crashAt = total / 2
 	}
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 7)
+	tr, err := apps.NewBulkSend(sc.Client.TCP(), sc.Sched, sc.ServiceAddr(), 7, total)
 	if err != nil {
 		return err
 	}
-	var sent, received int64
-	crashed := noCrash
-	closed := false
-	chunk := make([]byte, 8192)
-	pump := func() {
-		for sent < total {
-			n := min(int64(len(chunk)), total-sent)
-			apps.Pattern(chunk[:n], sent)
-			m, err := conn.Write(chunk[:n])
-			if err != nil || m == 0 {
-				return
-			}
-			sent += int64(m)
-		}
-		conn.Close()
-	}
-	rbuf := make([]byte, 8192)
-	conn.OnEstablished(pump)
-	conn.OnWritable(pump)
-	conn.OnReadable(func() {
-		for {
-			n, rerr := conn.Read(rbuf)
-			if n > 0 {
-				received += int64(n)
-				continue
-			}
-			if rerr == io.EOF || n == 0 {
-				return
-			}
-		}
-	})
-	conn.OnClose(func(error) { closed = true })
+	echo := apps.NewReceiver(tr.Conn, sc.Sched)
 
 	var sampler *obs.Sampler
 	if perfOut != "" {
@@ -158,28 +127,31 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 		var tick func()
 		tick = func() {
 			sampler.Sample(sc.Now())
-			if received < total {
+			if echo.Received < total {
 				sc.Sched.After(period, "obs.sample", tick)
 			}
 		}
 		sc.Sched.After(period, "obs.sample", tick)
 	}
 
-	if !crashed {
-		if err := sc.RunUntil(func() bool { return received >= crashAt }, time.Minute); err != nil {
+	if !noCrash {
+		if err := sc.RunUntil(func() bool { return echo.Received >= crashAt }, time.Minute); err != nil {
 			return err
 		}
-		mark("primary crashes (echoed %d bytes)", received)
+		mark("primary crashes (echoed %d bytes)", echo.Received)
 		sc.Group.Crash(0)
 	}
-	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
+	if err := sc.RunUntil(func() bool { return echo.Received == total }, 10*time.Minute); err != nil {
 		return err
 	}
-	mark("transfer complete (%d bytes, %d trace events)", received, rec.Total())
-	// The client's OnClose fires as it enters TIME-WAIT; the run ends once
-	// its last ACK has closed the members' ends, not after its 2 MSL.
+	if echo.BadAt >= 0 {
+		return fmt.Errorf("echoed stream corrupt at byte %d", echo.BadAt)
+	}
+	mark("transfer complete (%d bytes, %d trace events)", echo.Received, rec.Total())
+	// The client's Transfer is Closed as it enters TIME-WAIT; the run ends
+	// once its last ACK has closed the members' ends, not after its 2 MSL.
 	if err := sc.RunUntil(func() bool {
-		return closed && len(sc.Primary.TCP().Conns())+len(sc.Secondary.TCP().Conns()) == 0
+		return tr.Closed > 0 && len(sc.Primary.TCP().Conns())+len(sc.Secondary.TCP().Conns()) == 0
 	}, 10*time.Minute); err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -48,69 +47,35 @@ func run() error {
 	sc.Start()
 
 	const total = 1 << 20
-	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 7)
+	tr, err := apps.NewBulkSend(sc.Client.TCP(), sc.Sched, sc.ServiceAddr(), 7, total)
 	if err != nil {
 		return err
 	}
-	var sent, received int64
-	badAt := int64(-1)
-	chunk := make([]byte, 16*1024)
-	pump := func() {
-		for sent < total {
-			n := min(int64(len(chunk)), total-sent)
-			apps.Pattern(chunk[:n], sent)
-			m, err := conn.Write(chunk[:n])
-			if err != nil || m == 0 {
-				return
-			}
-			sent += int64(m)
-		}
-		conn.Close()
-	}
-	rbuf := make([]byte, 16*1024)
-	conn.OnEstablished(pump)
-	conn.OnWritable(pump)
-	conn.OnReadable(func() {
-		for {
-			n, err := conn.Read(rbuf)
-			if n > 0 {
-				if badAt < 0 {
-					if i := apps.VerifyPattern(rbuf[:n], received); i >= 0 {
-						badAt = received + int64(i)
-					}
-				}
-				received += int64(n)
-				continue
-			}
-			if err == io.EOF || n == 0 {
-				return
-			}
-		}
-	})
+	echo := apps.NewReceiver(tr.Conn, sc.Sched)
 
 	// First crash: the head, at one third of the stream.
-	if err := sc.RunUntil(func() bool { return received > total/3 }, time.Minute); err != nil {
+	if err := sc.RunUntil(func() bool { return echo.Received > total/3 }, time.Minute); err != nil {
 		return err
 	}
 	fmt.Printf("t=%9.3fms  %d/%d bytes echoed — crashing the HEAD\n",
-		sc.Now().Seconds()*1e3, received, total)
+		sc.Now().Seconds()*1e3, echo.Received, total)
 	sc.Group.Crash(0)
 
 	// Second crash: the promoted middle, at two thirds.
-	if err := sc.RunUntil(func() bool { return received > 2*total/3 }, 10*time.Minute); err != nil {
+	if err := sc.RunUntil(func() bool { return echo.Received > 2*total/3 }, 10*time.Minute); err != nil {
 		return err
 	}
 	fmt.Printf("t=%9.3fms  %d/%d bytes echoed — crashing the PROMOTED MIDDLE\n",
-		sc.Now().Seconds()*1e3, received, total)
+		sc.Now().Seconds()*1e3, echo.Received, total)
 	sc.Group.Crash(1)
 
-	if err := sc.RunUntil(func() bool { return received == total }, 10*time.Minute); err != nil {
+	if err := sc.RunUntil(func() bool { return echo.Received == total }, 10*time.Minute); err != nil {
 		return err
 	}
 	fmt.Printf("t=%9.3fms  final byte received — the connection outlived two of three replicas\n",
 		sc.Now().Seconds()*1e3)
-	fmt.Printf("sent %d, received %d, corruption at %d (-1 = none)\n", sent, received, badAt)
-	if received != total || badAt >= 0 {
+	fmt.Printf("sent %d, received %d, corruption at %d (-1 = none)\n", tr.Sent, echo.Received, echo.BadAt)
+	if echo.Received != total || echo.BadAt >= 0 {
 		return fmt.Errorf("stream damaged")
 	}
 	return nil

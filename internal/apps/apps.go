@@ -2,7 +2,9 @@
 // workload generators used by the examples and the benchmark harness: an
 // echo server, bulk stream sources and sinks, a request/reply server, an
 // HTTP/1.1 keep-alive server and client, and a simplified FTP server and
-// client (the paper's real-world application).
+// client (the paper's real-world application). A stream of pattern bytes
+// has one sender, Transfer, whether a client uploads, PushServer pushes or
+// FTP moves a file, and one checking reader, Receiver.
 //
 // All applications are written against the event-driven socket API of
 // internal/tcp and are deterministic on a per-connection basis, the
@@ -94,7 +96,7 @@ func sendPattern(c *tcp.Conn, at, left int64) (int, error) {
 	return c.Write(buf)
 }
 
-// drainAndEcho is the shared pump used by the echo server.
+// echoConn is the echo server's per-connection pump.
 type echoConn struct {
 	c       *tcp.Conn
 	pending []byte

@@ -42,16 +42,18 @@ func NewSinkServer(stack *tcp.Stack, port uint16) (*SinkServer, error) {
 	return s, nil
 }
 
-// BulkSend connects to addr:port and sends total patterned bytes, then
-// half-closes. The returned Transfer reports completion through callbacks
-// and records the timestamps the paper's Figure 3 measures: when the
-// application passed the last byte to the stack (SendDone) — "the send call
-// returns when the application has passed the last byte to the stack, not
-// when the last byte has been put on the wire" — and when the connection
-// closed (Closed), by which time the receiver has acknowledged everything.
-// The client closes first, so Closed is its entry to TIME-WAIT: from then
-// the connection holds nothing of the Transfer, and the stack alone
-// lingers 2 MSL.
+// Transfer streams Total pattern bytes on one connection and then closes
+// its sending direction: the package's one sender. NewBulkSend runs it on a
+// connection it dials, a client upload; PushServer and FTP's RETR and PUT
+// run it on the data connections they accept or open. It records the
+// timestamps the paper's Figure 3 measures: when the application passed
+// the last byte to the stack (SendDone) — "the send call returns when the
+// application has passed the last byte to the stack, not when the last
+// byte has been put on the wire" — and when the connection closed
+// (Closed), by which time the receiver has acknowledged everything. The
+// sender closes first, so Closed is its entry to TIME-WAIT: from then the
+// connection holds nothing of the Transfer, and the stack alone lingers
+// 2 MSL.
 type Transfer struct {
 	Conn        *tcp.Conn
 	Total       int64
@@ -85,7 +87,8 @@ func (p Pacing) Cost(n int) time.Duration {
 
 func (p Pacing) zero() bool { return p.Fixed == 0 && p.PerKB == 0 }
 
-// NewBulkSend starts a bulk client-to-server transfer.
+// NewBulkSend dials addr:port and streams total pattern bytes to it on a
+// Transfer: a bulk client-to-server transfer.
 func NewBulkSend(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, port uint16, total int64) (*Transfer, error) {
 	return NewBulkSendPaced(stack, sched, addr, port, total, Pacing{})
 }
@@ -96,46 +99,16 @@ func NewBulkSendPaced(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, po
 	if err != nil {
 		return nil, err
 	}
-	t := &Transfer{Conn: conn, Total: total, sched: sched, pacing: pacing}
-	var pump func()
-	pump = func() {
-		if t.paced {
-			return // continuation already scheduled
-		}
-		for t.Sent < t.Total {
-			m, err := sendPattern(conn, t.Sent, t.Total-t.Sent)
-			if err != nil {
-				t.Err = err
-				return
-			}
-			if m == 0 {
-				return // wait for OnWritable
-			}
-			t.Sent += int64(m)
-			if !t.pacing.zero() {
-				t.paced = true
-				sched.After(t.pacing.Cost(m), "bulk.sendcost", func() {
-					t.paced = false
-					pump()
-				})
-				return
-			}
-		}
-		if !t.Done {
-			t.Done = true
-			t.SendDone = sched.Now()
-			conn.Close()
-			if t.OnSent != nil {
-				t.OnSent()
-			}
-		}
-	}
-	conn.OnEstablished(func() {
-		t.Established = sched.Now()
-		pump()
-	})
-	conn.OnWritable(pump)
-	conn.OnClose(func(err error) {
+	return (&Transfer{Total: total, pacing: pacing}).stream(conn, sched), nil
+}
+
+// stream runs t on c and returns it. The caller sets t's Total, pacing and
+// callbacks first: on a dialed connection the stream starts from
+// OnEstablished, but on one already established it starts at once.
+func (t *Transfer) stream(c *tcp.Conn, sched *sim.Scheduler) *Transfer {
+	t.Conn, t.sched = c, sched
+	c.OnWritable(t.pump)
+	c.OnClose(func(err error) {
 		t.Closed = sched.Now()
 		if err != nil && t.Err == nil {
 			t.Err = err
@@ -144,11 +117,55 @@ func NewBulkSendPaced(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, po
 			t.OnClosed(err)
 		}
 	})
-	return t, nil
+	start := func() {
+		t.Established = sched.Now()
+		t.pump()
+	}
+	if c.State() == tcp.StateEstablished {
+		start()
+	} else {
+		c.OnEstablished(start)
+	}
+	return t
 }
 
-// PushServer accepts a connection and immediately streams size patterned
-// bytes to the client, then closes. Used for server-to-client rate
+// pump writes the pattern until the send buffer is full or a paced send
+// call is pending, and closes once the last byte is in the stack.
+func (t *Transfer) pump() {
+	if t.paced {
+		return // continuation already scheduled
+	}
+	for t.Sent < t.Total {
+		m, err := sendPattern(t.Conn, t.Sent, t.Total-t.Sent)
+		if err != nil {
+			t.Err = err
+			return
+		}
+		if m == 0 {
+			return // wait for OnWritable
+		}
+		t.Sent += int64(m)
+		if !t.pacing.zero() {
+			t.paced = true
+			t.sched.After(t.pacing.Cost(m), "bulk.sendcost", func() {
+				t.paced = false
+				t.pump()
+			})
+			return
+		}
+	}
+	if !t.Done {
+		t.Done = true
+		t.SendDone = t.sched.Now()
+		t.Conn.Close()
+		if t.OnSent != nil {
+			t.OnSent()
+		}
+	}
+}
+
+// PushServer accepts a connection and at once streams Size pattern bytes
+// to the client on a Transfer, then closes. Used for server-to-client rate
 // experiments (Figure 5's receive direction).
 type PushServer struct {
 	Size int64
@@ -159,22 +176,7 @@ type PushServer struct {
 func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*PushServer, error) {
 	s := &PushServer{Size: size}
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
-		var sent int64
-		pump := func() {
-			for sent < s.Size {
-				m, err := sendPattern(c, sent, s.Size-sent)
-				if err != nil {
-					return
-				}
-				if m == 0 {
-					return
-				}
-				sent += int64(m)
-			}
-			c.Close()
-		}
-		c.OnWritable(pump)
-		pump()
+		(&Transfer{Total: s.Size}).stream(c, stack.Scheduler())
 	})
 	if err != nil {
 		return nil, err
@@ -183,7 +185,9 @@ func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*PushServer, erro
 }
 
 // Receiver drains a connection, verifying the deterministic pattern, and
-// reports totals. Used by clients of PushServer.
+// reports totals: the package's one checking reader. It closes its end at
+// EOF. PushServer's clients, FTP's GET and STOR, and the echo clients of
+// failover-trace and the examples read with it.
 type Receiver struct {
 	Received   int64
 	LastAt     time.Duration // when Received last grew
@@ -193,8 +197,8 @@ type Receiver struct {
 	OnComplete func()
 }
 
-// NewReceiver attaches pattern-verifying drain logic to an established
-// connection.
+// NewReceiver attaches pattern-verifying drain logic to a connection,
+// dialed or established.
 func NewReceiver(c *tcp.Conn, sched *sim.Scheduler) *Receiver {
 	r := &Receiver{BadAt: -1}
 	c.OnReadable(func() {

@@ -219,65 +219,38 @@ func (s *ftpSession) finishTransfer(ok bool) {
 	s.drainPending()
 }
 
+// sendFile streams the file on the data connection; 226 is sent once the
+// last byte is in the stack, while the connection's TIME-WAIT lingers
+// independently.
 func (s *ftpSession) sendFile(data *tcp.Conn, size int64) {
-	var sent int64
-	finished := false
-	pump := func() {
-		for sent < size {
-			m, err := sendPattern(data, sent, size-sent)
-			if err != nil {
-				return
-			}
-			if m == 0 {
-				return
-			}
-			sent += int64(m)
-		}
-		data.Close()
-		if !finished {
-			// 226 is sent when the transfer completes from the server's
-			// perspective; the connection's TIME-WAIT lingers independently.
-			finished = true
-			s.finishTransfer(true)
-		}
-	}
-	data.OnEstablished(pump)
-	data.OnWritable(pump)
-	data.OnClose(func(err error) {
-		if !finished {
-			finished = true
-			s.finishTransfer(err == nil && sent == size)
-		}
-	})
+	tr := &Transfer{Total: size}
+	finish := s.finishOnce()
+	tr.OnSent = func() { finish(true) }
+	tr.OnClosed = func(err error) { finish(err == nil && tr.Sent == tr.Total) }
+	tr.stream(data, s.srv.stack.Scheduler())
 }
 
 func (s *ftpSession) recvFile(data *tcp.Conn, name string) {
-	var got int64
+	rx := NewReceiver(data, s.srv.stack.Scheduler())
+	finish := s.finishOnce()
+	rx.OnComplete = func() {
+		s.srv.Stored[name] = rx.Received
+		finish(true)
+	}
+	data.OnClose(func(err error) { finish(err == nil) })
+}
+
+// finishOnce returns the completion of one transfer, which replies once: a
+// data connection's OnClose fires at its TIME-WAIT entry, which may come
+// after the session's next transfer has begun.
+func (s *ftpSession) finishOnce() func(ok bool) {
 	finished := false
-	data.OnReadable(func() {
-		for {
-			n, err := data.Read(scratch(data))
-			if n > 0 {
-				got += int64(n)
-				continue
-			}
-			if err == io.EOF {
-				s.srv.Stored[name] = got
-				data.Close()
-				if !finished {
-					finished = true
-					s.finishTransfer(true)
-				}
-			}
-			return
-		}
-	})
-	data.OnClose(func(err error) {
+	return func(ok bool) {
 		if !finished {
 			finished = true
-			s.finishTransfer(err == nil)
+			s.finishTransfer(ok)
 		}
-	})
+	}
 }
 
 func parsePortArg(arg string) (ipv4.Addr, uint16, error) {
@@ -329,25 +302,23 @@ type FTPClient struct {
 	// Done is invoked after QUIT completes and the control connection
 	// closes.
 	Done func()
-	// PutPacing models the user-space client's per-write cost during
-	// uploads (calibrated in EXPERIMENTS.md against the paper's figure 6
-	// put rates, which are send-call-bound for sub-buffer files).
+	// PutPacing is each upload's Transfer pacing: the user-space client's
+	// per-write cost (calibrated in EXPERIMENTS.md against the paper's
+	// figure 6 put rates, which are send-call-bound for sub-buffer files).
 	PutPacing Pacing
 }
 
 type ftpOp struct {
-	kind     string // LOGIN, GET, PUT, QUIT
-	name     string
-	size     int64
-	cb       func(FTPResult)
-	stage    int
-	started  time.Duration
-	got      int64
-	sent     int64
-	badAt    int64
-	ended    bool // data phase complete
-	sendDone time.Duration
-	elapsed  time.Duration
+	kind    string // LOGIN, GET, PUT, QUIT
+	name    string
+	size    int64
+	cb      func(FTPResult)
+	stage   int
+	started time.Duration
+	rx      *Receiver // a GET's data connection
+	tr      *Transfer // a PUT's data connection
+	ended   bool      // data phase complete
+	elapsed time.Duration
 }
 
 // NewFTPClient connects to the server's control port.
@@ -377,12 +348,12 @@ func (c *FTPClient) Login(cb func(FTPResult)) { c.enqueue(&ftpOp{kind: "LOGIN", 
 
 // Get queues a download of name.
 func (c *FTPClient) Get(name string, cb func(FTPResult)) {
-	c.enqueue(&ftpOp{kind: "GET", name: name, cb: cb, badAt: -1})
+	c.enqueue(&ftpOp{kind: "GET", name: name, cb: cb})
 }
 
 // Put queues an upload of size patterned bytes as name.
 func (c *FTPClient) Put(name string, size int64, cb func(FTPResult)) {
-	c.enqueue(&ftpOp{kind: "PUT", name: name, size: size, cb: cb, badAt: -1})
+	c.enqueue(&ftpOp{kind: "PUT", name: name, size: size, cb: cb})
 }
 
 // Quit queues session termination.
@@ -427,28 +398,26 @@ func (c *FTPClient) fail(op *ftpOp, err error) {
 }
 
 func (c *FTPClient) complete(op *ftpOp) {
-	rate := 0.0
+	r := FTPResult{Name: op.name, Elapsed: op.elapsed, BadAt: -1}
+	switch {
+	case op.rx != nil:
+		r.Bytes, r.BadAt = op.rx.Received, op.rx.BadAt
+	case op.tr != nil:
+		r.Bytes = op.tr.Sent
+	}
 	if op.elapsed > 0 {
-		bytes := op.got
-		if op.kind == "PUT" {
-			bytes = op.sent
-		}
-		rate = float64(bytes) / 1024.0 / op.elapsed.Seconds()
+		r.RateKBps = float64(r.Bytes) / 1024.0 / op.elapsed.Seconds()
 	}
 	c.current = nil
 	if op.cb != nil {
-		op.cb(FTPResult{
-			Name:     op.name,
-			Bytes:    op.got + op.sent,
-			Elapsed:  op.elapsed,
-			RateKBps: rate,
-			BadAt:    op.badAt,
-		})
+		op.cb(r)
 	}
 	c.advance()
 }
 
-// openDataListener arranges the client-side data socket for one transfer.
+// openDataListener arranges the client-side data socket for one transfer:
+// a GET reads it with a Receiver, a PUT streams on it with a Transfer paced
+// by PutPacing.
 func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 	var lst *tcp.Listener
 	lst, err := c.stack.Listen(port, func(data *tcp.Conn) {
@@ -458,79 +427,27 @@ func (c *FTPClient) openDataListener(op *ftpOp, port uint16) error {
 			// downloads already started their clock at the command.
 			op.started = c.sched.Now()
 		}
+		// The data phase ends at EOF for a GET. A PUT's rate is measured
+		// the way FTP clients report it: bytes over the duration of the
+		// send loop, which returns when the stack has accepted the last
+		// byte — not when it reaches the wire (cf. the paper's figure 6 put
+		// rates exceeding the link bandwidth for small files). TIME-WAIT
+		// lingers after either.
 		endData := func() {
 			if !op.ended {
 				op.ended = true
 				op.elapsed = c.sched.Now() - op.started
-				if op.kind == "PUT" && op.sendDone > 0 {
-					op.elapsed = op.sendDone - op.started
-				}
 				c.maybeFinish(op)
 			}
 		}
-		switch op.kind {
-		case "GET":
-			data.OnReadable(func() {
-				for {
-					buf := scratch(data)
-					n, rerr := data.Read(buf)
-					if n > 0 {
-						if op.badAt < 0 {
-							if i := VerifyPattern(buf[:n], op.got); i >= 0 {
-								op.badAt = op.got + int64(i)
-							}
-						}
-						op.got += int64(n)
-						continue
-					}
-					if rerr == io.EOF {
-						data.Close()
-						endData() // EOF ends the data phase; TIME-WAIT lingers
-					}
-					return
-				}
-			})
-		case "PUT":
-			paced := false
-			var pump func()
-			pump = func() {
-				if paced {
-					return
-				}
-				for op.sent < op.size {
-					m, werr := sendPattern(data, op.sent, op.size-op.sent)
-					if werr != nil {
-						return
-					}
-					if m == 0 {
-						return
-					}
-					op.sent += int64(m)
-					if cost := c.PutPacing.Cost(m); cost > 0 {
-						paced = true
-						c.sched.After(cost, "ftp.putcost", func() {
-							paced = false
-							pump()
-						})
-						return
-					}
-				}
-				if op.sendDone == 0 {
-					// Upload rate is measured the way FTP clients report
-					// it: bytes over the duration of the send loop, which
-					// returns when the stack has accepted the last byte —
-					// not when it reaches the wire (cf. the paper's
-					// figure 6 put rates exceeding the link bandwidth for
-					// small files).
-					op.sendDone = c.sched.Now()
-				}
-				data.Close()
-				endData()
-			}
-			data.OnWritable(pump)
-			pump()
+		if op.kind == "GET" {
+			op.rx = NewReceiver(data, c.sched)
+			op.rx.OnComplete = endData
+			data.OnClose(func(error) { endData() })
+			return
 		}
-		data.OnClose(func(error) { endData() })
+		op.tr = &Transfer{Total: op.size, pacing: c.PutPacing, OnSent: endData, OnClosed: func(error) { endData() }}
+		op.tr.stream(data, c.sched)
 	})
 	return err
 }

@@ -28,10 +28,11 @@ func hostPair() (*sim.Scheduler, *netstack.Host, *netstack.Host) {
 	return sched, srv, cl
 }
 
-// TestSendPatternGeneratesOnce serves one 128 KiB reply and counts the bytes
-// the sender generates. Every byte is generated when the send buffer has
-// room for it and never again; a sender that refills its whole scratch
-// buffer on every pump generates about eighteen times the payload.
+// TestSendPatternGeneratesOnce serves one 128 KiB reply and one 128 KiB
+// push and counts the bytes each sender generates. Every byte is generated
+// when the send buffer has room for it and never again; a sender that
+// refills its whole scratch buffer on every pump generates about eighteen
+// times the payload.
 func TestSendPatternGeneratesOnce(t *testing.T) {
 	var generated int64
 	fillPattern = func(p []byte, off int64) {
@@ -40,25 +41,50 @@ func TestSendPatternGeneratesOnce(t *testing.T) {
 	}
 	defer func() { fillPattern = Pattern }()
 
-	sched, srv, cl := hostPair()
-	if _, err := NewReqReplyServer(srv.TCP(), 7); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewReqReplyClient(cl.TCP(), sched, pairServerAddr, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const payload = 128 << 10
-	done := false
-	c.Request(payload, func(time.Duration) { done = true })
-	if err := sched.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("reply not delivered")
-	}
-	if limit := int64(payload + srv.TCP().Config().SendBufSize); generated < payload || generated > limit {
-		t.Fatalf("generated %d pattern bytes for a %d-byte reply, want at most %d", generated, payload, limit)
+	for _, sender := range []struct {
+		name  string
+		start func(srv, cl *tcp.Stack, sched *sim.Scheduler) (delivered func() bool, err error)
+	}{
+		{"ReqReply", func(srv, cl *tcp.Stack, sched *sim.Scheduler) (func() bool, error) {
+			if _, err := NewReqReplyServer(srv, 7); err != nil {
+				return nil, err
+			}
+			c, err := NewReqReplyClient(cl, sched, pairServerAddr, 7)
+			if err != nil {
+				return nil, err
+			}
+			done := false
+			c.Request(payload, func(time.Duration) { done = true })
+			return func() bool { return done }, nil
+		}},
+		{"PushServer", func(srv, cl *tcp.Stack, sched *sim.Scheduler) (func() bool, error) {
+			if _, err := NewPushServer(srv, 7, payload); err != nil {
+				return nil, err
+			}
+			c, err := cl.Dial(pairServerAddr, 7)
+			if err != nil {
+				return nil, err
+			}
+			r := NewReceiver(c, sched)
+			return func() bool { return r.EOF && r.Received == payload && r.BadAt < 0 }, nil
+		}},
+	} {
+		generated = 0
+		sched, srv, cl := hostPair()
+		delivered, err := sender.start(srv.TCP(), cl.TCP(), sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.RunUntil(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !delivered() {
+			t.Fatalf("%s: payload not delivered intact", sender.name)
+		}
+		if limit := int64(payload + srv.TCP().Config().SendBufSize); generated < payload || generated > limit {
+			t.Fatalf("%s: generated %d pattern bytes for a %d-byte payload, want at most %d", sender.name, generated, payload, limit)
+		}
 	}
 }
 
@@ -91,33 +117,51 @@ func TestScratchSharedPerEventLoop(t *testing.T) {
 	}
 }
 
-// TestTimeWaitFreesTransfer: an upload's client closes first and lingers
-// 2 MSL in TIME-WAIT, but its application ends as the linger starts — the
-// connection drops its callbacks, so the Transfer and the closures around
-// it are garbage while the stack alone holds the Conn.
+// TestTimeWaitFreesTransfer: the side that closes first lingers 2 MSL in
+// TIME-WAIT, but its application ends as the linger starts — the connection
+// drops its callbacks, so the Transfer and the closures around it are
+// garbage while the stack alone holds the Conn. An upload's client closes
+// first on the connection it dialed, a PushServer on the one it accepted.
 func TestTimeWaitFreesTransfer(t *testing.T) {
-	sched, srv, cl := hostPair()
-	if _, err := NewSinkServer(srv.TCP(), 7); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewBulkSend(cl.TCP(), sched, pairServerAddr, 7, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := tr.Conn
-	for conn.State() != tcp.StateTimeWait && sched.Step() {
-	}
-	if tr.Err != nil || tr.Sent != tr.Total || conn.State() != tcp.StateTimeWait {
-		t.Fatalf("sent %d of %d bytes, %v, in %v; want all of them, nil, in TIME-WAIT", tr.Sent, tr.Total, tr.Err, conn.State())
-	}
-	transfer := weak.Make(tr)
-	tr = nil
-	runtime.GC()
-	if transfer.Value() != nil {
-		t.Error("the Transfer outlives its OnClose: the connection in TIME-WAIT still reaches it")
-	}
-	if conn.State() != tcp.StateTimeWait {
-		t.Errorf("connection in %v after the collection, want TIME-WAIT", conn.State())
+	for _, side := range []string{"dialed upload", "accepted push"} {
+		sched, srv, cl := hostPair()
+		var tr *Transfer
+		if side == "dialed upload" {
+			if _, err := NewSinkServer(srv.TCP(), 7); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if tr, err = NewBulkSend(cl.TCP(), sched, pairServerAddr, 7, 64<<10); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// NewPushServer's accept, keeping the Transfer it starts.
+			if _, err := srv.TCP().Listen(7, func(c *tcp.Conn) { tr = (&Transfer{Total: 64 << 10}).stream(c, sched) }); err != nil {
+				t.Fatal(err)
+			}
+			c, err := cl.TCP().Dial(pairServerAddr, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			NewReceiver(c, sched)
+			for tr == nil && sched.Step() {
+			}
+		}
+		conn := tr.Conn
+		for conn.State() != tcp.StateTimeWait && sched.Step() {
+		}
+		if tr.Err != nil || tr.Sent != tr.Total || conn.State() != tcp.StateTimeWait {
+			t.Fatalf("%s: sent %d of %d bytes, %v, in %v; want all of them, nil, in TIME-WAIT", side, tr.Sent, tr.Total, tr.Err, conn.State())
+		}
+		transfer := weak.Make(tr)
+		tr = nil
+		runtime.GC()
+		if transfer.Value() != nil {
+			t.Errorf("%s: the Transfer outlives its OnClose: the connection in TIME-WAIT still reaches it", side)
+		}
+		if conn.State() != tcp.StateTimeWait {
+			t.Errorf("%s: connection in %v after the collection, want TIME-WAIT", side, conn.State())
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"unsafe"
@@ -387,7 +388,7 @@ func TestPrimaryDropsForgedOrigDstShapes(t *testing.T) {
 		f.establish(t)
 		raw := tcp.Marshal(f.aS, f.aP, &tcp.Segment{SrcPort: 80, DstPort: 49152,
 			Seq: sISS + 1, Ack: clientISS + 1, Flags: tcp.FlagACK | tcp.FlagPSH, Window: 58000,
-			Options: tc.opts(tcp.OrigDstOption(f.aC)), Payload: []byte("hello")})
+			Options: tc.opts(tcp.Option{Kind: tcp.OptOrigDst, Data: binary.BigEndian.AppendUint32(nil, uint32(f.aC))}), Payload: []byte("hello")})
 		before := f.b.Stats().MalformedDrops
 		v, _, _ := f.b.Inbound(0, ipv4.Header{Protocol: ipv4.ProtoTCP, Src: f.aS, Dst: f.aP}, raw)
 		if v != netstack.VerdictDrop {

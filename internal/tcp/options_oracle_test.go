@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -366,7 +367,7 @@ func randomOptionSegment(r *rand.Rand) *Segment {
 		case 3:
 			o = MSSOption(uint16(r.Uint32()))
 		case 4:
-			o = OrigDstOption(ipv4.Addr(r.Uint32()))
+			o = Option{Kind: OptOrigDst, Data: binary.BigEndian.AppendUint32(nil, r.Uint32())}
 		default:
 			o = Option{Kind: byte(2 + r.Intn(250)), Data: make([]byte, r.Intn(9))}
 			r.Read(o.Data)

@@ -222,6 +222,9 @@ func NewStack(sched *sim.Scheduler, cfg Config, output Output,
 // Config returns the stack configuration (after defaulting).
 func (s *Stack) Config() Config { return s.cfg }
 
+// Scheduler returns the event loop the stack runs on.
+func (s *Stack) Scheduler() *sim.Scheduler { return s.sched }
+
 // Stats returns a copy of the stack counters.
 func (s *Stack) Stats() Stats {
 	return Stats{

@@ -124,13 +124,6 @@ func MSSOption(mss uint16) Option {
 	return Option{Kind: OptMSS, Data: []byte{byte(mss >> 8), byte(mss)}}
 }
 
-// OrigDstOption builds an original-destination option.
-func OrigDstOption(a ipv4.Addr) Option {
-	d := make([]byte, 4)
-	ipv4.PutAddr(d, a)
-	return Option{Kind: OptOrigDst, Data: d}
-}
-
 // Errors returned by Unmarshal and the raw accessors.
 var (
 	ErrTruncated   = errors.New("tcp: truncated segment")

@@ -24,7 +24,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		Flags: FlagACK | FlagPSH, Window: 8192, Payload: []byte("hello")})
 	seed(&Segment{SrcPort: 9000, DstPort: 49152, Seq: 7, Ack: 3,
 		Flags: FlagACK | FlagFIN, Window: 1,
-		Options: []Option{OrigDstOption(ipv4.Addr(0x0a000003))}})
+		Options: []Option{{Kind: OptOrigDst, Data: []byte{10, 0, 0, 3}}}})
 	f.Add(uint32(1), uint32(2), []byte{0, 1, 2})
 	f.Add(uint32(0), uint32(0), bytes.Repeat([]byte{0xff}, 64))
 

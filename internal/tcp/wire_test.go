@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func randomSegment(rng *rand.Rand) *Segment {
 		s.Options = append(s.Options, MSSOption(uint16(rng.Intn(65536))))
 	}
 	if rng.Intn(3) == 0 {
-		s.Options = append(s.Options, OrigDstOption(ipv4.Addr(rng.Uint32())))
+		s.Options = append(s.Options, Option{Kind: OptOrigDst, Data: binary.BigEndian.AppendUint32(nil, rng.Uint32())})
 	}
 	return s
 }

@@ -46,7 +46,7 @@ func TestFormatGolden(t *testing.T) {
 			payload: tcp.Marshal(server, client, &tcp.Segment{
 				SrcPort: 80, DstPort: 49152, Seq: 300, Ack: 1001,
 				Flags: tcp.FlagSYN | tcp.FlagACK, Window: 8192,
-				Options: []tcp.Option{tcp.MSSOption(1000), tcp.OrigDstOption(server)},
+				Options: []tcp.Option{tcp.MSSOption(1000), {Kind: tcp.OptOrigDst, Data: []byte{10, 0, 1, 1}}},
 			}),
 			want: "10.0.1.1.80 > 10.0.2.1.49152: Flags [S.], seq 300, ack 1001, win 8192, mss 1000, origdst 10.0.1.1",
 		},
@@ -66,7 +66,7 @@ func TestFormatGolden(t *testing.T) {
 			payload: tcp.Marshal(server, client, &tcp.Segment{
 				SrcPort: 80, DstPort: 49152, Seq: 301, Ack: 1006,
 				Flags: tcp.FlagACK, Window: 8192,
-				Options: []tcp.Option{tcp.MSSOption(1000), tcp.OrigDstOption(server)},
+				Options: []tcp.Option{tcp.MSSOption(1000), {Kind: tcp.OptOrigDst, Data: []byte{10, 0, 1, 1}}},
 				Payload: make([]byte, 1000),
 			}),
 			want: "10.0.1.1.80 > 10.0.2.1.49152: Flags [.], seq 301:1301, ack 1006, win 8192, mss 1000, origdst 10.0.1.1, length 1000",
