@@ -3,8 +3,11 @@
 // echo server, bulk stream sources and sinks, a request/reply server, an
 // HTTP/1.1 keep-alive server and client, and a simplified FTP server and
 // client (the paper's real-world application). A stream of pattern bytes
-// has one sender, Transfer, whether a client uploads, PushServer pushes or
-// FTP moves a file, and one checking reader, Receiver.
+// has one sender, Transfer, whether a client uploads, a push server pushes
+// or FTP moves a file, and one checking reader, Receiver. The echo,
+// request/reply and HTTP servers share one server loop, which answers the
+// requests on a connection one at a time in arrival order, pipelined or
+// not.
 //
 // All applications are written against the event-driven socket API of
 // internal/tcp and are deterministic on a per-connection basis, the
@@ -96,41 +99,86 @@ func sendPattern(c *tcp.Conn, at, left int64) (int, error) {
 	return c.Write(buf)
 }
 
-// echoConn is the echo server's per-connection pump.
-type echoConn struct {
-	c       *tcp.Conn
-	pending []byte
-	sawEOF  bool
+// server is the one loop behind every request/reply service: echo,
+// request/reply and HTTP. Each protocol is a stage over it, which turns the
+// first whole request in req into a staged reply. The loop writes the
+// staged reply, literal bytes first and then pattern bytes; closes once the
+// reply says so or the client has half-closed; otherwise stages the next
+// reply from request bytes already read; and reads more only when no whole
+// request is left. So requests are answered one at a time, in arrival
+// order, however the client's writes were cut into reads: the same replies
+// from both replicas, as active replication requires.
+//
+// Three servers stay off it. SinkServer sends no reply, and folding it in
+// would copy every byte it reads into req on the bulk upload path. A push
+// server's connection is a Transfer started at accept. FTP's control
+// channel also replies from its data connections' callbacks
+// (finishTransfer), outside any loop that reads requests.
+type server struct {
+	c *tcp.Conn
+	// stage stages the reply to the first whole request in req and returns
+	// that request's length, 0 if req holds no whole request, or -1 if the
+	// request is malformed, which aborts the connection. The reply may
+	// alias the request (echo's does): reads append past it, never over it.
+	stage   func(s *server) int
+	req     []byte // request bytes read and not yet answered
+	reply   []byte // literal reply bytes still to write
+	bodyAt  int64  // pattern offset of the next body byte
+	bodyN   int64  // pattern body bytes still to write
+	closing bool   // the staged reply ends the connection
+	eof     bool   // the client has half-closed
 }
 
-func (e *echoConn) pump() {
+// serve installs the server loop with the given stage on port.
+func serve(stack *tcp.Stack, port uint16, stage func(s *server) int) (*tcp.Listener, error) {
+	return stack.Listen(port, func(c *tcp.Conn) {
+		s := &server{c: c, stage: stage}
+		c.OnReadable(s.pump)
+		c.OnWritable(s.pump)
+	})
+}
+
+func (s *server) pump() {
 	for {
-		// Flush pending bytes first so reads don't overrun the send buffer.
-		for len(e.pending) > 0 {
-			n, err := e.c.Write(e.pending)
-			if err != nil {
+		for len(s.reply) > 0 {
+			n, err := s.c.Write(s.reply)
+			if err != nil || n == 0 {
+				return // n == 0: wait for OnWritable
+			}
+			s.reply = s.reply[n:]
+		}
+		for s.bodyN > 0 {
+			n, err := sendPattern(s.c, s.bodyAt, s.bodyN)
+			if err != nil || n == 0 {
 				return
 			}
-			if n == 0 {
-				return // wait for OnWritable
-			}
-			e.pending = e.pending[n:]
+			s.bodyAt += int64(n)
+			s.bodyN -= int64(n)
 		}
-		if e.sawEOF {
-			e.c.Close()
+		if s.closing || s.eof {
+			// The reply said so (HTTP's Connection: close, which puts
+			// TIME-WAIT here, not on a churning client), or the client
+			// half-closed.
+			s.c.Close()
 			return
 		}
-		buf := scratch(e.c)
-		n, err := e.c.Read(buf)
-		if n > 0 {
-			e.pending = append(e.pending, buf[:n]...)
+		if n := s.stage(s); n < 0 {
+			s.c.Abort()
+			return
+		} else if n > 0 {
+			s.req = s.req[n:]
 			continue
 		}
-		if err != nil { // io.EOF or a terminal error
-			e.sawEOF = true
-			continue
+		buf := scratch(s.c)
+		n, err := s.c.Read(buf)
+		switch {
+		case n > 0:
+			s.req = append(s.req, buf[:n]...)
+		case err != nil: // io.EOF or a terminal error
+			s.eof = true
+		default:
+			return // no data yet
 		}
-		return // no data yet
 	}
 }
 
@@ -139,9 +187,8 @@ func (e *echoConn) pump() {
 // its direction. Echo is trivially deterministic, making it the canonical
 // replicated test application.
 func NewEchoServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
-	return stack.Listen(port, func(c *tcp.Conn) {
-		e := &echoConn{c: c}
-		c.OnReadable(e.pump)
-		c.OnWritable(e.pump)
+	return serve(stack, port, func(s *server) int {
+		s.reply = s.req // hand the bytes read over: each is copied once
+		return len(s.req)
 	})
 }

@@ -164,24 +164,14 @@ func (t *Transfer) pump() {
 	}
 }
 
-// PushServer accepts a connection and at once streams Size pattern bytes
-// to the client on a Transfer, then closes. Used for server-to-client rate
-// experiments (Figure 5's receive direction).
-type PushServer struct {
-	Size int64
-}
-
-// NewPushServer installs a push server on port that sends size bytes to
-// every client.
-func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*PushServer, error) {
-	s := &PushServer{Size: size}
-	_, err := stack.Listen(port, func(c *tcp.Conn) {
-		(&Transfer{Total: s.Size}).stream(c, stack.Scheduler())
+// NewPushServer installs a push server on port: every accepted connection
+// at once streams size pattern bytes to the client on a Transfer, then
+// closes. Used for server-to-client rate experiments (Figure 5's receive
+// direction).
+func NewPushServer(stack *tcp.Stack, port uint16, size int64) (*tcp.Listener, error) {
+	return stack.Listen(port, func(c *tcp.Conn) {
+		(&Transfer{Total: size}).stream(c, stack.Scheduler())
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Receiver drains a connection, verifying the deterministic pattern, and

@@ -81,36 +81,20 @@ func (lr *lineReader) feed(p []byte) []string {
 	}
 }
 
-// FTPServer serves the simplified protocol.
-type FTPServer struct {
-	stack *tcp.Stack
-	files FTPFiles
-
-	// Stored counts bytes accepted by STOR, keyed by file name.
-	Stored map[string]int64
-	// Sessions counts accepted control connections.
-	Sessions int
-}
-
 // NewFTPServer installs an FTP server on the control port.
-func NewFTPServer(stack *tcp.Stack, files FTPFiles) (*FTPServer, error) {
-	s := &FTPServer{stack: stack, files: files, Stored: make(map[string]int64)}
-	_, err := stack.Listen(FTPControlPort, func(c *tcp.Conn) {
-		s.Sessions++
-		sess := &ftpSession{srv: s, ctrl: c}
+func NewFTPServer(stack *tcp.Stack, files FTPFiles) (*tcp.Listener, error) {
+	return stack.Listen(FTPControlPort, func(c *tcp.Conn) {
+		sess := &ftpSession{stack: stack, files: files, ctrl: c}
 		c.OnReadable(sess.onCtrlReadable)
 		sess.reply("220 Service ready")
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 type ftpSession struct {
-	srv  *FTPServer
-	ctrl *tcp.Conn
-	lr   lineReader
+	stack *tcp.Stack
+	files FTPFiles
+	ctrl  *tcp.Conn
+	lr    lineReader
 
 	dataAddr ipv4.Addr
 	dataPort uint16
@@ -170,20 +154,19 @@ func (s *ftpSession) command(line string) {
 		s.reply("200 PORT command successful")
 	case "LIST":
 		s.reply("150 Here comes the directory listing")
-		for _, name := range s.srv.files.Names() {
-			s.reply(fmt.Sprintf(" %-12s %d", name, s.srv.files[name]))
+		for _, name := range s.files.Names() {
+			s.reply(fmt.Sprintf(" %-12s %d", name, s.files[name]))
 		}
 		s.reply("226 Directory send OK")
 	case "RETR":
-		size, ok := s.srv.files[arg]
+		size, ok := s.files[arg]
 		if !ok {
 			s.reply("550 File not found")
 			return
 		}
 		s.transfer(func(data *tcp.Conn) { s.sendFile(data, size) })
 	case "STOR":
-		name := arg
-		s.transfer(func(data *tcp.Conn) { s.recvFile(data, name) })
+		s.transfer(s.recvFile)
 	case "QUIT":
 		s.reply("221 Goodbye")
 		s.ctrl.Close()
@@ -200,7 +183,7 @@ func (s *ftpSession) transfer(run func(data *tcp.Conn)) {
 		return
 	}
 	s.reply("150 Opening data connection")
-	data, err := s.srv.stack.DialFrom(FTPDataPort, s.dataAddr, s.dataPort)
+	data, err := s.stack.DialFrom(FTPDataPort, s.dataAddr, s.dataPort)
 	if err != nil {
 		s.reply("425 Can't open data connection")
 		return
@@ -227,16 +210,13 @@ func (s *ftpSession) sendFile(data *tcp.Conn, size int64) {
 	finish := s.finishOnce()
 	tr.OnSent = func() { finish(true) }
 	tr.OnClosed = func(err error) { finish(err == nil && tr.Sent == tr.Total) }
-	tr.stream(data, s.srv.stack.Scheduler())
+	tr.stream(data, s.stack.Scheduler())
 }
 
-func (s *ftpSession) recvFile(data *tcp.Conn, name string) {
-	rx := NewReceiver(data, s.srv.stack.Scheduler())
+func (s *ftpSession) recvFile(data *tcp.Conn) {
+	rx := NewReceiver(data, s.stack.Scheduler())
 	finish := s.finishOnce()
-	rx.OnComplete = func() {
-		s.srv.Stored[name] = rx.Received
-		finish(true)
-	}
+	rx.OnComplete = func() { finish(true) }
 	data.OnClose(func(err error) { finish(err == nil) })
 }
 
@@ -280,9 +260,8 @@ func formatPortArg(addr ipv4.Addr, port uint16) string {
 type FTPResult struct {
 	Name     string
 	Bytes    int64
-	Elapsed  time.Duration // data-phase time, first event to data-conn close
-	RateKBps float64
-	BadAt    int64 // pattern corruption offset for gets, -1 if clean
+	RateKBps float64 // over the data phase, first event to data-conn close
+	BadAt    int64   // pattern corruption offset for gets, -1 if clean
 	Err      error
 }
 
@@ -398,7 +377,7 @@ func (c *FTPClient) fail(op *ftpOp, err error) {
 }
 
 func (c *FTPClient) complete(op *ftpOp) {
-	r := FTPResult{Name: op.name, Elapsed: op.elapsed, BadAt: -1}
+	r := FTPResult{Name: op.name, BadAt: -1}
 	switch {
 	case op.rx != nil:
 		r.Bytes, r.BadAt = op.rx.Received, op.rx.BadAt

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -30,134 +31,45 @@ import (
 // protocol error and reset the connection.
 const httpMaxHeader = 4096
 
-// HTTPServer serves the sized-reply protocol on one port.
-type HTTPServer struct {
-	// Conns counts accepted connections; Requests, responses served;
-	// BytesOut, body bytes written.
-	Conns    int64
-	Requests int64
-	BytesOut int64
+// NewHTTPServer installs the keep-alive server on port. Pipelined requests
+// are answered in arrival order; a malformed head, or one longer than
+// httpMaxHeader, resets the connection.
+func NewHTTPServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
+	return serve(stack, port, stageHTTP)
 }
 
-// NewHTTPServer installs the keep-alive server on port.
-func NewHTTPServer(stack *tcp.Stack, port uint16) (*HTTPServer, error) {
-	s := &HTTPServer{}
-	_, err := stack.Listen(port, func(c *tcp.Conn) {
-		s.Conns++
-		h := &httpServerConn{srv: s, c: c}
-		c.OnReadable(h.pump)
-		c.OnWritable(h.pump)
-	})
-	if err != nil {
-		return nil, err
+// stageHTTP parses the first request head in s.req and stages its response.
+func stageHTTP(s *server) int {
+	head, _, ok := bytes.Cut(s.req[:min(len(s.req), httpMaxHeader)], []byte("\r\n\r\n"))
+	if !ok {
+		if len(s.req) >= httpMaxHeader {
+			return -1 // the head cannot end within the bound
+		}
+		return 0
 	}
-	return s, nil
-}
-
-type httpServerConn struct {
-	srv  *HTTPServer
-	c    *tcp.Conn
-	head []byte // accumulated request head (through the blank line)
-
-	// In-progress response.
-	header  []byte // response head still to write
-	bodyN   int64  // body bytes still to write
-	bodyAt  int64  // pattern offset within the body
-	closing bool   // current response carries Connection: close
-	sawEOF  bool
-}
-
-func (h *httpServerConn) pump() {
-	for {
-		// Flush the in-progress response first, head then body.
-		for len(h.header) > 0 {
-			n, err := h.c.Write(h.header)
-			if err != nil {
-				return
-			}
-			if n == 0 {
-				return // wait for OnWritable
-			}
-			h.header = h.header[n:]
-		}
-		for h.bodyN > 0 {
-			m, err := sendPattern(h.c, h.bodyAt, h.bodyN)
-			if err != nil {
-				return
-			}
-			if m == 0 {
-				return
-			}
-			h.bodyN -= int64(m)
-			h.bodyAt += int64(m)
-			h.srv.BytesOut += int64(m)
-		}
-		if h.closing || h.sawEOF {
-			// Server-initiated close: the response promised Connection: close
-			// (or the client half-closed). TIME-WAIT lands here, not on the
-			// churning client.
-			h.c.Close()
-			return
-		}
-		// Read more of the next request.
-		buf := scratch(h.c)
-		n, err := h.c.Read(buf)
-		if n > 0 {
-			h.head = append(h.head, buf[:n]...)
-			if len(h.head) > httpMaxHeader {
-				h.c.Abort()
-				return
-			}
-			if i := strings.Index(string(h.head), "\r\n\r\n"); i >= 0 {
-				req := string(h.head[:i])
-				rest := h.head[i+4:]
-				h.head = append(h.head[:0], rest...)
-				if !h.serve(req) {
-					h.c.Abort()
-					return
-				}
-				continue // flush the new response
-			}
-			continue
-		}
-		if err != nil { // io.EOF or terminal error
-			h.sawEOF = true
-			continue
-		}
-		return // no data yet
-	}
-}
-
-// serve parses one request head and stages the response; false means a
-// malformed request.
-func (h *httpServerConn) serve(head string) bool {
-	lines := strings.Split(head, "\r\n")
+	lines := strings.Split(string(head), "\r\n")
 	fields := strings.Fields(lines[0])
 	if len(fields) != 3 || fields[0] != "GET" || fields[2] != "HTTP/1.1" {
-		return false
+		return -1
 	}
 	size, ok := parseBytesPath(fields[1])
 	if !ok {
-		return false
+		return -1
 	}
-	h.closing = false
 	for _, l := range lines[1:] {
 		if k, v, ok := strings.Cut(l, ":"); ok &&
 			strings.EqualFold(strings.TrimSpace(k), "Connection") &&
 			strings.EqualFold(strings.TrimSpace(v), "close") {
-			h.closing = true
+			s.closing = true
 		}
 	}
 	conn := "keep-alive"
-	if h.closing {
+	if s.closing {
 		conn = "close"
 	}
-	h.header = append(h.header[:0], fmt.Sprintf(
-		"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n", size, conn)...)
-	h.bodyN = size
-	h.bodyAt = 0
-	h.srv.Requests++
-	return true
+	s.reply = fmt.Appendf(s.reply[:0], "HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: %s\r\n\r\n", size, conn)
+	s.bodyAt, s.bodyN = 0, size
+	return len(head) + 4
 }
 
 // parseBytesPath extracts N from "/bytes/N".
@@ -199,7 +111,6 @@ type HTTPClient struct {
 	bodyLen int64 // current response's Content-Length
 	inBody  bool
 	onDone  func()
-	closed  bool
 }
 
 // NewHTTPClient dials the server. Get may be called immediately.
@@ -211,7 +122,6 @@ func NewHTTPClient(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, port 
 	cl := &HTTPClient{Conn: conn, sched: sched}
 	conn.OnReadable(cl.readable)
 	conn.OnClose(func(err error) {
-		cl.closed = true
 		if cl.OnClosed != nil {
 			cl.OnClosed(err)
 		}
@@ -327,6 +237,3 @@ func (cl *HTTPClient) finishResponse() {
 		done()
 	}
 }
-
-// Closed reports whether the connection has fully closed.
-func (cl *HTTPClient) Closed() bool { return cl.closed }

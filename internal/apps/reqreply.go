@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"io"
 	"time"
 
@@ -15,61 +16,17 @@ import (
 // request until it receives the last byte of the reply.
 
 // NewReqReplyServer installs a server that reads 4-byte big-endian reply
-// sizes and answers each with that many patterned bytes. Multiple requests
-// per connection are served sequentially — deterministically, as active
-// replication requires.
+// sizes and answers each with that many patterned bytes. Requests on one
+// connection, pipelined or not, are answered in arrival order, one after
+// another — deterministically, as active replication requires.
 func NewReqReplyServer(stack *tcp.Stack, port uint16) (*tcp.Listener, error) {
-	return stack.Listen(port, func(c *tcp.Conn) {
-		srv := &reqReplyConn{c: c}
-		c.OnReadable(srv.pump)
-		c.OnWritable(srv.pump)
+	return serve(stack, port, func(s *server) int {
+		if len(s.req) < 4 {
+			return 0
+		}
+		s.bodyAt, s.bodyN = 0, int64(binary.BigEndian.Uint32(s.req))
+		return 4
 	})
-}
-
-type reqReplyConn struct {
-	c       *tcp.Conn
-	reqBuf  []byte
-	replyN  int64 // bytes of current reply still to send
-	replyAt int64 // pattern offset within current reply
-	sawEOF  bool
-}
-
-func (s *reqReplyConn) pump() {
-	for {
-		// Finish the in-progress reply first.
-		for s.replyN > 0 {
-			m, err := sendPattern(s.c, s.replyAt, s.replyN)
-			if err != nil {
-				return
-			}
-			if m == 0 {
-				return // wait for writability
-			}
-			s.replyN -= int64(m)
-			s.replyAt += int64(m)
-		}
-		if s.sawEOF {
-			s.c.Close()
-			return
-		}
-		buf := scratch(s.c)
-		n, err := s.c.Read(buf)
-		if n > 0 {
-			s.reqBuf = append(s.reqBuf, buf[:n]...)
-		} else if err != nil {
-			s.sawEOF = true
-			continue
-		} else {
-			return
-		}
-		if len(s.reqBuf) >= 4 {
-			size := int64(s.reqBuf[0])<<24 | int64(s.reqBuf[1])<<16 |
-				int64(s.reqBuf[2])<<8 | int64(s.reqBuf[3])
-			s.reqBuf = s.reqBuf[4:]
-			s.replyN = size
-			s.replyAt = 0
-		}
-	}
 }
 
 // ReqReplyClient issues sized requests over one connection and measures
