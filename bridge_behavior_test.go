@@ -340,3 +340,69 @@ func TestLateClientFinIsAcknowledged(t *testing.T) {
 		t.Logf("backups=%d: closed at %v (unreplicated %v), %d late-FIN ACK", backups, at, wantAt, late)
 	}
 }
+
+// TestTakeoverKeepsTimeWait: the server closes first, so once the client's
+// FIN is acknowledged both members linger in TIME-WAIT. That ACK is lost,
+// and the primary crashes before the client retransmits its FIN. The
+// takeover re-keys the secondary's TIME-WAIT record onto the service
+// address, so the retransmitted FIN draws an ACK from there, as the
+// unreplicated server's would, and the client closes cleanly on it without
+// an RST.
+func TestTakeoverKeepsTimeWait(t *testing.T) {
+	sc := newScenario(t, tcpfailover.LANOptions(), func(h *netstack.Host) error {
+		_, err := apps.NewPushServer(h.TCP(), 80, 4096)
+		return err
+	})
+	clientFin, resets := false, 0
+	sc.Client.AddPacketTap(func(dir string, hdr ipv4.Header, seg []byte) {
+		if hdr.Protocol != ipv4.ProtoTCP || !tcp.RawSane(seg) {
+			return
+		}
+		switch f := tcp.RawFlags(seg); {
+		case dir == "tx" && f.Has(tcp.FlagFIN):
+			clientFin = true
+		case dir == "rx" && f.Has(tcp.FlagRST):
+			resets++
+		}
+	})
+	dropped := false
+	err := sc.Faults.Impair(fault.Impairment{
+		Link: fault.LinkClientLink, To: fault.RoleClient,
+		Models: []fault.Spec{fault.DropWhen(func(p []byte) bool {
+			hdr, seg, err := ipv4.Unmarshal(p)
+			drop := !dropped && clientFin && err == nil && hdr.Protocol == ipv4.ProtoTCP && tcp.RawSane(seg) &&
+				tcp.RawFlags(seg) == tcp.FlagACK && len(tcp.RawPayload(seg)) == 0
+			dropped = dropped || drop
+			return drop
+		}, 1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := sc.Client.TCP().Dial(sc.ServiceAddr(), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := apps.NewReceiver(conn, sc.Sched)
+	closed, closeErr := false, error(nil)
+	conn.OnClose(func(err error) { closed, closeErr = true, err })
+	runUntil(t, sc, func() bool { return dropped }, time.Minute)
+	lingers := func(h *netstack.Host) bool {
+		return slices.ContainsFunc(h.TCP().Endpoints(), func(e tcp.Endpoint) bool {
+			return e.Tuple.RemotePort == conn.Tuple().LocalPort && e.State == tcp.StateTimeWait
+		})
+	}
+	if closed || !lingers(sc.Primary) || !lingers(sc.Secondary) {
+		t.Fatalf("at the lost ACK: client closed %v, primary lingering %v, secondary lingering %v; want false, true, true",
+			closed, lingers(sc.Primary), lingers(sc.Secondary))
+	}
+	sc.Group.Crash(0)
+	runUntil(t, sc, func() bool { return closed }, time.Hour)
+	if recv.Received != 4096 || recv.BadAt >= 0 || closeErr != nil || resets != 0 {
+		t.Errorf("received %d bytes (corrupt at %d), closed with %v after %d RSTs; want 4096 intact, a clean close, none",
+			recv.Received, recv.BadAt, closeErr, resets)
+	}
+	if !lingers(sc.Secondary) {
+		t.Error("the secondary no longer lingers after acknowledging the FIN")
+	}
+}

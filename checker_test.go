@@ -239,16 +239,16 @@ func (c *checker) drain(outs []*outcome) {
 // client connection in TIME-WAIT has ended: its application is gone.
 func (c *checker) membersEnd() {
 	open := map[uint16]bool{}
-	for _, cc := range c.sc.Client.TCP().Conns() {
-		open[cc.Tuple().LocalPort] = cc.State() != tcp.StateTimeWait
+	for _, e := range c.sc.Client.TCP().Endpoints() {
+		open[e.Tuple.LocalPort] = e.State != tcp.StateTimeWait
 	}
 	for _, h := range []*netstack.Host{c.sc.Primary, c.sc.Secondary, c.sc.Tertiary} {
 		if h == nil || !h.Alive() {
 			continue
 		}
-		for _, mc := range h.TCP().Conns() {
-			if tu := mc.Tuple(); tu.RemoteAddr == c.sc.Client.Iface(0).Addr() && !open[tu.RemotePort] && mc.State() != tcp.StateTimeWait {
-				c.flag("members end", "%s holds %v in %v %v after the last client closed", h.Name(), tu, mc.State(), closeAllowance)
+		for _, e := range h.TCP().Endpoints() {
+			if tu := e.Tuple; tu.RemoteAddr == c.sc.Client.Iface(0).Addr() && !open[tu.RemotePort] && e.State != tcp.StateTimeWait {
+				c.flag("members end", "%s holds %v in %v %v after the last client closed", h.Name(), tu, e.State, closeAllowance)
 			}
 		}
 	}
@@ -413,7 +413,7 @@ func TestCheckerReportsPlantedViolations(t *testing.T) {
 		{"an ack past a reused port's stream", "wire", "acknowledges", echoServer, func(r run) error {
 			// A second connection from the first one's port, after TIME-WAIT,
 			// starts a record of its own, not judged by the first's stream.
-			runUntil(r.t, r.sc, func() bool { return r.ec.closed && len(r.sc.Client.TCP().Conns()) == 0 }, 5*time.Minute)
+			runUntil(r.t, r.sc, func() bool { return r.ec.closed && len(r.sc.Client.TCP().Endpoints()) == 0 }, 5*time.Minute)
 			conn, err := r.sc.Client.TCP().DialFrom(r.v.port, svc, 80)
 			if err != nil {
 				return err

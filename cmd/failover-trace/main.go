@@ -151,7 +151,7 @@ func run(seed, total, crashAt int64, noCrash bool, hosts, pcapOut, perfOut strin
 	// The client's Transfer is Closed as it enters TIME-WAIT; the run ends
 	// once its last ACK has closed the members' ends, not after its 2 MSL.
 	if err := sc.RunUntil(func() bool {
-		return tr.Closed > 0 && len(sc.Primary.TCP().Conns())+len(sc.Secondary.TCP().Conns()) == 0
+		return tr.Closed > 0 && len(sc.Primary.TCP().Endpoints())+len(sc.Secondary.TCP().Endpoints()) == 0
 	}, 10*time.Minute); err != nil {
 		return err
 	}

@@ -52,8 +52,8 @@ func NewSinkServer(stack *tcp.Stack, port uint16) (*SinkServer, error) {
 // byte has been put on the wire" — and when the connection closed
 // (Closed), by which time the receiver has acknowledged everything. The
 // sender closes first, so Closed is its entry to TIME-WAIT: from then the
-// connection holds nothing of the Transfer, and the stack alone lingers
-// 2 MSL.
+// connection holds nothing of the Transfer, and the stack lingers 2 MSL in
+// a record of its own.
 type Transfer struct {
 	Conn        *tcp.Conn
 	Total       int64

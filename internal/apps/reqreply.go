@@ -88,8 +88,15 @@ func NewReqReplyClient(stack *tcp.Stack, sched *sim.Scheduler, addr ipv4.Addr, p
 // connection is established are issued once it is; the measured interval
 // starts when the request bytes enter the stack, matching the paper's
 // "time between the client starting to send the 4-byte message and the
-// client receiving the last byte of the reply".
+// client receiving the last byte of the reply". A zero-size request has no
+// byte to wait for: it replaces any request not yet issued and completes
+// at once, in zero time, without touching the wire.
 func (cl *ReqReplyClient) Request(size int64, onDone func(elapsed time.Duration)) {
+	if size == 0 {
+		cl.want, cl.got, cl.onDone, cl.pendingSz = 0, 0, nil, 0
+		onDone(0)
+		return
+	}
 	cl.want = size
 	cl.got = 0
 	cl.onDone = onDone

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -120,8 +121,9 @@ func TestScratchSharedPerEventLoop(t *testing.T) {
 // TestTimeWaitFreesTransfer: the side that closes first lingers 2 MSL in
 // TIME-WAIT, but its application ends as the linger starts — the connection
 // drops its callbacks, so the Transfer and the closures around it are
-// garbage while the stack alone holds the Conn. An upload's client closes
-// first on the connection it dialed, a PushServer on the one it accepted.
+// garbage while the stack holds the linger in a record of its own. An
+// upload's client closes first on the connection it dialed, a PushServer on
+// the one it accepted.
 func TestTimeWaitFreesTransfer(t *testing.T) {
 	for _, side := range []string{"dialed upload", "accepted push"} {
 		sched, srv, cl := hostPair()
@@ -159,8 +161,12 @@ func TestTimeWaitFreesTransfer(t *testing.T) {
 		if transfer.Value() != nil {
 			t.Errorf("%s: the Transfer outlives its OnClose: the connection in TIME-WAIT still reaches it", side)
 		}
-		if conn.State() != tcp.StateTimeWait {
-			t.Errorf("%s: connection in %v after the collection, want TIME-WAIT", side, conn.State())
+		stack := cl.TCP() // the side that closes first
+		if side == "accepted push" {
+			stack = srv.TCP()
+		}
+		if conn.State() != tcp.StateTimeWait || !slices.Contains(stack.Endpoints(), tcp.Endpoint{Tuple: conn.Tuple(), State: tcp.StateTimeWait}) {
+			t.Errorf("%s: connection in %v after the collection, its stack holding %v; want TIME-WAIT in both", side, conn.State(), stack.Endpoints())
 		}
 	}
 }

@@ -76,3 +76,34 @@ func TestPipelinedRequestsAnswered(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroSizeRequestCompletes: a zero-size request completes at once, in
+// zero time, before the handshake and after it, and leaves nothing behind:
+// the request after it is answered with exactly its own bytes.
+func TestZeroSizeRequestCompletes(t *testing.T) {
+	for _, established := range []bool{false, true} {
+		sched, srv, cl := hostPair()
+		if _, err := NewReqReplyServer(srv.TCP(), 7); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewReqReplyClient(cl.TCP(), sched, pairServerAddr, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for established && !c.connected && sched.Step() {
+		}
+		done := time.Duration(-1)
+		c.Request(0, func(elapsed time.Duration) { done = elapsed })
+		if done != 0 || c.want != 0 || c.pendingSz != 0 {
+			t.Fatalf("established %v: zero-size request done in %v, want %d, pending %d; want 0, 0, 0", established, done, c.want, c.pendingSz)
+		}
+		var replied bool
+		c.Request(1000, func(time.Duration) { replied = true })
+		if err := sched.RunUntil(sched.Now() + 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !replied || c.got != 1000 {
+			t.Errorf("established %v: the next request replied %v with %d bytes, want true, 1000", established, replied, c.got)
+		}
+	}
+}

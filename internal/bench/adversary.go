@@ -225,7 +225,7 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 		p.BridgeConns = pb.Conns()
 		p.Evictions = pb.Stats().ConnsEvicted
 	}
-	p.EndpointConns = len(sc.Primary.TCP().Conns())
+	p.EndpointConns = len(sc.Primary.TCP().Endpoints())
 	for _, m := range []interface{ RejectedBindings() int64 }{
 		sc.Router.Iface(0).ARP(), sc.Router.Iface(1).ARP(),
 		sc.Client.Iface(0).ARP(), sc.Primary.Iface(0).ARP(),

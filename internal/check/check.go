@@ -292,17 +292,17 @@ func (c *Checker) Quiesce() {
 	}
 	type ports struct{ client, server uint16 }
 	open, toService := map[ports]bool{}, 0 // the client's connections
-	for _, cc := range tb.Client.TCP().Conns() {
-		tu := cc.Tuple()
+	for _, e := range tb.Client.TCP().Endpoints() {
+		tu := e.Tuple
 		open[ports{tu.LocalPort, tu.RemotePort}] = true
 		if tu.RemoteAddr == tb.Service {
 			toService++
 		}
 	}
 	for pos, h := range tb.Members {
-		for _, mc := range h.TCP().Conns() {
-			if tu := mc.Tuple(); tu.RemoteAddr == tb.Client.Iface(0).Addr() && !open[ports{tu.RemotePort, tu.LocalPort}] {
-				c.flag(fmt.Sprintf("quiescence: %s holds %v in %v after the client closed it", h.Name(), tu, mc.State()))
+		for _, e := range h.TCP().Endpoints() {
+			if tu := e.Tuple; tu.RemoteAddr == tb.Client.Iface(0).Addr() && !open[ports{tu.RemotePort, tu.LocalPort}] {
+				c.flag(fmt.Sprintf("quiescence: %s holds %v in %v after the client closed it", h.Name(), tu, e.State))
 			}
 		}
 		if tb.Group == nil {

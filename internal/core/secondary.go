@@ -258,12 +258,13 @@ func (b *SecondaryBridge) Takeover() error {
 		b.matcher.aP = b.aP
 	}
 	// The connections to re-key are the failover connections the TCP layer
-	// holds under this host's own address, taken in ascending key order:
-	// the demux table's own order is not stable run to run.
+	// holds under this host's own address, those lingering in TIME-WAIT
+	// included, taken in ascending key order: the demux table's own order is
+	// not stable run to run.
 	stack := b.host.TCP()
 	var keys []uint64
-	for _, c := range stack.Conns() {
-		t := c.Tuple()
+	for _, e := range stack.Endpoints() {
+		t := e.Tuple
 		key := MakeTupleKey(t.RemoteAddr, t.RemotePort, t.LocalPort)
 		if t.LocalAddr == b.aS && b.sel.Match(key) {
 			keys = append(keys, uint64(key))

@@ -151,8 +151,8 @@ func TestSlabDoubleFreePanics(t *testing.T) {
 
 func TestPortSet(t *testing.T) {
 	var ps PortSet
-	if ps.Contains(0) || ps.Contains(65535) || ps.Len() != 0 {
-		t.Fatal("zero value not empty")
+	if ps.Contains(0) || ps.Contains(65535) || ps.Len() != 0 || len(ps.Append(nil)) != 0 || ps.bits != nil {
+		t.Fatal("zero value not empty, or holding its words before the first Add")
 	}
 	ports := []uint16{0, 1, 63, 64, 80, 443, 8080, 49152, 65535}
 	for _, p := range ports {

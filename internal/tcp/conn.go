@@ -26,7 +26,7 @@ type Conn struct {
 	ackNowFlag     bool
 	timing         bool      // an RTT measurement is in progress
 	closeCode      uint8     // how the connection ended, an index into closeErrs; zero while it lives
-	timerKind      uint8     // which of timerRexmt, timerPersist and timerTimeWait holds timer
+	timerKind      uint8     // which of timerRexmt and timerPersist holds timer
 	listener       *Listener // non-nil for passively opened connections
 	alias          *Conn     // next connection sharing tuple.key() in the stack's demux
 
@@ -62,8 +62,9 @@ type Conn struct {
 	rto     rttEstimator
 	timedAt time.Duration
 
-	// Timers. Retransmit, persist and TIME-WAIT share a slot (4.4BSD): retransmit
-	// replaces persist, TIME-WAIT both, and only the holder disarms it.
+	// Timers. Retransmit and persist share a slot (4.4BSD): retransmit
+	// replaces persist, and only the holder disarms it. TIME-WAIT's 2 MSL is
+	// the stack's record's (timeWaitRecord).
 	timer        sim.Timer
 	delackTimer  sim.Timer
 	rtxCount     int32
@@ -76,10 +77,11 @@ type Conn struct {
 	onClose       func(error)
 }
 
-// The ways a connection ends, as Conn.closeCode holds them. destroy is only
-// ever handed one of these, so a byte replaces an error interface.
+// The ways a connection ends, as Conn.closeCode holds them. destroy and
+// enterTimeWait are only ever handed one of these, so a byte replaces an
+// error interface.
 const (
-	closeClean   uint8 = iota + 1 // FIN exchange, TIME-WAIT expiry, a RST while closing, Close before the SYN-ACK
+	closeClean   uint8 = iota + 1 // FIN exchange, TIME-WAIT entry, a RST while closing, Close before the SYN-ACK
 	closeAborted                  // Abort
 	closeTimeout                  // retransmission limit
 	closeRefused                  // RST in SYN-SENT or SYN-RECEIVED
@@ -119,7 +121,10 @@ func (s *Stack) newConn(t Tuple) *Conn {
 // Tuple returns the connection four-tuple.
 func (c *Conn) Tuple() Tuple { return c.tuple }
 
-// State returns the current connection state.
+// State returns the current connection state. From OnClose on, a
+// connection that ended by entering TIME-WAIT reads TIME-WAIT for good: the
+// stack holds the linger in a record of its own, and this handle is no
+// longer part of it.
 func (c *Conn) State() State { return c.state }
 
 // Err returns the terminal error, if the connection has failed.
@@ -141,8 +146,10 @@ func (c *Conn) OnWritable(f func()) { c.onWritable = f }
 // OnClose sets the callback fired exactly once when the connection ends
 // for the application: on entering TIME-WAIT, once the ACK that completes
 // the close is out, or else on reaching CLOSED. err is nil for a clean
-// close. After it the connection holds no callback: the stack alone lingers
-// through 2 MSL, and Close and Abort change nothing.
+// close. After it the connection holds no callback, and Close and Abort
+// change nothing. From TIME-WAIT the stack lingers 2 MSL in a small record
+// that does not reach the Conn, so a handle the application drops is
+// garbage at once.
 func (c *Conn) OnClose(f func(error)) { c.onClose = f }
 
 // SendFree returns the send-buffer space available to Write.
@@ -248,31 +255,21 @@ func (c *Conn) Close() {
 
 // Abort resets the connection immediately, notifying the peer with RST.
 // After OnClose it does nothing: from TIME-WAIT no RST goes out (nor does
-// RFC 793's ABORT send one there), and the stack finishes its 2 MSL.
+// RFC 793's ABORT send one there), and the stack's record finishes 2 MSL.
 func (c *Conn) Abort() {
-	switch c.state {
-	case StateClosed, StateTimeWait:
+	if c.closeCode != 0 {
 		return
-	case StateSynSent, StateListen:
-	default:
-		rst := &Segment{Flags: FlagRST | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt}
-		c.emit(rst)
+	}
+	if c.state != StateSynSent {
+		c.emit(&Segment{Flags: FlagRST | FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
 	}
 	c.destroy(closeAborted)
 }
 
 // --- segment transmission ---------------------------------------------------
 
-// emit marshals a control segment (whose Payload, if any, is copied) into a
-// pooled buffer and hands ownership to the stack output, unsealed.
-func (c *Conn) emit(seg *Segment) {
-	seg.SrcPort = c.tuple.LocalPort
-	seg.DstPort = c.tuple.RemotePort
-	pkt := netbuf.Get()
-	copy(MarshalReserve(pkt, seg, len(seg.Payload)), seg.Payload)
-	c.stack.m.segmentsOut.Inc()
-	_ = c.stack.output(c.tuple.LocalAddr, c.tuple.RemoteAddr, pkt)
-}
+// emit sends a control segment (Stack.emit).
+func (c *Conn) emit(seg *Segment) { c.stack.emit(c.tuple, seg) }
 
 // emitData marshals seg plus n bytes of send-buffer data starting off bytes
 // above its floor. The payload is copied directly into the pooled packet buffer:
@@ -465,7 +462,6 @@ func (c *Conn) maybeSendWindowUpdate() {
 const (
 	timerRexmt uint8 = iota + 1
 	timerPersist
-	timerTimeWait
 )
 
 // connTimer and connDelack are scheduled via AfterArg with the connection as
@@ -482,8 +478,6 @@ func connTimer(v any) {
 		c.onRexmtTimeout()
 	case timerPersist:
 		c.onPersistTimeout()
-	case timerTimeWait:
-		c.destroy(closeClean)
 	}
 }
 
@@ -517,7 +511,7 @@ func (c *Conn) stopRexmt() {
 }
 
 func (c *Conn) onRexmtTimeout() {
-	if c.state == StateClosed || c.state == StateTimeWait {
+	if c.state == StateClosed {
 		return
 	}
 	if c.sndUna == c.sndMaxSeq && c.state != StateSynSent && c.state != StateSynReceived {
@@ -610,28 +604,35 @@ func (c *Conn) onPersistTimeout() {
 	c.armPersist()
 }
 
-// enterTimeWait starts or restarts 2 MSL. The first entry ends the
-// application's part: the ACK that completes the close goes out, OnClose
-// fires, and the connection lets go of every callback, so the stack alone
-// holds the linger and the application's state is garbage.
-func (c *Conn) enterTimeWait() {
+// enterTimeWait ends the connection cleanly and hands the linger to the
+// stack: a TIME-WAIT record takes the Conn's place in the demux and starts
+// 2 MSL. The ACK that completes the close goes out from the Conn, OnClose
+// fires, and the Conn lets go of every callback; once the input that entered
+// returns, only the application's handle reaches it. A receive window the
+// application opens after this is not advertised: the record keeps the one
+// at entry. It returns the record, which answers the rest of a segment that
+// entered from CLOSING.
+func (c *Conn) enterTimeWait() *timeWaitRecord {
 	c.state = StateTimeWait
+	c.closeCode = closeClean
 	// Nothing more will be buffered: the receive ring gives back what it
-	// holds beyond a gap now, not after the linger. The send ring parked
-	// when the ack of our FIN drained it.
+	// holds beyond a gap now. The send ring parked when the ack of our FIN
+	// drained it.
 	c.releaseRcvBuf()
-	c.rtxCount = 0
-	c.setTimer(timerTimeWait, timeWait, "tcp.timewait")
+	c.timer.Stop()
+	c.timer, c.timerKind = sim.Timer{}, 0
+	w := c.stack.linger(c)
 	onClose := c.onClose
 	c.onEstablished, c.onReadable, c.onWritable, c.onClose = nil, nil, nil, nil
 	if onClose != nil {
 		c.flushOutput()
 		onClose(nil)
 	}
+	return w
 }
 
 // destroy tears the connection down, ending it as code says, and fires
-// OnClose if TIME-WAIT has not.
+// OnClose. A connection that has ended, in TIME-WAIT too, stays as it is.
 func (c *Conn) destroy(code uint8) {
 	if c.closeCode != 0 {
 		return
@@ -641,8 +642,8 @@ func (c *Conn) destroy(code uint8) {
 	c.timer.Stop()
 	c.delackTimer.Stop()
 	c.stack.removeConn(c)
-	// However the connection ended — TIME-WAIT expiry, RST, LAST-ACK, Abort
-	// — its rings go back to the store now rather than when the collector
+	// However the connection ended — RST, LAST-ACK, Abort, a timeout — its
+	// rings go back to the store now rather than when the collector
 	// finds them. Unsent bytes have nowhere to go; unread ones stay readable.
 	c.sndBuf.Release()
 	c.releaseRcvBuf()

@@ -412,14 +412,28 @@ func TestDrainedRingsPark(t *testing.T) {
 // bytes it could not send; the side that receives the RST keeps what its
 // TestCrashStopsTheStack: a crashed stack runs no code. Its ESTABLISHED
 // connection holds unacknowledged and unread bytes with a delayed ACK armed,
-// and a listener waits beside it. After Crash nothing leaves the stack,
-// OnClose never runs, no connection or listener is left, every ring is back
-// in the store and no timer of the stack is left to fire.
+// a connection it closed first lingers in TIME-WAIT, and a listener waits
+// beside them. After Crash nothing leaves the stack, OnClose never runs, no
+// connection, TIME-WAIT record or listener is left, every ring is back in
+// the store and no timer of the stack is left to fire.
 func TestCrashStopsTheStack(t *testing.T) {
 	netbuf.SetLeakCheck(true)
 	defer netbuf.SetLeakCheck(false)
 	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
+	if _, err := p.b.Listen(82, (*Conn).Close); err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.a.Dial(p.bAddr, 82)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.OnReadable(func() {
+		if _, err := d.Read(make([]byte, 1)); err == io.EOF {
+			d.Close()
+		}
+	})
+	p.runUntil(t, func() bool { return d.State() == StateClosed }, time.Second)
 	if _, err := p.b.Listen(81, func(*Conn) { t.Error("a crashed stack accepted a connection") }); err != nil {
 		t.Fatal(err)
 	}
@@ -442,12 +456,14 @@ func TestCrashStopsTheStack(t *testing.T) {
 	s.OnClose(func(err error) { t.Errorf("OnClose(%v) ran on a crashed stack", err) })
 	out := p.toACount
 	p.b.Crash()
+	if len(p.b.Endpoints()) != 0 || len(p.b.listeners) != 0 {
+		t.Errorf("after the crash: %d endpoints and %d listeners left", len(p.b.Endpoints()), len(p.b.listeners))
+	}
 	p.dropToB = func([]byte) bool { return true } // the crashed host's NIC is down
 	c.Abort()
 	p.runUntil(t, func() bool { return p.sched.PendingEvents() == 0 }, time.Second)
-	if p.toACount != out || len(p.b.Conns()) != 0 || len(p.b.listeners) != 0 {
-		t.Errorf("after the crash: %d segments out, %d connections and %d listeners left",
-			p.toACount-out, len(p.b.Conns()), len(p.b.listeners))
+	if p.toACount != out || p.sched.Now() > time.Second {
+		t.Errorf("after the crash: %d segments out, a timer pending until %v", p.toACount-out, p.sched.Now())
 	}
 	if live := netbuf.LiveBytes(); live != 0 {
 		t.Errorf("%d bytes of ring storage live after the crash", live)
@@ -786,10 +802,10 @@ func TestTimerSlotZeroWindowReopens(t *testing.T) {
 
 // TestTimerSlotKeepsTimeWait: the client's ACK of the server's FIN is lost,
 // so the FIN comes again in TIME-WAIT and restarts 2 MSL; a stale ACK
-// after it runs the window-update path, whose persist stop must not
-// disarm the slot. OnClose fires once, as the first FIN puts the client in
-// TIME-WAIT; the connection reaches CLOSED timeWait after the retransmitted
-// FIN arrived.
+// after it runs the window-update path, which must not disarm the linger.
+// OnClose fires once, as the first FIN puts the client in TIME-WAIT; the
+// linger is the stack's record, which goes timeWait after the retransmitted
+// FIN arrived, while the handle reads TIME-WAIT throughout.
 func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
@@ -819,20 +835,21 @@ func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	if closes != 1 || closedAt != firstFin {
 		t.Fatalf("OnClose fired %d times, the first at %v; want once, at TIME-WAIT entry %v", closes, closedAt, firstFin)
 	}
-	if !dropped || c.State() != StateTimeWait || c.timer.When() != lastFin+timeWait {
-		t.Fatalf("after the second FIN: dropped %v, %v, 2 MSL ends at %v, want %v", dropped, c.State(), c.timer.When(), lastFin+timeWait)
+	w := p.a.findTimeWait(c.tuple)
+	if !dropped || c.State() != StateTimeWait || w == nil || w.timer.When() != lastFin+timeWait {
+		t.Fatalf("after the second FIN: dropped %v, %v, record %v; want 2 MSL to end at %v", dropped, c.State(), w, lastFin+timeWait)
 	}
 	stale := Marshal(p.bAddr, p.aAddr, &Segment{SrcPort: 80, DstPort: c.tuple.LocalPort,
 		Seq: c.rcvNxt, Ack: c.sndUna.Add(-1), Flags: FlagACK, Window: 4096})
 	SealChecksum(p.bAddr, p.aAddr, stale)
 	p.a.Input(p.bAddr, p.aAddr, stale)
-	if c.timerKind != timerTimeWait || c.timer.When() != lastFin+timeWait {
-		t.Fatalf("a stale ACK left slot kind %d ending at %v, want TIME-WAIT at %v", c.timerKind, c.timer.When(), lastFin+timeWait)
+	if w.timer.When() != lastFin+timeWait {
+		t.Fatalf("a stale ACK left 2 MSL ending at %v, want %v", w.timer.When(), lastFin+timeWait)
 	}
-	p.runUntil(t, func() bool { return c.State() == StateClosed }, timeWait)
-	if now := p.sched.Now(); now != lastFin+timeWait || closes != 1 || len(p.a.Conns()) != 0 {
-		t.Fatalf("CLOSED at %v with OnClose fired %d times and %d connections left, want at %v, once, none",
-			now, closes, len(p.a.Conns()), lastFin+timeWait)
+	p.runUntil(t, func() bool { return p.a.findTimeWait(c.tuple) == nil }, timeWait)
+	if now := p.sched.Now(); now != lastFin+timeWait || closes != 1 || len(p.a.Endpoints()) != 0 || c.State() != StateTimeWait {
+		t.Fatalf("record gone at %v with OnClose fired %d times, %d endpoints left and the handle in %v; want at %v, once, none, TIME-WAIT",
+			now, closes, len(p.a.Endpoints()), c.State(), lastFin+timeWait)
 	}
 }
 
@@ -1059,11 +1076,12 @@ func TestConnCloseErr(t *testing.T) {
 				t.Fatalf("after OnClose, Close and Abort: %v, Err %v, %d segments sent; want %v, %v, none",
 					c.State(), c.Err(), p.toACount+p.toBCount-sent, wantAt, row.want)
 			}
-			// Letting every pending timer fire must not call OnClose again.
+			// Letting every pending timer fire must not call OnClose again,
+			// nor move the handle: the stack's record ends TIME-WAIT.
 			for p.sched.Step() {
 			}
-			if closes != 1 || c.State() != StateClosed {
-				t.Fatalf("OnClose fired %d times, state %v; want once, CLOSED", closes, c.State())
+			if held := c.stack.holds(c.tuple); closes != 1 || c.State() != wantAt || held {
+				t.Fatalf("OnClose fired %d times, state %v, tuple held %v; want once, %v, not held", closes, c.State(), held, wantAt)
 			}
 			wantRead, wantWrite := row.want, row.want
 			if row.eof {

@@ -27,7 +27,7 @@ func (c *Conn) input(seg *Segment) {
 		case StateSynReceived:
 			// Passive open returns to LISTEN: just drop the embryo.
 			c.destroy(closeRefused)
-		case StateTimeWait, StateLastAck, StateClosing:
+		case StateLastAck, StateClosing:
 			c.destroy(closeClean)
 		default:
 			c.destroy(closeReset)
@@ -85,9 +85,9 @@ func (c *Conn) input(seg *Segment) {
 	// Text, a SYN or a FIN that we cannot accept, or that ends at or before
 	// rcvNxt (an old duplicate: the peer missed our ACK), draws an immediate
 	// ACK in every synchronized state (RFC 793 p. 69, as BSD does), so the
-	// peer resynchronizes; in TIME-WAIT a FIN also restarts 2 MSL. Pure ACKs
-	// are not answered: answering them is how two desynchronized endpoints
-	// start an ACK war.
+	// peer resynchronizes; in TIME-WAIT (timeWaitRecord.answer) a FIN also
+	// restarts 2 MSL. Pure ACKs are not answered: answering them is how two
+	// desynchronized endpoints start an ACK war.
 	switch {
 	case !acceptable:
 		if seg.Len() > 0 {
@@ -95,10 +95,6 @@ func (c *Conn) input(seg *Segment) {
 		}
 	case seg.Seq != c.rcvNxt && seg.Len() > 0 && seg.Seq.Add(seg.Len()).Leq(c.rcvNxt):
 		c.ackNowFlag = true
-		if c.state == StateTimeWait && seg.Flags.Has(FlagFIN) {
-			c.sendAck()
-			c.enterTimeWait()
-		}
 	default:
 		c.processPayload(seg)
 		c.processFin(seg)
@@ -224,7 +220,8 @@ func (c *Conn) processAck(seg *Segment) bool {
 		}
 	case StateClosing:
 		if finAcked {
-			c.enterTimeWait()
+			c.enterTimeWait().answer(seg)
+			return false
 		}
 	case StateLastAck:
 		if finAcked {

@@ -177,10 +177,13 @@ type Stack struct {
 	// conns indexes connections by Tuple.key(), so a segment's lookup is one
 	// table probe and then the Conn itself. Conns differing only in
 	// LocalAddr share a key and chain through Conn.alias, newest first. The
-	// Conn is the only per-connection heap object: applications hold *Conn
+	// Conn is a live connection's only heap object: applications hold *Conn
 	// long-term, so it cannot live in an arena whose backing array moves.
-	conns    flowtab.Map[*Conn]
-	nextPort uint16
+	conns flowtab.Map[*Conn]
+	// timeWaits indexes the records connections linger as in TIME-WAIT,
+	// keyed and chained the same way; a segment that misses conns probes it.
+	timeWaits flowtab.Map[*timeWaitRecord]
+	nextPort  uint16
 
 	// inSeg is the scratch segment Input parses into; handlers never retain
 	// the pointer, so reusing it keeps segment receive allocation-free.
@@ -270,7 +273,7 @@ func (s *Stack) Dial(raddr ipv4.Addr, rport uint16) (*Conn, error) {
 	}
 	for range 65536 {
 		t := Tuple{LocalAddr: laddr, LocalPort: s.allocPort(), RemoteAddr: raddr, RemotePort: rport}
-		if s.findConn(t) == nil {
+		if !s.holds(t) {
 			return s.connect(t), nil
 		}
 	}
@@ -288,7 +291,7 @@ func (s *Stack) DialFrom(lport uint16, raddr ipv4.Addr, rport uint16) (*Conn, er
 		return nil, fmt.Errorf("%w: dial %s", ErrNoRoute, raddr)
 	}
 	t := Tuple{LocalAddr: laddr, LocalPort: lport, RemoteAddr: raddr, RemotePort: rport}
-	if s.findConn(t) != nil {
+	if s.holds(t) {
 		return nil, fmt.Errorf("%w: %s", ErrPortInUse, t)
 	}
 	return s.connect(t), nil
@@ -354,18 +357,62 @@ func (s *Stack) removeConn(c *Conn) {
 	c.alias = nil
 }
 
+// findTimeWait, insertTimeWait and removeTimeWait are findConn, insertConn
+// and removeConn over the TIME-WAIT records.
+func (s *Stack) findTimeWait(t Tuple) *timeWaitRecord {
+	w, _ := s.timeWaits.Get(t.key())
+	for w != nil && w.tuple != t {
+		w = w.alias
+	}
+	return w
+}
+
+func (s *Stack) insertTimeWait(w *timeWaitRecord) {
+	k := w.tuple.key()
+	w.alias, _ = s.timeWaits.Get(k)
+	s.timeWaits.Put(k, w)
+}
+
+func (s *Stack) removeTimeWait(w *timeWaitRecord) {
+	k := w.tuple.key()
+	head, _ := s.timeWaits.Get(k)
+	switch {
+	case head != w:
+		for p := head; p != nil; p = p.alias {
+			if p.alias == w {
+				p.alias = w.alias
+				break
+			}
+		}
+	case w.alias != nil:
+		s.timeWaits.Put(k, w.alias)
+	default:
+		s.timeWaits.Delete(k)
+	}
+	w.alias = nil
+}
+
+// holds reports whether a connection or a TIME-WAIT record has the tuple.
+func (s *Stack) holds(t Tuple) bool { return s.findConn(t) != nil || s.findTimeWait(t) != nil }
+
 // Crash fail-stops the stack: each connection stops its timers, returns its
-// rings and leaves the tables with no callback run, and the listeners go.
+// rings and leaves the tables with no callback run, each TIME-WAIT record
+// stops its timer and goes, and the listeners go.
 func (s *Stack) Crash() {
 	for _, c := range s.Conns() {
 		c.onClose = nil
 		c.destroy(closeAborted)
 		c.rcvBuf.Release()
 	}
+	for _, w := range s.timeWaitRecords() {
+		w.end()
+	}
 	clear(s.listeners)
 }
 
 // Conns returns the current connections (copy), in no particular order.
+// A connection in TIME-WAIT is not among them: the stack holds it as a
+// record, which Endpoints lists.
 func (s *Stack) Conns() []*Conn {
 	var out []*Conn
 	for _, k := range s.conns.AppendKeys(nil) {
@@ -376,29 +423,66 @@ func (s *Stack) Conns() []*Conn {
 	return out
 }
 
-// Lookup finds the connection for a tuple.
+func (s *Stack) timeWaitRecords() []*timeWaitRecord {
+	var out []*timeWaitRecord
+	for _, k := range s.timeWaits.AppendKeys(nil) {
+		for w, _ := s.timeWaits.Get(k); w != nil; w = w.alias {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// Endpoint is one tuple the stack answers for, and the state it is in.
+type Endpoint struct {
+	Tuple Tuple
+	State State
+}
+
+// Endpoints returns every tuple the stack holds (copy): its connections,
+// then the connections lingering in TIME-WAIT, in no particular order
+// within each.
+func (s *Stack) Endpoints() []Endpoint {
+	var out []Endpoint
+	for _, c := range s.Conns() {
+		out = append(out, Endpoint{c.tuple, c.state})
+	}
+	for _, w := range s.timeWaitRecords() {
+		out = append(out, Endpoint{w.tuple, StateTimeWait})
+	}
+	return out
+}
+
+// Lookup finds the connection for a tuple. A tuple in TIME-WAIT has none.
 func (s *Stack) Lookup(t Tuple) (*Conn, bool) {
 	c := s.findConn(t)
 	return c, c != nil
 }
 
-// Rebind re-keys a connection to a new local address. The secondary bridge
-// calls this during IP takeover, when the connections the secondary's TCP
-// layer established under its own address must continue under the failed
-// primary's address (paper section 5, step 5).
+// Rebind re-keys a connection, or a TIME-WAIT record, to a new local
+// address. The secondary bridge calls this during IP takeover, when the
+// connections the secondary's TCP layer established under its own address
+// must continue under the failed primary's address (paper section 5, step
+// 5); a record moves too, so a client's retransmitted FIN is still
+// acknowledged from the service address.
 func (s *Stack) Rebind(t Tuple, newLocal ipv4.Addr) error {
-	c := s.findConn(t)
-	if c == nil {
-		return fmt.Errorf("tcp: rebind: no connection %s", t)
-	}
 	nt := t
 	nt.LocalAddr = newLocal
-	if s.findConn(nt) != nil {
+	c, w := s.findConn(t), s.findTimeWait(t)
+	switch {
+	case c == nil && w == nil:
+		return fmt.Errorf("tcp: rebind: no connection %s", t)
+	case s.holds(nt):
 		return fmt.Errorf("%w: rebind target %s", ErrPortInUse, nt)
+	case c != nil:
+		s.removeConn(c)
+		c.tuple = nt
+		s.insertConn(c)
+	default:
+		s.removeTimeWait(w)
+		w.tuple = nt
+		s.insertTimeWait(w)
 	}
-	s.removeConn(c)
-	c.tuple = nt
-	s.insertConn(c)
 	return nil
 }
 
@@ -418,6 +502,10 @@ func (s *Stack) Input(src, dst ipv4.Addr, b []byte) {
 	t := Tuple{LocalAddr: dst, LocalPort: seg.DstPort, RemoteAddr: src, RemotePort: seg.SrcPort}
 	if c := s.findConn(t); c != nil {
 		c.input(seg)
+		return
+	}
+	if w := s.findTimeWait(t); w != nil {
+		w.input(seg)
 		return
 	}
 	if l, ok := s.listeners[seg.DstPort]; ok && !l.closed && seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
@@ -445,19 +533,23 @@ func (s *Stack) accept(l *Listener, t Tuple, syn *Segment) {
 
 // sendRST answers an unmatched segment per RFC 793.
 func (s *Stack) sendRST(t Tuple, seg *Segment) {
-	rst := &Segment{
-		SrcPort: t.LocalPort,
-		DstPort: t.RemotePort,
-		Flags:   FlagRST,
-	}
+	rst := &Segment{Flags: FlagRST}
 	if seg.Flags.Has(FlagACK) {
 		rst.Seq = seg.Ack
 	} else {
 		rst.Flags |= FlagACK
 		rst.Ack = seg.Seq.Add(seg.Len())
 	}
+	s.emit(t, rst)
+}
+
+// emit marshals a control segment of t's (whose Payload, if any, is copied)
+// into a pooled buffer and hands ownership to the stack output, unsealed.
+func (s *Stack) emit(t Tuple, seg *Segment) {
+	seg.SrcPort = t.LocalPort
+	seg.DstPort = t.RemotePort
 	pkt := netbuf.Get()
-	MarshalReserve(pkt, rst, 0)
+	copy(MarshalReserve(pkt, seg, len(seg.Payload)), seg.Payload)
 	s.m.segmentsOut.Inc()
 	_ = s.output(t.LocalAddr, t.RemoteAddr, pkt)
 }
