@@ -125,7 +125,7 @@ func TestDivergenceResetsConnection(t *testing.T) {
 			for _, h := range []*netstack.Host{sc.Primary, sc.Secondary, sc.Tertiary}[:backups+1] {
 				v, _ := sc.Obs.Lookup(`bridge_divergences_total{host="` + h.Name() + `"}`)
 				divergences += v
-				conns = append(conns, len(h.TCP().Conns()))
+				conns = append(conns, len(h.TCP().Endpoints()))
 			}
 			if !errors.Is(ec.err, tcp.ErrConnReset) || ec.received > prefix || ec.badAt >= 0 || divergences != 1 {
 				t.Errorf("client closed with %v after %d bytes (first bad at %d), %d divergences; want a reset, at most the %d-byte common prefix, 1",
@@ -173,8 +173,8 @@ func TestIdleConnectionsHoldNoRingStorage(t *testing.T) {
 			}
 			for _, h := range []*netstack.Host{sc.Client, sc.Primary, sc.Secondary, sc.Tertiary}[:backups+2] {
 				established := 0
-				for _, c := range h.TCP().Conns() {
-					if c.State() == tcp.StateEstablished {
+				for _, e := range h.TCP().Endpoints() {
+					if e.State == tcp.StateEstablished {
 						established++
 					}
 				}
@@ -221,7 +221,7 @@ func TestStraySegmentIsRefusedFromServiceAddress(t *testing.T) {
 		sc := newScenario(t, opts, echoServer)
 		ec := startEchoClient(t, sc, 8192)
 		gone := func() bool {
-			return ec.closed && len(sc.Client.TCP().Conns()) == 0 && (sc.Group == nil || sc.Group.PrimaryBridge().Conns() == 0)
+			return ec.closed && len(sc.Client.TCP().Endpoints()) == 0 && (sc.Group == nil || sc.Group.PrimaryBridge().Conns() == 0)
 		}
 		runUntil(t, sc, gone, 10*time.Minute)
 		var got []string

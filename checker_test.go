@@ -404,10 +404,10 @@ func TestCheckerReportsPlantedViolations(t *testing.T) {
 		{"a member left in LAST-ACK", "members end", "secondary holds", echoServer, func(r run) error {
 			// The secondary hears nothing more once it has sent its FIN, so
 			// it retransmits it to a client that has closed.
-			lastAck := func(c *tcp.Conn) bool { return c.State() == tcp.StateLastAck }
+			lastAck := func(e tcp.Endpoint) bool { return e.State == tcp.StateLastAck }
 			return r.sc.Faults.Impair(fault.Impairment{Link: fault.LinkServerLAN, To: fault.RoleSecondary,
 				Models: []fault.Spec{fault.DropWhen(func(p []byte) bool {
-					return isTCP(p) && slices.ContainsFunc(r.sc.Secondary.TCP().Conns(), lastAck)
+					return isTCP(p) && slices.ContainsFunc(r.sc.Secondary.TCP().Endpoints(), lastAck)
 				}, 0)}})
 		}},
 		{"an ack past a reused port's stream", "wire", "acknowledges", echoServer, func(r run) error {

@@ -91,8 +91,8 @@ func TestHTTPServerClosesFirst(t *testing.T) {
 	if err := sched.RunUntil(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(cl.TCP().Conns()); n != 0 {
-		t.Errorf("client still holds %d conns after close (TIME-WAIT on the wrong side?)", n)
+	if n := len(cl.TCP().Endpoints()); n != 0 {
+		t.Errorf("client still holds %d endpoints after close (TIME-WAIT on the wrong side?)", n)
 	}
 }
 

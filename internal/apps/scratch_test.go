@@ -199,8 +199,8 @@ func liveHeapAfterAccepts(t *testing.T, conns int, listen func(*tcp.Stack, uint1
 	if err := sched.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if established != conns || len(srv.TCP().Conns()) != conns {
-		t.Fatalf("%d of %d connections established, %d accepted", established, conns, len(srv.TCP().Conns()))
+	if established != conns || len(srv.TCP().Endpoints()) != conns {
+		t.Fatalf("%d of %d connections established, %d accepted", established, conns, len(srv.TCP().Endpoints()))
 	}
 	after, objAfter := heap()
 	runtime.KeepAlive(sched)

@@ -244,8 +244,8 @@ func runAdversaryCell(attack string, failover bool, seed int64) (AdversaryPoint,
 
 	completed := recv.Received >= wantBytes && recv.BadAt < 0 && !died
 	established := 0
-	for _, c := range sc.Primary.TCP().Conns() {
-		if c.State() == tcp.StateEstablished {
+	for _, e := range sc.Primary.TCP().Endpoints() {
+		if e.State == tcp.StateEstablished {
 			established++
 		}
 	}

@@ -641,7 +641,7 @@ func (c *Conn) destroy(code uint8) {
 	c.state = StateClosed
 	c.timer.Stop()
 	c.delackTimer.Stop()
-	c.stack.removeConn(c)
+	c.stack.conns.remove(c)
 	// However the connection ended — RST, LAST-ACK, Abort, a timeout — its
 	// rings go back to the store now rather than when the collector
 	// finds them. Unsent bytes have nowhere to go; unread ones stay readable.

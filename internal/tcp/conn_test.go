@@ -407,33 +407,36 @@ func TestDrainedRingsPark(t *testing.T) {
 	})
 }
 
-// TestResetAndAbortReleaseRings: a connection torn down without a close
-// handshake gives its storage back at once too. The aborting side drops the
-// bytes it could not send; the side that receives the RST keeps what its
 // TestCrashStopsTheStack: a crashed stack runs no code. Its ESTABLISHED
 // connection holds unacknowledged and unread bytes with a delayed ACK armed,
-// a connection it closed first lingers in TIME-WAIT, and a listener waits
-// beside them. After Crash nothing leaves the stack, OnClose never runs, no
-// connection, TIME-WAIT record or listener is left, every ring is back in
-// the store and no timer of the stack is left to fire.
+// a connection it closed first lingers in TIME-WAIT with bytes its
+// application never read, and a listener waits beside them. After Crash
+// nothing leaves the stack, OnClose never runs, no connection, TIME-WAIT
+// record or listener is left, every ring is back in the store, the lingering
+// one's too, and no timer of the stack is left to fire.
 func TestCrashStopsTheStack(t *testing.T) {
 	netbuf.SetLeakCheck(true)
 	defer netbuf.SetLeakCheck(false)
 	p := newPair(t, Config{})
 	c, s := p.connect(t, 80)
-	if _, err := p.b.Listen(82, (*Conn).Close); err != nil {
+	var lingering *Conn
+	if _, err := p.b.Listen(82, func(c *Conn) { lingering = c; c.Close() }); err != nil {
 		t.Fatal(err)
 	}
 	d, err := p.a.Dial(p.bAddr, 82)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.OnEstablished(func() { d.Write(make([]byte, 100)) })
 	d.OnReadable(func() {
 		if _, err := d.Read(make([]byte, 1)); err == io.EOF {
 			d.Close()
 		}
 	})
 	p.runUntil(t, func() bool { return d.State() == StateClosed }, time.Second)
+	if lingering.State() != StateTimeWait || lingering.rcvBuf.Ready() != 100 {
+		t.Fatalf("set-up: the connection b closed first is in %v with %d unread bytes", lingering.State(), lingering.rcvBuf.Ready())
+	}
 	if _, err := p.b.Listen(81, func(*Conn) { t.Error("a crashed stack accepted a connection") }); err != nil {
 		t.Fatal(err)
 	}
@@ -470,6 +473,9 @@ func TestCrashStopsTheStack(t *testing.T) {
 	}
 }
 
+// TestResetAndAbortReleaseRings: a connection torn down without a close
+// handshake gives its storage back at once too. The aborting side drops the
+// bytes it could not send; the side that receives the RST keeps what its
 // application has not read yet, and only that.
 func TestResetAndAbortReleaseRings(t *testing.T) {
 	netbuf.SetLeakCheck(true)
@@ -835,7 +841,7 @@ func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	if closes != 1 || closedAt != firstFin {
 		t.Fatalf("OnClose fired %d times, the first at %v; want once, at TIME-WAIT entry %v", closes, closedAt, firstFin)
 	}
-	w := p.a.findTimeWait(c.tuple)
+	w := p.a.timeWaits.find(c.tuple)
 	if !dropped || c.State() != StateTimeWait || w == nil || w.timer.When() != lastFin+timeWait {
 		t.Fatalf("after the second FIN: dropped %v, %v, record %v; want 2 MSL to end at %v", dropped, c.State(), w, lastFin+timeWait)
 	}
@@ -846,7 +852,7 @@ func TestTimerSlotKeepsTimeWait(t *testing.T) {
 	if w.timer.When() != lastFin+timeWait {
 		t.Fatalf("a stale ACK left 2 MSL ending at %v, want %v", w.timer.When(), lastFin+timeWait)
 	}
-	p.runUntil(t, func() bool { return p.a.findTimeWait(c.tuple) == nil }, timeWait)
+	p.runUntil(t, func() bool { return p.a.timeWaits.find(c.tuple) == nil }, timeWait)
 	if now := p.sched.Now(); now != lastFin+timeWait || closes != 1 || len(p.a.Endpoints()) != 0 || c.State() != StateTimeWait {
 		t.Fatalf("record gone at %v with OnClose fired %d times, %d endpoints left and the handle in %v; want at %v, once, none, TIME-WAIT",
 			now, closes, len(p.a.Endpoints()), c.State(), lastFin+timeWait)
@@ -1042,7 +1048,7 @@ func TestConnCloseErr(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.runUntil(t, func() bool { return c.State() == StateEstablished }, time.Second)
-				s := p.b.findConn(Tuple{LocalAddr: p.bAddr, LocalPort: 80, RemoteAddr: p.aAddr, RemotePort: c.Tuple().LocalPort})
+				s := p.b.conns.find(Tuple{LocalAddr: p.bAddr, LocalPort: 80, RemoteAddr: p.aAddr, RemotePort: c.Tuple().LocalPort})
 				if s == nil || s.State() != StateSynReceived {
 					t.Fatalf("server end %v, want one in SYN-RECEIVED", s)
 				}

@@ -13,7 +13,7 @@ import (
 // TestDemuxAgainstTupleMap drives one stack through seeded programmes of
 // accept, dial, Rebind, abort and close over a tuple space small enough that
 // packed keys collide (Tuple.key leaves LocalAddr out), and after every step
-// checks Lookup of every tuple, Conns() as a set and the connection count
+// checks Lookup of every tuple, the listing of the demux as a set and the connection count
 // against a map[Tuple]*Conn. Connections open on two local addresses;
 // Rebind may also move one onto a third, as takeover moves the secondary's
 // connections onto the service address. The model keeps each key's
@@ -113,10 +113,10 @@ func TestDemuxAgainstTupleMap(t *testing.T) {
 					t.Fatalf("seed %d step %d: Lookup %v = %p, %v; want %p", seed, step, u, got, ok, model[u])
 				}
 			}
-			conns := s.Conns()
+			conns := s.conns.all()
 			for _, c := range conns {
 				if model[c.tuple] != c {
-					t.Fatalf("seed %d step %d: Conns() holds %v, which the model does not", seed, step, c.tuple)
+					t.Fatalf("seed %d step %d: the demux holds %v, which the model does not", seed, step, c.tuple)
 				}
 			}
 			if len(conns) != len(model) {

@@ -91,7 +91,7 @@ func oracleConn(t testing.TB, cfg Config, irs Seq) *Conn {
 	}
 	tuple := Tuple{LocalAddr: local, LocalPort: 80, RemoteAddr: remote, RemotePort: 4000}
 	s.accept(l, tuple, &Segment{Seq: irs, Flags: FlagSYN, Window: 65535})
-	c := s.findConn(tuple)
+	c := s.conns.find(tuple)
 	c.input(&Segment{Seq: irs.Add(1), Ack: c.sndNxt, Flags: FlagACK, Window: 65535})
 	if c.State() != StateEstablished {
 		t.Fatalf("set-up: connection is %v", c.State())

@@ -174,16 +174,18 @@ type Stack struct {
 	localAddr func(dst ipv4.Addr) (ipv4.Addr, bool)
 
 	listeners map[uint16]*Listener
-	// conns indexes connections by Tuple.key(), so a segment's lookup is one
-	// table probe and then the Conn itself. Conns differing only in
-	// LocalAddr share a key and chain through Conn.alias, newest first. The
-	// Conn is a live connection's only heap object: applications hold *Conn
-	// long-term, so it cannot live in an arena whose backing array moves.
-	conns flowtab.Map[*Conn]
-	// timeWaits indexes the records connections linger as in TIME-WAIT,
-	// keyed and chained the same way; a segment that misses conns probes it.
-	timeWaits flowtab.Map[*timeWaitRecord]
-	nextPort  uint16
+	// conns indexes the connections. The Conn is a live connection's only
+	// heap object: applications hold *Conn long-term, so it cannot live in
+	// an arena whose backing array moves.
+	conns demux[*Conn]
+	// timeWaits indexes the records connections linger as in TIME-WAIT; a
+	// segment that misses conns probes it.
+	timeWaits demux[*timeWaitRecord]
+	// unread holds the receive ring of each record whose application had
+	// left bytes in it at TIME-WAIT entry, so that Crash can return them:
+	// only such a record's Conn outlives the input that entered TIME-WAIT.
+	unread   map[*timeWaitRecord]*ByteRing
+	nextPort uint16
 
 	// inSeg is the scratch segment Input parses into; handlers never retain
 	// the pointer, so reusing it keeps segment receive allocation-free.
@@ -302,7 +304,7 @@ func (s *Stack) DialFrom(lport uint16, raddr ipv4.Addr, rport uint16) (*Conn, er
 func (s *Stack) connect(t Tuple) *Conn {
 	c := s.newConn(t)
 	c.state = StateSynSent
-	s.insertConn(c)
+	s.conns.insert(c)
 	if s.spans != nil {
 		s.spans.Mark(c.tuple.SpanKey(), obs.SpanSynSent, s.sched.Now())
 	}
@@ -319,118 +321,95 @@ func (s *Stack) allocPort() uint16 {
 	return p
 }
 
-// findConn returns the connection for a tuple, or nil. The alias chain is
-// populated only by connections sharing a key, which requires two local
-// addresses — in the steady state every probe resolves on the table hit.
-func (s *Stack) findConn(t Tuple) *Conn {
-	c, _ := s.conns.Get(t.key())
-	for c != nil && c.tuple != t {
-		c = c.alias
+// demux indexes a stack's connections, or its TIME-WAIT records, by
+// Tuple.key(), so a segment's lookup is one table probe and then the entry
+// itself. Entries differing only in LocalAddr share a key and chain through
+// their alias links, newest first. A chain needs entries sharing a key,
+// which requires two local addresses: in the steady state every probe
+// resolves on the table hit.
+type demux[E demuxEntry[E]] struct{ m flowtab.Map[E] }
+
+// demuxEntry is what a demux chains: an entry knows its tuple and holds the
+// link to the next entry under the same key.
+type demuxEntry[E any] interface {
+	comparable
+	Tuple() Tuple
+	aliasLink() *E
+}
+
+// find returns the entry for a tuple, or nil.
+func (d *demux[E]) find(t Tuple) E {
+	e, _ := d.m.Get(t.key())
+	var none E
+	for e != none && e.Tuple() != t {
+		e = *e.aliasLink()
 	}
-	return c
+	return e
 }
 
-// insertConn indexes c under its tuple's key, at the head of the chain.
-func (s *Stack) insertConn(c *Conn) {
-	k := c.tuple.key()
-	c.alias, _ = s.conns.Get(k)
-	s.conns.Put(k, c)
+// insert indexes e under its tuple's key, at the head of the chain.
+func (d *demux[E]) insert(e E) {
+	k := e.Tuple().key()
+	*e.aliasLink(), _ = d.m.Get(k)
+	d.m.Put(k, e)
 }
 
-// removeConn unlinks c, by identity, from its key's chain.
-func (s *Stack) removeConn(c *Conn) {
-	k := c.tuple.key()
-	head, _ := s.conns.Get(k)
+// remove unlinks e, by identity, from its key's chain.
+func (d *demux[E]) remove(e E) {
+	k := e.Tuple().key()
+	head, _ := d.m.Get(k)
+	var none E
+	next := *e.aliasLink()
 	switch {
-	case head != c:
-		for p := head; p != nil; p = p.alias {
-			if p.alias == c {
-				p.alias = c.alias
+	case head != e:
+		for p := head; p != none; p = *p.aliasLink() {
+			if *p.aliasLink() == e {
+				*p.aliasLink() = next
 				break
 			}
 		}
-	case c.alias != nil:
-		s.conns.Put(k, c.alias)
+	case next != none:
+		d.m.Put(k, next)
 	default:
-		s.conns.Delete(k)
+		d.m.Delete(k)
 	}
-	c.alias = nil
+	*e.aliasLink() = none
 }
 
-// findTimeWait, insertTimeWait and removeTimeWait are findConn, insertConn
-// and removeConn over the TIME-WAIT records.
-func (s *Stack) findTimeWait(t Tuple) *timeWaitRecord {
-	w, _ := s.timeWaits.Get(t.key())
-	for w != nil && w.tuple != t {
-		w = w.alias
-	}
-	return w
-}
-
-func (s *Stack) insertTimeWait(w *timeWaitRecord) {
-	k := w.tuple.key()
-	w.alias, _ = s.timeWaits.Get(k)
-	s.timeWaits.Put(k, w)
-}
-
-func (s *Stack) removeTimeWait(w *timeWaitRecord) {
-	k := w.tuple.key()
-	head, _ := s.timeWaits.Get(k)
-	switch {
-	case head != w:
-		for p := head; p != nil; p = p.alias {
-			if p.alias == w {
-				p.alias = w.alias
-				break
-			}
+// all returns every entry (copy), in no particular order.
+func (d *demux[E]) all() []E {
+	var out []E
+	var none E
+	for _, k := range d.m.AppendKeys(nil) {
+		for e, _ := d.m.Get(k); e != none; e = *e.aliasLink() {
+			out = append(out, e)
 		}
-	case w.alias != nil:
-		s.timeWaits.Put(k, w.alias)
-	default:
-		s.timeWaits.Delete(k)
 	}
-	w.alias = nil
+	return out
 }
+
+func (c *Conn) aliasLink() **Conn { return &c.alias }
 
 // holds reports whether a connection or a TIME-WAIT record has the tuple.
-func (s *Stack) holds(t Tuple) bool { return s.findConn(t) != nil || s.findTimeWait(t) != nil }
+func (s *Stack) holds(t Tuple) bool { return s.conns.find(t) != nil || s.timeWaits.find(t) != nil }
 
 // Crash fail-stops the stack: each connection stops its timers, returns its
 // rings and leaves the tables with no callback run, each TIME-WAIT record
-// stops its timer and goes, and the listeners go.
+// stops its timer and returns the receive ring its connection left unread,
+// and the listeners go.
 func (s *Stack) Crash() {
-	for _, c := range s.Conns() {
+	for _, c := range s.conns.all() {
 		c.onClose = nil
 		c.destroy(closeAborted)
 		c.rcvBuf.Release()
 	}
-	for _, w := range s.timeWaitRecords() {
+	for _, w := range s.timeWaits.all() {
+		if r := s.unread[w]; r != nil {
+			r.Release()
+		}
 		w.end()
 	}
 	clear(s.listeners)
-}
-
-// Conns returns the current connections (copy), in no particular order.
-// A connection in TIME-WAIT is not among them: the stack holds it as a
-// record, which Endpoints lists.
-func (s *Stack) Conns() []*Conn {
-	var out []*Conn
-	for _, k := range s.conns.AppendKeys(nil) {
-		for c, _ := s.conns.Get(k); c != nil; c = c.alias {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func (s *Stack) timeWaitRecords() []*timeWaitRecord {
-	var out []*timeWaitRecord
-	for _, k := range s.timeWaits.AppendKeys(nil) {
-		for w, _ := s.timeWaits.Get(k); w != nil; w = w.alias {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // Endpoint is one tuple the stack answers for, and the state it is in.
@@ -444,10 +423,10 @@ type Endpoint struct {
 // within each.
 func (s *Stack) Endpoints() []Endpoint {
 	var out []Endpoint
-	for _, c := range s.Conns() {
+	for _, c := range s.conns.all() {
 		out = append(out, Endpoint{c.tuple, c.state})
 	}
-	for _, w := range s.timeWaitRecords() {
+	for _, w := range s.timeWaits.all() {
 		out = append(out, Endpoint{w.tuple, StateTimeWait})
 	}
 	return out
@@ -455,7 +434,7 @@ func (s *Stack) Endpoints() []Endpoint {
 
 // Lookup finds the connection for a tuple. A tuple in TIME-WAIT has none.
 func (s *Stack) Lookup(t Tuple) (*Conn, bool) {
-	c := s.findConn(t)
+	c := s.conns.find(t)
 	return c, c != nil
 }
 
@@ -468,20 +447,20 @@ func (s *Stack) Lookup(t Tuple) (*Conn, bool) {
 func (s *Stack) Rebind(t Tuple, newLocal ipv4.Addr) error {
 	nt := t
 	nt.LocalAddr = newLocal
-	c, w := s.findConn(t), s.findTimeWait(t)
+	c, w := s.conns.find(t), s.timeWaits.find(t)
 	switch {
 	case c == nil && w == nil:
 		return fmt.Errorf("tcp: rebind: no connection %s", t)
 	case s.holds(nt):
 		return fmt.Errorf("%w: rebind target %s", ErrPortInUse, nt)
 	case c != nil:
-		s.removeConn(c)
+		s.conns.remove(c)
 		c.tuple = nt
-		s.insertConn(c)
+		s.conns.insert(c)
 	default:
-		s.removeTimeWait(w)
+		s.timeWaits.remove(w)
 		w.tuple = nt
-		s.insertTimeWait(w)
+		s.timeWaits.insert(w)
 	}
 	return nil
 }
@@ -500,11 +479,11 @@ func (s *Stack) Input(src, dst ipv4.Addr, b []byte) {
 		return
 	}
 	t := Tuple{LocalAddr: dst, LocalPort: seg.DstPort, RemoteAddr: src, RemotePort: seg.SrcPort}
-	if c := s.findConn(t); c != nil {
+	if c := s.conns.find(t); c != nil {
 		c.input(seg)
 		return
 	}
-	if w := s.findTimeWait(t); w != nil {
+	if w := s.timeWaits.find(t); w != nil {
 		w.input(seg)
 		return
 	}
@@ -522,7 +501,7 @@ func (s *Stack) accept(l *Listener, t Tuple, syn *Segment) {
 	c := s.newConn(t)
 	c.state = StateSynReceived
 	c.listener = l
-	s.insertConn(c)
+	s.conns.insert(c)
 	c.setRcvNxt(syn.Seq.Add(1))
 	c.setSndWnd(syn.Window)
 	if mss, ok := syn.MSS(); ok {

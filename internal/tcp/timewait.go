@@ -10,7 +10,7 @@ import (
 // keeps only what an answer needs and holds no pointer to the Conn, so the
 // Conn is garbage once the application lets go of it. Everything the Conn
 // sent has been acknowledged and nothing more is received, so snd.nxt,
-// rcv.nxt and the receive window are fixed for the linger. 56 bytes, in the
+// rcv.nxt and the receive window are fixed for the linger. 64 bytes, the
 // 64-byte size class.
 type timeWaitRecord struct {
 	stack  *Stack
@@ -22,11 +22,20 @@ type timeWaitRecord struct {
 	rcvWnd int32 // the receive window at entry; an ACK advertises it, capped at 65 535
 }
 
+func (w *timeWaitRecord) Tuple() Tuple                { return w.tuple }
+func (w *timeWaitRecord) aliasLink() **timeWaitRecord { return &w.alias }
+
 // linger swaps c for a TIME-WAIT record in the demux and starts its 2 MSL.
 func (s *Stack) linger(c *Conn) *timeWaitRecord {
 	w := &timeWaitRecord{stack: s, tuple: c.tuple, sndNxt: c.sndNxt, rcvNxt: c.rcvNxt, rcvWnd: int32(c.rcvFree())}
-	s.removeConn(c)
-	s.insertTimeWait(w)
+	if c.rcvBuf.Ready() > 0 {
+		if s.unread == nil {
+			s.unread = map[*timeWaitRecord]*ByteRing{}
+		}
+		s.unread[w] = &c.rcvBuf
+	}
+	s.conns.remove(c)
+	s.timeWaits.insert(w)
 	w.restart()
 	return w
 }
@@ -43,7 +52,8 @@ func timeWaitExpired(v any) { v.(*timeWaitRecord).end() }
 // end stops the timer, if it has not fired, and forgets the tuple.
 func (w *timeWaitRecord) end() {
 	w.timer.Stop()
-	w.stack.removeTimeWait(w)
+	w.stack.timeWaits.remove(w)
+	delete(w.stack.unread, w)
 }
 
 // input answers a segment for the tuple as the Conn in TIME-WAIT did
